@@ -27,10 +27,12 @@ from numpy.typing import NDArray
 
 from .errors import MissingValueOracle, NoGapEstimate, StationaryStart, ZeroL2
 from .hessian_learner import LearnerState, QuadLoss, default_rho, learner_step
-from .linops import Counter, SymOperator
+# SymOperator is not built here any more; perfbench/tracing.py still wraps
+# oqn.driver.SymOperator by name, so the import stays
+from .linops import Counter, ShiftedOperator, SymOperator  # noqa: F401
 from .problems import ObjectiveSpec, eval_gradient
 from .rng import RngStream
-from .trsolver import TrustRegionSubproblem, tr_solve
+from .trsolver import TrustRegionSubproblem, project_ball, tr_solve
 
 STATIONARY_RTOL = 1e-14
 
@@ -200,11 +202,6 @@ def init(spec: ObjectiveSpec, params: HyperParams,
     return state
 
 
-def _project_ball(x: NDArray, radius: float) -> NDArray:
-    n = np.linalg.norm(x)
-    return x if n <= radius else x * (radius / n)
-
-
 def step(state: OqnState, spec: ObjectiveSpec, params: HyperParams, rng: RngStream,
          log: Optional[StepLog] = None, full: bool = False,
          method: str = "oqn") -> None:
@@ -251,15 +248,17 @@ def step(state: OqnState, spec: ObjectiveSpec, params: HyperParams, rng: RngStre
         state.box_violations += 1
 
     if method == "oqn":
-        b_mat = state.b_state.b_mat
-        a_op = SymOperator(0.5 * b_mat + (1.0 / eta) * np.eye(spec.dim),
-                           state.matvec_counter)
-        b_delta = SymOperator(b_mat, state.matvec_counter).apply(delta_n)
+        # A = B/2 + I/eta as a matrix-free view over the learner's operator;
+        # |B|_op <= |B|_F makes 1/eta - |B|_F/2 a lower bound on lambda_min(A)
+        b_op = state.b_state.b_op
+        a_op = ShiftedOperator(b_op, -1.0 / eta, scale=0.5)
+        b_delta = b_op.apply(delta_n)
         b_vec = gz + g_n - state.hint - 0.5 * b_delta - delta_n / eta
         problem = TrustRegionSubproblem(
             a_op=a_op, b=b_vec, radius=d_rad, delta=params.delta_tr,
             q=params.p_fail / (2.0 * params.m_total),
             b_bound=max(2.0 * spec.l1, spec.l1 + 1.0 / eta),
+            lam_min_lower=1.0 / eta - 0.5 * state.b_state.b_fro,
         )
         sol = tr_solve(problem, rng)
         delta_next = sol.delta_vec
@@ -270,8 +269,8 @@ def step(state: OqnState, spec: ObjectiveSpec, params: HyperParams, rng: RngStre
         branch = sol.branch.value
         state.tr_stats["branches"][branch] = state.tr_stats["branches"].get(branch, 0) + 1
         # reuses the B delta_n product: one extra matvec for B delta_{n+1}
-        hint_next = gz + 0.5 * (SymOperator(b_mat, state.matvec_counter).apply(delta_next)
-                                - b_delta)
+        b_delta_next = b_op.apply(delta_next)
+        hint_next = gz + 0.5 * (b_delta_next - b_delta)
         if log is not None:
             if full:
                 log.events.append({
@@ -280,12 +279,13 @@ def step(state: OqnState, spec: ObjectiveSpec, params: HyperParams, rng: RngStre
                     "matvecs": sol.matvecs_used, "residual": sol.residual,
                     "retried": sol.retried, "rng_state": rng.state(),
                 })
-                fp = np.linalg.norm(delta_next - _project_ball(
-                    delta_next - eta * (a_op.dense() @ delta_next + b_vec), d_rad))
+                a_delta_next = 0.5 * b_delta_next + delta_next / eta
+                fp = np.linalg.norm(delta_next - project_ball(
+                    delta_next - eta * (a_delta_next + b_vec), d_rad))
                 log.fp_gaps.append(float(fp))
     else:  # og baseline: zero matrix, explicit projected optimistic update
         hint_next = gz
-        delta_next = _project_ball(
+        delta_next = project_ball(
             delta_n - eta * hint_next - eta * (g_n - state.hint), d_rad)
 
     if log is not None:

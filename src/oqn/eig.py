@@ -90,7 +90,7 @@ def _lanczos_run(fact: LanczosFactorization, op, n_target: int) -> None:
         # full reorthogonalization; cheap vector work, no matvecs
         basis_mat = np.column_stack(fact.basis)
         w = w - basis_mat @ (basis_mat.T @ w)
-        beta = float(np.linalg.norm(w))
+        beta = math.sqrt(w @ w)
         fact.alphas.append(alpha)
         fact.betas.append(beta)
         if beta <= fact.breakdown_tol:

@@ -15,6 +15,13 @@ Frobenius projection) and (b) immediately runs the separation oracle on the
 new ambient iterate to materialize the next action.  The initial action is
 the zero matrix, whose separation outcome (gamma = 0, inside) is
 deterministic and therefore cached without an oracle call.
+
+The played action lives in one ``SymOperator`` (``LearnerState.b_op``), which
+the driver applies directly and views as its trust-region matrix.  When the
+oracle finds W inside the doubled ball, the operator built for the
+separation call is reused as B, so a round usually builds one operator.
+Its Frobenius norm, computed at build time, gives the driver a free
+operator-norm bound on B.
 """
 
 from __future__ import annotations
@@ -49,11 +56,12 @@ class QuadLoss:
 @dataclass
 class LearnerState:
     """Ambient iterate W (Frobenius ball of radius sqrt(d) L1), played action
-    B (operator norm at most 2 L1 per the separation guarantee), and the
-    cached separation data (gamma, S) that produced B from W."""
+    B as an operator (operator norm at most 2 L1 per the separation
+    guarantee), and the cached separation data (gamma, S) that produced B
+    from W."""
 
     w_mat: NDArray
-    b_mat: NDArray
+    b_op: SymOperator
     gamma: float
     s_mat: NDArray
     rho: float
@@ -65,10 +73,21 @@ class LearnerState:
     @classmethod
     def fresh(cls, dim: int, l1: float, rho: float, q_per_call: float,
               counter: Counter | None = None) -> "LearnerState":
+        counter = counter if counter is not None else Counter()
         zero = np.zeros((dim, dim))
-        return cls(w_mat=zero, b_mat=zero.copy(), gamma=0.0, s_mat=zero.copy(),
-                   rho=rho, l1=l1, dim=dim, q_per_call=q_per_call,
-                   counter=counter if counter is not None else Counter())
+        return cls(w_mat=zero, b_op=SymOperator(zero, counter), gamma=0.0,
+                   s_mat=zero.copy(), rho=rho, l1=l1, dim=dim,
+                   q_per_call=q_per_call, counter=counter)
+
+    @property
+    def b_mat(self) -> NDArray:
+        """Dense B, no copy.  Treat as read-only."""
+        return self.b_op.dense()
+
+    @property
+    def b_fro(self) -> float:
+        """|B|_F, an upper bound on the operator norm of B."""
+        return self.b_op.frobenius_norm()
 
 
 @dataclass
@@ -111,8 +130,7 @@ def learner_step(state: LearnerState, q: QuadLoss,
                  rng: RngStream) -> tuple[LearnerState, LearnerAudit]:
     """Close the current round with loss pair ``q`` and materialize the next
     action.  Costs one matvec (the B s product) plus one separation call."""
-    b_op = SymOperator(state.b_mat, state.counter)
-    r = q.y - b_op.apply(q.s)
+    r = q.y - state.b_op.apply(q.s)
     grad = -np.outer(r, q.s) - np.outer(q.s, r)
     round_case = SepCase.INSIDE_DOUBLED if state.gamma <= 1.0 else SepCase.SEPARATED
     if round_case is SepCase.SEPARATED:
@@ -123,13 +141,14 @@ def learner_step(state: LearnerState, q: QuadLoss,
     w_next = _project_frobenius(state.w_mat - state.rho * g_tilde,
                                 np.sqrt(state.dim) * state.l1)
 
-    sep_res = sep(SymOperator(w_next, state.counter), state.l1, state.q_per_call, rng)
+    w_op = SymOperator(w_next, state.counter)
+    sep_res = sep(w_op, state.l1, state.q_per_call, rng)
     if sep_res.case is SepCase.INSIDE_DOUBLED:
-        b_next = w_next
+        b_next = w_op
     else:
-        b_next = w_next / sep_res.gamma
+        b_next = SymOperator(w_next / sep_res.gamma, state.counter)
     next_state = LearnerState(
-        w_mat=w_next, b_mat=b_next, gamma=sep_res.gamma, s_mat=sep_res.s_mat,
+        w_mat=w_next, b_op=b_next, gamma=sep_res.gamma, s_mat=sep_res.s_mat,
         rho=state.rho, l1=state.l1, dim=state.dim, q_per_call=state.q_per_call,
         counter=state.counter,
     )

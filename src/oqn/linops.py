@@ -1,13 +1,17 @@
 """Symmetric linear operators with matrix-vector product accounting.
 
 Every matrix the optimizer touches on its hot path is applied only through
-``apply`` (one counted matvec per call).  Dense symmetric storage is the
-canonical backing: the dimensions of interest are small-to-moderate, and the
-dense copy is what powers the brute-force test oracles.  Counters are
-run-scoped objects owned by the caller, never globals.
+``apply`` (one counted matvec per call).  ``SymOperator`` stores one dense
+symmetric matrix; everything else is a matrix-free ``ShiftedOperator`` view
+``scale * base - shift * I`` over it, whose Frobenius norm and trace follow
+in closed form from the base's.  Dense copies are only built on request, for
+the brute-force test oracles and audits.  Counters are run-scoped objects
+owned by the caller, never globals.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 from numpy.typing import NDArray
@@ -37,19 +41,19 @@ class SymOperator:
 
     ``apply`` increments the attached counter by exactly one per call; the
     dense backing is reserved for test oracles and norm queries, which are
-    free of matvec cost.
+    free of matvec cost.  The Frobenius norm is computed once, at build time.
     """
 
-    __slots__ = ("mat", "counter")
+    __slots__ = ("mat", "counter", "fro")
 
     def __init__(self, mat: NDArray, counter: Counter | None = None):
         mat = np.asarray(mat, dtype=float)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise DimensionMismatch(f"expected a square matrix, got shape {mat.shape}")
-        scale = np.linalg.norm(mat) or 1.0
-        if np.linalg.norm(mat - mat.T) > 1e-10 * scale:
-            raise DimensionMismatch("matrix is not symmetric")
         self.mat = 0.5 * (mat + mat.T)
+        self.fro = float(np.linalg.norm(self.mat))
+        if np.linalg.norm(mat - mat.T) > 1e-10 * (self.fro or 1.0):
+            raise DimensionMismatch("matrix is not symmetric")
         self.counter = counter if counter is not None else Counter()
 
     @property
@@ -68,18 +72,25 @@ class SymOperator:
         return self.mat
 
     def frobenius_norm(self) -> float:
-        return float(np.linalg.norm(self.mat))
+        return self.fro
+
+    def trace(self) -> float:
+        return float(np.trace(self.mat))
 
 
 class ShiftedOperator:
-    """View of ``base - shift * I``.  The shift is free; applying it ticks
-    the base operator's counter exactly once."""
+    """Matrix-free view of ``scale * base - shift * I``.
 
-    __slots__ = ("base", "shift")
+    Scaling and shifting are free; applying the view ticks the base
+    operator's counter exactly once.  ``base`` may itself be a view.
+    """
 
-    def __init__(self, base: SymOperator, shift: float):
+    __slots__ = ("base", "shift", "scale")
+
+    def __init__(self, base, shift: float, scale: float = 1.0):
         self.base = base
         self.shift = float(shift)
+        self.scale = float(scale)
 
     @property
     def dim(self) -> int:
@@ -90,23 +101,23 @@ class ShiftedOperator:
         return self.base.counter
 
     def apply(self, v: NDArray) -> NDArray:
-        return self.base.apply(v) - self.shift * v
+        # the unscaled case is the trust-region solver's inner loop: no multiply
+        if self.scale == 1.0:
+            return self.base.apply(v) - self.shift * v
+        return self.scale * self.base.apply(v) - self.shift * v
 
     def dense(self) -> NDArray:
-        return self.base.dense() - self.shift * np.eye(self.dim)
+        return self.scale * self.base.dense() - self.shift * np.eye(self.dim)
 
     def frobenius_norm(self) -> float:
-        return float(np.linalg.norm(self.dense()))
+        """|s B - t I|_F^2 = s^2 |B|_F^2 - 2 s t tr(B) + d t^2, no dense copy."""
+        s, t = self.scale, self.shift
+        sq = ((s * self.base.frobenius_norm()) ** 2 - 2.0 * s * t * self.base.trace()
+              + self.dim * t * t)
+        return math.sqrt(max(sq, 0.0))
 
-
-def matvec(op, v: NDArray) -> NDArray:
-    """Apply the operator to a vector; counts one matvec."""
-    return op.apply(v)
-
-
-def frobenius_norm(op) -> float:
-    """Frobenius norm from dense storage (no matvec cost)."""
-    return op.frobenius_norm()
+    def trace(self) -> float:
+        return self.scale * self.base.trace() - self.shift * self.dim
 
 
 def dense_extreme_eig(op, dim_cap: int = DENSE_EIG_DIM_CAP):

@@ -1,11 +1,14 @@
 """Inexact trust-region subproblem solver via convexification.
 
-The solve certifies a normal-cone residual below the requested accuracy: a
-randomized minimum-eigenpair probe decides between the already-convex path
-and a regularized convex path, each handled by an accelerated projected
-method (a FISTA burn-in that shrinks the objective gap, then a gradient-norm
-phase that converts the gap into a small residual).  All matrix access is
-counted matvecs; residual checks cost one matvec each and are counted too.
+The solve certifies a normal-cone residual below the requested accuracy.
+The branch is the already-convex path when A is known to be PSD, otherwise a
+regularized convex path; each is handled by an accelerated projected method
+(a FISTA burn-in that shrinks the objective gap, then a gradient-norm phase
+that converts the gap into a small residual).  PSD-ness comes from the
+caller's deterministic lower bound on the smallest eigenvalue when that bound
+is nonnegative (no probe, no randomness); otherwise a randomized
+minimum-eigenpair probe decides.  All matrix access is counted matvecs;
+residual checks cost one matvec each and are counted too.
 """
 
 from __future__ import annotations
@@ -32,7 +35,9 @@ class TrustRegionSubproblem:
 
     ``b_bound`` must upper-bound both the spectral spread and the largest
     eigenvalue of A; it is the caller's certificate and sizes all internal
-    iteration budgets.
+    iteration budgets.  ``lam_min_lower`` must lower-bound the smallest
+    eigenvalue of A, likewise on the caller's word; a nonnegative value
+    certifies A PSD and skips the minimum-eigenpair probe.
     """
 
     a_op: object
@@ -41,6 +46,7 @@ class TrustRegionSubproblem:
     delta: float
     q: float
     b_bound: float
+    lam_min_lower: float = -math.inf
 
     def __post_init__(self):
         self.b = np.asarray(self.b, dtype=float)
@@ -69,8 +75,8 @@ class TRSolution:
     retried: bool = False
 
 
-def _project_ball(x: NDArray, radius: float) -> NDArray:
-    n = np.linalg.norm(x)
+def project_ball(x: NDArray, radius: float) -> NDArray:
+    n = math.sqrt(x @ x)
     if n <= radius:
         return x
     return x * (radius / n)
@@ -84,14 +90,15 @@ def residual_of(a_op, b: NDArray, d_radius: float, delta_vec: NDArray) -> float:
     closed-form multiple of ``delta_vec`` itself.
     """
     delta_vec = np.asarray(delta_vec, dtype=float)
-    norm = np.linalg.norm(delta_vec)
+    norm = math.sqrt(delta_vec @ delta_vec)
     if norm > d_radius * (1.0 + 1e-9) + 1e-15:
         raise OutsideBall(f"|delta| = {norm!r} exceeds radius {d_radius!r}")
     r = a_op.apply(delta_vec) + b
     if norm < d_radius * (1.0 - INTERIOR_RTOL):
-        return float(np.linalg.norm(r))
+        return math.sqrt(r @ r)
     c_star = max(0.0, -float(r @ delta_vec) / d_radius**2)
-    return float(np.linalg.norm(r + c_star * delta_vec))
+    r = r + c_star * delta_vec
+    return math.sqrt(r @ r)
 
 
 def fista(a_psd, b: NDArray, d_radius: float, lg: float, n_iters: int, x_start: NDArray) -> NDArray:
@@ -105,7 +112,7 @@ def fista(a_psd, b: NDArray, d_radius: float, lg: float, n_iters: int, x_start: 
     t = 1.0
     for _ in range(n_iters):
         grad = a_psd.apply(y) + b
-        x_next = _project_ball(y - grad / lg, d_radius)
+        x_next = project_ball(y - grad / lg, d_radius)
         t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
         y = x_next + ((t - 1.0) / t_next) * (x_next - x)
         x, t = x_next, t_next
@@ -126,7 +133,7 @@ def sfg(a_psd, b: NDArray, d_radius: float, lg: float, n_iters: int, x_start: ND
     y = x
     for k in range(n):
         grad = a_psd.apply(y) + b
-        x_next = _project_ball(y - grad / (4.0 * lg), d_radius)
+        x_next = project_ball(y - grad / (4.0 * lg), d_radius)
         if k <= n - 3:
             c1 = ((n - k) * (2 * n - 2 * k - 3)) / ((n - k + 2) * (2 * n - 2 * k - 1))
             c2 = ((4 * n - 4 * k - 5) * (2 * n - 2 * k - 3)) / (
@@ -161,25 +168,31 @@ def fista_plus_sfg(a_psd, b: NDArray, d_radius: float, delta: float, lg: float,
 def tr_solve(p: TrustRegionSubproblem, rng: RngStream) -> TRSolution:
     """Solve the subproblem to a certified residual of at most ``p.delta``.
 
-    One minimum-eigenpair probe picks the branch; the certified residual on
-    the original problem is asserted at the end of every solve.  On failure
-    (the oracles are Monte-Carlo), the solve retries once with fresh
-    randomness and doubled iteration budgets before raising.
+    A nonnegative ``p.lam_min_lower`` selects the convex branch outright;
+    otherwise one minimum-eigenpair probe picks the branch.  The certified
+    residual on the original problem is asserted at the end of every solve.
+    On failure (the oracles are Monte-Carlo), the solve retries once with
+    fresh randomness and doubled iteration budgets before raising.
     """
     counter = p.a_op.counter
     start_count = counter.count
+    certified_psd = p.lam_min_lower >= 0.0
     last = None
     for attempt, factor in enumerate((1, 2)):
-        ev = min_evec(p.a_op, p.delta / (2.0 * p.radius), 0.5 * p.q, p.b_bound, rng,
-                      budget_factor=factor)
-        if ev.case is MinEvecCase.PSD_CERTIFIED:
+        if certified_psd:
+            ev, lambda_hat = None, p.lam_min_lower
+        else:
+            ev = min_evec(p.a_op, p.delta / (2.0 * p.radius), 0.5 * p.q, p.b_bound, rng,
+                          budget_factor=factor)
+            lambda_hat = ev.lambda_hat
+        if certified_psd or ev.case is MinEvecCase.PSD_CERTIFIED:
             lg = max(p.b_bound, p.delta)
             cand = fista_plus_sfg(p.a_op, p.b, p.radius, p.delta, lg, budget_factor=factor)
             branch = TRBranch.CONVEX
             n_accel = accel_budget(lg, p.radius, p.delta) * factor
         else:
-            shifted = ShiftedOperator(p.a_op, ev.lambda_hat)
-            lg = max(p.b_bound - ev.lambda_hat, p.delta)
+            shifted = ShiftedOperator(p.a_op, lambda_hat)
+            lg = max(p.b_bound - lambda_hat, p.delta)
             tilde = fista_plus_sfg(shifted, p.b, p.radius, 0.5 * p.delta, lg,
                                    budget_factor=factor)
             n_accel = accel_budget(lg, p.radius, 0.5 * p.delta) * factor
@@ -199,7 +212,7 @@ def tr_solve(p: TrustRegionSubproblem, rng: RngStream) -> TRSolution:
             residual=res,
             matvecs_used=counter.count - start_count,
             branch=branch,
-            lambda_hat=ev.lambda_hat,
+            lambda_hat=lambda_hat,
             n_accel=n_accel,
             retried=attempt > 0,
         )

@@ -1,7 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from oqn import driver
+from oqn import driver, trsolver
+from oqn.eig import min_evec
 from oqn.driver import HyperParams, compute_hyperparams
 from oqn.errors import NoGapEstimate, StationaryStart, ZeroL2
 from oqn.linops import Counter, SymOperator
@@ -228,6 +231,39 @@ class TestRun:
         assert report.totals["stopped_early"]
         assert report.grad_norm_final <= 0.5
         assert len(report.episodes) < params.k_eps
+
+
+class TestPsdCertificate:
+    """The driver certifies A = B/2 + I/eta PSD from 1/eta - |B|_F/2 >= 0 and
+    falls back to the minimum-eigenpair probe only when that bound fails."""
+
+    def test_auto_parameters_never_probe(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("min_evec called under a PSD certificate")
+
+        monkeypatch.setattr(trsolver, "min_evec", forbidden)
+        for name, dim, budget in (("cosine_mixture", 8, 240), ("coupled_trig", 6, 120)):
+            spec = catalog(name, dim)
+            params = compute_hyperparams(spec, budget)
+            report = driver.run(spec, params, RngStream(0), audit_level="full")
+            assert report.totals["tr"]["branches"] == {"convex": params.m_total}
+            assert report.audits["all_ok"]
+
+    def test_large_eta_falls_back_to_the_probe(self, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return min_evec(*args, **kwargs)
+
+        monkeypatch.setattr(trsolver, "min_evec", counting)
+        spec = catalog("cosine_mixture", 8)
+        auto = compute_hyperparams(spec, 240)
+        params = dataclasses.replace(auto, eta=20.0 * auto.eta)
+        report = driver.run(spec, params, RngStream(0), audit_level="full")
+        assert 0 < len(calls) < params.m_total
+        assert report.totals["gradients"] == 2 * params.m_total + params.k_eps + 1
+        assert report.audits["all_ok"]
 
 
 class TestWholePipeline:

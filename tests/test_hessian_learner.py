@@ -116,6 +116,18 @@ class TestLearnerStep:
         expected[0, 0] = np.sqrt(d) * l1
         np.testing.assert_allclose(new.w_mat, expected, rtol=1e-13)
 
+    def test_separated_round_plays_one_scaled_operator(self):
+        # same round as above: |W|_op = sqrt(2) L1 > L1, so the oracle
+        # separates and B = W / gamma gets its own operator
+        d, l1, rho = 2, 1.0, 1.0 / 16.0
+        state = LearnerState.fresh(d, l1, rho, 0.01)
+        pair = QuadLoss(np.sqrt(d) * l1 / rho * e(0, d), e(0, d))
+        new, _ = learner_step(state, pair, RngStream(2))
+        assert new.gamma > 1.0
+        assert new.b_op.dense() is new.b_mat
+        assert new.b_fro == np.linalg.norm(new.b_mat)
+        np.testing.assert_allclose(new.b_mat, new.w_mat / new.gamma, rtol=1e-15)
+
     def test_frobenius_feasibility_along_run(self, np_rng):
         d, l1 = 5, 1.3
         state = LearnerState.fresh(d, l1, default_rho(1.0), 0.02)

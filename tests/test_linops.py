@@ -9,8 +9,6 @@ from oqn.linops import (
     ShiftedOperator,
     SymOperator,
     dense_extreme_eig,
-    frobenius_norm,
-    matvec,
 )
 
 from conftest import random_symmetric
@@ -41,23 +39,23 @@ def jacobi_eigenvalues(a, sweeps=100, tol=1e-14):
 class TestMatvec:
     def test_identity(self):
         op = SymOperator(np.eye(3))
-        np.testing.assert_allclose(matvec(op, np.array([1.0, 2.0, 3.0])), [1, 2, 3])
+        np.testing.assert_allclose(op.apply(np.array([1.0, 2.0, 3.0])), [1, 2, 3])
 
     def test_diagonal(self):
         op = SymOperator(np.diag([2.0, -1.0]))
-        np.testing.assert_allclose(matvec(op, np.array([1.0, 1.0])), [2, -1])
+        np.testing.assert_allclose(op.apply(np.array([1.0, 1.0])), [2, -1])
 
     def test_matches_row_by_row_product(self, np_rng):
         a = random_symmetric(np_rng, 6)
         op = SymOperator(a)
         v = np_rng.standard_normal(6)
         expected = np.array([a[i] @ v for i in range(6)])
-        np.testing.assert_allclose(matvec(op, v), expected, atol=1e-14)
+        np.testing.assert_allclose(op.apply(v), expected, atol=1e-14)
 
     def test_dimension_mismatch(self):
         op = SymOperator(np.eye(3))
         with pytest.raises(DimensionMismatch):
-            matvec(op, np.zeros(4))
+            op.apply(np.zeros(4))
 
     def test_rejects_asymmetric(self):
         with pytest.raises(DimensionMismatch):
@@ -70,21 +68,46 @@ class TestMatvec:
         a = random_symmetric(rng, 5)
         op = SymOperator(a)
         u, v = rng.standard_normal(5), rng.standard_normal(5)
-        lhs = abs(u @ matvec(op, v) - v @ matvec(op, u))
+        lhs = abs(u @ op.apply(v) - v @ op.apply(u))
         assert lhs <= 1e-10 * np.linalg.norm(u) * np.linalg.norm(v) * op.frobenius_norm() + 1e-14
 
 
 class TestFrobeniusNorm:
     def test_zero(self):
-        assert frobenius_norm(SymOperator(np.zeros((3, 3)))) == 0.0
+        assert SymOperator(np.zeros((3, 3))).frobenius_norm() == 0.0
 
     def test_identity_d4(self):
-        assert frobenius_norm(SymOperator(np.eye(4))) == pytest.approx(2.0)
+        assert SymOperator(np.eye(4)).frobenius_norm() == pytest.approx(2.0)
 
     def test_matches_entry_sum(self, np_rng):
         a = random_symmetric(np_rng, 7)
-        assert frobenius_norm(SymOperator(a)) == pytest.approx(
+        assert SymOperator(a).frobenius_norm() == pytest.approx(
             np.sqrt(np.sum(a**2)), rel=1e-13)
+
+    @given(st.integers(0, 10_000), st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_shifted_views_closed_form(self, seed, cancel):
+        # nested views, as when the solver shifts a scaled-and-shifted operator;
+        # ``cancel`` makes the outer view exactly zero, the worst case of the
+        # closed form, whose error is then sqrt(eps) relative to the operands
+        rng = np.random.default_rng(seed)
+        d = int(rng.integers(1, 9))
+        scale, shift = rng.uniform(-2.0, 2.0), rng.normal()
+        if cancel:
+            c = rng.normal()
+            base = SymOperator(c * np.eye(d))
+            shift2 = scale * c - shift
+        else:
+            base = SymOperator(random_symmetric(rng, d, scale=rng.uniform(0.0, 3.0)))
+            shift2 = rng.normal()
+        view = ShiftedOperator(base, shift, scale=scale)
+        nested = ShiftedOperator(view, shift2)
+        view_size = abs(scale) * base.frobenius_norm() + abs(shift) * np.sqrt(d)
+        for op, size in ((view, view_size),
+                         (nested, view_size + abs(shift2) * np.sqrt(d))):
+            dense = op.dense()
+            assert abs(op.frobenius_norm() - np.linalg.norm(dense)) <= 1e-7 * size
+            assert op.trace() == pytest.approx(np.trace(dense), abs=1e-12 * size)
 
 
 class TestCounters:
@@ -104,6 +127,15 @@ class TestCounters:
         shifted = ShiftedOperator(base, 0.5)
         out = shifted.apply(np.array([1.0, 0.0, 0.0]))
         np.testing.assert_allclose(out, [0.5, 0, 0])
+        assert counter.count == 1
+
+    def test_scaled_view_ticks_base_once(self, np_rng):
+        counter = Counter()
+        a = random_symmetric(np_rng, 4)
+        view = ShiftedOperator(SymOperator(a, counter), -2.0, scale=0.5)
+        v = np_rng.standard_normal(4)
+        np.testing.assert_allclose(view.apply(v), 0.5 * a @ v + 2.0 * v, atol=1e-14)
+        np.testing.assert_allclose(view.dense(), 0.5 * a + 2.0 * np.eye(4), atol=1e-15)
         assert counter.count == 1
 
 

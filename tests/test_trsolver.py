@@ -182,6 +182,28 @@ class TestTrSolve:
         np.testing.assert_allclose(sol.delta_vec, [1.0, 0.0], atol=1e-5)
         assert sol.residual <= 1e-6
 
+    def test_caller_psd_certificate_skips_the_probe(self, np_rng):
+        # a nonnegative lam_min_lower gives the probe-certified convex solve
+        # bit for bit, without a min_evec matvec or an RNG draw
+        for t in range(20):
+            d = int(np_rng.integers(2, 21))
+            m = random_symmetric(np_rng, d)
+            a = m @ m.T + np_rng.uniform(0.05, 1.0) * np.eye(d)
+            b = np_rng.standard_normal(d)
+            lam_min = float(np.linalg.eigvalsh(a)[0])
+            probed = tr_solve(make_problem(a, b, 1.0, 1e-4), RngStream(40 + t))
+            assert probed.branch is TRBranch.CONVEX
+            p = make_problem(a, b, 1.0, 1e-4)
+            p.lam_min_lower = 0.5 * lam_min
+            rng = RngStream(40 + t)
+            sol = tr_solve(p, rng)
+            assert rng.state() == (40 + t, 0)
+            assert sol.branch is TRBranch.CONVEX
+            assert sol.lambda_hat == 0.5 * lam_min
+            np.testing.assert_array_equal(sol.delta_vec, probed.delta_vec)
+            assert sol.residual == probed.residual
+            assert sol.matvecs_used < probed.matvecs_used
+
     def test_negative_curvature_instance(self):
         # exact minimizers are the scaled minimum-curvature directions
         p = make_problem(np.diag([-1.0, 1.0]), [0.0, 0.0], 1.0, 1e-6)
