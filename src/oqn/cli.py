@@ -70,6 +70,8 @@ def _cmd_bench(args) -> int:
     print("method,budget,seed,best_grad_norm,gradients,matvecs")
     for method, budget, seed, val, grads, mvs in rows:
         print(f"{method},{budget},{seed},{val!r},{grads},{mvs}")
+    for (method, budget), median in summary["medians"].items():
+        print(f"# median[{method},{budget}] = {median:.4e}", file=sys.stderr)
     for method, slope in summary["slopes"].items():
         print(f"# slope[{method}] = {slope:.4f}", file=sys.stderr)
     return 0

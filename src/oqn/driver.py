@@ -127,8 +127,6 @@ class StepLog:
     grad_norms_w: list = field(default_factory=list)
     fp_gaps: list = field(default_factory=list)
     # full level only:
-    g_vecs: list = field(default_factory=list)
-    delta_vecs: list = field(default_factory=list)
     z_points: list = field(default_factory=list)
     y_vecs: list = field(default_factory=list)
     s_vecs: list = field(default_factory=list)
@@ -295,8 +293,6 @@ def step(state: OqnState, spec: ObjectiveSpec, params: HyperParams, rng: RngStre
         if spec.value is not None:
             log.f_values.append(float(spec.value(x_next)))
         if full:
-            log.g_vecs.append(g_n)
-            log.delta_vecs.append(delta_n)
             log.z_points.append(z_n)
 
     state.ep_sum_w += w_n

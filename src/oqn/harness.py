@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -60,8 +60,8 @@ _PROBLEM_KEYS = {"mu": float, "kappa": float, "box": float}
 _MANUAL_KEYS = ("d_radius", "eta", "t_len", "k_eps", "delta_tr")
 
 
-def parse_config(text: str) -> RunConfig:
-    """Parse flat key=value lines; '#' starts a comment; blank lines ignored."""
+def read_pairs(text: str) -> dict:
+    """Flat key=value lines; '#' starts a comment; blank lines ignored."""
     pairs = {}
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
@@ -71,6 +71,12 @@ def parse_config(text: str) -> RunConfig:
             raise ValueError(f"bad config line (need key=value): {raw!r}")
         key, val = (s.strip() for s in line.split("=", 1))
         pairs[key] = val
+    return pairs
+
+
+def config_from_pairs(pairs: dict) -> RunConfig:
+    """Map run keys to a ``RunConfig``; any key left over is an error."""
+    pairs = dict(pairs)
 
     def pop(key, cast, default=None):
         if key in pairs:
@@ -114,6 +120,15 @@ def parse_config(text: str) -> RunConfig:
     return cfg
 
 
+def parse_config(text: str) -> RunConfig:
+    """One run's config; ``OQN_SEED`` in the environment overrides ``seed``."""
+    pairs = read_pairs(text)
+    env = os.environ.get("OQN_SEED")
+    if env is not None:
+        pairs["seed"] = env
+    return config_from_pairs(pairs)
+
+
 def load_config(path: str) -> RunConfig:
     with open(path, encoding="utf-8") as fh:
         return parse_config(fh.read())
@@ -123,9 +138,11 @@ def build_spec(cfg: RunConfig) -> ObjectiveSpec:
     return catalog(cfg.problem, cfg.dim, seed=cfg.problem_seed, **cfg.problem_kwargs)
 
 
-def effective_seed(cfg: RunConfig) -> int:
-    env = os.environ.get("OQN_SEED")
-    return int(env) if env is not None else cfg.seed
+def run_params(cfg: RunConfig, spec: ObjectiveSpec) -> HyperParams:
+    """The config's manual block, else the auto formulas at its budget."""
+    if cfg.params == "manual":
+        return cfg.manual
+    return compute_hyperparams(spec, cfg.budget, cfg.p_fail, cfg.gap_bound)
 
 
 # --------------------------------------------------------------------------
@@ -238,18 +255,14 @@ def run_experiment(cfg: RunConfig) -> ExperimentReport:
     import time
 
     spec = build_spec(cfg)
-    seed = effective_seed(cfg)
     t0 = time.perf_counter()
     if cfg.method == "gd_baseline":
         gd = baseline_gd(spec, cfg.budget, cfg.step_size)
         wall = time.perf_counter() - t0
         rows = [f"{i + 1},{g!r},,,{i + 1},0" for i, g in enumerate(gd.grad_norms)]
         return ExperimentReport(config=cfg, report=gd, wall_time_s=wall, csv_rows=rows)
-    if cfg.params == "manual":
-        params = cfg.manual
-    else:
-        params = compute_hyperparams(spec, cfg.budget, cfg.p_fail, cfg.gap_bound)
-    rng = RngStream(seed)
+    params = run_params(cfg, spec)
+    rng = RngStream(cfg.seed)
     method = "og" if cfg.method == "og_baseline" else "oqn"
     report = driver.run(spec, params, rng, audit_level=cfg.audit, method=method,
                         eps_target=cfg.eps_target)
@@ -276,7 +289,7 @@ def report_document(exp: ExperimentReport) -> dict:
     doc = {
         "config": {
             "problem": cfg.problem, "dim": cfg.dim, "method": cfg.method,
-            "budget": cfg.budget, "seed": effective_seed(cfg),
+            "budget": cfg.budget, "seed": cfg.seed,
             "p_fail": cfg.p_fail, "audit": cfg.audit,
             "gap_bound": cfg.gap_bound, "params": cfg.params,
         },
@@ -320,51 +333,53 @@ def write_outputs(exp: ExperimentReport) -> None:
             fh.write("\n")
 
 
-def debug_dump_operator(op) -> dict:
-    """Row-major lower-triangle serialization of a symmetric operator."""
-    mat = op.dense()
-    d = mat.shape[0]
-    tri = [float(mat[i, j]) for i in range(d) for j in range(i + 1)]
-    return {"dim": d, "lower_triangle_row_major": tri}
-
-
 # --------------------------------------------------------------------------
 # bench grid
+
+
+_BENCH_DEFAULTS = {"dim": "8", "audit": "off", "budgets": "240,480,960",
+                   "seeds": "0,1,2", "methods": "oqn"}
+# run keys that every cell sets itself or never uses, and what to write instead
+_BENCH_REJECTED = {
+    "budget": "use budgets=", "seed": "use seeds=", "method": "use methods=",
+    "out_csv": "bench prints its rows to stdout",
+    "out_report": "bench prints its rows to stdout",
+}
 
 
 def bench(cfg_text: str) -> tuple[list, dict]:
     """Grid over methods x budgets x seeds; returns rows and fitted slopes.
 
-    Extra keys over the run config: ``budgets`` and ``seeds`` (comma lists),
-    ``methods`` (comma list).  Each cell gets an isolated stream and
-    counters.  Slope = least-squares fit of log(best grad norm) vs log(M),
-    per method, using the median over seeds at each budget.
+    The config holds the run keys of ``parse_config`` plus ``budgets``,
+    ``seeds`` and ``methods`` (comma lists).  Each cell is the shared run
+    config with its own method, budget and seed, an isolated stream and
+    counters.  A ``gd_baseline`` cell takes as many steps as the gradients
+    an ``oqn`` cell of the same budget spends (2M + K + 1).  Slope =
+    least-squares fit of log(best grad norm) vs log(budget), per method,
+    over the budgets whose median over seeds is positive; a method with
+    fewer than two such budgets gets no slope.
     """
-    pairs = {}
-    for raw in cfg_text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            key, val = (s.strip() for s in line.split("=", 1))
-            pairs[key] = val
-    problem = pairs.get("problem", "cosine_mixture")
-    dim = int(pairs.get("dim", 8))
-    budgets = [int(s) for s in pairs.get("budgets", "240,480,960").split(",")]
-    seeds = [int(s) for s in pairs.get("seeds", "0,1,2").split(",")]
-    methods = [s.strip() for s in pairs.get("methods", "oqn").split(",")]
-    p_fail = float(pairs.get("p_fail", 0.01))
-    audit = pairs.get("audit", "off")
-    problem_seed = int(pairs.get("problem_seed", 0))
+    pairs = {**_BENCH_DEFAULTS, **read_pairs(cfg_text)}
+    for key, hint in _BENCH_REJECTED.items():
+        if key in pairs:
+            raise ValueError(f"{key} is not a bench key: {hint}")
+    budgets = [int(s) for s in pairs.pop("budgets").split(",")]
+    seeds = [int(s) for s in pairs.pop("seeds").split(",")]
+    methods = [s.strip() for s in pairs.pop("methods").split(",")]
+    base = config_from_pairs(pairs)
+    spec = build_spec(base)
 
     rows = []
     best = {}
     for method in methods:
         for budget in budgets:
+            steps = budget
+            if method == "gd_baseline":
+                params = run_params(replace(base, budget=budget), spec)
+                steps = 2 * params.m_total + params.k_eps + 1
             per_seed = []
             for seed in seeds:
-                cfg = RunConfig(problem=problem, dim=dim, method=method,
-                                budget=budget, seed=seed, p_fail=p_fail,
-                                audit=audit, problem_seed=problem_seed)
-                exp = run_experiment(cfg)
+                exp = run_experiment(replace(base, method=method, budget=steps, seed=seed))
                 rep = exp.report
                 if isinstance(rep, GdReport):
                     val = min(rep.grad_norms)
@@ -379,9 +394,10 @@ def bench(cfg_text: str) -> tuple[list, dict]:
             best[(method, budget)] = float(np.median(per_seed))
     slopes = {}
     for method in methods:
-        xs = np.log([b for b in budgets])
-        ys = np.log([best[(method, b)] for b in budgets])
-        slopes[method] = float(np.polyfit(xs, ys, 1)[0])
+        fit = [b for b in budgets if best[(method, b)] > 0.0]
+        if len(fit) >= 2:
+            ys = np.log([best[(method, b)] for b in fit])
+            slopes[method] = float(np.polyfit(np.log(fit), ys, 1)[0])
     return rows, {"medians": best, "slopes": slopes}
 
 

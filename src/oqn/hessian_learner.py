@@ -97,7 +97,6 @@ class LearnerAudit:
 
     gamma: float
     loss: float
-    surrogate_grad_norm: float
     case: SepCase
     sep_matvecs: int
 
@@ -107,18 +106,6 @@ def default_rho(d_radius: float) -> float:
     if d_radius <= 0:
         raise NonPositiveRadius(f"radius must be positive, got {d_radius}")
     return 1.0 / (16.0 * d_radius**2)
-
-
-def loss(b_op: SymOperator, q: QuadLoss) -> float:
-    """|y - B s|^2; one matvec."""
-    r = q.y - b_op.apply(q.s)
-    return float(r @ r)
-
-
-def loss_gradient(b_op: SymOperator, q: QuadLoss) -> NDArray:
-    """Gradient -r s' - s r' with r = y - B s; symmetric; one matvec."""
-    r = q.y - b_op.apply(q.s)
-    return -np.outer(r, q.s) - np.outer(q.s, r)
 
 
 def _project_frobenius(mat: NDArray, radius: float) -> NDArray:
@@ -131,7 +118,7 @@ def learner_step(state: LearnerState, q: QuadLoss,
     """Close the current round with loss pair ``q`` and materialize the next
     action.  Costs one matvec (the B s product) plus one separation call."""
     r = q.y - state.b_op.apply(q.s)
-    grad = -np.outer(r, q.s) - np.outer(q.s, r)
+    grad = -np.outer(r, q.s) - np.outer(q.s, r)  # of |y - B s|^2 at B
     round_case = SepCase.INSIDE_DOUBLED if state.gamma <= 1.0 else SepCase.SEPARATED
     if round_case is SepCase.SEPARATED:
         tilt = max(0.0, -float(np.vdot(grad, state.b_mat)))
@@ -155,7 +142,6 @@ def learner_step(state: LearnerState, q: QuadLoss,
     audit = LearnerAudit(
         gamma=state.gamma,
         loss=float(r @ r),
-        surrogate_grad_norm=float(np.linalg.norm(g_tilde)),
         case=round_case,
         sep_matvecs=sep_res.matvecs_used,
     )

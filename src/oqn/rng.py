@@ -28,9 +28,5 @@ class RngStream:
             n = np.linalg.norm(v)
         return v / n
 
-    def integers(self, low: int, high: int) -> int:
-        self.draws += 1
-        return int(self._gen.integers(low, high))
-
     def state(self) -> tuple[int, int]:
         return (self.seed, self.draws)

@@ -182,9 +182,8 @@ class TestRun:
         params = manual(0.05, 0.3, 1, 1, delta_tr=1e-4)
         report = driver.run(spec, params, RngStream(4), audit_level="full")
         ep = report.episodes[0]
-        g1 = report.log.g_vecs[0]
-        d1 = report.log.delta_vecs[0]
-        expected = float(g1 @ d1) + params.d_radius * np.linalg.norm(g1)
+        log = report.log
+        expected = log.g_dot_delta[0] + params.d_radius * log.grad_norms_w[0]
         assert ep.episode_regret == pytest.approx(expected, rel=1e-12)
         assert ep.episode_regret >= -1e-12
 

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -47,11 +48,10 @@ class TestConfig:
             harness.parse_config("params=manual\nd_radius=0.5\n")
 
     def test_env_seed_override(self, monkeypatch):
-        cfg = harness.parse_config("seed=3\n")
         monkeypatch.setenv("OQN_SEED", "99")
-        assert harness.effective_seed(cfg) == 99
+        assert harness.parse_config("seed=3\n").seed == 99
         monkeypatch.delenv("OQN_SEED")
-        assert harness.effective_seed(cfg) == 3
+        assert harness.parse_config("seed=3\n").seed == 3
 
 
 class TestDeterminism:
@@ -154,14 +154,84 @@ class TestVerifySuite:
         assert len(checks) >= 25
 
 
-class TestDebugDump:
-    def test_lower_triangle_row_major(self):
-        from oqn.linops import SymOperator
+GD_GRID = "problem=cosine_mixture\ndim=4\nbudgets=40,80\nseeds=0\nmethods=oqn,gd_baseline\n"
 
-        mat = np.array([[1.0, 2.0], [2.0, 5.0]])
-        doc = harness.debug_dump_operator(SymOperator(mat))
-        assert doc["dim"] == 2
-        assert doc["lower_triangle_row_major"] == [1.0, 2.0, 5.0]
+
+class TestBench:
+    @pytest.mark.parametrize("line", ["kapa=0.9", "dim 8", "params=magic"])
+    def test_bad_run_key_fails_as_in_run(self, line):
+        with pytest.raises(ValueError) as run_err:
+            harness.parse_config(line + "\n")
+        with pytest.raises(ValueError) as bench_err:
+            harness.bench("budgets=40\nseeds=0\n" + line + "\n")
+        assert str(bench_err.value) == str(run_err.value)
+
+    @pytest.mark.parametrize("key,hint", [
+        ("budget", "budgets="), ("seed", "seeds="), ("method", "methods="),
+        ("out_csv", "stdout"), ("out_report", "stdout"),
+    ])
+    def test_cell_keys_rejected_with_the_key_to_use(self, key, hint):
+        with pytest.raises(ValueError, match=f"{key} is not a bench key.*{hint}"):
+            harness.bench(f"{key}=60\n")
+
+    def test_run_keys_reach_every_cell(self, monkeypatch):
+        cells = []
+        real = harness.run_experiment
+
+        def spy(cfg):
+            cells.append(cfg)
+            return real(cfg)
+
+        monkeypatch.setattr(harness, "run_experiment", spy)
+        harness.bench("problem=coupled_trig\ndim=4\nbudgets=40,80\nseeds=0,1\n"
+                      "kappa=0.9\ngap_bound=2.5\n")
+        assert len(cells) == 4
+        assert all(c.problem_kwargs == {"kappa": 0.9} for c in cells)
+        assert all(c.gap_bound == 2.5 and c.audit == "off" for c in cells)
+
+    def test_manual_params_grid_runs(self):
+        eta = 0.5 / catalog("quadratic", 4).l1
+        rows, _ = harness.bench(
+            "problem=quadratic\ndim=4\nparams=manual\nd_radius=1.0\n"
+            f"eta={eta!r}\nt_len=4\nk_eps=3\ndelta_tr=1e-5\n"
+            "budgets=40\nseeds=0\nmethods=oqn,gd_baseline\n")
+        assert [(r[0], r[4]) for r in rows] == [("oqn", 28), ("gd_baseline", 28)]
+
+    def test_gd_cell_spends_the_oqn_cell_gradients(self):
+        rows, _ = harness.bench(GD_GRID)
+        grads = {(method, budget): g for method, budget, _, _, g, _ in rows}
+        for budget in (40, 80):
+            params = compute_hyperparams(catalog("cosine_mixture", 4), budget)
+            expected = 2 * params.m_total + params.k_eps + 1
+            assert grads[("gd_baseline", budget)] == grads[("oqn", budget)] == expected
+
+    def test_env_seed_leaves_cell_seeds_alone(self, monkeypatch):
+        run_seeds = []
+        real = harness.driver.run
+
+        def spy(spec, params, rng, **kwargs):
+            run_seeds.append(rng.seed)
+            return real(spec, params, rng, **kwargs)
+
+        monkeypatch.setattr(harness.driver, "run", spy)
+        monkeypatch.setenv("OQN_SEED", "99")
+        rows, _ = harness.bench("dim=4\nbudgets=40\nseeds=0,1\n")
+        assert run_seeds == [r[2] for r in rows] == [0, 1]
+
+    @pytest.mark.parametrize("text,unfit", [
+        ("dim=4\nbudgets=40\nseeds=0\n", "oqn"),
+        (GD_GRID, "gd_baseline"),
+    ])
+    def test_degenerate_slope_is_skipped_without_warnings(self, text, unfit,
+                                                          tmp_path, capsys):
+        cfg_path = tmp_path / "bench.cfg"
+        cfg_path.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli_main(["bench", str(cfg_path)]) == 0
+        err = capsys.readouterr().err
+        assert f"median[{unfit}," in err
+        assert f"slope[{unfit}]" not in err
 
 
 class TestCli:
