@@ -1,7 +1,7 @@
 """Command-line harness.
 
 Subcommands: ``run <config>``, ``verify [--level quick|full]``,
-``bench <config>``, ``dump-params <problem> <M>``.  Exit codes: 0 success,
+``bench <config>``, ``dump-params <config>``.  Exit codes: 0 success,
 1 usage error, 2 audit or certificate failure.
 """
 
@@ -11,29 +11,8 @@ import argparse
 import json
 import sys
 
-from . import driver, harness
+from . import harness, verify
 from .errors import CertificateFailure, OqnError
-from .problems import catalog
-
-
-def _parse_problem_token(token: str):
-    """'cosine_mixture:d=4' or 'rosenbrock_local:d=6:seed=3'."""
-    parts = token.split(":")
-    name = parts[0]
-    dim = 4
-    seed = 0
-    kwargs = {}
-    for part in parts[1:]:
-        key, _, val = part.partition("=")
-        if key in ("d", "dim"):
-            dim = int(val)
-        elif key == "seed":
-            seed = int(val)
-        elif key in ("mu", "kappa", "box"):
-            kwargs[key] = float(val)
-        else:
-            raise ValueError(f"unknown problem option {key!r}")
-    return catalog(name, dim, seed=seed, **kwargs)
 
 
 def _cmd_run(args) -> int:
@@ -50,7 +29,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    checks = harness.verify_suite(args.level)
+    checks = verify.run_all(args.level)
     failed = 0
     for c in checks:
         status = "PASS" if c.passed else "FAIL"
@@ -78,8 +57,8 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_dump_params(args) -> int:
-    spec = _parse_problem_token(args.problem)
-    params = driver.compute_hyperparams(spec, args.budget, gap_bound=args.gap_bound)
+    cfg = harness.load_config(args.config)
+    params = harness.run_params(cfg, harness.build_spec(cfg))
     print(json.dumps({
         "d_radius": params.d_radius,
         "eta": params.eta,
@@ -116,10 +95,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("config")
     p_bench.set_defaults(func=_cmd_bench)
 
-    p_dump = sub.add_parser("dump-params", help="print auto hyperparameters")
-    p_dump.add_argument("problem", help="name:d=DIM[:seed=S]")
-    p_dump.add_argument("budget", type=int)
-    p_dump.add_argument("--gap-bound", type=float, default=None)
+    p_dump = sub.add_parser("dump-params", help="print the hyperparameters a run uses")
+    p_dump.add_argument("config")
     p_dump.set_defaults(func=_cmd_dump_params)
     return parser
 

@@ -48,7 +48,6 @@ class HyperParams:
     eta: float
     t_len: int
     k_eps: int
-    m_total: int
     delta_tr: float
     p_fail: float = 0.01
 
@@ -57,10 +56,12 @@ class HyperParams:
             raise ValueError("d_radius, eta and delta_tr must be positive")
         if self.t_len < 1 or self.k_eps < 1:
             raise ValueError("t_len and k_eps must be at least 1")
-        if self.m_total != self.t_len * self.k_eps:
-            raise ValueError("m_total must equal t_len * k_eps")
         if not (0.0 < self.p_fail < 1.0):
             raise ValueError("p_fail must be in (0,1)")
+
+    @property
+    def m_total(self) -> int:
+        return self.t_len * self.k_eps
 
 
 def compute_hyperparams(spec: ObjectiveSpec, m_budget: int, p_fail: float = 0.01,
@@ -96,7 +97,6 @@ def compute_hyperparams(spec: ObjectiveSpec, m_budget: int, p_fail: float = 0.01
         eta=eta,
         t_len=t_len,
         k_eps=k_eps,
-        m_total=t_len * k_eps,
         delta_tr=big_d / (eta * t_len),
         p_fail=p_fail,
     )
@@ -107,7 +107,6 @@ class EpisodeRecord:
     k: int
     w_bar: NDArray
     grad_norm_at_wbar: float
-    u_k: NDArray
     episode_regret: float
     sum_g_norm: float
     sum_loss: float = 0.0
@@ -117,8 +116,9 @@ class EpisodeRecord:
 
 @dataclass
 class StepLog:
-    """Per-run scalar series plus (at the full level) the vector series the
-    whole-run inequality audits consume."""
+    """Per-run scalar series the whole-run inequality audits consume.  The
+    Hessian-comparator ledger (full level, Hessian oracle present) is folded
+    as the run goes: one Hessian per step, only the previous one kept."""
 
     g_dot_delta: list = field(default_factory=list)
     f_values: list = field(default_factory=list)  # f(x_0), f(x_1), ...
@@ -127,9 +127,9 @@ class StepLog:
     grad_norms_w: list = field(default_factory=list)
     fp_gaps: list = field(default_factory=list)
     # full level only:
-    z_points: list = field(default_factory=list)
-    y_vecs: list = field(default_factory=list)
-    s_vecs: list = field(default_factory=list)
+    comparator_losses: list = field(default_factory=list)  # |y - H(z_n) s|^2 of pair n
+    comparator_path: list = field(default_factory=list)  # |H(z_{n+1}) - H(z_n)|_F
+    hess_fro_first: Optional[float] = None  # |H(z_1)|_F
     events: list = field(default_factory=list)
 
 
@@ -145,11 +145,11 @@ class OqnState:
     g_cached: Optional[NDArray] = None
     grad_z_prev: Optional[NDArray] = None
     pending_s: Optional[NDArray] = None
+    hess_z_prev: Optional[NDArray] = None  # full level: H(z_{n-1}) for the ledger
     ep_sum_w: Optional[NDArray] = None
     ep_sum_g: Optional[NDArray] = None
     ep_sum_gdotd: float = 0.0
     episodes: list = field(default_factory=list)
-    f_prev: Optional[float] = None
     box_violations: int = 0
     tr_stats: dict = field(default_factory=lambda: {
         "solves": 0, "matvecs": 0, "max_residual": 0.0, "retries": 0,
@@ -165,22 +165,19 @@ class RunReport:
     totals: dict
     audits: dict
     params: HyperParams
-    method: str
     log: Optional[StepLog] = None
     stationary_start: bool = False
 
 
-def init(spec: ObjectiveSpec, params: HyperParams,
-         grad_counter: Optional[Counter] = None,
-         matvec_counter: Optional[Counter] = None) -> OqnState:
+def init(spec: ObjectiveSpec, params: HyperParams) -> OqnState:
     """Evaluate the start gradient (one evaluation) and set the first
     displacement to the scaled steepest-descent direction.
 
     Raises StationaryStart when the start gradient is below the machine-zero
     threshold; callers report that as a degenerate success.
     """
-    grad_counter = grad_counter if grad_counter is not None else Counter()
-    matvec_counter = matvec_counter if matvec_counter is not None else Counter()
+    grad_counter = Counter()
+    matvec_counter = Counter()
     g0 = eval_gradient(spec, spec.x0, grad_counter)
     g0_norm = float(np.linalg.norm(g0))
     if g0_norm <= STATIONARY_RTOL * spec.l1:
@@ -190,14 +187,11 @@ def init(spec: ObjectiveSpec, params: HyperParams,
         dim=spec.dim, l1=spec.l1, rho=default_rho(params.d_radius),
         q_per_call=params.p_fail / (2.0 * params.m_total), counter=matvec_counter,
     )
-    state = OqnState(
+    return OqnState(
         x=spec.x0.copy(), delta_vec=delta1, hint=g0, b_state=b_state,
         grad_counter=grad_counter, matvec_counter=matvec_counter,
         ep_sum_w=np.zeros(spec.dim), ep_sum_g=np.zeros(spec.dim),
     )
-    if spec.value is not None:
-        state.f_prev = float(spec.value(spec.x0))
-    return state
 
 
 def step(state: OqnState, spec: ObjectiveSpec, params: HyperParams, rng: RngStream,
@@ -208,6 +202,7 @@ def step(state: OqnState, spec: ObjectiveSpec, params: HyperParams, rng: RngStre
     matrix learner) or "og" (frozen zero matrix, explicit projected update).
     """
     n = state.n + 1
+    ledger = log is not None and full and spec.hess is not None
     d_rad, eta = params.d_radius, params.eta
     delta_n = state.delta_vec
 
@@ -233,9 +228,9 @@ def step(state: OqnState, spec: ObjectiveSpec, params: HyperParams, rng: RngStre
             pair_loss = float(pair.y @ pair.y)  # zero matrix: loss is |y|^2
         if log is not None:
             log.pair_losses.append(pair_loss)
-            if full:
-                log.y_vecs.append(pair.y)
-                log.s_vecs.append(pair.s)
+        if ledger:
+            r = pair.y - state.hess_z_prev @ pair.s
+            log.comparator_losses.append(float(r @ r))
 
     x_next = state.x + delta_n
     z_n = x_next + 0.5 * delta_n
@@ -292,8 +287,13 @@ def step(state: OqnState, spec: ObjectiveSpec, params: HyperParams, rng: RngStre
         log.grad_norms_w.append(float(np.linalg.norm(g_n)))
         if spec.value is not None:
             log.f_values.append(float(spec.value(x_next)))
-        if full:
-            log.z_points.append(z_n)
+    if ledger:
+        hess_z = spec.hess(z_n)
+        if state.hess_z_prev is None:
+            log.hess_fro_first = float(np.linalg.norm(hess_z))
+        else:
+            log.comparator_path.append(float(np.linalg.norm(hess_z - state.hess_z_prev)))
+        state.hess_z_prev = hess_z
 
     state.ep_sum_w += w_n
     state.ep_sum_g += g_n
@@ -303,17 +303,13 @@ def step(state: OqnState, spec: ObjectiveSpec, params: HyperParams, rng: RngStre
         t = params.t_len
         w_bar = state.ep_sum_w / t
         sum_g_norm = float(np.linalg.norm(state.ep_sum_g))
-        if sum_g_norm == 0.0:
-            u_k = np.zeros(spec.dim)
-            regret = state.ep_sum_gdotd
-        else:
-            u_k = -d_rad * state.ep_sum_g / sum_g_norm
-            regret = state.ep_sum_gdotd + d_rad * sum_g_norm
+        # the comparator u_k = -D sum(g)/|sum(g)| attains D |sum(g)|
+        regret = state.ep_sum_gdotd + d_rad * sum_g_norm
         g_bar = eval_gradient(spec, w_bar, state.grad_counter)
         state.episodes.append(EpisodeRecord(
             k=len(state.episodes) + 1, w_bar=w_bar,
             grad_norm_at_wbar=float(np.linalg.norm(g_bar)),
-            u_k=u_k, episode_regret=regret, sum_g_norm=sum_g_norm,
+            episode_regret=regret, sum_g_norm=sum_g_norm,
             cum_gradients=state.grad_counter.count,
             cum_matvecs=state.matvec_counter.count,
         ))
@@ -329,16 +325,16 @@ def step(state: OqnState, spec: ObjectiveSpec, params: HyperParams, rng: RngStre
     state.n = n
 
 
-def _stationary_report(spec: ObjectiveSpec, params: HyperParams, grad_norm: float,
-                       method: str) -> RunReport:
+def _stationary_report(spec: ObjectiveSpec, params: HyperParams,
+                       grad_norm: float) -> RunReport:
     record = EpisodeRecord(
         k=1, w_bar=spec.x0.copy(), grad_norm_at_wbar=grad_norm,
-        u_k=np.zeros(spec.dim), episode_regret=0.0, sum_g_norm=0.0,
+        episode_regret=0.0, sum_g_norm=0.0,
     )
     return RunReport(
         episodes=[record], w_hat=spec.x0.copy(), grad_norm_final=grad_norm,
         totals={"gradients": 1, "matvecs": 0, "tr": {}},
-        audits={}, params=params, method=method, stationary_start=True,
+        audits={}, params=params, stationary_start=True,
     )
 
 
@@ -358,11 +354,11 @@ def run(spec: ObjectiveSpec, params: HyperParams, rng: RngStream,
     try:
         state = init(spec, params)
     except StationaryStart as exc:
-        return _stationary_report(spec, params, exc.grad_norm, method)
+        return _stationary_report(spec, params, exc.grad_norm)
     full = audit_level == "full"
     log = StepLog() if audit_level != "off" else None
     if log is not None and spec.value is not None:
-        log.f_values.append(state.f_prev)
+        log.f_values.append(float(spec.value(spec.x0)))
 
     stopped_early = False
     for _ in range(params.m_total):
@@ -383,12 +379,10 @@ def run(spec: ObjectiveSpec, params: HyperParams, rng: RngStream,
         "iterations": state.n,
         "stopped_early": stopped_early,
         "box_violations": state.box_violations,
-        "final_x": state.x,
-        "final_delta": state.delta_vec,
     }
     report = RunReport(
         episodes=episodes, w_hat=best.w_bar, grad_norm_final=best.grad_norm_at_wbar,
-        totals=totals, audits={}, params=params, method=method, log=log,
+        totals=totals, audits={}, params=params, log=log,
     )
     if not stopped_early:
         expected = 2 * params.m_total + params.k_eps + 1
@@ -414,8 +408,10 @@ def audit_regret(report: RunReport, spec: ObjectiveSpec, params: HyperParams,
     Every entry reports (lhs, rhs, margin = rhs - lhs); margins must clear
     -1e-6 times the scale of the right-hand side.  Audits that need the
     value or Hessian oracle are skipped when the oracle is absent or the log
-    lacks vectors; with ``strict`` the missing value oracle is an error
-    instead (the decrease and stationarity audits cannot run without f).
+    holds no comparator ledger; with ``strict`` the missing value oracle is
+    an error instead (the decrease and stationarity audits cannot run
+    without f).  The dynamic-regret audit only sums and maxes the ledger's
+    scalars; ``step`` evaluated the Hessians.
     """
     log = report.log
     if log is None:
@@ -477,24 +473,13 @@ def audit_regret(report: RunReport, spec: ObjectiveSpec, params: HyperParams,
         audits["stationarity_ok"] = lhs <= rhs + 1e-6 * abs(rhs)
 
     # dynamic-regret ledger against the true Hessian comparator
-    if spec.hess is not None and log.z_points and log.y_vecs:
-        h_mats = [spec.hess(z) for z in log.z_points]
-        n_pairs = len(log.y_vecs)
-        comp_losses = []
-        path = 0.0
-        max_comp_loss = 0.0
-        max_path_step = 0.0
-        for i in range(n_pairs):
-            r = log.y_vecs[i] - h_mats[i] @ log.s_vecs[i]
-            comp_losses.append(float(r @ r))
-            max_comp_loss = max(max_comp_loss, comp_losses[-1])
-            step_len = float(np.linalg.norm(h_mats[i + 1] - h_mats[i]))
-            path += step_len
-            max_path_step = max(max_path_step, step_len)
+    if log.comparator_losses:
+        max_comp_loss = max(log.comparator_losses)
+        max_path_step = max(log.comparator_path)
         sqrt_d = math.sqrt(spec.dim)
-        rhs_dyn = (16.0 * d_rad**2 * float(np.linalg.norm(h_mats[0])) ** 2
-                   + 2.0 * sum(comp_losses)
-                   + 64.0 * spec.l1 * d_rad**2 * sqrt_d * path)
+        rhs_dyn = (16.0 * d_rad**2 * log.hess_fro_first ** 2
+                   + 2.0 * sum(log.comparator_losses)
+                   + 64.0 * spec.l1 * d_rad**2 * sqrt_d * sum(log.comparator_path))
         audits["dynamic_regret_lhs"] = sum_pair_losses
         audits["dynamic_regret_rhs"] = rhs_dyn
         audits["dynamic_regret_ok"] = (

@@ -66,20 +66,14 @@ def lanczos_factorize(op, v1: NDArray, n_steps: int) -> LanczosFactorization:
         raise ValueError(f"n_steps must be in [1, dim], got {n_steps}")
     tol = BREAKDOWN_RTOL * op.frobenius_norm()
     fact = LanczosFactorization(alphas=[], betas=[], basis=[v1], breakdown_tol=tol)
-    _lanczos_run(fact, op, n_steps)
-    return fact
+    return lanczos_extend(fact, op, n_steps)
 
 
 def lanczos_extend(fact: LanczosFactorization, op, n_steps_total: int) -> LanczosFactorization:
     """Continue an existing factorization up to ``n_steps_total`` steps."""
-    _lanczos_run(fact, op, n_steps_total)
-    return fact
-
-
-def _lanczos_run(fact: LanczosFactorization, op, n_target: int) -> None:
     if fact.breakdown_at is not None:
-        return
-    while fact.size < n_target:
+        return fact
+    while fact.size < n_steps_total:
         k = fact.size  # about to perform step k+1 (1-indexed: step fact.size+1)
         v_k = fact.basis[k]
         w = op.apply(v_k)
@@ -94,10 +88,11 @@ def _lanczos_run(fact: LanczosFactorization, op, n_target: int) -> None:
         fact.alphas.append(alpha)
         fact.betas.append(beta)
         if beta <= fact.breakdown_tol:
+            # the tiny beta stays in betas for the residual term
             fact.breakdown_at = fact.size
-            fact.betas[-1] = beta  # keep the tiny value for the residual term
-            return
+            return fact
         fact.basis.append(w / beta)
+    return fact
 
 
 def tridiag_eig(alphas: NDArray, betas: NDArray) -> tuple[NDArray, NDArray]:

@@ -20,7 +20,7 @@ from scipy.optimize import brentq
 
 from . import driver
 from .driver import HyperParams, RunReport, compute_hyperparams
-from .errors import DimTooLarge, UnknownLevel
+from .errors import DimTooLarge
 from .linops import Counter
 from .problems import ObjectiveSpec, catalog, eval_gradient
 from .rng import RngStream
@@ -104,10 +104,9 @@ def config_from_pairs(pairs: dict) -> RunConfig:
         missing = [k for k, v in vals.items() if v is None]
         if missing:
             raise ValueError(f"params=manual needs keys {missing}")
-        t_len, k_eps = int(vals["t_len"]), int(vals["k_eps"])
         cfg.manual = HyperParams(
             d_radius=float(vals["d_radius"]), eta=float(vals["eta"]),
-            t_len=t_len, k_eps=k_eps, m_total=t_len * k_eps,
+            t_len=int(vals["t_len"]), k_eps=int(vals["k_eps"]),
             delta_tr=float(vals["delta_tr"]), p_fail=cfg.p_fail,
         )
     elif cfg.params != "auto":
@@ -170,13 +169,6 @@ def baseline_gd(spec: ObjectiveSpec, steps: int, step_size: Optional[float] = No
         norms.append(float(np.linalg.norm(g)))
         x = x - step_size * g
     return GdReport(grad_norms=norms, x_final=x, gradients=counter.count)
-
-
-def baseline_og(spec: ObjectiveSpec, params: HyperParams, rng: RngStream,
-                audit_level: str = "episode") -> RunReport:
-    """The conversion loop with the matrix frozen at zero: the hint is the
-    trailing-point gradient and the update is the explicit projection."""
-    return driver.run(spec, params, rng, audit_level=audit_level, method="og")
 
 
 # --------------------------------------------------------------------------
@@ -357,7 +349,8 @@ def bench(cfg_text: str) -> tuple[list, dict]:
     an ``oqn`` cell of the same budget spends (2M + K + 1).  Slope =
     least-squares fit of log(best grad norm) vs log(budget), per method,
     over the budgets whose median over seeds is positive; a method with
-    fewer than two such budgets gets no slope.
+    fewer than two such budgets gets no slope.  Manual parameters fix
+    M = t_len * k_eps whatever the budget, so they allow one budget only.
     """
     pairs = {**_BENCH_DEFAULTS, **read_pairs(cfg_text)}
     for key, hint in _BENCH_REJECTED.items():
@@ -367,6 +360,9 @@ def bench(cfg_text: str) -> tuple[list, dict]:
     seeds = [int(s) for s in pairs.pop("seeds").split(",")]
     methods = [s.strip() for s in pairs.pop("methods").split(",")]
     base = config_from_pairs(pairs)
+    if base.params == "manual" and len(budgets) > 1:
+        raise ValueError("params=manual fixes M = t_len * k_eps, so every budget "
+                         "would repeat one run: give one budget")
     spec = build_spec(base)
 
     rows = []
@@ -399,23 +395,3 @@ def bench(cfg_text: str) -> tuple[list, dict]:
             ys = np.log([best[(method, b)] for b in fit])
             slopes[method] = float(np.polyfit(np.log(fit), ys, 1)[0])
     return rows, {"medians": best, "slopes": slopes}
-
-
-# --------------------------------------------------------------------------
-# property-suite runner
-
-
-@dataclass
-class CheckResult:
-    name: str
-    passed: bool
-    detail: str = ""
-
-
-def verify_suite(level: str = "quick", seed: int = 20240) -> list:
-    """Execute the per-module property batteries at the requested scale."""
-    if level not in ("quick", "full"):
-        raise UnknownLevel(f"level must be 'quick' or 'full', got {level!r}")
-    from . import verify as _verify
-
-    return _verify.run_all(level, seed)

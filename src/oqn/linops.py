@@ -26,11 +26,11 @@ class Counter:
 
     __slots__ = ("count",)
 
-    def __init__(self, count: int = 0):
-        self.count = count
+    def __init__(self):
+        self.count = 0
 
-    def tick(self, k: int = 1) -> None:
-        self.count += k
+    def tick(self) -> None:
+        self.count += 1
 
     def __repr__(self) -> str:
         return f"Counter({self.count})"

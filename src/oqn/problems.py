@@ -9,7 +9,7 @@ constructor's docstring).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -52,7 +52,6 @@ class ObjectiveSpec:
     hess: Optional[Callable[[NDArray], NDArray]] = None
     name: str = "custom"
     box: Optional[float] = None
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.x0 = np.asarray(self.x0, dtype=float)
@@ -102,7 +101,6 @@ def quadratic_from_matrix(q_mat: NDArray, x0: Optional[NDArray] = None) -> Objec
         f_lower=0.0,
         x0=x0,
         name="quadratic",
-        meta={"q_mat": q_mat},
     )
 
 
@@ -146,7 +144,6 @@ def _cosine_mixture(dim: int, mu: float = 0.1) -> ObjectiveSpec:
         f_lower=0.0,
         x0=np.full(dim, 0.5 * np.pi),
         name="cosine_mixture",
-        meta={"mu": mu},
     )
 
 
@@ -188,7 +185,6 @@ def _coupled_trig(dim: int, kappa: float = 0.2) -> ObjectiveSpec:
         f_lower=-0.5 * kappa * dim * (dim - 1),
         x0=np.full(dim, 0.5 * np.pi),
         name="coupled_trig",
-        meta={"kappa": kappa},
     )
 
 
@@ -234,7 +230,6 @@ def _rosenbrock_local(dim: int, box: float = 2.0) -> ObjectiveSpec:
         x0=x0,
         name="rosenbrock_local",
         box=box,
-        meta={"box": box},
     )
 
 

@@ -5,11 +5,13 @@ KKT solves) and reports a pass flag plus the observed margin."""
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import driver, harness
 from .eig import MinEvecCase, SepCase, min_evec, sep
+from .errors import UnknownLevel
 from .hessian_learner import LearnerState, QuadLoss, default_rho, learner_step
 from .linops import Counter, ShiftedOperator, SymOperator, dense_extreme_eig
 from .problems import catalog, fd_check_gradient, fd_check_hessian
@@ -29,7 +31,17 @@ def _sym(rng, d, scale=1.0):
     return np.tril(m) + np.tril(m, -1).T
 
 
-def run_all(level: str, seed: int) -> list:
+@dataclass
+class CheckResult:
+    name: str
+    passed: bool
+    detail: str = ""
+
+
+def run_all(level: str = "quick", seed: int = 20240) -> list:
+    """Execute the per-module property batteries at the requested scale."""
+    if level not in SCALES:
+        raise UnknownLevel(f"level must be one of {tuple(SCALES)}, got {level!r}")
     cfg = SCALES[level]
     rng = np.random.default_rng(seed)
     checks = []
@@ -53,7 +65,7 @@ def _check_problems(rng, cfg):
             x = rng.uniform(lo, hi, size=dim)
             worst_g = max(worst_g, fd_check_gradient(spec, x))
             worst_h = max(worst_h, fd_check_hessian(spec, x))
-        out.append(harness.CheckResult(
+        out.append(CheckResult(
             f"problems.fd.{name}", worst_g <= 1e-6 and worst_h <= 1e-4,
             f"grad_err={worst_g:.2e} hess_err={worst_h:.2e}"))
         viol = 0.0
@@ -66,7 +78,7 @@ def _check_problems(rng, cfg):
             gd = np.linalg.norm(spec.grad(x) - spec.grad(y))
             hd = np.linalg.norm(spec.hess(x) - spec.hess(y), ord=2)
             viol = max(viol, gd - spec.l1 * dist, hd - spec.l2 * dist)
-        out.append(harness.CheckResult(
+        out.append(CheckResult(
             f"problems.lipschitz.{name}", viol <= 1e-9, f"violation={viol:.2e}"))
     return out
 
@@ -78,13 +90,13 @@ def _check_linops(rng, cfg):
     op = SymOperator(_sym(rng, d), counter)
     for _ in range(7):
         op.apply(rng.standard_normal(d))
-    out.append(harness.CheckResult(
+    out.append(CheckResult(
         "linops.counter", counter.count == 7, f"count={counter.count}"))
     lam = 0.7
     base_min, base_max, _, _ = dense_extreme_eig(op)
     sh_min, sh_max, _, _ = dense_extreme_eig(ShiftedOperator(op, lam))
     err = max(abs(sh_min - (base_min - lam)), abs(sh_max - (base_max - lam)))
-    out.append(harness.CheckResult(
+    out.append(CheckResult(
         "linops.shifted_spectrum", err <= 1e-9, f"err={err:.2e}"))
     return out
 
@@ -111,10 +123,10 @@ def _check_eig(rng, cfg, seed):
             resid_ok = resid_ok and resid <= delta
         budget_ok = budget_ok and res.matvecs_used <= d
     frac = sandwich_hits / n_trials
-    out.append(harness.CheckResult(
+    out.append(CheckResult(
         "eig.minevec.sandwich", frac >= 0.95, f"fraction={frac:.3f}"))
-    out.append(harness.CheckResult("eig.minevec.residual", resid_ok))
-    out.append(harness.CheckResult("eig.minevec.budget", budget_ok))
+    out.append(CheckResult("eig.minevec.residual", resid_ok))
+    out.append(CheckResult("eig.minevec.budget", budget_ok))
 
     sep_scale_hits = 0
     sep_exact_ok = True
@@ -140,10 +152,10 @@ def _check_eig(rng, cfg, seed):
         n_cap = min(d, math.ceil(0.5 * math.log(11.0 * d / 0.05**2) + 0.5))
         sep_budget_ok = sep_budget_ok and res.matvecs_used <= n_cap
     frac = sep_scale_hits / n_trials
-    out.append(harness.CheckResult(
+    out.append(CheckResult(
         "eig.sep.scaling", frac >= 0.95, f"fraction={frac:.3f}"))
-    out.append(harness.CheckResult("eig.sep.separation", sep_exact_ok))
-    out.append(harness.CheckResult("eig.sep.budget", sep_budget_ok))
+    out.append(CheckResult("eig.sep.separation", sep_exact_ok))
+    out.append(CheckResult("eig.sep.budget", sep_budget_ok))
     return out
 
 
@@ -174,10 +186,10 @@ def _check_trsolver(rng, cfg, seed):
         quality_ok = quality_ok and gap <= delta * d_rad + 1e-9
         if sol.branch.value == "regularized_interior":
             alpha_ok = alpha_ok and abs(norm - d_rad) <= 1e-10 * d_rad
-    out.append(harness.CheckResult("trsolver.soundness", sound_ok))
-    out.append(harness.CheckResult(
+    out.append(CheckResult("trsolver.soundness", sound_ok))
+    out.append(CheckResult(
         "trsolver.quality_vs_exact", quality_ok, f"worst_excess={worst_gap:.2e}"))
-    out.append(harness.CheckResult("trsolver.interior_alpha_exact", alpha_ok))
+    out.append(CheckResult("trsolver.interior_alpha_exact", alpha_ok))
     return out
 
 
@@ -198,7 +210,7 @@ def _check_learner(rng, cfg, seed):
         bound = 2.0 * d_rad * math.sqrt(float(r @ r))
         worst = max(worst, nuc - bound)
         nuc_ok = nuc_ok and nuc <= bound + 1e-9
-    out.append(harness.CheckResult(
+    out.append(CheckResult(
         "learner.nuclear_bound", nuc_ok, f"worst_excess={worst:.2e}"))
 
     feas_ok = True
@@ -212,7 +224,7 @@ def _check_learner(rng, cfg, seed):
         s *= d_rad / max(np.linalg.norm(s), 1e-12)
         state, _ = learner_step(state, QuadLoss(y, s), stream)
         feas_ok = feas_ok and np.linalg.norm(state.w_mat) <= math.sqrt(d) * l1 + 1e-9
-    out.append(harness.CheckResult("learner.frobenius_feasible", feas_ok))
+    out.append(CheckResult("learner.frobenius_feasible", feas_ok))
     return out
 
 
@@ -222,12 +234,12 @@ def _check_driver(cfg, seed):
     params = driver.compute_hyperparams(spec, cfg["run_budget"])
     report = driver.run(spec, params, RngStream(seed), audit_level="full")
     expected = 2 * params.m_total + params.k_eps + 1
-    out.append(harness.CheckResult(
+    out.append(CheckResult(
         "driver.gradient_count", report.totals["gradients"] == expected,
         f"{report.totals['gradients']} vs {expected}"))
     for key in ("conversion_step_ok", "averaging_episode_ok", "regret_ok",
                 "stationarity_ok", "dynamic_regret_ok", "comparator_loss_ok",
                 "comparator_path_ok", "fixed_point_ok"):
         if key in report.audits:
-            out.append(harness.CheckResult(f"driver.{key}", bool(report.audits[key])))
+            out.append(CheckResult(f"driver.{key}", bool(report.audits[key])))
     return out

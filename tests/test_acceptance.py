@@ -134,7 +134,7 @@ def test_criterion_5_conversion_inequalities(criterion_runs):
         assert report.audits["averaging_episode_ok"], (spec.dim, seed)
     qspec = catalog("quadratic", 6, seed=2)
     qparams = driver.HyperParams(
-        d_radius=1.0, eta=0.5 / qspec.l1, t_len=10, k_eps=8, m_total=80,
+        d_radius=1.0, eta=0.5 / qspec.l1, t_len=10, k_eps=8,
         delta_tr=1e-5)
     qreport = driver.run(qspec, qparams, RngStream(3), audit_level="full")
     log = qreport.log

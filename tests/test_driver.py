@@ -19,7 +19,7 @@ def scalar_quadratic(x0=1.0):
 
 def manual(d_radius, eta, t_len, k_eps, delta_tr=1e-8, p_fail=0.01):
     return HyperParams(d_radius=d_radius, eta=eta, t_len=t_len, k_eps=k_eps,
-                       m_total=t_len * k_eps, delta_tr=delta_tr, p_fail=p_fail)
+                       delta_tr=delta_tr, p_fail=p_fail)
 
 
 class TestComputeHyperparams:
@@ -230,6 +230,74 @@ class TestRun:
         assert report.totals["stopped_early"]
         assert report.grad_norm_final <= 0.5
         assert len(report.episodes) < params.k_eps
+
+
+class TestComparatorLedger:
+    """The dynamic-regret ledger is folded step by step: one Hessian at each
+    z_n, the comparator loss when pair n closes, the path step once z_{n+1}
+    exists, and no per-step vectors kept."""
+
+    @staticmethod
+    def recording(base):
+        points = []
+
+        def hess(z):
+            points.append(z.copy())
+            return base.hess(z)
+
+        return dataclasses.replace(base, hess=hess), points
+
+    def test_step_ledger_matches_dense_recomputation(self):
+        base = catalog("cosine_mixture", 6)
+        spec, points = self.recording(base)
+        params = compute_hyperparams(spec, 60)
+        state = driver.init(spec, params)
+        log = driver.StepLog()
+        rng = RngStream(3)
+        z_pts, trail = [], []
+        for _ in range(params.m_total):
+            delta_n = state.delta_vec.copy()
+            driver.step(state, spec, params, rng, log=log, full=True)
+            z_pts.append(state.x + 0.5 * delta_n)
+            trail.append((state.g_cached.copy(), state.grad_z_prev.copy(),
+                          state.pending_s.copy()))
+        m = params.m_total
+        assert len(points) == m
+        for z_rec, z in zip(points, z_pts):
+            np.testing.assert_array_equal(z_rec, z)
+        h = [base.hess(z) for z in z_pts]
+        losses = []
+        for n in range(m - 1):
+            # pair n closes in step n+1: y = g_{n+1} - grad f(z_n), s = pending_s
+            r = (trail[n + 1][0] - trail[n][1]) - h[n] @ trail[n][2]
+            losses.append(float(r @ r))
+        path = [float(np.linalg.norm(h[n + 1] - h[n])) for n in range(m - 1)]
+        assert log.comparator_losses == losses
+        assert log.comparator_path == path
+        assert log.hess_fro_first == float(np.linalg.norm(h[0]))
+        for f in dataclasses.fields(log):
+            value = getattr(log, f.name)
+            if isinstance(value, list):
+                assert not any(isinstance(v, np.ndarray) for v in value), f.name
+
+    def test_run_audit_sums_the_ledger(self):
+        base = catalog("cosine_mixture", 6)
+        spec, points = self.recording(base)
+        params = compute_hyperparams(spec, 60)
+        report = driver.run(spec, params, RngStream(3), audit_level="full")
+        log = report.log
+        assert len(points) == params.m_total
+        n_pairs = params.m_total - 1
+        assert len(log.comparator_losses) == len(log.comparator_path) == n_pairs
+        assert report.audits["comparator_loss_max"] == max(log.comparator_losses)
+        assert report.audits["comparator_path_max"] == max(log.comparator_path)
+        assert report.audits["all_ok"]
+
+    def test_episode_level_evaluates_no_hessian(self):
+        spec, points = self.recording(catalog("cosine_mixture", 6))
+        report = driver.run(spec, compute_hyperparams(spec, 60), RngStream(3))
+        assert points == []
+        assert "dynamic_regret_ok" not in report.audits
 
 
 class TestPsdCertificate:

@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from oqn import harness
+from oqn import harness, verify
 from oqn.cli import main as cli_main
 from oqn.driver import compute_hyperparams
 from oqn.errors import DimTooLarge, UnknownLevel
@@ -145,10 +145,10 @@ class TestBruteTr:
 class TestVerifySuite:
     def test_unknown_level(self):
         with pytest.raises(UnknownLevel):
-            harness.verify_suite("bogus")
+            verify.run_all("bogus")
 
     def test_quick_level_all_pass(self):
-        checks = harness.verify_suite("quick")
+        checks = verify.run_all("quick")
         failed = [c.name for c in checks if not c.passed]
         assert not failed, failed
         assert len(checks) >= 25
@@ -197,6 +197,14 @@ class TestBench:
             "budgets=40\nseeds=0\nmethods=oqn,gd_baseline\n")
         assert [(r[0], r[4]) for r in rows] == [("oqn", 28), ("gd_baseline", 28)]
 
+    def test_manual_params_reject_several_budgets(self):
+        # the manual block fixes M, so a second budget would repeat the run
+        with pytest.raises(ValueError, match="params=manual fixes M"):
+            harness.bench(
+                "problem=quadratic\ndim=4\nparams=manual\nd_radius=1.0\n"
+                "eta=0.1\nt_len=4\nk_eps=3\ndelta_tr=1e-5\n"
+                "budgets=40,80\nseeds=0\n")
+
     def test_gd_cell_spends_the_oqn_cell_gradients(self):
         rows, _ = harness.bench(GD_GRID)
         grads = {(method, budget): g for method, budget, _, _, g, _ in rows}
@@ -235,14 +243,32 @@ class TestBench:
 
 
 class TestCli:
-    def test_dump_params_matches_library(self, capsys):
-        rc = cli_main(["dump-params", "cosine_mixture:d=4", "1000"])
+    def test_dump_params_matches_library(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.txt"
+        cfg_path.write_text("problem=cosine_mixture\ndim=4\nbudget=1000\n")
+        rc = cli_main(["dump-params", str(cfg_path)])
         assert rc == 0
         doc = json.loads(capsys.readouterr().out)
         params = compute_hyperparams(catalog("cosine_mixture", 4), 1000)
         assert doc["d_radius"] == pytest.approx(params.d_radius, rel=1e-15)
         assert doc["t_len"] == params.t_len
         assert doc["k_eps"] == params.k_eps
+
+    @pytest.mark.parametrize("text", [
+        "problem=quadratic\ndim=4\nparams=manual\nd_radius=0.5\neta=0.2\n"
+        "t_len=4\nk_eps=3\ndelta_tr=1e-5\n",
+        "problem=coupled_trig\ndim=5\nkappa=0.9\nproblem_seed=3\n"
+        "budget=300\ngap_bound=2.5\n",
+    ])
+    def test_dump_params_prints_what_run_uses(self, text, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.txt"
+        cfg_path.write_text(text)
+        assert cli_main(["dump-params", str(cfg_path)]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        cfg = harness.parse_config(text)
+        params = harness.run_params(cfg, harness.build_spec(cfg))
+        assert doc == {key: getattr(params, key) for key in doc}
+        assert set(doc) == {"d_radius", "eta", "t_len", "k_eps", "m_total", "delta_tr"}
 
     def test_unknown_subcommand_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
