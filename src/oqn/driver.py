@@ -153,7 +153,7 @@ class OqnState:
     box_violations: int = 0
     tr_stats: dict = field(default_factory=lambda: {
         "solves": 0, "matvecs": 0, "max_residual": 0.0, "retries": 0,
-        "branches": {}, "sep_calls": 0, "sep_matvecs": 0,
+        "early_exits": 0, "branches": {}, "sep_calls": 0, "sep_matvecs": 0,
     })
 
 
@@ -252,6 +252,7 @@ def step(state: OqnState, spec: ObjectiveSpec, params: HyperParams, rng: RngStre
             q=params.p_fail / (2.0 * params.m_total),
             b_bound=max(2.0 * spec.l1, spec.l1 + 1.0 / eta),
             lam_min_lower=1.0 / eta - 0.5 * state.b_state.b_fro,
+            x_start=delta_n,
         )
         sol = tr_solve(problem, rng)
         delta_next = sol.delta_vec
@@ -259,6 +260,7 @@ def step(state: OqnState, spec: ObjectiveSpec, params: HyperParams, rng: RngStre
         state.tr_stats["matvecs"] += sol.matvecs_used
         state.tr_stats["max_residual"] = max(state.tr_stats["max_residual"], sol.residual)
         state.tr_stats["retries"] += int(sol.retried)
+        state.tr_stats["early_exits"] += int(sol.early_exit)
         branch = sol.branch.value
         state.tr_stats["branches"][branch] = state.tr_stats["branches"].get(branch, 0) + 1
         # reuses the B delta_n product: one extra matvec for B delta_{n+1}
@@ -270,7 +272,8 @@ def step(state: OqnState, spec: ObjectiveSpec, params: HyperParams, rng: RngStre
                     "kind": "tr_solve", "n": n, "branch": branch,
                     "lambda_hat": sol.lambda_hat, "n_accel": sol.n_accel,
                     "matvecs": sol.matvecs_used, "residual": sol.residual,
-                    "retried": sol.retried, "rng_state": rng.state(),
+                    "retried": sol.retried, "early_exit": sol.early_exit,
+                    "rng_state": rng.state(),
                 })
                 a_delta_next = 0.5 * b_delta_next + delta_next / eta
                 fp = np.linalg.norm(delta_next - project_ball(

@@ -278,12 +278,16 @@ def _jsonable(obj):
 def report_document(exp: ExperimentReport) -> dict:
     """Deterministic report body (no wall time; that goes to the console)."""
     cfg = exp.config
+    # every run key but the output paths and the manual block (the report's
+    # params); None is the default, for the family knobs the family's own
     doc = {
         "config": {
-            "problem": cfg.problem, "dim": cfg.dim, "method": cfg.method,
-            "budget": cfg.budget, "seed": cfg.seed,
+            "problem": cfg.problem, "dim": cfg.dim, "problem_seed": cfg.problem_seed,
+            **{key: cfg.problem_kwargs.get(key) for key in _PROBLEM_KEYS},
+            "method": cfg.method, "budget": cfg.budget, "seed": cfg.seed,
             "p_fail": cfg.p_fail, "audit": cfg.audit,
             "gap_bound": cfg.gap_bound, "params": cfg.params,
+            "eps_target": cfg.eps_target, "step_size": cfg.step_size,
         },
     }
     rep = exp.report

@@ -7,8 +7,17 @@ regularized convex path; each is handled by an accelerated projected method
 that converts the gap into a small residual).  PSD-ness comes from the
 caller's deterministic lower bound on the smallest eigenvalue when that bound
 is nonnegative (no probe, no randomness); otherwise a randomized
-minimum-eigenpair probe decides.  All matrix access is counted matvecs;
-residual checks cost one matvec each and are counted too.
+minimum-eigenpair probe decides.
+
+The convex branch first runs a warm-started FISTA probe from the caller's
+``x_start``.  The probe applies A once per iterate and gets A at the momentum
+point by linearity, so it reads the exact residual of every iterate for free,
+and it stops once that residual is at most ``EARLY_EXIT_RTOL * min(delta,
+|b|)``.  Only when it does not certify within the fixed budget N does the
+solve run the fixed-budget two-phase method from the origin, the worst-case
+path whose theory bounds the cost: (N + 1) + 2N + 1 matvecs per attempt.  All
+matrix access is counted matvecs; residual checks cost one matvec each and
+are counted too.
 """
 
 from __future__ import annotations
@@ -16,6 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import Optional
 
 import numpy as np
 from numpy.typing import NDArray
@@ -27,6 +37,12 @@ from .rng import RngStream
 
 BOUNDARY_RTOL = 1e-9
 INTERIOR_RTOL = 1e-12
+# the probe exits at residual EARLY_EXIT_RTOL * min(delta, |b|): far below
+# delta, so the early answer keeps the quality of the fixed-budget one (a
+# delta/2 exit measurably lost progress), and relative to |b|, the residual at
+# the origin, so the exit sets no absolute floor on the subproblem's accuracy
+# when a converging run makes b tiny
+EARLY_EXIT_RTOL = math.sqrt(np.finfo(float).eps)
 
 
 @dataclass
@@ -37,7 +53,9 @@ class TrustRegionSubproblem:
     eigenvalue of A; it is the caller's certificate and sizes all internal
     iteration budgets.  ``lam_min_lower`` must lower-bound the smallest
     eigenvalue of A, likewise on the caller's word; a nonnegative value
-    certifies A PSD and skips the minimum-eigenpair probe.
+    certifies A PSD and skips the minimum-eigenpair probe.  ``x_start`` is
+    where the convex branch's early-exit probe starts (default: the origin);
+    it is projected onto the ball, at no matvec cost.
     """
 
     a_op: object
@@ -47,9 +65,14 @@ class TrustRegionSubproblem:
     q: float
     b_bound: float
     lam_min_lower: float = -math.inf
+    x_start: Optional[NDArray] = None
 
     def __post_init__(self):
         self.b = np.asarray(self.b, dtype=float)
+        if self.x_start is None:
+            self.x_start = np.zeros(self.b.shape)
+        else:
+            self.x_start = np.asarray(self.x_start, dtype=float)
         if self.radius <= 0:
             raise ValueError("radius must be positive")
         if self.delta <= 0:
@@ -66,6 +89,9 @@ class TRBranch(Enum):
 
 @dataclass
 class TRSolution:
+    """``n_accel`` counts the probe's iterations when it certified the solve
+    (``early_exit``), else the fixed per-phase budget N."""
+
     delta_vec: NDArray
     residual: float
     matvecs_used: int
@@ -73,6 +99,7 @@ class TRSolution:
     lambda_hat: float = 0.0
     n_accel: int = 0
     retried: bool = False
+    early_exit: bool = False
 
 
 def project_ball(x: NDArray, radius: float) -> NDArray:
@@ -93,11 +120,15 @@ def residual_of(a_op, b: NDArray, d_radius: float, delta_vec: NDArray) -> float:
     norm = math.sqrt(delta_vec @ delta_vec)
     if norm > d_radius * (1.0 + 1e-9) + 1e-15:
         raise OutsideBall(f"|delta| = {norm!r} exceeds radius {d_radius!r}")
-    r = a_op.apply(delta_vec) + b
+    return _cone_residual(a_op.apply(delta_vec) + b, delta_vec, norm, d_radius)
+
+
+def _cone_residual(r: NDArray, x: NDArray, norm: float, d_radius: float) -> float:
+    """Distance from -r = -(Ax + b) to the normal cone of the ball at x."""
     if norm < d_radius * (1.0 - INTERIOR_RTOL):
         return math.sqrt(r @ r)
-    c_star = max(0.0, -float(r @ delta_vec) / d_radius**2)
-    r = r + c_star * delta_vec
+    c_star = max(0.0, -float(r @ x) / d_radius**2)
+    r = r + c_star * x
     return math.sqrt(r @ r)
 
 
@@ -117,6 +148,36 @@ def fista(a_psd, b: NDArray, d_radius: float, lg: float, n_iters: int, x_start: 
         y = x_next + ((t - 1.0) / t_next) * (x_next - x)
         x, t = x_next, t_next
     return x
+
+
+def fista_probe(a_psd, b: NDArray, d_radius: float, lg: float, n_iters: int,
+                x_start: NDArray, tol: float) -> tuple[Optional[NDArray], int]:
+    """Projected FISTA that stops at the first iterate with residual <= tol.
+
+    Applies A once to the start and once to each new iterate (at most
+    ``n_iters + 1`` matvecs); A at the momentum point follows by linearity,
+    so the residual of every iterate is read without an extra matvec.  Its
+    value is the one ``residual_of`` computes at that point.  Returns
+    ``(x, k)`` for the certified iterate after k steps, or ``(None,
+    n_iters)`` when none certified.
+    """
+    x = project_ball(np.asarray(x_start, dtype=float), d_radius)
+    ax = a_psd.apply(x)
+    if _cone_residual(ax + b, x, math.sqrt(x @ x), d_radius) <= tol:
+        return x, 0
+    y, ay = x, ax
+    t = 1.0
+    for k in range(1, n_iters + 1):
+        x_next = project_ball(y - (ay + b) / lg, d_radius)
+        ax_next = a_psd.apply(x_next)
+        if _cone_residual(ax_next + b, x_next, math.sqrt(x_next @ x_next), d_radius) <= tol:
+            return x_next, k
+        t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
+        beta = (t - 1.0) / t_next
+        y = x_next + beta * (x_next - x)
+        ay = ax_next + beta * (ax_next - ax)
+        x, ax, t = x_next, ax_next, t_next
+    return None, n_iters
 
 
 def sfg(a_psd, b: NDArray, d_radius: float, lg: float, n_iters: int, x_start: NDArray) -> NDArray:
@@ -157,7 +218,9 @@ def fista_plus_sfg(a_psd, b: NDArray, d_radius: float, delta: float, lg: float,
                    budget_factor: int = 1) -> NDArray:
     """Chain the two phases from the origin; residual at the output is at
     most ``delta`` whenever the PSD/lg certificates hold.  Total matvecs 2N
-    with N = accel_budget(lg, d_radius, delta).
+    with N = accel_budget(lg, d_radius, delta).  The convex branch of
+    ``tr_solve`` runs it only after ``fista_probe`` declined, so a fallback
+    solve costs (N + 1) + 2N matvecs before the residual check.
     """
     n = accel_budget(lg, d_radius, delta) * budget_factor
     x0 = np.zeros(a_psd.dim)
@@ -169,7 +232,9 @@ def tr_solve(p: TrustRegionSubproblem, rng: RngStream) -> TRSolution:
     """Solve the subproblem to a certified residual of at most ``p.delta``.
 
     A nonnegative ``p.lam_min_lower`` selects the convex branch outright;
-    otherwise one minimum-eigenpair probe picks the branch.  The certified
+    otherwise one minimum-eigenpair probe picks the branch.  The convex
+    branch returns the ``fista_probe`` answer from ``p.x_start`` when it
+    certifies, else the fixed-budget ``fista_plus_sfg`` one.  The certified
     residual on the original problem is asserted at the end of every solve.
     On failure (the oracles are Monte-Carlo), the solve retries once with
     fresh randomness and doubled iteration budgets before raising.
@@ -185,11 +250,19 @@ def tr_solve(p: TrustRegionSubproblem, rng: RngStream) -> TRSolution:
             ev = min_evec(p.a_op, p.delta / (2.0 * p.radius), 0.5 * p.q, p.b_bound, rng,
                           budget_factor=factor)
             lambda_hat = ev.lambda_hat
+        early_exit = False
         if certified_psd or ev.case is MinEvecCase.PSD_CERTIFIED:
             lg = max(p.b_bound, p.delta)
-            cand = fista_plus_sfg(p.a_op, p.b, p.radius, p.delta, lg, budget_factor=factor)
-            branch = TRBranch.CONVEX
             n_accel = accel_budget(lg, p.radius, p.delta) * factor
+            cand, k = fista_probe(p.a_op, p.b, p.radius, lg, n_accel, p.x_start,
+                                  EARLY_EXIT_RTOL * min(p.delta, math.sqrt(p.b @ p.b)))
+            early_exit = cand is not None
+            if early_exit:
+                n_accel = k
+            else:
+                cand = fista_plus_sfg(p.a_op, p.b, p.radius, p.delta, lg,
+                                      budget_factor=factor)
+            branch = TRBranch.CONVEX
         else:
             shifted = ShiftedOperator(p.a_op, lambda_hat)
             lg = max(p.b_bound - lambda_hat, p.delta)
@@ -215,6 +288,7 @@ def tr_solve(p: TrustRegionSubproblem, rng: RngStream) -> TRSolution:
             lambda_hat=lambda_hat,
             n_accel=n_accel,
             retried=attempt > 0,
+            early_exit=early_exit,
         )
         if res <= p.delta:
             return last

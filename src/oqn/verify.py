@@ -16,7 +16,7 @@ from .hessian_learner import LearnerState, QuadLoss, default_rho, learner_step
 from .linops import Counter, ShiftedOperator, SymOperator, dense_extreme_eig
 from .problems import catalog, fd_check_gradient, fd_check_hessian
 from .rng import RngStream
-from .trsolver import TrustRegionSubproblem, tr_solve
+from .trsolver import EARLY_EXIT_RTOL, TrustRegionSubproblem, tr_solve
 
 SCALES = {
     "quick": dict(pairs=150, fd_points=20, trials=150, tr_instances=60,
@@ -190,6 +190,37 @@ def _check_trsolver(rng, cfg, seed):
     out.append(CheckResult(
         "trsolver.quality_vs_exact", quality_ok, f"worst_excess={worst_gap:.2e}"))
     out.append(CheckResult("trsolver.interior_alpha_exact", alpha_ok))
+
+    # convex instances certified by the caller: the probe's early answer has
+    # residual <= sqrt(eps) delta, so convexity caps its excess at 2 D times that
+    exits = 0
+    exit_ok = True
+    worst_exit = -math.inf
+    for t in range(cfg["tr_instances"]):
+        d = int(rng.integers(2, 21))
+        m = _sym(rng, d)
+        shift = float(rng.uniform(0.05, 1.0))
+        a = m @ m.T / d + shift * np.eye(d)
+        b = rng.standard_normal(d)
+        d_rad = float(rng.choice([0.1, 1.0, 10.0]))
+        delta = float(rng.choice([1e-2, 1e-4]))
+        op = SymOperator(a, Counter())
+        problem = TrustRegionSubproblem(
+            a_op=op, b=b, radius=d_rad, delta=delta, q=0.01,
+            b_bound=2.0 * op.frobenius_norm(), lam_min_lower=shift)
+        sol = tr_solve(problem, RngStream(seed * 7907 + t))
+        if not sol.early_exit:
+            continue
+        exits += 1
+        exact = harness.brute_tr(a, b, d_rad)
+        excess = (harness.tr_objective(a, b, sol.delta_vec)
+                  - harness.tr_objective(a, b, exact))
+        bound = 2.0 * d_rad * EARLY_EXIT_RTOL * delta + 1e-12
+        worst_exit = max(worst_exit, excess - bound)
+        exit_ok = exit_ok and excess <= bound
+    out.append(CheckResult(
+        "trsolver.early_exit_quality", exit_ok and exits > 0,
+        f"early_exits={exits}/{cfg['tr_instances']} worst_excess={worst_exit:.2e}"))
     return out
 
 

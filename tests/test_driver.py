@@ -333,6 +333,28 @@ class TestPsdCertificate:
         assert report.audits["all_ok"]
 
 
+class TestEarlyExit:
+    """Driver solves start the convex probe from the previous displacement."""
+
+    def test_probe_saves_matvecs_at_unchanged_quality(self, monkeypatch):
+        spec = catalog("coupled_trig", 16)
+        params = compute_hyperparams(spec, 480)
+        fast = driver.run(spec, params, RngStream(0), audit_level="full")
+        # a probe that always declines leaves the fixed-budget path alone
+        monkeypatch.setattr(trsolver, "fista_probe", lambda *args: (None, args[4]))
+        fixed = driver.run(spec, params, RngStream(0), audit_level="full")
+        expected = 2 * params.m_total + params.k_eps + 1
+        assert fast.totals["gradients"] == fixed.totals["gradients"] == expected
+        assert fast.audits["all_ok"] and fixed.audits["all_ok"]
+        assert fast.totals["matvecs"] < fixed.totals["matvecs"]
+        assert fast.grad_norm_final == pytest.approx(fixed.grad_norm_final, rel=1e-5)
+        assert fixed.totals["tr"]["early_exits"] == 0
+        solves = [ev for ev in fast.log.events if ev["kind"] == "tr_solve"]
+        assert len(solves) == fast.totals["tr"]["solves"] == params.m_total
+        exits = sum(ev["early_exit"] for ev in solves)
+        assert 0 < exits == fast.totals["tr"]["early_exits"]
+
+
 class TestWholePipeline:
     @pytest.mark.parametrize("name,dim", [
         ("cosine_mixture", 5), ("coupled_trig", 5), ("rosenbrock_local", 4)])

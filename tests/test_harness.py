@@ -67,6 +67,26 @@ class TestDeterminism:
                             open(cfg.out_report, "rb").read()))
         assert outputs[0] == outputs[1]
 
+    def test_report_config_names_the_run(self):
+        # two problems that differ only in problem_seed and kappa must not
+        # share a config block; the block alone rebuilds the run config
+        base = "problem=coupled_trig\ndim=5\nbudget=60\n"
+        texts = (base + "problem_seed=0\n",
+                 base + "problem_seed=4\nkappa=0.3\neps_target=0.5\n")
+        cfgs = [harness.config_from_pairs(harness.read_pairs(t)) for t in texts]
+        blocks = [harness.report_document(harness.run_experiment(c))["config"]
+                  for c in cfgs]
+        assert blocks[0] != blocks[1]
+        assert (blocks[1]["problem_seed"], blocks[1]["kappa"]) == (4, 0.3)
+        assert blocks[1]["eps_target"] == 0.5
+        for cfg, block in zip(cfgs, blocks):
+            pairs = {k: str(v) for k, v in block.items() if v is not None}
+            assert harness.config_from_pairs(pairs) == cfg
+        gd = harness.config_from_pairs(harness.read_pairs(
+            "problem=cosine_mixture\ndim=5\nmethod=gd_baseline\nstep_size=0.05\nmu=0.2\n"))
+        block = harness.report_document(harness.run_experiment(gd))["config"]
+        assert (block["step_size"], block["mu"]) == (0.05, 0.2)
+
     def test_csv_row_count_equals_episodes(self):
         cfg = harness.parse_config(CONFIG)
         exp = harness.run_experiment(cfg)

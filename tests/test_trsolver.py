@@ -10,11 +10,13 @@ from oqn.harness import brute_tr, tr_objective
 from oqn.linops import Counter, SymOperator
 from oqn.rng import RngStream
 from oqn.trsolver import (
+    EARLY_EXIT_RTOL,
     TRBranch,
     TrustRegionSubproblem,
     accel_budget,
     fista,
     fista_plus_sfg,
+    fista_probe,
     residual_of,
     sfg,
     tr_solve,
@@ -166,6 +168,110 @@ class TestFistaPlusSfg:
             out = fista_plus_sfg(op, b, d_rad, delta, lg)
             assert residual_of(op, b, d_rad, out) <= delta
             assert op.counter.count == 2 * accel_budget(lg, d_rad, delta) + 1
+
+
+class TestEarlyExit:
+    """The convex branch's warm-started probe and its fixed-budget fallback."""
+
+    def test_probe_iterates_are_fista_iterates(self, np_rng):
+        # A at the momentum point comes from linearity, so the probe walks
+        # fista's path up to rounding and stops at the first certified iterate
+        for _ in range(10):
+            d = int(np_rng.integers(2, 11))
+            m = random_symmetric(np_rng, d)
+            a = m @ m.T + 0.5 * np.eye(d)
+            b = np_rng.standard_normal(d)
+            lg = float(np.linalg.eigvalsh(a)[-1])
+            start = 0.3 * np_rng.standard_normal(d)
+            op = SymOperator(a, Counter())
+            x, k = fista_probe(op, b, 1.0, lg, 500, start, 1e-10)
+            assert x is not None and k >= 1
+            assert op.counter.count == k + 1
+            ref = fista(SymOperator(a, Counter()), b, 1.0, lg, k, start)
+            np.testing.assert_allclose(x, ref, rtol=0, atol=1e-12)
+            assert residual_of(op, b, 1.0, x) <= 1e-10
+
+    def test_certified_solve_is_cheaper_and_tighter(self, np_rng):
+        for t in range(30):
+            d = int(np_rng.integers(2, 21))
+            m = random_symmetric(np_rng, d)
+            shift = np_rng.uniform(0.2, 1.0)
+            a = m @ m.T / d + shift * np.eye(d)
+            b = np_rng.standard_normal(d)
+            delta = float(np_rng.choice([1e-2, 1e-4]))
+            p = TrustRegionSubproblem(
+                a_op=SymOperator(a, Counter()), b=b, radius=1.0, delta=delta, q=0.01,
+                b_bound=float(np.linalg.eigvalsh(a)[-1]), lam_min_lower=shift)
+            sol = tr_solve(p, RngStream(t))
+            n = accel_budget(max(p.b_bound, delta), 1.0, delta)
+            assert sol.early_exit and sol.branch is TRBranch.CONVEX
+            assert sol.residual <= EARLY_EXIT_RTOL * delta
+            # probe: one matvec at the start and one per iteration; then the check
+            assert sol.matvecs_used == sol.n_accel + 2 < 2 * n + 1
+            exact = brute_tr(a, b, 1.0)
+            gap = tr_objective(a, b, sol.delta_vec) - tr_objective(a, b, exact)
+            assert gap <= 2.0 * EARLY_EXIT_RTOL * delta + 1e-12
+
+    def test_undecided_probe_falls_back_bit_for_bit(self):
+        # condition number 1e4 and N = 32: FISTA is far from a residual of
+        # sqrt(eps) * delta when the probe budget runs out
+        q, _ = np.linalg.qr(np.random.default_rng(5).standard_normal((5, 5)))
+        a = q @ np.diag([1.0, 1e-2, 1e-3, 1e-4, 1e-4]) @ q.T
+        a = 0.5 * (a + a.T)
+        b = 1e-4 * q @ np.ones(5)
+        delta, lg = 1e-2, 1.0
+        n = accel_budget(lg, 1.0, delta)
+        assert n == 32
+        counter = Counter()
+        p = TrustRegionSubproblem(a_op=SymOperator(a, counter), b=b, radius=1.0,
+                                  delta=delta, q=0.01, b_bound=lg, lam_min_lower=0.0)
+        sol = tr_solve(p, RngStream(0))
+        assert not sol.early_exit
+        assert sol.n_accel == n
+        assert sol.matvecs_used == counter.count == (n + 1) + 2 * n + 1
+        ref = fista_plus_sfg(SymOperator(a, Counter()), b, 1.0, delta, lg)
+        np.testing.assert_array_equal(sol.delta_vec, ref)
+        assert sol.residual <= delta
+
+    def test_exit_is_relative_to_the_linear_term(self, np_rng):
+        # with delta >= |b| the exit is at sqrt(eps) |b|: scaling b and the
+        # start by a power of two scales every probe iterate exactly, so a
+        # tiny b (a converging run) meets no absolute accuracy floor
+        d = 6
+        m = random_symmetric(np_rng, d)
+        a = m @ m.T / d + 0.5 * np.eye(d)
+        b = 1e-5 * np_rng.standard_normal(d)
+        start = 1e-5 * np_rng.standard_normal(d)
+        assert np.linalg.norm(b) < 1e-4
+        lg = float(np.linalg.eigvalsh(a)[-1])
+        sols = []
+        for scale in (1.0, 2.0**-40):
+            p = TrustRegionSubproblem(
+                a_op=SymOperator(a, Counter()), b=scale * b, radius=1.0, delta=1e-4,
+                q=0.01, b_bound=lg, lam_min_lower=0.5, x_start=scale * start)
+            sols.append(tr_solve(p, RngStream(0)))
+        assert sols[0].early_exit and sols[1].early_exit
+        assert sols[1].n_accel == sols[0].n_accel > 0
+        np.testing.assert_array_equal(sols[1].delta_vec, 2.0**-40 * sols[0].delta_vec)
+        assert sols[1].residual <= EARLY_EXIT_RTOL * 2.0**-40 * np.linalg.norm(b)
+
+    def test_start_outside_the_ball_is_projected(self):
+        # the projected start e1 is the exact boundary minimizer
+        p = make_problem(np.eye(2), [-2.0, 0.0], 1.0, 1e-6)
+        p.lam_min_lower = 1.0
+        p.x_start = np.array([5.0, 0.0])
+        sol = tr_solve(p, RngStream(0))
+        assert sol.early_exit and sol.n_accel == 0
+        np.testing.assert_array_equal(sol.delta_vec, [1.0, 0.0])
+        assert sol.residual == 0.0
+        assert sol.matvecs_used == 2
+
+    def test_default_start_is_the_origin(self):
+        p = make_problem(np.eye(3), np.zeros(3), 1.0, 1e-6)
+        np.testing.assert_array_equal(p.x_start, np.zeros(3))
+        p.lam_min_lower = 1.0
+        sol = tr_solve(p, RngStream(0))
+        assert sol.early_exit and sol.n_accel == 0 and sol.matvecs_used == 2
 
 
 class TestTrSolve:
