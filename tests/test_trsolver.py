@@ -17,6 +17,7 @@ from oqn.trsolver import (
     fista,
     fista_plus_sfg,
     fista_probe,
+    project_ball,
     residual_of,
     sfg,
     tr_solve,
@@ -173,9 +174,31 @@ class TestFistaPlusSfg:
 class TestEarlyExit:
     """The convex branch's warm-started probe and its fixed-budget fallback."""
 
-    def test_probe_iterates_are_fista_iterates(self, np_rng):
+    @staticmethod
+    def reference_probe(a, b, radius, lg, n_iters, start, tol, restart=True):
+        """The probe's method written plainly: A applied at every momentum
+        point, the residual read with residual_of."""
+        op = SymOperator(a, Counter())
+        x = project_ball(np.asarray(start, dtype=float), radius)
+        if residual_of(op, b, radius, x) <= tol:
+            return x, 0
+        y, t = x, 1.0
+        for k in range(1, n_iters + 1):
+            x_next = project_ball(y - (a @ y + b) / lg, radius)
+            if residual_of(op, b, radius, x_next) <= tol:
+                return x_next, k
+            if restart and (y - x_next) @ (x_next - x) > 0.0:
+                t = 1.0
+            t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
+            y = x_next + ((t - 1.0) / t_next) * (x_next - x)
+            x, t = x_next, t_next
+        return None, n_iters
+
+    def test_probe_iterates_are_restarted_fista_iterates(self, np_rng):
         # A at the momentum point comes from linearity, so the probe walks
-        # fista's path up to rounding and stops at the first certified iterate
+        # the plainly written path up to rounding, restarts included, and
+        # stops at the first certified iterate
+        restarted = 0
         for _ in range(10):
             d = int(np_rng.integers(2, 11))
             m = random_symmetric(np_rng, d)
@@ -187,9 +210,39 @@ class TestEarlyExit:
             x, k = fista_probe(op, b, 1.0, lg, 500, start, 1e-10)
             assert x is not None and k >= 1
             assert op.counter.count == k + 1
-            ref = fista(SymOperator(a, Counter()), b, 1.0, lg, k, start)
+            ref, k_ref = self.reference_probe(a, b, 1.0, lg, 500, start, 1e-10)
+            assert k == k_ref
             np.testing.assert_allclose(x, ref, rtol=0, atol=1e-12)
             assert residual_of(op, b, 1.0, x) <= 1e-10
+            plain = fista(SymOperator(a, Counter()), b, 1.0, lg, k,
+                          project_ball(start, 1.0))
+            restarted += float(np.max(np.abs(plain - x))) > 1e-9
+        assert restarted > 0  # some paths left plain FISTA's
+
+    def test_restart_certifies_where_plain_fista_declines(self):
+        # a PSD-shifted instance (lambda_min = 0.1 before scaling) with a
+        # large ball and delta = 1e-4, whose solution is interior: plain
+        # FISTA does not reach sqrt(eps) |b| within N, the restarted probe
+        # does in under N / 4
+        rng = np.random.default_rng(1)
+        d, radius, delta = 10, 10.0, 1e-4
+        m = rng.uniform(-1.0, 1.0, size=(d, d))
+        a = np.tril(m) + np.tril(m, -1).T
+        a += (0.1 - np.linalg.eigvalsh(a)[0]) * np.eye(d)
+        a *= math.sqrt(d) / np.linalg.norm(a)
+        b = rng.standard_normal(d)
+        b *= 2.0 / np.linalg.norm(b)
+        lg = 2.0 * float(np.linalg.norm(a))
+        n = accel_budget(lg, radius, delta)
+        tol = EARLY_EXIT_RTOL * min(delta, float(np.linalg.norm(b)))
+        x, _ = self.reference_probe(a, b, radius, lg, n, np.zeros(d), tol, restart=False)
+        assert x is None
+        p = TrustRegionSubproblem(a_op=SymOperator(a, Counter()), b=b, radius=radius,
+                                  delta=delta, q=0.01, b_bound=lg, lam_min_lower=0.0)
+        sol = tr_solve(p, RngStream(0))
+        assert sol.early_exit and sol.n_accel < n / 4
+        assert sol.matvecs_used == sol.n_accel + 2
+        assert sol.residual <= tol
 
     def test_certified_solve_is_cheaper_and_tighter(self, np_rng):
         for t in range(30):
