@@ -184,12 +184,30 @@ class SepCase(Enum):
     SEPARATED = "separated"
 
 
+def separating_matrix(u: NDArray, sign: float, l1: float) -> NDArray:
+    """Dense S = sign * u u' / l1, the zero matrix when ``sign`` is 0."""
+    if sign == 0.0:
+        return np.zeros((u.size, u.size))
+    return sign * np.outer(u, u) / l1
+
+
 @dataclass
 class SepResult:
+    """Outcome of ``sep``.  When separated, the hyperplane is S = sign * u u'
+    / l1 with ``u`` the unit Ritz vector and ``sign`` = +1 or -1; inside the
+    doubled ball, ``sign`` is 0 and ``u`` is the zero vector."""
+
     gamma: float
-    s_mat: NDArray
+    u: NDArray
+    sign: float
+    l1: float
     case: SepCase
     matvecs_used: int
+
+    @property
+    def s_mat(self) -> NDArray:
+        """Dense S, built on each read."""
+        return separating_matrix(self.u, self.sign, self.l1)
 
 
 def sep(w_op, l1: float, q: float, rng: RngStream) -> SepResult:
@@ -211,12 +229,10 @@ def sep(w_op, l1: float, q: float, rng: RngStream) -> SepResult:
     lam_top, lam_bot = float(evals[-1]), float(evals[0])
     gamma = max(lam_top, -lam_bot) / l1
     if gamma <= 1.0:
-        return SepResult(gamma, np.zeros((d, d)), SepCase.INSIDE_DOUBLED, fact.size)
+        return SepResult(gamma, np.zeros(d), 0.0, l1, SepCase.INSIDE_DOUBLED, fact.size)
     basis = fact.basis_matrix()
     if lam_top >= -lam_bot:
-        u = basis @ evecs[:, -1]
-        s_mat = np.outer(u, u) / l1
+        u, sign = basis @ evecs[:, -1], 1.0
     else:
-        u = basis @ evecs[:, 0]
-        s_mat = -np.outer(u, u) / l1
-    return SepResult(gamma, s_mat, SepCase.SEPARATED, fact.size)
+        u, sign = basis @ evecs[:, 0], -1.0
+    return SepResult(gamma, u, sign, l1, SepCase.SEPARATED, fact.size)

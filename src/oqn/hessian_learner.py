@@ -16,12 +16,23 @@ new ambient iterate to materialize the next action.  The initial action is
 the zero matrix, whose separation outcome (gamma = 0, inside) is
 deterministic and therefore cached without an oracle call.
 
+The round's loss gradient is the rank-2 matrix -(r s' + s r') with
+r = y - B s.  A round with W inside the doubled ball forms M = r s' once,
+adds its transpose (an exactly symmetric sum), scales the sum by rho in
+place and adds W, the same bits as W - rho * grad.  It takes |W_next|_F in
+one pass and rescales, with a second pass, only when W_next leaves the
+Frobenius ball.
+W_next stays a fresh array, so an earlier state's operator stays valid.
+
 The played action lives in one ``SymOperator`` (``LearnerState.b_op``), which
-the driver applies directly and views as its trust-region matrix.  When the
-oracle finds W inside the doubled ball, the operator built for the
-separation call is reused as B, so a round usually builds one operator.
-Its Frobenius norm, computed at build time, gives the driver a free
-operator-norm bound on B.
+the driver applies directly and views as its trust-region matrix.  The
+operator over W_next is a trusted build (``fro=``): the learner hands over
+the norm it already holds and the exactly symmetric matrix itself, so the
+build costs no copy, symmetry check or norm pass.  When the oracle finds W
+inside the doubled ball, that operator is reused as B, so a round usually
+builds one operator.  Its Frobenius norm gives the driver a free
+operator-norm bound on B.  The tilt S = sign * u u' / L1 of a separated
+round is kept as (u, sign) and made dense only in the round that reads it.
 """
 
 from __future__ import annotations
@@ -31,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .eig import SepCase, sep
+from .eig import SepCase, sep, separating_matrix
 from .errors import DimensionMismatch, NonPositiveRadius
 from .linops import Counter, SymOperator
 from .rng import RngStream
@@ -57,13 +68,14 @@ class QuadLoss:
 class LearnerState:
     """Ambient iterate W (Frobenius ball of radius sqrt(d) L1), played action
     B as an operator (operator norm at most 2 L1 per the separation
-    guarantee), and the cached separation data (gamma, S) that produced B
-    from W."""
+    guarantee), and the cached separation data (gamma, u, sign) that produced
+    B from W: the tilt S = sign * u u' / L1, with sign 0 when W was inside."""
 
     w_mat: NDArray
     b_op: SymOperator
     gamma: float
-    s_mat: NDArray
+    u: NDArray
+    sign: float
     rho: float
     l1: float
     dim: int
@@ -75,8 +87,8 @@ class LearnerState:
               counter: Counter | None = None) -> "LearnerState":
         counter = counter if counter is not None else Counter()
         zero = np.zeros((dim, dim))
-        return cls(w_mat=zero, b_op=SymOperator(zero, counter), gamma=0.0,
-                   s_mat=zero.copy(), rho=rho, l1=l1, dim=dim,
+        return cls(w_mat=zero, b_op=SymOperator(zero, counter, fro=0.0), gamma=0.0,
+                   u=np.zeros(dim), sign=0.0, rho=rho, l1=l1, dim=dim,
                    q_per_call=q_per_call, counter=counter)
 
     @property
@@ -108,36 +120,42 @@ def default_rho(d_radius: float) -> float:
     return 1.0 / (16.0 * d_radius**2)
 
 
-def _project_frobenius(mat: NDArray, radius: float) -> NDArray:
-    scale = radius / max(radius, float(np.linalg.norm(mat)))
-    return scale * mat
-
-
 def learner_step(state: LearnerState, q: QuadLoss,
                  rng: RngStream) -> tuple[LearnerState, LearnerAudit]:
     """Close the current round with loss pair ``q`` and materialize the next
     action.  Costs one matvec (the B s product) plus one separation call."""
     r = q.y - state.b_op.apply(q.s)
-    grad = -np.outer(r, q.s) - np.outer(q.s, r)  # of |y - B s|^2 at B
+    # minus the loss gradient at B; an entry and its mirror add the same two
+    # products, so the sum is exactly symmetric
+    m = np.outer(r, q.s)
+    neg_grad = m + m.T
     round_case = SepCase.INSIDE_DOUBLED if state.gamma <= 1.0 else SepCase.SEPARATED
     if round_case is SepCase.SEPARATED:
+        grad = -neg_grad
         tilt = max(0.0, -float(np.vdot(grad, state.b_mat)))
-        g_tilde = grad + tilt * state.s_mat
+        s_mat = separating_matrix(state.u, state.sign, state.l1)
+        w_next = state.w_mat - state.rho * (grad + tilt * s_mat)
     else:
-        g_tilde = grad
-    w_next = _project_frobenius(state.w_mat - state.rho * g_tilde,
-                                np.sqrt(state.dim) * state.l1)
+        # W - rho * grad, bit for bit, in a fresh array
+        w_next = neg_grad
+        w_next *= state.rho
+        w_next += state.w_mat
+    radius = np.sqrt(state.dim) * state.l1
+    fro = float(np.linalg.norm(w_next))
+    if fro > radius:  # project onto the Frobenius ball
+        w_next *= radius / fro
+        fro = float(np.linalg.norm(w_next))
 
-    w_op = SymOperator(w_next, state.counter)
+    w_op = SymOperator(w_next, state.counter, fro=fro)
     sep_res = sep(w_op, state.l1, state.q_per_call, rng)
     if sep_res.case is SepCase.INSIDE_DOUBLED:
         b_next = w_op
     else:
         b_next = SymOperator(w_next / sep_res.gamma, state.counter)
     next_state = LearnerState(
-        w_mat=w_next, b_op=b_next, gamma=sep_res.gamma, s_mat=sep_res.s_mat,
-        rho=state.rho, l1=state.l1, dim=state.dim, q_per_call=state.q_per_call,
-        counter=state.counter,
+        w_mat=w_next, b_op=b_next, gamma=sep_res.gamma, u=sep_res.u,
+        sign=sep_res.sign, rho=state.rho, l1=state.l1, dim=state.dim,
+        q_per_call=state.q_per_call, counter=state.counter,
     )
     audit = LearnerAudit(
         gamma=state.gamma,

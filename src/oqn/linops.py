@@ -4,8 +4,11 @@ Every matrix the optimizer touches on its hot path is applied only through
 ``apply`` (one counted matvec per call).  ``SymOperator`` stores one dense
 symmetric matrix; everything else is a matrix-free ``ShiftedOperator`` view
 ``scale * base - shift * I`` over it, whose Frobenius norm and trace follow
-in closed form from the base's.  Dense copies are only built on request, for
-the brute-force test oracles and audits.  Counters are run-scoped objects
+in closed form from the base's.  A build either symmetrizes and checks its
+input or, given the norm through ``fro=``, trusts a caller that already holds
+an exactly symmetric matrix and its norm (the matrix learner): then it costs
+no d x d pass at all.  Dense copies are only built on request, for the
+brute-force test oracles and audits.  Counters are run-scoped objects
 owned by the caller, never globals.
 """
 
@@ -42,18 +45,27 @@ class SymOperator:
     ``apply`` increments the attached counter by exactly one per call; the
     dense backing is reserved for test oracles and norm queries, which are
     free of matvec cost.  The Frobenius norm is computed once, at build time.
+
+    By default the build symmetrizes a copy of ``mat`` and rejects a matrix
+    that is not symmetric.  A caller that passes ``fro`` vouches that ``mat``
+    is exactly symmetric and that ``fro`` is its Frobenius norm: the operator
+    then wraps ``mat`` itself, with no copy, check or norm pass.
     """
 
     __slots__ = ("mat", "counter", "fro")
 
-    def __init__(self, mat: NDArray, counter: Counter | None = None):
+    def __init__(self, mat: NDArray, counter: Counter | None = None,
+                 fro: float | None = None):
         mat = np.asarray(mat, dtype=float)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise DimensionMismatch(f"expected a square matrix, got shape {mat.shape}")
-        self.mat = 0.5 * (mat + mat.T)
-        self.fro = float(np.linalg.norm(self.mat))
-        if np.linalg.norm(mat - mat.T) > 1e-10 * (self.fro or 1.0):
-            raise DimensionMismatch("matrix is not symmetric")
+        if fro is not None:
+            self.mat, self.fro = mat, float(fro)
+        else:
+            self.mat = 0.5 * (mat + mat.T)
+            self.fro = float(np.linalg.norm(self.mat))
+            if np.linalg.norm(mat - mat.T) > 1e-10 * (self.fro or 1.0):
+                raise DimensionMismatch("matrix is not symmetric")
         self.counter = counter if counter is not None else Counter()
 
     @property

@@ -13,11 +13,13 @@ The convex branch first runs a warm-started FISTA probe with adaptive
 restart from the caller's ``x_start``.  The probe applies A once per iterate
 and gets A at the momentum point by linearity, so it reads the exact residual
 of every iterate for free, and it stops once that residual is at most
-``EARLY_EXIT_RTOL * min(delta, |b|)``.  Only when it does not certify within the fixed budget N does the
-solve run the fixed-budget two-phase method from the origin, the worst-case
-path whose theory bounds the cost: (N + 1) + 2N + 1 matvecs per attempt.  All
-matrix access is counted matvecs; residual checks cost one matvec each and
-are counted too.
+``EARLY_EXIT_RTOL * min(delta, |b|)``; a certified solve costs k + 1 matvecs
+and its residual is the probe's own.  Only when it does not certify within
+the fixed budget N does the solve run the fixed-budget two-phase method from
+the origin, the worst-case path whose theory bounds the cost: (N + 1) + 2N +
+1 matvecs per attempt.  All matrix access is counted matvecs; the residual
+check after the fallback or a regularized solve costs one matvec and is
+counted too.
 """
 
 from __future__ import annotations
@@ -164,20 +166,22 @@ def fista_probe(a_psd, b: NDArray, d_radius: float, lg: float, n_iters: int,
     convergence on strongly convex subproblems linear; without it, FISTA's
     oscillations decide whether an instance certifies within N, and the
     solve cost jumps by the whole fallback between similar instances.
-    Returns ``(x, k)`` for the certified iterate after k steps, or ``(None,
-    n_iters)`` when none certified.
+    Returns ``(x, k, residual)`` for the certified iterate after k steps, or
+    ``(None, n_iters, None)`` when none certified.
     """
     x = project_ball(np.asarray(x_start, dtype=float), d_radius)
     ax = a_psd.apply(x)
-    if _cone_residual(ax + b, x, math.sqrt(x @ x), d_radius) <= tol:
-        return x, 0
+    res = _cone_residual(ax + b, x, math.sqrt(x @ x), d_radius)
+    if res <= tol:
+        return x, 0, res
     y, ay = x, ax
     t = 1.0
     for k in range(1, n_iters + 1):
         x_next = project_ball(y - (ay + b) / lg, d_radius)
         ax_next = a_psd.apply(x_next)
-        if _cone_residual(ax_next + b, x_next, math.sqrt(x_next @ x_next), d_radius) <= tol:
-            return x_next, k
+        res = _cone_residual(ax_next + b, x_next, math.sqrt(x_next @ x_next), d_radius)
+        if res <= tol:
+            return x_next, k, res
         if (y - x_next) @ (x_next - x) > 0.0:
             t = 1.0  # the step opposes the motion: drop the momentum
         t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
@@ -185,7 +189,7 @@ def fista_probe(a_psd, b: NDArray, d_radius: float, lg: float, n_iters: int,
         y = x_next + beta * (x_next - x)
         ay = ax_next + beta * (ax_next - ax)
         x, ax, t = x_next, ax_next, t_next
-    return None, n_iters
+    return None, n_iters, None
 
 
 def sfg(a_psd, b: NDArray, d_radius: float, lg: float, n_iters: int, x_start: NDArray) -> NDArray:
@@ -243,7 +247,9 @@ def tr_solve(p: TrustRegionSubproblem, rng: RngStream) -> TRSolution:
     otherwise one minimum-eigenpair probe picks the branch.  The convex
     branch returns the ``fista_probe`` answer from ``p.x_start`` when it
     certifies, else the fixed-budget ``fista_plus_sfg`` one.  The certified
-    residual on the original problem is asserted at the end of every solve.
+    residual on the original problem is asserted at the end of every solve:
+    a probe exit reports the residual the probe read at its answer, the other
+    paths apply A once more through ``residual_of``.
     On failure (the oracles are Monte-Carlo), the solve retries once with
     fresh randomness and doubled iteration budgets before raising.
     """
@@ -262,8 +268,8 @@ def tr_solve(p: TrustRegionSubproblem, rng: RngStream) -> TRSolution:
         if certified_psd or ev.case is MinEvecCase.PSD_CERTIFIED:
             lg = max(p.b_bound, p.delta)
             n_accel = accel_budget(lg, p.radius, p.delta) * factor
-            cand, k = fista_probe(p.a_op, p.b, p.radius, lg, n_accel, p.x_start,
-                                  EARLY_EXIT_RTOL * min(p.delta, math.sqrt(p.b @ p.b)))
+            cand, k, res = fista_probe(p.a_op, p.b, p.radius, lg, n_accel, p.x_start,
+                                       EARLY_EXIT_RTOL * min(p.delta, math.sqrt(p.b @ p.b)))
             early_exit = cand is not None
             if early_exit:
                 n_accel = k
@@ -287,7 +293,8 @@ def tr_solve(p: TrustRegionSubproblem, rng: RngStream) -> TRSolution:
                 cand = tilde + alpha * v
                 cand *= p.radius / np.linalg.norm(cand)  # snap exactly onto the sphere
                 branch = TRBranch.REGULARIZED_INTERIOR
-        res = residual_of(p.a_op, p.b, p.radius, cand)
+        if not early_exit:
+            res = residual_of(p.a_op, p.b, p.radius, cand)
         last = TRSolution(
             delta_vec=cand,
             residual=res,

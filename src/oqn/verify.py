@@ -16,7 +16,7 @@ from .hessian_learner import LearnerState, QuadLoss, default_rho, learner_step
 from .linops import Counter, ShiftedOperator, SymOperator, dense_extreme_eig
 from .problems import catalog, fd_check_gradient, fd_check_hessian
 from .rng import RngStream
-from .trsolver import EARLY_EXIT_RTOL, TrustRegionSubproblem, tr_solve
+from .trsolver import EARLY_EXIT_RTOL, TrustRegionSubproblem, residual_of, tr_solve
 
 SCALES = {
     "quick": dict(pairs=150, fd_points=20, trials=150, tr_instances=60,
@@ -192,7 +192,8 @@ def _check_trsolver(rng, cfg, seed):
     out.append(CheckResult("trsolver.interior_alpha_exact", alpha_ok))
 
     # convex instances certified by the caller: the probe's early answer has
-    # residual <= sqrt(eps) delta, so convexity caps its excess at 2 D times that
+    # residual <= sqrt(eps) delta, so convexity caps its excess at 2 D times
+    # that, and its reported residual is the one residual_of recomputes
     exits = 0
     exit_ok = True
     worst_exit = -math.inf
@@ -212,6 +213,9 @@ def _check_trsolver(rng, cfg, seed):
         if not sol.early_exit:
             continue
         exits += 1
+        # the probe's own residual against an independent one-matvec check
+        exit_ok = exit_ok and sol.residual == residual_of(
+            SymOperator(a, Counter()), b, d_rad, sol.delta_vec)
         exact = harness.brute_tr(a, b, d_rad)
         excess = (harness.tr_objective(a, b, sol.delta_vec)
                   - harness.tr_objective(a, b, exact))
@@ -244,18 +248,27 @@ def _check_learner(rng, cfg, seed):
     out.append(CheckResult(
         "learner.nuclear_bound", nuc_ok, f"worst_excess={worst:.2e}"))
 
-    feas_ok = True
+    # the learner builds its operators on trust (exactly symmetric W, norm
+    # handed over); recheck both against the dense matrices.  l1 = 0.3 puts
+    # part of the run in separated rounds, which build B = W / gamma
+    feas_ok = trusted_ok = True
+    separated = 0
     d = 6
-    l1 = 1.3
-    state = LearnerState.fresh(d, l1, default_rho(d_rad), 0.01)
-    stream = RngStream(seed + 17)
-    for i in range(60):
-        y = rng.standard_normal(d)
-        s = rng.standard_normal(d)
-        s *= d_rad / max(np.linalg.norm(s), 1e-12)
-        state, _ = learner_step(state, QuadLoss(y, s), stream)
-        feas_ok = feas_ok and np.linalg.norm(state.w_mat) <= math.sqrt(d) * l1 + 1e-9
+    for l1 in (1.3, 0.3):
+        state = LearnerState.fresh(d, l1, default_rho(d_rad), 0.01)
+        stream = RngStream(seed + 17)
+        for i in range(60):
+            y = rng.standard_normal(d)
+            s = rng.standard_normal(d)
+            s *= d_rad / max(np.linalg.norm(s), 1e-12)
+            state, audit = learner_step(state, QuadLoss(y, s), stream)
+            separated += audit.case is SepCase.SEPARATED
+            feas_ok = feas_ok and np.linalg.norm(state.w_mat) <= math.sqrt(d) * l1 + 1e-9
+            trusted_ok = (trusted_ok and np.array_equal(state.w_mat, state.w_mat.T)
+                          and state.b_fro == np.linalg.norm(state.b_mat))
     out.append(CheckResult("learner.frobenius_feasible", feas_ok))
+    out.append(CheckResult("learner.trusted_build", trusted_ok and separated > 0,
+                           f"separated_rounds={separated}/120"))
     return out
 
 

@@ -341,7 +341,7 @@ class TestEarlyExit:
         params = compute_hyperparams(spec, 480)
         fast = driver.run(spec, params, RngStream(0), audit_level="full")
         # a probe that always declines leaves the fixed-budget path alone
-        monkeypatch.setattr(trsolver, "fista_probe", lambda *args: (None, args[4]))
+        monkeypatch.setattr(trsolver, "fista_probe", lambda *args: (None, args[4], None))
         fixed = driver.run(spec, params, RngStream(0), audit_level="full")
         expected = 2 * params.m_total + params.k_eps + 1
         assert fast.totals["gradients"] == fixed.totals["gradients"] == expected

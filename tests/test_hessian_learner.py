@@ -1,8 +1,12 @@
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oqn import driver, hessian_learner
+from oqn.driver import compute_hyperparams
 from oqn.eig import SepCase, sep
 from oqn.errors import NonPositiveRadius
 from oqn.hessian_learner import (
@@ -12,6 +16,7 @@ from oqn.hessian_learner import (
     learner_step,
 )
 from oqn.linops import Counter, SymOperator
+from oqn.problems import catalog
 from oqn.rng import RngStream
 
 from conftest import random_symmetric
@@ -30,7 +35,7 @@ def play_round(b, q, counter=None):
     d = b.shape[0]
     counter = counter if counter is not None else Counter()
     state = LearnerState(w_mat=b, b_op=SymOperator(b, counter), gamma=0.0,
-                         s_mat=np.zeros((d, d)), rho=1.0, l1=1e3, dim=d,
+                         u=np.zeros(d), sign=0.0, rho=1.0, l1=1e3, dim=d,
                          q_per_call=0.01, counter=counter)
     new, audit = learner_step(state, q, RngStream(0))
     return audit, b - new.w_mat
@@ -191,3 +196,109 @@ class TestLearnerStep:
             audit, g = play_round(b, q)
             nuclear = float(np.sum(np.linalg.svd(g, compute_uv=False)))
             assert nuclear <= 2.0 * d_rad * np.sqrt(audit.loss) + 1e-9
+
+
+def _project_frobenius(mat, radius):
+    scale = radius / max(radius, float(np.linalg.norm(mat)))
+    return scale * mat
+
+
+class DenseReference:
+    """The learner round written plainly over dense matrices: the gradient
+    from two outer products, the tilt from a dense S, a projection that
+    always scales, and symmetrizing, checked operator builds.  It keeps its
+    own chain of states, started at the zero matrix like
+    ``LearnerState.fresh``."""
+
+    def __init__(self, dim, l1, rho, q_per_call):
+        self.l1, self.rho, self.q_per_call = l1, rho, q_per_call
+        self.w = np.zeros((dim, dim))
+        self.b_op = SymOperator(self.w)
+        self.gamma = 0.0
+        self.s_mat = np.zeros((dim, dim))
+
+    def round(self, q, rng):
+        d = self.w.shape[0]
+        r = q.y - self.b_op.apply(q.s)
+        grad = -np.outer(r, q.s) - np.outer(q.s, r)
+        if self.gamma > 1.0:
+            tilt = max(0.0, -float(np.vdot(grad, self.b_op.dense())))
+            grad = grad + tilt * self.s_mat
+        self.w = _project_frobenius(self.w - self.rho * grad, np.sqrt(d) * self.l1)
+        w_op = SymOperator(self.w)
+        res = sep(w_op, self.l1, self.q_per_call, rng)
+        self.b_op = w_op if res.case is SepCase.INSIDE_DOUBLED else SymOperator(self.w / res.gamma)
+        self.gamma, self.s_mat = res.gamma, res.s_mat
+
+
+def assert_matches(new, ref):
+    """The learner's state equals the reference's bit for bit, and its W and
+    |B|_F hold what the trusted operator build takes on the learner's word."""
+    assert np.array_equal(new.w_mat, ref.w)
+    assert np.array_equal(new.w_mat, new.w_mat.T)
+    assert np.array_equal(new.b_mat, ref.b_op.dense())
+    assert new.b_fro == ref.b_op.frobenius_norm()
+    assert new.b_fro == np.linalg.norm(new.b_mat)
+    assert new.gamma == ref.gamma
+
+
+@pytest.fixture
+def trusted_builds(monkeypatch):
+    """Recheck every operator the learner hands to the separation oracle,
+    whether or not it goes on to be played."""
+    built = []
+
+    def checked_sep(w_op, *args):
+        assert np.array_equal(w_op.dense(), w_op.dense().T)
+        assert w_op.frobenius_norm() == np.linalg.norm(w_op.dense())
+        built.append(w_op)
+        return sep(w_op, *args)
+
+    monkeypatch.setattr(hessian_learner, "sep", checked_sep)
+    return built
+
+
+class TestDenseReference:
+    """``learner_step`` against the plainly written dense round."""
+
+    def test_driver_rounds_from_a_perturbed_start(self, monkeypatch, trusted_builds):
+        spec = catalog("coupled_trig", 16)
+        spec.x0 = spec.x0 + 0.3 * np.random.default_rng(1).standard_normal(16)
+        params = compute_hyperparams(spec, 240)
+        real_step = driver.learner_step
+        refs, rounds = [], []
+
+        def checked_step(state, pair, rng):
+            if not refs:
+                refs.append(DenseReference(state.dim, state.l1, state.rho,
+                                           state.q_per_call))
+            ref_rng = copy.deepcopy(rng)
+            new, audit = real_step(state, pair, rng)
+            refs[0].round(pair, ref_rng)
+            assert ref_rng.state() == rng.state()
+            assert_matches(new, refs[0])
+            rounds.append(audit.case)
+            return new, audit
+
+        monkeypatch.setattr(driver, "learner_step", checked_step)
+        report = driver.run(spec, params, RngStream(3), audit_level="full")
+        assert report.audits["all_ok"]
+        assert len(rounds) >= 100 and len(trusted_builds) == len(rounds)
+        # the pairs leave the diagonal: W is not a multiple of 11'
+        assert np.ptp(np.diag(refs[0].w)) > 0.0
+
+    def test_separated_rounds_with_a_small_ball(self, np_rng, trusted_builds):
+        d, l1, q_per_call = 6, 0.05, 0.01
+        state = LearnerState.fresh(d, l1, default_rho(1.0), q_per_call)
+        ref = DenseReference(d, l1, state.rho, q_per_call)
+        stream, ref_stream = RngStream(5), RngStream(5)
+        separated = 0
+        for _ in range(120):
+            s = np_rng.standard_normal(d)
+            s /= np.linalg.norm(s)
+            pair = QuadLoss(np_rng.standard_normal(d), s)
+            state, audit = learner_step(state, pair, stream)
+            ref.round(pair, ref_stream)
+            assert_matches(state, ref)
+            separated += audit.case is SepCase.SEPARATED
+        assert separated >= 60 and len(trusted_builds) == 120

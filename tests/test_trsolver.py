@@ -207,7 +207,7 @@ class TestEarlyExit:
             lg = float(np.linalg.eigvalsh(a)[-1])
             start = 0.3 * np_rng.standard_normal(d)
             op = SymOperator(a, Counter())
-            x, k = fista_probe(op, b, 1.0, lg, 500, start, 1e-10)
+            x, k, _ = fista_probe(op, b, 1.0, lg, 500, start, 1e-10)
             assert x is not None and k >= 1
             assert op.counter.count == k + 1
             ref, k_ref = self.reference_probe(a, b, 1.0, lg, 500, start, 1e-10)
@@ -241,7 +241,7 @@ class TestEarlyExit:
                                   delta=delta, q=0.01, b_bound=lg, lam_min_lower=0.0)
         sol = tr_solve(p, RngStream(0))
         assert sol.early_exit and sol.n_accel < n / 4
-        assert sol.matvecs_used == sol.n_accel + 2
+        assert sol.matvecs_used == sol.n_accel + 1
         assert sol.residual <= tol
 
     def test_certified_solve_is_cheaper_and_tighter(self, np_rng):
@@ -259,11 +259,35 @@ class TestEarlyExit:
             n = accel_budget(max(p.b_bound, delta), 1.0, delta)
             assert sol.early_exit and sol.branch is TRBranch.CONVEX
             assert sol.residual <= EARLY_EXIT_RTOL * delta
-            # probe: one matvec at the start and one per iteration; then the check
-            assert sol.matvecs_used == sol.n_accel + 2 < 2 * n + 1
+            # probe: one matvec at the start and one per iteration, no check
+            assert sol.matvecs_used == sol.n_accel + 1 < 2 * n + 1
             exact = brute_tr(a, b, 1.0)
             gap = tr_objective(a, b, sol.delta_vec) - tr_objective(a, b, exact)
             assert gap <= 2.0 * EARLY_EXIT_RTOL * delta + 1e-12
+
+    def test_certified_residual_is_the_independent_one(self, np_rng):
+        # the probe's residual, read without a check matvec, is the value
+        # residual_of computes at the answer, bit for bit, on interior and
+        # boundary answers alike
+        boundary = 0
+        for t in range(30):
+            d = int(np_rng.integers(2, 21))
+            m = random_symmetric(np_rng, d)
+            shift = np_rng.uniform(0.2, 1.0)
+            a = m @ m.T / d + shift * np.eye(d)
+            b = 3.0 * np_rng.standard_normal(d)
+            radius = float(np_rng.choice([0.1, 1.0, 10.0]))
+            p = TrustRegionSubproblem(
+                a_op=SymOperator(a, Counter()), b=b, radius=radius, delta=1e-4, q=0.01,
+                b_bound=float(np.linalg.eigvalsh(a)[-1]), lam_min_lower=shift,
+                x_start=0.1 * np_rng.standard_normal(d))
+            sol = tr_solve(p, RngStream(t))
+            assert sol.early_exit
+            fresh = SymOperator(a, Counter())
+            assert sol.residual == residual_of(fresh, b, radius, sol.delta_vec)
+            assert fresh.counter.count == 1
+            boundary += bool(np.linalg.norm(sol.delta_vec) >= radius * (1.0 - 1e-12))
+        assert 0 < boundary < 30
 
     def test_undecided_probe_falls_back_bit_for_bit(self):
         # condition number 1e4 and N = 32: FISTA is far from a residual of
@@ -317,14 +341,14 @@ class TestEarlyExit:
         assert sol.early_exit and sol.n_accel == 0
         np.testing.assert_array_equal(sol.delta_vec, [1.0, 0.0])
         assert sol.residual == 0.0
-        assert sol.matvecs_used == 2
+        assert sol.matvecs_used == 1
 
     def test_default_start_is_the_origin(self):
         p = make_problem(np.eye(3), np.zeros(3), 1.0, 1e-6)
         np.testing.assert_array_equal(p.x_start, np.zeros(3))
         p.lam_min_lower = 1.0
         sol = tr_solve(p, RngStream(0))
-        assert sol.early_exit and sol.n_accel == 0 and sol.matvecs_used == 2
+        assert sol.early_exit and sol.n_accel == 0 and sol.matvecs_used == 1
 
 
 class TestTrSolve:
