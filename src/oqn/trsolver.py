@@ -2,24 +2,31 @@
 
 The solve certifies a normal-cone residual below the requested accuracy.
 The branch is the already-convex path when A is known to be PSD, otherwise a
-regularized convex path; each is handled by an accelerated projected method
-(a FISTA burn-in that shrinks the objective gap, then a gradient-norm phase
-that converts the gap into a small residual).  PSD-ness comes from the
-caller's deterministic lower bound on the smallest eigenvalue when that bound
-is nonnegative (no probe, no randomness); otherwise a randomized
+regularized convex path that shifts A by the minimum-eigenvalue estimate
+lambda_hat and solves to delta / 2.  PSD-ness comes from the caller's
+deterministic lower bound on the smallest eigenvalue when that bound is
+nonnegative (no probe, no randomness); otherwise a randomized
 minimum-eigenpair probe decides.
 
-The convex branch first runs a warm-started FISTA probe with adaptive
-restart from the caller's ``x_start``.  The probe applies A once per iterate
-and gets A at the momentum point by linearity, so it reads the exact residual
+Both branches solve their convex inner problem the same way.  First a
+warm-started FISTA probe with adaptive restart runs from the caller's
+``x_start``.  The probe applies the inner operator once per iterate and gets
+it at the momentum point by linearity, so it reads the exact inner residual
 of every iterate for free, and it stops once that residual is at most
-``EARLY_EXIT_RTOL * min(delta, |b|)``; a certified solve costs k + 1 matvecs
-and its residual is the probe's own.  Only when it does not certify within
-the fixed budget N does the solve run the fixed-budget two-phase method from
-the origin, the worst-case path whose theory bounds the cost: (N + 1) + 2N +
-1 matvecs per attempt.  All matrix access is counted matvecs; the residual
-check after the fallback or a regularized solve costs one matvec and is
-counted too.
+``EARLY_EXIT_RTOL * min(accuracy, |b|)``; the solve then reports
+``early_exit``.  Only when it does not certify within the fixed budget N does
+the solve run the fixed-budget two-phase method from the origin (a FISTA
+burn-in that shrinks the objective gap, then a gradient-norm phase that
+converts the gap into a small residual), the worst-case path whose theory
+bounds the cost: (N + 1) + 2N + 1 matvecs per attempt after the eigenpair
+probe.  The regularized branch then takes an interior answer to the sphere
+along the estimated eigenvector.
+
+The certificate is the residual of the original problem.  On a convex probe
+exit it is the probe's own residual (k + 1 matvecs in all); on every other
+path, a regularized probe exit included, since that probe read the shifted
+residual, ``residual_of`` applies A once more, and that matvec is counted
+too.
 """
 
 from __future__ import annotations
@@ -39,8 +46,9 @@ from .rng import RngStream
 
 BOUNDARY_RTOL = 1e-9
 INTERIOR_RTOL = 1e-12
-# the probe exits at residual EARLY_EXIT_RTOL * min(delta, |b|): far below
-# delta, so the early answer keeps the quality of the fixed-budget one (a
+# the probe exits at residual EARLY_EXIT_RTOL * min(acc, |b|), acc the
+# branch's inner accuracy (delta, or delta/2 when regularized): far below
+# acc, so the early answer keeps the quality of the fixed-budget one (a
 # delta/2 exit measurably lost progress), and relative to |b|, the residual at
 # the origin, so the exit sets no absolute floor on the subproblem's accuracy
 # when a converging run makes b tiny
@@ -56,8 +64,8 @@ class TrustRegionSubproblem:
     iteration budgets.  ``lam_min_lower`` must lower-bound the smallest
     eigenvalue of A, likewise on the caller's word; a nonnegative value
     certifies A PSD and skips the minimum-eigenpair probe.  ``x_start`` is
-    where the convex branch's early-exit probe starts (default: the origin);
-    it is projected onto the ball, at no matvec cost.
+    where the early-exit probe starts on either branch (default: the
+    origin); it is projected onto the ball, at no matvec cost.
     """
 
     a_op: object
@@ -91,8 +99,11 @@ class TRBranch(Enum):
 
 @dataclass
 class TRSolution:
-    """``n_accel`` counts the probe's iterations when it certified the solve
-    (``early_exit``), else the fixed per-phase budget N."""
+    """``early_exit`` means the probe certified the inner problem of the
+    branch taken; ``n_accel`` then counts its iterations, else it is the fixed
+    per-phase budget N.  ``residual`` is the original problem's: the convex
+    probe's own on a convex early exit, ``residual_of`` at ``delta_vec``
+    otherwise (regularized branches always)."""
 
     delta_vec: NDArray
     residual: float
@@ -230,9 +241,9 @@ def fista_plus_sfg(a_psd, b: NDArray, d_radius: float, delta: float, lg: float,
                    budget_factor: int = 1) -> NDArray:
     """Chain the two phases from the origin; residual at the output is at
     most ``delta`` whenever the PSD/lg certificates hold.  Total matvecs 2N
-    with N = accel_budget(lg, d_radius, delta).  The convex branch of
-    ``tr_solve`` runs it only after ``fista_probe`` declined, so a fallback
-    solve costs (N + 1) + 2N matvecs before the residual check.
+    with N = accel_budget(lg, d_radius, delta).  Either branch of ``tr_solve``
+    runs it only after ``fista_probe`` declined, so a fallback costs (N + 1)
+    + 2N matvecs before the residual check.
     """
     n = accel_budget(lg, d_radius, delta) * budget_factor
     x0 = np.zeros(a_psd.dim)
@@ -244,18 +255,24 @@ def tr_solve(p: TrustRegionSubproblem, rng: RngStream) -> TRSolution:
     """Solve the subproblem to a certified residual of at most ``p.delta``.
 
     A nonnegative ``p.lam_min_lower`` selects the convex branch outright;
-    otherwise one minimum-eigenpair probe picks the branch.  The convex
-    branch returns the ``fista_probe`` answer from ``p.x_start`` when it
-    certifies, else the fixed-budget ``fista_plus_sfg`` one.  The certified
-    residual on the original problem is asserted at the end of every solve:
-    a probe exit reports the residual the probe read at its answer, the other
-    paths apply A once more through ``residual_of``.
+    otherwise one minimum-eigenpair probe picks the branch.  Each branch
+    fixes its operator, step bound and inner accuracy: A, max(b_bound, delta)
+    and delta when convex; A - lambda_hat I, max(b_bound - lambda_hat, delta)
+    and delta / 2 when regularized.  The inner problem's answer is the
+    ``fista_probe`` one from ``p.x_start`` when the probe certifies
+    (``early_exit``), else the fixed-budget ``fista_plus_sfg`` one; the
+    regularized branch then takes it to the sphere when it is interior.  The
+    certified residual on the original problem is asserted at the end of
+    every solve: a convex probe exit reports the residual the probe read at
+    its answer, every other path (the probe read the shifted residual on a
+    regularized branch) applies A once more through ``residual_of``.
     On failure (the oracles are Monte-Carlo), the solve retries once with
     fresh randomness and doubled iteration budgets before raising.
     """
     counter = p.a_op.counter
     start_count = counter.count
     certified_psd = p.lam_min_lower >= 0.0
+    b_norm = math.sqrt(p.b @ p.b)
     last = None
     for attempt, factor in enumerate((1, 2)):
         if certified_psd:
@@ -264,36 +281,32 @@ def tr_solve(p: TrustRegionSubproblem, rng: RngStream) -> TRSolution:
             ev = min_evec(p.a_op, p.delta / (2.0 * p.radius), 0.5 * p.q, p.b_bound, rng,
                           budget_factor=factor)
             lambda_hat = ev.lambda_hat
-        early_exit = False
-        if certified_psd or ev.case is MinEvecCase.PSD_CERTIFIED:
-            lg = max(p.b_bound, p.delta)
-            n_accel = accel_budget(lg, p.radius, p.delta) * factor
-            cand, k, res = fista_probe(p.a_op, p.b, p.radius, lg, n_accel, p.x_start,
-                                       EARLY_EXIT_RTOL * min(p.delta, math.sqrt(p.b @ p.b)))
-            early_exit = cand is not None
-            if early_exit:
-                n_accel = k
-            else:
-                cand = fista_plus_sfg(p.a_op, p.b, p.radius, p.delta, lg,
-                                      budget_factor=factor)
-            branch = TRBranch.CONVEX
+        convex = certified_psd or ev.case is MinEvecCase.PSD_CERTIFIED
+        if convex:
+            op, lg, acc = p.a_op, max(p.b_bound, p.delta), p.delta
         else:
-            shifted = ShiftedOperator(p.a_op, lambda_hat)
-            lg = max(p.b_bound - lambda_hat, p.delta)
-            tilde = fista_plus_sfg(shifted, p.b, p.radius, 0.5 * p.delta, lg,
-                                   budget_factor=factor)
-            n_accel = accel_budget(lg, p.radius, 0.5 * p.delta) * factor
-            if np.linalg.norm(tilde) >= p.radius * (1.0 - BOUNDARY_RTOL):
-                cand = tilde
-                branch = TRBranch.REGULARIZED_BOUNDARY
-            else:
-                v = ev.v_hat if float(tilde @ ev.v_hat) <= 0.0 else -ev.v_hat
-                proj = float(tilde @ v)
-                alpha = math.sqrt(proj**2 + p.radius**2 - float(tilde @ tilde)) - proj
-                cand = tilde + alpha * v
-                cand *= p.radius / np.linalg.norm(cand)  # snap exactly onto the sphere
-                branch = TRBranch.REGULARIZED_INTERIOR
-        if not early_exit:
+            op = ShiftedOperator(p.a_op, lambda_hat)
+            lg, acc = max(p.b_bound - lambda_hat, p.delta), 0.5 * p.delta
+        n_accel = accel_budget(lg, p.radius, acc) * factor
+        cand, k, res = fista_probe(op, p.b, p.radius, lg, n_accel, p.x_start,
+                                   EARLY_EXIT_RTOL * min(acc, b_norm))
+        early_exit = cand is not None
+        if early_exit:
+            n_accel = k
+        else:
+            cand = fista_plus_sfg(op, p.b, p.radius, acc, lg, budget_factor=factor)
+        if convex:
+            branch = TRBranch.CONVEX
+        elif np.linalg.norm(cand) >= p.radius * (1.0 - BOUNDARY_RTOL):
+            branch = TRBranch.REGULARIZED_BOUNDARY
+        else:
+            v = ev.v_hat if float(cand @ ev.v_hat) <= 0.0 else -ev.v_hat
+            proj = float(cand @ v)
+            alpha = math.sqrt(proj**2 + p.radius**2 - float(cand @ cand)) - proj
+            cand = cand + alpha * v
+            cand *= p.radius / np.linalg.norm(cand)  # snap exactly onto the sphere
+            branch = TRBranch.REGULARIZED_INTERIOR
+        if not (convex and early_exit):
             res = residual_of(p.a_op, p.b, p.radius, cand)
         last = TRSolution(
             delta_vec=cand,

@@ -165,6 +165,10 @@ def _check_trsolver(rng, cfg, seed):
     quality_ok = True
     alpha_ok = True
     worst_gap = -math.inf
+    # regularized solves the probe certified; their residual is the original
+    # problem's, from residual_of, so a fresh operator must reproduce it
+    reg_exits = 0
+    reg_exit_ok = True
     for t in range(cfg["tr_instances"]):
         d = int(rng.integers(2, 21))
         a = _sym(rng, d)
@@ -186,10 +190,17 @@ def _check_trsolver(rng, cfg, seed):
         quality_ok = quality_ok and gap <= delta * d_rad + 1e-9
         if sol.branch.value == "regularized_interior":
             alpha_ok = alpha_ok and abs(norm - d_rad) <= 1e-10 * d_rad
+        if sol.early_exit and sol.branch.value == "regularized_boundary":
+            reg_exits += 1
+            reg_exit_ok = reg_exit_ok and sol.residual == residual_of(
+                SymOperator(a, Counter()), b, d_rad, sol.delta_vec)
     out.append(CheckResult("trsolver.soundness", sound_ok))
     out.append(CheckResult(
         "trsolver.quality_vs_exact", quality_ok, f"worst_excess={worst_gap:.2e}"))
     out.append(CheckResult("trsolver.interior_alpha_exact", alpha_ok))
+    out.append(CheckResult(
+        "trsolver.regularized_early_exit", reg_exit_ok and reg_exits > 0,
+        f"regularized_boundary_early_exits={reg_exits}/{cfg['tr_instances']}"))
 
     # convex instances certified by the caller: the probe's early answer has
     # residual <= sqrt(eps) delta, so convexity caps its excess at 2 D times

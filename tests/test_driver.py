@@ -355,6 +355,44 @@ class TestEarlyExit:
         assert 0 < exits == fast.totals["tr"]["early_exits"]
 
 
+def perturbed(name, dim, seed=1, scale=0.3):
+    """A catalog problem started off its diagonal: x0 + scale * N(0, I)."""
+    spec = catalog(name, dim)
+    noise = np.random.default_rng(seed).standard_normal(dim)
+    return dataclasses.replace(spec, x0=spec.x0 + scale * noise)
+
+
+def fingerprint(report):
+    """Everything a run reports, as comparable values."""
+    episodes = [tuple(v.tobytes() if isinstance(v, np.ndarray) else v
+                      for v in dataclasses.astuple(ep)) for ep in report.episodes]
+    return (report.grad_norm_final, report.w_hat.tobytes(), report.totals,
+            report.audits, episodes)
+
+
+class TestNonconvexBranches:
+    """Driver runs that reach the regularized trust-region branches: at eta
+    200 times the automatic value, 1/eta no longer dominates |B|_F / 2, the
+    PSD certificate fails and the eigenpair probe finds A indefinite."""
+
+    @pytest.mark.parametrize("name,dim,branches", [
+        ("coupled_trig", 16, ("regularized_boundary", "regularized_interior")),
+        ("cosine_mixture", 8, ("regularized_boundary",)),
+    ])
+    def test_regularized_branches_end_to_end(self, name, dim, branches):
+        spec = perturbed(name, dim)
+        auto = compute_hyperparams(spec, 240)
+        params = dataclasses.replace(auto, eta=200.0 * auto.eta)
+        report = driver.run(spec, params, RngStream(0), audit_level="full")
+        seen = report.totals["tr"]["branches"]
+        assert all(seen.get(branch, 0) > 0 for branch in branches), seen
+        assert sum(seen.values()) == report.totals["tr"]["solves"] == params.m_total
+        assert report.totals["gradients"] == 2 * params.m_total + params.k_eps + 1
+        assert report.audits["all_ok"], report.audits
+        again = driver.run(spec, params, RngStream(0), audit_level="full")
+        assert fingerprint(again) == fingerprint(report)
+
+
 class TestWholePipeline:
     @pytest.mark.parametrize("name,dim", [
         ("cosine_mixture", 5), ("coupled_trig", 5), ("rosenbrock_local", 4)])

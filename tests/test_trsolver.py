@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from oqn.errors import IterBudgetTooSmall, OutsideBall
 from oqn.harness import brute_tr, tr_objective
-from oqn.linops import Counter, SymOperator
+from oqn.eig import min_evec
+from oqn.linops import Counter, ShiftedOperator, SymOperator
 from oqn.rng import RngStream
 from oqn.trsolver import (
     EARLY_EXIT_RTOL,
@@ -349,6 +350,103 @@ class TestEarlyExit:
         p.lam_min_lower = 1.0
         sol = tr_solve(p, RngStream(0))
         assert sol.early_exit and sol.n_accel == 0 and sol.matvecs_used == 1
+
+
+def indefinite_instance(rng, kind, d, radius):
+    """A subproblem as the benchmark's ``indefinite`` and ``hard`` cells draw
+    it: |A|_F = sqrt(d); b of norm 2, or for the hard case orthogonal to the
+    bottom eigenvector with norm 0.1 * radius * (lambda_2 - lambda_1)."""
+    a = random_symmetric(rng, d)
+    a *= math.sqrt(d) / np.linalg.norm(a)
+    b = rng.standard_normal(d)
+    if kind == "hard":
+        evals, evecs = np.linalg.eigh(a)
+        b -= (evecs[:, 0] @ b) * evecs[:, 0]
+        b *= 0.1 * radius * (evals[1] - evals[0]) / np.linalg.norm(b)
+    else:
+        b *= 2.0 / np.linalg.norm(b)
+    return a, b
+
+
+class TestRegularizedEarlyExit:
+    """The regularized branches run the same probe on A - lambda_hat I at
+    delta / 2, and fall back to the fixed-budget method only when it declines."""
+
+    @pytest.mark.parametrize("kind,branch", [
+        ("indefinite", TRBranch.REGULARIZED_BOUNDARY),
+        ("hard", TRBranch.REGULARIZED_INTERIOR)])
+    def test_probe_certifies_the_regularized_solve(self, kind, branch):
+        rng = np.random.default_rng(0)
+        d, radius, delta = 10, 10.0, 1e-4
+        for t in range(8):
+            a, b = indefinite_instance(rng, kind, d, radius)
+            counter = Counter()
+            p = make_problem(a, b, radius, delta, counter=counter)
+            sol = tr_solve(p, RngStream(t))
+            n = accel_budget(max(p.b_bound - sol.lambda_hat, delta), radius, 0.5 * delta)
+            assert sol.branch is branch and sol.lambda_hat < 0.0
+            assert sol.early_exit and not sol.retried
+            assert sol.matvecs_used == counter.count < n / 4 < 2 * n
+            # the certificate is the original problem's, applied once more
+            assert sol.residual == residual_of(SymOperator(a, Counter()), b, radius,
+                                               sol.delta_vec) <= delta
+            exact = brute_tr(a, b, radius)
+            gap = tr_objective(a, b, sol.delta_vec) - tr_objective(a, b, exact)
+            assert gap <= delta * radius
+
+    def test_boundary_exit_meets_the_probe_tolerance(self):
+        # on the sphere with lambda_hat < 0, the shifted cone multiplier plus
+        # |lambda_hat| is a feasible original one, so the original residual is
+        # within the probe's tolerance up to the rounding of A x - lambda_hat x
+        rng = np.random.default_rng(1)
+        eps = np.finfo(float).eps
+        exits = 0
+        for t in range(60):
+            d = int(rng.choice([10, 20]))
+            radius = float(rng.choice([0.1, 1.0, 10.0]))
+            delta = float(rng.choice([1e-2, 1e-4]))
+            a, b = indefinite_instance(rng, "indefinite", d, radius)
+            p = make_problem(a, b, radius, delta)
+            sol = tr_solve(p, RngStream(t))
+            if not (sol.early_exit and sol.branch is TRBranch.REGULARIZED_BOUNDARY):
+                continue
+            exits += 1
+            assert sol.lambda_hat < 0.0
+            tol = EARLY_EXIT_RTOL * min(0.5 * delta, float(np.linalg.norm(b)))
+            slack = 8.0 * eps * (np.linalg.norm(b) + (p.b_bound - sol.lambda_hat) * radius)
+            assert sol.residual <= tol + slack
+        assert exits >= 50
+
+    def test_declined_probe_falls_back_bit_for_bit(self):
+        # a hard case in a small ball at delta = 1e-2: N is about 40 and the
+        # probe on A - lambda_hat I does not reach sqrt(eps) * delta / 2
+        rng = np.random.default_rng(11)
+        d, radius, delta, q = 10, 0.1, 1e-2, 0.01
+        a, b = indefinite_instance(rng, "hard", d, radius)
+        counter = Counter()
+        p = TrustRegionSubproblem(a_op=SymOperator(a, counter), b=b, radius=radius,
+                                  delta=delta, q=q, b_bound=2.0 * np.linalg.norm(a))
+        sol = tr_solve(p, RngStream(3))
+        assert not sol.early_exit and not sol.retried
+        assert sol.branch is TRBranch.REGULARIZED_INTERIOR
+        # the reference: the same eigenpair draw, then the fixed-budget method
+        # on the shifted operator at delta / 2 and the step onto the sphere
+        ev = min_evec(SymOperator(a, Counter()), delta / (2.0 * radius), 0.5 * q,
+                      p.b_bound, RngStream(3))
+        assert ev.lambda_hat == sol.lambda_hat < 0.0
+        lg = max(p.b_bound - ev.lambda_hat, delta)
+        n = accel_budget(lg, radius, 0.5 * delta)
+        assert sol.n_accel == n
+        tilde = fista_plus_sfg(ShiftedOperator(SymOperator(a, Counter()), ev.lambda_hat),
+                               b, radius, 0.5 * delta, lg)
+        assert np.linalg.norm(tilde) < radius * (1.0 - 1e-9)
+        v = ev.v_hat if tilde @ ev.v_hat <= 0.0 else -ev.v_hat
+        proj = tilde @ v
+        ref = tilde + (math.sqrt(proj**2 + radius**2 - tilde @ tilde) - proj) * v
+        ref *= radius / np.linalg.norm(ref)
+        np.testing.assert_array_equal(sol.delta_vec, ref)
+        assert sol.matvecs_used == counter.count == ev.matvecs_used + (n + 1) + 2 * n + 1
+        assert sol.residual == residual_of(SymOperator(a, Counter()), b, radius, ref) <= delta
 
 
 class TestTrSolve:
