@@ -154,6 +154,7 @@ class OqnState:
     tr_stats: dict = field(default_factory=lambda: {
         "solves": 0, "matvecs": 0, "max_residual": 0.0, "retries": 0,
         "early_exits": 0, "branches": {}, "sep_calls": 0, "sep_matvecs": 0,
+        "sep_certified": 0,
     })
 
 
@@ -218,11 +219,12 @@ def step(state: OqnState, spec: ObjectiveSpec, params: HyperParams, rng: RngStre
             pair_loss = laudit.loss
             state.tr_stats["sep_calls"] += 1
             state.tr_stats["sep_matvecs"] += laudit.sep_matvecs
+            state.tr_stats["sep_certified"] += int(laudit.certified)
             if log is not None and full:
                 log.events.append({
                     "kind": "sep", "n": n - 1, "gamma": laudit.gamma,
                     "case": laudit.case.value, "matvecs": laudit.sep_matvecs,
-                    "rng_state": rng.state(),
+                    "certified": laudit.certified, "rng_state": rng.state(),
                 })
         else:
             pair_loss = float(pair.y @ pair.y)  # zero matrix: loss is |y|^2

@@ -6,6 +6,12 @@ matrix.  Iteration counts follow the worst-case budgets (capped at the
 ambient dimension, where the Krylov space saturates and the estimates become
 exact).  Breakdown, which the budgets do not anticipate, means an invariant
 subspace was found: we truncate and keep the then-exact Ritz pairs.
+
+The separation oracle first reads the operator's Frobenius norm, which the
+operators hold at no matvec cost.  Since |W|_op <= |W|_F, a norm at most l1
+certifies W inside the ball, so every Ritz value would be at most l1 as
+well: the oracle then answers "inside" without a random draw or a Lanczos
+run.
 """
 
 from __future__ import annotations
@@ -195,7 +201,9 @@ def separating_matrix(u: NDArray, sign: float, l1: float) -> NDArray:
 class SepResult:
     """Outcome of ``sep``.  When separated, the hyperplane is S = sign * u u'
     / l1 with ``u`` the unit Ritz vector and ``sign`` = +1 or -1; inside the
-    doubled ball, ``sign`` is 0 and ``u`` is the zero vector."""
+    doubled ball, ``sign`` is 0 and ``u`` is the zero vector.  ``gamma`` is
+    |W|_F / l1 when the Frobenius norm certified W (``matvecs_used`` 0),
+    otherwise the largest absolute Ritz value over l1."""
 
     gamma: float
     u: NDArray
@@ -215,13 +223,18 @@ def sep(w_op, l1: float, q: float, rng: RngStream) -> SepResult:
 
     Either certifies that the input is inside the doubled ball (gamma <= 1),
     or returns a scaling gamma > 1 together with a rank-one separating
-    hyperplane built from the dominant Ritz pair.
+    hyperplane built from the dominant Ritz pair.  When |W|_F <= l1 the
+    answer is certain in advance: it is "inside" with gamma = |W|_F / l1, at
+    no matvec and no draw from ``rng``.
     """
     if l1 <= 0:
         raise ValueError("l1 must be positive")
     if not (0.0 < q < 1.0):
         raise InvalidProbability(f"q must be in (0,1), got {q}")
     d = w_op.dim
+    fro = w_op.frobenius_norm()
+    if fro <= l1:  # |W|_op <= |W|_F: every Ritz value is at most l1
+        return SepResult(fro / l1, np.zeros(d), 0.0, l1, SepCase.INSIDE_DOUBLED, 0)
     n = min(d, max(1, math.ceil(0.5 * math.log(11.0 * d / q**2) + 0.5)))
     fact = lanczos_factorize(w_op, rng.unit_vector(d), n)
     diag, off = fact.tridiagonal()

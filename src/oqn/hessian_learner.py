@@ -6,7 +6,8 @@ onto the operator-norm ball (a full eigendecomposition), it runs projected
 gradient steps on a surrogate linear loss over the cheap Frobenius ball,
 consulting the separation oracle once per round to scale the ambient iterate
 back and, when outside, tilt the surrogate gradient along the separating
-hyperplane.
+hyperplane.  The oracle settles a round from |W|_F alone, with no matvec and
+no random draw, whenever |W|_F <= L1; only the other rounds run Lanczos.
 
 Round structure: the action B_n is needed by the driver one step before its
 loss pair (y_n, s_n) exists, so each ``learner_step`` call (a) finishes the
@@ -105,12 +106,15 @@ class LearnerState:
 @dataclass
 class LearnerAudit:
     """Per-round record: the scaling and loss of the round just closed, plus
-    the cost of the separation call that produced the next action."""
+    the cost of the separation call that produced the next action and whether
+    that call was settled by the Frobenius certificate |W|_F <= L1 (no Lanczos
+    run, no random draw)."""
 
     gamma: float
     loss: float
     case: SepCase
     sep_matvecs: int
+    certified: bool
 
 
 def default_rho(d_radius: float) -> float:
@@ -123,7 +127,8 @@ def default_rho(d_radius: float) -> float:
 def learner_step(state: LearnerState, q: QuadLoss,
                  rng: RngStream) -> tuple[LearnerState, LearnerAudit]:
     """Close the current round with loss pair ``q`` and materialize the next
-    action.  Costs one matvec (the B s product) plus one separation call."""
+    action.  Costs one matvec (the B s product) plus one separation call,
+    which is free when |W_next|_F <= L1."""
     r = q.y - state.b_op.apply(q.s)
     # minus the loss gradient at B; an entry and its mirror add the same two
     # products, so the sum is exactly symmetric
@@ -162,5 +167,7 @@ def learner_step(state: LearnerState, q: QuadLoss,
         loss=float(r @ r),
         case=round_case,
         sep_matvecs=sep_res.matvecs_used,
+        # Lanczos spends at least one matvec, so zero means the certificate
+        certified=sep_res.matvecs_used == 0,
     )
     return next_state, audit

@@ -131,13 +131,22 @@ def _check_eig(rng, cfg, seed):
     sep_scale_hits = 0
     sep_exact_ok = True
     sep_budget_ok = True
+    sep_lanczos = 0
+    # the Frobenius certificate: W rescaled to |W|_F < l1 must be answered
+    # inside at no matvec and no draw, and be inside by a dense norm
+    cert_hits = 0
     for t in range(n_trials):
         d = int(rng.integers(2, 31))
         l1 = float(rng.uniform(0.5, 2.0))
         w = _sym(rng, d, scale=float(rng.uniform(0.2, 3.0)))
-        op = SymOperator(w, Counter())
+        w_in = w * (l1 * (t + 1) / (n_trials + 1) / np.linalg.norm(w))
         stream = RngStream(seed * 99991 + t)
+        res = sep(SymOperator(w_in, Counter()), l1, 0.05, stream)
+        cert_hits += (res.case is SepCase.INSIDE_DOUBLED and res.matvecs_used == 0
+                      and stream.draws == 0 and np.linalg.norm(w_in, ord=2) <= l1)
+        op = SymOperator(w, Counter())
         res = sep(op, l1, 0.05, stream)
+        sep_lanczos += res.matvecs_used > 0
         w_norm = np.linalg.norm(w, ord=2)
         if res.case is SepCase.INSIDE_DOUBLED:
             if w_norm <= 2.0 * l1:
@@ -153,9 +162,13 @@ def _check_eig(rng, cfg, seed):
         sep_budget_ok = sep_budget_ok and res.matvecs_used <= n_cap
     frac = sep_scale_hits / n_trials
     out.append(CheckResult(
-        "eig.sep.scaling", frac >= 0.95, f"fraction={frac:.3f}"))
+        "eig.sep.scaling", frac >= 0.95,
+        f"fraction={frac:.3f} lanczos_trials={sep_lanczos}/{n_trials}"))
     out.append(CheckResult("eig.sep.separation", sep_exact_ok))
     out.append(CheckResult("eig.sep.budget", sep_budget_ok))
+    out.append(CheckResult(
+        "eig.sep.frobenius_certificate", cert_hits == n_trials,
+        f"certified_trials={cert_hits}/{n_trials}"))
     return out
 
 

@@ -1,10 +1,11 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 
-from oqn import driver, trsolver
-from oqn.eig import min_evec
+from oqn import driver, hessian_learner, trsolver
+from oqn.eig import lanczos_factorize, min_evec, sep, tridiag_eig
 from oqn.driver import HyperParams, compute_hyperparams
 from oqn.errors import NoGapEstimate, StationaryStart, ZeroL2
 from oqn.linops import Counter, SymOperator
@@ -375,22 +376,64 @@ class TestNonconvexBranches:
     200 times the automatic value, 1/eta no longer dominates |B|_F / 2, the
     PSD certificate fails and the eigenpair probe finds A indefinite."""
 
-    @pytest.mark.parametrize("name,dim,branches", [
-        ("coupled_trig", 16, ("regularized_boundary", "regularized_interior")),
-        ("cosine_mixture", 8, ("regularized_boundary",)),
+    @pytest.mark.parametrize("name,dim,branches,lanczos_rounds", [
+        pytest.param("coupled_trig", 16, ("regularized_boundary", "regularized_interior"),
+                     False, id="coupled_trig-16-branches0"),
+        pytest.param("cosine_mixture", 8, ("regularized_boundary",), True,
+                     id="cosine_mixture-8-branches1"),
     ])
-    def test_regularized_branches_end_to_end(self, name, dim, branches):
+    def test_regularized_branches_end_to_end(self, name, dim, branches, lanczos_rounds):
         spec = perturbed(name, dim)
         auto = compute_hyperparams(spec, 240)
         params = dataclasses.replace(auto, eta=200.0 * auto.eta)
         report = driver.run(spec, params, RngStream(0), audit_level="full")
         seen = report.totals["tr"]["branches"]
         assert all(seen.get(branch, 0) > 0 for branch in branches), seen
+        # separation rounds: certified by |W|_F <= L1, or run through Lanczos
+        tr = report.totals["tr"]
+        assert 0 < tr["sep_certified"] <= tr["sep_calls"]
+        assert (tr["sep_certified"] < tr["sep_calls"]) == lanczos_rounds
         assert sum(seen.values()) == report.totals["tr"]["solves"] == params.m_total
         assert report.totals["gradients"] == 2 * params.m_total + params.k_eps + 1
         assert report.audits["all_ok"], report.audits
         again = driver.run(spec, params, RngStream(0), audit_level="full")
         assert fingerprint(again) == fingerprint(report)
+
+
+class TestSepCertificate:
+    """With automatic parameters every separation call of a perturbed run is
+    settled by |W|_F <= L1, and Lanczos would have answered the same."""
+
+    def test_certified_rounds_agree_with_lanczos(self, monkeypatch):
+        spec = perturbed("coupled_trig", 16)
+        params = compute_hyperparams(spec, 240)
+        lanczos_rng = RngStream(99)
+        certified = []
+
+        def spying_sep(w_op, l1, q, rng):
+            res = sep(w_op, l1, q, rng)
+            if res.matvecs_used == 0:
+                # what the Lanczos path alone would have read, at sep's budget
+                d = w_op.dim
+                n = min(d, max(1, math.ceil(0.5 * math.log(11.0 * d / q**2) + 0.5)))
+                fact = lanczos_factorize(SymOperator(w_op.dense(), Counter()),
+                                         lanczos_rng.unit_vector(d), n)
+                ritz = tridiag_eig(*fact.tridiagonal())[0]
+                assert float(np.max(np.abs(ritz))) <= l1
+                certified.append(res)
+            return res
+
+        monkeypatch.setattr(hessian_learner, "sep", spying_sep)
+        rng = RngStream(0)
+        report = driver.run(spec, params, rng, audit_level="full")
+        tr = report.totals["tr"]
+        assert len(certified) == tr["sep_certified"] == tr["sep_calls"] > 0
+        assert tr["sep_matvecs"] == 0
+        assert rng.draws == 0
+        events = [ev for ev in report.log.events if ev["kind"] == "sep"]
+        assert all(ev["certified"] and ev["rng_state"] == (0, 0) for ev in events)
+        assert report.totals["gradients"] == 2 * params.m_total + params.k_eps + 1
+        assert report.audits["all_ok"], report.audits
 
 
 class TestWholePipeline:

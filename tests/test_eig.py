@@ -12,7 +12,7 @@ from oqn.eig import (
     tridiag_eig,
 )
 from oqn.errors import InvalidDelta, InvalidProbability, NonUnitStart
-from oqn.linops import Counter, SymOperator, dense_extreme_eig
+from oqn.linops import Counter, ShiftedOperator, SymOperator, dense_extreme_eig
 from oqn.rng import RngStream
 
 from conftest import random_symmetric
@@ -164,6 +164,17 @@ class TestMinEvec:
         assert resid <= 0.05
 
 
+def assert_certified(res, op, stream, state_before):
+    """``res`` is the Frobenius certificate's answer: inside, gamma = |W|_F /
+    l1 exactly, no tilt, and neither a matvec nor a draw spent."""
+    assert res.case is SepCase.INSIDE_DOUBLED
+    assert res.matvecs_used == 0 and op.counter.count == 0
+    assert stream.state() == state_before
+    assert res.gamma == op.frobenius_norm() / res.l1
+    assert res.sign == 0.0
+    assert not np.any(res.u)
+
+
 class TestSep:
     def test_zero_matrix_inside(self):
         op = SymOperator(np.zeros((3, 3)), Counter())
@@ -223,3 +234,65 @@ class TestSep:
     def test_invalid_probability(self):
         with pytest.raises(InvalidProbability):
             sep(SymOperator(np.eye(2)), 1.0, 0.0, RngStream(0))
+
+    # |W|_op <= |W|_F: a Frobenius norm at most l1 settles the oracle before
+    # any random draw or matvec
+
+    def test_small_norm_is_certified_without_lanczos(self, np_rng):
+        for t in range(100):
+            d = int(np_rng.integers(1, 20))
+            l1 = float(np_rng.uniform(0.5, 2.0))
+            w = random_symmetric(np_rng, d)
+            w *= float(np_rng.uniform(0.0, 1.0)) * l1 / np.linalg.norm(w)
+            op = SymOperator(w, Counter())
+            assert op.frobenius_norm() <= l1
+            stream = RngStream(60_000 + t)
+            before = stream.state()
+            res = sep(op, l1, 0.05, stream)
+            assert_certified(res, op, stream, before)
+            assert res.u.shape == (d,)
+            assert np.linalg.norm(w, ord=2) <= l1
+
+    def test_boundary_norm_equal_to_l1_certifies(self):
+        l1 = 0.7
+        w = np.zeros((3, 3))
+        w[0, 0] = l1
+        op = SymOperator(w, Counter())
+        assert op.frobenius_norm() == l1
+        stream = RngStream(1)
+        res = sep(op, l1, 0.05, stream)
+        assert_certified(res, op, stream, (1, 0))
+        assert res.gamma == 1.0
+
+    def test_shifted_operator_certifies_from_its_closed_form(self):
+        base = SymOperator(np.diag([1.0, 2.0, 3.0]), Counter())
+        op = ShiftedOperator(base, 2.0, scale=0.5)  # diag(-1.5, -1, -0.5)
+        l1 = 2.0
+        assert op.frobenius_norm() == pytest.approx(math.sqrt(3.5), abs=1e-14)
+        stream = RngStream(2)
+        res = sep(op, l1, 0.05, stream)
+        assert_certified(res, op, stream, (2, 0))
+
+    def test_operator_norm_inside_but_frobenius_outside_runs_lanczos(self):
+        l1 = 1.0
+        op = SymOperator(0.9 * l1 * np.eye(2), Counter())
+        assert op.frobenius_norm() > l1 >= np.linalg.norm(op.dense(), ord=2)
+        stream = RngStream(3)
+        res = sep(op, l1, 0.05, stream)
+        assert stream.draws == 1
+        assert res.matvecs_used >= 1 and op.counter.count == res.matvecs_used
+        assert res.case is SepCase.INSIDE_DOUBLED
+        assert res.gamma == pytest.approx(0.9, abs=1e-12)
+
+    def test_arguments_are_checked_before_the_norm_is_read(self):
+        class Unreadable:
+            dim = 2
+
+            def frobenius_norm(self):
+                raise AssertionError("norm read before the argument checks")
+
+        with pytest.raises(InvalidProbability):
+            sep(Unreadable(), 1.0, 0.0, RngStream(0))
+        for l1 in (0.0, -1.0):
+            with pytest.raises(ValueError):
+                sep(Unreadable(), l1, 0.05, RngStream(0))
