@@ -10,7 +10,7 @@ from .driver import (
     run,
 )
 from .errors import OqnError
-from .hessian_learner import LearnerState, QuadLoss, default_rho
+from .hessian_learner import LearnerState, default_rho
 from .linops import Counter, ShiftedOperator, SymOperator
 from .problems import ObjectiveSpec, catalog, eval_gradient
 from .rng import RngStream
@@ -23,7 +23,6 @@ __all__ = [
     "LearnerState",
     "ObjectiveSpec",
     "OqnError",
-    "QuadLoss",
     "RngStream",
     "RunReport",
     "ShiftedOperator",

@@ -11,9 +11,11 @@ Gradient schedule: the midpoint gradient of iteration n is evaluated at the
 start of iteration n (it first becomes computable once the previous solve
 fixed the displacement), which makes the loss pair of iteration n-1 complete
 at that moment; the learner consumes it right there, before this iteration's
-matrices are assembled.  The resulting tally is exactly one evaluation at
-init, two per iteration, and one per episode close: 2M + K + 1 total, with
-M - 1 realized loss pairs.
+matrices are assembled.  Its input is the hint error r = g_n - h_n, formed
+once per step: the hint predicted the pair's y with B s, so r = y - B s is
+also the pair's logged loss.  The resulting tally is exactly one evaluation
+at init, two per iteration, and one per episode close: 2M + K + 1 total,
+with M - 1 realized loss pairs.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .errors import MissingValueOracle, NoGapEstimate, StationaryStart, ZeroL2
-from .hessian_learner import LearnerState, QuadLoss, default_rho, learner_step
+from .hessian_learner import LearnerState, default_rho, learner_step
 # SymOperator is not built here any more; perfbench/tracing.py still wraps
 # oqn.driver.SymOperator by name, so the import stays
 from .linops import Counter, ShiftedOperator, SymOperator  # noqa: F401
@@ -62,6 +64,16 @@ class HyperParams:
     @property
     def m_total(self) -> int:
         return self.t_len * self.k_eps
+
+    @property
+    def q_per_call(self) -> float:
+        """Failure probability allowed to one randomized oracle call."""
+        return self.p_fail / (2.0 * self.m_total)
+
+    @property
+    def gradient_total(self) -> int:
+        """Gradient evaluations of a full run: 2M + K + 1."""
+        return 2 * self.m_total + self.k_eps + 1
 
 
 def compute_hyperparams(spec: ObjectiveSpec, m_budget: int, p_fail: float = 0.01,
@@ -122,7 +134,7 @@ class StepLog:
 
     g_dot_delta: list = field(default_factory=list)
     f_values: list = field(default_factory=list)  # f(x_0), f(x_1), ...
-    hint_gap_sq: list = field(default_factory=list)  # |g_n - h_n|^2
+    hint_gap_first: float = 0.0  # |g_1 - h_1|^2, the bootstrap hint error
     pair_losses: list = field(default_factory=list)  # loss of pair n at index n-1
     grad_norms_w: list = field(default_factory=list)
     fp_gaps: list = field(default_factory=list)
@@ -186,7 +198,7 @@ def init(spec: ObjectiveSpec, params: HyperParams) -> OqnState:
     delta1 = -params.d_radius * g0 / g0_norm
     b_state = LearnerState.fresh(
         dim=spec.dim, l1=spec.l1, rho=default_rho(params.d_radius),
-        q_per_call=params.p_fail / (2.0 * params.m_total), counter=matvec_counter,
+        q_per_call=params.q_per_call, counter=matvec_counter,
     )
     return OqnState(
         x=spec.x0.copy(), delta_vec=delta1, hint=g0, b_state=b_state,
@@ -211,11 +223,15 @@ def step(state: OqnState, spec: ObjectiveSpec, params: HyperParams, rng: RngStre
     g_n = eval_gradient(spec, w_n, state.grad_counter)
     state.g_cached = g_n
 
-    # the loss pair of iteration n-1 is complete now; learner closes it
-    if state.pending_s is not None:
-        pair = QuadLoss(g_n - state.grad_z_prev, state.pending_s)
+    # the loss pair of iteration n-1 is complete now; learner closes it with
+    # the hint error, which is that pair's residual y - B s
+    r = g_n - state.hint
+    if state.pending_s is None:
+        if log is not None:
+            log.hint_gap_first = float(r @ r)
+    else:
         if method == "oqn":
-            state.b_state, laudit = learner_step(state.b_state, pair, rng)
+            state.b_state, laudit = learner_step(state.b_state, r, state.pending_s, rng)
             pair_loss = laudit.loss
             state.tr_stats["sep_calls"] += 1
             state.tr_stats["sep_matvecs"] += laudit.sep_matvecs
@@ -227,12 +243,12 @@ def step(state: OqnState, spec: ObjectiveSpec, params: HyperParams, rng: RngStre
                     "certified": laudit.certified, "rng_state": rng.state(),
                 })
         else:
-            pair_loss = float(pair.y @ pair.y)  # zero matrix: loss is |y|^2
+            pair_loss = float(r @ r)  # zero matrix: the hint is grad f(z_{n-1}), r = y
         if log is not None:
             log.pair_losses.append(pair_loss)
         if ledger:
-            r = pair.y - state.hess_z_prev @ pair.s
-            log.comparator_losses.append(float(r @ r))
+            r_comp = (g_n - state.grad_z_prev) - state.hess_z_prev @ state.pending_s
+            log.comparator_losses.append(float(r_comp @ r_comp))
 
     x_next = state.x + delta_n
     z_n = x_next + 0.5 * delta_n
@@ -251,7 +267,7 @@ def step(state: OqnState, spec: ObjectiveSpec, params: HyperParams, rng: RngStre
         b_vec = gz + g_n - state.hint - 0.5 * b_delta - delta_n / eta
         problem = TrustRegionSubproblem(
             a_op=a_op, b=b_vec, radius=d_rad, delta=params.delta_tr,
-            q=params.p_fail / (2.0 * params.m_total),
+            q=params.q_per_call,
             b_bound=max(2.0 * spec.l1, spec.l1 + 1.0 / eta),
             lam_min_lower=1.0 / eta - 0.5 * state.b_state.b_fro,
             x_start=delta_n,
@@ -284,11 +300,10 @@ def step(state: OqnState, spec: ObjectiveSpec, params: HyperParams, rng: RngStre
     else:  # og baseline: zero matrix, explicit projected optimistic update
         hint_next = gz
         delta_next = project_ball(
-            delta_n - eta * hint_next - eta * (g_n - state.hint), d_rad)
+            delta_n - eta * hint_next - eta * r, d_rad)
 
     if log is not None:
         log.g_dot_delta.append(float(g_n @ delta_n))
-        log.hint_gap_sq.append(float(np.sum((g_n - state.hint) ** 2)))
         log.grad_norms_w.append(float(np.linalg.norm(g_n)))
         if spec.value is not None:
             log.f_values.append(float(spec.value(x_next)))
@@ -338,7 +353,8 @@ def _stationary_report(spec: ObjectiveSpec, params: HyperParams,
     )
     return RunReport(
         episodes=[record], w_hat=spec.x0.copy(), grad_norm_final=grad_norm,
-        totals={"gradients": 1, "matvecs": 0, "tr": {}},
+        totals={"gradients": 1, "matvecs": 0, "tr": {}, "iterations": 0,
+                "stopped_early": False, "box_violations": 0},
         audits={}, params=params, stationary_start=True,
     )
 
@@ -390,7 +406,7 @@ def run(spec: ObjectiveSpec, params: HyperParams, rng: RngStream,
         totals=totals, audits={}, params=params, log=log,
     )
     if not stopped_early:
-        expected = 2 * params.m_total + params.k_eps + 1
+        expected = params.gradient_total
         if state.grad_counter.count != expected:
             raise AssertionError(
                 f"gradient accounting broken: {state.grad_counter.count} != {expected}")
@@ -462,7 +478,7 @@ def audit_regret(report: RunReport, spec: ObjectiveSpec, params: HyperParams,
     audits["regret_ok"] = regret <= rhs_regret + 1e-6 * abs(rhs_regret)
     # variant including the bootstrap hint error of the first iteration
     rhs_hint = (4.0 * k_eps * d_rad**2 / eta
-                + 1.5 * eta * float(sum(log.hint_gap_sq))
+                + 1.5 * eta * (log.hint_gap_first + sum_pair_losses)
                 + 2.0 * d_rad * k_eps * t_len * params.delta_tr)
     audits["regret_rhs_hint_variant"] = rhs_hint
 

@@ -107,11 +107,7 @@ def tridiag_eig(alphas: NDArray, betas: NDArray) -> tuple[NDArray, NDArray]:
     Backed by the LAPACK dedicated tridiagonal solver; eigenvalues ascending,
     eigenvectors in columns.
     """
-    alphas = np.asarray(alphas, dtype=float)
-    betas = np.asarray(betas, dtype=float)
-    if alphas.size == 1:
-        return alphas.copy(), np.ones((1, 1))
-    return eigh_tridiagonal(alphas, betas)
+    return eigh_tridiagonal(np.asarray(alphas, dtype=float), np.asarray(betas, dtype=float))
 
 
 class MinEvecCase(Enum):

@@ -306,11 +306,13 @@ def report_document(exp: ExperimentReport) -> dict:
     doc["result"] = {
         "grad_norm_final": rep.grad_norm_final,
         "stationary_start": rep.stationary_start,
-        "gradients": rep.totals.get("gradients"),
-        "matvecs": rep.totals.get("matvecs"),
-        "tr_stats": {k: v for k, v in rep.totals.get("tr", {}).items()},
+        "gradients": rep.totals["gradients"],
+        "matvecs": rep.totals["matvecs"],
+        "tr_stats": dict(rep.totals["tr"]),
         "episodes": len(rep.episodes),
-        "box_violations": rep.totals.get("box_violations", 0),
+        "iterations": rep.totals["iterations"],
+        "stopped_early": rep.totals["stopped_early"],
+        "box_violations": rep.totals["box_violations"],
     }
     doc["audits"] = rep.audits
     return _jsonable(doc)
@@ -376,7 +378,7 @@ def bench(cfg_text: str) -> tuple[list, dict]:
             steps = budget
             if method == "gd_baseline":
                 params = run_params(replace(base, budget=budget), spec)
-                steps = 2 * params.m_total + params.k_eps + 1
+                steps = params.gradient_total
             per_seed = []
             for seed in seeds:
                 exp = run_experiment(replace(base, method=method, budget=steps, seed=seed))

@@ -1,28 +1,31 @@
 """Projection-free online learning of the Hessian approximation.
 
 The learner plays symmetric matrices against quadratic losses |y - B s|^2
-while staying inside the doubled operator-norm ball.  Rather than projecting
-onto the operator-norm ball (a full eigendecomposition), it runs projected
-gradient steps on a surrogate linear loss over the cheap Frobenius ball,
-consulting the separation oracle once per round to scale the ambient iterate
-back and, when outside, tilt the surrogate gradient along the separating
-hyperplane.  The oracle settles a round from |W|_F alone, with no matvec and
-no random draw, whenever |W|_F <= L1; only the other rounds run Lanczos.
+while staying inside the doubled operator-norm ball.  The residual
+r = y - B s is the driver's hint error g - h (the hint predicts the gradient
+change y with B s), so the driver forms r once and hands it over with s.
+Rather than projecting onto the operator-norm ball (a full
+eigendecomposition), the learner runs projected gradient steps on a
+surrogate linear loss over the cheap Frobenius ball, consulting the
+separation oracle once per round to scale the ambient iterate back and, when
+outside, tilt the surrogate gradient along the separating hyperplane.  The
+oracle settles a round from |W|_F alone, with no matvec and no random draw,
+whenever |W|_F <= L1; only the other rounds run Lanczos.
 
 Round structure: the action B_n is needed by the driver one step before its
 loss pair (y_n, s_n) exists, so each ``learner_step`` call (a) finishes the
-previous round with the cached separation data (surrogate gradient plus
-Frobenius projection) and (b) immediately runs the separation oracle on the
-new ambient iterate to materialize the next action.  The initial action is
+previous round from the pair's residual r and s with the cached separation
+data (surrogate gradient plus Frobenius projection) and (b) immediately runs
+the separation oracle on the new ambient iterate to materialize the next
+action.  The round applies no operator of its own.  The initial action is
 the zero matrix, whose separation outcome (gamma = 0, inside) is
 deterministic and therefore cached without an oracle call.
 
-The round's loss gradient is the rank-2 matrix -(r s' + s r') with
-r = y - B s.  A round with W inside the doubled ball forms M = r s' once,
-adds its transpose (an exactly symmetric sum), scales the sum by rho in
-place and adds W, the same bits as W - rho * grad.  It takes |W_next|_F in
-one pass and rescales, with a second pass, only when W_next leaves the
-Frobenius ball.
+The round's loss gradient is the rank-2 matrix -(r s' + s r').  A round
+with W inside the doubled ball forms M = r s' once, adds its transpose (an
+exactly symmetric sum), scales the sum by rho in place and adds W, the same
+bits as W - rho * grad.  It takes |W_next|_F in one pass and rescales, with a
+second pass, only when W_next leaves the Frobenius ball.
 W_next stays a fresh array, so an earlier state's operator stays valid.
 
 The played action lives in one ``SymOperator`` (``LearnerState.b_op``), which
@@ -47,22 +50,6 @@ from .eig import SepCase, sep, separating_matrix
 from .errors import DimensionMismatch, NonPositiveRadius
 from .linops import Counter, SymOperator
 from .rng import RngStream
-
-
-@dataclass
-class QuadLoss:
-    """One observed loss |y - B s|^2 (y, s of ambient dimension)."""
-
-    y: NDArray
-    s: NDArray
-
-    def __post_init__(self):
-        self.y = np.asarray(self.y, dtype=float)
-        self.s = np.asarray(self.s, dtype=float)
-        if self.y.shape != self.s.shape or self.y.ndim != 1:
-            raise DimensionMismatch(
-                f"y {self.y.shape} and s {self.s.shape} must be equal-length vectors"
-            )
 
 
 @dataclass
@@ -124,15 +111,16 @@ def default_rho(d_radius: float) -> float:
     return 1.0 / (16.0 * d_radius**2)
 
 
-def learner_step(state: LearnerState, q: QuadLoss,
+def learner_step(state: LearnerState, r: NDArray, s: NDArray,
                  rng: RngStream) -> tuple[LearnerState, LearnerAudit]:
-    """Close the current round with loss pair ``q`` and materialize the next
-    action.  Costs one matvec (the B s product) plus one separation call,
-    which is free when |W_next|_F <= L1."""
-    r = q.y - state.b_op.apply(q.s)
+    """Close the current round, whose loss pair (y, s) has residual
+    r = y - B s, and materialize the next action.  Costs no matvec of its
+    own, only the separation call, which is free when |W_next|_F <= L1."""
+    if r.shape != s.shape or r.ndim != 1:
+        raise DimensionMismatch(f"r {r.shape} and s {s.shape} must be equal-length vectors")
     # minus the loss gradient at B; an entry and its mirror add the same two
     # products, so the sum is exactly symmetric
-    m = np.outer(r, q.s)
+    m = np.outer(r, s)
     neg_grad = m + m.T
     round_case = SepCase.INSIDE_DOUBLED if state.gamma <= 1.0 else SepCase.SEPARATED
     if round_case is SepCase.SEPARATED:

@@ -113,9 +113,6 @@ class ShiftedOperator:
         return self.base.counter
 
     def apply(self, v: NDArray) -> NDArray:
-        # the unscaled case is the trust-region solver's inner loop: no multiply
-        if self.scale == 1.0:
-            return self.base.apply(v) - self.shift * v
         return self.scale * self.base.apply(v) - self.shift * v
 
     def dense(self) -> NDArray:

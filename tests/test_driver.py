@@ -436,6 +436,52 @@ class TestSepCertificate:
         assert report.audits["all_ok"], report.audits
 
 
+class TestHintError:
+    """The driver hands the learner its hint error r = g_n - h_n, which is
+    the closing pair's residual y - B s; the learner applies no operator of
+    its own, so a round costs exactly its separation call."""
+
+    @pytest.mark.parametrize("name,dim,eta_factor", [
+        ("coupled_trig", 16, 1.0), ("cosine_mixture", 8, 200.0)])
+    def test_residual_matches_dense_pair(self, monkeypatch, name, dim, eta_factor):
+        spec = perturbed(name, dim)
+        auto = compute_hyperparams(spec, 240)
+        params = dataclasses.replace(auto, eta=eta_factor * auto.eta)
+        real_step = driver.learner_step
+        rounds = []
+
+        def spying_step(lstate, r, s, rng):
+            before = lstate.counter.count
+            new, audit = real_step(lstate, r, s, rng)
+            spent = lstate.counter.count - before
+            rounds.append((r.copy(), s, lstate.b_mat, spent, audit))
+            return new, audit
+
+        monkeypatch.setattr(driver, "learner_step", spying_step)
+        state = driver.init(spec, params)
+        rng = RngStream(0)
+        checked = certified = 0
+        for _ in range(params.m_total):
+            grad_z_prev, pending_s = state.grad_z_prev, state.pending_s
+            driver.step(state, spec, params, rng)
+            if pending_s is None:
+                assert rounds == []
+                continue
+            r, s, b, spent, audit = rounds.pop()
+            assert s is pending_s
+            # y = g_n - grad f(z_{n-1}) and B the action that built the hint
+            expected = (state.g_cached - grad_z_prev) - b @ s
+            assert np.linalg.norm(r - expected) <= 1e-10 * np.linalg.norm(expected)
+            assert spent == audit.sep_matvecs
+            assert not audit.certified or spent == 0
+            checked += 1
+            certified += audit.certified
+        assert checked == params.m_total - 1
+        assert certified > 0
+        # the eta x200 recipe also runs separation rounds through Lanczos
+        assert (certified < checked) == (eta_factor > 1.0)
+
+
 class TestWholePipeline:
     @pytest.mark.parametrize("name,dim", [
         ("cosine_mixture", 5), ("coupled_trig", 5), ("rosenbrock_local", 4)])

@@ -94,6 +94,37 @@ class TestDeterminism:
         assert len(exp.csv_rows) == len(exp.report.episodes)
 
 
+class TestReportDocument:
+    def test_early_stop_is_reported(self):
+        cfg = harness.config_from_pairs(harness.read_pairs(
+            "problem=cosine_mixture\ndim=4\nbudget=480\neps_target=0.1\n"))
+        exp = harness.run_experiment(cfg)
+        result = harness.report_document(exp)["result"]
+        params = exp.report.params
+        assert result["stopped_early"] is True
+        assert result["iterations"] == exp.report.totals["iterations"]
+        assert result["iterations"] < params.m_total
+        assert result["iterations"] % params.t_len == 0
+        assert result["grad_norm_final"] <= 0.1
+
+    def test_stationary_start_report_has_the_same_keys(self, monkeypatch):
+        cfg = harness.config_from_pairs(harness.read_pairs(
+            "problem=quadratic\ndim=2\nparams=manual\nd_radius=0.1\neta=1.0\n"
+            "t_len=2\nk_eps=2\ndelta_tr=1e-6\n"))
+        normal = harness.report_document(harness.run_experiment(cfg))
+        monkeypatch.setattr(harness, "build_spec", lambda cfg: quadratic_from_matrix(
+            np.eye(2), x0=np.zeros(2)))
+        stationary = harness.report_document(harness.run_experiment(cfg))
+        assert not normal["result"]["stationary_start"]
+        assert stationary["result"]["stationary_start"]
+        assert stationary.keys() == normal.keys()
+        assert stationary["result"].keys() == normal["result"].keys()
+        result = stationary["result"]
+        assert (result["iterations"], result["stopped_early"], result["box_violations"]) \
+            == (0, False, 0)
+        assert (normal["result"]["iterations"], normal["result"]["stopped_early"]) == (4, False)
+
+
 class TestBaselineGd:
     def test_full_step_solves_identity_quadratic(self):
         spec = quadratic_from_matrix(np.eye(1), x0=np.array([1.0]))

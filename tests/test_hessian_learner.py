@@ -8,13 +8,8 @@ from hypothesis import strategies as st
 from oqn import driver, hessian_learner
 from oqn.driver import compute_hyperparams
 from oqn.eig import SepCase, sep
-from oqn.errors import NonPositiveRadius
-from oqn.hessian_learner import (
-    LearnerState,
-    QuadLoss,
-    default_rho,
-    learner_step,
-)
+from oqn.errors import DimensionMismatch, NonPositiveRadius
+from oqn.hessian_learner import LearnerState, default_rho, learner_step
 from oqn.linops import Counter, SymOperator
 from oqn.problems import catalog
 from oqn.rng import RngStream
@@ -28,30 +23,35 @@ def e(i, d):
     return v
 
 
-def play_round(b, q, counter=None):
-    """One learner round at W = B = b, well inside both balls: returns the
-    round's audit and the loss gradient, read off the unprojected step as
-    (W - W_next) / rho with rho = 1."""
+def pair_step(state, y, s, rng):
+    """One learner round on the loss pair (y, s), its residual formed densely."""
+    return learner_step(state, y - state.b_mat @ s, s, rng)
+
+
+def play_round(b, y, s, counter=None):
+    """One learner round at W = B = b, well inside both balls, on the loss
+    pair (y, s): returns the round's audit and the loss gradient, read off
+    the unprojected step as (W - W_next) / rho with rho = 1."""
     d = b.shape[0]
     counter = counter if counter is not None else Counter()
     state = LearnerState(w_mat=b, b_op=SymOperator(b, counter), gamma=0.0,
                          u=np.zeros(d), sign=0.0, rho=1.0, l1=1e3, dim=d,
                          q_per_call=0.01, counter=counter)
-    new, audit = learner_step(state, q, RngStream(0))
+    new, audit = learner_step(state, y - b @ s, s, RngStream(0))
     return audit, b - new.w_mat
 
 
 class TestLoss:
     def test_zero_action_unit_pair(self):
         counter = Counter()
-        audit, _ = play_round(np.zeros((2, 2)), QuadLoss(e(0, 2), e(0, 2)), counter)
+        audit, _ = play_round(np.zeros((2, 2)), e(0, 2), e(0, 2), counter)
         assert audit.loss == pytest.approx(1.0)
-        assert counter.count == 1 + audit.sep_matvecs
+        assert counter.count == audit.sep_matvecs
 
     def test_exact_fit_is_zero(self, np_rng):
         b = random_symmetric(np_rng, 4)
         s = np_rng.standard_normal(4)
-        audit, grad = play_round(b, QuadLoss(b @ s, s))
+        audit, grad = play_round(b, b @ s, s)
         assert audit.loss == pytest.approx(0.0, abs=1e-20)
         np.testing.assert_allclose(grad, 0.0, atol=1e-12)
 
@@ -59,14 +59,14 @@ class TestLoss:
         b = random_symmetric(np_rng, 5)
         y, s = np_rng.standard_normal(5), np_rng.standard_normal(5)
         expected = float(np.sum((y - b @ s) ** 2))
-        audit, _ = play_round(b, QuadLoss(y, s))
+        audit, _ = play_round(b, y, s)
         assert audit.loss == pytest.approx(expected, rel=1e-13)
 
 
 class TestLossGradient:
     def test_symbolic_rank_two_case(self):
         # B = 0, y = e1, s = e2: gradient is -(e1 e2' + e2 e1')
-        _, g = play_round(np.zeros((2, 2)), QuadLoss(e(0, 2), e(1, 2)))
+        _, g = play_round(np.zeros((2, 2)), e(0, 2), e(1, 2))
         np.testing.assert_allclose(g, -np.array([[0.0, 1.0], [1.0, 0.0]]), atol=1e-15)
 
     @given(st.integers(0, 10_000))
@@ -76,12 +76,12 @@ class TestLossGradient:
         rng = np.random.default_rng(seed)
         d = 4
         b = random_symmetric(rng, d)
-        q = QuadLoss(rng.standard_normal(d), rng.standard_normal(d))
-        _, g = play_round(b, q)
+        y, s = rng.standard_normal(d), rng.standard_normal(d)
+        _, g = play_round(b, y, s)
         h = 1e-6
 
         def ell(mat):
-            return float(np.sum((q.y - mat @ q.s) ** 2))
+            return float(np.sum((y - mat @ s) ** 2))
 
         for i in range(d):
             for j in range(i, d):
@@ -102,10 +102,19 @@ class TestDefaultRho:
 
 
 class TestLearnerStep:
+    @pytest.mark.parametrize("r,s", [
+        (np.ones(3), np.ones(2)),
+        (np.ones(3), np.ones((3, 1))),
+        (np.ones((3, 1)), np.ones((3, 1))),
+    ])
+    def test_mismatched_pair_rejected(self, r, s):
+        state = LearnerState.fresh(3, 1.0, default_rho(1.0), 0.01)
+        with pytest.raises(DimensionMismatch):
+            learner_step(state, r, s, RngStream(0))
+
     def test_zero_direction_no_motion(self):
         state = LearnerState.fresh(3, 1.0, default_rho(1.0), 0.01)
-        pair = QuadLoss(np.array([1.0, 0.0, 0.0]), np.zeros(3))
-        new, _ = learner_step(state, pair, RngStream(0))
+        new, _ = pair_step(state, np.array([1.0, 0.0, 0.0]), np.zeros(3), RngStream(0))
         np.testing.assert_allclose(new.w_mat, 0.0)
         np.testing.assert_allclose(new.b_mat, 0.0)
 
@@ -113,7 +122,7 @@ class TestLearnerStep:
         # W = 0, y = s = e1, rho = 1/16: surrogate gradient -2 e1 e1',
         # step lands inside the Frobenius ball, no scaling
         state = LearnerState.fresh(2, 1.0, 1.0 / 16.0, 0.01)
-        new, audit = learner_step(state, QuadLoss(e(0, 2), e(0, 2)), RngStream(1))
+        new, audit = pair_step(state, e(0, 2), e(0, 2), RngStream(1))
         expected = np.zeros((2, 2))
         expected[0, 0] = 1.0 / 8.0
         np.testing.assert_allclose(new.w_mat, expected, atol=1e-15)
@@ -126,8 +135,7 @@ class TestLearnerStep:
         d, l1, rho = 2, 1.0, 1.0 / 16.0
         c = np.sqrt(d) * l1 / rho  # G = -2c e1e1', |rho G| = 2 sqrt(d) L1
         state = LearnerState.fresh(d, l1, rho, 0.01)
-        pair = QuadLoss(c * e(0, d), e(0, d))
-        new, _ = learner_step(state, pair, RngStream(2))
+        new, _ = pair_step(state, c * e(0, d), e(0, d), RngStream(2))
         expected = np.zeros((d, d))
         expected[0, 0] = np.sqrt(d) * l1
         np.testing.assert_allclose(new.w_mat, expected, rtol=1e-13)
@@ -137,8 +145,7 @@ class TestLearnerStep:
         # separates and B = W / gamma gets its own operator
         d, l1, rho = 2, 1.0, 1.0 / 16.0
         state = LearnerState.fresh(d, l1, rho, 0.01)
-        pair = QuadLoss(np.sqrt(d) * l1 / rho * e(0, d), e(0, d))
-        new, _ = learner_step(state, pair, RngStream(2))
+        new, _ = pair_step(state, np.sqrt(d) * l1 / rho * e(0, d), e(0, d), RngStream(2))
         assert new.gamma > 1.0
         assert new.b_op.dense() is new.b_mat
         assert new.b_fro == np.linalg.norm(new.b_mat)
@@ -151,8 +158,7 @@ class TestLearnerStep:
         for _ in range(80):
             s = np_rng.standard_normal(d)
             s /= max(np.linalg.norm(s), 1e-12)
-            pair = QuadLoss(np_rng.standard_normal(d), s)
-            state, _ = learner_step(state, pair, stream)
+            state, _ = pair_step(state, np_rng.standard_normal(d), s, stream)
             assert np.linalg.norm(state.w_mat) <= np.sqrt(d) * l1 + 1e-9
             # played action stays inside the doubled operator-norm ball
             assert np.linalg.norm(state.b_mat, ord=2) <= 2 * l1 + 1e-9
@@ -192,8 +198,7 @@ class TestLearnerStep:
             s = np_rng.standard_normal(d)
             s *= np_rng.uniform(0, d_rad) / max(np.linalg.norm(s), 1e-12)
             y = np_rng.standard_normal(d)
-            q = QuadLoss(y, s)
-            audit, g = play_round(b, q)
+            audit, g = play_round(b, y, s)
             nuclear = float(np.sum(np.linalg.svd(g, compute_uv=False)))
             assert nuclear <= 2.0 * d_rad * np.sqrt(audit.loss) + 1e-9
 
@@ -217,10 +222,9 @@ class DenseReference:
         self.gamma = 0.0
         self.s_mat = np.zeros((dim, dim))
 
-    def round(self, q, rng):
+    def round(self, r, s, rng):
         d = self.w.shape[0]
-        r = q.y - self.b_op.apply(q.s)
-        grad = -np.outer(r, q.s) - np.outer(q.s, r)
+        grad = -np.outer(r, s) - np.outer(s, r)
         if self.gamma > 1.0:
             tilt = max(0.0, -float(np.vdot(grad, self.b_op.dense())))
             grad = grad + tilt * self.s_mat
@@ -268,13 +272,13 @@ class TestDenseReference:
         real_step = driver.learner_step
         refs, rounds = [], []
 
-        def checked_step(state, pair, rng):
+        def checked_step(state, r, s, rng):
             if not refs:
                 refs.append(DenseReference(state.dim, state.l1, state.rho,
                                            state.q_per_call))
             ref_rng = copy.deepcopy(rng)
-            new, audit = real_step(state, pair, rng)
-            refs[0].round(pair, ref_rng)
+            new, audit = real_step(state, r, s, rng)
+            refs[0].round(r, s, ref_rng)
             assert ref_rng.state() == rng.state()
             assert_matches(new, refs[0])
             rounds.append(audit.case)
@@ -296,9 +300,9 @@ class TestDenseReference:
         for _ in range(120):
             s = np_rng.standard_normal(d)
             s /= np.linalg.norm(s)
-            pair = QuadLoss(np_rng.standard_normal(d), s)
-            state, audit = learner_step(state, pair, stream)
-            ref.round(pair, ref_stream)
+            r = np_rng.standard_normal(d) - state.b_mat @ s
+            state, audit = learner_step(state, r, s, stream)
+            ref.round(r, s, ref_stream)
             assert_matches(state, ref)
             separated += audit.case is SepCase.SEPARATED
         assert separated >= 60 and len(trusted_builds) == 120
