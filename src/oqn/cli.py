@@ -18,8 +18,8 @@ from .errors import CertificateFailure, OqnError
 def _cmd_run(args) -> int:
     cfg = harness.load_config(args.config)
     exp = harness.run_experiment(cfg)
-    harness.write_outputs(exp)
     doc = harness.report_document(exp)
+    harness.write_outputs(exp, doc)
     print(json.dumps(doc, indent=2, sort_keys=True))
     print(f"wall_time_s={exp.wall_time_s:.3f}", file=sys.stderr)
     audits = doc.get("audits") or {}
@@ -59,14 +59,7 @@ def _cmd_bench(args) -> int:
 def _cmd_dump_params(args) -> int:
     cfg = harness.load_config(args.config)
     params = harness.run_params(cfg, harness.build_spec(cfg))
-    print(json.dumps({
-        "d_radius": params.d_radius,
-        "eta": params.eta,
-        "t_len": params.t_len,
-        "k_eps": params.k_eps,
-        "m_total": params.m_total,
-        "delta_tr": params.delta_tr,
-    }, indent=2, sort_keys=True))
+    print(json.dumps(harness.params_document(params), indent=2, sort_keys=True))
     return 0
 
 

@@ -136,13 +136,25 @@ class StepLog:
     f_values: list = field(default_factory=list)  # f(x_0), f(x_1), ...
     hint_gap_first: float = 0.0  # |g_1 - h_1|^2, the bootstrap hint error
     pair_losses: list = field(default_factory=list)  # loss of pair n at index n-1
-    grad_norms_w: list = field(default_factory=list)
     fp_gaps: list = field(default_factory=list)
     # full level only:
     comparator_losses: list = field(default_factory=list)  # |y - H(z_n) s|^2 of pair n
     comparator_path: list = field(default_factory=list)  # |H(z_{n+1}) - H(z_n)|_F
     hess_fro_first: Optional[float] = None  # |H(z_1)|_F
     events: list = field(default_factory=list)
+
+
+def new_totals() -> dict:
+    """A run's totals, all zero: gradient and matvec counts, the
+    trust-region and separation tallies under "tr", iterations, whether
+    ``eps_target`` stopped the run, and box exits."""
+    return {
+        "gradients": 0, "matvecs": 0,
+        "tr": {"solves": 0, "matvecs": 0, "max_residual": 0.0, "retries": 0,
+               "early_exits": 0, "branches": {}, "sep_calls": 0, "sep_matvecs": 0,
+               "sep_certified": 0},
+        "iterations": 0, "stopped_early": False, "box_violations": 0,
+    }
 
 
 @dataclass
@@ -162,12 +174,7 @@ class OqnState:
     ep_sum_g: Optional[NDArray] = None
     ep_sum_gdotd: float = 0.0
     episodes: list = field(default_factory=list)
-    box_violations: int = 0
-    tr_stats: dict = field(default_factory=lambda: {
-        "solves": 0, "matvecs": 0, "max_residual": 0.0, "retries": 0,
-        "early_exits": 0, "branches": {}, "sep_calls": 0, "sep_matvecs": 0,
-        "sep_certified": 0,
-    })
+    totals: dict = field(default_factory=new_totals)
 
 
 @dataclass
@@ -216,6 +223,7 @@ def step(state: OqnState, spec: ObjectiveSpec, params: HyperParams, rng: RngStre
     """
     n = state.n + 1
     ledger = log is not None and full and spec.hess is not None
+    tr = state.totals["tr"]
     d_rad, eta = params.d_radius, params.eta
     delta_n = state.delta_vec
 
@@ -233,9 +241,9 @@ def step(state: OqnState, spec: ObjectiveSpec, params: HyperParams, rng: RngStre
         if method == "oqn":
             state.b_state, laudit = learner_step(state.b_state, r, state.pending_s, rng)
             pair_loss = laudit.loss
-            state.tr_stats["sep_calls"] += 1
-            state.tr_stats["sep_matvecs"] += laudit.sep_matvecs
-            state.tr_stats["sep_certified"] += int(laudit.certified)
+            tr["sep_calls"] += 1
+            tr["sep_matvecs"] += laudit.sep_matvecs
+            tr["sep_certified"] += int(laudit.certified)
             if log is not None and full:
                 log.events.append({
                     "kind": "sep", "n": n - 1, "gamma": laudit.gamma,
@@ -256,7 +264,7 @@ def step(state: OqnState, spec: ObjectiveSpec, params: HyperParams, rng: RngStre
 
     # local-constant problems: flag (never abort) iterates leaving the box
     if spec.box is not None and float(np.max(np.abs(x_next))) > spec.box:
-        state.box_violations += 1
+        state.totals["box_violations"] += 1
 
     if method == "oqn":
         # A = B/2 + I/eta as a matrix-free view over the learner's operator;
@@ -274,13 +282,13 @@ def step(state: OqnState, spec: ObjectiveSpec, params: HyperParams, rng: RngStre
         )
         sol = tr_solve(problem, rng)
         delta_next = sol.delta_vec
-        state.tr_stats["solves"] += 1
-        state.tr_stats["matvecs"] += sol.matvecs_used
-        state.tr_stats["max_residual"] = max(state.tr_stats["max_residual"], sol.residual)
-        state.tr_stats["retries"] += int(sol.retried)
-        state.tr_stats["early_exits"] += int(sol.early_exit)
+        tr["solves"] += 1
+        tr["matvecs"] += sol.matvecs_used
+        tr["max_residual"] = max(tr["max_residual"], sol.residual)
+        tr["retries"] += int(sol.retried)
+        tr["early_exits"] += int(sol.early_exit)
         branch = sol.branch.value
-        state.tr_stats["branches"][branch] = state.tr_stats["branches"].get(branch, 0) + 1
+        tr["branches"][branch] = tr["branches"].get(branch, 0) + 1
         # reuses the B delta_n product: one extra matvec for B delta_{n+1}
         b_delta_next = b_op.apply(delta_next)
         hint_next = gz + 0.5 * (b_delta_next - b_delta)
@@ -302,9 +310,9 @@ def step(state: OqnState, spec: ObjectiveSpec, params: HyperParams, rng: RngStre
         delta_next = project_ball(
             delta_n - eta * hint_next - eta * r, d_rad)
 
+    g_dot_delta = float(g_n @ delta_n)
     if log is not None:
-        log.g_dot_delta.append(float(g_n @ delta_n))
-        log.grad_norms_w.append(float(np.linalg.norm(g_n)))
+        log.g_dot_delta.append(g_dot_delta)
         if spec.value is not None:
             log.f_values.append(float(spec.value(x_next)))
     if ledger:
@@ -317,7 +325,7 @@ def step(state: OqnState, spec: ObjectiveSpec, params: HyperParams, rng: RngStre
 
     state.ep_sum_w += w_n
     state.ep_sum_g += g_n
-    state.ep_sum_gdotd += float(g_n @ delta_n)
+    state.ep_sum_gdotd += g_dot_delta
 
     if n % params.t_len == 0:
         t = params.t_len
@@ -351,11 +359,11 @@ def _stationary_report(spec: ObjectiveSpec, params: HyperParams,
         k=1, w_bar=spec.x0.copy(), grad_norm_at_wbar=grad_norm,
         episode_regret=0.0, sum_g_norm=0.0,
     )
+    totals = new_totals()
+    totals["gradients"] = 1
     return RunReport(
         episodes=[record], w_hat=spec.x0.copy(), grad_norm_final=grad_norm,
-        totals={"gradients": 1, "matvecs": 0, "tr": {}, "iterations": 0,
-                "stopped_early": False, "box_violations": 0},
-        audits={}, params=params, stationary_start=True,
+        totals=totals, audits={}, params=params, stationary_start=True,
     )
 
 
@@ -393,17 +401,12 @@ def run(spec: ObjectiveSpec, params: HyperParams, rng: RngStream,
     if log is not None:
         _attach_episode_losses(episodes, log.pair_losses, params.t_len)
     best = min(episodes, key=lambda e: (e.grad_norm_at_wbar, e.k))
-    totals = {
-        "gradients": state.grad_counter.count,
-        "matvecs": state.matvec_counter.count,
-        "tr": dict(state.tr_stats),
-        "iterations": state.n,
-        "stopped_early": stopped_early,
-        "box_violations": state.box_violations,
-    }
+    state.totals.update(gradients=state.grad_counter.count,
+                        matvecs=state.matvec_counter.count,
+                        iterations=state.n, stopped_early=stopped_early)
     report = RunReport(
         episodes=episodes, w_hat=best.w_bar, grad_norm_final=best.grad_norm_at_wbar,
-        totals=totals, audits={}, params=params, log=log,
+        totals=state.totals, audits={}, params=params, log=log,
     )
     if not stopped_early:
         expected = params.gradient_total

@@ -56,7 +56,7 @@ class LanczosFactorization:
 
     def tridiagonal(self) -> tuple[NDArray, NDArray]:
         """(diagonal, off-diagonal) of T."""
-        return np.asarray(self.alphas), np.asarray(self.betas[:-1] if self.size > 1 else [])
+        return np.asarray(self.alphas), np.asarray(self.betas[:-1])
 
 
 def lanczos_factorize(op, v1: NDArray, n_steps: int) -> LanczosFactorization:
@@ -169,9 +169,7 @@ def min_evec(
     lanczos_extend(fact, op, max(n1, n2))
     k = fact.size
     diag, off = fact.tridiagonal()
-    t_mat = np.diag(diag)
-    if k > 1:
-        t_mat += np.diag(off, 1) + np.diag(off, -1)
+    t_mat = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
     shifted = t_mat - lambda_hat * np.eye(k)
     m_mat = shifted @ shifted
     m_mat[k - 1, k - 1] += fact.betas[-1] ** 2

@@ -1,9 +1,13 @@
 """Experiment harness: configs, baselines, brute-force oracles, reports.
 
 The config format is flat key=value text (diff-friendly, no dependencies).
-Reports are JSON-shaped structured text whose content is a pure function of
-(config, seed); wall time is echoed to the console but kept out of the files
-so reruns are bit-identical.
+The run keys are ``RunConfig``'s fields, cast to their types, with the
+dataclass holding the defaults; ``params=manual`` adds ``HyperParams``'
+fields.  Reports are JSON-shaped structured text whose content is a pure
+function of (config, seed); wall time is echoed to the console but kept out
+of the files so reruns are bit-identical.  A report's ``params`` block is
+``params_document`` and its ``result`` block holds the driver's totals
+(``driver.new_totals``) as they are.
 """
 
 from __future__ import annotations
@@ -11,8 +15,8 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, field, replace
-from typing import Optional
+from dataclasses import asdict, dataclass, field, fields, replace
+from typing import Optional, get_args, get_type_hints
 
 import numpy as np
 from numpy.typing import NDArray
@@ -32,8 +36,8 @@ CSV_HEADER = "k,grad_norm_wbar,episode_regret,sum_loss,cum_gradients,cum_matvecs
 
 @dataclass
 class RunConfig:
-    problem: str
-    dim: int
+    problem: str = "cosine_mixture"
+    dim: int = 4
     method: str = "oqn"
     budget: int = 120
     seed: int = 0
@@ -54,10 +58,27 @@ class RunConfig:
             raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
         if self.audit not in driver.AUDIT_LEVELS:
             raise ValueError(f"audit must be one of {driver.AUDIT_LEVELS}")
+        if self.params not in ("auto", "manual"):
+            raise ValueError("params must be 'auto' or 'manual'")
 
 
+def _field_casts(cls, skip: tuple) -> dict:
+    """Each field of ``cls`` not in ``skip``, with the type a config value
+    for it is cast to (``Optional[T]`` casts to ``T``)."""
+    hints = get_type_hints(cls)
+    casts = {}
+    for f in fields(cls):
+        if f.name not in skip:
+            args = [a for a in get_args(hints[f.name]) if a is not type(None)]
+            casts[f.name] = args[0] if args else hints[f.name]
+    return casts
+
+
+# run keys; the manual block and the family knobs are parsed on their own
+_RUN_KEYS = _field_casts(RunConfig, skip=("manual", "problem_kwargs"))
+# the params=manual block; its p_fail is the run key
+_MANUAL_KEYS = _field_casts(HyperParams, skip=("p_fail",))
 _PROBLEM_KEYS = {"mu": float, "kappa": float, "box": float}
-_MANUAL_KEYS = ("d_radius", "eta", "t_len", "k_eps", "delta_tr")
 
 
 def read_pairs(text: str) -> dict:
@@ -77,40 +98,15 @@ def read_pairs(text: str) -> dict:
 def config_from_pairs(pairs: dict) -> RunConfig:
     """Map run keys to a ``RunConfig``; any key left over is an error."""
     pairs = dict(pairs)
-
-    def pop(key, cast, default=None):
-        if key in pairs:
-            return cast(pairs.pop(key))
-        return default
-
-    cfg = RunConfig(
-        problem=pop("problem", str, "cosine_mixture"),
-        dim=pop("dim", int, 4),
-        method=pop("method", str, "oqn"),
-        budget=pop("budget", int, 120),
-        seed=pop("seed", int, 0),
-        problem_seed=pop("problem_seed", int, 0),
-        p_fail=pop("p_fail", float, 0.01),
-        audit=pop("audit", str, "episode"),
-        params=pop("params", str, "auto"),
-        gap_bound=pop("gap_bound", float),
-        step_size=pop("step_size", float),
-        eps_target=pop("eps_target", float),
-        out_csv=pop("out_csv", str),
-        out_report=pop("out_report", str),
-    )
+    cfg = RunConfig(**{key: cast(pairs.pop(key))
+                       for key, cast in _RUN_KEYS.items() if key in pairs})
     if cfg.params == "manual":
-        vals = {k: pairs.pop(k, None) for k in _MANUAL_KEYS}
-        missing = [k for k, v in vals.items() if v is None]
+        missing = [key for key in _MANUAL_KEYS if key not in pairs]
         if missing:
             raise ValueError(f"params=manual needs keys {missing}")
-        cfg.manual = HyperParams(
-            d_radius=float(vals["d_radius"]), eta=float(vals["eta"]),
-            t_len=int(vals["t_len"]), k_eps=int(vals["k_eps"]),
-            delta_tr=float(vals["delta_tr"]), p_fail=cfg.p_fail,
-        )
-    elif cfg.params != "auto":
-        raise ValueError("params must be 'auto' or 'manual'")
+        cfg.manual = HyperParams(**{key: cast(pairs.pop(key))
+                                    for key, cast in _MANUAL_KEYS.items()},
+                                 p_fail=cfg.p_fail)
     for key, cast in _PROBLEM_KEYS.items():
         if key in pairs:
             cfg.problem_kwargs[key] = cast(pairs.pop(key))
@@ -275,6 +271,11 @@ def _jsonable(obj):
     return obj
 
 
+def params_document(params: HyperParams) -> dict:
+    """The hyperparameters a run uses: every ``HyperParams`` field and M."""
+    return {**asdict(params), "m_total": params.m_total}
+
+
 def report_document(exp: ExperimentReport) -> dict:
     """Deterministic report body (no wall time; that goes to the console)."""
     cfg = exp.config
@@ -282,12 +283,8 @@ def report_document(exp: ExperimentReport) -> dict:
     # params); None is the default, for the family knobs the family's own
     doc = {
         "config": {
-            "problem": cfg.problem, "dim": cfg.dim, "problem_seed": cfg.problem_seed,
+            **{key: getattr(cfg, key) for key in _RUN_KEYS if not key.startswith("out_")},
             **{key: cfg.problem_kwargs.get(key) for key in _PROBLEM_KEYS},
-            "method": cfg.method, "budget": cfg.budget, "seed": cfg.seed,
-            "p_fail": cfg.p_fail, "audit": cfg.audit,
-            "gap_bound": cfg.gap_bound, "params": cfg.params,
-            "eps_target": cfg.eps_target, "step_size": cfg.step_size,
         },
     }
     rep = exp.report
@@ -297,28 +294,22 @@ def report_document(exp: ExperimentReport) -> dict:
             "gradients": rep.gradients,
         }
         return _jsonable(doc)
-    doc["params"] = {
-        "d_radius": rep.params.d_radius, "eta": rep.params.eta,
-        "t_len": rep.params.t_len, "k_eps": rep.params.k_eps,
-        "m_total": rep.params.m_total, "delta_tr": rep.params.delta_tr,
-        "p_fail": rep.params.p_fail,
-    }
+    doc["params"] = params_document(rep.params)
+    totals = dict(rep.totals)
+    totals["tr_stats"] = totals.pop("tr")
     doc["result"] = {
         "grad_norm_final": rep.grad_norm_final,
         "stationary_start": rep.stationary_start,
-        "gradients": rep.totals["gradients"],
-        "matvecs": rep.totals["matvecs"],
-        "tr_stats": dict(rep.totals["tr"]),
         "episodes": len(rep.episodes),
-        "iterations": rep.totals["iterations"],
-        "stopped_early": rep.totals["stopped_early"],
-        "box_violations": rep.totals["box_violations"],
+        **totals,
     }
     doc["audits"] = rep.audits
     return _jsonable(doc)
 
 
-def write_outputs(exp: ExperimentReport) -> None:
+def write_outputs(exp: ExperimentReport, doc: dict) -> None:
+    """Write the CSV rows and the report document ``doc`` to the config's
+    output paths, each only when its path is set."""
     cfg = exp.config
     if cfg.out_csv:
         with open(cfg.out_csv, "w", encoding="utf-8") as fh:
@@ -327,7 +318,7 @@ def write_outputs(exp: ExperimentReport) -> None:
                 fh.write(row + "\n")
     if cfg.out_report:
         with open(cfg.out_report, "w", encoding="utf-8") as fh:
-            json.dump(report_document(exp), fh, indent=2, sort_keys=True)
+            json.dump(doc, fh, indent=2, sort_keys=True)
             fh.write("\n")
 
 

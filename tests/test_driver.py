@@ -183,8 +183,10 @@ class TestRun:
         params = manual(0.05, 0.3, 1, 1, delta_tr=1e-4)
         report = driver.run(spec, params, RngStream(4), audit_level="full")
         ep = report.episodes[0]
-        log = report.log
-        expected = log.g_dot_delta[0] + params.d_radius * log.grad_norms_w[0]
+        g0 = spec.grad(spec.x0)
+        delta1 = -params.d_radius * g0 / np.linalg.norm(g0)
+        g1 = spec.grad(spec.x0 + 0.5 * delta1)
+        expected = report.log.g_dot_delta[0] + params.d_radius * np.linalg.norm(g1)
         assert ep.episode_regret == pytest.approx(expected, rel=1e-12)
         assert ep.episode_regret >= -1e-12
 

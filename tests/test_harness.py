@@ -47,6 +47,15 @@ class TestConfig:
         with pytest.raises(ValueError, match="params=manual needs"):
             harness.parse_config("params=manual\nd_radius=0.5\n")
 
+    def test_defaults_declared_once(self):
+        assert harness.RunConfig() == harness.config_from_pairs({})
+
+    def test_params_value_checked_by_the_dataclass(self):
+        with pytest.raises(ValueError, match="params must be"):
+            harness.RunConfig(params="bogus")
+        with pytest.raises(ValueError, match="params must be"):
+            harness.parse_config("params=bogus\n")
+
     def test_env_seed_override(self, monkeypatch):
         monkeypatch.setenv("OQN_SEED", "99")
         assert harness.parse_config("seed=3\n").seed == 99
@@ -62,7 +71,7 @@ class TestDeterminism:
             cfg.out_csv = str(tmp_path / f"{tag}.csv")
             cfg.out_report = str(tmp_path / f"{tag}.json")
             exp = harness.run_experiment(cfg)
-            harness.write_outputs(exp)
+            harness.write_outputs(exp, harness.report_document(exp))
             outputs.append((open(cfg.out_csv, "rb").read(),
                             open(cfg.out_report, "rb").read()))
         assert outputs[0] == outputs[1]
@@ -119,6 +128,7 @@ class TestReportDocument:
         assert stationary["result"]["stationary_start"]
         assert stationary.keys() == normal.keys()
         assert stationary["result"].keys() == normal["result"].keys()
+        assert stationary["result"]["tr_stats"].keys() == normal["result"]["tr_stats"].keys()
         result = stationary["result"]
         assert (result["iterations"], result["stopped_early"], result["box_violations"]) \
             == (0, False, 0)
@@ -319,7 +329,8 @@ class TestCli:
         cfg = harness.parse_config(text)
         params = harness.run_params(cfg, harness.build_spec(cfg))
         assert doc == {key: getattr(params, key) for key in doc}
-        assert set(doc) == {"d_radius", "eta", "t_len", "k_eps", "m_total", "delta_tr"}
+        assert set(doc) == {"d_radius", "eta", "t_len", "k_eps", "m_total", "delta_tr",
+                            "p_fail"}
 
     def test_unknown_subcommand_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -329,6 +340,17 @@ class TestCli:
 
     def test_no_subcommand_is_usage_error(self):
         assert cli_main([]) == 1
+
+    def test_verify_reports_every_check(self, capsys):
+        assert cli_main(["verify"]) == 0
+        n = len(verify.run_all("quick"))
+        assert capsys.readouterr().out.splitlines()[-1] == f"{n}/{n} checks passed"
+
+    def test_bad_config_key_exits_1(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.txt"
+        cfg_path.write_text(CONFIG + "bogus=1\n")
+        assert cli_main(["run", str(cfg_path)]) == 1
+        assert "error: unknown config keys: ['bogus']" in capsys.readouterr().err
 
     @pytest.mark.parametrize("problem,dim", [("coupled_trig", 6), ("rosenbrock_local", 4)])
     def test_run_report_serializes_for_every_family(self, problem, dim, tmp_path, capsys):
