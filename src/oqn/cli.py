@@ -58,8 +58,12 @@ def _cmd_bench(args) -> int:
 
 def _cmd_dump_params(args) -> int:
     cfg = harness.load_config(args.config)
-    params = harness.run_params(cfg, harness.build_spec(cfg))
-    print(json.dumps(harness.params_document(params), indent=2, sort_keys=True))
+    spec = harness.build_spec(cfg)
+    if cfg.method == "gd_baseline":  # no HyperParams: plain steps of one size
+        doc = {"step_size": harness.gd_step_size(spec, cfg.step_size), "steps": cfg.budget}
+    else:
+        doc = harness.params_document(harness.run_params(cfg, spec))
+    print(json.dumps(doc, indent=2, sort_keys=True))
     return 0
 
 

@@ -267,18 +267,24 @@ def step(state: OqnState, spec: ObjectiveSpec, params: HyperParams, rng: RngStre
         state.totals["box_violations"] += 1
 
     if method == "oqn":
-        # A = B/2 + I/eta as a matrix-free view over the learner's operator;
-        # |B|_op <= |B|_F makes 1/eta - |B|_F/2 a lower bound on lambda_min(A)
+        # A = B/2 + I/eta as a matrix-free view over the learner's operator.
+        # The learner keeps |B|_op <= 2 L1, so m = min(2 L1, |B|_F) >= |B|_op:
+        # lambda_max(A) <= 1/eta + m/2, spread(A) = spread(B)/2 <= m and
+        # lambda_min(A) >= 1/eta - |B|_F/2, all free of matvecs
         b_op = state.b_state.b_op
+        b_fro = state.b_state.b_fro
         a_op = ShiftedOperator(b_op, -1.0 / eta, scale=0.5)
         b_delta = b_op.apply(delta_n)
-        b_vec = gz + g_n - state.hint - 0.5 * b_delta - delta_n / eta
+        b_vec = gz + r - 0.5 * b_delta - delta_n / eta
+        m = min(2.0 * spec.l1, b_fro)
         problem = TrustRegionSubproblem(
             a_op=a_op, b=b_vec, radius=d_rad, delta=params.delta_tr,
             q=params.q_per_call,
-            b_bound=max(2.0 * spec.l1, spec.l1 + 1.0 / eta),
-            lam_min_lower=1.0 / eta - 0.5 * state.b_state.b_fro,
+            b_bound=max(m, 1.0 / eta + 0.5 * m),
+            lam_min_lower=1.0 / eta - 0.5 * b_fro,
             x_start=delta_n,
+            # A delta_n from B delta_n, as a_op.apply evaluates it: same bits
+            a_start=0.5 * b_delta - a_op.shift * delta_n,
         )
         sol = tr_solve(problem, rng)
         delta_next = sol.delta_vec
@@ -289,13 +295,17 @@ def step(state: OqnState, spec: ObjectiveSpec, params: HyperParams, rng: RngStre
         tr["early_exits"] += int(sol.early_exit)
         branch = sol.branch.value
         tr["branches"][branch] = tr["branches"].get(branch, 0) + 1
-        # reuses the B delta_n product: one extra matvec for B delta_{n+1}
-        b_delta_next = b_op.apply(delta_next)
+        # B delta_{n+1} costs a matvec unless the solve certified delta_n
+        if np.array_equal(delta_next, delta_n):
+            b_delta_next = b_delta
+        else:
+            b_delta_next = b_op.apply(delta_next)
         hint_next = gz + 0.5 * (b_delta_next - b_delta)
         if log is not None:
             if full:
                 log.events.append({
                     "kind": "tr_solve", "n": n, "branch": branch,
+                    "b_bound": problem.b_bound,
                     "lambda_hat": sol.lambda_hat, "n_accel": sol.n_accel,
                     "matvecs": sol.matvecs_used, "residual": sol.residual,
                     "retried": sol.retried, "early_exit": sol.early_exit,

@@ -151,12 +151,18 @@ class GdReport:
     gradients: int
 
 
-def baseline_gd(spec: ObjectiveSpec, steps: int, step_size: Optional[float] = None) -> GdReport:
-    """Plain gradient descent with step 1/L1: the standard comparator."""
+def gd_step_size(spec: ObjectiveSpec, step_size: Optional[float] = None) -> float:
+    """The step ``baseline_gd`` takes: ``step_size``, else 1/L1."""
     if step_size is None:
         step_size = 1.0 / spec.l1
     if step_size <= 0:
         raise ValueError("step_size must be positive")
+    return step_size
+
+
+def baseline_gd(spec: ObjectiveSpec, steps: int, step_size: Optional[float] = None) -> GdReport:
+    """Plain gradient descent with step 1/L1: the standard comparator."""
+    step_size = gd_step_size(spec, step_size)
     counter = Counter()
     x = spec.x0.copy()
     norms = []

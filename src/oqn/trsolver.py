@@ -14,16 +14,21 @@ warm-started FISTA probe with adaptive restart runs from the caller's
 it at the momentum point by linearity, so it reads the exact inner residual
 of every iterate for free, and it stops once that residual is at most
 ``EARLY_EXIT_RTOL * min(accuracy, |b|)``; the solve then reports
-``early_exit``.  Only when it does not certify within the fixed budget N does
-the solve run the fixed-budget two-phase method from the origin (a FISTA
-burn-in that shrinks the objective gap, then a gradient-norm phase that
-converts the gap into a small residual), the worst-case path whose theory
-bounds the cost: (N + 1) + 2N + 1 matvecs per attempt after the eigenpair
-probe.  The regularized branch then takes an interior answer to the sphere
-along the estimated eigenvector.
+``early_exit``.  The probe's step is 1 / ``b_bound`` and its restarted
+linear rate depends on ``b_bound`` / lambda_min, so a tight caller bound is
+what lets it certify in few iterations.  On the convex branch a caller that
+already holds A ``x_start`` passes it as ``a_start``, and the probe starts
+without a matvec.  Only when the probe does not certify within the fixed
+budget N does the solve run the fixed-budget two-phase method from the
+origin (a FISTA burn-in that shrinks the objective gap, then a
+gradient-norm phase that converts the gap into a small residual), the
+worst-case path whose theory bounds the cost: (N + 1) + 2N + 1 matvecs per
+attempt after the eigenpair probe.  The regularized branch then takes an
+interior answer to the sphere along the estimated eigenvector.
 
 The certificate is the residual of the original problem.  On a convex probe
-exit it is the probe's own residual (k + 1 matvecs in all); on every other
+exit it is the probe's own residual (k + 1 matvecs in all, k with
+``a_start``, so a solve certified at its start costs none); on every other
 path, a regularized probe exit included, since that probe read the shifted
 residual, ``residual_of`` applies A once more, and that matvec is counted
 too.
@@ -65,7 +70,12 @@ class TrustRegionSubproblem:
     eigenvalue of A, likewise on the caller's word; a nonnegative value
     certifies A PSD and skips the minimum-eigenpair probe.  ``x_start`` is
     where the early-exit probe starts on either branch (default: the
-    origin); it is projected onto the ball, at no matvec cost.
+    origin); it is projected onto the ball, at no matvec cost.  ``a_start``,
+    optional, is A ``x_start`` as the caller already holds it; the convex
+    probe uses it in place of its first matvec when the projection leaves
+    ``x_start`` unchanged, so it must carry the bits ``a_op.apply`` would
+    return.  The driver passes data-dependent bounds from |B|_F (see
+    ``driver.step``), not the worst case from L1.
     """
 
     a_op: object
@@ -76,6 +86,7 @@ class TrustRegionSubproblem:
     b_bound: float
     lam_min_lower: float = -math.inf
     x_start: Optional[NDArray] = None
+    a_start: Optional[NDArray] = None
 
     def __post_init__(self):
         self.b = np.asarray(self.b, dtype=float)
@@ -164,12 +175,15 @@ def fista(a_psd, b: NDArray, d_radius: float, lg: float, n_iters: int, x_start: 
 
 
 def fista_probe(a_psd, b: NDArray, d_radius: float, lg: float, n_iters: int,
-                x_start: NDArray, tol: float) -> tuple[Optional[NDArray], int]:
+                x_start: NDArray, tol: float, a_start: Optional[NDArray] = None
+                ) -> tuple[Optional[NDArray], int, Optional[float]]:
     """Projected FISTA with gradient restart that stops at the first
     iterate with residual <= tol.
 
     Applies A once to the start and once to each new iterate (at most
-    ``n_iters + 1`` matvecs); A at the momentum point follows by linearity,
+    ``n_iters + 1`` matvecs); a given ``a_start`` = A ``x_start`` replaces
+    the first one when ``x_start`` lies in the ball, since the start is then
+    ``x_start`` itself.  A at the momentum point follows by linearity,
     so the residual of every iterate is read without an extra matvec.  Its
     value is the one ``residual_of`` computes at that point.  The momentum
     restarts whenever the projected gradient step points against the last
@@ -180,8 +194,9 @@ def fista_probe(a_psd, b: NDArray, d_radius: float, lg: float, n_iters: int,
     Returns ``(x, k, residual)`` for the certified iterate after k steps, or
     ``(None, n_iters, None)`` when none certified.
     """
-    x = project_ball(np.asarray(x_start, dtype=float), d_radius)
-    ax = a_psd.apply(x)
+    x_start = np.asarray(x_start, dtype=float)
+    x = project_ball(x_start, d_radius)
+    ax = a_start if a_start is not None and x is x_start else a_psd.apply(x)
     res = _cone_residual(ax + b, x, math.sqrt(x @ x), d_radius)
     if res <= tol:
         return x, 0, res
@@ -259,9 +274,10 @@ def tr_solve(p: TrustRegionSubproblem, rng: RngStream) -> TRSolution:
     fixes its operator, step bound and inner accuracy: A, max(b_bound, delta)
     and delta when convex; A - lambda_hat I, max(b_bound - lambda_hat, delta)
     and delta / 2 when regularized.  The inner problem's answer is the
-    ``fista_probe`` one from ``p.x_start`` when the probe certifies
-    (``early_exit``), else the fixed-budget ``fista_plus_sfg`` one; the
-    regularized branch then takes it to the sphere when it is interior.  The
+    ``fista_probe`` one from ``p.x_start`` (with ``p.a_start`` on the convex
+    branch) when the probe certifies (``early_exit``), else the fixed-budget
+    ``fista_plus_sfg`` one; the regularized branch then takes it to the
+    sphere when it is interior.  The
     certified residual on the original problem is asserted at the end of
     every solve: a convex probe exit reports the residual the probe read at
     its answer, every other path (the probe read the shifted residual on a
@@ -289,7 +305,8 @@ def tr_solve(p: TrustRegionSubproblem, rng: RngStream) -> TRSolution:
             lg, acc = max(p.b_bound - lambda_hat, p.delta), 0.5 * p.delta
         n_accel = accel_budget(lg, p.radius, acc) * factor
         cand, k, res = fista_probe(op, p.b, p.radius, lg, n_accel, p.x_start,
-                                   EARLY_EXIT_RTOL * min(acc, b_norm))
+                                   EARLY_EXIT_RTOL * min(acc, b_norm),
+                                   p.a_start if convex else None)
         early_exit = cand is not None
         if early_exit:
             n_accel = k

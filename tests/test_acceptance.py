@@ -168,11 +168,11 @@ def test_criterion_7_counting_audits(criterion_runs):
         assert report.totals["gradients"] == expected
         d = spec.dim
         q = params.p_fail / (2.0 * params.m_total)
-        b_bound = max(2.0 * spec.l1, spec.l1 + 1.0 / params.eta)
         d_rad, delta = params.d_radius, params.delta_tr
         sep_budget = math.ceil(0.5 * math.log(11.0 * d / q**2) + 0.5)
         for ev in report.log.events:
             if ev["kind"] == "tr_solve":
+                b_bound = ev["b_bound"]  # the bound this solve was sized with
                 lam = min(0.0, ev["lambda_hat"])
                 lg = b_bound - lam
                 budget = 4.0 * (

@@ -357,6 +357,29 @@ class TestEarlyExit:
         exits = sum(ev["early_exit"] for ev in solves)
         assert 0 < exits == fast.totals["tr"]["early_exits"]
 
+    def test_start_product_changes_no_bit(self, monkeypatch):
+        # the driver's a_start replaces the probe's first matvec with the
+        # bits that matvec returns: dropping it moves only matvec counts
+        spec = catalog("coupled_trig", 16)
+        params = compute_hyperparams(spec, 480)
+        reused = driver.run(spec, params, RngStream(0), audit_level="full")
+        real_solve = driver.tr_solve
+        monkeypatch.setattr(driver, "tr_solve", lambda p, rng: real_solve(
+            dataclasses.replace(p, a_start=None), rng))
+        plain = driver.run(spec, params, RngStream(0), audit_level="full")
+
+        def bits(report):
+            episodes = [(ep.k, ep.w_bar.tobytes(), ep.grad_norm_at_wbar, ep.episode_regret,
+                         ep.sum_g_norm, ep.sum_loss, ep.cum_gradients)
+                        for ep in report.episodes]
+            log = report.log
+            return (report.grad_norm_final, report.w_hat.tobytes(), report.audits, episodes,
+                    log.g_dot_delta, log.f_values, log.pair_losses, log.fp_gaps)
+
+        assert bits(reused) == bits(plain)
+        saved = plain.totals["matvecs"] - reused.totals["matvecs"]
+        assert 0 < saved <= params.m_total
+
 
 def perturbed(name, dim, seed=1, scale=0.3):
     """A catalog problem started off its diagonal: x0 + scale * N(0, I)."""
@@ -371,6 +394,71 @@ def fingerprint(report):
                       for v in dataclasses.astuple(ep)) for ep in report.episodes]
     return (report.grad_norm_final, report.w_hat.tobytes(), report.totals,
             report.audits, episodes)
+
+
+def recipe(name, dim, budget, eta_factor):
+    """Auto parameters with eta scaled by ``eta_factor``; the eta x200 recipe
+    starts off the diagonal, where it reaches the regularized branches."""
+    spec = perturbed(name, dim) if eta_factor > 1.0 else catalog(name, dim)
+    auto = compute_hyperparams(spec, budget)
+    return spec, dataclasses.replace(auto, eta=eta_factor * auto.eta)
+
+
+RECIPES = [("coupled_trig", 16, 480, 1.0), ("cosine_mixture", 8, 240, 200.0)]
+
+
+class TestStepBound:
+    """The driver sizes each solve from |B|_F: b_bound bounds lambda_max(A)
+    and the spread of A = B/2 + I/eta, lam_min_lower bounds lambda_min(A),
+    and b_bound never exceeds the worst case max(2 L1, L1 + 1/eta).  Around
+    the solve it applies B to delta_n, and to delta_{n+1} only if it moved."""
+
+    @pytest.mark.parametrize("name,dim,budget,eta_factor", RECIPES)
+    def test_bounds_certify_every_subproblem(self, monkeypatch, name, dim, budget,
+                                             eta_factor):
+        spec, params = recipe(name, dim, budget, eta_factor)
+        real_solve = driver.tr_solve
+        seen = []
+
+        def spying_solve(p, rng):
+            evals = np.linalg.eigvalsh(p.a_op.dense())
+            seen.append((p.b_bound, p.lam_min_lower, evals[0], evals[-1]))
+            return real_solve(p, rng)
+
+        monkeypatch.setattr(driver, "tr_solve", spying_solve)
+        report = driver.run(spec, params, RngStream(0), audit_level="full")
+        worst = max(2.0 * spec.l1, spec.l1 + 1.0 / params.eta)
+        assert len(seen) == params.m_total
+        for b_bound, lam_lower, lam_min, lam_max in seen:
+            rounding = 1e-12 * (abs(lam_min) + abs(lam_max))  # eigvalsh's
+            assert b_bound >= lam_max - rounding
+            assert b_bound >= lam_max - lam_min - rounding
+            assert lam_lower <= lam_min + rounding
+            assert b_bound <= worst
+        assert min(b for b, *_ in seen) < worst
+        events = [ev for ev in report.log.events if ev["kind"] == "tr_solve"]
+        assert [ev["b_bound"] for ev in events] == [b for b, *_ in seen]
+        assert report.audits["all_ok"]
+
+    @pytest.mark.parametrize("name,dim,budget,eta_factor", RECIPES)
+    def test_step_matvecs_are_the_solve_plus_one_or_two(self, name, dim, budget, eta_factor):
+        # the learner adds its separation matvecs, none when certified
+        spec, params = recipe(name, dim, budget, eta_factor)
+        state = driver.init(spec, params)
+        rng = RngStream(0)
+        kept = 0
+        for _ in range(params.m_total):
+            tr = state.totals["tr"]
+            before = (state.matvec_counter.count, tr["matvecs"], tr["sep_matvecs"])
+            delta_n = state.delta_vec
+            driver.step(state, spec, params, rng)
+            moved = not np.array_equal(state.delta_vec, delta_n)
+            spent = state.matvec_counter.count - before[0]
+            assert spent == (tr["matvecs"] - before[1]) + (tr["sep_matvecs"] - before[2]) \
+                + 1 + moved
+            kept += not moved
+        # the auto run certifies some steps where they stand; at eta x200 none
+        assert (kept > 0) == (eta_factor == 1.0)
 
 
 class TestNonconvexBranches:

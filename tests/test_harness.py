@@ -332,6 +332,20 @@ class TestCli:
         assert set(doc) == {"d_radius", "eta", "t_len", "k_eps", "m_total", "delta_tr",
                             "p_fail"}
 
+    @pytest.mark.parametrize("extra,step_size", [("", None), ("step_size=0.05\n", 0.05)])
+    def test_dump_params_prints_the_gd_step(self, extra, step_size, tmp_path, capsys):
+        # gradient descent has no HyperParams: it takes budget steps of one size
+        text = "problem=cosine_mixture\ndim=5\nmethod=gd_baseline\nbudget=50\n" + extra
+        cfg_path = tmp_path / "cfg.txt"
+        cfg_path.write_text(text)
+        assert cli_main(["dump-params", str(cfg_path)]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        spec = catalog("cosine_mixture", 5)
+        assert doc == {"step_size": step_size or 1.0 / spec.l1, "steps": 50}
+        gd = harness.baseline_gd(spec, 1, step_size)
+        np.testing.assert_array_equal(
+            gd.x_final, spec.x0 - doc["step_size"] * spec.grad(spec.x0))
+
     def test_unknown_subcommand_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli_main(["frobnicate"])

@@ -220,6 +220,26 @@ class TestEarlyExit:
             restarted += float(np.max(np.abs(plain - x))) > 1e-9
         assert restarted > 0  # some paths left plain FISTA's
 
+    def test_start_product_saves_the_first_matvec_bit_for_bit(self, np_rng):
+        # a_start = A x_start stands in for the probe's first matvec: the
+        # same (x, k, residual) bits for one counted matvec less.  A start
+        # outside the ball is projected first, so its a_start is ignored.
+        for inside in (True, False) * 5:
+            d = int(np_rng.integers(2, 11))
+            m = random_symmetric(np_rng, d)
+            a = m @ m.T + 0.5 * np.eye(d)
+            b = np_rng.standard_normal(d)
+            lg = float(np.linalg.eigvalsh(a)[-1])
+            u = np_rng.standard_normal(d)
+            start = (0.9 if inside else 2.0) * u / np.linalg.norm(u)
+            a_start = SymOperator(a, Counter()).apply(start)
+            plain_op, reused_op = SymOperator(a, Counter()), SymOperator(a, Counter())
+            x, k, res = fista_probe(plain_op, b, 1.0, lg, 500, start, 1e-10)
+            x2, k2, res2 = fista_probe(reused_op, b, 1.0, lg, 500, start, 1e-10, a_start)
+            assert x is not None
+            assert (x2.tobytes(), k2, res2) == (x.tobytes(), k, res)
+            assert reused_op.counter.count == plain_op.counter.count - inside
+
     def test_restart_certifies_where_plain_fista_declines(self):
         # a PSD-shifted instance (lambda_min = 0.1 before scaling) with a
         # large ball and delta = 1e-4, whose solution is interior: plain
