@@ -166,7 +166,6 @@ class OqnState:
     grad_counter: Counter
     matvec_counter: Counter
     n: int = 0
-    g_cached: Optional[NDArray] = None
     grad_z_prev: Optional[NDArray] = None
     pending_s: Optional[NDArray] = None
     hess_z_prev: Optional[NDArray] = None  # full level: H(z_{n-1}) for the ledger
@@ -229,7 +228,6 @@ def step(state: OqnState, spec: ObjectiveSpec, params: HyperParams, rng: RngStre
 
     w_n = state.x + 0.5 * delta_n
     g_n = eval_gradient(spec, w_n, state.grad_counter)
-    state.g_cached = g_n
 
     # the loss pair of iteration n-1 is complete now; learner closes it with
     # the hint error, which is that pair's residual y - B s
@@ -283,8 +281,7 @@ def step(state: OqnState, spec: ObjectiveSpec, params: HyperParams, rng: RngStre
             b_bound=max(m, 1.0 / eta + 0.5 * m),
             lam_min_lower=1.0 / eta - 0.5 * b_fro,
             x_start=delta_n,
-            # A delta_n from B delta_n, as a_op.apply evaluates it: same bits
-            a_start=0.5 * b_delta - a_op.shift * delta_n,
+            a_start=a_op.from_base(b_delta, delta_n),
         )
         sol = tr_solve(problem, rng)
         delta_next = sol.delta_vec

@@ -34,9 +34,11 @@ operator over W_next is a trusted build (``fro=``): the learner hands over
 the norm it already holds and the exactly symmetric matrix itself, so the
 build costs no copy, symmetry check or norm pass.  When the oracle finds W
 inside the doubled ball, that operator is reused as B, so a round usually
-builds one operator.  Its Frobenius norm gives the driver a free
-operator-norm bound on B.  The tilt S = sign * u u' / L1 of a separated
-round is kept as (u, sign) and made dense only in the round that reads it.
+builds one operator.  A separated round's B = W / gamma is exactly symmetric
+as W is, and is built on trust too, from its one norm pass.  Its Frobenius
+norm gives the driver a free operator-norm bound on B.  The tilt
+S = sign * u u' / L1 of a separated round is kept as (u, sign) and made
+dense only in the round that reads it.
 """
 
 from __future__ import annotations
@@ -144,7 +146,8 @@ def learner_step(state: LearnerState, r: NDArray, s: NDArray,
     if sep_res.case is SepCase.INSIDE_DOUBLED:
         b_next = w_op
     else:
-        b_next = SymOperator(w_next / sep_res.gamma, state.counter)
+        b_mat = w_next / sep_res.gamma
+        b_next = SymOperator(b_mat, state.counter, fro=float(np.linalg.norm(b_mat)))
     next_state = LearnerState(
         w_mat=w_next, b_op=b_next, gamma=sep_res.gamma, u=sep_res.u,
         sign=sep_res.sign, rho=state.rho, l1=state.l1, dim=state.dim,

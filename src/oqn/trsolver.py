@@ -74,8 +74,9 @@ class TrustRegionSubproblem:
     optional, is A ``x_start`` as the caller already holds it; the convex
     probe uses it in place of its first matvec when the projection leaves
     ``x_start`` unchanged, so it must carry the bits ``a_op.apply`` would
-    return.  The driver passes data-dependent bounds from |B|_F (see
-    ``driver.step``), not the worst case from L1.
+    return (``ShiftedOperator.from_base`` gives them from a base product).
+    The driver passes data-dependent bounds from |B|_F (see ``driver.step``),
+    not the worst case from L1.
     """
 
     a_op: object

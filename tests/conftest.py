@@ -2,12 +2,6 @@ import numpy as np
 import pytest
 
 
-def random_symmetric(rng, d, scale=1.0):
-    """Symmetric matrix with lower-triangle entries U(-scale, scale)."""
-    m = rng.uniform(-scale, scale, size=(d, d))
-    return np.tril(m) + np.tril(m, -1).T
-
-
 @pytest.fixture
 def np_rng():
     return np.random.default_rng(1234)

@@ -1,7 +1,9 @@
 """Acceptance criteria, one test per criterion, each printing a PASS line.
 
-Criteria 4-7 share the audited runs from the session fixture (cosine
-mixture, d in {4, 10}, budgets {120, 600}, three seeds).  Run with
+Criteria 1, 2, 3 and 9 run the oracle contract batteries of ``oqn.verify``
+at full scale, the instances ``oqn verify --level full`` runs.  Criteria 4-7
+share the audited runs from the session fixture (cosine mixture, d in
+{4, 10}, budgets {120, 600}, three seeds).  Run with
 ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion lines.
 """
 
@@ -10,109 +12,40 @@ import time
 
 import numpy as np
 
-from oqn import driver, harness
+from oqn import driver, verify
 from oqn.driver import compute_hyperparams
-from oqn.eig import MinEvecCase, SepCase, min_evec, sep
-from oqn.linops import Counter, SymOperator, dense_extreme_eig
-from oqn.problems import CATALOG_NAMES, catalog, fd_check_gradient, fd_check_hessian
+from oqn.problems import catalog
 from oqn.rng import RngStream
-from oqn.trsolver import TrustRegionSubproblem, tr_solve
-
-from conftest import random_symmetric
 
 
 def _report(line):
     print(f"\nACCEPTANCE {line}")
 
 
+def _accept(criterion, battery):
+    """Run one of verify's contract batteries at full scale (the acceptance
+    instances), require every check to pass and print what it measured."""
+    t0 = time.perf_counter()
+    checks = battery(verify.SCALES["full"])
+    failed = [c.name for c in checks if not c.passed]
+    assert not failed, failed
+    detail = " ".join(f"{c.name}({c.detail})" if c.detail else c.name for c in checks)
+    _report(f"criterion {criterion}: PASS {detail} [{time.perf_counter() - t0:.1f}s]")
+
+
 def test_criterion_1_trsolver_contract():
     """Definition-level trust-region contract on 500 seeded instances."""
-    t0 = time.perf_counter()
-    rng = np.random.default_rng(1001)
-    radii = [0.1, 1.0, 10.0]
-    deltas = [1e-2, 1e-4]
-    worst_resid_ratio = 0.0
-    worst_excess = -math.inf
-    for t in range(500):
-        d = int(rng.integers(2, 21))
-        a = random_symmetric(rng, d)
-        b = rng.standard_normal(d)
-        b *= rng.uniform(0.0, 5.0) / max(np.linalg.norm(b), 1e-12)
-        d_rad = radii[t % 3]
-        delta = deltas[(t // 3) % 2]
-        op = SymOperator(a, Counter())
-        problem = TrustRegionSubproblem(
-            a_op=op, b=b, radius=d_rad, delta=delta, q=0.01,
-            b_bound=2.0 * op.frobenius_norm() + 1e-9)
-        sol = tr_solve(problem, RngStream(660_000 + t))
-        assert np.linalg.norm(sol.delta_vec) <= d_rad + 1e-12
-        assert sol.residual <= delta
-        worst_resid_ratio = max(worst_resid_ratio, sol.residual / delta)
-        exact = harness.brute_tr(a, b, d_rad)
-        excess = (harness.tr_objective(a, b, sol.delta_vec)
-                  - harness.tr_objective(a, b, exact) - delta * d_rad)
-        worst_excess = max(worst_excess, excess)
-        assert excess <= 1e-9
-    _report(f"criterion 1 (trsolver contract, 500 instances): PASS "
-            f"worst residual/delta={worst_resid_ratio:.3f} "
-            f"worst objective excess={worst_excess:.2e} "
-            f"[{time.perf_counter() - t0:.1f}s <= 60s]")
+    _accept("1 (trsolver contract, 500 instances)", verify.check_trsolver)
 
 
 def test_criterion_2_minevec_sandwich():
     """Eigenvalue sandwich at q=0.05 plus the unconditional residual."""
-    t0 = time.perf_counter()
-    rng = np.random.default_rng(2002)
-    hits = 0
-    n_caseb = 0
-    for t in range(1000):
-        d = int(rng.integers(2, 41))
-        a = random_symmetric(rng, d, scale=float(rng.uniform(0.3, 3.0)))
-        op = SymOperator(a, Counter())
-        lam_min, lam_max, _, _ = dense_extreme_eig(op)
-        spread = max(lam_max - lam_min, 1e-9)
-        delta = float(rng.uniform(0.02, 0.6)) * spread
-        res = min_evec(op, delta, 0.05, spread, RngStream(7_700_000 + t))
-        if res.lambda_hat <= lam_min <= res.lambda_hat + delta:
-            hits += 1
-        if res.case is MinEvecCase.NEGATIVE_EIG:
-            n_caseb += 1
-            resid = np.linalg.norm(a @ res.v_hat - res.lambda_hat * res.v_hat)
-            assert resid <= delta, f"trial {t}: certificate residual {resid} > {delta}"
-    frac = hits / 1000.0
-    assert frac >= 0.95
-    _report(f"criterion 2 (minevec sandwich): PASS fraction={frac:.4f} "
-            f"caseb={n_caseb}/1000 with certificate residual 100% "
-            f"[{time.perf_counter() - t0:.1f}s <= 30s]")
+    _accept("2 (minevec sandwich, 1000 trials)", verify.check_minevec)
 
 
 def test_criterion_3_sep_contract():
     """Separation-oracle scaling at q=0.05 plus the exact separation check."""
-    t0 = time.perf_counter()
-    rng = np.random.default_rng(3003)
-    hits = 0
-    n_case2 = 0
-    for t in range(1000):
-        d = int(rng.integers(2, 41))
-        l1 = float(rng.uniform(0.4, 2.5))
-        w = random_symmetric(rng, d, scale=float(rng.uniform(0.2, 4.0)))
-        op = SymOperator(w, Counter())
-        res = sep(op, l1, 0.05, RngStream(8_800_000 + t))
-        w_norm = np.linalg.norm(w, ord=2)
-        if res.case is SepCase.INSIDE_DOUBLED:
-            hits += int(w_norm <= 2.0 * l1)
-        else:
-            n_case2 += 1
-            hits += int(w_norm / res.gamma <= 2.0 * l1)
-            nuclear = float(np.sum(np.abs(np.linalg.eigvalsh(res.s_mat))))
-            sep_margin = float(np.vdot(res.s_mat, w)) - l1 * nuclear
-            assert sep_margin >= res.gamma - 1.0 - 1e-9
-            assert np.linalg.norm(res.s_mat) <= 1.0 / l1 + 1e-10
-    frac = hits / 1000.0
-    assert frac >= 0.95
-    _report(f"criterion 3 (sep contract): PASS fraction={frac:.4f} "
-            f"case2={n_case2}/1000 with exact separation 100% "
-            f"[{time.perf_counter() - t0:.1f}s <= 30s]")
+    _accept("3 (sep contract, 1000 trials)", verify.check_sep)
 
 
 def test_criterion_4_regret_inequality(criterion_runs):
@@ -215,19 +148,6 @@ def test_criterion_8_convergence_trend():
 
 
 def test_criterion_9_oracle_self_consistency():
-    """Finite-difference cross-checks at 100 random points per problem."""
-    rng = np.random.default_rng(9009)
-    worst = {}
-    for name in CATALOG_NAMES:
-        spec = catalog(name, 6, seed=11)
-        lo, hi = (-spec.box, spec.box) if spec.box else (-3.0, 3.0)
-        wg = wh = 0.0
-        for _ in range(100):
-            x = rng.uniform(lo, hi, size=6)
-            wg = max(wg, fd_check_gradient(spec, x, 1e-5))
-            wh = max(wh, fd_check_hessian(spec, x, 1e-4))
-        assert wg <= 1e-6, (name, wg)
-        assert wh <= 1e-4, (name, wh)
-        worst[name] = (wg, wh)
-    detail = " ".join(f"{k}:{g:.1e}/{h:.1e}" for k, (g, h) in worst.items())
-    _report(f"criterion 9 (oracle self-consistency): PASS {detail}")
+    """Finite-difference cross-checks at 100 random points per problem, and
+    the catalog's Lipschitz constants."""
+    _accept("9 (oracle self-consistency)", verify.check_problems)

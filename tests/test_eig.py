@@ -14,8 +14,7 @@ from oqn.eig import (
 from oqn.errors import InvalidDelta, InvalidProbability, NonUnitStart
 from oqn.linops import Counter, ShiftedOperator, SymOperator, dense_extreme_eig
 from oqn.rng import RngStream
-
-from conftest import random_symmetric
+from oqn.verify import random_symmetric
 
 
 def unit(v):

@@ -1,3 +1,6 @@
+import contextlib
+import dataclasses
+import io
 import json
 import warnings
 
@@ -7,10 +10,10 @@ import pytest
 from oqn import harness, verify
 from oqn.cli import main as cli_main
 from oqn.driver import compute_hyperparams
+from oqn.eig import SepCase, SepResult
 from oqn.errors import DimTooLarge, UnknownLevel
 from oqn.problems import catalog, quadratic_from_matrix
-
-from conftest import random_symmetric
+from oqn.verify import random_symmetric
 
 CONFIG = """
 # sample experiment
@@ -203,16 +206,56 @@ class TestBruteTr:
             harness.brute_tr(np.eye(25), np.zeros(25), 1.0)
 
 
+@pytest.fixture(scope="module")
+def quick_verify():
+    """Exit code and output lines of one ``oqn verify`` (level quick)."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli_main(["verify"])
+    return code, out.getvalue().splitlines()
+
+
 class TestVerifySuite:
     def test_unknown_level(self):
         with pytest.raises(UnknownLevel):
             verify.run_all("bogus")
 
-    def test_quick_level_all_pass(self):
-        checks = verify.run_all("quick")
-        failed = [c.name for c in checks if not c.passed]
-        assert not failed, failed
-        assert len(checks) >= 25
+    def test_quick_level_all_pass(self, quick_verify):
+        code, lines = quick_verify
+        failed = [line for line in lines[:-1] if not line.startswith("[PASS]")]
+        assert code == 0 and not failed, failed
+        assert len(lines) - 1 >= 25
+
+
+def _inside(res, op, l1, *args):
+    return SepResult(gamma=0.0, u=np.zeros(op.dim), sign=0.0, l1=l1,
+                     case=SepCase.INSIDE_DOUBLED, matvecs_used=0)
+
+
+def _skewed(spec, name, *args):
+    grad = spec.grad
+    return (dataclasses.replace(spec, grad=lambda x: 1.01 * grad(x))
+            if name == "coupled_trig" else spec)
+
+
+@pytest.mark.parametrize("oracle,corrupt,battery,check", [
+    ("tr_solve", lambda sol, *args: dataclasses.replace(sol, delta_vec=0.5 * sol.delta_vec),
+     verify.check_trsolver, "trsolver.quality_vs_exact"),
+    ("min_evec", lambda res, op, delta, *args: dataclasses.replace(
+        res, lambda_hat=res.lambda_hat - 2.0 * delta),
+     verify.check_minevec, "eig.minevec.sandwich"),
+    ("sep", _inside, verify.check_sep, "eig.sep.scaling"),
+    ("catalog", _skewed, verify.check_problems, "problems.fd.coupled_trig"),
+], ids=["off_optimum", "low_eigenvalue", "always_inside", "scaled_gradient"])
+def test_contract_battery_fails_on_a_broken_oracle(monkeypatch, oracle, corrupt,
+                                                   battery, check):
+    """A shared battery must not turn vacuous: break its oracle in verify's
+    namespace and the matching check reports FAIL."""
+    real = getattr(verify, oracle)
+    monkeypatch.setattr(verify, oracle,
+                        lambda *args, **kw: corrupt(real(*args, **kw), *args))
+    failed = [c.name for c in battery(verify.SCALES["quick"]) if not c.passed]
+    assert check in failed
 
 
 GD_GRID = "problem=cosine_mixture\ndim=4\nbudgets=40,80\nseeds=0\nmethods=oqn,gd_baseline\n"
@@ -355,10 +398,11 @@ class TestCli:
     def test_no_subcommand_is_usage_error(self):
         assert cli_main([]) == 1
 
-    def test_verify_reports_every_check(self, capsys):
-        assert cli_main(["verify"]) == 0
-        n = len(verify.run_all("quick"))
-        assert capsys.readouterr().out.splitlines()[-1] == f"{n}/{n} checks passed"
+    def test_verify_reports_every_check(self, quick_verify):
+        code, lines = quick_verify
+        n = sum(line.startswith(("[PASS]", "[FAIL]")) for line in lines)
+        assert code == 0
+        assert lines[-1] == f"{n}/{n} checks passed"
 
     def test_bad_config_key_exits_1(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.txt"

@@ -13,8 +13,7 @@ from oqn.hessian_learner import LearnerState, default_rho, learner_step
 from oqn.linops import Counter, SymOperator
 from oqn.problems import catalog
 from oqn.rng import RngStream
-
-from conftest import random_symmetric
+from oqn.verify import random_symmetric
 
 
 def e(i, d):

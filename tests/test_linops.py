@@ -10,8 +10,7 @@ from oqn.linops import (
     SymOperator,
     dense_extreme_eig,
 )
-
-from conftest import random_symmetric
+from oqn.verify import random_symmetric
 
 
 def jacobi_eigenvalues(a, sweeps=100, tol=1e-14):

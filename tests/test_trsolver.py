@@ -23,8 +23,7 @@ from oqn.trsolver import (
     sfg,
     tr_solve,
 )
-
-from conftest import random_symmetric
+from oqn.verify import random_symmetric
 
 
 def make_problem(a, b, radius, delta, q=0.01, counter=None):
