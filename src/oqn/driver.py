@@ -16,6 +16,13 @@ once per step: the hint predicted the pair's y with B s, so r = y - B s is
 also the pair's logged loss.  The resulting tally is exactly one evaluation
 at init, two per iteration, and one per episode close: 2M + K + 1 total,
 with M - 1 realized loss pairs.
+
+Matvec schedule: a step applies the trust-region matrix A = B/2 + I/eta once,
+at the previous displacement.  That product feeds the linear term, the
+solve's start product and the hint's B-correction; the solve hands back its
+product at the new displacement, which gives the rest of that correction and
+the fixed-point audit.  A step therefore costs the solve's matvecs plus one,
+besides the learner's separation call, which is free when certified.
 """
 
 from __future__ import annotations
@@ -269,11 +276,10 @@ def step(state: OqnState, spec: ObjectiveSpec, params: HyperParams, rng: RngStre
         # The learner keeps |B|_op <= 2 L1, so m = min(2 L1, |B|_F) >= |B|_op:
         # lambda_max(A) <= 1/eta + m/2, spread(A) = spread(B)/2 <= m and
         # lambda_min(A) >= 1/eta - |B|_F/2, all free of matvecs
-        b_op = state.b_state.b_op
         b_fro = state.b_state.b_fro
-        a_op = ShiftedOperator(b_op, -1.0 / eta, scale=0.5)
-        b_delta = b_op.apply(delta_n)
-        b_vec = gz + r - 0.5 * b_delta - delta_n / eta
+        a_op = ShiftedOperator(state.b_state.b_op, -1.0 / eta, scale=0.5)
+        a_delta = a_op.apply(delta_n)
+        b_vec = gz + r - a_delta
         m = min(2.0 * spec.l1, b_fro)
         problem = TrustRegionSubproblem(
             a_op=a_op, b=b_vec, radius=d_rad, delta=params.delta_tr,
@@ -281,7 +287,7 @@ def step(state: OqnState, spec: ObjectiveSpec, params: HyperParams, rng: RngStre
             b_bound=max(m, 1.0 / eta + 0.5 * m),
             lam_min_lower=1.0 / eta - 0.5 * b_fro,
             x_start=delta_n,
-            a_start=a_op.from_base(b_delta, delta_n),
+            a_start=a_delta,
         )
         sol = tr_solve(problem, rng)
         delta_next = sol.delta_vec
@@ -292,12 +298,9 @@ def step(state: OqnState, spec: ObjectiveSpec, params: HyperParams, rng: RngStre
         tr["early_exits"] += int(sol.early_exit)
         branch = sol.branch.value
         tr["branches"][branch] = tr["branches"].get(branch, 0) + 1
-        # B delta_{n+1} costs a matvec unless the solve certified delta_n
-        if np.array_equal(delta_next, delta_n):
-            b_delta_next = b_delta
-        else:
-            b_delta_next = b_op.apply(delta_next)
-        hint_next = gz + 0.5 * (b_delta_next - b_delta)
+        # B/2 (delta_{n+1} - delta_n) from the two products of A, the solve's
+        # at delta_{n+1} and this step's at delta_n: no matvec of its own
+        hint_next = gz + (sol.a_delta - a_delta) - (delta_next - delta_n) / eta
         if log is not None:
             if full:
                 log.events.append({
@@ -308,9 +311,8 @@ def step(state: OqnState, spec: ObjectiveSpec, params: HyperParams, rng: RngStre
                     "retried": sol.retried, "early_exit": sol.early_exit,
                     "rng_state": rng.state(),
                 })
-                a_delta_next = 0.5 * b_delta_next + delta_next / eta
                 fp = np.linalg.norm(delta_next - project_ball(
-                    delta_next - eta * (a_delta_next + b_vec), d_rad))
+                    delta_next - eta * (sol.a_delta + b_vec), d_rad))
                 log.fp_gaps.append(float(fp))
     else:  # og baseline: zero matrix, explicit projected optimistic update
         hint_next = gz
@@ -443,6 +445,20 @@ def audit_regret(report: RunReport, spec: ObjectiveSpec, params: HyperParams,
     an error instead (the decrease and stationarity audits cannot run
     without f).  The dynamic-regret audit only sums and maxes the ledger's
     scalars; ``step`` evaluated the Hessians.
+
+    The conversion slack is the midpoint rule's error.  Along
+    phi(t) = f(x + t delta), phi'' is (L2 |delta|^3)-Lipschitz, and
+    expanding phi' around t = 1/2 gives
+
+        phi(1) - phi(0) - phi'(1/2)
+            = int_0^1 int_{1/2}^t (phi''(s) - phi''(1/2)) ds dt,
+
+    whose inner integral is at most L2 |delta|^3 (t - 1/2)^2 / 2 in absolute
+    value; integrating over t gives L2 |delta|^3 / 24.  So, with |delta| <= D,
+    f(x) - f(x + delta) + <grad f(x + delta/2), delta> >= -L2 D^3 / 24, and a
+    cubic whose phi'' has slope L2 |delta|^3 attains it.  Summed over the M
+    steps and divided by D M, the slack is the L2 D^2 / 24 term of the
+    stationarity bound.
     """
     log = report.log
     if log is None:
@@ -455,9 +471,10 @@ def audit_regret(report: RunReport, spec: ObjectiveSpec, params: HyperParams,
     l2 = spec.l2
     audits: dict = {}
 
-    # conversion inequality, per step: function decrease vs linear loss
+    # conversion inequality, per step: function decrease vs linear loss, with
+    # the midpoint rule's slack L2 D^3 / 24 (derived in the docstring)
     if log.f_values:
-        slack = l2 * d_rad**3 / 48.0
+        slack = l2 * d_rad**3 / 24.0
         worst = math.inf
         worst_norm = math.inf
         for i, gd in enumerate(log.g_dot_delta):
@@ -497,7 +514,7 @@ def audit_regret(report: RunReport, spec: ObjectiveSpec, params: HyperParams,
         gap = log.f_values[0] - spec.f_lower
         lhs = sum(ep.grad_norm_at_wbar for ep in report.episodes) / k_eps
         rhs = (gap / (d_rad * k_eps * t_len) + regret / (d_rad * k_eps * t_len)
-               + l2 * d_rad**2 / 48.0 + 0.5 * l2 * t_len**2 * d_rad**2)
+               + l2 * d_rad**2 / 24.0 + 0.5 * l2 * t_len**2 * d_rad**2)
         audits["stationarity_lhs"] = lhs
         audits["stationarity_rhs"] = rhs
         audits["stationarity_margin"] = rhs - lhs

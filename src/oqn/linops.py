@@ -4,13 +4,14 @@ Every matrix the optimizer touches on its hot path is applied only through
 ``apply`` (one counted matvec per call).  ``SymOperator`` stores one dense
 symmetric matrix; everything else is a matrix-free ``ShiftedOperator`` view
 ``scale * base - shift * I`` over it, whose Frobenius norm and trace follow
-in closed form from the base's; ``from_base`` turns a base product the
-caller already holds into the view's, with the bits ``apply`` gives.  A
-build either symmetrizes and checks its input or, given the norm through
-``fro=``, trusts a caller that already holds an exactly symmetric matrix and
-its norm (the matrix learner): then it costs no d x d pass at all.  Dense
-copies are only built on request, for the brute-force test oracles and
-audits.  Counters are run-scoped objects owned by the caller, never globals.
+in closed form from the base's.  The driver applies only such a view, its
+trust-region matrix B/2 + I/eta: one product at the previous step, and the
+solve's own, which the solve hands back, at the new one.  A build either
+symmetrizes and checks its input or, given the norm through ``fro=``, trusts
+a caller that already holds an exactly symmetric matrix and its norm (the
+matrix learner): then it costs no d x d pass at all.  Dense copies are only
+built on request, for the brute-force test oracles and audits.  Counters are
+run-scoped objects owned by the caller, never globals.
 """
 
 from __future__ import annotations
@@ -114,11 +115,7 @@ class ShiftedOperator:
         return self.base.counter
 
     def apply(self, v: NDArray) -> NDArray:
-        return self.from_base(self.base.apply(v), v)
-
-    def from_base(self, base_v: NDArray, v: NDArray) -> NDArray:
-        """The view's product with ``v`` given the base's, ``base_v``; no matvec."""
-        return self.scale * base_v - self.shift * v
+        return self.scale * self.base.apply(v) - self.shift * v
 
     def dense(self) -> NDArray:
         return self.scale * self.base.dense() - self.shift * np.eye(self.dim)

@@ -26,12 +26,13 @@ worst-case path whose theory bounds the cost: (N + 1) + 2N + 1 matvecs per
 attempt after the eigenpair probe.  The regularized branch then takes an
 interior answer to the sphere along the estimated eigenvector.
 
-The certificate is the residual of the original problem.  On a convex probe
-exit it is the probe's own residual (k + 1 matvecs in all, k with
-``a_start``, so a solve certified at its start costs none); on every other
-path, a regularized probe exit included, since that probe read the shifted
-residual, ``residual_of`` applies A once more, and that matvec is counted
-too.
+The certificate is the residual of the original problem, and the solution
+hands back the product A ``delta_vec`` that certificate read, so a caller
+needs no matvec of its own at the answer.  On a convex probe exit both are
+the probe's own (k + 1 matvecs in all, k with ``a_start``, so a solve
+certified at its start costs none); on every other path, a regularized probe
+exit included, since that probe read the shifted residual, ``residual_of``
+applies A once more, and that matvec is counted too.
 """
 
 from __future__ import annotations
@@ -74,9 +75,10 @@ class TrustRegionSubproblem:
     optional, is A ``x_start`` as the caller already holds it; the convex
     probe uses it in place of its first matvec when the projection leaves
     ``x_start`` unchanged, so it must carry the bits ``a_op.apply`` would
-    return (``ShiftedOperator.from_base`` gives them from a base product).
-    The driver passes data-dependent bounds from |B|_F (see ``driver.step``),
-    not the worst case from L1.
+    return; the solve hands back A at its answer the same way, as
+    ``TRSolution.a_delta``.  The driver passes its product at the previous
+    step as ``a_start``, and data-dependent bounds from |B|_F (see
+    ``driver.step``), not the worst case from L1.
     """
 
     a_op: object
@@ -115,10 +117,13 @@ class TRSolution:
     branch taken; ``n_accel`` then counts its iterations, else it is the fixed
     per-phase budget N.  ``residual`` is the original problem's: the convex
     probe's own on a convex early exit, ``residual_of`` at ``delta_vec``
-    otherwise (regularized branches always)."""
+    otherwise (regularized branches always).  ``a_delta`` is the product
+    A ``delta_vec`` that residual was read from, with the bits
+    ``a_op.apply(delta_vec)`` returns; it costs the caller no matvec."""
 
     delta_vec: NDArray
     residual: float
+    a_delta: NDArray
     matvecs_used: int
     branch: TRBranch
     lambda_hat: float = 0.0
@@ -134,18 +139,22 @@ def project_ball(x: NDArray, radius: float) -> NDArray:
     return x * (radius / n)
 
 
-def residual_of(a_op, b: NDArray, d_radius: float, delta_vec: NDArray) -> float:
+def residual_of(a_op, b: NDArray, d_radius: float, delta_vec: NDArray,
+                with_product: bool = False):
     """Certified normal-cone residual at ``delta_vec``; exactly one matvec.
 
     Interior points (strictly inside the ball, relative tolerance 1e-12) have
     a trivial normal cone; on the boundary the best cone element is the
-    closed-form multiple of ``delta_vec`` itself.
+    closed-form multiple of ``delta_vec`` itself.  With ``with_product`` the
+    result is ``(residual, A delta_vec)``, the product the residual read.
     """
     delta_vec = np.asarray(delta_vec, dtype=float)
     norm = math.sqrt(delta_vec @ delta_vec)
     if norm > d_radius * (1.0 + 1e-9) + 1e-15:
         raise OutsideBall(f"|delta| = {norm!r} exceeds radius {d_radius!r}")
-    return _cone_residual(a_op.apply(delta_vec) + b, delta_vec, norm, d_radius)
+    ax = a_op.apply(delta_vec)
+    res = _cone_residual(ax + b, delta_vec, norm, d_radius)
+    return (res, ax) if with_product else res
 
 
 def _cone_residual(r: NDArray, x: NDArray, norm: float, d_radius: float) -> float:
@@ -177,7 +186,7 @@ def fista(a_psd, b: NDArray, d_radius: float, lg: float, n_iters: int, x_start: 
 
 def fista_probe(a_psd, b: NDArray, d_radius: float, lg: float, n_iters: int,
                 x_start: NDArray, tol: float, a_start: Optional[NDArray] = None
-                ) -> tuple[Optional[NDArray], int, Optional[float]]:
+                ) -> tuple[Optional[NDArray], int, Optional[float], Optional[NDArray]]:
     """Projected FISTA with gradient restart that stops at the first
     iterate with residual <= tol.
 
@@ -192,15 +201,16 @@ def fista_probe(a_psd, b: NDArray, d_radius: float, lg: float, n_iters: int,
     convergence on strongly convex subproblems linear; without it, FISTA's
     oscillations decide whether an instance certifies within N, and the
     solve cost jumps by the whole fallback between similar instances.
-    Returns ``(x, k, residual)`` for the certified iterate after k steps, or
-    ``(None, n_iters, None)`` when none certified.
+    Returns ``(x, k, residual, ax)`` for the certified iterate after k steps,
+    ``ax`` the product of ``a_psd`` with ``x`` that the residual read, or
+    ``(None, n_iters, None, None)`` when none certified.
     """
     x_start = np.asarray(x_start, dtype=float)
     x = project_ball(x_start, d_radius)
     ax = a_start if a_start is not None and x is x_start else a_psd.apply(x)
     res = _cone_residual(ax + b, x, math.sqrt(x @ x), d_radius)
     if res <= tol:
-        return x, 0, res
+        return x, 0, res, ax
     y, ay = x, ax
     t = 1.0
     for k in range(1, n_iters + 1):
@@ -208,7 +218,7 @@ def fista_probe(a_psd, b: NDArray, d_radius: float, lg: float, n_iters: int,
         ax_next = a_psd.apply(x_next)
         res = _cone_residual(ax_next + b, x_next, math.sqrt(x_next @ x_next), d_radius)
         if res <= tol:
-            return x_next, k, res
+            return x_next, k, res, ax_next
         if (y - x_next) @ (x_next - x) > 0.0:
             t = 1.0  # the step opposes the motion: drop the momentum
         t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
@@ -216,7 +226,7 @@ def fista_probe(a_psd, b: NDArray, d_radius: float, lg: float, n_iters: int,
         y = x_next + beta * (x_next - x)
         ay = ax_next + beta * (ax_next - ax)
         x, ax, t = x_next, ax_next, t_next
-    return None, n_iters, None
+    return None, n_iters, None, None
 
 
 def sfg(a_psd, b: NDArray, d_radius: float, lg: float, n_iters: int, x_start: NDArray) -> NDArray:
@@ -280,9 +290,10 @@ def tr_solve(p: TrustRegionSubproblem, rng: RngStream) -> TRSolution:
     ``fista_plus_sfg`` one; the regularized branch then takes it to the
     sphere when it is interior.  The
     certified residual on the original problem is asserted at the end of
-    every solve: a convex probe exit reports the residual the probe read at
-    its answer, every other path (the probe read the shifted residual on a
-    regularized branch) applies A once more through ``residual_of``.
+    every solve: a convex probe exit reports the residual and the product A x
+    the probe read at its answer, every other path (the probe read the
+    shifted residual on a regularized branch) applies A once more through
+    ``residual_of`` and reports that product.
     On failure (the oracles are Monte-Carlo), the solve retries once with
     fresh randomness and doubled iteration budgets before raising.
     """
@@ -305,9 +316,9 @@ def tr_solve(p: TrustRegionSubproblem, rng: RngStream) -> TRSolution:
             op = ShiftedOperator(p.a_op, lambda_hat)
             lg, acc = max(p.b_bound - lambda_hat, p.delta), 0.5 * p.delta
         n_accel = accel_budget(lg, p.radius, acc) * factor
-        cand, k, res = fista_probe(op, p.b, p.radius, lg, n_accel, p.x_start,
-                                   EARLY_EXIT_RTOL * min(acc, b_norm),
-                                   p.a_start if convex else None)
+        cand, k, res, a_cand = fista_probe(op, p.b, p.radius, lg, n_accel, p.x_start,
+                                           EARLY_EXIT_RTOL * min(acc, b_norm),
+                                           p.a_start if convex else None)
         early_exit = cand is not None
         if early_exit:
             n_accel = k
@@ -325,10 +336,11 @@ def tr_solve(p: TrustRegionSubproblem, rng: RngStream) -> TRSolution:
             cand *= p.radius / np.linalg.norm(cand)  # snap exactly onto the sphere
             branch = TRBranch.REGULARIZED_INTERIOR
         if not (convex and early_exit):
-            res = residual_of(p.a_op, p.b, p.radius, cand)
+            res, a_cand = residual_of(p.a_op, p.b, p.radius, cand, with_product=True)
         last = TRSolution(
             delta_vec=cand,
             residual=res,
+            a_delta=a_cand,
             matvecs_used=counter.count - start_count,
             branch=branch,
             lambda_hat=lambda_hat,

@@ -195,7 +195,8 @@ def check_trsolver(cfg):
     worst_ratio = 0.0
     worst_gap = -math.inf
     # regularized solves the probe certified; their residual is the original
-    # problem's, from residual_of, so a fresh operator must reproduce it
+    # problem's, from residual_of, so a fresh operator must reproduce it and
+    # the product A delta_vec it read
     reg_exits = 0
     reg_exit_ok = True
     for t in range(cfg["tr_instances"]):
@@ -222,8 +223,10 @@ def check_trsolver(cfg):
             alpha_ok = alpha_ok and abs(norm - d_rad) <= 1e-10 * d_rad
         if sol.early_exit and sol.branch.value == "regularized_boundary":
             reg_exits += 1
-            reg_exit_ok = reg_exit_ok and sol.residual == residual_of(
-                SymOperator(a, Counter()), b, d_rad, sol.delta_vec)
+            fresh = SymOperator(a, Counter())
+            reg_exit_ok = (reg_exit_ok
+                           and sol.residual == residual_of(fresh, b, d_rad, sol.delta_vec)
+                           and np.array_equal(sol.a_delta, fresh.apply(sol.delta_vec)))
     return [
         CheckResult("trsolver.soundness", sound_ok,
                     f"worst_residual/delta={worst_ratio:.3f}"),
@@ -277,9 +280,17 @@ def check_early_exit(cfg):
 def check_learner(cfg):
     rng = np.random.default_rng(SEED)
     out = []
+    # the round gradient as learner_step applies it: W_next = W - rho * grad
+    # on a round whose W is inside the doubled ball and whose step stays in
+    # the Frobenius ball (a projected round lands on its sphere), so
+    # grad = (W - W_next) / rho, up to the rounding of that difference
     nuc_ok = True
     worst = -math.inf
     d_rad = 1.0
+    l1 = 10.0
+    rho = default_rho(d_rad)
+    stream = RngStream(SEED + 16)
+    inside_rounds = 0
     for _ in range(cfg["learner_samples"]):
         d = int(rng.integers(2, 11))
         b = random_symmetric(rng, d)
@@ -287,13 +298,21 @@ def check_learner(cfg):
         s *= rng.uniform(0, d_rad) / max(np.linalg.norm(s), 1e-12)
         y = rng.standard_normal(d)
         r = y - b @ s
-        grad = -np.outer(r, s) - np.outer(s, r)
+        state = LearnerState(
+            w_mat=b, b_op=SymOperator(b, Counter()), gamma=0.0, u=np.zeros(d),
+            sign=0.0, rho=rho, l1=l1, dim=d, q_per_call=0.01, counter=Counter())
+        w_next = learner_step(state, r, s, stream)[0].w_mat
+        if np.linalg.norm(w_next) >= math.sqrt(d) * l1 * (1.0 - 1e-12):
+            continue
+        inside_rounds += 1
+        grad = (b - w_next) / rho
         nuc = float(np.sum(np.linalg.svd(grad, compute_uv=False)))
         bound = 2.0 * d_rad * math.sqrt(float(r @ r))
         worst = max(worst, nuc - bound)
         nuc_ok = nuc_ok and nuc <= bound + 1e-9
     out.append(CheckResult(
-        "learner.nuclear_bound", nuc_ok, f"worst_excess={worst:.2e}"))
+        "learner.nuclear_bound", nuc_ok and inside_rounds > 0,
+        f"worst_excess={worst:.2e} rounds={inside_rounds}/{cfg['learner_samples']}"))
 
     # the learner builds its operators on trust (exactly symmetric W and
     # B = W / gamma, norm handed over); recheck them against the dense

@@ -8,7 +8,7 @@ from oqn import driver, hessian_learner, trsolver
 from oqn.eig import lanczos_factorize, min_evec, sep, tridiag_eig
 from oqn.driver import HyperParams, compute_hyperparams
 from oqn.errors import NoGapEstimate, StationaryStart, ZeroL2
-from oqn.linops import Counter, SymOperator
+from oqn.linops import Counter, ShiftedOperator, SymOperator
 from oqn.problems import ObjectiveSpec, catalog, quadratic_from_matrix
 from oqn.rng import RngStream
 from oqn.trsolver import TrustRegionSubproblem, tr_solve
@@ -145,17 +145,28 @@ class TestStepHandTrace:
             assert np.linalg.norm(state.delta_vec) <= params.d_radius + 1e-12
 
     def test_hint_consistency_identity(self):
-        # reconstruct h_{n+1} from the pieces the update used; exact match
-        spec = catalog("cosine_mixture", 3)
-        params = manual(0.05, 0.3, 2, 2, delta_tr=1e-4)
+        # h_{n+1} = grad f(z_n) + B/2 (delta_{n+1} - delta_n), formed from the
+        # products of A = B/2 + I/eta at both displacements: rebuilt from a
+        # fresh operator, bit for bit, and equal to the B form up to rounding
+        spec = perturbed("cosine_mixture", 3)
+        params = manual(0.05, 0.3, 2, 3, delta_tr=1e-4)
         state = driver.init(spec, params)
         rng = RngStream(9)
-        for _ in range(3):
-            b_before = state.b_state.b_mat.copy()
+        moved = 0
+        for _ in range(params.m_total):
             delta_before = state.delta_vec.copy()
             driver.step(state, spec, params, rng)
-            rebuilt = state.grad_z_prev + 0.5 * b_before @ (state.delta_vec - delta_before)
+            # the step's learner round played B before the solve
+            b, delta, gz, eta = state.b_state.b_mat, state.delta_vec, state.grad_z_prev, params.eta
+            a_op = ShiftedOperator(SymOperator(b, Counter()), -1.0 / eta, scale=0.5)
+            rebuilt = gz + (a_op.apply(delta) - a_op.apply(delta_before)) \
+                - (delta - delta_before) / eta
             np.testing.assert_array_equal(state.hint, rebuilt)
+            b_form = gz + 0.5 * b @ (delta - delta_before)
+            scale = np.linalg.norm(gz) + params.d_radius / eta
+            np.testing.assert_allclose(state.hint, b_form, rtol=0, atol=1e-14 * scale)
+            moved += not np.array_equal(delta, delta_before) and np.any(b != 0.0)
+        assert moved > 0
 
 
 class TestRun:
@@ -235,6 +246,30 @@ class TestRun:
         assert report.totals["stopped_early"]
         assert report.grad_norm_final <= 0.5
         assert len(report.episodes) < params.k_eps
+
+
+class TestConversionSlack:
+    """The per-step conversion audit allows the midpoint rule's error,
+    L2 D^3 / 24.  On f = x1^3/6 + x1^2 + x2^2/2 (Hessian diag(x1 + 2, 1),
+    exactly 1-Lipschitz) the first step moves x1 by exactly +D, where the
+    error is -D^3/24, so the bound holds with equality."""
+
+    @staticmethod
+    def cubic():
+        return ObjectiveSpec(
+            dim=2, grad=lambda x: np.array([0.5 * x[0] ** 2 + 2.0 * x[0], x[1]]),
+            l1=100.0, l2=1.0, f_lower=-1e3, x0=np.array([-2.0, 0.0]),
+            value=lambda x: x[0] ** 3 / 6.0 + x[0] ** 2 + 0.5 * x[1] ** 2,
+            hess=lambda x: np.diag([x[0] + 2.0, 1.0]))
+
+    @pytest.mark.parametrize("d_radius", [0.5, 1.0])
+    def test_cubic_attains_the_midpoint_bound(self, d_radius):
+        params = manual(d_radius, 0.05, 4, 3, delta_tr=1e-6)
+        report = driver.run(self.cubic(), params, RngStream(0), audit_level="episode")
+        audits = report.audits
+        assert audits["conversion_step_ok"] and audits["stationarity_ok"]
+        assert audits["all_ok"], audits
+        assert abs(audits["conversion_step_min_margin"]) <= 1e-12
 
 
 class TestComparatorLedger:
@@ -346,7 +381,7 @@ class TestEarlyExit:
         params = compute_hyperparams(spec, 480)
         fast = driver.run(spec, params, RngStream(0), audit_level="full")
         # a probe that always declines leaves the fixed-budget path alone
-        monkeypatch.setattr(trsolver, "fista_probe", lambda *args: (None, args[4], None))
+        monkeypatch.setattr(trsolver, "fista_probe", lambda *args: (None, args[4], None, None))
         fixed = driver.run(spec, params, RngStream(0), audit_level="full")
         expected = 2 * params.m_total + params.k_eps + 1
         assert fast.totals["gradients"] == fixed.totals["gradients"] == expected
@@ -413,7 +448,8 @@ class TestStepBound:
     """The driver sizes each solve from |B|_F: b_bound bounds lambda_max(A)
     and the spread of A = B/2 + I/eta, lam_min_lower bounds lambda_min(A),
     and b_bound never exceeds the worst case max(2 L1, L1 + 1/eta).  Around
-    the solve it applies B to delta_n, and to delta_{n+1} only if it moved."""
+    the solve it applies A once, to delta_n; the solve hands back A
+    delta_{n+1}."""
 
     @pytest.mark.parametrize("name,dim,budget,eta_factor", RECIPES)
     def test_bounds_certify_every_subproblem(self, monkeypatch, name, dim, budget,
@@ -443,8 +479,9 @@ class TestStepBound:
         assert report.audits["all_ok"]
 
     @pytest.mark.parametrize("name,dim,budget,eta_factor", RECIPES)
-    def test_step_matvecs_are_the_solve_plus_one_or_two(self, name, dim, budget, eta_factor):
-        # the learner adds its separation matvecs, none when certified
+    def test_step_matvecs_are_the_solve_plus_one(self, name, dim, budget, eta_factor):
+        # the learner adds its separation matvecs, none when certified; a
+        # step costs one more matvec whether or not the solve moved
         spec, params = recipe(name, dim, budget, eta_factor)
         state = driver.init(spec, params)
         rng = RngStream(0)
@@ -454,13 +491,19 @@ class TestStepBound:
             before = (state.matvec_counter.count, tr["matvecs"], tr["sep_matvecs"])
             delta_n = state.delta_vec
             driver.step(state, spec, params, rng)
-            moved = not np.array_equal(state.delta_vec, delta_n)
             spent = state.matvec_counter.count - before[0]
-            assert spent == (tr["matvecs"] - before[1]) + (tr["sep_matvecs"] - before[2]) \
-                + 1 + moved
-            kept += not moved
+            assert spent == (tr["matvecs"] - before[1]) + (tr["sep_matvecs"] - before[2]) + 1
+            kept += np.array_equal(state.delta_vec, delta_n)
         # the auto run certifies some steps where they stand; at eta x200 none
         assert (kept > 0) == (eta_factor == 1.0)
+
+    @pytest.mark.parametrize("name,dim,budget,eta_factor", RECIPES)
+    def test_run_matvecs_are_the_solves_plus_one_per_step(self, name, dim, budget,
+                                                          eta_factor):
+        spec, params = recipe(name, dim, budget, eta_factor)
+        report = driver.run(spec, params, RngStream(0), audit_level="off")
+        tr = report.totals["tr"]
+        assert report.totals["matvecs"] == params.m_total + tr["matvecs"] + tr["sep_matvecs"]
 
 
 class TestNonconvexBranches:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oqn import trsolver
 from oqn.errors import IterBudgetTooSmall, OutsideBall
 from oqn.harness import brute_tr, tr_objective
 from oqn.eig import min_evec
@@ -24,6 +26,15 @@ from oqn.trsolver import (
     tr_solve,
 )
 from oqn.verify import random_symmetric
+
+
+def assert_certificate_is_fresh(a, b, radius, sol):
+    """The solve's residual and its product A delta_vec are, bit for bit,
+    the ones a fresh operator over ``a`` computes at the answer."""
+    fresh = SymOperator(a, Counter())
+    assert sol.residual == residual_of(fresh, b, radius, sol.delta_vec)
+    assert sol.a_delta.tobytes() == fresh.apply(sol.delta_vec).tobytes()
+    assert fresh.counter.count == 2
 
 
 def make_problem(a, b, radius, delta, q=0.01, counter=None):
@@ -207,9 +218,10 @@ class TestEarlyExit:
             lg = float(np.linalg.eigvalsh(a)[-1])
             start = 0.3 * np_rng.standard_normal(d)
             op = SymOperator(a, Counter())
-            x, k, _ = fista_probe(op, b, 1.0, lg, 500, start, 1e-10)
+            x, k, _, ax = fista_probe(op, b, 1.0, lg, 500, start, 1e-10)
             assert x is not None and k >= 1
             assert op.counter.count == k + 1
+            assert ax.tobytes() == SymOperator(a, Counter()).apply(x).tobytes()
             ref, k_ref = self.reference_probe(a, b, 1.0, lg, 500, start, 1e-10)
             assert k == k_ref
             np.testing.assert_allclose(x, ref, rtol=0, atol=1e-12)
@@ -221,7 +233,7 @@ class TestEarlyExit:
 
     def test_start_product_saves_the_first_matvec_bit_for_bit(self, np_rng):
         # a_start = A x_start stands in for the probe's first matvec: the
-        # same (x, k, residual) bits for one counted matvec less.  A start
+        # same (x, k, residual, A x) bits for one counted matvec less.  A start
         # outside the ball is projected first, so its a_start is ignored.
         for inside in (True, False) * 5:
             d = int(np_rng.integers(2, 11))
@@ -233,10 +245,10 @@ class TestEarlyExit:
             start = (0.9 if inside else 2.0) * u / np.linalg.norm(u)
             a_start = SymOperator(a, Counter()).apply(start)
             plain_op, reused_op = SymOperator(a, Counter()), SymOperator(a, Counter())
-            x, k, res = fista_probe(plain_op, b, 1.0, lg, 500, start, 1e-10)
-            x2, k2, res2 = fista_probe(reused_op, b, 1.0, lg, 500, start, 1e-10, a_start)
+            x, k, res, ax = fista_probe(plain_op, b, 1.0, lg, 500, start, 1e-10)
+            x2, k2, res2, ax2 = fista_probe(reused_op, b, 1.0, lg, 500, start, 1e-10, a_start)
             assert x is not None
-            assert (x2.tobytes(), k2, res2) == (x.tobytes(), k, res)
+            assert (x2.tobytes(), k2, res2, ax2.tobytes()) == (x.tobytes(), k, res, ax.tobytes())
             assert reused_op.counter.count == plain_op.counter.count - inside
 
     def test_restart_certifies_where_plain_fista_declines(self):
@@ -286,10 +298,12 @@ class TestEarlyExit:
             assert gap <= 2.0 * EARLY_EXIT_RTOL * delta + 1e-12
 
     def test_certified_residual_is_the_independent_one(self, np_rng):
-        # the probe's residual, read without a check matvec, is the value
-        # residual_of computes at the answer, bit for bit, on interior and
-        # boundary answers alike
-        boundary = 0
+        # the probe's residual and A x, read without a check matvec, are the
+        # values a fresh operator computes at the answer, bit for bit, on
+        # interior and boundary answers alike.  Restarted at its own answer,
+        # the solve certifies at k = 0 from the probe's first product, or from
+        # the handed-back product passed as a_start
+        boundary = moved = restarts = 0
         for t in range(30):
             d = int(np_rng.integers(2, 21))
             m = random_symmetric(np_rng, d)
@@ -303,11 +317,21 @@ class TestEarlyExit:
                 x_start=0.1 * np_rng.standard_normal(d))
             sol = tr_solve(p, RngStream(t))
             assert sol.early_exit
-            fresh = SymOperator(a, Counter())
-            assert sol.residual == residual_of(fresh, b, radius, sol.delta_vec)
-            assert fresh.counter.count == 1
+            assert_certificate_is_fresh(a, b, radius, sol)
+            moved += sol.n_accel >= 1
             boundary += bool(np.linalg.norm(sol.delta_vec) >= radius * (1.0 - 1e-12))
+            if project_ball(sol.delta_vec, radius) is not sol.delta_vec:
+                continue  # rounded past the sphere: a restart projects it anew
+            restarts += 1
+            for a_start, cost in ((None, 1), (sol.a_delta, 0)):
+                again = tr_solve(dataclasses.replace(p, x_start=sol.delta_vec, a_start=a_start),
+                                 RngStream(t))
+                assert again.early_exit and again.n_accel == 0
+                assert again.matvecs_used == cost
+                assert again.delta_vec.tobytes() == sol.delta_vec.tobytes()
+                assert_certificate_is_fresh(a, b, radius, again)
         assert 0 < boundary < 30
+        assert moved == 30 and 30 - boundary < restarts < 30
 
     def test_undecided_probe_falls_back_bit_for_bit(self):
         # condition number 1e4 and N = 32: FISTA is far from a residual of
@@ -329,6 +353,33 @@ class TestEarlyExit:
         ref = fista_plus_sfg(SymOperator(a, Counter()), b, 1.0, delta, lg)
         np.testing.assert_array_equal(sol.delta_vec, ref)
         assert sol.residual <= delta
+        assert_certificate_is_fresh(a, b, 1.0, sol)
+
+    def test_retry_hands_back_the_retried_product(self, monkeypatch):
+        # the first fallback answers a boundary point far from the solution,
+        # so its residual check fails and the solve retries with doubled
+        # budgets; the certificate and product are the retried answer's
+        q, _ = np.linalg.qr(np.random.default_rng(5).standard_normal((5, 5)))
+        a = q @ np.diag([1.0, 1e-2, 1e-3, 1e-4, 1e-4]) @ q.T
+        a = 0.5 * (a + a.T)
+        b = 1e-4 * q @ np.ones(5)
+        real = trsolver.fista_plus_sfg
+        calls = []
+
+        def wrong_first(op, b_vec, radius, *args, **kwargs):
+            calls.append(1)
+            if len(calls) == 1:
+                return radius * q[:, 0]
+            return real(op, b_vec, radius, *args, **kwargs)
+
+        monkeypatch.setattr(trsolver, "fista_plus_sfg", wrong_first)
+        assert residual_of(SymOperator(a, Counter()), b, 1.0, q[:, 0]) > 1e-2
+        p = TrustRegionSubproblem(a_op=SymOperator(a, Counter()), b=b, radius=1.0,
+                                  delta=1e-2, q=0.01, b_bound=1.0, lam_min_lower=0.0)
+        sol = tr_solve(p, RngStream(0))
+        assert sol.retried and not sol.early_exit and len(calls) == 2
+        assert sol.residual <= 1e-2
+        assert_certificate_is_fresh(a, b, 1.0, sol)
 
     def test_exit_is_relative_to_the_linear_term(self, np_rng):
         # with delta >= |b| the exit is at sqrt(eps) |b|: scaling b and the
@@ -407,8 +458,8 @@ class TestRegularizedEarlyExit:
             assert sol.early_exit and not sol.retried
             assert sol.matvecs_used == counter.count < n / 4 < 2 * n
             # the certificate is the original problem's, applied once more
-            assert sol.residual == residual_of(SymOperator(a, Counter()), b, radius,
-                                               sol.delta_vec) <= delta
+            assert sol.residual <= delta
+            assert_certificate_is_fresh(a, b, radius, sol)
             exact = brute_tr(a, b, radius)
             gap = tr_objective(a, b, sol.delta_vec) - tr_objective(a, b, exact)
             assert gap <= delta * radius
@@ -465,7 +516,8 @@ class TestRegularizedEarlyExit:
         ref *= radius / np.linalg.norm(ref)
         np.testing.assert_array_equal(sol.delta_vec, ref)
         assert sol.matvecs_used == counter.count == ev.matvecs_used + (n + 1) + 2 * n + 1
-        assert sol.residual == residual_of(SymOperator(a, Counter()), b, radius, ref) <= delta
+        assert sol.residual <= delta
+        assert_certificate_is_fresh(a, b, radius, sol)
 
 
 class TestTrSolve:
