@@ -117,10 +117,15 @@ class MinEvecCase(Enum):
 
 @dataclass
 class MinEvecResult:
+    """``ritz_max`` is the largest stage-1 Ritz value, read off the same
+    tridiagonal eigensolve as the smallest: a lower estimate of lambda_max,
+    exact when the Krylov space is full (n1 = d), at no matvec cost."""
+
     lambda_hat: float
     v_hat: NDArray
     case: MinEvecCase
     matvecs_used: int
+    ritz_max: float
 
 
 def _stage_budget(b_bound: float, delta: float, log_arg: float) -> int:
@@ -145,6 +150,7 @@ def min_evec(
     down by delta/2; a nonnegative shifted value certifies PSD.  Otherwise
     stage 2 extends the Krylov space and extracts the eigenvector whose
     shifted residual norm is smallest, via the squared-shift matrix.
+    Stage 1's largest Ritz value is returned as ``ritz_max`` either way.
     ``budget_factor`` scales both stage budgets (used by retry logic).
     """
     if not (0.0 < q < 1.0):
@@ -156,11 +162,13 @@ def min_evec(
     start = rng.unit_vector(d)
     fact = lanczos_factorize(op, start, n1)
     diag, off = fact.tridiagonal()
-    ritz_min = float(tridiag_eig(diag, off)[0][0])
-    lambda_hat = ritz_min - 0.5 * delta
+    ritz = tridiag_eig(diag, off)[0]
+    ritz_max = float(ritz[-1])
+    lambda_hat = float(ritz[0]) - 0.5 * delta
 
     if lambda_hat >= 0.0:
-        return MinEvecResult(lambda_hat, np.zeros(d), MinEvecCase.PSD_CERTIFIED, fact.size)
+        return MinEvecResult(lambda_hat, np.zeros(d), MinEvecCase.PSD_CERTIFIED, fact.size,
+                             ritz_max)
 
     n2 = min(
         d,
@@ -176,7 +184,7 @@ def min_evec(
     z_min = np.linalg.eigh(m_mat)[1][:, 0]
     v_hat = fact.basis_matrix() @ z_min
     v_hat = v_hat / np.linalg.norm(v_hat)
-    return MinEvecResult(lambda_hat, v_hat, MinEvecCase.NEGATIVE_EIG, fact.size)
+    return MinEvecResult(lambda_hat, v_hat, MinEvecCase.NEGATIVE_EIG, fact.size, ritz_max)
 
 
 class SepCase(Enum):

@@ -14,16 +14,22 @@ warm-started FISTA probe with adaptive restart runs from the caller's
 it at the momentum point by linearity, so it reads the exact inner residual
 of every iterate for free, and it stops once that residual is at most
 ``EARLY_EXIT_RTOL * min(accuracy, |b|)``; the solve then reports
-``early_exit``.  The probe's step is 1 / ``b_bound`` and its restarted
-linear rate depends on ``b_bound`` / lambda_min, so a tight caller bound is
-what lets it certify in few iterations.  On the convex branch a caller that
+``early_exit``.  On the convex branch the probe's step is 1 / ``b_bound``
+and its restarted linear rate depends on ``b_bound`` / lambda_min, so a
+tight caller bound is what lets it certify in few iterations.  On the
+regularized branch the step starts at 1 / (ritz_max - lambda_hat), from the
+top Ritz value the eigenpair probe already computed (exact once its Krylov
+space is full), and backtracks towards 1 / (``b_bound`` - lambda_hat), where
+the check stops; a rejected step's matvec counts against N.  A caller that
 already holds A ``x_start`` passes it as ``a_start``, and the probe starts
-without a matvec.  Only when the probe does not certify within the fixed
-budget N does the solve run the fixed-budget two-phase method from the
-origin (a FISTA burn-in that shrinks the objective gap, then a
-gradient-norm phase that converts the gap into a small residual), the
-worst-case path whose theory bounds the cost: (N + 1) + 2N + 1 matvecs per
-attempt after the eigenpair probe.  The regularized branch then takes an
+without a matvec on either branch: the regularized one forms
+A ``x_start`` - lambda_hat ``x_start`` from it.  Only when the probe does
+not certify within the fixed budget N does the solve run the fixed-budget
+two-phase method from the origin (a FISTA burn-in that shrinks the
+objective gap, then a gradient-norm phase that converts the gap into a small
+residual) at the fixed step the bound gives: the worst-case path whose
+theory bounds the cost, (N + 1) + 2N + 1 matvecs per attempt after the
+eigenpair probe.  The regularized branch then takes an
 interior answer to the sphere along the estimated eigenvector.
 
 The certificate is the residual of the original problem, and the solution
@@ -71,12 +77,13 @@ class TrustRegionSubproblem:
     eigenvalue of A, likewise on the caller's word; a nonnegative value
     certifies A PSD and skips the minimum-eigenpair probe.  ``x_start`` is
     where the early-exit probe starts on either branch (default: the
-    origin); it is projected onto the ball, at no matvec cost.  ``a_start``,
-    optional, is A ``x_start`` as the caller already holds it; the convex
-    probe uses it in place of its first matvec when the projection leaves
-    ``x_start`` unchanged, so it must carry the bits ``a_op.apply`` would
-    return; the solve hands back A at its answer the same way, as
-    ``TRSolution.a_delta``.  The driver passes its product at the previous
+    origin); it is projected onto the ball, at no matvec cost, unless it lies
+    in the ball as ``residual_of`` accepts it.  ``a_start``, optional, is
+    A ``x_start`` as the caller already holds it; the probe uses it in place
+    of its first matvec when it starts at ``x_start`` itself (shifted by
+    lambda_hat on the regularized branch), so it must carry the bits
+    ``a_op.apply`` would return; the solve hands back A at its answer the
+    same way, as ``TRSolution.a_delta``.  The driver passes its product at the previous
     step as ``a_start``, and data-dependent bounds from |B|_F (see
     ``driver.step``), not the worst case from L1.
     """
@@ -114,10 +121,12 @@ class TRBranch(Enum):
 @dataclass
 class TRSolution:
     """``early_exit`` means the probe certified the inner problem of the
-    branch taken; ``n_accel`` then counts its iterations, else it is the fixed
-    per-phase budget N.  ``residual`` is the original problem's: the convex
-    probe's own on a convex early exit, ``residual_of`` at ``delta_vec``
-    otherwise (regularized branches always).  ``a_delta`` is the product
+    branch taken; ``n_accel`` then counts its kept steps (a step the
+    regularized probe's backtracking rejected is not counted, though its
+    matvec is), else it is the fixed per-phase budget N.  ``residual`` is
+    the original problem's: the convex probe's own on a convex early exit,
+    ``residual_of`` at ``delta_vec`` otherwise (regularized branches
+    always).  ``a_delta`` is the product
     A ``delta_vec`` that residual was read from, with the bits
     ``a_op.apply(delta_vec)`` returns; it costs the caller no matvec."""
 
@@ -139,6 +148,11 @@ def project_ball(x: NDArray, radius: float) -> NDArray:
     return x * (radius / n)
 
 
+def _in_ball(norm: float, d_radius: float) -> bool:
+    """The ball as ``residual_of`` accepts it: a rounding outside counts in."""
+    return norm <= d_radius * (1.0 + 1e-9) + 1e-15
+
+
 def residual_of(a_op, b: NDArray, d_radius: float, delta_vec: NDArray,
                 with_product: bool = False):
     """Certified normal-cone residual at ``delta_vec``; exactly one matvec.
@@ -150,7 +164,7 @@ def residual_of(a_op, b: NDArray, d_radius: float, delta_vec: NDArray,
     """
     delta_vec = np.asarray(delta_vec, dtype=float)
     norm = math.sqrt(delta_vec @ delta_vec)
-    if norm > d_radius * (1.0 + 1e-9) + 1e-15:
+    if not _in_ball(norm, d_radius):
         raise OutsideBall(f"|delta| = {norm!r} exceeds radius {d_radius!r}")
     ax = a_op.apply(delta_vec)
     res = _cone_residual(ax + b, delta_vec, norm, d_radius)
@@ -185,40 +199,59 @@ def fista(a_psd, b: NDArray, d_radius: float, lg: float, n_iters: int, x_start: 
 
 
 def fista_probe(a_psd, b: NDArray, d_radius: float, lg: float, n_iters: int,
-                x_start: NDArray, tol: float, a_start: Optional[NDArray] = None
+                x_start: NDArray, tol: float, a_start: Optional[NDArray] = None,
+                l_start: Optional[float] = None
                 ) -> tuple[Optional[NDArray], int, Optional[float], Optional[NDArray]]:
     """Projected FISTA with gradient restart that stops at the first
     iterate with residual <= tol.
 
     Applies A once to the start and once to each new iterate (at most
-    ``n_iters + 1`` matvecs); a given ``a_start`` = A ``x_start`` replaces
-    the first one when ``x_start`` lies in the ball, since the start is then
-    ``x_start`` itself.  A at the momentum point follows by linearity,
-    so the residual of every iterate is read without an extra matvec.  Its
+    ``n_iters + 1`` matvecs).  The start is ``x_start`` itself when
+    ``residual_of`` would accept it, a rounding outside the ball included,
+    and its projection otherwise; a given ``a_start`` = A ``x_start``
+    replaces the first matvec when the start is ``x_start`` itself.  A at the
+    momentum point follows by linearity, so the residual of every iterate is
+    read without an extra matvec.  Its
     value is the one ``residual_of`` computes at that point.  The momentum
     restarts whenever the projected gradient step points against the last
     move (O'Donoghue & Candes 2015).  That costs no matvec and makes the
     convergence on strongly convex subproblems linear; without it, FISTA's
     oscillations decide whether an instance certifies within N, and the
     solve cost jumps by the whole fallback between similar instances.
-    Returns ``(x, k, residual, ax)`` for the certified iterate after k steps,
-    ``ax`` the product of ``a_psd`` with ``x`` that the residual read, or
-    ``(None, n_iters, None, None)`` when none certified.
+
+    The step is 1 / ``lg``, unless ``l_start`` in (0, ``lg``) is given: the
+    step then starts at 1 / ``l_start`` and backtracks (Beck & Teboulle
+    2009).  A step from y to x+ is kept when (x+ - y)'(A x+ - A y) <= L
+    |x+ - y|^2, read from the product the probe takes anyway; otherwise L
+    doubles, capped at ``lg`` where the check stops, and the step is retaken
+    from y.  A rejected step's matvec counts against ``n_iters``.
+    Returns ``(x, k, residual, ax)`` for the certified iterate after k kept
+    steps, ``ax`` the product of ``a_psd`` with ``x`` that the residual read,
+    or ``(None, n_iters, None, None)`` when none certified.
     """
     x_start = np.asarray(x_start, dtype=float)
-    x = project_ball(x_start, d_radius)
+    norm = math.sqrt(x_start @ x_start)
+    x = x_start if _in_ball(norm, d_radius) else project_ball(x_start, d_radius)
     ax = a_start if a_start is not None and x is x_start else a_psd.apply(x)
     res = _cone_residual(ax + b, x, math.sqrt(x @ x), d_radius)
     if res <= tol:
         return x, 0, res, ax
+    step_l = l_start if l_start is not None and 0.0 < l_start < lg else lg
     y, ay = x, ax
     t = 1.0
-    for k in range(1, n_iters + 1):
-        x_next = project_ball(y - (ay + b) / lg, d_radius)
+    k = 0
+    for _ in range(n_iters):
+        x_next = project_ball(y - (ay + b) / step_l, d_radius)
         ax_next = a_psd.apply(x_next)
         res = _cone_residual(ax_next + b, x_next, math.sqrt(x_next @ x_next), d_radius)
         if res <= tol:
-            return x_next, k, res, ax_next
+            return x_next, k + 1, res, ax_next
+        if step_l < lg:
+            move = x_next - y
+            if move @ (ax_next - ay) > step_l * (move @ move):
+                step_l = min(2.0 * step_l, lg)
+                continue  # retake the step from y
+        k += 1
         if (y - x_next) @ (x_next - x) > 0.0:
             t = 1.0  # the step opposes the motion: drop the momentum
         t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
@@ -284,16 +317,17 @@ def tr_solve(p: TrustRegionSubproblem, rng: RngStream) -> TRSolution:
     otherwise one minimum-eigenpair probe picks the branch.  Each branch
     fixes its operator, step bound and inner accuracy: A, max(b_bound, delta)
     and delta when convex; A - lambda_hat I, max(b_bound - lambda_hat, delta)
-    and delta / 2 when regularized.  The inner problem's answer is the
-    ``fista_probe`` one from ``p.x_start`` (with ``p.a_start`` on the convex
-    branch) when the probe certifies (``early_exit``), else the fixed-budget
-    ``fista_plus_sfg`` one; the regularized branch then takes it to the
-    sphere when it is interior.  The
-    certified residual on the original problem is asserted at the end of
-    every solve: a convex probe exit reports the residual and the product A x
-    the probe read at its answer, every other path (the probe read the
-    shifted residual on a regularized branch) applies A once more through
-    ``residual_of`` and reports that product.
+    and delta / 2 when regularized, where the probe's step starts from the
+    eigenpair probe's top Ritz value.  The inner problem's answer is the
+    ``fista_probe`` one from ``p.x_start`` (with the start product from
+    ``p.a_start``) when the probe certifies (``early_exit``), else the
+    fixed-budget ``fista_plus_sfg`` one; the regularized branch then takes
+    it to the sphere when it is interior.  The certified residual on the
+    original problem is asserted at the end of every solve: a convex probe
+    exit reports the residual and the product A x the probe read at its
+    answer, every other path (the probe read the shifted residual on a
+    regularized branch) applies A once more through ``residual_of`` and
+    reports that product.
     On failure (the oracles are Monte-Carlo), the solve retries once with
     fresh randomness and doubled iteration budgets before raising.
     """
@@ -312,13 +346,18 @@ def tr_solve(p: TrustRegionSubproblem, rng: RngStream) -> TRSolution:
         convex = certified_psd or ev.case is MinEvecCase.PSD_CERTIFIED
         if convex:
             op, lg, acc = p.a_op, max(p.b_bound, p.delta), p.delta
+            a_start, l_start = p.a_start, None
         else:
             op = ShiftedOperator(p.a_op, lambda_hat)
             lg, acc = max(p.b_bound - lambda_hat, p.delta), 0.5 * p.delta
+            # ShiftedOperator.apply's own formula on the caller's product
+            a_start = (None if p.a_start is None
+                       else op.scale * p.a_start - op.shift * p.x_start)
+            l_start = ev.ritz_max - lambda_hat
         n_accel = accel_budget(lg, p.radius, acc) * factor
         cand, k, res, a_cand = fista_probe(op, p.b, p.radius, lg, n_accel, p.x_start,
                                            EARLY_EXIT_RTOL * min(acc, b_norm),
-                                           p.a_start if convex else None)
+                                           a_start, l_start)
         early_exit = cand is not None
         if early_exit:
             n_accel = k

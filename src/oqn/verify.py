@@ -106,12 +106,14 @@ def check_linops(cfg):
 
 
 def check_minevec(cfg):
-    """The eigenvalue sandwich at q = 0.05 and the certificate residual."""
+    """The eigenvalue sandwich at q = 0.05, the certificate residual, and the
+    top Ritz value inside the spectrum."""
     rng = np.random.default_rng(2002)
     sandwich_hits = 0
     negative = 0
     resid_ok = True
     budget_ok = True
+    ritz_ok = True
     n_trials = cfg["trials"]
     for t in range(n_trials):
         d = int(rng.integers(2, 41))
@@ -128,12 +130,15 @@ def check_minevec(cfg):
             resid = np.linalg.norm(a @ res.v_hat - res.lambda_hat * res.v_hat)
             resid_ok = resid_ok and resid <= delta
         budget_ok = budget_ok and res.matvecs_used <= d
+        ritz_ok = (ritz_ok
+                   and lam_min <= res.ritz_max <= lam_max + 1e-9 * op.frobenius_norm())
     frac = sandwich_hits / n_trials
     return [
         CheckResult("eig.minevec.sandwich", frac >= 0.95, f"fraction={frac:.4f}"),
         CheckResult("eig.minevec.residual", resid_ok,
                     f"negative_eig_trials={negative}/{n_trials}"),
         CheckResult("eig.minevec.budget", budget_ok),
+        CheckResult("eig.minevec.ritz_max", ritz_ok),
     ]
 
 
@@ -197,7 +202,7 @@ def check_trsolver(cfg):
     # regularized solves the probe certified; their residual is the original
     # problem's, from residual_of, so a fresh operator must reproduce it and
     # the product A delta_vec it read
-    reg_exits = 0
+    reg_exits = {"regularized_boundary": 0, "regularized_interior": 0}
     reg_exit_ok = True
     for t in range(cfg["tr_instances"]):
         d = int(rng.integers(2, 21))
@@ -221,8 +226,8 @@ def check_trsolver(cfg):
         quality_ok = quality_ok and gap <= delta * d_rad + 1e-9
         if sol.branch.value == "regularized_interior":
             alpha_ok = alpha_ok and abs(norm - d_rad) <= 1e-10 * d_rad
-        if sol.early_exit and sol.branch.value == "regularized_boundary":
-            reg_exits += 1
+        if sol.early_exit and sol.branch.value in reg_exits:
+            reg_exits[sol.branch.value] += 1
             fresh = SymOperator(a, Counter())
             reg_exit_ok = (reg_exit_ok
                            and sol.residual == residual_of(fresh, b, d_rad, sol.delta_vec)
@@ -234,8 +239,10 @@ def check_trsolver(cfg):
                     f"worst_excess={worst_gap:.2e}"),
         CheckResult("trsolver.interior_alpha_exact", alpha_ok),
         CheckResult(
-            "trsolver.regularized_early_exit", reg_exit_ok and reg_exits > 0,
-            f"regularized_boundary_early_exits={reg_exits}/{cfg['tr_instances']}"),
+            "trsolver.regularized_early_exit",
+            reg_exit_ok and reg_exits["regularized_boundary"] > 0,
+            " ".join(f"{branch}_early_exits={n}/{cfg['tr_instances']}"
+                     for branch, n in reg_exits.items())),
     ]
 
 

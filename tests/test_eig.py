@@ -133,6 +133,20 @@ class TestMinEvec:
                 resid = np.linalg.norm(a @ res.v_hat - res.lambda_hat * res.v_hat)
                 assert resid <= delta
 
+    def test_ritz_max_is_the_top_eigenvalue_of_a_full_krylov_space(self, np_rng):
+        # a tight delta runs stage 1 to n1 = d, where the top Ritz value is
+        # lambda_max itself; both cases return it at no extra matvec
+        for shift in (0.0, 5.0):
+            d = 8
+            a = random_symmetric(np_rng, d) + shift * np.eye(d)
+            op = SymOperator(a, Counter())
+            lam_min, lam_max, _, _ = dense_extreme_eig(op)
+            res = min_evec(op, 1e-6, 0.05, b_bound=lam_max - lam_min, rng=RngStream(5))
+            assert res.case is (MinEvecCase.NEGATIVE_EIG if lam_min < 0.0
+                                else MinEvecCase.PSD_CERTIFIED)
+            assert res.matvecs_used == op.counter.count == d
+            assert res.ritz_max == pytest.approx(lam_max, abs=1e-10 * np.linalg.norm(a))
+
     def test_budget_capped_at_dim(self, np_rng):
         a = random_symmetric(np_rng, 6)
         op = SymOperator(a, Counter())

@@ -244,9 +244,13 @@ def _skewed(spec, name, *args):
     ("min_evec", lambda res, op, delta, *args: dataclasses.replace(
         res, lambda_hat=res.lambda_hat - 2.0 * delta),
      verify.check_minevec, "eig.minevec.sandwich"),
+    ("min_evec", lambda res, op, *args: dataclasses.replace(
+        res, ritz_max=res.ritz_max + 1e-6 * op.frobenius_norm()),
+     verify.check_minevec, "eig.minevec.ritz_max"),
     ("sep", _inside, verify.check_sep, "eig.sep.scaling"),
     ("catalog", _skewed, verify.check_problems, "problems.fd.coupled_trig"),
-], ids=["off_optimum", "low_eigenvalue", "always_inside", "scaled_gradient"])
+], ids=["off_optimum", "low_eigenvalue", "high_ritz_value", "always_inside",
+        "scaled_gradient"])
 def test_contract_battery_fails_on_a_broken_oracle(monkeypatch, oracle, corrupt,
                                                    battery, check):
     """A shared battery must not turn vacuous: break its oracle in verify's

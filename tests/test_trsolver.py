@@ -251,6 +251,41 @@ class TestEarlyExit:
             assert (x2.tobytes(), k2, res2, ax2.tobytes()) == (x.tobytes(), k, res, ax.tobytes())
             assert reused_op.counter.count == plain_op.counter.count - inside
 
+    def test_start_a_rounding_outside_the_ball_keeps_a_start(self, np_rng):
+        # project_ball can leave |x| a rounding above D; residual_of accepts
+        # such a point, so the probe starts there as is and takes a_start in
+        # place of its first matvec
+        d = 7
+        m = random_symmetric(np_rng, d)
+        a = m @ m.T + 0.5 * np.eye(d)
+        b = np_rng.standard_normal(d)
+        lg = float(np.linalg.eigvalsh(a)[-1])
+        for _ in range(100):
+            start = project_ball(3.0 * np_rng.standard_normal(d), 1.0)
+            if math.sqrt(start @ start) > 1.0:
+                break
+        assert math.sqrt(start @ start) > 1.0 and project_ball(start, 1.0) is not start
+        a_start = SymOperator(a, Counter()).apply(start)
+        op = SymOperator(a, Counter())
+        x, k, res, ax = fista_probe(op, b, 1.0, lg, 50, start, math.inf, a_start)
+        assert x is start and k == 0 and ax is a_start
+        assert op.counter.count == 0
+        assert res == residual_of(SymOperator(a, Counter()), b, 1.0, start)
+
+    def test_step_estimate_outside_its_range_is_the_fixed_step(self, np_rng):
+        # l_start is used only in (0, lg); elsewhere the probe steps at 1/lg
+        # bit for bit and never backtracks
+        d = 6
+        m = random_symmetric(np_rng, d)
+        a = m @ m.T + 0.2 * np.eye(d)
+        b = np_rng.standard_normal(d)
+        lg = float(np.linalg.eigvalsh(a)[-1])
+        ref = fista_probe(SymOperator(a, Counter()), b, 1.0, lg, 500, np.zeros(d), 1e-10)
+        for l_start in (None, 0.0, -1.0, lg, 2.0 * lg):
+            got = fista_probe(SymOperator(a, Counter()), b, 1.0, lg, 500, np.zeros(d),
+                              1e-10, None, l_start)
+            assert (got[0].tobytes(), got[1:3]) == (ref[0].tobytes(), ref[1:3])
+
     def test_restart_certifies_where_plain_fista_declines(self):
         # a PSD-shifted instance (lambda_min = 0.1 before scaling) with a
         # large ball and delta = 1e-4, whose solution is interior: plain
@@ -422,6 +457,11 @@ class TestEarlyExit:
         assert sol.early_exit and sol.n_accel == 0 and sol.matvecs_used == 1
 
 
+def unit_vector(rng, d):
+    u = rng.standard_normal(d)
+    return u / np.linalg.norm(u)
+
+
 def indefinite_instance(rng, kind, d, radius):
     """A subproblem as the benchmark's ``indefinite`` and ``hard`` cells draw
     it: |A|_F = sqrt(d); b of norm 2, or for the hard case orthogonal to the
@@ -486,6 +526,64 @@ class TestRegularizedEarlyExit:
             slack = 8.0 * eps * (np.linalg.norm(b) + (p.b_bound - sol.lambda_hat) * radius)
             assert sol.residual <= tol + slack
         assert exits >= 50
+
+    def test_low_step_estimate_backtracks_and_still_certifies(self, monkeypatch):
+        # a top Ritz value pulled down to lambda_hat + (ritz_max - lambda_hat)/8
+        # makes the first steps too long: the probe rejects them, doubles L,
+        # and certifies within the N + 1 matvec bound all the same
+        seen = []
+
+        def low_ritz(*args, **kwargs):
+            ev = min_evec(*args, **kwargs)
+            ev.ritz_max = ev.lambda_hat + (ev.ritz_max - ev.lambda_hat) / 8.0
+            seen.append(ev)
+            return ev
+
+        monkeypatch.setattr(trsolver, "min_evec", low_ritz)
+        rng = np.random.default_rng(0)
+        d, radius, delta = 10, 10.0, 1e-4
+        rejected = 0
+        for t in range(8):
+            a, b = indefinite_instance(rng, "indefinite", d, radius)
+            counter = Counter()
+            p = make_problem(a, b, radius, delta, counter=counter)
+            seen.clear()
+            sol = tr_solve(p, RngStream(t))
+            ev, = seen
+            n = accel_budget(max(p.b_bound - sol.lambda_hat, delta), radius, 0.5 * delta)
+            assert sol.branch is TRBranch.REGULARIZED_BOUNDARY
+            assert sol.early_exit and not sol.retried and sol.residual <= delta
+            assert_certificate_is_fresh(a, b, radius, sol)
+            assert sol.matvecs_used == counter.count
+            assert sol.matvecs_used <= ev.matvecs_used + (n + 1) + 2 * n + 1
+            # the start, the kept steps, the rejected ones, then residual_of
+            rejected += sol.matvecs_used - (ev.matvecs_used + 1 + sol.n_accel + 1)
+        assert rejected > 0
+
+    def test_start_product_comes_from_a_start(self):
+        # A x_start - lambda_hat x_start formed from the caller's a_start has
+        # the bits ShiftedOperator.apply gives, so the regularized solve is
+        # the same bit for bit with one matvec fewer
+        rng = np.random.default_rng(2)
+        d, radius, delta = 10, 1.0, 1e-4
+        for t in range(4):
+            a, b = indefinite_instance(rng, "indefinite", d, radius)
+            start = 0.5 * radius * unit_vector(rng, d)
+            a_start = SymOperator(a, Counter()).apply(start)
+            sols = []
+            for given in (None, a_start):
+                p = make_problem(a, b, radius, delta)
+                p.x_start, p.a_start = start, given
+                sols.append(tr_solve(p, RngStream(t)))
+            plain, reused = sols
+            assert reused.branch is not TRBranch.CONVEX
+            lam = reused.lambda_hat
+            shifted = ShiftedOperator(SymOperator(a, Counter()), lam).apply(start)
+            assert (1.0 * a_start - lam * start).tobytes() == shifted.tobytes()
+            assert reused.delta_vec.tobytes() == plain.delta_vec.tobytes()
+            assert reused.a_delta.tobytes() == plain.a_delta.tobytes()
+            assert (reused.residual, reused.n_accel) == (plain.residual, plain.n_accel)
+            assert reused.matvecs_used == plain.matvecs_used - 1
 
     def test_declined_probe_falls_back_bit_for_bit(self):
         # a hard case in a small ball at delta = 1e-2: N is about 40 and the
