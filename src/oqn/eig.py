@@ -101,15 +101,6 @@ def lanczos_extend(fact: LanczosFactorization, op, n_steps_total: int) -> Lanczo
     return fact
 
 
-def tridiag_eig(alphas: NDArray, betas: NDArray) -> tuple[NDArray, NDArray]:
-    """All eigenpairs of the symmetric tridiagonal tridiag(betas, alphas, betas).
-
-    Backed by the LAPACK dedicated tridiagonal solver; eigenvalues ascending,
-    eigenvectors in columns.
-    """
-    return eigh_tridiagonal(np.asarray(alphas, dtype=float), np.asarray(betas, dtype=float))
-
-
 class MinEvecCase(Enum):
     PSD_CERTIFIED = "psd_certified"
     NEGATIVE_EIG = "negative_eig"
@@ -162,7 +153,7 @@ def min_evec(
     start = rng.unit_vector(d)
     fact = lanczos_factorize(op, start, n1)
     diag, off = fact.tridiagonal()
-    ritz = tridiag_eig(diag, off)[0]
+    ritz = eigh_tridiagonal(diag, off)[0]
     ritz_max = float(ritz[-1])
     lambda_hat = float(ritz[0]) - 0.5 * delta
 
@@ -240,7 +231,7 @@ def sep(w_op, l1: float, q: float, rng: RngStream) -> SepResult:
     n = min(d, max(1, math.ceil(0.5 * math.log(11.0 * d / q**2) + 0.5)))
     fact = lanczos_factorize(w_op, rng.unit_vector(d), n)
     diag, off = fact.tridiagonal()
-    evals, evecs = tridiag_eig(diag, off)
+    evals, evecs = eigh_tridiagonal(diag, off)
     lam_top, lam_bot = float(evals[-1]), float(evals[0])
     gamma = max(lam_top, -lam_bot) / l1
     if gamma <= 1.0:

@@ -33,10 +33,6 @@ class InvalidStep(OqnError):
     """Finite-difference step must be positive."""
 
 
-class DimTooLargeForDenseOracle(OqnError):
-    pass
-
-
 class NonUnitStart(OqnError):
     pass
 
@@ -74,7 +70,7 @@ class NonPositiveRadius(OqnError):
 
 
 class DimTooLarge(OqnError):
-    pass
+    """A dense test oracle was asked for a matrix above its size cap."""
 
 
 class UnknownLevel(OqnError):

@@ -26,7 +26,7 @@ from . import driver
 from .driver import HyperParams, RunReport, compute_hyperparams
 from .errors import DimTooLarge
 from .linops import Counter
-from .problems import ObjectiveSpec, catalog, eval_gradient
+from .problems import CATALOG_NAMES, ObjectiveSpec, catalog, eval_gradient, family_knobs
 from .rng import RngStream
 
 METHODS = ("oqn", "og_baseline", "gd_baseline")
@@ -78,7 +78,9 @@ def _field_casts(cls, skip: tuple) -> dict:
 _RUN_KEYS = _field_casts(RunConfig, skip=("manual", "problem_kwargs"))
 # the params=manual block; its p_fail is the run key
 _MANUAL_KEYS = _field_casts(HyperParams, skip=("p_fail",))
-_PROBLEM_KEYS = {"mu": float, "kappa": float, "box": float}
+# every family's knobs, cast to the type of their defaults
+_PROBLEM_KEYS = {key: type(default) for name in CATALOG_NAMES
+                 for key, default in family_knobs(name).items()}
 
 
 def read_pairs(text: str) -> dict:
@@ -177,15 +179,18 @@ def baseline_gd(spec: ObjectiveSpec, steps: int, step_size: Optional[float] = No
 # brute-force trust-region oracle (test-side; never on the hot path)
 
 
-def brute_tr(a_dense: NDArray, b: NDArray, d_radius: float, dim_cap: int = 20) -> NDArray:
+BRUTE_TR_DIM_CAP = 20
+
+
+def brute_tr(a_dense: NDArray, b: NDArray, d_radius: float) -> NDArray:
     """Exact trust-region minimizer by eigendecomposition plus a root solve
     on the boundary multiplier, covering the interior, boundary and
     degenerate (hard) cases."""
     a_dense = np.asarray(a_dense, dtype=float)
     b = np.asarray(b, dtype=float)
     d = a_dense.shape[0]
-    if d > dim_cap:
-        raise DimTooLarge(f"brute_tr caps at dim {dim_cap}, got {d}")
+    if d > BRUTE_TR_DIM_CAP:
+        raise DimTooLarge(f"brute_tr caps at dim {BRUTE_TR_DIM_CAP}, got {d}")
     evals, evecs = np.linalg.eigh(a_dense)
     bt = evecs.T @ b
     lam_min = evals[0]

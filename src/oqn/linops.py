@@ -21,7 +21,7 @@ import math
 import numpy as np
 from numpy.typing import NDArray
 
-from .errors import DimensionMismatch, DimTooLargeForDenseOracle
+from .errors import DimensionMismatch, DimTooLarge
 
 DENSE_EIG_DIM_CAP = 200
 
@@ -131,14 +131,14 @@ class ShiftedOperator:
         return self.scale * self.base.trace() - self.shift * self.dim
 
 
-def dense_extreme_eig(op, dim_cap: int = DENSE_EIG_DIM_CAP):
+def dense_extreme_eig(op):
     """Brute-force extreme eigenpairs via a full dense eigendecomposition.
 
     Test oracle only; never on the algorithm's hot path.  Returns
     ``(lambda_min, lambda_max, v_min, v_max)`` with unit eigenvectors.
     """
-    if op.dim > dim_cap:
-        raise DimTooLargeForDenseOracle(f"dim {op.dim} exceeds dense-oracle cap {dim_cap}")
+    if op.dim > DENSE_EIG_DIM_CAP:
+        raise DimTooLarge(f"dim {op.dim} exceeds dense-oracle cap {DENSE_EIG_DIM_CAP}")
     a = op.dense()
     evals, evecs = np.linalg.eigh(a)
     lam_min, lam_max = float(evals[0]), float(evals[-1])

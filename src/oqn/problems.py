@@ -9,6 +9,7 @@ constructor's docstring).
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -25,8 +26,6 @@ from .errors import (
     UnknownProblem,
 )
 from .linops import Counter
-
-CATALOG_NAMES = ("quadratic", "cosine_mixture", "coupled_trig", "rosenbrock_local")
 
 FD_GRAD_STEP = 1e-5
 FD_HESS_STEP = 1e-4
@@ -233,23 +232,41 @@ def _rosenbrock_local(dim: int, box: float = 2.0) -> ObjectiveSpec:
     )
 
 
-def catalog(name: str, dim: int, seed: int = 0, **kwargs) -> ObjectiveSpec:
+# family name -> constructor; a family's knobs are its constructor's keyword
+# defaults, and the quadratic, the one randomized family, takes the seed
+_FAMILIES = {
+    "quadratic": _quadratic,
+    "cosine_mixture": _cosine_mixture,
+    "coupled_trig": _coupled_trig,
+    "rosenbrock_local": _rosenbrock_local,
+}
+CATALOG_NAMES = tuple(_FAMILIES)
+
+
+def family_knobs(name: str) -> dict:
+    """The knobs catalog family ``name`` takes, each with its default."""
+    params = inspect.signature(_FAMILIES[name]).parameters.values()
+    return {p.name: p.default for p in params if p.default is not p.empty}
+
+
+def catalog(name: str, dim: int, seed: int = 0, **knobs) -> ObjectiveSpec:
     """Build a catalog problem by name.
 
-    ``seed`` only matters for the randomized quadratic family.  Family knobs
-    (``mu``, ``kappa``, ``box``) are forwarded to the constructors.
+    ``seed`` only matters for the randomized quadratic family.  ``knobs``
+    go to the family's constructor; one the family does not take is a
+    ``ValueError``.
     """
     if dim < 1:
         raise InvalidDim(f"dim must be >= 1, got {dim}")
-    if name == "quadratic":
-        return _quadratic(dim, seed)
-    if name == "cosine_mixture":
-        return _cosine_mixture(dim, **kwargs)
-    if name == "coupled_trig":
-        return _coupled_trig(dim, **kwargs)
-    if name == "rosenbrock_local":
-        return _rosenbrock_local(dim, **kwargs)
-    raise UnknownProblem(f"unknown problem {name!r}; choose from {CATALOG_NAMES}")
+    if name not in _FAMILIES:
+        raise UnknownProblem(f"unknown problem {name!r}; choose from {CATALOG_NAMES}")
+    own = family_knobs(name)
+    stray = sorted(set(knobs) - set(own))
+    if stray:
+        takes = f"the knobs {sorted(own)}" if own else "no knobs"
+        raise ValueError(f"{name} takes {takes}, got {stray}")
+    args = (dim, seed) if name == "quadratic" else (dim,)
+    return _FAMILIES[name](*args, **knobs)
 
 
 def fd_check_gradient(spec: ObjectiveSpec, x: NDArray, h: float = FD_GRAD_STEP) -> float:

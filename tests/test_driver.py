@@ -3,9 +3,10 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import eigh_tridiagonal
 
 from oqn import driver, hessian_learner, trsolver
-from oqn.eig import lanczos_factorize, min_evec, sep, tridiag_eig
+from oqn.eig import lanczos_factorize, min_evec, sep
 from oqn.driver import HyperParams, compute_hyperparams
 from oqn.errors import NoGapEstimate, StationaryStart, ZeroL2
 from oqn.linops import Counter, ShiftedOperator, SymOperator
@@ -202,12 +203,6 @@ class TestRun:
         expected = report.log.g_dot_delta[0] + params.d_radius * np.linalg.norm(g1)
         assert ep.episode_regret == pytest.approx(expected, rel=1e-12)
         assert ep.episode_regret >= -1e-12
-
-    def test_audits_pass_on_small_run(self):
-        spec = catalog("cosine_mixture", 4)
-        params = compute_hyperparams(spec, 60)
-        report = driver.run(spec, params, RngStream(11), audit_level="full")
-        assert report.audits["all_ok"]
 
     def test_strict_audit_requires_value_oracle(self):
         from oqn.errors import MissingValueOracle
@@ -553,7 +548,7 @@ class TestSepCertificate:
                 n = min(d, max(1, math.ceil(0.5 * math.log(11.0 * d / q**2) + 0.5)))
                 fact = lanczos_factorize(SymOperator(w_op.dense(), Counter()),
                                          lanczos_rng.unit_vector(d), n)
-                ritz = tridiag_eig(*fact.tridiagonal())[0]
+                ritz = eigh_tridiagonal(*fact.tridiagonal())[0]
                 assert float(np.max(np.abs(ritz))) <= l1
                 certified.append(res)
             return res

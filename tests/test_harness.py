@@ -247,10 +247,14 @@ def _skewed(spec, name, *args):
     ("min_evec", lambda res, op, *args: dataclasses.replace(
         res, ritz_max=res.ritz_max + 1e-6 * op.frobenius_norm()),
      verify.check_minevec, "eig.minevec.ritz_max"),
+    ("min_evec", lambda res, *args: dataclasses.replace(res, v_hat=2.0 * res.v_hat),
+     verify.check_minevec, "eig.minevec.residual"),
     ("sep", _inside, verify.check_sep, "eig.sep.scaling"),
+    ("sep", lambda res, *args: dataclasses.replace(res, matvecs_used=res.matvecs_used + 1),
+     verify.check_sep, "eig.sep.budget"),
     ("catalog", _skewed, verify.check_problems, "problems.fd.coupled_trig"),
-], ids=["off_optimum", "low_eigenvalue", "high_ritz_value", "always_inside",
-        "scaled_gradient"])
+], ids=["off_optimum", "low_eigenvalue", "high_ritz_value", "doubled_eigenvector",
+        "always_inside", "miscounted_matvecs", "scaled_gradient"])
 def test_contract_battery_fails_on_a_broken_oracle(monkeypatch, oracle, corrupt,
                                                    battery, check):
     """A shared battery must not turn vacuous: break its oracle in verify's
@@ -413,6 +417,15 @@ class TestCli:
         cfg_path.write_text(CONFIG + "bogus=1\n")
         assert cli_main(["run", str(cfg_path)]) == 1
         assert "error: unknown config keys: ['bogus']" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("problem,knob,takes", [
+        ("cosine_mixture", "kappa", "the knobs ['mu']"), ("quadratic", "mu", "no knobs")])
+    def test_knob_of_another_family_exits_1(self, problem, knob, takes, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.txt"
+        cfg_path.write_text(f"problem={problem}\ndim=4\nbudget=40\n{knob}=0.3\n")
+        assert cli_main(["run", str(cfg_path)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: {problem} takes {takes}, got ['{knob}']"]
 
     @pytest.mark.parametrize("problem,dim", [("coupled_trig", 6), ("rosenbrock_local", 4)])
     def test_run_report_serializes_for_every_family(self, problem, dim, tmp_path, capsys):

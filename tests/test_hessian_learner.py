@@ -189,18 +189,6 @@ class TestLearnerStep:
             rhs = float(np.vdot(g_tilde, w - h))
             assert lhs <= rhs + 1e-8
 
-    def test_nuclear_norm_self_bound(self, np_rng):
-        d_rad = 1.0
-        for _ in range(1000):
-            d = int(np_rng.integers(2, 9))
-            b = random_symmetric(np_rng, d)
-            s = np_rng.standard_normal(d)
-            s *= np_rng.uniform(0, d_rad) / max(np.linalg.norm(s), 1e-12)
-            y = np_rng.standard_normal(d)
-            audit, g = play_round(b, y, s)
-            nuclear = float(np.sum(np.linalg.svd(g, compute_uv=False)))
-            assert nuclear <= 2.0 * d_rad * np.sqrt(audit.loss) + 1e-9
-
 
 def _project_frobenius(mat, radius):
     scale = radius / max(radius, float(np.linalg.norm(mat)))

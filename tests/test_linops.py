@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oqn.errors import DimensionMismatch, DimTooLargeForDenseOracle
+from oqn.errors import DimensionMismatch, DimTooLarge
 from oqn.linops import (
+    DENSE_EIG_DIM_CAP,
     Counter,
     ShiftedOperator,
     SymOperator,
@@ -159,8 +160,8 @@ class TestDenseExtremeEig:
         assert lam_max == pytest.approx(ref[-1], abs=1e-8)
 
     def test_dim_cap(self):
-        with pytest.raises(DimTooLargeForDenseOracle):
-            dense_extreme_eig(SymOperator(np.eye(8)), dim_cap=4)
+        with pytest.raises(DimTooLarge):
+            dense_extreme_eig(SymOperator(np.eye(DENSE_EIG_DIM_CAP + 1)))
 
     def test_shifted_spectrum_matches(self, np_rng):
         a = random_symmetric(np_rng, 12)

@@ -151,20 +151,9 @@ class TestFiniteDifferences:
 
 
 class TestSampledLipschitz:
-    @pytest.mark.parametrize("name", CATALOG_NAMES)
-    def test_thousand_pairs(self, name):
-        rng = np.random.default_rng(42)
-        spec = catalog(name, 8, seed=5)
-        lo, hi = (-spec.box, spec.box) if spec.box else (-3, 3)
-        for _ in range(1000):
-            x = rng.uniform(lo, hi, size=8)
-            y = rng.uniform(lo, hi, size=8)
-            dist = np.linalg.norm(x - y)
-            assert np.linalg.norm(spec.grad(x) - spec.grad(y)) <= spec.l1 * dist + 1e-9
-            hess_gap = np.linalg.norm(spec.hess(x) - spec.hess(y), ord=2)
-            assert hess_gap <= spec.l2 * dist + 1e-9
-
     def test_wide_instance(self):
+        # verify.check_problems samples every family at d = 6; coupled_trig is
+        # the one family whose L1 and L2 grow with d, so it is also run wide
         rng = np.random.default_rng(3)
         spec = catalog("coupled_trig", 40)
         for _ in range(100):
@@ -172,3 +161,5 @@ class TestSampledLipschitz:
             y = rng.uniform(-3, 3, size=40)
             dist = np.linalg.norm(x - y)
             assert np.linalg.norm(spec.grad(x) - spec.grad(y)) <= spec.l1 * dist + 1e-9
+            hess_gap = np.linalg.norm(spec.hess(x) - spec.hess(y), ord=2)
+            assert hess_gap <= spec.l2 * dist + 1e-9

@@ -679,22 +679,6 @@ class TestTrSolve:
                 assert abs(np.linalg.norm(sol.delta_vec) - 1.0) <= 1e-10
         assert seen > 0
 
-    def test_soundness_and_quality_battery(self, np_rng):
-        for t in range(120):
-            d = int(np_rng.integers(2, 21))
-            a = random_symmetric(np_rng, d)
-            b = np_rng.standard_normal(d)
-            b *= np_rng.uniform(0, 5) / max(np.linalg.norm(b), 1e-12)
-            d_rad = float(np_rng.choice([0.1, 1.0, 10.0]))
-            delta = float(np_rng.choice([1e-2, 1e-4]))
-            p = make_problem(a, b, d_rad, delta)
-            sol = tr_solve(p, RngStream(900_000 + t))
-            assert np.linalg.norm(sol.delta_vec) <= d_rad + 1e-12
-            assert sol.residual <= delta
-            exact = brute_tr(a, b, d_rad)
-            gap = tr_objective(a, b, sol.delta_vec) - tr_objective(a, b, exact)
-            assert gap <= delta * d_rad + 1e-9
-
     def test_lied_bound_surfaces_certificate_failure(self):
         # the caller's spectral bound is the solver's certificate; a gross
         # underestimate makes the accelerated steps diverge, and the failed
