@@ -153,7 +153,7 @@ def min_evec(
     start = rng.unit_vector(d)
     fact = lanczos_factorize(op, start, n1)
     diag, off = fact.tridiagonal()
-    ritz = eigh_tridiagonal(diag, off)[0]
+    ritz = eigh_tridiagonal(diag, off, eigvals_only=True)
     ritz_max = float(ritz[-1])
     lambda_hat = float(ritz[0]) - 0.5 * delta
 
@@ -183,13 +183,6 @@ class SepCase(Enum):
     SEPARATED = "separated"
 
 
-def separating_matrix(u: NDArray, sign: float, l1: float) -> NDArray:
-    """Dense S = sign * u u' / l1, the zero matrix when ``sign`` is 0."""
-    if sign == 0.0:
-        return np.zeros((u.size, u.size))
-    return sign * np.outer(u, u) / l1
-
-
 @dataclass
 class SepResult:
     """Outcome of ``sep``.  When separated, the hyperplane is S = sign * u u'
@@ -207,8 +200,10 @@ class SepResult:
 
     @property
     def s_mat(self) -> NDArray:
-        """Dense S, built on each read."""
-        return separating_matrix(self.u, self.sign, self.l1)
+        """Dense S, built on each read: the zero matrix when ``sign`` is 0."""
+        if self.sign == 0.0:
+            return np.zeros((self.u.size, self.u.size))
+        return self.sign * np.outer(self.u, self.u) / self.l1
 
 
 def sep(w_op, l1: float, q: float, rng: RngStream) -> SepResult:

@@ -17,28 +17,33 @@ loss pair (y_n, s_n) exists, so each ``learner_step`` call (a) finishes the
 previous round from the pair's residual r and s with the cached separation
 data (surrogate gradient plus Frobenius projection) and (b) immediately runs
 the separation oracle on the new ambient iterate to materialize the next
-action.  The round applies no operator of its own.  The initial action is
+action.  The round counts no matvec of its own.  The initial action is
 the zero matrix, whose separation outcome (gamma = 0, inside) is
 deterministic and therefore cached without an oracle call.
 
-The round's loss gradient is the rank-2 matrix -(r s' + s r').  A round
-with W inside the doubled ball forms M = r s' once, adds its transpose (an
-exactly symmetric sum), scales the sum by rho in place and adds W, the same
-bits as W - rho * grad.  It takes |W_next|_F in one pass and rescales, with a
-second pass, only when W_next leaves the Frobenius ball.
-W_next stays a fresh array, so an earlier state's operator stays valid.
+The round's loss gradient is the rank-2 matrix -(r s' + s r').  W and B
+are kept as ``SymOperator`` upper triangles (see ``linops``), so a round
+copies W's triangle once and applies the step W - rho * grad as one BLAS
+``dsyr2`` call, rho (r s' + s r') added to the triangle in place.  A round
+after a separated one reads <grad, B> as -2 r'(B s), one ``dsymv`` on B's
+triangle, and adds its tilt as one ``dsyr`` on the separating vector u, so
+the tilt S = sign * u u' / L1, kept as (u, sign), is never made dense.  The
+round takes |W_next|_F from the triangle in one pass and rescales, with a
+second pass, only when W_next leaves the Frobenius ball.  W_next stays a
+fresh array, so an earlier state's operator stays valid.
 
 The played action lives in one ``SymOperator`` (``LearnerState.b_op``), which
 the driver applies directly and views as its trust-region matrix.  The
 operator over W_next is a trusted build (``fro=``): the learner hands over
-the norm it already holds and the exactly symmetric matrix itself, so the
-build costs no copy, symmetry check or norm pass.  When the oracle finds W
-inside the doubled ball, that operator is reused as B, so a round usually
-builds one operator.  A separated round's B = W / gamma is exactly symmetric
-as W is, and is built on trust too, from its one norm pass.  Its Frobenius
-norm gives the driver a free operator-norm bound on B.  The tilt
-S = sign * u u' / L1 of a separated round is kept as (u, sign) and made
-dense only in the round that reads it.
+the triangle itself and the norm it already holds, so the build costs no
+copy, symmetry check or norm pass.  When the oracle finds W inside the
+doubled ball, that operator is reused as B, so a round usually builds one
+operator.  A separated round's B = W / gamma is a triangle in the same
+layout, and is built on trust too, from its one norm pass.  Its Frobenius
+norm gives the driver a free operator-norm bound on B.  The product B s
+that the tilt reads ticks no counter, as the dense inner product it
+replaces did not: it prices the learner's surrogate loss, not a use of B by
+the solve.
 """
 
 from __future__ import annotations
@@ -47,21 +52,23 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import NDArray
+from scipy.linalg.blas import dsymv, dsyr, dsyr2
 
-from .eig import SepCase, sep, separating_matrix
+from .eig import SepCase, sep
 from .errors import DimensionMismatch, NonPositiveRadius
-from .linops import Counter, SymOperator
+from .linops import Counter, SymOperator, upper_frobenius
 from .rng import RngStream
 
 
 @dataclass
 class LearnerState:
-    """Ambient iterate W (Frobenius ball of radius sqrt(d) L1), played action
-    B as an operator (operator norm at most 2 L1 per the separation
-    guarantee), and the cached separation data (gamma, u, sign) that produced
-    B from W: the tilt S = sign * u u' / L1, with sign 0 when W was inside."""
+    """Ambient iterate W (Frobenius ball of radius sqrt(d) L1) and played
+    action B as operators (B's operator norm at most 2 L1 per the separation
+    guarantee; B is W's operator itself when W was inside), and the cached
+    separation data (gamma, u, sign) that produced B from W: the tilt
+    S = sign * u u' / L1, with sign 0 when W was inside."""
 
-    w_mat: NDArray
+    w_op: SymOperator
     b_op: SymOperator
     gamma: float
     u: NDArray
@@ -76,14 +83,14 @@ class LearnerState:
     def fresh(cls, dim: int, l1: float, rho: float, q_per_call: float,
               counter: Counter | None = None) -> "LearnerState":
         counter = counter if counter is not None else Counter()
-        zero = np.zeros((dim, dim))
-        return cls(w_mat=zero, b_op=SymOperator(zero, counter, fro=0.0), gamma=0.0,
+        zero = SymOperator(np.zeros((dim, dim), order="F"), counter, fro=0.0)
+        return cls(w_op=zero, b_op=zero, gamma=0.0,
                    u=np.zeros(dim), sign=0.0, rho=rho, l1=l1, dim=dim,
                    q_per_call=q_per_call, counter=counter)
 
     @property
     def b_mat(self) -> NDArray:
-        """Dense B, no copy.  Treat as read-only."""
+        """Dense B, built on each read."""
         return self.b_op.dense()
 
     @property
@@ -120,36 +127,30 @@ def learner_step(state: LearnerState, r: NDArray, s: NDArray,
     own, only the separation call, which is free when |W_next|_F <= L1."""
     if r.shape != s.shape or r.ndim != 1:
         raise DimensionMismatch(f"r {r.shape} and s {s.shape} must be equal-length vectors")
-    # minus the loss gradient at B; an entry and its mirror add the same two
-    # products, so the sum is exactly symmetric
-    m = np.outer(r, s)
-    neg_grad = m + m.T
+    # W - rho * grad = W + rho (r s' + s r'), on a fresh copy of W's triangle
+    w_next = dsyr2(state.rho, r, s, a=state.w_op.upper.copy(order="F"), overwrite_a=1)
     round_case = SepCase.INSIDE_DOUBLED if state.gamma <= 1.0 else SepCase.SEPARATED
     if round_case is SepCase.SEPARATED:
-        grad = -neg_grad
-        tilt = max(0.0, -float(np.vdot(grad, state.b_mat)))
-        s_mat = separating_matrix(state.u, state.sign, state.l1)
-        w_next = state.w_mat - state.rho * (grad + tilt * s_mat)
-    else:
-        # W - rho * grad, bit for bit, in a fresh array
-        w_next = neg_grad
-        w_next *= state.rho
-        w_next += state.w_mat
+        # tilt = max(0, -<grad, B>), and <grad, B> = -2 r'(B s)
+        tilt = max(0.0, 2.0 * float(r @ dsymv(1.0, state.b_op.upper, s)))
+        if tilt > 0.0:  # minus rho * tilt * S
+            w_next = dsyr(-state.rho * tilt * state.sign / state.l1, state.u,
+                          a=w_next, overwrite_a=1)
     radius = np.sqrt(state.dim) * state.l1
-    fro = float(np.linalg.norm(w_next))
+    fro = upper_frobenius(w_next)
     if fro > radius:  # project onto the Frobenius ball
         w_next *= radius / fro
-        fro = float(np.linalg.norm(w_next))
+        fro = upper_frobenius(w_next)
 
     w_op = SymOperator(w_next, state.counter, fro=fro)
     sep_res = sep(w_op, state.l1, state.q_per_call, rng)
     if sep_res.case is SepCase.INSIDE_DOUBLED:
         b_next = w_op
     else:
-        b_mat = w_next / sep_res.gamma
-        b_next = SymOperator(b_mat, state.counter, fro=float(np.linalg.norm(b_mat)))
+        b_upper = w_next / sep_res.gamma
+        b_next = SymOperator(b_upper, state.counter, fro=upper_frobenius(b_upper))
     next_state = LearnerState(
-        w_mat=w_next, b_op=b_next, gamma=sep_res.gamma, u=sep_res.u,
+        w_op=w_op, b_op=b_next, gamma=sep_res.gamma, u=sep_res.u,
         sign=sep_res.sign, rho=state.rho, l1=state.l1, dim=state.dim,
         q_per_call=state.q_per_call, counter=state.counter,
     )

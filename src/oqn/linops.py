@@ -1,17 +1,22 @@
 """Symmetric linear operators with matrix-vector product accounting.
 
 Every matrix the optimizer touches on its hot path is applied only through
-``apply`` (one counted matvec per call).  ``SymOperator`` stores one dense
-symmetric matrix; everything else is a matrix-free ``ShiftedOperator`` view
-``scale * base - shift * I`` over it, whose Frobenius norm and trace follow
-in closed form from the base's.  The driver applies only such a view, its
-trust-region matrix B/2 + I/eta: one product at the previous step, and the
-solve's own, which the solve hands back, at the new one.  A build either
-symmetrizes and checks its input or, given the norm through ``fro=``, trusts
-a caller that already holds an exactly symmetric matrix and its norm (the
-matrix learner): then it costs no d x d pass at all.  Dense copies are only
-built on request, for the brute-force test oracles and audits.  Counters are
-run-scoped objects owned by the caller, never globals.
+``apply`` (one counted matvec per call).  ``SymOperator`` stores one
+symmetric matrix as its upper triangle, Fortran-ordered with a zero strict
+lower part, the layout the BLAS symmetric routines read: ``apply`` is one
+``dsymv``, and the matrix learner updates its triangle in place with
+``dsyr2`` and ``dsyr``.  Everything else is a matrix-free
+``ShiftedOperator`` view ``scale * base - shift * I`` over it, whose
+Frobenius norm and trace follow in closed form from the base's.  The driver
+applies only such a view, its trust-region matrix B/2 + I/eta: one product
+at the previous step, and the solve's own, which the solve hands back, at
+the new one.  A build either symmetrizes and checks a full square input and
+keeps its upper triangle or, given the norm through ``fro=``, trusts a
+caller that already holds the triangle in this layout and its norm (the
+matrix learner): then it costs no d x d pass at all.  Full symmetric
+matrices are only built on request, for the brute-force test oracles and
+audits.  Counters are run-scoped objects owned by the caller, never
+globals.
 """
 
 from __future__ import annotations
@@ -20,6 +25,7 @@ import math
 
 import numpy as np
 from numpy.typing import NDArray
+from scipy.linalg.blas import ddot, dsymv
 
 from .errors import DimensionMismatch, DimTooLarge
 
@@ -41,20 +47,33 @@ class Counter:
         return f"Counter({self.count})"
 
 
+def upper_frobenius(upper: NDArray) -> float:
+    """Frobenius norm of the symmetric matrix whose upper triangle, with a
+    zero strict lower part, is ``upper``: sqrt(2 |U|_F^2 - |diag U|^2), in
+    one pass over the storage plus one over the diagonal.  The difference is
+    at least |U|_F^2, so it does not cancel."""
+    flat = upper.T.reshape(-1)  # a view for Fortran order
+    diag = flat[:: upper.shape[0] + 1]
+    return math.sqrt(2.0 * ddot(flat, flat) - ddot(diag, diag))
+
+
 class SymOperator:
-    """A symmetric d x d operator backed by dense storage.
+    """A symmetric d x d operator stored as its upper triangle.
 
-    ``apply`` increments the attached counter by exactly one per call; the
-    dense backing is reserved for test oracles and norm queries, which are
-    free of matvec cost.  The Frobenius norm is computed once, at build time.
+    ``upper`` is Fortran-ordered with a zero strict lower part.  ``apply``
+    increments the attached counter by exactly one per call; ``dense`` and
+    the norm queries are free of matvec cost.  The Frobenius norm is
+    computed once, at build time.
 
-    By default the build symmetrizes a copy of ``mat`` and rejects a matrix
-    that is not symmetric.  A caller that passes ``fro`` vouches that ``mat``
-    is exactly symmetric and that ``fro`` is its Frobenius norm: the operator
-    then wraps ``mat`` itself, with no copy, check or norm pass.
+    By default the build takes a full square ``mat``, symmetrizes a copy of
+    it and rejects a matrix that is not symmetric.  A caller that passes
+    ``fro`` vouches that ``mat`` is already an upper triangle in the layout
+    above and that ``fro`` is the Frobenius norm of the symmetric matrix it
+    stands for: the operator then wraps ``mat`` itself, with no copy, check
+    or norm pass.
     """
 
-    __slots__ = ("mat", "counter", "fro")
+    __slots__ = ("upper", "counter", "fro")
 
     def __init__(self, mat: NDArray, counter: Counter | None = None,
                  fro: float | None = None):
@@ -62,34 +81,37 @@ class SymOperator:
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise DimensionMismatch(f"expected a square matrix, got shape {mat.shape}")
         if fro is not None:
-            self.mat, self.fro = mat, float(fro)
+            self.upper, self.fro = mat, float(fro)
         else:
-            self.mat = 0.5 * (mat + mat.T)
-            self.fro = float(np.linalg.norm(self.mat))
+            sym = 0.5 * (mat + mat.T)
+            self.fro = float(np.linalg.norm(sym))
             if np.linalg.norm(mat - mat.T) > 1e-10 * (self.fro or 1.0):
                 raise DimensionMismatch("matrix is not symmetric")
+            # sym is exactly symmetric, so its lower triangle transposed is
+            # its upper triangle, already in Fortran order
+            self.upper = np.tril(sym).T
         self.counter = counter if counter is not None else Counter()
 
     @property
     def dim(self) -> int:
-        return self.mat.shape[0]
+        return self.upper.shape[0]
 
     def apply(self, v: NDArray) -> NDArray:
         v = np.asarray(v, dtype=float)
         if v.shape != (self.dim,):
             raise DimensionMismatch(f"vector shape {v.shape} vs operator dim {self.dim}")
         self.counter.tick()
-        return self.mat @ v
+        return dsymv(1.0, self.upper, v)
 
     def dense(self) -> NDArray:
-        """Dense backing, no matvec cost.  Treat as read-only."""
-        return self.mat
+        """The full symmetric matrix, built on each call, no matvec cost."""
+        return self.upper + np.triu(self.upper, 1).T
 
     def frobenius_norm(self) -> float:
         return self.fro
 
     def trace(self) -> float:
-        return float(np.trace(self.mat))
+        return float(np.trace(self.upper))
 
 
 class ShiftedOperator:

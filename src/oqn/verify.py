@@ -33,11 +33,26 @@ SCALES = {
 
 SEED = 20240  # for the draws with no acceptance counterpart
 
+# |A|_F held by a SymOperator against np.linalg.norm of its dense matrix:
+# the two sums round in different orders, so they agree only to rounding,
+# well under 1e-12 relative at any d the batteries and tests build
+FRO_RTOL = 1e-12
+
 
 def random_symmetric(rng, d, scale=1.0):
     """Symmetric matrix with lower-triangle entries U(-scale, scale)."""
     m = rng.uniform(-scale, scale, size=(d, d))
     return np.tril(m) + np.tril(m, -1).T
+
+
+def triangle_ok(op: SymOperator) -> bool:
+    """``op`` keeps the ``SymOperator`` layout: a Fortran-ordered upper
+    triangle with a zero strict lower part, whose held Frobenius norm is its
+    dense matrix's within FRO_RTOL."""
+    upper = op.upper
+    dense_norm = float(np.linalg.norm(op.dense()))
+    return (upper.flags.f_contiguous and not np.tril(upper, -1).any()
+            and abs(op.frobenius_norm() - dense_norm) <= FRO_RTOL * dense_norm)
 
 
 @dataclass
@@ -91,7 +106,11 @@ def check_linops(cfg):
     out = []
     d = 20
     counter = Counter()
-    op = SymOperator(random_symmetric(rng, d), counter)
+    a = random_symmetric(rng, d)
+    op = SymOperator(a, counter)
+    # the checked build keeps an exactly symmetric input's bits
+    out.append(CheckResult(
+        "linops.triangle_layout", triangle_ok(op) and np.array_equal(op.dense(), a)))
     for _ in range(7):
         op.apply(rng.standard_normal(d))
     out.append(CheckResult(
@@ -314,10 +333,11 @@ def check_learner(cfg):
         s *= rng.uniform(0, d_rad) / max(np.linalg.norm(s), 1e-12)
         y = rng.standard_normal(d)
         r = y - b @ s
+        op = SymOperator(b, Counter())
         state = LearnerState(
-            w_mat=b, b_op=SymOperator(b, Counter()), gamma=0.0, u=np.zeros(d),
-            sign=0.0, rho=rho, l1=l1, dim=d, q_per_call=0.01, counter=Counter())
-        w_next = learner_step(state, r, s, stream)[0].w_mat
+            w_op=op, b_op=op, gamma=0.0, u=np.zeros(d), sign=0.0, rho=rho, l1=l1,
+            dim=d, q_per_call=0.01, counter=Counter())
+        w_next = learner_step(state, r, s, stream)[0].w_op.dense()
         if np.linalg.norm(w_next) >= math.sqrt(d) * l1 * (1.0 - 1e-12):
             continue
         inside_rounds += 1
@@ -330,9 +350,10 @@ def check_learner(cfg):
         "learner.nuclear_bound", nuc_ok and inside_rounds > 0,
         f"worst_excess={worst:.2e} rounds={inside_rounds}/{cfg['learner_samples']}"))
 
-    # the learner builds its operators on trust (exactly symmetric W and
-    # B = W / gamma, norm handed over); recheck them against the dense
-    # matrices.  l1 = 0.3 puts part of the run in separated rounds
+    # the learner builds its operators on trust (the triangles of W and
+    # B = W / gamma, norm handed over); recheck their layout and norms
+    # against the dense matrices.  l1 = 0.3 puts part of the run in
+    # separated rounds
     feas_ok = trusted_ok = True
     separated = 0
     d = 6
@@ -345,10 +366,9 @@ def check_learner(cfg):
             s *= d_rad / max(np.linalg.norm(s), 1e-12)
             state, audit = learner_step(state, y - state.b_mat @ s, s, stream)
             separated += audit.case is SepCase.SEPARATED
-            feas_ok = feas_ok and np.linalg.norm(state.w_mat) <= math.sqrt(d) * l1 + 1e-9
-            trusted_ok = (trusted_ok and np.array_equal(state.w_mat, state.w_mat.T)
-                          and np.array_equal(state.b_mat, state.b_mat.T)
-                          and state.b_fro == np.linalg.norm(state.b_mat))
+            feas_ok = (feas_ok and np.linalg.norm(state.w_op.dense())
+                       <= math.sqrt(d) * l1 + 1e-9)
+            trusted_ok = trusted_ok and triangle_ok(state.w_op) and triangle_ok(state.b_op)
     out.append(CheckResult("learner.frobenius_feasible", feas_ok))
     out.append(CheckResult("learner.trusted_build", trusted_ok and separated > 0,
                            f"separated_rounds={separated}/120"))

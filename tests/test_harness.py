@@ -247,14 +247,14 @@ def _skewed(spec, name, *args):
     ("min_evec", lambda res, op, *args: dataclasses.replace(
         res, ritz_max=res.ritz_max + 1e-6 * op.frobenius_norm()),
      verify.check_minevec, "eig.minevec.ritz_max"),
-    ("min_evec", lambda res, *args: dataclasses.replace(res, v_hat=2.0 * res.v_hat),
+    ("min_evec", lambda res, *args: dataclasses.replace(res, v_hat=(1.0 + 1e-6) * res.v_hat),
      verify.check_minevec, "eig.minevec.residual"),
     ("sep", _inside, verify.check_sep, "eig.sep.scaling"),
-    ("sep", lambda res, *args: dataclasses.replace(res, matvecs_used=res.matvecs_used + 1),
+    ("sep", lambda res, *args: dataclasses.replace(res, matvecs_used=res.matvecs_used - 1),
      verify.check_sep, "eig.sep.budget"),
     ("catalog", _skewed, verify.check_problems, "problems.fd.coupled_trig"),
-], ids=["off_optimum", "low_eigenvalue", "high_ritz_value", "doubled_eigenvector",
-        "always_inside", "miscounted_matvecs", "scaled_gradient"])
+], ids=["off_optimum", "low_eigenvalue", "high_ritz_value", "stretched_eigenvector",
+        "always_inside", "undercounted_matvecs", "scaled_gradient"])
 def test_contract_battery_fails_on_a_broken_oracle(monkeypatch, oracle, corrupt,
                                                    battery, check):
     """A shared battery must not turn vacuous: break its oracle in verify's

@@ -365,8 +365,9 @@ class TestEarlyExit:
                 assert again.matvecs_used == cost
                 assert again.delta_vec.tobytes() == sol.delta_vec.tobytes()
                 assert_certificate_is_fresh(a, b, radius, again)
+        # a boundary answer restarts too, unless it rounded past the sphere
         assert 0 < boundary < 30
-        assert moved == 30 and 30 - boundary < restarts < 30
+        assert moved == 30 and 30 - boundary < restarts <= 30
 
     def test_undecided_probe_falls_back_bit_for_bit(self):
         # condition number 1e4 and N = 32: FISTA is far from a residual of
