@@ -17,12 +17,18 @@ also the pair's logged loss.  The resulting tally is exactly one evaluation
 at init, two per iteration, and one per episode close: 2M + K + 1 total,
 with M - 1 realized loss pairs.
 
-Matvec schedule: a step applies the trust-region matrix A = B/2 + I/eta once,
-at the previous displacement.  That product feeds the linear term, the
+Matvec schedule: a step needs the trust-region matrix A = B/2 + I/eta at the
+previous displacement delta_n.  That product feeds the linear term, the
 solve's start product and the hint's B-correction; the solve hands back its
 product at the new displacement, which gives the rest of that correction and
-the fixed-point audit.  A step therefore costs the solve's matvecs plus one,
-besides the learner's separation call, which is free when certified.
+the fixed-point audit, and the state keeps it for the next step.  After a
+plain learner round (see ``LearnerAudit.plain``) the new A differs from the
+one that product was taken with by (rho/2)(r s' + s r'), so the step derives
+A delta_n from the kept product with two dot products and two axpys
+(Byrd, Nocedal & Schnabel 1994), equal up to rounding; only the first step
+and a step after any other round apply A.  A step therefore costs the
+solve's matvecs, plus one when it applied A, besides the learner's
+separation call, which is free when certified.
 """
 
 from __future__ import annotations
@@ -33,6 +39,7 @@ from typing import Optional
 
 import numpy as np
 from numpy.typing import NDArray
+from scipy.linalg.blas import daxpy, ddot
 
 from .errors import MissingValueOracle, NoGapEstimate, StationaryStart, ZeroL2
 from .hessian_learner import LearnerState, default_rho, learner_step
@@ -153,13 +160,14 @@ class StepLog:
 
 def new_totals() -> dict:
     """A run's totals, all zero: gradient and matvec counts, the
-    trust-region and separation tallies under "tr", iterations, whether
-    ``eps_target`` stopped the run, and box exits."""
+    trust-region and separation tallies under "tr" (with the solves whose
+    start product was derived from the last one, not applied), iterations,
+    whether ``eps_target`` stopped the run, and box exits."""
     return {
         "gradients": 0, "matvecs": 0,
         "tr": {"solves": 0, "matvecs": 0, "max_residual": 0.0, "retries": 0,
                "early_exits": 0, "branches": {}, "sep_calls": 0, "sep_matvecs": 0,
-               "sep_certified": 0},
+               "sep_certified": 0, "start_products_derived": 0},
         "iterations": 0, "stopped_early": False, "box_violations": 0,
     }
 
@@ -176,6 +184,7 @@ class OqnState:
     grad_z_prev: Optional[NDArray] = None
     pending_s: Optional[NDArray] = None
     hess_z_prev: Optional[NDArray] = None  # full level: H(z_{n-1}) for the ledger
+    a_delta: Optional[NDArray] = None  # the last solve's A delta_vec, A as it played
     ep_sum_w: Optional[NDArray] = None
     ep_sum_g: Optional[NDArray] = None
     ep_sum_gdotd: float = 0.0
@@ -239,6 +248,7 @@ def step(state: OqnState, spec: ObjectiveSpec, params: HyperParams, rng: RngStre
     # the loss pair of iteration n-1 is complete now; learner closes it with
     # the hint error, which is that pair's residual y - B s
     r = g_n - state.hint
+    plain = False  # the learner round moved B by exactly rho (r s' + s r')
     if state.pending_s is None:
         if log is not None:
             log.hint_gap_first = float(r @ r)
@@ -246,6 +256,7 @@ def step(state: OqnState, spec: ObjectiveSpec, params: HyperParams, rng: RngStre
         if method == "oqn":
             state.b_state, laudit = learner_step(state.b_state, r, state.pending_s, rng)
             pair_loss = laudit.loss
+            plain = laudit.plain
             tr["sep_calls"] += 1
             tr["sep_matvecs"] += laudit.sep_matvecs
             tr["sep_certified"] += int(laudit.certified)
@@ -278,7 +289,15 @@ def step(state: OqnState, spec: ObjectiveSpec, params: HyperParams, rng: RngStre
         # lambda_min(A) >= 1/eta - |B|_F/2, all free of matvecs
         b_fro = state.b_state.b_fro
         a_op = ShiftedOperator(state.b_state.b_op, -1.0 / eta, scale=0.5)
-        a_delta = a_op.apply(delta_n)
+        if plain:
+            # A moved by (rho/2)(r s' + s r'): carry the last solve's product
+            # at delta_n over, into a copy, as that solution still holds it
+            s, half_rho = state.pending_s, 0.5 * state.b_state.rho
+            a_delta = daxpy(r, state.a_delta.copy(), a=half_rho * ddot(s, delta_n))
+            a_delta = daxpy(s, a_delta, a=half_rho * ddot(r, delta_n))
+            tr["start_products_derived"] += 1
+        else:
+            a_delta = a_op.apply(delta_n)
         b_vec = gz + r - a_delta
         m = min(2.0 * spec.l1, b_fro)
         problem = TrustRegionSubproblem(
@@ -309,11 +328,13 @@ def step(state: OqnState, spec: ObjectiveSpec, params: HyperParams, rng: RngStre
                     "lambda_hat": sol.lambda_hat, "n_accel": sol.n_accel,
                     "matvecs": sol.matvecs_used, "residual": sol.residual,
                     "retried": sol.retried, "early_exit": sol.early_exit,
+                    "start_product": "derived" if plain else "applied",
                     "rng_state": rng.state(),
                 })
                 fp = np.linalg.norm(delta_next - project_ball(
                     delta_next - eta * (sol.a_delta + b_vec), d_rad))
                 log.fp_gaps.append(float(fp))
+        state.a_delta = sol.a_delta
     else:  # og baseline: zero matrix, explicit projected optimistic update
         hint_next = gz
         delta_next = project_ball(

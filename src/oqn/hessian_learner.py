@@ -30,7 +30,12 @@ triangle, and adds its tilt as one ``dsyr`` on the separating vector u, so
 the tilt S = sign * u u' / L1, kept as (u, sign), is never made dense.  The
 round takes |W_next|_F from the triangle in one pass and rescales, with a
 second pass, only when W_next leaves the Frobenius ball.  W_next stays a
-fresh array, so an earlier state's operator stays valid.
+fresh array, so an earlier state's operator stays valid.  A round that
+starts from B = W (gamma <= 1), keeps W_next in the ball and is answered
+inside moves the played action by exactly its rank-two step,
+B_next - B = rho (r s' + s r'); its audit flags it ``plain``, and the driver
+then updates a product of the old action to the new one with two dot
+products and two axpys instead of a matvec.
 
 The played action lives in one ``SymOperator`` (``LearnerState.b_op``), which
 the driver applies directly and views as its trust-region matrix.  The
@@ -48,6 +53,7 @@ the solve.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -104,13 +110,17 @@ class LearnerAudit:
     """Per-round record: the scaling and loss of the round just closed, plus
     the cost of the separation call that produced the next action and whether
     that call was settled by the Frobenius certificate |W|_F <= L1 (no Lanczos
-    run, no random draw)."""
+    run, no random draw).  ``plain`` means the round moved the played action
+    by exactly its step, B_next - B = rho (r s' + s r'): the round's B was W
+    (gamma <= 1), W_next stayed in the Frobenius ball, and the separation
+    call answered inside, so B_next is W_next."""
 
     gamma: float
     loss: float
     case: SepCase
     sep_matvecs: int
     certified: bool
+    plain: bool
 
 
 def default_rho(d_radius: float) -> float:
@@ -136,15 +146,17 @@ def learner_step(state: LearnerState, r: NDArray, s: NDArray,
         if tilt > 0.0:  # minus rho * tilt * S
             w_next = dsyr(-state.rho * tilt * state.sign / state.l1, state.u,
                           a=w_next, overwrite_a=1)
-    radius = np.sqrt(state.dim) * state.l1
+    radius = math.sqrt(state.dim) * state.l1
     fro = upper_frobenius(w_next)
-    if fro > radius:  # project onto the Frobenius ball
+    projected = fro > radius
+    if projected:  # project onto the Frobenius ball
         w_next *= radius / fro
         fro = upper_frobenius(w_next)
 
     w_op = SymOperator(w_next, state.counter, fro=fro)
     sep_res = sep(w_op, state.l1, state.q_per_call, rng)
-    if sep_res.case is SepCase.INSIDE_DOUBLED:
+    inside = sep_res.case is SepCase.INSIDE_DOUBLED
+    if inside:
         b_next = w_op
     else:
         b_upper = w_next / sep_res.gamma
@@ -161,5 +173,6 @@ def learner_step(state: LearnerState, r: NDArray, s: NDArray,
         sep_matvecs=sep_res.matvecs_used,
         # Lanczos spends at least one matvec, so zero means the certificate
         certified=sep_res.matvecs_used == 0,
+        plain=round_case is SepCase.INSIDE_DOUBLED and not projected and inside,
     )
     return next_state, audit

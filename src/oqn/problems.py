@@ -75,7 +75,7 @@ def eval_gradient(spec: ObjectiveSpec, x: NDArray, counter: Counter) -> NDArray:
     if x.shape != (spec.dim,):
         raise DimensionMismatch(f"x has shape {x.shape}, expected ({spec.dim},)")
     g = np.asarray(spec.grad(x), dtype=float)
-    if not np.all(np.isfinite(g)):
+    if not np.isfinite(g).all():
         raise NonFinite(f"gradient oracle returned non-finite values at {x!r}")
     counter.tick()
     return g

@@ -21,9 +21,9 @@ regularized branch the step starts at 1 / (ritz_max - lambda_hat), from the
 top Ritz value the eigenpair probe already computed (exact once its Krylov
 space is full), and backtracks towards 1 / (``b_bound`` - lambda_hat), where
 the check stops; a rejected step's matvec counts against N.  A caller that
-already holds A ``x_start`` passes it as ``a_start``, and the probe starts
-without a matvec on either branch: the regularized one forms
-A ``x_start`` - lambda_hat ``x_start`` from it.  Only when the probe does
+already holds A ``x_start``, up to rounding, passes it as ``a_start``, and
+the probe starts without a matvec on either branch: the regularized one
+forms A ``x_start`` - lambda_hat ``x_start`` from it.  Only when the probe does
 not certify within the fixed budget N does the solve run the fixed-budget
 two-phase method from the origin (a FISTA burn-in that shrinks the
 objective gap, then a gradient-norm phase that converts the gap into a small
@@ -79,13 +79,14 @@ class TrustRegionSubproblem:
     where the early-exit probe starts on either branch (default: the
     origin); it is projected onto the ball, at no matvec cost, unless it lies
     in the ball as ``residual_of`` accepts it.  ``a_start``, optional, is
-    A ``x_start`` as the caller already holds it; the probe uses it in place
-    of its first matvec when it starts at ``x_start`` itself (shifted by
-    lambda_hat on the regularized branch), so it must carry the bits
-    ``a_op.apply`` would return; the solve hands back A at its answer the
-    same way, as ``TRSolution.a_delta``.  The driver passes its product at the previous
-    step as ``a_start``, and data-dependent bounds from |B|_F (see
-    ``driver.step``), not the worst case from L1.
+    A ``x_start`` up to rounding, as the caller already holds it; the probe
+    uses it in place of its first matvec when it starts at ``x_start``
+    itself (shifted by lambda_hat on the regularized branch), and a probe
+    that certifies there reads its residual from it and hands it back as
+    ``TRSolution.a_delta``.  The driver passes its product at the previous
+    step as ``a_start``, applied or derived from the last solve's (see
+    ``driver.step``), and data-dependent bounds from |B|_F, not the worst
+    case from L1.
     """
 
     a_op: object
@@ -126,9 +127,10 @@ class TRSolution:
     matvec is), else it is the fixed per-phase budget N.  ``residual`` is
     the original problem's: the convex probe's own on a convex early exit,
     ``residual_of`` at ``delta_vec`` otherwise (regularized branches
-    always).  ``a_delta`` is the product
-    A ``delta_vec`` that residual was read from, with the bits
-    ``a_op.apply(delta_vec)`` returns; it costs the caller no matvec."""
+    always).  ``a_delta`` is the product A ``delta_vec`` that residual was
+    read from, at no matvec to the caller: the bits ``a_op.apply(delta_vec)``
+    returns, except on a probe exit at its start, which hands back the
+    caller's ``a_start`` itself."""
 
     delta_vec: NDArray
     residual: float

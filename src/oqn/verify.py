@@ -38,6 +38,11 @@ SEED = 20240  # for the draws with no acceptance counterpart
 # well under 1e-12 relative at any d the batteries and tests build
 FRO_RTOL = 1e-12
 
+# a start product the driver derived by the learner's rank-two update
+# against a dense one: the update adds two rounded terms per round along a
+# chain of plain rounds, measured at a few 1e-15 over whole runs
+START_PRODUCT_RTOL = 1e-13
+
 
 def random_symmetric(rng, d, scale=1.0):
     """Symmetric matrix with lower-triangle entries U(-scale, scale)."""
@@ -375,8 +380,70 @@ def check_learner(cfg):
     return out
 
 
+def _spied_run(spec, params, rho_factor):
+    """A run at the learner step size times ``rho_factor``, with every solve
+    and learner round watched through ``driver``'s names, which are put back
+    afterwards.  Returns the report, the worst
+    relative error of a solve's ``a_start`` against the dense product
+    A ``x_start``, the worst residual / delta at its answer rechecked on a
+    fresh operator over that dense A, and the plain rounds as the learner's
+    states show them: B was W and stays W_next (gamma <= 1 on both sides),
+    and W_next is strictly inside the Frobenius ball, so it was not
+    projected."""
+    seen = {"err": 0.0, "ratio": 0.0, "plain": 0}
+    real_solve, real_round, real_rho = saved = (
+        driver.tr_solve, driver.learner_step, driver.default_rho)
+
+    def solve(p, rng):
+        sol = real_solve(p, rng)
+        a = p.a_op.dense()
+        exact = a @ p.x_start
+        err = np.linalg.norm(p.a_start - exact) / (np.linalg.norm(exact) or 1.0)
+        ratio = residual_of(SymOperator(a, Counter()), p.b, p.radius, sol.delta_vec) / p.delta
+        seen.update(err=max(seen["err"], err), ratio=max(seen["ratio"], ratio))
+        return sol
+
+    def learner_round(lstate, r, s, rng):
+        new, audit = real_round(lstate, r, s, rng)
+        radius = math.sqrt(lstate.dim) * lstate.l1
+        seen["plain"] += (lstate.gamma <= 1.0 and new.gamma <= 1.0 and
+                          np.linalg.norm(new.w_op.dense()) < radius * (1.0 - 1e-12))
+        return new, audit
+
+    driver.tr_solve, driver.learner_step = solve, learner_round
+    driver.default_rho = lambda d_radius: rho_factor * real_rho(d_radius)
+    try:
+        report = driver.run(spec, params, RngStream(SEED), audit_level="off")
+    finally:
+        driver.tr_solve, driver.learner_step, driver.default_rho = saved
+    return report, seen
+
+
 def check_driver(cfg):
+    """One audited run's gradient count and audits, and the start-product
+    contract on the lowdim benchmark problem: each solve's ``a_start`` is
+    A ``x_start`` within START_PRODUCT_RTOL of a dense product, each answer's
+    residual holds on a fresh operator, and a step applies A exactly at
+    step 1 and after each learner round that is not plain.  Every round of
+    the first run is plain; the second scales the learner's step by 1e4,
+    which makes rounds separate, project, or follow a separated one."""
     out = []
+    spec = catalog("coupled_trig", 16)
+    params = driver.compute_hyperparams(spec, 480)
+    start_ok = True
+    details = []
+    for rho_factor in (1.0, 1e4):
+        report, seen = _spied_run(spec, params, rho_factor)
+        tr = report.totals["tr"]
+        applied = report.totals["matvecs"] - tr["matvecs"] - tr["sep_matvecs"]
+        start_ok = (start_ok and seen["err"] <= START_PRODUCT_RTOL and seen["ratio"] <= 1.0
+                    and applied == params.m_total - seen["plain"]
+                    and applied == params.m_total - tr["start_products_derived"]
+                    and (applied == 1) == (rho_factor == 1.0))
+        details.append(f"rho_x{rho_factor:g}: applied={applied}/{params.m_total} "
+                       f"err={seen['err']:.1e} residual/delta={seen['ratio']:.2e}")
+    out.append(CheckResult("driver.start_product", start_ok, " ".join(details)))
+
     spec = catalog("cosine_mixture", cfg["run_dim"])
     params = driver.compute_hyperparams(spec, cfg["run_budget"])
     report = driver.run(spec, params, RngStream(SEED), audit_level="full")

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from oqn import driver, hessian_learner
 from oqn.driver import compute_hyperparams
-from oqn.eig import SepCase, sep
+from oqn.eig import SepCase, SepResult, sep
 from oqn.errors import DimensionMismatch, NonPositiveRadius
 from oqn.hessian_learner import LearnerState, default_rho, learner_step
 from oqn.linops import Counter, SymOperator
@@ -149,6 +149,29 @@ class TestLearnerStep:
         assert new.gamma > 1.0
         assert new.b_op is not new.w_op and triangle_ok(new.b_op)
         np.testing.assert_allclose(new.b_op.upper, new.w_op.upper / new.gamma, rtol=1e-15)
+
+    @pytest.mark.parametrize("gamma,y1,answer_inside,plain", [
+        (0.0, 1.0, False, True),  # inside, unprojected, answered inside
+        (0.0, 16.0 * np.sqrt(2.0), True, False),  # projected, answered inside
+        (0.0, 9.6, False, False),  # W_next = 1.2 e1 e1': unprojected, separated
+        (1.5, 1.0, False, False),  # the round's B was a separated W / gamma
+    ])
+    def test_plain_round(self, monkeypatch, gamma, y1, answer_inside, plain):
+        # plain: B_next - B is exactly the round's step rho (r s' + s r'),
+        # which takes B = W, no projection and B_next = W_next; d = 2,
+        # L1 = 1, rho = 1/16 and the pair (y1 e1, e1) from W = B = 0
+        d, l1, rho = 2, 1.0, 1.0 / 16.0
+        if answer_inside:
+            monkeypatch.setattr(hessian_learner, "sep", lambda w_op, l1, q, rng: SepResult(
+                1.0, np.zeros(d), 0.0, l1, SepCase.INSIDE_DOUBLED, 1))
+        zero = SymOperator(np.zeros((d, d), order="F"), Counter(), fro=0.0)
+        state = LearnerState(w_op=zero, b_op=zero, gamma=gamma, u=np.zeros(d), sign=0.0,
+                             rho=rho, l1=l1, dim=d, q_per_call=0.01, counter=Counter())
+        new, audit = pair_step(state, y1 * e(0, d), e(0, d), RngStream(3))
+        assert audit.plain is plain
+        if plain:
+            np.testing.assert_array_equal(new.b_mat - state.b_mat,
+                                          2.0 * rho * y1 * np.outer(e(0, d), e(0, d)))
 
     def test_frobenius_feasibility_along_run(self, np_rng):
         d, l1 = 5, 1.3
