@@ -199,6 +199,12 @@ class SepResult:
     matvecs_used: int
 
     @property
+    def certified(self) -> bool:
+        """Settled by the Frobenius certificate |W|_F <= l1: Lanczos spends
+        at least one matvec, so only the certificate answers with none."""
+        return self.matvecs_used == 0
+
+    @property
     def s_mat(self) -> NDArray:
         """Dense S, built on each read: the zero matrix when ``sign`` is 0."""
         if self.sign == 0.0:

@@ -14,12 +14,12 @@ whenever |W|_F <= L1; only the other rounds run Lanczos.
 
 Round structure: the action B_n is needed by the driver one step before its
 loss pair (y_n, s_n) exists, so each ``learner_step`` call (a) finishes the
-previous round from the pair's residual r and s with the cached separation
-data (surrogate gradient plus Frobenius projection) and (b) immediately runs
-the separation oracle on the new ambient iterate to materialize the next
-action.  The round counts no matvec of its own.  The initial action is
-the zero matrix, whose separation outcome (gamma = 0, inside) is
-deterministic and therefore cached without an oracle call.
+previous round from the pair's residual r and s with the separation result
+the previous state kept (surrogate gradient plus Frobenius projection) and
+(b) runs the separation oracle on the new ambient iterate to materialize the
+next action.  The round counts no matvec of its own.  The initial action is
+the zero matrix, whose separation outcome (gamma = 0, inside) is known
+without an oracle call.
 
 The round's loss gradient is the rank-2 matrix -(r s' + s r').  W and B
 are kept as ``SymOperator`` upper triangles (see ``linops``), so a round
@@ -27,28 +27,19 @@ copies W's triangle once and applies the step W - rho * grad as one BLAS
 ``dsyr2`` call, rho (r s' + s r') added to the triangle in place.  A round
 after a separated one reads <grad, B> as -2 r'(B s), one ``dsymv`` on B's
 triangle, and adds its tilt as one ``dsyr`` on the separating vector u, so
-the tilt S = sign * u u' / L1, kept as (u, sign), is never made dense.  The
-round takes |W_next|_F from the triangle in one pass and rescales, with a
-second pass, only when W_next leaves the Frobenius ball.  W_next stays a
-fresh array, so an earlier state's operator stays valid.  A round that
-starts from B = W (gamma <= 1), keeps W_next in the ball and is answered
-inside moves the played action by exactly its rank-two step,
-B_next - B = rho (r s' + s r'); its audit flags it ``plain``, and the driver
-then updates a product of the old action to the new one with two dot
-products and two axpys instead of a matvec.
+the tilt S = sign * u u' / L1 is never made dense.  The round takes
+|W_next|_F from the triangle in one pass and rescales, with a second pass,
+only when W_next leaves the Frobenius ball.  W_next stays a fresh array, so
+an earlier state's operator stays valid.
 
-The played action lives in one ``SymOperator`` (``LearnerState.b_op``), which
-the driver applies directly and views as its trust-region matrix.  The
-operator over W_next is a trusted build (``fro=``): the learner hands over
-the triangle itself and the norm it already holds, so the build costs no
-copy, symmetry check or norm pass.  When the oracle finds W inside the
+The operator over W_next is a trusted build (``fro=``): the learner hands
+over the triangle itself and the norm it already holds, so the build costs
+no copy, symmetry check or norm pass.  When the oracle finds W inside the
 doubled ball, that operator is reused as B, so a round usually builds one
 operator.  A separated round's B = W / gamma is a triangle in the same
-layout, and is built on trust too, from its one norm pass.  Its Frobenius
-norm gives the driver a free operator-norm bound on B.  The product B s
-that the tilt reads ticks no counter, as the dense inner product it
-replaces did not: it prices the learner's surrogate loss, not a use of B by
-the solve.
+layout, and is built on trust too, from its one norm pass.  The product B s
+that the tilt reads ticks no counter: it prices the learner's surrogate
+loss, not a use of B by the solve.
 """
 
 from __future__ import annotations
@@ -60,7 +51,7 @@ import numpy as np
 from numpy.typing import NDArray
 from scipy.linalg.blas import dsymv, dsyr, dsyr2
 
-from .eig import SepCase, sep
+from .eig import SepCase, SepResult, sep
 from .errors import DimensionMismatch, NonPositiveRadius
 from .linops import Counter, SymOperator, upper_frobenius
 from .rng import RngStream
@@ -70,29 +61,35 @@ from .rng import RngStream
 class LearnerState:
     """Ambient iterate W (Frobenius ball of radius sqrt(d) L1) and played
     action B as operators (B's operator norm at most 2 L1 per the separation
-    guarantee; B is W's operator itself when W was inside), and the cached
-    separation data (gamma, u, sign) that produced B from W: the tilt
-    S = sign * u u' / L1, with sign 0 when W was inside."""
+    guarantee; B is W's operator itself when W was inside), the separation
+    result ``sep`` that produced B from W, and whether the round that made
+    this state was ``plain``: its B was W, W_next stayed in the Frobenius
+    ball and ``sep`` answered inside, so B_next - B = rho (r s' + s r')."""
 
     w_op: SymOperator
     b_op: SymOperator
-    gamma: float
-    u: NDArray
-    sign: float
+    sep: SepResult
+    plain: bool
     rho: float
     l1: float
-    dim: int
     q_per_call: float
-    counter: Counter
 
     @classmethod
     def fresh(cls, dim: int, l1: float, rho: float, q_per_call: float,
               counter: Counter | None = None) -> "LearnerState":
-        counter = counter if counter is not None else Counter()
         zero = SymOperator(np.zeros((dim, dim), order="F"), counter, fro=0.0)
-        return cls(w_op=zero, b_op=zero, gamma=0.0,
-                   u=np.zeros(dim), sign=0.0, rho=rho, l1=l1, dim=dim,
-                   q_per_call=q_per_call, counter=counter)
+        inside = SepResult(0.0, np.zeros(dim), 0.0, l1, SepCase.INSIDE_DOUBLED, 0)
+        return cls(w_op=zero, b_op=zero, sep=inside, plain=False, rho=rho, l1=l1,
+                   q_per_call=q_per_call)
+
+    @property
+    def dim(self) -> int:
+        return self.w_op.dim
+
+    @property
+    def counter(self) -> Counter:
+        """The run's matvec counter, which every operator of the chain ticks."""
+        return self.w_op.counter
 
     @property
     def b_mat(self) -> NDArray:
@@ -105,24 +102,6 @@ class LearnerState:
         return self.b_op.frobenius_norm()
 
 
-@dataclass
-class LearnerAudit:
-    """Per-round record: the scaling and loss of the round just closed, plus
-    the cost of the separation call that produced the next action and whether
-    that call was settled by the Frobenius certificate |W|_F <= L1 (no Lanczos
-    run, no random draw).  ``plain`` means the round moved the played action
-    by exactly its step, B_next - B = rho (r s' + s r'): the round's B was W
-    (gamma <= 1), W_next stayed in the Frobenius ball, and the separation
-    call answered inside, so B_next is W_next."""
-
-    gamma: float
-    loss: float
-    case: SepCase
-    sep_matvecs: int
-    certified: bool
-    plain: bool
-
-
 def default_rho(d_radius: float) -> float:
     """Step size 1/(16 D^2), tied to the loss self-bounding constant."""
     if d_radius <= 0:
@@ -131,7 +110,7 @@ def default_rho(d_radius: float) -> float:
 
 
 def learner_step(state: LearnerState, r: NDArray, s: NDArray,
-                 rng: RngStream) -> tuple[LearnerState, LearnerAudit]:
+                 rng: RngStream) -> LearnerState:
     """Close the current round, whose loss pair (y, s) has residual
     r = y - B s, and materialize the next action.  Costs no matvec of its
     own, only the separation call, which is free when |W_next|_F <= L1."""
@@ -139,12 +118,12 @@ def learner_step(state: LearnerState, r: NDArray, s: NDArray,
         raise DimensionMismatch(f"r {r.shape} and s {s.shape} must be equal-length vectors")
     # W - rho * grad = W + rho (r s' + s r'), on a fresh copy of W's triangle
     w_next = dsyr2(state.rho, r, s, a=state.w_op.upper.copy(order="F"), overwrite_a=1)
-    round_case = SepCase.INSIDE_DOUBLED if state.gamma <= 1.0 else SepCase.SEPARATED
-    if round_case is SepCase.SEPARATED:
+    played = state.sep
+    if played.case is SepCase.SEPARATED:
         # tilt = max(0, -<grad, B>), and <grad, B> = -2 r'(B s)
         tilt = max(0.0, 2.0 * float(r @ dsymv(1.0, state.b_op.upper, s)))
         if tilt > 0.0:  # minus rho * tilt * S
-            w_next = dsyr(-state.rho * tilt * state.sign / state.l1, state.u,
+            w_next = dsyr(-state.rho * tilt * played.sign / state.l1, played.u,
                           a=w_next, overwrite_a=1)
     radius = math.sqrt(state.dim) * state.l1
     fro = upper_frobenius(w_next)
@@ -161,18 +140,8 @@ def learner_step(state: LearnerState, r: NDArray, s: NDArray,
     else:
         b_upper = w_next / sep_res.gamma
         b_next = SymOperator(b_upper, state.counter, fro=upper_frobenius(b_upper))
-    next_state = LearnerState(
-        w_op=w_op, b_op=b_next, gamma=sep_res.gamma, u=sep_res.u,
-        sign=sep_res.sign, rho=state.rho, l1=state.l1, dim=state.dim,
-        q_per_call=state.q_per_call, counter=state.counter,
+    return LearnerState(
+        w_op=w_op, b_op=b_next, sep=sep_res,
+        plain=played.case is SepCase.INSIDE_DOUBLED and not projected and inside,
+        rho=state.rho, l1=state.l1, q_per_call=state.q_per_call,
     )
-    audit = LearnerAudit(
-        gamma=state.gamma,
-        loss=float(r @ r),
-        case=round_case,
-        sep_matvecs=sep_res.matvecs_used,
-        # Lanczos spends at least one matvec, so zero means the certificate
-        certified=sep_res.matvecs_used == 0,
-        plain=round_case is SepCase.INSIDE_DOUBLED and not projected and inside,
-    )
-    return next_state, audit

@@ -7,18 +7,14 @@ lower part, the layout the BLAS symmetric routines read: ``apply`` is one
 ``dsymv``, and the matrix learner updates its triangle in place with
 ``dsyr2`` and ``dsyr``.  Everything else is a matrix-free
 ``ShiftedOperator`` view ``scale * base - shift * I`` over it, whose
-Frobenius norm and trace follow in closed form from the base's.  The driver
-applies only such a view, its trust-region matrix B/2 + I/eta: through the
-solve, which hands back its product at the new step, and itself at the
-previous step only at step 1 and after a learner round that is not plain
-(after a plain one, the round's rank-two step updates the last product).
-A build either symmetrizes and checks a full square input and
-keeps its upper triangle or, given the norm through ``fro=``, trusts a
-caller that already holds the triangle in this layout and its norm (the
-matrix learner): then it costs no d x d pass at all.  Full symmetric
-matrices are only built on request, for the brute-force test oracles and
-audits.  Counters are run-scoped objects owned by the caller, never
-globals.
+Frobenius norm and trace follow in closed form from the base's; the
+driver's trust-region matrix B/2 + I/eta is such a view.  A build either
+symmetrizes and checks a full square input and keeps its upper triangle or,
+given the norm through ``fro=``, trusts a caller that already holds the
+triangle in this layout and its norm (the matrix learner): then it costs no
+d x d pass at all.  Full symmetric matrices are only built on request, for
+the brute-force test oracles and audits.  Counters are run-scoped objects
+owned by the caller, never globals.
 """
 
 from __future__ import annotations

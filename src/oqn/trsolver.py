@@ -52,7 +52,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .eig import MinEvecCase, min_evec
-from .errors import CertificateFailure, IterBudgetTooSmall, OutsideBall
+from .errors import CertificateFailure, DimensionMismatch, IterBudgetTooSmall, OutsideBall
 from .linops import ShiftedOperator
 from .rng import RngStream
 
@@ -83,10 +83,8 @@ class TrustRegionSubproblem:
     uses it in place of its first matvec when it starts at ``x_start``
     itself (shifted by lambda_hat on the regularized branch), and a probe
     that certifies there reads its residual from it and hands it back as
-    ``TRSolution.a_delta``.  The driver passes its product at the previous
-    step as ``a_start``, applied or derived from the last solve's (see
-    ``driver.step``), and data-dependent bounds from |B|_F, not the worst
-    case from L1.
+    ``TRSolution.a_delta``.  ``b`` is a vector of length ``a_op.dim``, and
+    ``x_start`` and ``a_start`` have its shape (else DimensionMismatch).
     """
 
     a_op: object
@@ -101,10 +99,15 @@ class TrustRegionSubproblem:
 
     def __post_init__(self):
         self.b = np.asarray(self.b, dtype=float)
+        if self.b.shape != (self.a_op.dim,):
+            raise DimensionMismatch(f"b {self.b.shape} vs operator dim {self.a_op.dim}")
         if self.x_start is None:
             self.x_start = np.zeros(self.b.shape)
         else:
             self.x_start = np.asarray(self.x_start, dtype=float)
+        for name, v in (("x_start", self.x_start), ("a_start", self.a_start)):
+            if v is not None and np.shape(v) != self.b.shape:
+                raise DimensionMismatch(f"{name} {np.shape(v)} vs b {self.b.shape}")
         if self.radius <= 0:
             raise ValueError("radius must be positive")
         if self.delta <= 0:

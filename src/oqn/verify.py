@@ -10,14 +10,14 @@ checks: the tests run them at ``--level quick``, and acceptance criteria 1,
 
 from __future__ import annotations
 
+import dataclasses
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import driver, harness
 from .eig import MinEvecCase, SepCase, min_evec, sep
-from .errors import UnknownLevel
+from .errors import OqnError, UnknownLevel
 from .hessian_learner import LearnerState, default_rho, learner_step
 from .linops import Counter, ShiftedOperator, SymOperator, dense_extreme_eig
 from .problems import CATALOG_NAMES, catalog, fd_check_gradient, fd_check_hessian
@@ -50,6 +50,14 @@ def random_symmetric(rng, d, scale=1.0):
     return np.tril(m) + np.tril(m, -1).T
 
 
+def hard_case_b(a, b, radius):
+    """``b`` turned into a trust-region hard case for ``a``: orthogonal to
+    the bottom eigenvector, with norm 0.1 * radius * (lambda_2 - lambda_1)."""
+    evals, evecs = np.linalg.eigh(a)
+    b = b - (evecs[:, 0] @ b) * evecs[:, 0]
+    return b * (0.1 * radius * (evals[1] - evals[0]) / np.linalg.norm(b))
+
+
 def triangle_ok(op: SymOperator) -> bool:
     """``op`` keeps the ``SymOperator`` layout: a Fortran-ordered upper
     triangle with a zero strict lower part, whose held Frobenius norm is its
@@ -60,7 +68,7 @@ def triangle_ok(op: SymOperator) -> bool:
             and abs(op.frobenius_norm() - dense_norm) <= FRO_RTOL * dense_norm)
 
 
-@dataclass
+@dataclasses.dataclass
 class CheckResult:
     name: str
     passed: bool
@@ -68,11 +76,19 @@ class CheckResult:
 
 
 def run_all(level: str = "quick") -> list:
-    """Execute the per-module property batteries at the requested scale."""
+    """Execute the per-module property batteries at the requested scale.  A
+    battery that raises a package error or an assertion yields one failed
+    check ``<layer>.raised`` in place of its own, and the others still run."""
     if level not in SCALES:
         raise UnknownLevel(f"level must be one of {tuple(SCALES)}, got {level!r}")
     cfg = SCALES[level]
-    return [check for battery in BATTERIES for check in battery(cfg)]
+    out = []
+    for layer, battery in BATTERIES:
+        try:
+            out += battery(cfg)
+        except (OqnError, AssertionError) as exc:
+            out.append(CheckResult(f"{layer}.raised", False, f"{type(exc).__name__}: {exc}"))
+    return out
 
 
 def check_problems(cfg):
@@ -238,10 +254,8 @@ def check_trsolver(cfg):
         b = rng.standard_normal(d)
         d_rad = (0.1, 1.0, 10.0)[t % 3]
         delta = (1e-2, 1e-4)[(t // 3) % 2]
-        if t % 4 == 3:  # the hard case: b orthogonal to the bottom eigenvector
-            evals, evecs = np.linalg.eigh(a)
-            b -= (evecs[:, 0] @ b) * evecs[:, 0]
-            b *= 0.1 * d_rad * (evals[1] - evals[0]) / np.linalg.norm(b)
+        if t % 4 == 3:
+            b = hard_case_b(a, b, d_rad)
         else:
             b *= rng.uniform(0.0, 5.0) / max(np.linalg.norm(b), 1e-12)
         op = SymOperator(a, Counter())
@@ -339,10 +353,8 @@ def check_learner(cfg):
         y = rng.standard_normal(d)
         r = y - b @ s
         op = SymOperator(b, Counter())
-        state = LearnerState(
-            w_op=op, b_op=op, gamma=0.0, u=np.zeros(d), sign=0.0, rho=rho, l1=l1,
-            dim=d, q_per_call=0.01, counter=Counter())
-        w_next = learner_step(state, r, s, stream)[0].w_op.dense()
+        state = dataclasses.replace(LearnerState.fresh(d, l1, rho, 0.01), w_op=op, b_op=op)
+        w_next = learner_step(state, r, s, stream).w_op.dense()
         if np.linalg.norm(w_next) >= math.sqrt(d) * l1 * (1.0 - 1e-12):
             continue
         inside_rounds += 1
@@ -369,8 +381,8 @@ def check_learner(cfg):
             y = rng.standard_normal(d)
             s = rng.standard_normal(d)
             s *= d_rad / max(np.linalg.norm(s), 1e-12)
-            state, audit = learner_step(state, y - state.b_mat @ s, s, stream)
-            separated += audit.case is SepCase.SEPARATED
+            separated += state.sep.case is SepCase.SEPARATED  # the round's case
+            state = learner_step(state, y - state.b_mat @ s, s, stream)
             feas_ok = (feas_ok and np.linalg.norm(state.w_op.dense())
                        <= math.sqrt(d) * l1 + 1e-9)
             trusted_ok = trusted_ok and triangle_ok(state.w_op) and triangle_ok(state.b_op)
@@ -381,18 +393,14 @@ def check_learner(cfg):
 
 
 def _spied_run(spec, params, rho_factor):
-    """A run at the learner step size times ``rho_factor``, with every solve
-    and learner round watched through ``driver``'s names, which are put back
-    afterwards.  Returns the report, the worst
-    relative error of a solve's ``a_start`` against the dense product
-    A ``x_start``, the worst residual / delta at its answer rechecked on a
-    fresh operator over that dense A, and the plain rounds as the learner's
-    states show them: B was W and stays W_next (gamma <= 1 on both sides),
-    and W_next is strictly inside the Frobenius ball, so it was not
-    projected."""
+    """Step a run, audit off, at the learner step size times ``rho_factor``,
+    with ``driver.tr_solve`` swapped for a spy and put back.  Returns the
+    final state, the worst relative error of an ``a_start`` against the dense
+    A ``x_start``, the worst residual / delta of an answer rechecked over that
+    dense A, and the plain rounds counted from the states: both separation
+    calls answered inside and W_next is strictly inside the Frobenius ball."""
     seen = {"err": 0.0, "ratio": 0.0, "plain": 0}
-    real_solve, real_round, real_rho = saved = (
-        driver.tr_solve, driver.learner_step, driver.default_rho)
+    real_solve = driver.tr_solve
 
     def solve(p, rng):
         sol = real_solve(p, rng)
@@ -403,44 +411,54 @@ def _spied_run(spec, params, rho_factor):
         seen.update(err=max(seen["err"], err), ratio=max(seen["ratio"], ratio))
         return sol
 
-    def learner_round(lstate, r, s, rng):
-        new, audit = real_round(lstate, r, s, rng)
-        radius = math.sqrt(lstate.dim) * lstate.l1
-        seen["plain"] += (lstate.gamma <= 1.0 and new.gamma <= 1.0 and
-                          np.linalg.norm(new.w_op.dense()) < radius * (1.0 - 1e-12))
-        return new, audit
-
-    driver.tr_solve, driver.learner_step = solve, learner_round
-    driver.default_rho = lambda d_radius: rho_factor * real_rho(d_radius)
+    state = driver.init(spec, params)
+    state.b_state.rho *= rho_factor
+    radius = math.sqrt(spec.dim) * spec.l1
+    rng = RngStream(SEED)
+    driver.tr_solve = solve
     try:
-        report = driver.run(spec, params, RngStream(SEED), audit_level="off")
+        for _ in range(params.m_total):
+            played = state.b_state
+            driver.step(state, spec, params, rng)
+            new = state.b_state
+            seen["plain"] += (new is not played
+                              and played.sep.case is SepCase.INSIDE_DOUBLED
+                              and new.sep.case is SepCase.INSIDE_DOUBLED
+                              and np.linalg.norm(new.w_op.dense()) < radius * (1.0 - 1e-12))
     finally:
-        driver.tr_solve, driver.learner_step, driver.default_rho = saved
-    return report, seen
+        driver.tr_solve = real_solve
+    return state, seen
 
 
 def check_driver(cfg):
     """One audited run's gradient count and audits, and the start-product
-    contract on the lowdim benchmark problem: each solve's ``a_start`` is
-    A ``x_start`` within START_PRODUCT_RTOL of a dense product, each answer's
-    residual holds on a fresh operator, and a step applies A exactly at
-    step 1 and after each learner round that is not plain.  Every round of
-    the first run is plain; the second scales the learner's step by 1e4,
-    which makes rounds separate, project, or follow a separated one."""
+    contract: each solve's ``a_start`` is A ``x_start`` within
+    START_PRODUCT_RTOL of a dense product, each answer's residual holds on a
+    fresh operator, and a step applies A exactly at step 1 and after each
+    learner round that is not plain.  Every round is plain on the lowdim
+    benchmark problem and at eta x200 from a perturbed start (regularized
+    solves, Lanczos separation); a learner step 1e4 times larger makes rounds
+    separate, project, or follow a separated one."""
     out = []
-    spec = catalog("coupled_trig", 16)
-    params = driver.compute_hyperparams(spec, 480)
+    lowdim = catalog("coupled_trig", 16)
+    lowdim_params = driver.compute_hyperparams(lowdim, 480)
+    perturbed = catalog("cosine_mixture", 8)
+    perturbed.x0 = perturbed.x0 + 0.3 * np.random.default_rng(1).standard_normal(8)
+    auto = driver.compute_hyperparams(perturbed, 240)
+    runs = (("rho_x1", lowdim, lowdim_params, 1.0),
+            ("rho_x10000", lowdim, lowdim_params, 1e4),
+            ("eta_x200", perturbed, dataclasses.replace(auto, eta=200.0 * auto.eta), 1.0))
     start_ok = True
     details = []
-    for rho_factor in (1.0, 1e4):
-        report, seen = _spied_run(spec, params, rho_factor)
-        tr = report.totals["tr"]
-        applied = report.totals["matvecs"] - tr["matvecs"] - tr["sep_matvecs"]
+    for label, spec, params, rho_factor in runs:
+        state, seen = _spied_run(spec, params, rho_factor)
+        tr = state.totals["tr"]
+        applied = state.matvec_counter.count - tr["matvecs"] - tr["sep_matvecs"]
         start_ok = (start_ok and seen["err"] <= START_PRODUCT_RTOL and seen["ratio"] <= 1.0
                     and applied == params.m_total - seen["plain"]
                     and applied == params.m_total - tr["start_products_derived"]
                     and (applied == 1) == (rho_factor == 1.0))
-        details.append(f"rho_x{rho_factor:g}: applied={applied}/{params.m_total} "
+        details.append(f"{label}: applied={applied}/{params.m_total} "
                        f"err={seen['err']:.1e} residual/delta={seen['ratio']:.2e}")
     out.append(CheckResult("driver.start_product", start_ok, " ".join(details)))
 
@@ -459,5 +477,8 @@ def check_driver(cfg):
     return out
 
 
-BATTERIES = (check_problems, check_linops, check_minevec, check_sep,
-             check_trsolver, check_early_exit, check_learner, check_driver)
+# (layer, battery): the layer names a battery's ``raised`` check
+BATTERIES = (("problems", check_problems), ("linops", check_linops),
+             ("eig", check_minevec), ("eig", check_sep), ("trsolver", check_trsolver),
+             ("trsolver", check_early_exit), ("learner", check_learner),
+             ("driver", check_driver))

@@ -7,11 +7,11 @@ import warnings
 import numpy as np
 import pytest
 
-from oqn import harness, verify
+from oqn import driver, harness, verify
 from oqn.cli import main as cli_main
 from oqn.driver import compute_hyperparams
 from oqn.eig import SepCase, SepResult
-from oqn.errors import DimTooLarge, UnknownLevel
+from oqn.errors import CertificateFailure, DimTooLarge, UnknownLevel
 from oqn.problems import catalog, quadratic_from_matrix
 from oqn.verify import random_symmetric
 
@@ -238,32 +238,56 @@ def _skewed(spec, name, *args):
             if name == "coupled_trig" else spec)
 
 
-@pytest.mark.parametrize("oracle,corrupt,battery,check", [
-    ("tr_solve", lambda sol, *args: dataclasses.replace(sol, delta_vec=0.5 * sol.delta_vec),
+@pytest.mark.parametrize("module,oracle,corrupt,battery,check", [
+    (verify, "tr_solve",
+     lambda sol, *args: dataclasses.replace(sol, delta_vec=0.5 * sol.delta_vec),
      verify.check_trsolver, "trsolver.quality_vs_exact"),
-    ("min_evec", lambda res, op, delta, *args: dataclasses.replace(
+    (verify, "min_evec", lambda res, op, delta, *args: dataclasses.replace(
         res, lambda_hat=res.lambda_hat - 2.0 * delta),
      verify.check_minevec, "eig.minevec.sandwich"),
-    ("min_evec", lambda res, op, *args: dataclasses.replace(
+    (verify, "min_evec", lambda res, op, *args: dataclasses.replace(
         res, ritz_max=res.ritz_max + 1e-6 * op.frobenius_norm()),
      verify.check_minevec, "eig.minevec.ritz_max"),
-    ("min_evec", lambda res, *args: dataclasses.replace(res, v_hat=(1.0 + 1e-6) * res.v_hat),
+    (verify, "min_evec",
+     lambda res, *args: dataclasses.replace(res, v_hat=(1.0 + 1e-6) * res.v_hat),
      verify.check_minevec, "eig.minevec.residual"),
-    ("sep", _inside, verify.check_sep, "eig.sep.scaling"),
-    ("sep", lambda res, *args: dataclasses.replace(res, matvecs_used=res.matvecs_used - 1),
+    (verify, "sep", _inside, verify.check_sep, "eig.sep.scaling"),
+    (verify, "sep",
+     lambda res, *args: dataclasses.replace(res, matvecs_used=res.matvecs_used - 1),
      verify.check_sep, "eig.sep.budget"),
-    ("catalog", _skewed, verify.check_problems, "problems.fd.coupled_trig"),
+    (verify, "catalog", _skewed, verify.check_problems, "problems.fd.coupled_trig"),
+    # a derived start product off by 1e-10 relative: err 4e-8 against 1e-13
+    (driver, "daxpy", lambda res, *args: (1.0 + 1e-10) * res,
+     verify.check_driver, "driver.start_product"),
 ], ids=["off_optimum", "low_eigenvalue", "high_ritz_value", "stretched_eigenvector",
-        "always_inside", "undercounted_matvecs", "scaled_gradient"])
-def test_contract_battery_fails_on_a_broken_oracle(monkeypatch, oracle, corrupt,
+        "always_inside", "undercounted_matvecs", "scaled_gradient", "skewed_start_product"])
+def test_contract_battery_fails_on_a_broken_oracle(monkeypatch, module, oracle, corrupt,
                                                    battery, check):
-    """A shared battery must not turn vacuous: break its oracle in verify's
-    namespace and the matching check reports FAIL."""
-    real = getattr(verify, oracle)
-    monkeypatch.setattr(verify, oracle,
+    """A shared battery must not turn vacuous: break its oracle in the
+    namespace the battery reads and the matching check reports FAIL."""
+    real = getattr(module, oracle)
+    monkeypatch.setattr(module, oracle,
                         lambda *args, **kw: corrupt(real(*args, **kw), *args))
     failed = [c.name for c in battery(verify.SCALES["quick"]) if not c.passed]
     assert check in failed
+
+
+def test_raising_battery_is_one_failed_check(monkeypatch, quick_verify, capsys):
+    """A battery that raises becomes one FAIL line in place of its checks;
+    every other check still reports, and the exit code is 2."""
+    def raising(*args):
+        raise CertificateFailure("synthetic")
+
+    monkeypatch.setattr(verify, "sep", raising)  # only check_sep calls it
+    assert cli_main(["verify"]) == 2
+    lines = capsys.readouterr().out.splitlines()
+    clean = quick_verify[1]
+    sep_at = [i for i, line in enumerate(clean) if line.startswith("[PASS] eig.sep.")]
+    assert sep_at == list(range(sep_at[0], sep_at[0] + 4))
+    expected = (clean[:sep_at[0]] + ["[FAIL] eig.raised  (CertificateFailure: synthetic)"]
+                + clean[sep_at[-1] + 1:-1])
+    assert lines[:-1] == expected
+    assert lines[-1] == f"{len(expected) - 1}/{len(expected)} checks passed"
 
 
 GD_GRID = "problem=cosine_mixture\ndim=4\nbudgets=40,80\nseeds=0\nmethods=oqn,gd_baseline\n"

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -28,45 +29,25 @@ def pair_step(state, y, s, rng):
     return learner_step(state, y - state.b_mat @ s, s, rng)
 
 
-def play_round(b, y, s, counter=None):
+def state_at(w_op, b_op=None, sep_res=None, rho=1.0, l1=1e3):
+    """A learner state over the given operators (B = W by default), whose
+    kept separation result is ``sep_res``, by default inside at gamma 0."""
+    fresh = LearnerState.fresh(w_op.dim, l1, rho, 0.01)
+    return dataclasses.replace(fresh, w_op=w_op, b_op=b_op or w_op, sep=sep_res or fresh.sep)
+
+
+def play_round(b, y, s):
     """One learner round at W = B = b, well inside both balls, on the loss
-    pair (y, s): returns the round's audit and the loss gradient, read off
-    the unprojected step as (W - W_next) / rho with rho = 1."""
-    d = b.shape[0]
-    counter = counter if counter is not None else Counter()
-    op = SymOperator(b, counter)
-    state = LearnerState(w_op=op, b_op=op, gamma=0.0, u=np.zeros(d), sign=0.0,
-                         rho=1.0, l1=1e3, dim=d, q_per_call=0.01, counter=counter)
-    new, audit = learner_step(state, y - b @ s, s, RngStream(0))
-    return audit, b - new.w_op.dense()
-
-
-class TestLoss:
-    def test_zero_action_unit_pair(self):
-        counter = Counter()
-        audit, _ = play_round(np.zeros((2, 2)), e(0, 2), e(0, 2), counter)
-        assert audit.loss == pytest.approx(1.0)
-        assert counter.count == audit.sep_matvecs
-
-    def test_exact_fit_is_zero(self, np_rng):
-        b = random_symmetric(np_rng, 4)
-        s = np_rng.standard_normal(4)
-        audit, grad = play_round(b, b @ s, s)
-        assert audit.loss == pytest.approx(0.0, abs=1e-20)
-        np.testing.assert_allclose(grad, 0.0, atol=1e-12)
-
-    def test_matches_dense_computation(self, np_rng):
-        b = random_symmetric(np_rng, 5)
-        y, s = np_rng.standard_normal(5), np_rng.standard_normal(5)
-        expected = float(np.sum((y - b @ s) ** 2))
-        audit, _ = play_round(b, y, s)
-        assert audit.loss == pytest.approx(expected, rel=1e-13)
+    pair (y, s): returns the loss gradient, read off the unprojected step as
+    (W - W_next) / rho with rho = 1."""
+    new = learner_step(state_at(SymOperator(b)), y - b @ s, s, RngStream(0))
+    return b - new.w_op.dense()
 
 
 class TestLossGradient:
     def test_symbolic_rank_two_case(self):
         # B = 0, y = e1, s = e2: gradient is -(e1 e2' + e2 e1')
-        _, g = play_round(np.zeros((2, 2)), e(0, 2), e(1, 2))
+        g = play_round(np.zeros((2, 2)), e(0, 2), e(1, 2))
         np.testing.assert_allclose(g, -np.array([[0.0, 1.0], [1.0, 0.0]]), atol=1e-15)
 
     @given(st.integers(0, 10_000))
@@ -77,7 +58,7 @@ class TestLossGradient:
         d = 4
         b = random_symmetric(rng, d)
         y, s = rng.standard_normal(d), rng.standard_normal(d)
-        _, g = play_round(b, y, s)
+        g = play_round(b, y, s)
         h = 1e-6
 
         def ell(mat):
@@ -114,7 +95,7 @@ class TestLearnerStep:
 
     def test_zero_direction_no_motion(self):
         state = LearnerState.fresh(3, 1.0, default_rho(1.0), 0.01)
-        new, _ = pair_step(state, np.array([1.0, 0.0, 0.0]), np.zeros(3), RngStream(0))
+        new = pair_step(state, np.array([1.0, 0.0, 0.0]), np.zeros(3), RngStream(0))
         np.testing.assert_allclose(new.w_op.dense(), 0.0)
         np.testing.assert_allclose(new.b_mat, 0.0)
 
@@ -122,20 +103,21 @@ class TestLearnerStep:
         # W = 0, y = s = e1, rho = 1/16: surrogate gradient -2 e1 e1',
         # step lands inside the Frobenius ball, no scaling
         state = LearnerState.fresh(2, 1.0, 1.0 / 16.0, 0.01)
-        new, audit = pair_step(state, e(0, 2), e(0, 2), RngStream(1))
+        new = pair_step(state, e(0, 2), e(0, 2), RngStream(1))
         expected = np.zeros((2, 2))
         expected[0, 0] = 1.0 / 8.0
         np.testing.assert_allclose(new.w_op.dense(), expected, atol=1e-15)
-        assert audit.gamma == 0.0
-        assert audit.case is SepCase.INSIDE_DOUBLED
-        assert audit.loss == pytest.approx(1.0)
+        # the round's own case was the fresh state's, and its answer certified
+        assert state.sep.gamma == 0.0 and state.sep.case is SepCase.INSIDE_DOUBLED
+        assert new.sep.certified and new.sep.case is SepCase.INSIDE_DOUBLED and new.plain
+        assert new.b_op is new.w_op and new.counter.count == 0
 
     def test_projection_scales_by_half_exactly(self):
         # engineer |W - rho G| = 2 sqrt(d) L1 so the projection halves it
         d, l1, rho = 2, 1.0, 1.0 / 16.0
         c = np.sqrt(d) * l1 / rho  # G = -2c e1e1', |rho G| = 2 sqrt(d) L1
         state = LearnerState.fresh(d, l1, rho, 0.01)
-        new, _ = pair_step(state, c * e(0, d), e(0, d), RngStream(2))
+        new = pair_step(state, c * e(0, d), e(0, d), RngStream(2))
         expected = np.zeros((d, d))
         expected[0, 0] = np.sqrt(d) * l1
         np.testing.assert_allclose(new.w_op.dense(), expected, rtol=1e-13)
@@ -145,10 +127,10 @@ class TestLearnerStep:
         # separates and B = W / gamma gets its own operator
         d, l1, rho = 2, 1.0, 1.0 / 16.0
         state = LearnerState.fresh(d, l1, rho, 0.01)
-        new, _ = pair_step(state, np.sqrt(d) * l1 / rho * e(0, d), e(0, d), RngStream(2))
-        assert new.gamma > 1.0
+        new = pair_step(state, np.sqrt(d) * l1 / rho * e(0, d), e(0, d), RngStream(2))
+        assert new.sep.gamma > 1.0 and new.sep.case is SepCase.SEPARATED
         assert new.b_op is not new.w_op and triangle_ok(new.b_op)
-        np.testing.assert_allclose(new.b_op.upper, new.w_op.upper / new.gamma, rtol=1e-15)
+        np.testing.assert_allclose(new.b_op.upper, new.w_op.upper / new.sep.gamma, rtol=1e-15)
 
     @pytest.mark.parametrize("gamma,y1,answer_inside,plain", [
         (0.0, 1.0, False, True),  # inside, unprojected, answered inside
@@ -164,11 +146,12 @@ class TestLearnerStep:
         if answer_inside:
             monkeypatch.setattr(hessian_learner, "sep", lambda w_op, l1, q, rng: SepResult(
                 1.0, np.zeros(d), 0.0, l1, SepCase.INSIDE_DOUBLED, 1))
+        case = SepCase.INSIDE_DOUBLED if gamma <= 1.0 else SepCase.SEPARATED
         zero = SymOperator(np.zeros((d, d), order="F"), Counter(), fro=0.0)
-        state = LearnerState(w_op=zero, b_op=zero, gamma=gamma, u=np.zeros(d), sign=0.0,
-                             rho=rho, l1=l1, dim=d, q_per_call=0.01, counter=Counter())
-        new, audit = pair_step(state, y1 * e(0, d), e(0, d), RngStream(3))
-        assert audit.plain is plain
+        state = state_at(zero, sep_res=SepResult(gamma, np.zeros(d), 0.0, l1, case, 0),
+                         rho=rho, l1=l1)
+        new = pair_step(state, y1 * e(0, d), e(0, d), RngStream(3))
+        assert new.plain is plain
         if plain:
             np.testing.assert_array_equal(new.b_mat - state.b_mat,
                                           2.0 * rho * y1 * np.outer(e(0, d), e(0, d)))
@@ -180,7 +163,7 @@ class TestLearnerStep:
         for _ in range(80):
             s = np_rng.standard_normal(d)
             s /= max(np.linalg.norm(s), 1e-12)
-            state, _ = pair_step(state, np_rng.standard_normal(d), s, stream)
+            state = pair_step(state, np_rng.standard_normal(d), s, stream)
             assert np.linalg.norm(state.w_op.dense()) <= np.sqrt(d) * l1 + 1e-9
             # played action stays inside the doubled operator-norm ball
             assert np.linalg.norm(state.b_mat, ord=2) <= 2 * l1 + 1e-9
@@ -227,22 +210,21 @@ class TestRoundAllocation:
         w_op = SymOperator(upper, fro=0.5)
         if case is SepCase.SEPARATED:
             b_op = SymOperator(upper / 2.0, fro=0.25)
-            u, sign, gamma = np.eye(d)[0], 1.0, 2.0
+            played = SepResult(2.0, np.eye(d)[0], 1.0, l1, case, 1)
         else:
-            b_op, u, sign, gamma = w_op, np.zeros(d), 0.0, 0.5
-        state = LearnerState(w_op=w_op, b_op=b_op, gamma=gamma, u=u, sign=sign, rho=rho,
-                             l1=l1, dim=d, q_per_call=0.01, counter=Counter())
+            b_op, played = w_op, SepResult(0.5, np.zeros(d), 0.0, l1, case, 0)
+        state = state_at(w_op, b_op, played, rho=rho, l1=l1)
         s = np_rng.standard_normal(d) / np.sqrt(d)
         r = s + 0.1 * np_rng.standard_normal(d) / np.sqrt(d)
         # the rest, d-vectors and small objects, measured about 10 KB
         matrix_bytes, slack = 8 * d * d, 64 * 1024
         tracemalloc.start()
         try:
-            new, audit = learner_step(state, r, s, RngStream(0))
+            new = learner_step(state, r, s, RngStream(0))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert audit.case is case and audit.certified and new.b_op is new.w_op
+        assert new.sep.certified and new.b_op is new.w_op
         if case is SepCase.SEPARATED:
             assert float(r @ b_op.dense() @ s) > 0.0  # the tilt's dsyr ran
         assert matrix_bytes <= peak <= matrix_bytes + slack
@@ -296,7 +278,7 @@ def assert_matches(new, ref):
     assert np.linalg.norm(new.b_mat - ref.b_op.dense()) <= REF_RTOL * scale
     assert abs(new.b_fro - ref.b_op.frobenius_norm()) <= REF_RTOL * scale
     assert triangle_ok(new.w_op) and triangle_ok(new.b_op)
-    assert new.gamma == pytest.approx(ref.gamma, rel=REF_RTOL, abs=REF_RTOL)
+    assert new.sep.gamma == pytest.approx(ref.gamma, rel=REF_RTOL, abs=REF_RTOL)
 
 
 @pytest.fixture
@@ -329,12 +311,12 @@ class TestDenseReference:
                 refs.append(DenseReference(state.dim, state.l1, state.rho,
                                            state.q_per_call))
             ref_rng = copy.deepcopy(rng)
-            new, audit = real_step(state, r, s, rng)
+            new = real_step(state, r, s, rng)
             refs[0].round(r, s, ref_rng)
             assert ref_rng.state() == rng.state()
             assert_matches(new, refs[0])
-            rounds.append(audit.case)
-            return new, audit
+            rounds.append(state.sep.case)
+            return new
 
         monkeypatch.setattr(driver, "learner_step", checked_step)
         report = driver.run(spec, params, RngStream(3), audit_level="full")
@@ -353,8 +335,8 @@ class TestDenseReference:
             s = np_rng.standard_normal(d)
             s /= np.linalg.norm(s)
             r = np_rng.standard_normal(d) - state.b_mat @ s
-            state, audit = learner_step(state, r, s, stream)
+            separated += state.sep.case is SepCase.SEPARATED
+            state = learner_step(state, r, s, stream)
             ref.round(r, s, ref_stream)
             assert_matches(state, ref)
-            separated += audit.case is SepCase.SEPARATED
         assert separated >= 60 and len(trusted_builds) == 120

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oqn import trsolver
-from oqn.errors import IterBudgetTooSmall, OutsideBall
+from oqn.errors import DimensionMismatch, IterBudgetTooSmall, OutsideBall
 from oqn.harness import brute_tr, tr_objective
 from oqn.eig import min_evec
 from oqn.linops import Counter, ShiftedOperator, SymOperator
@@ -25,7 +25,7 @@ from oqn.trsolver import (
     sfg,
     tr_solve,
 )
-from oqn.verify import random_symmetric
+from oqn.verify import hard_case_b, random_symmetric
 
 
 def assert_certificate_is_fresh(a, b, radius, sol):
@@ -471,12 +471,8 @@ def indefinite_instance(rng, kind, d, radius):
     a *= math.sqrt(d) / np.linalg.norm(a)
     b = rng.standard_normal(d)
     if kind == "hard":
-        evals, evecs = np.linalg.eigh(a)
-        b -= (evecs[:, 0] @ b) * evecs[:, 0]
-        b *= 0.1 * radius * (evals[1] - evals[0]) / np.linalg.norm(b)
-    else:
-        b *= 2.0 / np.linalg.norm(b)
-    return a, b
+        return a, hard_case_b(a, b, radius)
+    return a, b * (2.0 / np.linalg.norm(b))
 
 
 class TestRegularizedEarlyExit:
@@ -679,6 +675,19 @@ class TestTrSolve:
                 seen += 1
                 assert abs(np.linalg.norm(sol.delta_vec) - 1.0) <= 1e-10
         assert seen > 0
+
+    @pytest.mark.parametrize("name,value", [
+        ("a_start", np.array([-1.0])), ("x_start", np.zeros(2)), ("b", np.ones((3, 1)))])
+    def test_mis_shaped_input_rejected(self, name, value):
+        # a (1,)-shaped a_start once broadcast in the probe, which certified
+        # x_start at k = 0 with a residual of 0.0 where the true one is 2.03
+        a = np.diag([1.0, 2.0, 3.0])
+        x_start = np.array([0.3, 0.2, -0.1])
+        fields = dict(b=np.ones(3), x_start=x_start, a_start=a @ x_start)
+        fields[name] = value
+        with pytest.raises(DimensionMismatch):
+            TrustRegionSubproblem(a_op=SymOperator(a, Counter()), radius=1.0, delta=1e-3,
+                                  q=0.01, b_bound=4.0, lam_min_lower=1.0, **fields)
 
     def test_lied_bound_surfaces_certificate_failure(self):
         # the caller's spectral bound is the solver's certificate; a gross
