@@ -41,14 +41,14 @@ import numpy as np
 from numpy.typing import NDArray
 from scipy.linalg.blas import daxpy, ddot
 
-from .errors import NoGapEstimate, StationaryStart, ZeroL2
+from .errors import InvalidArgument, StationaryStart
 from .hessian_learner import LearnerState, default_rho, learner_step
 # SymOperator is not built here any more; perfbench/tracing.py still wraps
 # oqn.driver.SymOperator by name, so the import stays
 from .linops import Counter, ShiftedOperator, SymOperator  # noqa: F401
 from .problems import ObjectiveSpec, eval_gradient
 from .rng import RngStream
-from .trsolver import TrustRegionSubproblem, project_ball, tr_solve
+from .trsolver import TRSolution, TrustRegionSubproblem, project_ball, tr_solve
 
 STATIONARY_RTOL = 1e-14
 
@@ -69,11 +69,11 @@ class HyperParams:
 
     def __post_init__(self):
         if min(self.d_radius, self.eta, self.delta_tr) <= 0:
-            raise ValueError("d_radius, eta and delta_tr must be positive")
+            raise InvalidArgument("d_radius, eta and delta_tr must be positive")
         if self.t_len < 1 or self.k_eps < 1:
-            raise ValueError("t_len and k_eps must be at least 1")
+            raise InvalidArgument("t_len and k_eps must be at least 1")
         if not (0.0 < self.p_fail < 1.0):
-            raise ValueError("p_fail must be in (0,1)")
+            raise InvalidArgument("p_fail must be in (0,1)")
 
     @property
     def m_total(self) -> int:
@@ -101,17 +101,17 @@ def compute_hyperparams(spec: ObjectiveSpec, m_budget: int, p_fail: float = 0.01
     or a caller-supplied upper bound.
     """
     if m_budget < 1:
-        raise ValueError("m_budget must be at least 1")
+        raise InvalidArgument("m_budget must be at least 1")
     if spec.l2 <= 0:
-        raise ZeroL2("auto hyperparameters divide by l2; supply manual HyperParams")
+        raise InvalidArgument("auto hyperparameters divide by l2; supply manual HyperParams")
     if gap_bound is not None:
         gap = float(gap_bound)
     elif spec.value is not None:
         gap = float(spec.value(spec.x0)) - spec.f_lower
     else:
-        raise NoGapEstimate("need a value oracle at x0 or an explicit gap bound")
+        raise InvalidArgument("need a value oracle at x0 or an explicit gap bound")
     if gap <= 0:
-        raise NoGapEstimate(f"optimality-gap estimate must be positive, got {gap}")
+        raise InvalidArgument(f"optimality-gap estimate must be positive, got {gap}")
     d, l1, l2 = spec.dim, spec.l1, spec.l2
     big_d = (gap / (52.0 * d**0.4 * l1**0.4 * l2**0.6 * m_budget)) ** (5.0 / 13.0)
     eta = (1.0 / (24.0 * d * l1 * l2 ** (2.0 / 3.0) * big_d ** (2.0 / 3.0))) ** 0.6
@@ -144,8 +144,11 @@ class EpisodeRecord:
 class StepLog:
     """Per-run scalar series the whole-run inequality audits consume.  The
     Hessian-comparator ledger (full level, Hessian oracle present) is folded
-    as the run goes: one Hessian per step, only the previous one kept."""
+    as the run goes: one Hessian per step, only the previous one kept.
+    ``full`` selects the full level: the ledger, the events and the
+    fixed-point gaps."""
 
+    full: bool = False
     g_dot_delta: list = field(default_factory=list)
     f_values: list = field(default_factory=list)  # f(x_0), f(x_1), ...
     hint_gap_first: float = 0.0  # |g_1 - h_1|^2, the bootstrap hint error
@@ -230,14 +233,18 @@ def init(spec: ObjectiveSpec, params: HyperParams) -> OqnState:
 
 
 def step(state: OqnState, spec: ObjectiveSpec, params: HyperParams, rng: RngStream,
-         log: Optional[StepLog] = None, full: bool = False,
-         method: str = "oqn") -> None:
+         log: Optional[StepLog] = None,
+         method: str = "oqn") -> Optional[tuple[TrustRegionSubproblem, TRSolution]]:
     """Run one iteration in place (two gradient evaluations, plus one more at
     an episode boundary).  ``method`` is "oqn" (trust-region solve plus
     matrix learner) or "og" (frozen zero matrix, explicit projected update).
+    Returns the subproblem the step solved and its solution, or None for
+    "og"; the subproblem's operator stays valid, as later learner rounds
+    build new triangles and never write this one.
     """
     n = state.n + 1
-    ledger = log is not None and full and spec.hess is not None
+    full = log is not None and log.full
+    ledger = full and spec.hess is not None
     tr = state.totals["tr"]
     d_rad, eta = params.d_radius, params.eta
     delta_n = state.delta_vec
@@ -264,7 +271,7 @@ def step(state: OqnState, spec: ObjectiveSpec, params: HyperParams, rng: RngStre
             tr["sep_calls"] += 1
             tr["sep_matvecs"] += new_sep.matvecs_used
             tr["sep_certified"] += int(new_sep.certified)
-            if log is not None and full:
+            if full:
                 # the round's scaling and case, and the call that closed it
                 log.events.append({
                     "kind": "sep", "n": n - 1, "gamma": played.sep.gamma,
@@ -321,22 +328,23 @@ def step(state: OqnState, spec: ObjectiveSpec, params: HyperParams, rng: RngStre
         # B/2 (delta_{n+1} - delta_n) from the two products of A, the solve's
         # at delta_{n+1} and this step's at delta_n: no matvec of its own
         hint_next = gz + (sol.a_delta - a_delta) - (delta_next - delta_n) / eta
-        if log is not None:
-            if full:
-                log.events.append({
-                    "kind": "tr_solve", "n": n, "branch": branch,
-                    "b_bound": problem.b_bound,
-                    "lambda_hat": sol.lambda_hat, "n_accel": sol.n_accel,
-                    "matvecs": sol.matvecs_used, "residual": sol.residual,
-                    "retried": sol.retried, "early_exit": sol.early_exit,
-                    "start_product": "derived" if plain else "applied",
-                    "rng_state": rng.state(),
-                })
-                fp = np.linalg.norm(delta_next - project_ball(
-                    delta_next - eta * (sol.a_delta + b_vec), d_rad))
-                log.fp_gaps.append(float(fp))
+        if full:
+            log.events.append({
+                "kind": "tr_solve", "n": n, "branch": branch,
+                "b_bound": problem.b_bound,
+                "lambda_hat": sol.lambda_hat, "n_accel": sol.n_accel,
+                "matvecs": sol.matvecs_used, "residual": sol.residual,
+                "retried": sol.retried, "early_exit": sol.early_exit,
+                "start_product": "derived" if plain else "applied",
+                "rng_state": rng.state(),
+            })
+            fp = np.linalg.norm(delta_next - project_ball(
+                delta_next - eta * (sol.a_delta + b_vec), d_rad))
+            log.fp_gaps.append(float(fp))
         state.a_delta = sol.a_delta
+        solved = (problem, sol)
     else:  # og baseline: zero matrix, explicit projected optimistic update
+        solved = None
         hint_next = gz
         delta_next = project_ball(
             delta_n - eta * hint_next - eta * r, d_rad)
@@ -382,6 +390,7 @@ def step(state: OqnState, spec: ObjectiveSpec, params: HyperParams, rng: RngStre
     state.delta_vec = delta_next
     state.hint = hint_next
     state.n = n
+    return solved
 
 
 def _stationary_report(spec: ObjectiveSpec, params: HyperParams,
@@ -408,21 +417,20 @@ def run(spec: ObjectiveSpec, params: HyperParams, rng: RngStream,
     fixed budget).
     """
     if audit_level not in AUDIT_LEVELS:
-        raise ValueError(f"audit_level must be one of {AUDIT_LEVELS}")
+        raise InvalidArgument(f"audit_level must be one of {AUDIT_LEVELS}")
     if method not in ("oqn", "og"):
-        raise ValueError(f"method must be 'oqn' or 'og', got {method!r}")
+        raise InvalidArgument(f"method must be 'oqn' or 'og', got {method!r}")
     try:
         state = init(spec, params)
     except StationaryStart as exc:
         return _stationary_report(spec, params, exc.grad_norm)
-    full = audit_level == "full"
-    log = StepLog() if audit_level != "off" else None
+    log = StepLog(full=audit_level == "full") if audit_level != "off" else None
     if log is not None and spec.value is not None:
         log.f_values.append(float(spec.value(spec.x0)))
 
     stopped_early = False
     for _ in range(params.m_total):
-        step(state, spec, params, rng, log=log, full=full, method=method)
+        step(state, spec, params, rng, log=log, method=method)
         if (eps_target is not None and state.n % params.t_len == 0
                 and state.episodes[-1].grad_norm_at_wbar <= eps_target):
             stopped_early = True
@@ -485,7 +493,7 @@ def audit_regret(report: RunReport, spec: ObjectiveSpec, params: HyperParams) ->
     """
     log = report.log
     if log is None:
-        raise ValueError("audit_regret needs a run log (audit_level episode or full)")
+        raise InvalidArgument("audit_regret needs a run log (audit_level episode or full)")
     d_rad, eta, t_len = params.d_radius, params.eta, params.t_len
     k_eps = len(report.episodes)
     l2 = spec.l2

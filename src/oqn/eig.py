@@ -25,7 +25,7 @@ import numpy as np
 from numpy.typing import NDArray
 from scipy.linalg import eigh_tridiagonal
 
-from .errors import InvalidDelta, InvalidProbability, NonUnitStart
+from .errors import InvalidArgument
 from .rng import RngStream
 
 BREAKDOWN_RTOL = 1e-12
@@ -67,9 +67,9 @@ def lanczos_factorize(op, v1: NDArray, n_steps: int) -> LanczosFactorization:
     """
     v1 = np.asarray(v1, dtype=float)
     if abs(np.linalg.norm(v1) - 1.0) > 1e-12:
-        raise NonUnitStart(f"|v1| = {np.linalg.norm(v1)!r}, need a unit start")
+        raise InvalidArgument(f"|v1| = {np.linalg.norm(v1)!r}, need a unit start")
     if n_steps < 1 or n_steps > op.dim:
-        raise ValueError(f"n_steps must be in [1, dim], got {n_steps}")
+        raise InvalidArgument(f"n_steps must be in [1, dim], got {n_steps}")
     tol = BREAKDOWN_RTOL * op.frobenius_norm()
     fact = LanczosFactorization(alphas=[], betas=[], basis=[v1], breakdown_tol=tol)
     return lanczos_extend(fact, op, n_steps)
@@ -145,9 +145,9 @@ def min_evec(
     ``budget_factor`` scales both stage budgets (used by retry logic).
     """
     if not (0.0 < q < 1.0):
-        raise InvalidProbability(f"q must be in (0,1), got {q}")
+        raise InvalidArgument(f"q must be in (0,1), got {q}")
     if delta <= 0:
-        raise InvalidDelta(f"delta must be positive, got {delta}")
+        raise InvalidArgument(f"delta must be positive, got {delta}")
     d = op.dim
     n1 = min(d, budget_factor * _stage_budget(b_bound, delta, 11.0 * d / q**2))
     start = rng.unit_vector(d)
@@ -222,9 +222,9 @@ def sep(w_op, l1: float, q: float, rng: RngStream) -> SepResult:
     no matvec and no draw from ``rng``.
     """
     if l1 <= 0:
-        raise ValueError("l1 must be positive")
+        raise InvalidArgument("l1 must be positive")
     if not (0.0 < q < 1.0):
-        raise InvalidProbability(f"q must be in (0,1), got {q}")
+        raise InvalidArgument(f"q must be in (0,1), got {q}")
     d = w_op.dim
     fro = w_op.frobenius_norm()
     if fro <= l1:  # |W|_op <= |W|_F: every Ritz value is at most l1

@@ -1,80 +1,22 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+Every rejected input (an argument, a config value, an oracle's output) is an
+``InvalidArgument``; the only run-time failure of the algorithm itself is a
+``CertificateFailure``.  The CLI maps the first to exit 1 and the second to
+exit 2; ``StationaryStart`` is a degenerate success, reported as one.
+"""
 
 
 class OqnError(Exception):
     """Base class for all package-specific errors."""
 
 
-class DimensionMismatch(OqnError):
-    pass
-
-
-class NonFinite(OqnError):
-    pass
-
-
-class UnknownProblem(OqnError):
-    pass
-
-
-class InvalidDim(OqnError):
-    pass
-
-
-class MissingValueOracle(OqnError):
-    pass
-
-
-class MissingHessianOracle(OqnError):
-    pass
-
-
-class InvalidStep(OqnError):
-    """Finite-difference step must be positive."""
-
-
-class NonUnitStart(OqnError):
-    pass
-
-
-class InvalidProbability(OqnError):
-    pass
-
-
-class InvalidDelta(OqnError):
-    pass
-
-
-class OutsideBall(OqnError):
-    pass
-
-
-class IterBudgetTooSmall(OqnError):
-    pass
+class InvalidArgument(OqnError, ValueError):
+    """An argument, config value or oracle output failed its check."""
 
 
 class CertificateFailure(OqnError):
     """A probabilistic oracle guarantee did not hold even after one retry."""
-
-
-class ZeroL2(OqnError):
-    """Auto hyperparameters divide by the Hessian-Lipschitz constant."""
-
-
-class NoGapEstimate(OqnError):
-    pass
-
-
-class NonPositiveRadius(OqnError):
-    pass
-
-
-class DimTooLarge(OqnError):
-    """A dense test oracle was asked for a matrix above its size cap."""
-
-
-class UnknownLevel(OqnError):
-    pass
 
 
 class StationaryStart(OqnError):

@@ -24,7 +24,7 @@ from scipy.optimize import brentq
 
 from . import driver
 from .driver import HyperParams, RunReport, compute_hyperparams
-from .errors import DimTooLarge
+from .errors import InvalidArgument
 from .linops import Counter
 from .problems import CATALOG_NAMES, ObjectiveSpec, catalog, eval_gradient, family_knobs
 from .rng import RngStream
@@ -55,11 +55,11 @@ class RunConfig:
 
     def __post_init__(self):
         if self.method not in METHODS:
-            raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
+            raise InvalidArgument(f"method must be one of {METHODS}, got {self.method!r}")
         if self.audit not in driver.AUDIT_LEVELS:
-            raise ValueError(f"audit must be one of {driver.AUDIT_LEVELS}")
+            raise InvalidArgument(f"audit must be one of {driver.AUDIT_LEVELS}")
         if self.params not in ("auto", "manual"):
-            raise ValueError("params must be 'auto' or 'manual'")
+            raise InvalidArgument("params must be 'auto' or 'manual'")
 
 
 def _field_casts(cls, skip: tuple) -> dict:
@@ -91,7 +91,7 @@ def read_pairs(text: str) -> dict:
         if not line:
             continue
         if "=" not in line:
-            raise ValueError(f"bad config line (need key=value): {raw!r}")
+            raise InvalidArgument(f"bad config line (need key=value): {raw!r}")
         key, val = (s.strip() for s in line.split("=", 1))
         pairs[key] = val
     return pairs
@@ -105,7 +105,7 @@ def config_from_pairs(pairs: dict) -> RunConfig:
     if cfg.params == "manual":
         missing = [key for key in _MANUAL_KEYS if key not in pairs]
         if missing:
-            raise ValueError(f"params=manual needs keys {missing}")
+            raise InvalidArgument(f"params=manual needs keys {missing}")
         cfg.manual = HyperParams(**{key: cast(pairs.pop(key))
                                     for key, cast in _MANUAL_KEYS.items()},
                                  p_fail=cfg.p_fail)
@@ -113,7 +113,7 @@ def config_from_pairs(pairs: dict) -> RunConfig:
         if key in pairs:
             cfg.problem_kwargs[key] = cast(pairs.pop(key))
     if pairs:
-        raise ValueError(f"unknown config keys: {sorted(pairs)}")
+        raise InvalidArgument(f"unknown config keys: {sorted(pairs)}")
     return cfg
 
 
@@ -158,7 +158,7 @@ def gd_step_size(spec: ObjectiveSpec, step_size: Optional[float] = None) -> floa
     if step_size is None:
         step_size = 1.0 / spec.l1
     if step_size <= 0:
-        raise ValueError("step_size must be positive")
+        raise InvalidArgument("step_size must be positive")
     return step_size
 
 
@@ -190,7 +190,7 @@ def brute_tr(a_dense: NDArray, b: NDArray, d_radius: float) -> NDArray:
     b = np.asarray(b, dtype=float)
     d = a_dense.shape[0]
     if d > BRUTE_TR_DIM_CAP:
-        raise DimTooLarge(f"brute_tr caps at dim {BRUTE_TR_DIM_CAP}, got {d}")
+        raise InvalidArgument(f"brute_tr caps at dim {BRUTE_TR_DIM_CAP}, got {d}")
     evals, evecs = np.linalg.eigh(a_dense)
     bt = evecs.T @ b
     lam_min = evals[0]
@@ -363,13 +363,13 @@ def bench(cfg_text: str) -> tuple[list, dict]:
     pairs = {**_BENCH_DEFAULTS, **read_pairs(cfg_text)}
     for key, hint in _BENCH_REJECTED.items():
         if key in pairs:
-            raise ValueError(f"{key} is not a bench key: {hint}")
+            raise InvalidArgument(f"{key} is not a bench key: {hint}")
     budgets = [int(s) for s in pairs.pop("budgets").split(",")]
     seeds = [int(s) for s in pairs.pop("seeds").split(",")]
     methods = [s.strip() for s in pairs.pop("methods").split(",")]
     base = config_from_pairs(pairs)
     if base.params == "manual" and len(budgets) > 1:
-        raise ValueError("params=manual fixes M = t_len * k_eps, so every budget "
+        raise InvalidArgument("params=manual fixes M = t_len * k_eps, so every budget "
                          "would repeat one run: give one budget")
     spec = build_spec(base)
 

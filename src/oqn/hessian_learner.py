@@ -52,7 +52,7 @@ from numpy.typing import NDArray
 from scipy.linalg.blas import dsymv, dsyr, dsyr2
 
 from .eig import SepCase, SepResult, sep
-from .errors import DimensionMismatch, NonPositiveRadius
+from .errors import InvalidArgument
 from .linops import Counter, SymOperator, upper_frobenius
 from .rng import RngStream
 
@@ -105,7 +105,7 @@ class LearnerState:
 def default_rho(d_radius: float) -> float:
     """Step size 1/(16 D^2), tied to the loss self-bounding constant."""
     if d_radius <= 0:
-        raise NonPositiveRadius(f"radius must be positive, got {d_radius}")
+        raise InvalidArgument(f"radius must be positive, got {d_radius}")
     return 1.0 / (16.0 * d_radius**2)
 
 
@@ -115,7 +115,7 @@ def learner_step(state: LearnerState, r: NDArray, s: NDArray,
     r = y - B s, and materialize the next action.  Costs no matvec of its
     own, only the separation call, which is free when |W_next|_F <= L1."""
     if r.shape != s.shape or r.ndim != 1:
-        raise DimensionMismatch(f"r {r.shape} and s {s.shape} must be equal-length vectors")
+        raise InvalidArgument(f"r {r.shape} and s {s.shape} must be equal-length vectors")
     # W - rho * grad = W + rho (r s' + s r'), on a fresh copy of W's triangle
     w_next = dsyr2(state.rho, r, s, a=state.w_op.upper.copy(order="F"), overwrite_a=1)
     played = state.sep

@@ -25,7 +25,7 @@ import numpy as np
 from numpy.typing import NDArray
 from scipy.linalg.blas import ddot, dsymv
 
-from .errors import DimensionMismatch, DimTooLarge
+from .errors import InvalidArgument
 
 DENSE_EIG_DIM_CAP = 200
 
@@ -77,14 +77,14 @@ class SymOperator:
                  fro: float | None = None):
         mat = np.asarray(mat, dtype=float)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-            raise DimensionMismatch(f"expected a square matrix, got shape {mat.shape}")
+            raise InvalidArgument(f"expected a square matrix, got shape {mat.shape}")
         if fro is not None:
             self.upper, self.fro = mat, float(fro)
         else:
             sym = 0.5 * (mat + mat.T)
             self.fro = float(np.linalg.norm(sym))
             if np.linalg.norm(mat - mat.T) > 1e-10 * (self.fro or 1.0):
-                raise DimensionMismatch("matrix is not symmetric")
+                raise InvalidArgument("matrix is not symmetric")
             # sym is exactly symmetric, so its lower triangle transposed is
             # its upper triangle, already in Fortran order
             self.upper = np.tril(sym).T
@@ -97,7 +97,7 @@ class SymOperator:
     def apply(self, v: NDArray) -> NDArray:
         v = np.asarray(v, dtype=float)
         if v.shape != (self.dim,):
-            raise DimensionMismatch(f"vector shape {v.shape} vs operator dim {self.dim}")
+            raise InvalidArgument(f"vector shape {v.shape} vs operator dim {self.dim}")
         self.counter.tick()
         return dsymv(1.0, self.upper, v)
 
@@ -158,7 +158,7 @@ def dense_extreme_eig(op):
     ``(lambda_min, lambda_max, v_min, v_max)`` with unit eigenvectors.
     """
     if op.dim > DENSE_EIG_DIM_CAP:
-        raise DimTooLarge(f"dim {op.dim} exceeds dense-oracle cap {DENSE_EIG_DIM_CAP}")
+        raise InvalidArgument(f"dim {op.dim} exceeds dense-oracle cap {DENSE_EIG_DIM_CAP}")
     a = op.dense()
     evals, evecs = np.linalg.eigh(a)
     lam_min, lam_max = float(evals[0]), float(evals[-1])

@@ -16,15 +16,7 @@ from typing import Callable, Optional
 import numpy as np
 from numpy.typing import NDArray
 
-from .errors import (
-    DimensionMismatch,
-    InvalidDim,
-    InvalidStep,
-    MissingHessianOracle,
-    MissingValueOracle,
-    NonFinite,
-    UnknownProblem,
-)
+from .errors import InvalidArgument
 from .linops import Counter
 
 FD_GRAD_STEP = 1e-5
@@ -58,13 +50,13 @@ class ObjectiveSpec:
         self.l2 = float(self.l2)
         self.f_lower = float(self.f_lower)
         if self.dim < 1:
-            raise InvalidDim(f"dim must be >= 1, got {self.dim}")
+            raise InvalidArgument(f"dim must be >= 1, got {self.dim}")
         if self.l1 <= 0:
-            raise ValueError("l1 must be positive")
+            raise InvalidArgument("l1 must be positive")
         if self.l2 < 0:
-            raise ValueError("l2 must be nonnegative")
+            raise InvalidArgument("l2 must be nonnegative")
         if self.x0.shape != (self.dim,):
-            raise DimensionMismatch(
+            raise InvalidArgument(
                 f"x0 has shape {self.x0.shape}, expected ({self.dim},)"
             )
 
@@ -73,10 +65,10 @@ def eval_gradient(spec: ObjectiveSpec, x: NDArray, counter: Counter) -> NDArray:
     """Evaluate the gradient oracle once, charging the run-scoped counter."""
     x = np.asarray(x, dtype=float)
     if x.shape != (spec.dim,):
-        raise DimensionMismatch(f"x has shape {x.shape}, expected ({spec.dim},)")
+        raise InvalidArgument(f"x has shape {x.shape}, expected ({spec.dim},)")
     g = np.asarray(spec.grad(x), dtype=float)
     if not np.isfinite(g).all():
-        raise NonFinite(f"gradient oracle returned non-finite values at {x!r}")
+        raise InvalidArgument(f"gradient oracle returned non-finite values at {x!r}")
     counter.tick()
     return g
 
@@ -87,7 +79,7 @@ def quadratic_from_matrix(q_mat: NDArray, x0: Optional[NDArray] = None) -> Objec
     d = q_mat.shape[0]
     evals = np.linalg.eigvalsh(q_mat)
     if evals[0] < -1e-12 * max(1.0, evals[-1]):
-        raise ValueError("quadratic catalog requires a PSD matrix")
+        raise InvalidArgument("quadratic catalog requires a PSD matrix")
     if x0 is None:
         x0 = np.ones(d)
     return ObjectiveSpec(
@@ -155,7 +147,7 @@ def _coupled_trig(dim: int, kappa: float = 0.2) -> ObjectiveSpec:
     which serves as the recorded lower bound.
     """
     if dim < 2:
-        raise InvalidDim("coupled_trig needs dim >= 2")
+        raise InvalidArgument("coupled_trig needs dim >= 2")
 
     def value(x):
         s = np.sin(x)
@@ -195,7 +187,7 @@ def _rosenbrock_local(dim: int, box: float = 2.0) -> ObjectiveSpec:
     leaving the box are flagged by the harness, never rejected here.
     """
     if dim < 2:
-        raise InvalidDim("rosenbrock needs dim >= 2")
+        raise InvalidArgument("rosenbrock needs dim >= 2")
 
     def value(x):
         return float(np.sum(100.0 * (x[1:] - x[:-1] ** 2) ** 2 + (1.0 - x[:-1]) ** 2))
@@ -253,18 +245,18 @@ def catalog(name: str, dim: int, seed: int = 0, **knobs) -> ObjectiveSpec:
     """Build a catalog problem by name.
 
     ``seed`` only matters for the randomized quadratic family.  ``knobs``
-    go to the family's constructor; one the family does not take is a
-    ``ValueError``.
+    go to the family's constructor; one the family does not take is an
+    ``InvalidArgument``.
     """
     if dim < 1:
-        raise InvalidDim(f"dim must be >= 1, got {dim}")
+        raise InvalidArgument(f"dim must be >= 1, got {dim}")
     if name not in _FAMILIES:
-        raise UnknownProblem(f"unknown problem {name!r}; choose from {CATALOG_NAMES}")
+        raise InvalidArgument(f"unknown problem {name!r}; choose from {CATALOG_NAMES}")
     own = family_knobs(name)
     stray = sorted(set(knobs) - set(own))
     if stray:
         takes = f"the knobs {sorted(own)}" if own else "no knobs"
-        raise ValueError(f"{name} takes {takes}, got {stray}")
+        raise InvalidArgument(f"{name} takes {takes}, got {stray}")
     args = (dim, seed) if name == "quadratic" else (dim,)
     return _FAMILIES[name](*args, **knobs)
 
@@ -272,9 +264,9 @@ def catalog(name: str, dim: int, seed: int = 0, **knobs) -> ObjectiveSpec:
 def fd_check_gradient(spec: ObjectiveSpec, x: NDArray, h: float = FD_GRAD_STEP) -> float:
     """Max abs error of the gradient oracle against central differences of f."""
     if spec.value is None:
-        raise MissingValueOracle("fd_check_gradient needs the value oracle")
+        raise InvalidArgument("fd_check_gradient needs the value oracle")
     if h <= 0:
-        raise InvalidStep("finite-difference step must be positive")
+        raise InvalidArgument("finite-difference step must be positive")
     x = np.asarray(x, dtype=float)
     g = spec.grad(x)
     err = 0.0
@@ -289,9 +281,9 @@ def fd_check_gradient(spec: ObjectiveSpec, x: NDArray, h: float = FD_GRAD_STEP) 
 def fd_check_hessian(spec: ObjectiveSpec, x: NDArray, h: float = FD_HESS_STEP) -> float:
     """Max abs error of the Hessian oracle against central differences of the gradient."""
     if spec.hess is None:
-        raise MissingHessianOracle("fd_check_hessian needs the Hessian oracle")
+        raise InvalidArgument("fd_check_hessian needs the Hessian oracle")
     if h <= 0:
-        raise InvalidStep("finite-difference step must be positive")
+        raise InvalidArgument("finite-difference step must be positive")
     x = np.asarray(x, dtype=float)
     h_mat = spec.hess(x)
     err = 0.0

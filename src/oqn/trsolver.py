@@ -52,7 +52,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .eig import MinEvecCase, min_evec
-from .errors import CertificateFailure, DimensionMismatch, IterBudgetTooSmall, OutsideBall
+from .errors import CertificateFailure, InvalidArgument
 from .linops import ShiftedOperator
 from .rng import RngStream
 
@@ -84,7 +84,7 @@ class TrustRegionSubproblem:
     itself (shifted by lambda_hat on the regularized branch), and a probe
     that certifies there reads its residual from it and hands it back as
     ``TRSolution.a_delta``.  ``b`` is a vector of length ``a_op.dim``, and
-    ``x_start`` and ``a_start`` have its shape (else DimensionMismatch).
+    ``x_start`` and ``a_start`` have its shape (else InvalidArgument).
     """
 
     a_op: object
@@ -100,20 +100,20 @@ class TrustRegionSubproblem:
     def __post_init__(self):
         self.b = np.asarray(self.b, dtype=float)
         if self.b.shape != (self.a_op.dim,):
-            raise DimensionMismatch(f"b {self.b.shape} vs operator dim {self.a_op.dim}")
+            raise InvalidArgument(f"b {self.b.shape} vs operator dim {self.a_op.dim}")
         if self.x_start is None:
             self.x_start = np.zeros(self.b.shape)
         else:
             self.x_start = np.asarray(self.x_start, dtype=float)
         for name, v in (("x_start", self.x_start), ("a_start", self.a_start)):
             if v is not None and np.shape(v) != self.b.shape:
-                raise DimensionMismatch(f"{name} {np.shape(v)} vs b {self.b.shape}")
+                raise InvalidArgument(f"{name} {np.shape(v)} vs b {self.b.shape}")
         if self.radius <= 0:
-            raise ValueError("radius must be positive")
+            raise InvalidArgument("radius must be positive")
         if self.delta <= 0:
-            raise ValueError("delta must be positive")
+            raise InvalidArgument("delta must be positive")
         if not (0.0 < self.q < 1.0):
-            raise ValueError("q must be in (0,1)")
+            raise InvalidArgument("q must be in (0,1)")
 
 
 class TRBranch(Enum):
@@ -170,7 +170,7 @@ def residual_of(a_op, b: NDArray, d_radius: float, delta_vec: NDArray,
     delta_vec = np.asarray(delta_vec, dtype=float)
     norm = math.sqrt(delta_vec @ delta_vec)
     if not _in_ball(norm, d_radius):
-        raise OutsideBall(f"|delta| = {norm!r} exceeds radius {d_radius!r}")
+        raise InvalidArgument(f"|delta| = {norm!r} exceeds radius {d_radius!r}")
     ax = a_op.apply(delta_vec)
     res = _cone_residual(ax + b, delta_vec, norm, d_radius)
     return (res, ax) if with_product else res
@@ -275,7 +275,7 @@ def sfg(a_psd, b: NDArray, d_radius: float, lg: float, n_iters: int, x_start: ND
     be fixed up front (n_iters >= 2).  One matvec per iteration.
     """
     if n_iters < 2:
-        raise IterBudgetTooSmall("the terminal step needs two prior iterates")
+        raise InvalidArgument("the terminal step needs two prior iterates")
     n = n_iters
     x = np.asarray(x_start, dtype=float)
     y = x

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import driver, harness
 from .eig import MinEvecCase, SepCase, min_evec, sep
-from .errors import OqnError, UnknownLevel
+from .errors import InvalidArgument, OqnError
 from .hessian_learner import LearnerState, default_rho, learner_step
 from .linops import Counter, ShiftedOperator, SymOperator, dense_extreme_eig
 from .problems import CATALOG_NAMES, catalog, fd_check_gradient, fd_check_hessian
@@ -80,7 +80,7 @@ def run_all(level: str = "quick") -> list:
     battery that raises a package error or an assertion yields one failed
     check ``<layer>.raised`` in place of its own, and the others still run."""
     if level not in SCALES:
-        raise UnknownLevel(f"level must be one of {tuple(SCALES)}, got {level!r}")
+        raise InvalidArgument(f"level must be one of {tuple(SCALES)}, got {level!r}")
     cfg = SCALES[level]
     out = []
     for layer, battery in BATTERIES:
@@ -394,39 +394,29 @@ def check_learner(cfg):
 
 def _spied_run(spec, params, rho_factor):
     """Step a run, audit off, at the learner step size times ``rho_factor``,
-    with ``driver.tr_solve`` swapped for a spy and put back.  Returns the
+    and recheck each subproblem and solution the steps return.  Returns the
     final state, the worst relative error of an ``a_start`` against the dense
     A ``x_start``, the worst residual / delta of an answer rechecked over that
     dense A, and the plain rounds counted from the states: both separation
     calls answered inside and W_next is strictly inside the Frobenius ball."""
     seen = {"err": 0.0, "ratio": 0.0, "plain": 0}
-    real_solve = driver.tr_solve
-
-    def solve(p, rng):
-        sol = real_solve(p, rng)
+    state = driver.init(spec, params)
+    state.b_state.rho *= rho_factor
+    radius = math.sqrt(spec.dim) * spec.l1
+    rng = RngStream(SEED)
+    for _ in range(params.m_total):
+        played = state.b_state
+        p, sol = driver.step(state, spec, params, rng)
+        new = state.b_state
+        seen["plain"] += (new is not played
+                          and played.sep.case is SepCase.INSIDE_DOUBLED
+                          and new.sep.case is SepCase.INSIDE_DOUBLED
+                          and np.linalg.norm(new.w_op.dense()) < radius * (1.0 - 1e-12))
         a = p.a_op.dense()
         exact = a @ p.x_start
         err = np.linalg.norm(p.a_start - exact) / (np.linalg.norm(exact) or 1.0)
         ratio = residual_of(SymOperator(a, Counter()), p.b, p.radius, sol.delta_vec) / p.delta
         seen.update(err=max(seen["err"], err), ratio=max(seen["ratio"], ratio))
-        return sol
-
-    state = driver.init(spec, params)
-    state.b_state.rho *= rho_factor
-    radius = math.sqrt(spec.dim) * spec.l1
-    rng = RngStream(SEED)
-    driver.tr_solve = solve
-    try:
-        for _ in range(params.m_total):
-            played = state.b_state
-            driver.step(state, spec, params, rng)
-            new = state.b_state
-            seen["plain"] += (new is not played
-                              and played.sep.case is SepCase.INSIDE_DOUBLED
-                              and new.sep.case is SepCase.INSIDE_DOUBLED
-                              and np.linalg.norm(new.w_op.dense()) < radius * (1.0 - 1e-12))
-    finally:
-        driver.tr_solve = real_solve
     return state, seen
 
 

@@ -8,7 +8,7 @@ from scipy.linalg import eigh_tridiagonal
 from oqn import driver, hessian_learner, trsolver, verify
 from oqn.eig import lanczos_factorize, min_evec, sep
 from oqn.driver import HyperParams, compute_hyperparams
-from oqn.errors import NoGapEstimate, StationaryStart, ZeroL2
+from oqn.errors import InvalidArgument, StationaryStart
 from oqn.linops import Counter, ShiftedOperator, SymOperator
 from oqn.problems import ObjectiveSpec, catalog, quadratic_from_matrix
 from oqn.rng import RngStream
@@ -72,13 +72,13 @@ class TestComputeHyperparams:
 
     def test_zero_l2_rejected(self):
         spec = quadratic_from_matrix(np.eye(2))
-        with pytest.raises(ZeroL2):
+        with pytest.raises(InvalidArgument, match="auto hyperparameters divide by l2"):
             compute_hyperparams(spec, 100)
 
     def test_missing_gap_rejected(self):
         spec = ObjectiveSpec(dim=2, grad=lambda x: x, l1=1.0, l2=1.0,
                              f_lower=0.0, x0=np.ones(2))
-        with pytest.raises(NoGapEstimate):
+        with pytest.raises(InvalidArgument, match="need a value oracle at x0"):
             compute_hyperparams(spec, 100)
 
 
@@ -301,13 +301,13 @@ class TestComparatorLedger:
         spec, points = self.recording(base)
         params = compute_hyperparams(spec, 60)
         state = driver.init(spec, params)
-        log = driver.StepLog()
+        log = driver.StepLog(full=True)
         rng = RngStream(3)
         z_pts, trail = [], []
         for _ in range(params.m_total):
             delta_n = state.delta_vec.copy()
             g_n = spec.grad(state.x + 0.5 * delta_n)
-            driver.step(state, spec, params, rng, log=log, full=True)
+            driver.step(state, spec, params, rng, log=log)
             z_pts.append(state.x + 0.5 * delta_n)
             trail.append((g_n, state.grad_z_prev.copy(), state.pending_s.copy()))
         m = params.m_total
@@ -405,7 +405,7 @@ class TestEarlyExit:
         derived = sum(ev["start_product"] == "derived" for ev in solves)
         assert derived == fast.totals["tr"]["start_products_derived"] == params.m_total - 1
 
-    def test_start_product_changes_no_bit(self, monkeypatch):
+    def test_start_product_changes_no_bit(self):
         # the driver's a_start replaces the probe's first matvec: each solve,
         # redone from the same subproblem without it, spends exactly one
         # more matvec, and returns the same bits when the step applied A; a
@@ -413,26 +413,16 @@ class TestEarlyExit:
         # that matvec by rounding, and so may the answer
         spec = catalog("coupled_trig", 16)
         params = compute_hyperparams(spec, 480)
-        real_solve = driver.tr_solve
-        solves = []
-
-        def keeping_solve(p, rng):
-            sol = real_solve(p, rng)
-            solves.append((p, sol))
-            return sol
-
-        monkeypatch.setattr(driver, "tr_solve", keeping_solve)
         state = driver.init(spec, params)
         rng = RngStream(0)
         derived_steps = 0
         for _ in range(params.m_total):
             derived_before = state.totals["tr"]["start_products_derived"]
-            driver.step(state, spec, params, rng)
+            p, sol = driver.step(state, spec, params, rng)
             derived = state.totals["tr"]["start_products_derived"] > derived_before
             derived_steps += derived
-            p, sol = solves.pop()
             # the auto parameters certify A PSD: the solve draws nothing
-            redone = real_solve(dataclasses.replace(p, a_start=None), RngStream(0))
+            redone = tr_solve(dataclasses.replace(p, a_start=None), RngStream(0))
             assert redone.matvecs_used == sol.matvecs_used + 1
             assert redone.early_exit == sol.early_exit and redone.n_accel == sol.n_accel
             if derived:
@@ -484,15 +474,16 @@ class TestStepBound:
     def test_bounds_certify_every_subproblem(self, monkeypatch, name, dim, budget,
                                              eta_factor):
         spec, params = recipe(name, dim, budget, eta_factor)
-        real_solve = driver.tr_solve
+        real_step = driver.step
         seen = []
 
-        def spying_solve(p, rng):
+        def spying_step(*args, **kwargs):
+            p, sol = real_step(*args, **kwargs)
             evals = np.linalg.eigvalsh(p.a_op.dense())
             seen.append((p.b_bound, p.lam_min_lower, evals[0], evals[-1]))
-            return real_solve(p, rng)
+            return p, sol
 
-        monkeypatch.setattr(driver, "tr_solve", spying_solve)
+        monkeypatch.setattr(driver, "step", spying_step)
         report = driver.run(spec, params, RngStream(0), audit_level="full")
         worst = max(2.0 * spec.l1, spec.l1 + 1.0 / params.eta)
         assert len(seen) == params.m_total

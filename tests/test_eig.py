@@ -11,7 +11,7 @@ from oqn.eig import (
     min_evec,
     sep,
 )
-from oqn.errors import InvalidDelta, InvalidProbability, NonUnitStart
+from oqn.errors import InvalidArgument
 from oqn.linops import Counter, ShiftedOperator, SymOperator, dense_extreme_eig
 from oqn.rng import RngStream
 from oqn.verify import random_symmetric
@@ -45,7 +45,7 @@ class TestLanczos:
 
     def test_non_unit_start_rejected(self):
         op = SymOperator(np.eye(3))
-        with pytest.raises(NonUnitStart):
+        with pytest.raises(InvalidArgument, match="need a unit start"):
             lanczos_factorize(op, np.array([1.0, 1.0, 0.0]), 2)
 
     def test_orthonormality_and_recurrence(self, np_rng):
@@ -118,9 +118,9 @@ class TestMinEvec:
 
     def test_invalid_arguments(self):
         op = SymOperator(np.eye(2))
-        with pytest.raises(InvalidProbability):
+        with pytest.raises(InvalidArgument, match=r"q must be in \(0,1\)"):
             min_evec(op, 0.1, 1.5, 1.0, RngStream(0))
-        with pytest.raises(InvalidDelta):
+        with pytest.raises(InvalidArgument, match="delta must be positive"):
             min_evec(op, -0.1, 0.05, 1.0, RngStream(0))
 
     def test_low_rank_breakdown_keeps_certificates(self, np_rng):
@@ -184,7 +184,7 @@ class TestSep:
         np.testing.assert_allclose(res.s_mat, expected, atol=1e-9)
 
     def test_invalid_probability(self):
-        with pytest.raises(InvalidProbability):
+        with pytest.raises(InvalidArgument, match=r"q must be in \(0,1\)"):
             sep(SymOperator(np.eye(2)), 1.0, 0.0, RngStream(0))
 
     # |W|_op <= |W|_F: a Frobenius norm at most l1 settles the oracle before
@@ -243,8 +243,8 @@ class TestSep:
             def frobenius_norm(self):
                 raise AssertionError("norm read before the argument checks")
 
-        with pytest.raises(InvalidProbability):
+        with pytest.raises(InvalidArgument, match=r"q must be in \(0,1\)"):
             sep(Unreadable(), 1.0, 0.0, RngStream(0))
         for l1 in (0.0, -1.0):
-            with pytest.raises(ValueError):
+            with pytest.raises(InvalidArgument, match="l1 must be positive"):
                 sep(Unreadable(), l1, 0.05, RngStream(0))

@@ -11,7 +11,7 @@ from oqn import driver, harness, verify
 from oqn.cli import main as cli_main
 from oqn.driver import compute_hyperparams
 from oqn.eig import SepCase, SepResult
-from oqn.errors import CertificateFailure, DimTooLarge, UnknownLevel
+from oqn.errors import CertificateFailure, InvalidArgument
 from oqn.problems import catalog, quadratic_from_matrix
 from oqn.verify import random_symmetric
 
@@ -202,7 +202,7 @@ class TestBruteTr:
         assert harness.tr_objective(a, b, x) <= best + 1e-6
 
     def test_dim_cap(self):
-        with pytest.raises(DimTooLarge):
+        with pytest.raises(InvalidArgument, match="brute_tr caps at dim 20"):
             harness.brute_tr(np.eye(25), np.zeros(25), 1.0)
 
 
@@ -217,7 +217,7 @@ def quick_verify():
 
 class TestVerifySuite:
     def test_unknown_level(self):
-        with pytest.raises(UnknownLevel):
+        with pytest.raises(InvalidArgument, match="level must be one of"):
             verify.run_all("bogus")
 
     def test_quick_level_all_pass(self, quick_verify):
@@ -272,22 +272,33 @@ def test_contract_battery_fails_on_a_broken_oracle(monkeypatch, module, oracle, 
     assert check in failed
 
 
-def test_raising_battery_is_one_failed_check(monkeypatch, quick_verify, capsys):
+def _raise_synthetic(*args):
+    raise CertificateFailure("synthetic")
+
+
+@pytest.mark.parametrize("oracle,fake,block,failures", [
+    ("sep", lambda real: _raise_synthetic, "eig.sep.",
+     ["[FAIL] eig.raised  (CertificateFailure: synthetic)"]),
+    # a package check, not a synthetic raise: the real eig.sep at l1 = 0
+    ("sep", lambda real: lambda op, l1, *args: real(op, 0.0, *args), "eig.sep.",
+     ["[FAIL] eig.raised  (InvalidArgument: l1 must be positive)"]),
+    # both trsolver batteries solve through verify.tr_solve, so both raise
+    ("tr_solve", lambda real: lambda p, rng: real(dataclasses.replace(p, radius=0.0), rng),
+     "trsolver.", ["[FAIL] trsolver.raised  (InvalidArgument: radius must be positive)"] * 2),
+], ids=["certificate_failure", "sep_l1_zero", "tr_radius_zero"])
+def test_raising_battery_is_one_failed_check(monkeypatch, quick_verify, capsys, oracle, fake,
+                                             block, failures):
     """A battery that raises becomes one FAIL line in place of its checks;
     every other check still reports, and the exit code is 2."""
-    def raising(*args):
-        raise CertificateFailure("synthetic")
-
-    monkeypatch.setattr(verify, "sep", raising)  # only check_sep calls it
+    monkeypatch.setattr(verify, oracle, fake(getattr(verify, oracle)))
     assert cli_main(["verify"]) == 2
     lines = capsys.readouterr().out.splitlines()
     clean = quick_verify[1]
-    sep_at = [i for i, line in enumerate(clean) if line.startswith("[PASS] eig.sep.")]
-    assert sep_at == list(range(sep_at[0], sep_at[0] + 4))
-    expected = (clean[:sep_at[0]] + ["[FAIL] eig.raised  (CertificateFailure: synthetic)"]
-                + clean[sep_at[-1] + 1:-1])
+    at = [i for i, line in enumerate(clean) if line.startswith("[PASS] " + block)]
+    assert at == list(range(at[0], at[-1] + 1))
+    expected = clean[:at[0]] + failures + clean[at[-1] + 1:-1]
     assert lines[:-1] == expected
-    assert lines[-1] == f"{len(expected) - 1}/{len(expected)} checks passed"
+    assert lines[-1] == f"{len(expected) - len(failures)}/{len(expected)} checks passed"
 
 
 GD_GRID = "problem=cosine_mixture\ndim=4\nbudgets=40,80\nseeds=0\nmethods=oqn,gd_baseline\n"

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from oqn import driver, hessian_learner
 from oqn.driver import compute_hyperparams
 from oqn.eig import SepCase, SepResult, sep
-from oqn.errors import DimensionMismatch, NonPositiveRadius
+from oqn.errors import InvalidArgument
 from oqn.hessian_learner import LearnerState, default_rho, learner_step
 from oqn.linops import Counter, SymOperator
 from oqn.problems import catalog
@@ -78,7 +78,7 @@ class TestDefaultRho:
         assert default_rho(radius) == pytest.approx(expected)
 
     def test_rejects_nonpositive(self):
-        with pytest.raises(NonPositiveRadius):
+        with pytest.raises(InvalidArgument, match="radius must be positive"):
             default_rho(0.0)
 
 
@@ -90,7 +90,7 @@ class TestLearnerStep:
     ])
     def test_mismatched_pair_rejected(self, r, s):
         state = LearnerState.fresh(3, 1.0, default_rho(1.0), 0.01)
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(InvalidArgument, match="must be equal-length vectors"):
             learner_step(state, r, s, RngStream(0))
 
     def test_zero_direction_no_motion(self):
