@@ -14,16 +14,18 @@ warm-started FISTA probe with adaptive restart runs from the caller's
 it at the momentum point by linearity, so it reads the exact inner residual
 of every iterate for free, and it stops once that residual is at most
 ``EARLY_EXIT_RTOL * min(accuracy, |b|)``; the solve then reports
-``early_exit``.  On the convex branch the probe's step is 1 / ``b_bound``
-and its restarted linear rate depends on ``b_bound`` / lambda_min, so a
-tight caller bound is what lets it certify in few iterations.  On the
-regularized branch the step starts at 1 / (ritz_max - lambda_hat), from the
-top Ritz value the eigenpair probe already computed (exact once its Krylov
-space is full), and backtracks towards 1 / (``b_bound`` - lambda_hat), where
-the check stops; a rejected step's matvec counts against N.  A caller that
-already holds A ``x_start``, up to rounding, passes it as ``a_start``, and
-the probe starts without a matvec on either branch: the regularized one
-forms A ``x_start`` - lambda_hat ``x_start`` from it.  Only when the probe does
+``early_exit``.  Wherever the eigenpair probe ran, the probe's step starts
+from the top Ritz value it already computed (exact once its Krylov space is
+full): at 1 / ritz_max on a convex branch the eigenpair probe certified, at
+1 / (ritz_max - lambda_hat) on the regularized one.  It backtracks towards
+1 / ``b_bound`` (1 / (``b_bound`` - lambda_hat) when regularized), where the
+check stops; a rejected step's matvec counts against N.  A convex branch the
+caller certified draws nothing and steps at 1 / ``b_bound``: its restarted
+linear rate depends on ``b_bound`` / lambda_min, so a tight caller bound is
+what lets it certify in few iterations.  A caller that already holds
+A ``x_start``, up to rounding, passes it as ``a_start``, and the probe
+starts without a matvec on either branch: the regularized one forms
+A ``x_start`` - lambda_hat ``x_start`` from it.  Only when the probe does
 not certify within the fixed budget N does the solve run the fixed-budget
 two-phase method from the origin (a FISTA burn-in that shrinks the
 objective gap, then a gradient-norm phase that converts the gap into a small
@@ -126,14 +128,14 @@ class TRBranch(Enum):
 class TRSolution:
     """``early_exit`` means the probe certified the inner problem of the
     branch taken; ``n_accel`` then counts its kept steps (a step the
-    regularized probe's backtracking rejected is not counted, though its
-    matvec is), else it is the fixed per-phase budget N.  ``residual`` is
-    the original problem's: the convex probe's own on a convex early exit,
-    ``residual_of`` at ``delta_vec`` otherwise (regularized branches
-    always).  ``a_delta`` is the product A ``delta_vec`` that residual was
-    read from, at no matvec to the caller: the bits ``a_op.apply(delta_vec)``
-    returns, except on a probe exit at its start, which hands back the
-    caller's ``a_start`` itself."""
+    probe's backtracking rejected, on either branch where the eigenpair
+    probe ran, is not counted, though its matvec is), else it is the fixed
+    per-phase budget N.  ``residual`` is the original problem's: the convex
+    probe's own on a convex early exit, ``residual_of`` at ``delta_vec``
+    otherwise (regularized branches always).  ``a_delta`` is the product
+    A ``delta_vec`` that residual was read from, at no matvec to the caller:
+    the bits ``a_op.apply(delta_vec)`` returns, except on a probe exit at its
+    start, which hands back the caller's ``a_start`` itself."""
 
     delta_vec: NDArray
     residual: float
@@ -322,8 +324,10 @@ def tr_solve(p: TrustRegionSubproblem, rng: RngStream) -> TRSolution:
     otherwise one minimum-eigenpair probe picks the branch.  Each branch
     fixes its operator, step bound and inner accuracy: A, max(b_bound, delta)
     and delta when convex; A - lambda_hat I, max(b_bound - lambda_hat, delta)
-    and delta / 2 when regularized, where the probe's step starts from the
-    eigenpair probe's top Ritz value.  The inner problem's answer is the
+    and delta / 2 when regularized.  Where the eigenpair probe ran, on
+    either branch, the probe's step starts from its top Ritz value (shifted
+    by lambda_hat when regularized) and backtracks; a caller-certified solve
+    steps at 1 / max(b_bound, delta).  The inner problem's answer is the
     ``fista_probe`` one from ``p.x_start`` (with the start product from
     ``p.a_start``) when the probe certifies (``early_exit``), else the
     fixed-budget ``fista_plus_sfg`` one; the regularized branch then takes
@@ -351,7 +355,7 @@ def tr_solve(p: TrustRegionSubproblem, rng: RngStream) -> TRSolution:
         convex = certified_psd or ev.case is MinEvecCase.PSD_CERTIFIED
         if convex:
             op, lg, acc = p.a_op, max(p.b_bound, p.delta), p.delta
-            a_start, l_start = p.a_start, None
+            a_start, l_start = p.a_start, None if ev is None else ev.ritz_max
         else:
             op = ShiftedOperator(p.a_op, lambda_hat)
             lg, acc = max(p.b_bound - lambda_hat, p.delta), 0.5 * p.delta

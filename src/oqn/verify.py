@@ -77,8 +77,9 @@ class CheckResult:
 
 def run_all(level: str = "quick") -> list:
     """Execute the per-module property batteries at the requested scale.  A
-    battery that raises a package error or an assertion yields one failed
-    check ``<layer>.raised`` in place of its own, and the others still run."""
+    battery that raises a package error, an assertion or an arithmetic
+    error (the dense oracle's self-check) yields one failed check
+    ``<layer>.raised`` in place of its own, and the others still run."""
     if level not in SCALES:
         raise InvalidArgument(f"level must be one of {tuple(SCALES)}, got {level!r}")
     cfg = SCALES[level]
@@ -86,7 +87,7 @@ def run_all(level: str = "quick") -> list:
     for layer, battery in BATTERIES:
         try:
             out += battery(cfg)
-        except (OqnError, AssertionError) as exc:
+        except (OqnError, AssertionError, ArithmeticError) as exc:
             out.append(CheckResult(f"{layer}.raised", False, f"{type(exc).__name__}: {exc}"))
     return out
 
@@ -294,11 +295,13 @@ def check_trsolver(cfg):
 
 
 def check_early_exit(cfg):
-    """Convex instances certified by the caller: the probe's early answer has
-    residual <= sqrt(eps) delta, so convexity caps its excess at 2 D times
-    that, and its reported residual is the one residual_of recomputes."""
+    """Convex instances, each solved twice: certified by the caller, where
+    the probe steps at 1 / b_bound, and by min_evec, where it starts from the
+    top Ritz value and backtracks.  A probe's early answer has residual
+    <= sqrt(eps) delta, so convexity caps its excess at 2 D times that, and
+    its reported residual is the one residual_of recomputes."""
     rng = np.random.default_rng(SEED)
-    exits = 0
+    exits = {"caller": 0, "eigen": 0}
     exit_ok = True
     worst_exit = -math.inf
     for t in range(cfg["tr_instances"]):
@@ -309,26 +312,31 @@ def check_early_exit(cfg):
         b = rng.standard_normal(d)
         d_rad = float(rng.choice([0.1, 1.0, 10.0]))
         delta = float(rng.choice([1e-2, 1e-4]))
-        op = SymOperator(a, Counter())
-        problem = TrustRegionSubproblem(
-            a_op=op, b=b, radius=d_rad, delta=delta, q=0.01,
-            b_bound=2.0 * op.frobenius_norm(), lam_min_lower=shift)
-        sol = tr_solve(problem, RngStream(SEED * 7907 + t))
-        if not sol.early_exit:
-            continue
-        exits += 1
-        # the probe's own residual against an independent one-matvec check
-        exit_ok = exit_ok and sol.residual == residual_of(
-            SymOperator(a, Counter()), b, d_rad, sol.delta_vec)
         exact = harness.brute_tr(a, b, d_rad)
-        excess = (harness.tr_objective(a, b, sol.delta_vec)
-                  - harness.tr_objective(a, b, exact))
         bound = 2.0 * d_rad * EARLY_EXIT_RTOL * delta + 1e-12
-        worst_exit = max(worst_exit, excess - bound)
-        exit_ok = exit_ok and excess <= bound
+        for branch, lam_min_lower in (("caller", shift), ("eigen", -math.inf)):
+            op = SymOperator(a, Counter())
+            problem = TrustRegionSubproblem(
+                a_op=op, b=b, radius=d_rad, delta=delta, q=0.01,
+                b_bound=2.0 * op.frobenius_norm(), lam_min_lower=lam_min_lower)
+            sol = tr_solve(problem, RngStream(SEED * 7907 + t))
+            # lambda_min >= 0.05 exceeds min_evec's delta / (4 D) <= 0.025
+            exit_ok = exit_ok and sol.branch.value == "convex"
+            if not sol.early_exit:
+                continue
+            exits[branch] += 1
+            # the probe's own residual against an independent one-matvec check
+            exit_ok = exit_ok and sol.residual == residual_of(
+                SymOperator(a, Counter()), b, d_rad, sol.delta_vec)
+            excess = (harness.tr_objective(a, b, sol.delta_vec)
+                      - harness.tr_objective(a, b, exact))
+            worst_exit = max(worst_exit, excess - bound)
+            exit_ok = exit_ok and excess <= bound
     return [CheckResult(
-        "trsolver.early_exit_quality", exit_ok and exits > 0,
-        f"early_exits={exits}/{cfg['tr_instances']} worst_excess={worst_exit:.2e}")]
+        "trsolver.early_exit_quality", exit_ok and min(exits.values()) > 0,
+        " ".join(f"{branch}_early_exits={n}/{cfg['tr_instances']}"
+                 for branch, n in exits.items())
+        + f" worst_excess={worst_exit:.2e}")]
 
 
 def check_learner(cfg):

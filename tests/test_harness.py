@@ -242,6 +242,10 @@ def _skewed(spec, name, *args):
     (verify, "tr_solve",
      lambda sol, *args: dataclasses.replace(sol, delta_vec=0.5 * sol.delta_vec),
      verify.check_trsolver, "trsolver.quality_vs_exact"),
+    # only the solves min_evec certified, which start from the top Ritz value
+    (verify, "tr_solve", lambda sol, p, rng: sol if p.lam_min_lower >= 0.0 else
+     dataclasses.replace(sol, delta_vec=0.5 * sol.delta_vec),
+     verify.check_early_exit, "trsolver.early_exit_quality"),
     (verify, "min_evec", lambda res, op, delta, *args: dataclasses.replace(
         res, lambda_hat=res.lambda_hat - 2.0 * delta),
      verify.check_minevec, "eig.minevec.sandwich"),
@@ -259,8 +263,9 @@ def _skewed(spec, name, *args):
     # a derived start product off by 1e-10 relative: err 4e-8 against 1e-13
     (driver, "daxpy", lambda res, *args: (1.0 + 1e-10) * res,
      verify.check_driver, "driver.start_product"),
-], ids=["off_optimum", "low_eigenvalue", "high_ritz_value", "stretched_eigenvector",
-        "always_inside", "undercounted_matvecs", "scaled_gradient", "skewed_start_product"])
+], ids=["off_optimum", "eigen_certified_off_optimum", "low_eigenvalue", "high_ritz_value",
+        "stretched_eigenvector", "always_inside", "undercounted_matvecs", "scaled_gradient",
+        "skewed_start_product"])
 def test_contract_battery_fails_on_a_broken_oracle(monkeypatch, module, oracle, corrupt,
                                                    battery, check):
     """A shared battery must not turn vacuous: break its oracle in the
@@ -276,29 +281,40 @@ def _raise_synthetic(*args):
     raise CertificateFailure("synthetic")
 
 
-@pytest.mark.parametrize("oracle,fake,block,failures", [
-    ("sep", lambda real: _raise_synthetic, "eig.sep.",
-     ["[FAIL] eig.raised  (CertificateFailure: synthetic)"]),
+def _raise_arithmetic(*args):
+    raise ArithmeticError("dense eigendecomposition residual out of tolerance")
+
+
+@pytest.mark.parametrize("oracle,fake,swaps", [
+    ("sep", lambda real: _raise_synthetic,
+     [("eig.sep.", ["[FAIL] eig.raised  (CertificateFailure: synthetic)"])]),
     # a package check, not a synthetic raise: the real eig.sep at l1 = 0
-    ("sep", lambda real: lambda op, l1, *args: real(op, 0.0, *args), "eig.sep.",
-     ["[FAIL] eig.raised  (InvalidArgument: l1 must be positive)"]),
+    ("sep", lambda real: lambda op, l1, *args: real(op, 0.0, *args),
+     [("eig.sep.", ["[FAIL] eig.raised  (InvalidArgument: l1 must be positive)"])]),
     # both trsolver batteries solve through verify.tr_solve, so both raise
     ("tr_solve", lambda real: lambda p, rng: real(dataclasses.replace(p, radius=0.0), rng),
-     "trsolver.", ["[FAIL] trsolver.raised  (InvalidArgument: radius must be positive)"] * 2),
-], ids=["certificate_failure", "sep_l1_zero", "tr_radius_zero"])
+     [("trsolver.", ["[FAIL] trsolver.raised  (InvalidArgument: radius must be positive)"] * 2)]),
+    # the dense oracle's self-check, read by the linops and min_evec batteries
+    ("dense_extreme_eig", lambda real: _raise_arithmetic,
+     [(block, [f"[FAIL] {layer}.raised  (ArithmeticError: dense eigendecomposition "
+               "residual out of tolerance)"])
+      for block, layer in (("linops.", "linops"), ("eig.minevec.", "eig"))]),
+], ids=["certificate_failure", "sep_l1_zero", "tr_radius_zero", "dense_oracle_self_check"])
 def test_raising_battery_is_one_failed_check(monkeypatch, quick_verify, capsys, oracle, fake,
-                                             block, failures):
+                                             swaps):
     """A battery that raises becomes one FAIL line in place of its checks;
     every other check still reports, and the exit code is 2."""
     monkeypatch.setattr(verify, oracle, fake(getattr(verify, oracle)))
     assert cli_main(["verify"]) == 2
     lines = capsys.readouterr().out.splitlines()
-    clean = quick_verify[1]
-    at = [i for i, line in enumerate(clean) if line.startswith("[PASS] " + block)]
-    assert at == list(range(at[0], at[-1] + 1))
-    expected = clean[:at[0]] + failures + clean[at[-1] + 1:-1]
+    expected = quick_verify[1][:-1]
+    for block, failures in swaps:
+        at = [i for i, line in enumerate(expected) if line.startswith("[PASS] " + block)]
+        assert at == list(range(at[0], at[-1] + 1))
+        expected = expected[:at[0]] + failures + expected[at[-1] + 1:]
     assert lines[:-1] == expected
-    assert lines[-1] == f"{len(expected) - len(failures)}/{len(expected)} checks passed"
+    n_failed = sum(len(failures) for _, failures in swaps)
+    assert lines[-1] == f"{len(expected) - n_failed}/{len(expected)} checks passed"
 
 
 GD_GRID = "problem=cosine_mixture\ndim=4\nbudgets=40,80\nseeds=0\nmethods=oqn,gd_baseline\n"

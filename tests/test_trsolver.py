@@ -464,10 +464,14 @@ def unit_vector(rng, d):
 
 
 def indefinite_instance(rng, kind, d, radius):
-    """A subproblem as the benchmark's ``indefinite`` and ``hard`` cells draw
-    it: |A|_F = sqrt(d); b of norm 2, or for the hard case orthogonal to the
-    bottom eigenvector with norm 0.1 * radius * (lambda_2 - lambda_1)."""
+    """A subproblem as the benchmark's ``indefinite``, ``hard`` and
+    ``psd_shifted`` cells draw it: |A|_F = sqrt(d), shifted to lambda_min =
+    0.1 before that scaling for ``psd_shifted``; b of norm 2, or for the hard
+    case orthogonal to the bottom eigenvector with norm 0.1 * radius *
+    (lambda_2 - lambda_1)."""
     a = random_symmetric(rng, d)
+    if kind == "psd_shifted":
+        a += (0.1 - np.linalg.eigvalsh(a)[0]) * np.eye(d)
     a *= math.sqrt(d) / np.linalg.norm(a)
     b = rng.standard_normal(d)
     if kind == "hard":
@@ -615,6 +619,64 @@ class TestRegularizedEarlyExit:
         assert_certificate_is_fresh(a, b, radius, sol)
 
 
+class TestEigenCertifiedConvex:
+    """A convex branch that min_evec certified runs the same probe from the
+    top Ritz value, with the same backtracking guard as the regularized one."""
+
+    def test_low_ritz_value_backtracks_and_still_certifies(self, monkeypatch):
+        # a top Ritz value pulled down to 1/8 of itself makes the first steps
+        # too long: the probe rejects them, doubles L, and certifies within
+        # the N + 1 matvec bound all the same
+        seen = []
+
+        def low_ritz(*args, **kwargs):
+            ev = min_evec(*args, **kwargs)
+            ev.ritz_max /= 8.0
+            seen.append(ev)
+            return ev
+
+        monkeypatch.setattr(trsolver, "min_evec", low_ritz)
+        rng = np.random.default_rng(0)
+        d, radius, delta = 10, 10.0, 1e-4
+        rejected = 0
+        for t in range(8):
+            a, b = indefinite_instance(rng, "psd_shifted", d, radius)
+            counter = Counter()
+            p = make_problem(a, b, radius, delta, counter=counter)
+            seen.clear()
+            sol = tr_solve(p, RngStream(t))
+            ev, = seen
+            n = accel_budget(max(p.b_bound, delta), radius, delta)
+            assert sol.branch is TRBranch.CONVEX
+            assert sol.early_exit and not sol.retried and sol.residual <= delta
+            assert_certificate_is_fresh(a, b, radius, sol)
+            assert sol.matvecs_used == counter.count <= ev.matvecs_used + n + 1
+            # the start, the kept steps, the rejected ones
+            rejected += sol.matvecs_used - (ev.matvecs_used + 1 + sol.n_accel)
+        assert rejected > 0
+
+    def test_ritz_start_is_cheaper_than_the_fixed_step(self, monkeypatch):
+        # on the benchmark's psd_shifted cells b_bound = 2 |A|_F is several
+        # times lambda_max, so the fixed step 1 / b_bound crawls
+        rng = np.random.default_rng(5)
+        d, radius, delta = 20, 10.0, 1e-4
+        cases = [indefinite_instance(rng, "psd_shifted", d, radius) for _ in range(6)]
+
+        def solve_all():
+            return [tr_solve(make_problem(a, b, radius, delta), RngStream(t))
+                    for t, (a, b) in enumerate(cases)]
+
+        ritz = solve_all()
+        real = trsolver.fista_probe
+        monkeypatch.setattr(trsolver, "fista_probe",
+                            lambda *args: real(*args[:8], l_start=None))
+        fixed = solve_all()
+        for sol, ref in zip(ritz, fixed):
+            assert sol.branch is ref.branch is TRBranch.CONVEX
+            assert sol.early_exit and sol.residual <= delta
+            assert sol.matvecs_used < ref.matvecs_used
+
+
 class TestTrSolve:
     def test_trivial_convex(self):
         p = make_problem(np.eye(2), np.zeros(2), 1.0, 1e-6)
@@ -630,26 +692,39 @@ class TestTrSolve:
         assert sol.residual <= 1e-6
 
     def test_caller_psd_certificate_skips_the_probe(self, np_rng):
-        # a nonnegative lam_min_lower gives the probe-certified convex solve
-        # bit for bit, without a min_evec matvec or an RNG draw
+        # a nonnegative lam_min_lower skips min_evec: no RNG draw, no eig
+        # matvec, and the probe at the fixed step 1 / b_bound.  A solve that
+        # min_evec certified is the probe from its top Ritz value instead,
+        # bit for bit, on the same eigenpair draw
+        radius, delta = 1.0, 1e-4
         for t in range(20):
             d = int(np_rng.integers(2, 21))
             m = random_symmetric(np_rng, d)
             a = m @ m.T + np_rng.uniform(0.05, 1.0) * np.eye(d)
             b = np_rng.standard_normal(d)
             lam_min = float(np.linalg.eigvalsh(a)[0])
-            probed = tr_solve(make_problem(a, b, 1.0, 1e-4), RngStream(40 + t))
-            assert probed.branch is TRBranch.CONVEX
-            p = make_problem(a, b, 1.0, 1e-4)
+            probed = tr_solve(make_problem(a, b, radius, delta), RngStream(40 + t))
+            p = make_problem(a, b, radius, delta)
             p.lam_min_lower = 0.5 * lam_min
             rng = RngStream(40 + t)
             sol = tr_solve(p, rng)
             assert rng.state() == (40 + t, 0)
-            assert sol.branch is TRBranch.CONVEX
             assert sol.lambda_hat == 0.5 * lam_min
-            np.testing.assert_array_equal(sol.delta_vec, probed.delta_vec)
-            assert sol.residual == probed.residual
-            assert sol.matvecs_used < probed.matvecs_used
+            ev = min_evec(SymOperator(a, Counter()), delta / (2.0 * radius), 0.5 * p.q,
+                          p.b_bound, RngStream(40 + t))
+            lg = max(p.b_bound, delta)
+            tol = EARLY_EXIT_RTOL * min(delta, float(np.linalg.norm(b)))
+            for got, l_start, eig_matvecs in ((sol, None, 0),
+                                              (probed, ev.ritz_max, ev.matvecs_used)):
+                op = SymOperator(a, Counter())
+                x, k, res, ax = fista_probe(op, b, radius, lg, accel_budget(lg, radius, delta),
+                                            np.zeros(d), tol, l_start=l_start)
+                assert got.branch is TRBranch.CONVEX and got.early_exit
+                assert got.delta_vec.tobytes() == x.tobytes()
+                assert got.a_delta.tobytes() == ax.tobytes()
+                assert (got.residual, got.n_accel) == (res, k)
+                assert got.residual <= delta
+                assert got.matvecs_used == eig_matvecs + op.counter.count
 
     def test_negative_curvature_instance(self):
         # exact minimizers are the scaled minimum-curvature directions
