@@ -11,7 +11,7 @@ from .driver import (
 )
 from .errors import OqnError
 from .hessian_learner import LearnerState, default_rho
-from .linops import Counter, ShiftedOperator, SymOperator
+from .linops import Counter, SymOperator
 from .problems import ObjectiveSpec, catalog, eval_gradient
 from .rng import RngStream
 from .trsolver import TrustRegionSubproblem, TRSolution, tr_solve
@@ -25,7 +25,6 @@ __all__ = [
     "OqnError",
     "RngStream",
     "RunReport",
-    "ShiftedOperator",
     "SymOperator",
     "TRSolution",
     "TrustRegionSubproblem",

@@ -45,7 +45,7 @@ from .errors import InvalidArgument, StationaryStart
 from .hessian_learner import LearnerState, default_rho, learner_step
 # SymOperator is not built here any more; perfbench/tracing.py still wraps
 # oqn.driver.SymOperator by name, so the import stays
-from .linops import Counter, ShiftedOperator, SymOperator  # noqa: F401
+from .linops import Counter, SymOperator  # noqa: F401
 from .problems import ObjectiveSpec, eval_gradient
 from .rng import RngStream
 from .trsolver import TRSolution, TrustRegionSubproblem, project_ball, tr_solve
@@ -291,12 +291,12 @@ def step(state: OqnState, spec: ObjectiveSpec, params: HyperParams, rng: RngStre
         state.totals["box_violations"] += 1
 
     if method == "oqn":
-        # A = B/2 + I/eta as a matrix-free view over the learner's operator.
+        # A = B/2 + I/eta as a view over the learner's operator.
         # The learner keeps |B|_op <= 2 L1, so m = min(2 L1, |B|_F) >= |B|_op:
         # lambda_max(A) <= 1/eta + m/2, spread(A) = spread(B)/2 <= m and
         # lambda_min(A) >= 1/eta - |B|_F/2, all free of matvecs
         b_fro = state.b_state.b_fro
-        a_op = ShiftedOperator(state.b_state.b_op, -1.0 / eta, scale=0.5)
+        a_op = state.b_state.b_op.shifted(-1.0 / eta, scale=0.5)
         if plain:
             # A moved by (rho/2)(r s' + s r'): carry the last solve's product
             # at delta_n over, into a copy, as that solution still holds it
@@ -447,11 +447,12 @@ def run(spec: ObjectiveSpec, params: HyperParams, rng: RngStream,
         episodes=episodes, w_hat=best.w_bar, grad_norm_final=best.grad_norm_at_wbar,
         totals=state.totals, audits={}, params=params, log=log,
     )
-    if not stopped_early:
-        expected = params.gradient_total
-        if state.grad_counter.count != expected:
-            raise AssertionError(
-                f"gradient accounting broken: {state.grad_counter.count} != {expected}")
+    # two evaluations per iteration, one per episode close, one at init: on
+    # a full run that is params.gradient_total, and it holds on a stopped one
+    expected = 2 * state.n + len(episodes) + 1
+    if state.grad_counter.count != expected:
+        raise AssertionError(
+            f"gradient accounting broken: {state.grad_counter.count} != {expected}")
     if log is not None:
         report.audits = audit_regret(report, spec, params)
     return report

@@ -1,20 +1,22 @@
 """Symmetric linear operators with matrix-vector product accounting.
 
 Every matrix the optimizer touches on its hot path is applied only through
-``apply`` (one counted matvec per call).  ``SymOperator`` stores one
-symmetric matrix as its upper triangle, Fortran-ordered with a zero strict
-lower part, the layout the BLAS symmetric routines read: ``apply`` is one
-``dsymv``, and the matrix learner updates its triangle in place with
-``dsyr2`` and ``dsyr``.  Everything else is a matrix-free
-``ShiftedOperator`` view ``scale * base - shift * I`` over it, whose
-Frobenius norm and trace follow in closed form from the base's; the
-driver's trust-region matrix B/2 + I/eta is such a view.  A build either
-symmetrizes and checks a full square input and keeps its upper triangle or,
-given the norm through ``fro=``, trusts a caller that already holds the
-triangle in this layout and its norm (the matrix learner): then it costs no
-d x d pass at all.  Full symmetric matrices are only built on request, for
-the brute-force test oracles and audits.  Counters are run-scoped objects
-owned by the caller, never globals.
+``apply`` (one counted matvec per call), and every such matrix is one type,
+``SymOperator``.  A build stores one symmetric matrix S as its upper
+triangle, Fortran-ordered with a zero strict lower part, the layout the BLAS
+symmetric routines read: its ``apply`` is one ``dsymv``, and the matrix
+learner updates its triangle in place with ``dsyr2`` and ``dsyr``.  Its
+``shifted`` method makes the view ``scale * S - shift * I`` over the same
+triangle, counter and stored norm, whose Frobenius norm and trace follow in
+closed form; a view of a view composes into one (scale, shift) pair.  The
+driver's trust-region matrix B/2 + I/eta is such a view, and so is the
+solver's regularized A - lambda_hat I.  A build either symmetrizes and
+checks a full square input and keeps its upper triangle or, given the norm
+through ``fro=``, trusts a caller that already holds the triangle in this
+layout and its norm (the matrix learner): then it costs no d x d pass at
+all.  Full symmetric matrices are only built on request, for the
+brute-force test oracles and audits.  Counters are run-scoped objects owned
+by the caller, never globals.
 """
 
 from __future__ import annotations
@@ -56,22 +58,22 @@ def upper_frobenius(upper: NDArray) -> float:
 
 
 class SymOperator:
-    """A symmetric d x d operator stored as its upper triangle.
-
-    ``upper`` is Fortran-ordered with a zero strict lower part.  ``apply``
-    increments the attached counter by exactly one per call; ``dense`` and
-    the norm queries are free of matvec cost.  The Frobenius norm is
+    """The symmetric d x d operator ``scale * S - shift * I``, S stored as
+    its upper triangle ``upper``, Fortran-ordered with a zero strict lower
+    part.  ``apply`` increments the attached counter by exactly one per
+    call; ``dense`` and the norm queries are free of matvec cost.  |S|_F is
     computed once, at build time.
 
-    By default the build takes a full square ``mat``, symmetrizes a copy of
-    it and rejects a matrix that is not symmetric.  A caller that passes
-    ``fro`` vouches that ``mat`` is already an upper triangle in the layout
-    above and that ``fro`` is the Frobenius norm of the symmetric matrix it
-    stands for: the operator then wraps ``mat`` itself, with no copy, check
-    or norm pass.
+    A build is S itself (``scale`` 1, ``shift`` 0); ``shifted`` makes the
+    views.  By default a build takes a full square ``mat``, symmetrizes a
+    copy of it and rejects a matrix that is not symmetric.  A caller that
+    passes ``fro`` vouches that ``mat`` is already an upper triangle in the
+    layout above and that ``fro`` is the Frobenius norm of the symmetric
+    matrix it stands for: the operator then wraps ``mat`` itself, with no
+    copy, check or norm pass.
     """
 
-    __slots__ = ("upper", "counter", "fro")
+    __slots__ = ("upper", "counter", "fro", "scale", "shift")
 
     def __init__(self, mat: NDArray, counter: Counter | None = None,
                  fro: float | None = None):
@@ -89,6 +91,21 @@ class SymOperator:
             # its upper triangle, already in Fortran order
             self.upper = np.tril(sym).T
         self.counter = counter if counter is not None else Counter()
+        self.scale, self.shift = 1.0, 0.0
+
+    def shifted(self, shift: float, scale: float = 1.0) -> SymOperator:
+        """The view ``scale * self - shift * I``: same triangle, counter and
+        stored norm, no copy.  A view of a view is one view, with
+        (scale * self.scale, scale * self.shift + shift)."""
+        view = SymOperator.__new__(SymOperator)
+        view.upper, view.counter, view.fro = self.upper, self.counter, self.fro
+        view.scale = float(scale) * self.scale
+        view.shift = float(scale) * self.shift + float(shift)
+        return view
+
+    @property
+    def _is_view(self) -> bool:
+        return self.scale != 1.0 or self.shift != 0.0
 
     @property
     def dim(self) -> int:
@@ -99,56 +116,26 @@ class SymOperator:
         if v.shape != (self.dim,):
             raise InvalidArgument(f"vector shape {v.shape} vs operator dim {self.dim}")
         self.counter.tick()
-        return dsymv(1.0, self.upper, v)
+        sv = dsymv(1.0, self.upper, v)
+        return self.scale * sv - self.shift * v if self._is_view else sv
 
     def dense(self) -> NDArray:
         """The full symmetric matrix, built on each call, no matvec cost."""
-        return self.upper + np.triu(self.upper, 1).T
+        full = self.upper + np.triu(self.upper, 1).T
+        return self.scale * full - self.shift * np.eye(self.dim) if self._is_view else full
 
     def frobenius_norm(self) -> float:
-        return self.fro
-
-    def trace(self) -> float:
-        return float(np.trace(self.upper))
-
-
-class ShiftedOperator:
-    """Matrix-free view of ``scale * base - shift * I``.
-
-    Scaling and shifting are free; applying the view ticks the base
-    operator's counter exactly once.  ``base`` may itself be a view.
-    """
-
-    __slots__ = ("base", "shift", "scale")
-
-    def __init__(self, base, shift: float, scale: float = 1.0):
-        self.base = base
-        self.shift = float(shift)
-        self.scale = float(scale)
-
-    @property
-    def dim(self) -> int:
-        return self.base.dim
-
-    @property
-    def counter(self) -> Counter:
-        return self.base.counter
-
-    def apply(self, v: NDArray) -> NDArray:
-        return self.scale * self.base.apply(v) - self.shift * v
-
-    def dense(self) -> NDArray:
-        return self.scale * self.base.dense() - self.shift * np.eye(self.dim)
-
-    def frobenius_norm(self) -> float:
-        """|s B - t I|_F^2 = s^2 |B|_F^2 - 2 s t tr(B) + d t^2, no dense copy."""
+        """The stored |S|_F on a build; on a view, |s S - t I|_F^2 =
+        s^2 |S|_F^2 - 2 s t tr(S) + d t^2, no dense copy."""
+        if not self._is_view:
+            return self.fro
         s, t = self.scale, self.shift
-        sq = ((s * self.base.frobenius_norm()) ** 2 - 2.0 * s * t * self.base.trace()
+        sq = ((s * self.fro) ** 2 - 2.0 * s * t * float(np.trace(self.upper))
               + self.dim * t * t)
         return math.sqrt(max(sq, 0.0))
 
     def trace(self) -> float:
-        return self.scale * self.base.trace() - self.shift * self.dim
+        return self.scale * float(np.trace(self.upper)) - self.shift * self.dim
 
 
 def dense_extreme_eig(op):

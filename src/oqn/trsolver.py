@@ -55,7 +55,6 @@ from numpy.typing import NDArray
 
 from .eig import MinEvecCase, min_evec
 from .errors import CertificateFailure, InvalidArgument
-from .linops import ShiftedOperator
 from .rng import RngStream
 
 BOUNDARY_RTOL = 1e-9
@@ -303,18 +302,17 @@ def accel_budget(lg: float, d_radius: float, delta: float) -> int:
     return max(2, math.ceil(math.sqrt(10.0 * lg * d_radius / delta)))
 
 
-def fista_plus_sfg(a_psd, b: NDArray, d_radius: float, delta: float, lg: float,
-                   budget_factor: int = 1) -> NDArray:
-    """Chain the two phases from the origin; residual at the output is at
-    most ``delta`` whenever the PSD/lg certificates hold.  Total matvecs 2N
-    with N = accel_budget(lg, d_radius, delta).  Either branch of ``tr_solve``
-    runs it only after ``fista_probe`` declined, so a fallback costs (N + 1)
+def fista_plus_sfg(a_psd, b: NDArray, d_radius: float, lg: float, n_iters: int) -> NDArray:
+    """Chain the two phases from the origin, ``n_iters`` = N steps each;
+    residual at the output is at most delta whenever the PSD/lg
+    certificates hold and N >= accel_budget(lg, d_radius, delta).  Total
+    matvecs 2N.  Either branch of ``tr_solve`` runs it only after
+    ``fista_probe`` declined, with the probe's N, so a fallback costs (N + 1)
     + 2N matvecs before the residual check.
     """
-    n = accel_budget(lg, d_radius, delta) * budget_factor
     x0 = np.zeros(a_psd.dim)
-    mid = fista(a_psd, b, d_radius, lg, n, x0)
-    return sfg(a_psd, b, d_radius, lg, n, mid)
+    mid = fista(a_psd, b, d_radius, lg, n_iters, x0)
+    return sfg(a_psd, b, d_radius, lg, n_iters, mid)
 
 
 def tr_solve(p: TrustRegionSubproblem, rng: RngStream) -> TRSolution:
@@ -357,11 +355,10 @@ def tr_solve(p: TrustRegionSubproblem, rng: RngStream) -> TRSolution:
             op, lg, acc = p.a_op, max(p.b_bound, p.delta), p.delta
             a_start, l_start = p.a_start, None if ev is None else ev.ritz_max
         else:
-            op = ShiftedOperator(p.a_op, lambda_hat)
+            op = p.a_op.shifted(lambda_hat)
             lg, acc = max(p.b_bound - lambda_hat, p.delta), 0.5 * p.delta
-            # ShiftedOperator.apply's own formula on the caller's product
-            a_start = (None if p.a_start is None
-                       else op.scale * p.a_start - op.shift * p.x_start)
+            # (A - lambda_hat I) x_start from the caller's A x_start
+            a_start = None if p.a_start is None else p.a_start - lambda_hat * p.x_start
             l_start = ev.ritz_max - lambda_hat
         n_accel = accel_budget(lg, p.radius, acc) * factor
         cand, k, res, a_cand = fista_probe(op, p.b, p.radius, lg, n_accel, p.x_start,
@@ -371,7 +368,7 @@ def tr_solve(p: TrustRegionSubproblem, rng: RngStream) -> TRSolution:
         if early_exit:
             n_accel = k
         else:
-            cand = fista_plus_sfg(op, p.b, p.radius, acc, lg, budget_factor=factor)
+            cand = fista_plus_sfg(op, p.b, p.radius, lg, n_accel)
         if convex:
             branch = TRBranch.CONVEX
         elif np.linalg.norm(cand) >= p.radius * (1.0 - BOUNDARY_RTOL):

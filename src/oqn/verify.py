@@ -19,7 +19,7 @@ from . import driver, harness
 from .eig import MinEvecCase, SepCase, min_evec, sep
 from .errors import InvalidArgument, OqnError
 from .hessian_learner import LearnerState, default_rho, learner_step
-from .linops import Counter, ShiftedOperator, SymOperator, dense_extreme_eig
+from .linops import Counter, SymOperator, dense_extreme_eig
 from .problems import CATALOG_NAMES, catalog, fd_check_gradient, fd_check_hessian
 from .rng import RngStream
 from .trsolver import EARLY_EXIT_RTOL, TrustRegionSubproblem, residual_of, tr_solve
@@ -137,10 +137,15 @@ def check_linops(cfg):
         op.apply(rng.standard_normal(d))
     out.append(CheckResult(
         "linops.counter", counter.count == 7, f"count={counter.count}"))
-    lam = 0.7
+    lam, scale, shift = 0.7, -2.0, 0.3
     base_min, base_max, _, _ = dense_extreme_eig(op)
-    sh_min, sh_max, _, _ = dense_extreme_eig(ShiftedOperator(op, lam))
-    err = max(abs(sh_min - (base_min - lam)), abs(sh_max - (base_max - lam)))
+    sh_min, sh_max, _, _ = dense_extreme_eig(op.shifted(lam))
+    # a view of a view is one view, scale (A - lam I) - shift I; the negative
+    # scale swaps the ends of the spectrum
+    co_min, co_max, _, _ = dense_extreme_eig(op.shifted(lam).shifted(shift, scale))
+    err = max(abs(sh_min - (base_min - lam)), abs(sh_max - (base_max - lam)),
+              abs(co_min - (scale * (base_max - lam) - shift)),
+              abs(co_max - (scale * (base_min - lam) - shift)))
     out.append(CheckResult(
         "linops.shifted_spectrum", err <= 1e-9, f"err={err:.2e}"))
     return out

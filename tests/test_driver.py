@@ -9,7 +9,7 @@ from oqn import driver, hessian_learner, trsolver, verify
 from oqn.eig import lanczos_factorize, min_evec, sep
 from oqn.driver import HyperParams, compute_hyperparams
 from oqn.errors import InvalidArgument, StationaryStart
-from oqn.linops import Counter, ShiftedOperator, SymOperator
+from oqn.linops import Counter, SymOperator
 from oqn.problems import ObjectiveSpec, catalog, quadratic_from_matrix
 from oqn.rng import RngStream
 from oqn.trsolver import TrustRegionSubproblem, tr_solve
@@ -166,7 +166,7 @@ class TestStepHandTrace:
             derived = state.totals["tr"]["start_products_derived"] > derived_before
             # the step's learner round played B before the solve
             b, delta, gz, eta = state.b_state.b_mat, state.delta_vec, state.grad_z_prev, params.eta
-            a_op = ShiftedOperator(SymOperator(b, Counter()), -1.0 / eta, scale=0.5)
+            a_op = SymOperator(b, Counter()).shifted(-1.0 / eta, scale=0.5)
             rebuilt = gz + (a_op.apply(delta) - a_op.apply(delta_before)) \
                 - (delta - delta_before) / eta
             scale = np.linalg.norm(gz) + params.d_radius / eta
@@ -255,6 +255,29 @@ class TestRun:
         assert report.totals["stopped_early"]
         assert report.grad_norm_final <= 0.5
         assert len(report.episodes) < params.k_eps
+        totals = report.totals
+        assert totals["gradients"] == 2 * totals["iterations"] + len(report.episodes) + 1
+
+    @pytest.mark.parametrize("eps_target", [None, 0.5], ids=["full", "stopped"])
+    def test_gradient_accounting_is_checked_on_every_run(self, monkeypatch, eps_target):
+        # one tick too many breaks 2 * iterations + episodes + 1, whether the
+        # run spends its budget or eps_target stops it
+        real = driver.eval_gradient
+        calls = []
+
+        def ticks_once_more(spec, x, counter):
+            if not calls:
+                counter.tick()
+            calls.append(1)
+            return real(spec, x, counter)
+
+        monkeypatch.setattr(driver, "eval_gradient", ticks_once_more)
+        spec = catalog("cosine_mixture", 4)
+        params = compute_hyperparams(spec, 120)
+        with pytest.raises(AssertionError, match="gradient accounting broken"):
+            driver.run(spec, params, RngStream(7), eps_target=eps_target)
+        stopped = len(calls) < params.gradient_total
+        assert stopped == (eps_target is not None)
 
 
 class TestConversionSlack:

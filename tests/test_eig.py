@@ -12,7 +12,7 @@ from oqn.eig import (
     sep,
 )
 from oqn.errors import InvalidArgument
-from oqn.linops import Counter, ShiftedOperator, SymOperator, dense_extreme_eig
+from oqn.linops import Counter, SymOperator, dense_extreme_eig
 from oqn.rng import RngStream
 from oqn.verify import random_symmetric
 
@@ -218,7 +218,7 @@ class TestSep:
 
     def test_shifted_operator_certifies_from_its_closed_form(self):
         base = SymOperator(np.diag([1.0, 2.0, 3.0]), Counter())
-        op = ShiftedOperator(base, 2.0, scale=0.5)  # diag(-1.5, -1, -0.5)
+        op = base.shifted(2.0, scale=0.5)  # diag(-1.5, -1, -0.5)
         l1 = 2.0
         assert op.frobenius_norm() == pytest.approx(math.sqrt(3.5), abs=1e-14)
         stream = RngStream(2)

@@ -66,13 +66,19 @@ def unlogged_audit():
     (lambda: hyper(p_fail=1.0), r"p_fail must be in \(0,1\)"),
     (lambda: compute_hyperparams(catalog("cosine_mixture", 2), 0),
      "m_budget must be at least 1"),
+    (lambda: compute_hyperparams(catalog("cosine_mixture", 2), 8, gap_bound=0.0),
+     "optimality-gap estimate must be positive"),
     (lambda: small_run(audit_level="loud"), "audit_level must be one of"),
     (lambda: small_run(method="newton"), "method must be 'oqn' or 'og', got 'newton'"),
     (unlogged_audit, "audit_regret needs a run log"),
+    (lambda: SymOperator(np.ones((2, 3))), r"expected a square matrix, got shape \(2, 3\)"),
     (lambda: lanczos_factorize(SymOperator(np.eye(3)), np.array([1.0, 0.0, 0.0]), 0),
      r"n_steps must be in \[1, dim\], got 0"),
     (lambda: lanczos_factorize(SymOperator(np.eye(3)), np.array([1.0, 0.0, 0.0]), 4),
      r"n_steps must be in \[1, dim\], got 4"),
+    (lambda: spec_with(dim=0), "dim must be >= 1, got 0"),
+    (lambda: spec_with(x0=np.ones(3)), r"x0 has shape \(3,\), expected \(2,\)"),
+    (lambda: catalog("cosine_mixture", 0), "dim must be >= 1, got 0"),
     (lambda: spec_with(l1=0.0), "l1 must be positive"),
     (lambda: spec_with(l2=-1.0), "l2 must be nonnegative"),
     (lambda: quadratic_from_matrix(np.diag([1.0, -1.0])),
@@ -83,11 +89,14 @@ def unlogged_audit():
     (lambda: subproblem(q=1.0), r"q must be in \(0,1\)"),
     (lambda: harness.RunConfig(method="newton"), "method must be one of"),
     (lambda: harness.RunConfig(audit="loud"), "audit must be one of"),
+    (lambda: harness.baseline_gd(catalog("cosine_mixture", 2), 1, step_size=0.0),
+     "step_size must be positive"),
 ], ids=["fd_hessian_oracle", "d_radius", "eta", "delta_tr", "t_len", "k_eps",
-        "p_fail_zero", "p_fail_one", "m_budget", "audit_level", "run_method",
-        "audit_without_log", "lanczos_zero_steps", "lanczos_steps_above_dim", "spec_l1",
+        "p_fail_zero", "p_fail_one", "m_budget", "gap_bound", "audit_level", "run_method",
+        "audit_without_log", "operator_not_square", "lanczos_zero_steps",
+        "lanczos_steps_above_dim", "spec_dim", "spec_x0_shape", "catalog_dim", "spec_l1",
         "spec_l2", "quadratic_not_psd", "tr_radius", "tr_delta", "tr_q_zero", "tr_q_one",
-        "config_method", "config_audit"])
+        "config_method", "config_audit", "gd_step_size"])
 def test_rejected_argument(call, message):
     with pytest.raises(InvalidArgument, match=message):
         call()

@@ -406,6 +406,17 @@ class TestBench:
 
 
 class TestCli:
+    def test_run_exits_2_on_a_failed_audit(self, monkeypatch, tmp_path, capsys):
+        # the report is still printed; the exit code says an audit failed
+        failed = {"regret_ok": False, "all_ok": False}
+        monkeypatch.setattr(driver, "audit_regret", lambda report, spec, params: failed)
+        cfg_path = tmp_path / "cfg.txt"
+        cfg_path.write_text("problem=cosine_mixture\ndim=4\nbudget=40\n")
+        assert cli_main(["run", str(cfg_path)]) == 2
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["audits"] == failed
+        assert doc["result"]["iterations"] > 0
+
     def test_dump_params_matches_library(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.txt"
         cfg_path.write_text("problem=cosine_mixture\ndim=4\nbudget=1000\n")

@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg.blas import dsymv
 
 from oqn.errors import InvalidArgument
 from oqn.linops import (
     DENSE_EIG_DIM_CAP,
     Counter,
-    ShiftedOperator,
     SymOperator,
     dense_extreme_eig,
 )
@@ -87,7 +87,7 @@ class TestFrobeniusNorm:
     @given(st.integers(0, 10_000), st.booleans())
     @settings(max_examples=40, deadline=None)
     def test_shifted_views_closed_form(self, seed, cancel):
-        # nested views, as when the solver shifts a scaled-and-shifted operator;
+        # a view of a view, as when the solver shifts the driver's scaled view;
         # ``cancel`` makes the outer view exactly zero, the worst case of the
         # closed form, whose error is then sqrt(eps) relative to the operands
         rng = np.random.default_rng(seed)
@@ -100,8 +100,8 @@ class TestFrobeniusNorm:
         else:
             base = SymOperator(random_symmetric(rng, d, scale=rng.uniform(0.0, 3.0)))
             shift2 = rng.normal()
-        view = ShiftedOperator(base, shift, scale=scale)
-        nested = ShiftedOperator(view, shift2)
+        view = base.shifted(shift, scale)
+        nested = view.shifted(shift2)
         view_size = abs(scale) * base.frobenius_norm() + abs(shift) * np.sqrt(d)
         for op, size in ((view, view_size),
                          (nested, view_size + abs(shift2) * np.sqrt(d))):
@@ -124,7 +124,7 @@ class TestCounters:
     def test_shifted_ticks_base_once(self):
         counter = Counter()
         base = SymOperator(np.eye(3), counter)
-        shifted = ShiftedOperator(base, 0.5)
+        shifted = base.shifted(0.5)
         out = shifted.apply(np.array([1.0, 0.0, 0.0]))
         np.testing.assert_allclose(out, [0.5, 0, 0])
         assert counter.count == 1
@@ -132,11 +132,35 @@ class TestCounters:
     def test_scaled_view_ticks_base_once(self, np_rng):
         counter = Counter()
         a = random_symmetric(np_rng, 4)
-        view = ShiftedOperator(SymOperator(a, counter), -2.0, scale=0.5)
+        view = SymOperator(a, counter).shifted(-2.0, scale=0.5)
         v = np_rng.standard_normal(4)
         np.testing.assert_allclose(view.apply(v), 0.5 * a @ v + 2.0 * v, atol=1e-14)
         np.testing.assert_allclose(view.dense(), 0.5 * a + 2.0 * np.eye(4), atol=1e-15)
         assert counter.count == 1
+
+
+class TestViews:
+    def test_build_keeps_its_arithmetic_and_views_compose(self, np_rng):
+        counter = Counter()
+        a = random_symmetric(np_rng, 6)
+        op = SymOperator(a, counter)
+        v = np_rng.standard_normal(6)
+        # a build is (1, 0): one dsymv, the build's norm, its triangle's trace
+        assert (op.scale, op.shift) == (1.0, 0.0)
+        assert op.apply(v).tobytes() == dsymv(1.0, op.upper, v).tobytes()
+        assert op.frobenius_norm() == float(np.linalg.norm(a))
+        assert op.trace() == float(np.trace(op.upper))
+        np.testing.assert_array_equal(op.dense(), a)
+        # a view of a view is one view over the same triangle and counter
+        s, t, s2, t2 = 0.5, -3.0, -2.0, 0.7
+        view = op.shifted(t, s).shifted(t2, s2)
+        assert (view.scale, view.shift) == (s2 * s, s2 * t + t2)
+        assert view.upper is op.upper and view.counter is counter and view.fro == op.fro
+        before = counter.count
+        out = view.apply(v)
+        assert counter.count == before + 1
+        assert out.tobytes() == (view.scale * dsymv(1.0, op.upper, v)
+                                 - view.shift * v).tobytes()
 
 
 class TestDenseExtremeEig:
@@ -168,6 +192,6 @@ class TestDenseExtremeEig:
         base = SymOperator(a)
         lam = 0.37
         b_min, b_max, _, _ = dense_extreme_eig(base)
-        s_min, s_max, _, _ = dense_extreme_eig(ShiftedOperator(base, lam))
+        s_min, s_max, _, _ = dense_extreme_eig(base.shifted(lam))
         assert s_min == pytest.approx(b_min - lam, abs=1e-9)
         assert s_max == pytest.approx(b_max - lam, abs=1e-9)

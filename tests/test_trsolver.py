@@ -10,7 +10,7 @@ from oqn import trsolver
 from oqn.errors import InvalidArgument
 from oqn.harness import brute_tr, tr_objective
 from oqn.eig import min_evec
-from oqn.linops import Counter, ShiftedOperator, SymOperator
+from oqn.linops import Counter, SymOperator
 from oqn.rng import RngStream
 from oqn.trsolver import (
     EARLY_EXIT_RTOL,
@@ -157,13 +157,13 @@ class TestSfg:
 class TestFistaPlusSfg:
     def test_trivial_instance(self):
         op = SymOperator(np.eye(4), Counter())
-        out = fista_plus_sfg(op, np.zeros(4), 1.0, 1e-6, 1.0)
+        out = fista_plus_sfg(op, np.zeros(4), 1.0, 1.0, accel_budget(1.0, 1.0, 1e-6))
         np.testing.assert_allclose(out, 0.0)
 
     def test_known_boundary_solution(self):
         a = np.diag([2.0, 1.0])
         op = SymOperator(a, Counter())
-        out = fista_plus_sfg(op, np.array([-4.0, 0.0]), 1.0, 1e-4, 2.0)
+        out = fista_plus_sfg(op, np.array([-4.0, 0.0]), 1.0, 2.0, accel_budget(2.0, 1.0, 1e-4))
         np.testing.assert_allclose(out, [1.0, 0.0], atol=1e-3)
         assert residual_of(op, np.array([-4.0, 0.0]), 1.0, out) <= 1e-4
 
@@ -177,7 +177,7 @@ class TestFistaPlusSfg:
             delta = 10.0 ** np_rng.uniform(-5, -2)
             d_rad = float(np_rng.choice([0.5, 1.0, 3.0]))
             op = SymOperator(a, Counter())
-            out = fista_plus_sfg(op, b, d_rad, delta, lg)
+            out = fista_plus_sfg(op, b, d_rad, lg, accel_budget(lg, d_rad, delta))
             assert residual_of(op, b, d_rad, out) <= delta
             assert op.counter.count == 2 * accel_budget(lg, d_rad, delta) + 1
 
@@ -386,7 +386,7 @@ class TestEarlyExit:
         assert not sol.early_exit
         assert sol.n_accel == n
         assert sol.matvecs_used == counter.count == (n + 1) + 2 * n + 1
-        ref = fista_plus_sfg(SymOperator(a, Counter()), b, 1.0, delta, lg)
+        ref = fista_plus_sfg(SymOperator(a, Counter()), b, 1.0, lg, n)
         np.testing.assert_array_equal(sol.delta_vec, ref)
         assert sol.residual <= delta
         assert_certificate_is_fresh(a, b, 1.0, sol)
@@ -402,18 +402,20 @@ class TestEarlyExit:
         real = trsolver.fista_plus_sfg
         calls = []
 
-        def wrong_first(op, b_vec, radius, *args, **kwargs):
-            calls.append(1)
+        def wrong_first(op, b_vec, radius, lg, n_iters):
+            calls.append(n_iters)
             if len(calls) == 1:
                 return radius * q[:, 0]
-            return real(op, b_vec, radius, *args, **kwargs)
+            return real(op, b_vec, radius, lg, n_iters)
 
         monkeypatch.setattr(trsolver, "fista_plus_sfg", wrong_first)
         assert residual_of(SymOperator(a, Counter()), b, 1.0, q[:, 0]) > 1e-2
         p = TrustRegionSubproblem(a_op=SymOperator(a, Counter()), b=b, radius=1.0,
                                   delta=1e-2, q=0.01, b_bound=1.0, lam_min_lower=0.0)
         sol = tr_solve(p, RngStream(0))
-        assert sol.retried and not sol.early_exit and len(calls) == 2
+        assert sol.retried and not sol.early_exit
+        # the retry doubles the probe's N, and the fallback runs with it
+        assert calls == [accel_budget(1.0, 1.0, 1e-2), 2 * accel_budget(1.0, 1.0, 1e-2)]
         assert sol.residual <= 1e-2
         assert_certificate_is_fresh(a, b, 1.0, sol)
 
@@ -563,7 +565,7 @@ class TestRegularizedEarlyExit:
 
     def test_start_product_comes_from_a_start(self):
         # A x_start - lambda_hat x_start formed from the caller's a_start has
-        # the bits ShiftedOperator.apply gives, so the regularized solve is
+        # the bits the shifted view's apply gives, so the regularized solve is
         # the same bit for bit with one matvec fewer
         rng = np.random.default_rng(2)
         d, radius, delta = 10, 1.0, 1e-4
@@ -579,8 +581,8 @@ class TestRegularizedEarlyExit:
             plain, reused = sols
             assert reused.branch is not TRBranch.CONVEX
             lam = reused.lambda_hat
-            shifted = ShiftedOperator(SymOperator(a, Counter()), lam).apply(start)
-            assert (1.0 * a_start - lam * start).tobytes() == shifted.tobytes()
+            shifted = SymOperator(a, Counter()).shifted(lam).apply(start)
+            assert (a_start - lam * start).tobytes() == shifted.tobytes()
             assert reused.delta_vec.tobytes() == plain.delta_vec.tobytes()
             assert reused.a_delta.tobytes() == plain.a_delta.tobytes()
             assert (reused.residual, reused.n_accel) == (plain.residual, plain.n_accel)
@@ -606,8 +608,8 @@ class TestRegularizedEarlyExit:
         lg = max(p.b_bound - ev.lambda_hat, delta)
         n = accel_budget(lg, radius, 0.5 * delta)
         assert sol.n_accel == n
-        tilde = fista_plus_sfg(ShiftedOperator(SymOperator(a, Counter()), ev.lambda_hat),
-                               b, radius, 0.5 * delta, lg)
+        tilde = fista_plus_sfg(SymOperator(a, Counter()).shifted(ev.lambda_hat),
+                               b, radius, lg, n)
         assert np.linalg.norm(tilde) < radius * (1.0 - 1e-9)
         v = ev.v_hat if tilde @ ev.v_hat <= 0.0 else -ev.v_hat
         proj = tilde @ v
