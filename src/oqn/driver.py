@@ -68,10 +68,11 @@ class HyperParams:
     p_fail: float = 0.01
 
     def __post_init__(self):
-        if min(self.d_radius, self.eta, self.delta_tr) <= 0:
-            raise InvalidArgument("d_radius, eta and delta_tr must be positive")
-        if self.t_len < 1 or self.k_eps < 1:
-            raise InvalidArgument("t_len and k_eps must be at least 1")
+        if not all(0.0 < v < math.inf for v in (self.d_radius, self.eta, self.delta_tr)):
+            raise InvalidArgument("d_radius, eta and delta_tr must be positive and finite")
+        if not all(isinstance(v, (int, np.integer)) and v >= 1
+                   for v in (self.t_len, self.k_eps)):
+            raise InvalidArgument("t_len and k_eps must be at least 1 and integral")
         if not (0.0 < self.p_fail < 1.0):
             raise InvalidArgument("p_fail must be in (0,1)")
 
@@ -100,8 +101,8 @@ def compute_hyperparams(spec: ObjectiveSpec, m_budget: int, p_fail: float = 0.01
     an estimate of the initial optimality gap, either from the value oracle
     or a caller-supplied upper bound.
     """
-    if m_budget < 1:
-        raise InvalidArgument("m_budget must be at least 1")
+    if not isinstance(m_budget, (int, np.integer)) or m_budget < 1:
+        raise InvalidArgument("m_budget must be at least 1 and integral")
     if spec.l2 <= 0:
         raise InvalidArgument("auto hyperparameters divide by l2; supply manual HyperParams")
     if gap_bound is not None:
@@ -110,8 +111,8 @@ def compute_hyperparams(spec: ObjectiveSpec, m_budget: int, p_fail: float = 0.01
         gap = float(spec.value(spec.x0)) - spec.f_lower
     else:
         raise InvalidArgument("need a value oracle at x0 or an explicit gap bound")
-    if gap <= 0:
-        raise InvalidArgument(f"optimality-gap estimate must be positive, got {gap}")
+    if not 0.0 < gap < math.inf:
+        raise InvalidArgument(f"optimality-gap estimate must be positive and finite, got {gap}")
     d, l1, l2 = spec.dim, spec.l1, spec.l2
     big_d = (gap / (52.0 * d**0.4 * l1**0.4 * l2**0.6 * m_budget)) ** (5.0 / 13.0)
     eta = (1.0 / (24.0 * d * l1 * l2 ** (2.0 / 3.0) * big_d ** (2.0 / 3.0))) ** 0.6
@@ -239,8 +240,8 @@ def step(state: OqnState, spec: ObjectiveSpec, params: HyperParams, rng: RngStre
     an episode boundary).  ``method`` is "oqn" (trust-region solve plus
     matrix learner) or "og" (frozen zero matrix, explicit projected update).
     Returns the subproblem the step solved and its solution, or None for
-    "og"; the subproblem's operator stays valid, as later learner rounds
-    build new triangles and never write this one.
+    "og"; the subproblem's operator is a view of the learner's W, so it is
+    valid until the next step's learner round writes W in place.
     """
     n = state.n + 1
     full = log is not None and log.full

@@ -146,8 +146,10 @@ def min_evec(
     """
     if not (0.0 < q < 1.0):
         raise InvalidArgument(f"q must be in (0,1), got {q}")
-    if delta <= 0:
-        raise InvalidArgument(f"delta must be positive, got {delta}")
+    if not 0.0 < delta < math.inf:
+        raise InvalidArgument(f"delta must be positive and finite, got {delta}")
+    if not math.isfinite(b_bound):
+        raise InvalidArgument(f"b_bound must be finite, got {b_bound}")
     d = op.dim
     n1 = min(d, budget_factor * _stage_budget(b_bound, delta, 11.0 * d / q**2))
     start = rng.unit_vector(d)
@@ -221,8 +223,8 @@ def sep(w_op, l1: float, q: float, rng: RngStream) -> SepResult:
     answer is certain in advance: it is "inside" with gamma = |W|_F / l1, at
     no matvec and no draw from ``rng``.
     """
-    if l1 <= 0:
-        raise InvalidArgument("l1 must be positive")
+    if not 0.0 < l1 < math.inf:
+        raise InvalidArgument("l1 must be positive and finite")
     if not (0.0 < q < 1.0):
         raise InvalidArgument(f"q must be in (0,1), got {q}")
     d = w_op.dim

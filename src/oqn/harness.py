@@ -157,8 +157,8 @@ def gd_step_size(spec: ObjectiveSpec, step_size: Optional[float] = None) -> floa
     """The step ``baseline_gd`` takes: ``step_size``, else 1/L1."""
     if step_size is None:
         step_size = 1.0 / spec.l1
-    if step_size <= 0:
-        raise InvalidArgument("step_size must be positive")
+    if not 0.0 < step_size < math.inf:
+        raise InvalidArgument("step_size must be positive and finite")
     return step_size
 
 

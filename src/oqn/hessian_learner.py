@@ -21,25 +21,23 @@ next action.  The round counts no matvec of its own.  The initial action is
 the zero matrix, whose separation outcome (gamma = 0, inside) is known
 without an oracle call.
 
-The round's loss gradient is the rank-2 matrix -(r s' + s r').  W and B
-are kept as ``SymOperator`` upper triangles (see ``linops``), so a round
-copies W's triangle once and applies the step W - rho * grad as one BLAS
-``dsyr2`` call, rho (r s' + s r') added to the triangle in place.  A round
-after a separated one reads <grad, B> as -2 r'(B s), one ``dsymv`` on B's
-triangle, and adds its tilt as one ``dsyr`` on the separating vector u, so
-the tilt S = sign * u u' / L1 is never made dense.  The round takes
-|W_next|_F from the triangle in one pass and rescales, with a second pass,
-only when W_next leaves the Frobenius ball.  W_next stays a fresh array, so
-an earlier state's operator stays valid.
+The round's loss gradient is the rank-2 matrix -(r s' + s r').  A run keeps
+one W, as a ``SymOperator`` upper triangle (see ``linops``), and each round
+writes it in place: the step W - rho * grad is one BLAS ``dsyr2`` call
+adding rho (r s' + s r').  A round after a separated one reads <grad, B> as
+-2 r'(B s), one ``dsymv`` taken before W moves, and adds its tilt as one
+``dsyr`` on the separating vector u, so the tilt S = sign * u u' / L1 is
+never made dense.  The round takes |W_next|_F in one pass and rescales, with
+a second pass, only when W_next leaves the Frobenius ball.
 
-The operator over W_next is a trusted build (``fro=``): the learner hands
-over the triangle itself and the norm it already holds, so the build costs
-no copy, symmetry check or norm pass.  When the oracle finds W inside the
-doubled ball, that operator is reused as B, so a round usually builds one
-operator.  A separated round's B = W / gamma is a triangle in the same
-layout, and is built on trust too, from its one norm pass.  The product B s
-that the tilt reads ticks no counter: it prices the learner's surrogate
-loss, not a use of B by the solve.
+The operator over W_next is a trusted build (``fro=``) of the triangle and
+the norm the learner holds, so it costs no copy, symmetry check or norm
+pass.  B is that operator when the oracle finds W inside the doubled ball,
+else its view ``shifted(0, scale=1/gamma)``, whose norm follows from W's: a
+round builds one operator and allocates no d x d array, and a state's
+operators are valid until the next round.  The product B s that the tilt
+reads ticks no counter: it prices the learner's surrogate loss, not a use
+of B by the solve.
 """
 
 from __future__ import annotations
@@ -61,10 +59,12 @@ from .rng import RngStream
 class LearnerState:
     """Ambient iterate W (Frobenius ball of radius sqrt(d) L1) and played
     action B as operators (B's operator norm at most 2 L1 per the separation
-    guarantee; B is W's operator itself when W was inside), the separation
-    result ``sep`` that produced B from W, and whether the round that made
-    this state was ``plain``: its B was W, W_next stayed in the Frobenius
-    ball and ``sep`` answered inside, so B_next - B = rho (r s' + s r')."""
+    guarantee; B is W's operator itself when W was inside, else its 1/gamma
+    view), the separation result ``sep`` that produced B from W, and whether
+    the round that made this state was ``plain``: its B was W, W_next stayed
+    in the Frobenius ball and ``sep`` answered inside, so B_next - B =
+    rho (r s' + s r').  Both operators are valid until the next round, which
+    writes W's triangle in place."""
 
     w_op: SymOperator
     b_op: SymOperator
@@ -104,8 +104,8 @@ class LearnerState:
 
 def default_rho(d_radius: float) -> float:
     """Step size 1/(16 D^2), tied to the loss self-bounding constant."""
-    if d_radius <= 0:
-        raise InvalidArgument(f"radius must be positive, got {d_radius}")
+    if not 0.0 < d_radius < math.inf:
+        raise InvalidArgument(f"radius must be positive and finite, got {d_radius}")
     return 1.0 / (16.0 * d_radius**2)
 
 
@@ -113,18 +113,21 @@ def learner_step(state: LearnerState, r: NDArray, s: NDArray,
                  rng: RngStream) -> LearnerState:
     """Close the current round, whose loss pair (y, s) has residual
     r = y - B s, and materialize the next action.  Costs no matvec of its
-    own, only the separation call, which is free when |W_next|_F <= L1."""
+    own, only the separation call, which is free when |W_next|_F <= L1.
+    It writes W in place, so ``state``'s operators are stale after it."""
     if r.shape != s.shape or r.ndim != 1:
         raise InvalidArgument(f"r {r.shape} and s {s.shape} must be equal-length vectors")
-    # W - rho * grad = W + rho (r s' + s r'), on a fresh copy of W's triangle
-    w_next = dsyr2(state.rho, r, s, a=state.w_op.upper.copy(order="F"), overwrite_a=1)
     played = state.sep
+    tilt = 0.0
     if played.case is SepCase.SEPARATED:
-        # tilt = max(0, -<grad, B>), and <grad, B> = -2 r'(B s)
-        tilt = max(0.0, 2.0 * float(r @ dsymv(1.0, state.b_op.upper, s)))
-        if tilt > 0.0:  # minus rho * tilt * S
-            w_next = dsyr(-state.rho * tilt * played.sign / state.l1, played.u,
-                          a=w_next, overwrite_a=1)
+        # tilt = max(0, -<grad, B>), and <grad, B> = -2 r'(B s), read before
+        # W moves, as B may be a view of it
+        tilt = max(0.0, 2.0 * float(r @ dsymv(state.b_op.scale, state.b_op.upper, s)))
+    # W - rho * grad = W + rho (r s' + s r'), in W's own triangle
+    w_next = dsyr2(state.rho, r, s, a=state.w_op.upper, overwrite_a=1)
+    if tilt > 0.0:  # minus rho * tilt * S
+        w_next = dsyr(-state.rho * tilt * played.sign / state.l1, played.u,
+                      a=w_next, overwrite_a=1)
     radius = math.sqrt(state.dim) * state.l1
     fro = upper_frobenius(w_next)
     projected = fro > radius
@@ -135,11 +138,7 @@ def learner_step(state: LearnerState, r: NDArray, s: NDArray,
     w_op = SymOperator(w_next, state.counter, fro=fro)
     sep_res = sep(w_op, state.l1, state.q_per_call, rng)
     inside = sep_res.case is SepCase.INSIDE_DOUBLED
-    if inside:
-        b_next = w_op
-    else:
-        b_upper = w_next / sep_res.gamma
-        b_next = SymOperator(b_upper, state.counter, fro=upper_frobenius(b_upper))
+    b_next = w_op if inside else w_op.shifted(0.0, scale=1.0 / sep_res.gamma)
     return LearnerState(
         w_op=w_op, b_op=b_next, sep=sep_res,
         plain=played.case is SepCase.INSIDE_DOUBLED and not projected and inside,

@@ -85,6 +85,8 @@ class SymOperator:
         else:
             sym = 0.5 * (mat + mat.T)
             self.fro = float(np.linalg.norm(sym))
+            if not math.isfinite(self.fro):
+                raise InvalidArgument("matrix has non-finite entries")
             if np.linalg.norm(mat - mat.T) > 1e-10 * (self.fro or 1.0):
                 raise InvalidArgument("matrix is not symmetric")
             # sym is exactly symmetric, so its lower triangle transposed is

@@ -10,6 +10,7 @@ constructor's docstring).
 from __future__ import annotations
 
 import inspect
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -51,10 +52,10 @@ class ObjectiveSpec:
         self.f_lower = float(self.f_lower)
         if self.dim < 1:
             raise InvalidArgument(f"dim must be >= 1, got {self.dim}")
-        if self.l1 <= 0:
-            raise InvalidArgument("l1 must be positive")
-        if self.l2 < 0:
-            raise InvalidArgument("l2 must be nonnegative")
+        if not 0.0 < self.l1 < math.inf:
+            raise InvalidArgument("l1 must be positive and finite")
+        if not 0.0 <= self.l2 < math.inf:
+            raise InvalidArgument("l2 must be nonnegative and finite")
         if self.x0.shape != (self.dim,):
             raise InvalidArgument(
                 f"x0 has shape {self.x0.shape}, expected ({self.dim},)"
@@ -67,6 +68,9 @@ def eval_gradient(spec: ObjectiveSpec, x: NDArray, counter: Counter) -> NDArray:
     if x.shape != (spec.dim,):
         raise InvalidArgument(f"x has shape {x.shape}, expected ({spec.dim},)")
     g = np.asarray(spec.grad(x), dtype=float)
+    if g.shape != (spec.dim,):
+        raise InvalidArgument(
+            f"gradient oracle returned shape {g.shape}, expected ({spec.dim},)")
     if not np.isfinite(g).all():
         raise InvalidArgument(f"gradient oracle returned non-finite values at {x!r}")
     counter.tick()
@@ -265,8 +269,8 @@ def fd_check_gradient(spec: ObjectiveSpec, x: NDArray, h: float = FD_GRAD_STEP) 
     """Max abs error of the gradient oracle against central differences of f."""
     if spec.value is None:
         raise InvalidArgument("fd_check_gradient needs the value oracle")
-    if h <= 0:
-        raise InvalidArgument("finite-difference step must be positive")
+    if not 0.0 < h < math.inf:
+        raise InvalidArgument("finite-difference step must be positive and finite")
     x = np.asarray(x, dtype=float)
     g = spec.grad(x)
     err = 0.0
@@ -282,8 +286,8 @@ def fd_check_hessian(spec: ObjectiveSpec, x: NDArray, h: float = FD_HESS_STEP) -
     """Max abs error of the Hessian oracle against central differences of the gradient."""
     if spec.hess is None:
         raise InvalidArgument("fd_check_hessian needs the Hessian oracle")
-    if h <= 0:
-        raise InvalidArgument("finite-difference step must be positive")
+    if not 0.0 < h < math.inf:
+        raise InvalidArgument("finite-difference step must be positive and finite")
     x = np.asarray(x, dtype=float)
     h_mat = spec.hess(x)
     err = 0.0

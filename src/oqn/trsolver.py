@@ -109,10 +109,9 @@ class TrustRegionSubproblem:
         for name, v in (("x_start", self.x_start), ("a_start", self.a_start)):
             if v is not None and np.shape(v) != self.b.shape:
                 raise InvalidArgument(f"{name} {np.shape(v)} vs b {self.b.shape}")
-        if self.radius <= 0:
-            raise InvalidArgument("radius must be positive")
-        if self.delta <= 0:
-            raise InvalidArgument("delta must be positive")
+        for name in ("radius", "delta", "b_bound"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise InvalidArgument(f"{name} must be positive and finite")
         if not (0.0 < self.q < 1.0):
             raise InvalidArgument("q must be in (0,1)")
 

@@ -380,9 +380,9 @@ def check_learner(cfg):
         "learner.nuclear_bound", nuc_ok and inside_rounds > 0,
         f"worst_excess={worst:.2e} rounds={inside_rounds}/{cfg['learner_samples']}"))
 
-    # the learner builds its operators on trust (the triangles of W and
-    # B = W / gamma, norm handed over); recheck their layout and norms
-    # against the dense matrices.  l1 = 0.3 puts part of the run in
+    # the learner builds W's operator on trust (its triangle and norm handed
+    # over) and plays B = W / gamma as a view of it; recheck their layout
+    # and norms against the dense matrices.  l1 = 0.3 puts part of the run in
     # separated rounds
     feas_ok = trusted_ok = True
     separated = 0
@@ -410,9 +410,10 @@ def _spied_run(spec, params, rho_factor):
     and recheck each subproblem and solution the steps return.  Returns the
     final state, the worst relative error of an ``a_start`` against the dense
     A ``x_start``, the worst residual / delta of an answer rechecked over that
-    dense A, and the plain rounds counted from the states: both separation
-    calls answered inside and W_next is strictly inside the Frobenius ball."""
-    seen = {"err": 0.0, "ratio": 0.0, "plain": 0}
+    dense A, the plain rounds counted from the states (both separation calls
+    answered inside and W_next is strictly inside the Frobenius ball), and
+    the separated rounds, whose B is the 1/gamma view of W."""
+    seen = {"err": 0.0, "ratio": 0.0, "plain": 0, "separated": 0}
     state = driver.init(spec, params)
     state.b_state.rho *= rho_factor
     radius = math.sqrt(spec.dim) * spec.l1
@@ -425,6 +426,7 @@ def _spied_run(spec, params, rho_factor):
                           and played.sep.case is SepCase.INSIDE_DOUBLED
                           and new.sep.case is SepCase.INSIDE_DOUBLED
                           and np.linalg.norm(new.w_op.dense()) < radius * (1.0 - 1e-12))
+        seen["separated"] += new is not played and new.sep.case is SepCase.SEPARATED
         a = p.a_op.dense()
         exact = a @ p.x_start
         err = np.linalg.norm(p.a_start - exact) / (np.linalg.norm(exact) or 1.0)
@@ -441,7 +443,8 @@ def check_driver(cfg):
     learner round that is not plain.  Every round is plain on the lowdim
     benchmark problem and at eta x200 from a perturbed start (regularized
     solves, Lanczos separation); a learner step 1e4 times larger makes rounds
-    separate, project, or follow a separated one."""
+    separate, project, or follow a separated one.  Only that run separates,
+    so only it plays B as the 1/gamma view of W, and it must."""
     out = []
     lowdim = catalog("coupled_trig", 16)
     lowdim_params = driver.compute_hyperparams(lowdim, 480)
@@ -460,8 +463,10 @@ def check_driver(cfg):
         start_ok = (start_ok and seen["err"] <= START_PRODUCT_RTOL and seen["ratio"] <= 1.0
                     and applied == params.m_total - seen["plain"]
                     and applied == params.m_total - tr["start_products_derived"]
-                    and (applied == 1) == (rho_factor == 1.0))
+                    and (applied == 1) == (rho_factor == 1.0)
+                    and (seen["separated"] > 0) == (rho_factor > 1.0))
         details.append(f"{label}: applied={applied}/{params.m_total} "
+                       f"separated={seen['separated']} "
                        f"err={seen['err']:.1e} residual/delta={seen['ratio']:.2e}")
     out.append(CheckResult("driver.start_product", start_ok, " ".join(details)))
 

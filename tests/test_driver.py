@@ -630,10 +630,11 @@ class TestHintError:
         rounds = []
 
         def spying_step(lstate, r, s, rng):
-            before = lstate.counter.count
+            # the round writes W in place, so the played B is read first
+            before, b = lstate.counter.count, lstate.b_mat
             new = real_step(lstate, r, s, rng)
             spent = lstate.counter.count - before
-            rounds.append((r.copy(), s, lstate.b_mat, spent, new.sep))
+            rounds.append((r.copy(), s, b, spent, new.sep))
             return new
 
         monkeypatch.setattr(driver, "learner_step", spying_step)

@@ -3,6 +3,7 @@ with its check's message, and no module raises outside the ``OqnError``
 family except where stated below."""
 
 import ast
+import math
 from pathlib import Path
 
 import numpy as np
@@ -10,10 +11,12 @@ import pytest
 
 from oqn import driver, errors, harness
 from oqn.driver import HyperParams, compute_hyperparams
-from oqn.eig import lanczos_factorize
+from oqn.eig import lanczos_factorize, min_evec, sep
 from oqn.errors import InvalidArgument
+from oqn.hessian_learner import default_rho
 from oqn.linops import Counter, SymOperator
-from oqn.problems import ObjectiveSpec, catalog, fd_check_hessian, quadratic_from_matrix
+from oqn.problems import (ObjectiveSpec, catalog, eval_gradient, fd_check_hessian,
+                          quadratic_from_matrix)
 from oqn.rng import RngStream
 from oqn.trsolver import TrustRegionSubproblem
 
@@ -33,14 +36,22 @@ def hyper(**changed):
 
 
 def subproblem(**changed):
-    fields = dict(radius=1.0, delta=1e-3, q=0.01)
+    fields = dict(radius=1.0, delta=1e-3, q=0.01, b_bound=1.0)
     return TrustRegionSubproblem(a_op=SymOperator(np.eye(2), Counter()), b=np.ones(2),
-                                 b_bound=1.0, **{**fields, **changed})
+                                 **{**fields, **changed})
 
 
 def spec_with(**changed):
     fields = dict(dim=2, grad=lambda x: x, l1=1.0, l2=0.0, f_lower=0.0, x0=np.ones(2))
     return ObjectiveSpec(**{**fields, **changed})
+
+
+def gradient_of_shape(shape):
+    spec = spec_with(grad=lambda x: np.ones(shape))
+    return eval_gradient(spec, np.ones(2), Counter())
+
+
+MANUAL_NAN = "params=manual\nd_radius=nan\neta=1\nt_len=2\nk_eps=2\ndelta_tr=1e-3\n"
 
 
 def small_run(**kwargs):
@@ -91,12 +102,45 @@ def unlogged_audit():
     (lambda: harness.RunConfig(audit="loud"), "audit must be one of"),
     (lambda: harness.baseline_gd(catalog("cosine_mixture", 2), 1, step_size=0.0),
      "step_size must be positive"),
+    # NaN fails no comparison, so each check also asks for a finite value
+    (lambda: hyper(d_radius=math.nan), "d_radius, eta and delta_tr must be positive and finite"),
+    (lambda: hyper(eta=math.inf), "d_radius, eta and delta_tr must be positive and finite"),
+    (lambda: hyper(t_len=2.5), "t_len and k_eps must be at least 1 and integral"),
+    (lambda: harness.parse_config(MANUAL_NAN),
+     "d_radius, eta and delta_tr must be positive and finite"),
+    (lambda: default_rho(math.nan), "radius must be positive and finite"),
+    (lambda: subproblem(radius=math.nan), "radius must be positive and finite"),
+    (lambda: subproblem(b_bound=math.nan), "b_bound must be positive and finite"),
+    (lambda: subproblem(b_bound=math.inf), "b_bound must be positive and finite"),
+    (lambda: spec_with(l1=math.nan), "l1 must be positive and finite"),
+    (lambda: sep(SymOperator(np.eye(2)), math.nan, 0.01, RngStream(0)),
+     "l1 must be positive and finite"),
+    (lambda: harness.gd_step_size(catalog("cosine_mixture", 2), math.nan),
+     "step_size must be positive and finite"),
+    (lambda: SymOperator(np.full((2, 2), math.nan)), "matrix has non-finite entries"),
+    (lambda: min_evec(SymOperator(np.eye(2)), math.nan, 0.05, 1.0, RngStream(0)),
+     "delta must be positive and finite, got nan"),
+    (lambda: min_evec(SymOperator(np.eye(2)), 0.1, 0.05, math.nan, RngStream(0)),
+     "b_bound must be finite, got nan"),
+    (lambda: compute_hyperparams(catalog("cosine_mixture", 2), 8.5),
+     "m_budget must be at least 1 and integral"),
+    (lambda: compute_hyperparams(catalog("cosine_mixture", 2), 8, gap_bound=math.nan),
+     "optimality-gap estimate must be positive and finite, got nan"),
+    (lambda: fd_check_hessian(catalog("cosine_mixture", 2), np.ones(2), h=math.nan),
+     "finite-difference step must be positive and finite"),
+    (lambda: gradient_of_shape((3,)), r"gradient oracle returned shape \(3,\), expected \(2,\)"),
+    (lambda: gradient_of_shape((2, 1)),
+     r"gradient oracle returned shape \(2, 1\), expected \(2,\)"),
 ], ids=["fd_hessian_oracle", "d_radius", "eta", "delta_tr", "t_len", "k_eps",
         "p_fail_zero", "p_fail_one", "m_budget", "gap_bound", "audit_level", "run_method",
         "audit_without_log", "operator_not_square", "lanczos_zero_steps",
         "lanczos_steps_above_dim", "spec_dim", "spec_x0_shape", "catalog_dim", "spec_l1",
         "spec_l2", "quadratic_not_psd", "tr_radius", "tr_delta", "tr_q_zero", "tr_q_one",
-        "config_method", "config_audit", "gd_step_size"])
+        "config_method", "config_audit", "gd_step_size", "d_radius_nan", "eta_inf",
+        "t_len_fraction", "manual_config_nan", "rho_radius_nan", "tr_radius_nan",
+        "tr_b_bound_nan", "tr_b_bound_inf", "spec_l1_nan", "sep_l1_nan", "gd_step_size_nan",
+        "operator_nan", "minevec_delta_nan", "minevec_b_bound_nan", "m_budget_fraction",
+        "gap_bound_nan", "fd_step_nan", "gradient_longer", "gradient_column"])
 def test_rejected_argument(call, message):
     with pytest.raises(InvalidArgument, match=message):
         call()

@@ -3,6 +3,7 @@ import dataclasses
 import io
 import json
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -75,8 +76,8 @@ class TestDeterminism:
             cfg.out_report = str(tmp_path / f"{tag}.json")
             exp = harness.run_experiment(cfg)
             harness.write_outputs(exp, harness.report_document(exp))
-            outputs.append((open(cfg.out_csv, "rb").read(),
-                            open(cfg.out_report, "rb").read()))
+            outputs.append((Path(cfg.out_csv).read_bytes(),
+                            Path(cfg.out_report).read_bytes()))
         assert outputs[0] == outputs[1]
 
     def test_report_config_names_the_run(self):
@@ -290,10 +291,11 @@ def _raise_arithmetic(*args):
      [("eig.sep.", ["[FAIL] eig.raised  (CertificateFailure: synthetic)"])]),
     # a package check, not a synthetic raise: the real eig.sep at l1 = 0
     ("sep", lambda real: lambda op, l1, *args: real(op, 0.0, *args),
-     [("eig.sep.", ["[FAIL] eig.raised  (InvalidArgument: l1 must be positive)"])]),
+     [("eig.sep.", ["[FAIL] eig.raised  (InvalidArgument: l1 must be positive and finite)"])]),
     # both trsolver batteries solve through verify.tr_solve, so both raise
     ("tr_solve", lambda real: lambda p, rng: real(dataclasses.replace(p, radius=0.0), rng),
-     [("trsolver.", ["[FAIL] trsolver.raised  (InvalidArgument: radius must be positive)"] * 2)]),
+     [("trsolver.", ["[FAIL] trsolver.raised  "
+                     "(InvalidArgument: radius must be positive and finite)"] * 2)]),
     # the dense oracle's self-check, read by the linops and min_evec batteries
     ("dense_extreme_eig", lambda real: _raise_arithmetic,
      [(block, [f"[FAIL] {layer}.raised  (ArithmeticError: dense eigendecomposition "

@@ -15,7 +15,7 @@ from oqn.hessian_learner import LearnerState, default_rho, learner_step
 from oqn.linops import Counter, SymOperator
 from oqn.problems import catalog
 from oqn.rng import RngStream
-from oqn.verify import random_symmetric, triangle_ok
+from oqn.verify import FRO_RTOL, random_symmetric, triangle_ok
 
 
 def e(i, d):
@@ -124,13 +124,35 @@ class TestLearnerStep:
 
     def test_separated_round_plays_one_scaled_operator(self):
         # same round as above: |W|_op = sqrt(2) L1 > L1, so the oracle
-        # separates and B = W / gamma gets its own operator
+        # separates and B = W / gamma is a view over W's triangle
         d, l1, rho = 2, 1.0, 1.0 / 16.0
         state = LearnerState.fresh(d, l1, rho, 0.01)
         new = pair_step(state, np.sqrt(d) * l1 / rho * e(0, d), e(0, d), RngStream(2))
-        assert new.sep.gamma > 1.0 and new.sep.case is SepCase.SEPARATED
-        assert new.b_op is not new.w_op and triangle_ok(new.b_op)
-        np.testing.assert_allclose(new.b_op.upper, new.w_op.upper / new.sep.gamma, rtol=1e-15)
+        gamma = new.sep.gamma
+        assert gamma > 1.0 and new.sep.case is SepCase.SEPARATED
+        assert new.b_op is not new.w_op and new.b_op.upper is new.w_op.upper
+        assert triangle_ok(new.b_op)
+        w_fro = np.linalg.norm(new.w_op.dense())
+        assert abs(new.b_fro - w_fro / gamma) <= FRO_RTOL * w_fro / gamma
+        np.testing.assert_allclose(new.b_mat, new.w_op.dense() / gamma, rtol=1e-15)
+
+    def test_rounds_write_one_triangle(self, np_rng):
+        # a chain of rounds with a small ball, which project and separate,
+        # keeps W in the fresh state's triangle, and B over it
+        d, l1 = 6, 0.05
+        state = LearnerState.fresh(d, l1, default_rho(1.0), 0.01)
+        upper = state.w_op.upper
+        stream = RngStream(5)
+        separated = projected = 0
+        for _ in range(40):
+            s = np_rng.standard_normal(d)
+            s /= np.linalg.norm(s)
+            state = pair_step(state, np_rng.standard_normal(d), s, stream)
+            assert np.shares_memory(state.w_op.upper, upper)
+            assert state.b_op.upper is state.w_op.upper
+            separated += state.sep.case is SepCase.SEPARATED
+            projected += state.w_op.frobenius_norm() == pytest.approx(np.sqrt(d) * l1)
+        assert separated > 0 and projected > 0
 
     @pytest.mark.parametrize("gamma,y1,answer_inside,plain", [
         (0.0, 1.0, False, True),  # inside, unprojected, answered inside
@@ -150,10 +172,11 @@ class TestLearnerStep:
         zero = SymOperator(np.zeros((d, d), order="F"), Counter(), fro=0.0)
         state = state_at(zero, sep_res=SepResult(gamma, np.zeros(d), 0.0, l1, case, 0),
                          rho=rho, l1=l1)
+        b_before = state.b_mat  # the round writes W, and so B, in place
         new = pair_step(state, y1 * e(0, d), e(0, d), RngStream(3))
         assert new.plain is plain
         if plain:
-            np.testing.assert_array_equal(new.b_mat - state.b_mat,
+            np.testing.assert_array_equal(new.b_mat - b_before,
                                           2.0 * rho * y1 * np.outer(e(0, d), e(0, d)))
 
     def test_frobenius_feasibility_along_run(self, np_rng):
@@ -199,25 +222,28 @@ class TestLearnerStep:
 class TestRoundAllocation:
     @pytest.mark.parametrize("case", [SepCase.INSIDE_DOUBLED, SepCase.SEPARATED])
     def test_round_allocates_one_matrix(self, np_rng, case):
-        # one round at d = 512 whose W_next the Frobenius certificate settles,
-        # so it builds one operator: its triangle is the round's one d x d
-        # array.  A dense outer product or a transposed sum would add 2 MB.
-        # A separated round's state is set up by hand, with rho small enough
-        # that its tilt and step keep |W_next|_F under L1
+        # one round at d = 512 whose W_next the Frobenius certificate settles:
+        # its one matrix is W's triangle, which it writes in place and does
+        # not allocate.  A copy of W, a dense outer product, a transposed sum
+        # or a separate triangle for B would each add 2 MB.  A separated
+        # round's state is set up by hand, as the learner plays it, with rho
+        # small enough that its tilt and step keep |W_next|_F under L1
         d, l1, rho = 512, 1.0, 1e-3
         upper = np.zeros((d, d), order="F")
         upper[0, 0] = 0.5
         w_op = SymOperator(upper, fro=0.5)
         if case is SepCase.SEPARATED:
-            b_op = SymOperator(upper / 2.0, fro=0.25)
+            b_op = w_op.shifted(0.0, scale=0.5)
             played = SepResult(2.0, np.eye(d)[0], 1.0, l1, case, 1)
         else:
             b_op, played = w_op, SepResult(0.5, np.zeros(d), 0.0, l1, case, 0)
         state = state_at(w_op, b_op, played, rho=rho, l1=l1)
         s = np_rng.standard_normal(d) / np.sqrt(d)
         r = s + 0.1 * np_rng.standard_normal(d) / np.sqrt(d)
-        # the rest, d-vectors and small objects, measured about 10 KB
-        matrix_bytes, slack = 8 * d * d, 64 * 1024
+        if case is SepCase.SEPARATED:  # the tilt's dsyr will run
+            assert float(r @ b_op.dense() @ s) > 0.0
+        # d-vectors and small objects, measured about 10 KB
+        slack = 64 * 1024
         tracemalloc.start()
         try:
             new = learner_step(state, r, s, RngStream(0))
@@ -225,9 +251,8 @@ class TestRoundAllocation:
         finally:
             tracemalloc.stop()
         assert new.sep.certified and new.b_op is new.w_op
-        if case is SepCase.SEPARATED:
-            assert float(r @ b_op.dense() @ s) > 0.0  # the tilt's dsyr ran
-        assert matrix_bytes <= peak <= matrix_bytes + slack
+        assert np.shares_memory(new.w_op.upper, upper)
+        assert peak <= slack
 
 
 def _project_frobenius(mat, radius):
