@@ -208,6 +208,12 @@ class RunReport:
     stationary_start: bool = False
 
 
+def check_eps_target(eps_target: Optional[float]) -> None:
+    """An ``eps_target`` is None (off) or positive and finite."""
+    if eps_target is not None and not 0.0 < eps_target < math.inf:
+        raise InvalidArgument(f"eps_target must be positive and finite, got {eps_target}")
+
+
 def init(spec: ObjectiveSpec, params: HyperParams) -> OqnState:
     """Evaluate the start gradient (one evaluation) and set the first
     displacement to the scaled steepest-descent direction.
@@ -266,8 +272,8 @@ def step(state: OqnState, spec: ObjectiveSpec, params: HyperParams, rng: RngStre
     plain = False  # the learner round moved B by exactly rho (r s' + s r')
     if state.pending_s is not None:
         if method == "oqn":
-            played = state.b_state
-            state.b_state = learner_step(played, r, state.pending_s, rng)
+            played = state.b_state.sep
+            learner_step(state.b_state, r, state.pending_s, rng)
             plain, new_sep = state.b_state.plain, state.b_state.sep
             tr["sep_calls"] += 1
             tr["sep_matvecs"] += new_sep.matvecs_used
@@ -275,8 +281,8 @@ def step(state: OqnState, spec: ObjectiveSpec, params: HyperParams, rng: RngStre
             if full:
                 # the round's scaling and case, and the call that closed it
                 log.events.append({
-                    "kind": "sep", "n": n - 1, "gamma": played.sep.gamma,
-                    "case": played.sep.case.value, "matvecs": new_sep.matvecs_used,
+                    "kind": "sep", "n": n - 1, "gamma": played.gamma,
+                    "case": played.case.value, "matvecs": new_sep.matvecs_used,
                     "certified": new_sep.certified, "rng_state": rng.state(),
                 })
         if ledger:
@@ -421,6 +427,7 @@ def run(spec: ObjectiveSpec, params: HyperParams, rng: RngStream,
         raise InvalidArgument(f"audit_level must be one of {AUDIT_LEVELS}")
     if method not in ("oqn", "og"):
         raise InvalidArgument(f"method must be 'oqn' or 'og', got {method!r}")
+    check_eps_target(eps_target)
     try:
         state = init(spec, params)
     except StationaryStart as exc:

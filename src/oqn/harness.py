@@ -27,7 +27,7 @@ from .driver import HyperParams, RunReport, compute_hyperparams
 from .errors import InvalidArgument
 from .linops import Counter
 from .problems import CATALOG_NAMES, ObjectiveSpec, catalog, eval_gradient, family_knobs
-from .rng import RngStream
+from .rng import RngStream, check_seed
 
 METHODS = ("oqn", "og_baseline", "gd_baseline")
 
@@ -60,6 +60,9 @@ class RunConfig:
             raise InvalidArgument(f"audit must be one of {driver.AUDIT_LEVELS}")
         if self.params not in ("auto", "manual"):
             raise InvalidArgument("params must be 'auto' or 'manual'")
+        for key in ("seed", "problem_seed"):
+            check_seed(getattr(self, key), key)
+        driver.check_eps_target(self.eps_target)
 
 
 def _field_casts(cls, skip: tuple) -> dict:
@@ -83,6 +86,15 @@ _PROBLEM_KEYS = {key: type(default) for name in CATALOG_NAMES
                  for key, default in family_knobs(name).items()}
 
 
+def _cast(key: str, cast: type, raw: str):
+    """The config value ``raw`` of ``key`` cast to ``cast``; one that does
+    not cast is an ``InvalidArgument`` naming the key and the value."""
+    try:
+        return cast(raw)
+    except ValueError:
+        raise InvalidArgument(f"{key} must be {cast.__name__}, got {raw!r}") from None
+
+
 def read_pairs(text: str) -> dict:
     """Flat key=value lines; '#' starts a comment; blank lines ignored."""
     pairs = {}
@@ -100,18 +112,18 @@ def read_pairs(text: str) -> dict:
 def config_from_pairs(pairs: dict) -> RunConfig:
     """Map run keys to a ``RunConfig``; any key left over is an error."""
     pairs = dict(pairs)
-    cfg = RunConfig(**{key: cast(pairs.pop(key))
+    cfg = RunConfig(**{key: _cast(key, cast, pairs.pop(key))
                        for key, cast in _RUN_KEYS.items() if key in pairs})
     if cfg.params == "manual":
         missing = [key for key in _MANUAL_KEYS if key not in pairs]
         if missing:
             raise InvalidArgument(f"params=manual needs keys {missing}")
-        cfg.manual = HyperParams(**{key: cast(pairs.pop(key))
+        cfg.manual = HyperParams(**{key: _cast(key, cast, pairs.pop(key))
                                     for key, cast in _MANUAL_KEYS.items()},
                                  p_fail=cfg.p_fail)
     for key, cast in _PROBLEM_KEYS.items():
         if key in pairs:
-            cfg.problem_kwargs[key] = cast(pairs.pop(key))
+            cfg.problem_kwargs[key] = _cast(key, cast, pairs.pop(key))
     if pairs:
         raise InvalidArgument(f"unknown config keys: {sorted(pairs)}")
     return cfg
@@ -364,8 +376,8 @@ def bench(cfg_text: str) -> tuple[list, dict]:
     for key, hint in _BENCH_REJECTED.items():
         if key in pairs:
             raise InvalidArgument(f"{key} is not a bench key: {hint}")
-    budgets = [int(s) for s in pairs.pop("budgets").split(",")]
-    seeds = [int(s) for s in pairs.pop("seeds").split(",")]
+    budgets = [_cast("budgets", int, s) for s in pairs.pop("budgets").split(",")]
+    seeds = [_cast("seeds", int, s) for s in pairs.pop("seeds").split(",")]
     methods = [s.strip() for s in pairs.pop("methods").split(",")]
     base = config_from_pairs(pairs)
     if base.params == "manual" and len(budgets) > 1:

@@ -62,7 +62,8 @@ class SymOperator:
     its upper triangle ``upper``, Fortran-ordered with a zero strict lower
     part.  ``apply`` increments the attached counter by exactly one per
     call; ``dense`` and the norm queries are free of matvec cost.  |S|_F is
-    computed once, at build time.
+    stored as ``fro``; the matrix learner, which writes ``upper`` in place,
+    updates ``fro`` together with it.
 
     A build is S itself (``scale`` 1, ``shift`` 0); ``shifted`` makes the
     views.  By default a build takes a full square ``mat``, symmetrizes a

@@ -4,6 +4,14 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import InvalidArgument
+
+
+def check_seed(seed, key: str = "seed") -> None:
+    """A seed, named ``key`` in the message, is a nonnegative integer."""
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise InvalidArgument(f"{key} must be a nonnegative integer, got {seed!r}")
+
 
 class RngStream:
     """Wraps a PCG64 generator and counts draws for replay logging.
@@ -13,6 +21,7 @@ class RngStream:
     """
 
     def __init__(self, seed: int):
+        check_seed(seed)
         self.seed = int(seed)
         self.draws = 0
         self._gen = np.random.Generator(np.random.PCG64(self.seed))

@@ -366,8 +366,9 @@ def check_learner(cfg):
         y = rng.standard_normal(d)
         r = y - b @ s
         op = SymOperator(b, Counter())
-        state = dataclasses.replace(LearnerState.fresh(d, l1, rho, 0.01), w_op=op, b_op=op)
-        w_next = learner_step(state, r, s, stream).w_op.dense()
+        state = dataclasses.replace(LearnerState.fresh(d, l1, rho, 0.01), w_op=op)
+        learner_step(state, r, s, stream)
+        w_next = state.w_op.dense()
         if np.linalg.norm(w_next) >= math.sqrt(d) * l1 * (1.0 - 1e-12):
             continue
         inside_rounds += 1
@@ -380,9 +381,9 @@ def check_learner(cfg):
         "learner.nuclear_bound", nuc_ok and inside_rounds > 0,
         f"worst_excess={worst:.2e} rounds={inside_rounds}/{cfg['learner_samples']}"))
 
-    # the learner builds W's operator on trust (its triangle and norm handed
-    # over) and plays B = W / gamma as a view of it; recheck their layout
-    # and norms against the dense matrices.  l1 = 0.3 puts part of the run in
+    # the learner writes W's triangle and stored norm itself, with no check,
+    # and plays B = W / gamma as a view of it; recheck their layout and
+    # norms against the dense matrices.  l1 = 0.3 puts part of the run in
     # separated rounds
     feas_ok = trusted_ok = True
     separated = 0
@@ -395,7 +396,7 @@ def check_learner(cfg):
             s = rng.standard_normal(d)
             s *= d_rad / max(np.linalg.norm(s), 1e-12)
             separated += state.sep.case is SepCase.SEPARATED  # the round's case
-            state = learner_step(state, y - state.b_mat @ s, s, stream)
+            learner_step(state, y - state.b_mat @ s, s, stream)
             feas_ok = (feas_ok and np.linalg.norm(state.w_op.dense())
                        <= math.sqrt(d) * l1 + 1e-9)
             trusted_ok = trusted_ok and triangle_ok(state.w_op) and triangle_ok(state.b_op)
@@ -410,23 +411,23 @@ def _spied_run(spec, params, rho_factor):
     and recheck each subproblem and solution the steps return.  Returns the
     final state, the worst relative error of an ``a_start`` against the dense
     A ``x_start``, the worst residual / delta of an answer rechecked over that
-    dense A, the plain rounds counted from the states (both separation calls
-    answered inside and W_next is strictly inside the Frobenius ball), and
-    the separated rounds, whose B is the 1/gamma view of W."""
+    dense A, the plain rounds counted from the learner record (both
+    separation calls answered inside and W_next is strictly inside the
+    Frobenius ball), and the separated rounds, whose B is the 1/gamma view
+    of W.  Every step after the first runs one round."""
     seen = {"err": 0.0, "ratio": 0.0, "plain": 0, "separated": 0}
     state = driver.init(spec, params)
-    state.b_state.rho *= rho_factor
+    learner = state.b_state
+    learner.rho *= rho_factor
     radius = math.sqrt(spec.dim) * spec.l1
     rng = RngStream(SEED)
-    for _ in range(params.m_total):
-        played = state.b_state
+    for n in range(params.m_total):
+        played = learner.sep.case
         p, sol = driver.step(state, spec, params, rng)
-        new = state.b_state
-        seen["plain"] += (new is not played
-                          and played.sep.case is SepCase.INSIDE_DOUBLED
-                          and new.sep.case is SepCase.INSIDE_DOUBLED
-                          and np.linalg.norm(new.w_op.dense()) < radius * (1.0 - 1e-12))
-        seen["separated"] += new is not played and new.sep.case is SepCase.SEPARATED
+        seen["plain"] += (n > 0 and played is SepCase.INSIDE_DOUBLED
+                          and learner.sep.case is SepCase.INSIDE_DOUBLED
+                          and np.linalg.norm(learner.w_op.dense()) < radius * (1.0 - 1e-12))
+        seen["separated"] += n > 0 and learner.sep.case is SepCase.SEPARATED
         a = p.a_op.dense()
         exact = a @ p.x_start
         err = np.linalg.norm(p.a_start - exact) / (np.linalg.norm(exact) or 1.0)

@@ -632,10 +632,9 @@ class TestHintError:
         def spying_step(lstate, r, s, rng):
             # the round writes W in place, so the played B is read first
             before, b = lstate.counter.count, lstate.b_mat
-            new = real_step(lstate, r, s, rng)
+            real_step(lstate, r, s, rng)
             spent = lstate.counter.count - before
-            rounds.append((r.copy(), s, b, spent, new.sep))
-            return new
+            rounds.append((r.copy(), s, b, spent, lstate.sep))
 
         monkeypatch.setattr(driver, "learner_step", spying_step)
         state = driver.init(spec, params)
@@ -667,6 +666,35 @@ class TestHintError:
         assert certified > 0
         # the eta x200 recipe also runs separation rounds through Lanczos
         assert (certified < checked) == (eta_factor > 1.0)
+
+
+class TestLearnerRecord:
+    """A run keeps one learner record: ``init`` makes it and every round
+    updates it in place, so the run builds W's operator once."""
+
+    def test_lowdim_run_builds_one_operator(self, monkeypatch):
+        spec = catalog("coupled_trig", 16)
+        params = compute_hyperparams(spec, 480)
+        real_build, real_init = hessian_learner.SymOperator, driver.init
+        builds, made = [], []
+
+        def counting_build(*args, **kwargs):
+            builds.append(kwargs.get("fro"))
+            return real_build(*args, **kwargs)
+
+        def spying_init(*args):
+            state = real_init(*args)
+            made.append((state, state.b_state))
+            return state
+
+        monkeypatch.setattr(hessian_learner, "SymOperator", counting_build)
+        monkeypatch.setattr(driver, "init", spying_init)
+        report = driver.run(spec, params, RngStream(0), audit_level="off")
+        (state, learner), = made
+        # the one build is LearnerState.fresh's trusted zero
+        assert builds == [0.0]
+        assert state.b_state is learner
+        assert report.totals["tr"]["sep_calls"] == params.m_total - 1 > 0
 
 
 class TestWholePipeline:

@@ -131,6 +131,23 @@ def unlogged_audit():
     (lambda: gradient_of_shape((3,)), r"gradient oracle returned shape \(3,\), expected \(2,\)"),
     (lambda: gradient_of_shape((2, 1)),
      r"gradient oracle returned shape \(2, 1\), expected \(2,\)"),
+    # a config value that does not cast names its key and the raw value
+    (lambda: harness.parse_config("budget=abc\n"), "budget must be int, got 'abc'"),
+    (lambda: harness.parse_config(MANUAL_NAN.replace("t_len=2", "t_len=2.5")),
+     "t_len must be int, got '2.5'"),
+    (lambda: harness.parse_config("mu=abc\n"), "mu must be float, got 'abc'"),
+    (lambda: harness.bench("budgets=240,x\n"), "budgets must be int, got 'x'"),
+    (lambda: harness.bench("seeds=0,y\n"), "seeds must be int, got 'y'"),
+    (lambda: RngStream(-1), "seed must be a nonnegative integer, got -1"),
+    (lambda: RngStream(2.5), "seed must be a nonnegative integer, got 2.5"),
+    (lambda: harness.parse_config("seed=-5\n"), "^seed must be a nonnegative integer, got -5"),
+    (lambda: harness.parse_config("problem_seed=-1\n"),
+     "problem_seed must be a nonnegative integer, got -1"),
+    (lambda: harness.parse_config("eps_target=nan\n"),
+     "eps_target must be positive and finite, got nan"),
+    (lambda: harness.RunConfig(eps_target=0.0), "eps_target must be positive and finite"),
+    (lambda: small_run(eps_target=math.nan), "eps_target must be positive and finite, got nan"),
+    (lambda: small_run(eps_target=math.inf), "eps_target must be positive and finite, got inf"),
 ], ids=["fd_hessian_oracle", "d_radius", "eta", "delta_tr", "t_len", "k_eps",
         "p_fail_zero", "p_fail_one", "m_budget", "gap_bound", "audit_level", "run_method",
         "audit_without_log", "operator_not_square", "lanczos_zero_steps",
@@ -140,7 +157,11 @@ def unlogged_audit():
         "t_len_fraction", "manual_config_nan", "rho_radius_nan", "tr_radius_nan",
         "tr_b_bound_nan", "tr_b_bound_inf", "spec_l1_nan", "sep_l1_nan", "gd_step_size_nan",
         "operator_nan", "minevec_delta_nan", "minevec_b_bound_nan", "m_budget_fraction",
-        "gap_bound_nan", "fd_step_nan", "gradient_longer", "gradient_column"])
+        "gap_bound_nan", "fd_step_nan", "gradient_longer", "gradient_column",
+        "config_run_key_cast", "config_manual_key_cast", "config_family_knob_cast",
+        "bench_budgets_cast", "bench_seeds_cast", "rng_seed_negative", "rng_seed_fraction",
+        "config_seed_negative", "config_problem_seed_negative", "config_eps_target_nan",
+        "config_eps_target_zero", "run_eps_target_nan", "run_eps_target_inf"])
 def test_rejected_argument(call, message):
     with pytest.raises(InvalidArgument, match=message):
         call()

@@ -26,22 +26,23 @@ def e(i, d):
 
 def pair_step(state, y, s, rng):
     """One learner round on the loss pair (y, s), its residual formed densely."""
-    return learner_step(state, y - state.b_mat @ s, s, rng)
+    learner_step(state, y - state.b_mat @ s, s, rng)
 
 
-def state_at(w_op, b_op=None, sep_res=None, rho=1.0, l1=1e3):
-    """A learner state over the given operators (B = W by default), whose
-    kept separation result is ``sep_res``, by default inside at gamma 0."""
+def state_at(w_op, sep_res=None, rho=1.0, l1=1e3):
+    """A learner state over the operator ``w_op``, whose kept separation
+    result is ``sep_res``, by default inside at gamma 0 (so B = W)."""
     fresh = LearnerState.fresh(w_op.dim, l1, rho, 0.01)
-    return dataclasses.replace(fresh, w_op=w_op, b_op=b_op or w_op, sep=sep_res or fresh.sep)
+    return dataclasses.replace(fresh, w_op=w_op, sep=sep_res or fresh.sep)
 
 
 def play_round(b, y, s):
     """One learner round at W = B = b, well inside both balls, on the loss
     pair (y, s): returns the loss gradient, read off the unprojected step as
     (W - W_next) / rho with rho = 1."""
-    new = learner_step(state_at(SymOperator(b)), y - b @ s, s, RngStream(0))
-    return b - new.w_op.dense()
+    state = state_at(SymOperator(b))
+    learner_step(state, y - b @ s, s, RngStream(0))
+    return b - state.w_op.dense()
 
 
 class TestLossGradient:
@@ -95,62 +96,70 @@ class TestLearnerStep:
 
     def test_zero_direction_no_motion(self):
         state = LearnerState.fresh(3, 1.0, default_rho(1.0), 0.01)
-        new = pair_step(state, np.array([1.0, 0.0, 0.0]), np.zeros(3), RngStream(0))
-        np.testing.assert_allclose(new.w_op.dense(), 0.0)
-        np.testing.assert_allclose(new.b_mat, 0.0)
+        pair_step(state, np.array([1.0, 0.0, 0.0]), np.zeros(3), RngStream(0))
+        np.testing.assert_allclose(state.w_op.dense(), 0.0)
+        np.testing.assert_allclose(state.b_mat, 0.0)
 
     def test_hand_worked_rank_one_update(self):
         # W = 0, y = s = e1, rho = 1/16: surrogate gradient -2 e1 e1',
         # step lands inside the Frobenius ball, no scaling
         state = LearnerState.fresh(2, 1.0, 1.0 / 16.0, 0.01)
-        new = pair_step(state, e(0, 2), e(0, 2), RngStream(1))
+        played = state.sep
+        pair_step(state, e(0, 2), e(0, 2), RngStream(1))
         expected = np.zeros((2, 2))
         expected[0, 0] = 1.0 / 8.0
-        np.testing.assert_allclose(new.w_op.dense(), expected, atol=1e-15)
+        np.testing.assert_allclose(state.w_op.dense(), expected, atol=1e-15)
         # the round's own case was the fresh state's, and its answer certified
-        assert state.sep.gamma == 0.0 and state.sep.case is SepCase.INSIDE_DOUBLED
-        assert new.sep.certified and new.sep.case is SepCase.INSIDE_DOUBLED and new.plain
-        assert new.b_op is new.w_op and new.counter.count == 0
+        assert played.gamma == 0.0 and played.case is SepCase.INSIDE_DOUBLED
+        assert state.sep.certified and state.sep.case is SepCase.INSIDE_DOUBLED and state.plain
+        assert state.b_op is state.w_op and state.counter.count == 0
 
     def test_projection_scales_by_half_exactly(self):
         # engineer |W - rho G| = 2 sqrt(d) L1 so the projection halves it
         d, l1, rho = 2, 1.0, 1.0 / 16.0
         c = np.sqrt(d) * l1 / rho  # G = -2c e1e1', |rho G| = 2 sqrt(d) L1
         state = LearnerState.fresh(d, l1, rho, 0.01)
-        new = pair_step(state, c * e(0, d), e(0, d), RngStream(2))
+        pair_step(state, c * e(0, d), e(0, d), RngStream(2))
         expected = np.zeros((d, d))
         expected[0, 0] = np.sqrt(d) * l1
-        np.testing.assert_allclose(new.w_op.dense(), expected, rtol=1e-13)
+        np.testing.assert_allclose(state.w_op.dense(), expected, rtol=1e-13)
 
     def test_separated_round_plays_one_scaled_operator(self):
         # same round as above: |W|_op = sqrt(2) L1 > L1, so the oracle
         # separates and B = W / gamma is a view over W's triangle
         d, l1, rho = 2, 1.0, 1.0 / 16.0
         state = LearnerState.fresh(d, l1, rho, 0.01)
-        new = pair_step(state, np.sqrt(d) * l1 / rho * e(0, d), e(0, d), RngStream(2))
-        gamma = new.sep.gamma
-        assert gamma > 1.0 and new.sep.case is SepCase.SEPARATED
-        assert new.b_op is not new.w_op and new.b_op.upper is new.w_op.upper
-        assert triangle_ok(new.b_op)
-        w_fro = np.linalg.norm(new.w_op.dense())
-        assert abs(new.b_fro - w_fro / gamma) <= FRO_RTOL * w_fro / gamma
-        np.testing.assert_allclose(new.b_mat, new.w_op.dense() / gamma, rtol=1e-15)
+        pair_step(state, np.sqrt(d) * l1 / rho * e(0, d), e(0, d), RngStream(2))
+        gamma = state.sep.gamma
+        assert gamma > 1.0 and state.sep.case is SepCase.SEPARATED
+        assert state.b_op is not state.w_op and state.b_op.upper is state.w_op.upper
+        assert triangle_ok(state.b_op)
+        w_fro = np.linalg.norm(state.w_op.dense())
+        assert abs(state.b_fro - w_fro / gamma) <= FRO_RTOL * w_fro / gamma
+        np.testing.assert_allclose(state.b_mat, state.w_op.dense() / gamma, rtol=1e-15)
 
     def test_rounds_write_one_triangle(self, np_rng):
         # a chain of rounds with a small ball, which project and separate,
-        # keeps W in the fresh state's triangle, and B over it
+        # keeps one record: the fresh state's W operator over its triangle,
+        # and B read off it, W itself or W / gamma
         d, l1 = 6, 0.05
         state = LearnerState.fresh(d, l1, default_rho(1.0), 0.01)
-        upper = state.w_op.upper
+        w_op, upper = state.w_op, state.w_op.upper
         stream = RngStream(5)
         separated = projected = 0
         for _ in range(40):
             s = np_rng.standard_normal(d)
             s /= np.linalg.norm(s)
-            state = pair_step(state, np_rng.standard_normal(d), s, stream)
-            assert np.shares_memory(state.w_op.upper, upper)
-            assert state.b_op.upper is state.w_op.upper
-            separated += state.sep.case is SepCase.SEPARATED
+            pair_step(state, np_rng.standard_normal(d), s, stream)
+            assert state.w_op is w_op and w_op.upper is upper
+            assert state.b_op.upper is upper
+            if state.sep.case is SepCase.SEPARATED:
+                separated += 1
+                w = w_op.dense()
+                assert (np.linalg.norm(state.b_mat - w / state.sep.gamma)
+                        <= FRO_RTOL * np.linalg.norm(w) / state.sep.gamma)
+            else:
+                assert state.b_op is w_op
             projected += state.w_op.frobenius_norm() == pytest.approx(np.sqrt(d) * l1)
         assert separated > 0 and projected > 0
 
@@ -173,10 +182,10 @@ class TestLearnerStep:
         state = state_at(zero, sep_res=SepResult(gamma, np.zeros(d), 0.0, l1, case, 0),
                          rho=rho, l1=l1)
         b_before = state.b_mat  # the round writes W, and so B, in place
-        new = pair_step(state, y1 * e(0, d), e(0, d), RngStream(3))
-        assert new.plain is plain
+        pair_step(state, y1 * e(0, d), e(0, d), RngStream(3))
+        assert state.plain is plain
         if plain:
-            np.testing.assert_array_equal(new.b_mat - b_before,
+            np.testing.assert_array_equal(state.b_mat - b_before,
                                           2.0 * rho * y1 * np.outer(e(0, d), e(0, d)))
 
     def test_frobenius_feasibility_along_run(self, np_rng):
@@ -186,7 +195,7 @@ class TestLearnerStep:
         for _ in range(80):
             s = np_rng.standard_normal(d)
             s /= max(np.linalg.norm(s), 1e-12)
-            state = pair_step(state, np_rng.standard_normal(d), s, stream)
+            pair_step(state, np_rng.standard_normal(d), s, stream)
             assert np.linalg.norm(state.w_op.dense()) <= np.sqrt(d) * l1 + 1e-9
             # played action stays inside the doubled operator-norm ball
             assert np.linalg.norm(state.b_mat, ord=2) <= 2 * l1 + 1e-9
@@ -232,26 +241,25 @@ class TestRoundAllocation:
         upper = np.zeros((d, d), order="F")
         upper[0, 0] = 0.5
         w_op = SymOperator(upper, fro=0.5)
-        if case is SepCase.SEPARATED:
-            b_op = w_op.shifted(0.0, scale=0.5)
+        if case is SepCase.SEPARATED:  # B = W / 2
             played = SepResult(2.0, np.eye(d)[0], 1.0, l1, case, 1)
         else:
-            b_op, played = w_op, SepResult(0.5, np.zeros(d), 0.0, l1, case, 0)
-        state = state_at(w_op, b_op, played, rho=rho, l1=l1)
+            played = SepResult(0.5, np.zeros(d), 0.0, l1, case, 0)
+        state = state_at(w_op, played, rho=rho, l1=l1)
         s = np_rng.standard_normal(d) / np.sqrt(d)
         r = s + 0.1 * np_rng.standard_normal(d) / np.sqrt(d)
         if case is SepCase.SEPARATED:  # the tilt's dsyr will run
-            assert float(r @ b_op.dense() @ s) > 0.0
+            assert float(r @ state.b_mat @ s) > 0.0
         # d-vectors and small objects, measured about 10 KB
         slack = 64 * 1024
         tracemalloc.start()
         try:
-            new = learner_step(state, r, s, RngStream(0))
+            learner_step(state, r, s, RngStream(0))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert new.sep.certified and new.b_op is new.w_op
-        assert np.shares_memory(new.w_op.upper, upper)
+        assert state.sep.certified and state.b_op is state.w_op
+        assert state.w_op is w_op and w_op.upper is upper
         assert peak <= slack
 
 
@@ -294,16 +302,16 @@ class DenseReference:
 REF_RTOL = 1e-13
 
 
-def assert_matches(new, ref):
+def assert_matches(state, ref):
     """The learner's state equals the reference's within REF_RTOL, and its
     operators hold the layout and norms the trusted build takes on the
     learner's word."""
     scale = max(np.linalg.norm(ref.w), 1.0)
-    assert np.linalg.norm(new.w_op.dense() - ref.w) <= REF_RTOL * scale
-    assert np.linalg.norm(new.b_mat - ref.b_op.dense()) <= REF_RTOL * scale
-    assert abs(new.b_fro - ref.b_op.frobenius_norm()) <= REF_RTOL * scale
-    assert triangle_ok(new.w_op) and triangle_ok(new.b_op)
-    assert new.sep.gamma == pytest.approx(ref.gamma, rel=REF_RTOL, abs=REF_RTOL)
+    assert np.linalg.norm(state.w_op.dense() - ref.w) <= REF_RTOL * scale
+    assert np.linalg.norm(state.b_mat - ref.b_op.dense()) <= REF_RTOL * scale
+    assert abs(state.b_fro - ref.b_op.frobenius_norm()) <= REF_RTOL * scale
+    assert triangle_ok(state.w_op) and triangle_ok(state.b_op)
+    assert state.sep.gamma == pytest.approx(ref.gamma, rel=REF_RTOL, abs=REF_RTOL)
 
 
 @pytest.fixture
@@ -336,12 +344,11 @@ class TestDenseReference:
                 refs.append(DenseReference(state.dim, state.l1, state.rho,
                                            state.q_per_call))
             ref_rng = copy.deepcopy(rng)
-            new = real_step(state, r, s, rng)
+            rounds.append(state.sep.case)
+            real_step(state, r, s, rng)
             refs[0].round(r, s, ref_rng)
             assert ref_rng.state() == rng.state()
-            assert_matches(new, refs[0])
-            rounds.append(state.sep.case)
-            return new
+            assert_matches(state, refs[0])
 
         monkeypatch.setattr(driver, "learner_step", checked_step)
         report = driver.run(spec, params, RngStream(3), audit_level="full")
@@ -361,7 +368,7 @@ class TestDenseReference:
             s /= np.linalg.norm(s)
             r = np_rng.standard_normal(d) - state.b_mat @ s
             separated += state.sep.case is SepCase.SEPARATED
-            state = learner_step(state, r, s, stream)
+            learner_step(state, r, s, stream)
             ref.round(r, s, ref_stream)
             assert_matches(state, ref)
         assert separated >= 60 and len(trusted_builds) == 120
