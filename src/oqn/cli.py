@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
 
 from . import harness, verify
 from .errors import CertificateFailure, OqnError
@@ -17,15 +18,14 @@ from .errors import CertificateFailure, OqnError
 
 def _cmd_run(args) -> int:
     cfg = harness.load_config(args.config)
-    exp = harness.run_experiment(cfg)
-    doc = harness.report_document(exp)
-    harness.write_outputs(exp, doc)
+    t0 = time.perf_counter()
+    report = harness.run_experiment(cfg)
+    wall = time.perf_counter() - t0
+    doc = harness.report_document(cfg, report)
+    harness.write_outputs(cfg, report, doc)
     print(json.dumps(doc, indent=2, sort_keys=True))
-    print(f"wall_time_s={exp.wall_time_s:.3f}", file=sys.stderr)
-    audits = doc.get("audits") or {}
-    if audits and not audits.get("all_ok", True):
-        return 2
-    return 0
+    print(f"wall_time_s={wall:.3f}", file=sys.stderr)
+    return 0 if doc.get("audits", {}).get("all_ok", True) else 2
 
 
 def _cmd_verify(args) -> int:

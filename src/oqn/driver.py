@@ -41,7 +41,7 @@ import numpy as np
 from numpy.typing import NDArray
 from scipy.linalg.blas import daxpy, ddot
 
-from .errors import InvalidArgument, StationaryStart
+from .errors import InvalidArgument
 from .hessian_learner import LearnerState, default_rho, learner_step
 # SymOperator is not built here any more; perfbench/tracing.py still wraps
 # oqn.driver.SymOperator by name, so the import stays
@@ -136,7 +136,7 @@ class EpisodeRecord:
     grad_norm_at_wbar: float
     episode_regret: float
     sum_g_norm: float
-    sum_loss: float = 0.0
+    sum_loss: Optional[float] = None  # set by a logged run, None when unmeasured
     cum_gradients: int = 0
     cum_matvecs: int = 0
 
@@ -216,17 +216,14 @@ def check_eps_target(eps_target: Optional[float]) -> None:
 
 def init(spec: ObjectiveSpec, params: HyperParams) -> OqnState:
     """Evaluate the start gradient (one evaluation) and set the first
-    displacement to the scaled steepest-descent direction.
-
-    Raises StationaryStart when the start gradient is below the machine-zero
-    threshold; callers report that as a degenerate success.
+    displacement to the scaled steepest-descent direction,
+    -D g0 / max(|g0|, STATIONARY_RTOL L1): of length D unless the start is
+    stationary, where ``run`` takes no step from it.
     """
     grad_counter = Counter()
     matvec_counter = Counter()
     g0 = eval_gradient(spec, spec.x0, grad_counter)
-    g0_norm = float(np.linalg.norm(g0))
-    if g0_norm <= STATIONARY_RTOL * spec.l1:
-        raise StationaryStart(g0_norm)
+    g0_norm = max(float(np.linalg.norm(g0)), STATIONARY_RTOL * spec.l1)
     delta1 = -params.d_radius * g0 / g0_norm
     b_state = LearnerState.fresh(
         dim=spec.dim, l1=spec.l1, rho=default_rho(params.d_radius),
@@ -400,20 +397,6 @@ def step(state: OqnState, spec: ObjectiveSpec, params: HyperParams, rng: RngStre
     return solved
 
 
-def _stationary_report(spec: ObjectiveSpec, params: HyperParams,
-                       grad_norm: float) -> RunReport:
-    record = EpisodeRecord(
-        k=1, w_bar=spec.x0.copy(), grad_norm_at_wbar=grad_norm,
-        episode_regret=0.0, sum_g_norm=0.0,
-    )
-    totals = new_totals()
-    totals["gradients"] = 1
-    return RunReport(
-        episodes=[record], w_hat=spec.x0.copy(), grad_norm_final=grad_norm,
-        totals=totals, audits={}, params=params, stationary_start=True,
-    )
-
-
 def run(spec: ObjectiveSpec, params: HyperParams, rng: RngStream,
         audit_level: str = "episode", method: str = "oqn",
         eps_target: Optional[float] = None) -> RunReport:
@@ -421,23 +404,24 @@ def run(spec: ObjectiveSpec, params: HyperParams, rng: RngStream,
 
     ``eps_target`` optionally stops early once an episode average reaches the
     target gradient norm (off by default; the audited algorithm runs the
-    fixed budget).
+    fixed budget).  A stationary start (|g0| <= STATIONARY_RTOL L1) is a run
+    of zero steps: no episode closes, so it returns x0 and |g0|, unaudited.
+    Every run ends in the same report and gradient-accounting check.
     """
     if audit_level not in AUDIT_LEVELS:
         raise InvalidArgument(f"audit_level must be one of {AUDIT_LEVELS}")
     if method not in ("oqn", "og"):
         raise InvalidArgument(f"method must be 'oqn' or 'og', got {method!r}")
     check_eps_target(eps_target)
-    try:
-        state = init(spec, params)
-    except StationaryStart as exc:
-        return _stationary_report(spec, params, exc.grad_norm)
+    state = init(spec, params)
+    g0_norm = float(np.linalg.norm(state.hint))
+    stationary = g0_norm <= STATIONARY_RTOL * spec.l1
     log = StepLog(full=audit_level == "full") if audit_level != "off" else None
     if log is not None and spec.value is not None:
         log.f_values.append(float(spec.value(spec.x0)))
 
     stopped_early = False
-    for _ in range(params.m_total):
+    for _ in range(0 if stationary else params.m_total):
         step(state, spec, params, rng, log=log, method=method)
         if (eps_target is not None and state.n % params.t_len == 0
                 and state.episodes[-1].grad_norm_at_wbar <= eps_target):
@@ -447,21 +431,27 @@ def run(spec: ObjectiveSpec, params: HyperParams, rng: RngStream,
     episodes = state.episodes
     if log is not None:
         _attach_episode_losses(episodes, log.pair_losses, params.t_len)
-    best = min(episodes, key=lambda e: (e.grad_norm_at_wbar, e.k))
+    if episodes:
+        best = min(episodes, key=lambda e: (e.grad_norm_at_wbar, e.k))
+        w_hat, grad_norm_final = best.w_bar, best.grad_norm_at_wbar
+    else:
+        w_hat, grad_norm_final = state.x, g0_norm
     state.totals.update(gradients=state.grad_counter.count,
                         matvecs=state.matvec_counter.count,
                         iterations=state.n, stopped_early=stopped_early)
     report = RunReport(
-        episodes=episodes, w_hat=best.w_bar, grad_norm_final=best.grad_norm_at_wbar,
+        episodes=episodes, w_hat=w_hat, grad_norm_final=grad_norm_final,
         totals=state.totals, audits={}, params=params, log=log,
+        stationary_start=stationary,
     )
     # two evaluations per iteration, one per episode close, one at init: on
-    # a full run that is params.gradient_total, and it holds on a stopped one
+    # a full run that is params.gradient_total, and it holds on a stopped or
+    # stationary one
     expected = 2 * state.n + len(episodes) + 1
     if state.grad_counter.count != expected:
         raise AssertionError(
             f"gradient accounting broken: {state.grad_counter.count} != {expected}")
-    if log is not None:
+    if log is not None and episodes:
         report.audits = audit_regret(report, spec, params)
     return report
 

@@ -5,7 +5,9 @@ The run keys are ``RunConfig``'s fields, cast to their types, with the
 dataclass holding the defaults; ``params=manual`` adds ``HyperParams``'
 fields.  Reports are JSON-shaped structured text whose content is a pure
 function of (config, seed); wall time is echoed to the console but kept out
-of the files so reruns are bit-identical.  A report's ``params`` block is
+of the files so reruns are bit-identical.  ``run_experiment`` returns the
+run's ``RunReport`` or ``GdReport`` itself; the report body and the CSV rows
+are built from it with its config.  A report's ``params`` block is
 ``params_document`` and its ``result`` block holds the driver's totals
 (``driver.new_totals``) as they are.
 """
@@ -60,9 +62,18 @@ class RunConfig:
             raise InvalidArgument(f"audit must be one of {driver.AUDIT_LEVELS}")
         if self.params not in ("auto", "manual"):
             raise InvalidArgument("params must be 'auto' or 'manual'")
+        check_budget(self.budget, "budget")
+        if not 0.0 < self.p_fail < 1.0:
+            raise InvalidArgument(f"p_fail must be in (0,1), got {self.p_fail!r}")
         for key in ("seed", "problem_seed"):
             check_seed(getattr(self, key), key)
         driver.check_eps_target(self.eps_target)
+
+
+def check_budget(budget, key: str) -> None:
+    """A budget, under config key ``key``, is an integer >= 1."""
+    if not (isinstance(budget, (int, np.integer)) and budget >= 1):
+        raise InvalidArgument(f"{key} must be an integer >= 1, got {budget!r}")
 
 
 def _field_casts(cls, skip: tuple) -> dict:
@@ -245,41 +256,28 @@ def tr_objective(a_dense: NDArray, b: NDArray, x: NDArray) -> float:
 # experiment execution and serialization
 
 
-@dataclass
-class ExperimentReport:
-    config: RunConfig
-    report: object
-    wall_time_s: float
-    csv_rows: list
-
-
-def _csv_rows_from_report(report: RunReport) -> list:
+def csv_rows(report: RunReport | GdReport) -> list:
+    """One CSV row per episode of a run, or per step of a ``GdReport``; a
+    value that was not measured is an empty cell."""
+    if isinstance(report, GdReport):
+        return [f"{i + 1},{g!r},,,{i + 1},0" for i, g in enumerate(report.grad_norms)]
     return [
         f"{ep.k},{ep.grad_norm_at_wbar!r},{ep.episode_regret!r},"
-        f"{ep.sum_loss!r},{ep.cum_gradients},{ep.cum_matvecs}"
+        f"{'' if ep.sum_loss is None else repr(ep.sum_loss)},"
+        f"{ep.cum_gradients},{ep.cum_matvecs}"
         for ep in report.episodes
     ]
 
 
-def run_experiment(cfg: RunConfig) -> ExperimentReport:
-    """Execute one configured run and assemble its CSV rows and report."""
-    import time
-
+def run_experiment(cfg: RunConfig) -> RunReport | GdReport:
+    """Execute one configured run and return its report: the driver's
+    ``RunReport``, or a ``GdReport`` for ``gd_baseline``."""
     spec = build_spec(cfg)
-    t0 = time.perf_counter()
     if cfg.method == "gd_baseline":
-        gd = baseline_gd(spec, cfg.budget, cfg.step_size)
-        wall = time.perf_counter() - t0
-        rows = [f"{i + 1},{g!r},,,{i + 1},0" for i, g in enumerate(gd.grad_norms)]
-        return ExperimentReport(config=cfg, report=gd, wall_time_s=wall, csv_rows=rows)
-    params = run_params(cfg, spec)
-    rng = RngStream(cfg.seed)
+        return baseline_gd(spec, cfg.budget, cfg.step_size)
     method = "og" if cfg.method == "og_baseline" else "oqn"
-    report = driver.run(spec, params, rng, audit_level=cfg.audit, method=method,
-                        eps_target=cfg.eps_target)
-    wall = time.perf_counter() - t0
-    return ExperimentReport(config=cfg, report=report, wall_time_s=wall,
-                            csv_rows=_csv_rows_from_report(report))
+    return driver.run(spec, run_params(cfg, spec), RngStream(cfg.seed),
+                      audit_level=cfg.audit, method=method, eps_target=cfg.eps_target)
 
 
 def _jsonable(obj):
@@ -299,9 +297,9 @@ def params_document(params: HyperParams) -> dict:
     return {**asdict(params), "m_total": params.m_total}
 
 
-def report_document(exp: ExperimentReport) -> dict:
-    """Deterministic report body (no wall time; that goes to the console)."""
-    cfg = exp.config
+def report_document(cfg: RunConfig, rep: RunReport | GdReport) -> dict:
+    """Deterministic report body of ``cfg``'s run (no wall time; that goes
+    to the console)."""
     # every run key but the output paths and the manual block (the report's
     # params); None is the default, for the family knobs the family's own
     doc = {
@@ -310,10 +308,9 @@ def report_document(exp: ExperimentReport) -> dict:
             **{key: cfg.problem_kwargs.get(key) for key in _PROBLEM_KEYS},
         },
     }
-    rep = exp.report
     if isinstance(rep, GdReport):
         doc["result"] = {
-            "grad_norm_final": rep.grad_norms[-1] if rep.grad_norms else None,
+            "grad_norm_final": rep.grad_norms[-1],
             "gradients": rep.gradients,
         }
         return _jsonable(doc)
@@ -330,14 +327,13 @@ def report_document(exp: ExperimentReport) -> dict:
     return _jsonable(doc)
 
 
-def write_outputs(exp: ExperimentReport, doc: dict) -> None:
-    """Write the CSV rows and the report document ``doc`` to the config's
-    output paths, each only when its path is set."""
-    cfg = exp.config
+def write_outputs(cfg: RunConfig, rep: RunReport | GdReport, doc: dict) -> None:
+    """Write the run's CSV rows and the report document ``doc`` to the
+    config's output paths, each only when its path is set."""
     if cfg.out_csv:
         with open(cfg.out_csv, "w", encoding="utf-8") as fh:
             fh.write(CSV_HEADER + "\n")
-            for row in exp.csv_rows:
+            for row in csv_rows(rep):
                 fh.write(row + "\n")
     if cfg.out_report:
         with open(cfg.out_report, "w", encoding="utf-8") as fh:
@@ -377,6 +373,8 @@ def bench(cfg_text: str) -> tuple[list, dict]:
         if key in pairs:
             raise InvalidArgument(f"{key} is not a bench key: {hint}")
     budgets = [_cast("budgets", int, s) for s in pairs.pop("budgets").split(",")]
+    for budget in budgets:
+        check_budget(budget, "budgets")
     seeds = [_cast("seeds", int, s) for s in pairs.pop("seeds").split(",")]
     methods = [s.strip() for s in pairs.pop("methods").split(",")]
     base = config_from_pairs(pairs)
@@ -395,8 +393,7 @@ def bench(cfg_text: str) -> tuple[list, dict]:
                 steps = params.gradient_total
             per_seed = []
             for seed in seeds:
-                exp = run_experiment(replace(base, method=method, budget=steps, seed=seed))
-                rep = exp.report
+                rep = run_experiment(replace(base, method=method, budget=steps, seed=seed))
                 if isinstance(rep, GdReport):
                     val = min(rep.grad_norms)
                     grads = rep.gradients

@@ -8,9 +8,9 @@ from scipy.linalg import eigh_tridiagonal
 from oqn import driver, hessian_learner, trsolver, verify
 from oqn.eig import lanczos_factorize, min_evec, sep
 from oqn.driver import HyperParams, compute_hyperparams
-from oqn.errors import InvalidArgument, StationaryStart
+from oqn.errors import InvalidArgument
 from oqn.linops import Counter, SymOperator
-from oqn.problems import ObjectiveSpec, catalog, quadratic_from_matrix
+from oqn.problems import ObjectiveSpec, catalog, eval_gradient, quadratic_from_matrix
 from oqn.rng import RngStream
 from oqn.trsolver import TrustRegionSubproblem, tr_solve
 
@@ -91,17 +91,37 @@ class TestInit:
         np.testing.assert_allclose(state.hint, [1.0, 0.0])
         assert state.grad_counter.count == 1
 
-    def test_stationary_start_raises(self):
+    def test_stationary_start_plays_zero_displacement(self):
         spec = quadratic_from_matrix(np.eye(2), x0=np.zeros(2))
-        with pytest.raises(StationaryStart):
-            driver.init(spec, manual(0.1, 1.0, 1, 1))
+        state = driver.init(spec, manual(0.1, 1.0, 1, 1))
+        np.testing.assert_array_equal(state.delta_vec, np.zeros(2))
+        assert state.grad_counter.count == 1
 
-    def test_stationary_start_run_degenerates_gracefully(self):
+    def test_stationary_start_run_degenerates_gracefully(self, monkeypatch):
+        # a run of zero steps, closed like every other run
         spec = quadratic_from_matrix(np.eye(2), x0=np.zeros(2))
-        report = driver.run(spec, manual(0.1, 1.0, 1, 1), RngStream(0))
-        assert report.stationary_start
-        assert report.totals["gradients"] == 1
-        assert report.grad_norm_final <= 1e-14
+        params = manual(0.1, 1.0, 2, 3)
+        for audit_level in driver.AUDIT_LEVELS:
+            report = driver.run(spec, params, RngStream(0), audit_level=audit_level)
+            assert report.stationary_start
+            assert report.episodes == []
+            assert report.totals["iterations"] == 0
+            assert report.totals["gradients"] == 1
+            assert report.totals["matvecs"] == 0
+            assert report.audits == {}
+            np.testing.assert_array_equal(report.w_hat, np.zeros(2))
+            assert report.grad_norm_final == 0.0
+
+        # the totals are read off the counter, and the 2M + K + 1 check
+        # (2*0 + 0 + 1) runs on this run too: a miscounted oracle trips it
+        def double_count(spec, x, counter):
+            counter.tick()
+            return eval_gradient(spec, x, counter)
+
+        monkeypatch.setattr(driver, "eval_gradient", double_count)
+        for audit_level in driver.AUDIT_LEVELS:
+            with pytest.raises(AssertionError, match="gradient accounting broken: 2 != 1"):
+                driver.run(spec, params, RngStream(0), audit_level=audit_level)
 
 
 class TestStepHandTrace:

@@ -148,6 +148,18 @@ def unlogged_audit():
     (lambda: harness.RunConfig(eps_target=0.0), "eps_target must be positive and finite"),
     (lambda: small_run(eps_target=math.nan), "eps_target must be positive and finite, got nan"),
     (lambda: small_run(eps_target=math.inf), "eps_target must be positive and finite, got inf"),
+    # a run's budget and failure probability name their config key
+    (lambda: harness.parse_config("method=gd_baseline\nbudget=-3\n"),
+     "^budget must be an integer >= 1, got -3"),
+    (lambda: harness.parse_config("method=gd_baseline\nbudget=0\n"),
+     "^budget must be an integer >= 1, got 0"),
+    (lambda: harness.parse_config("method=oqn\nbudget=-3\n"),
+     "^budget must be an integer >= 1, got -3"),
+    (lambda: harness.RunConfig(budget=2.5), "^budget must be an integer >= 1, got 2.5"),
+    (lambda: harness.bench("budgets=240,-5\n"), "^budgets must be an integer >= 1, got -5"),
+    (lambda: harness.parse_config("method=gd_baseline\np_fail=7\n"),
+     r"^p_fail must be in \(0,1\), got 7.0"),
+    (lambda: harness.RunConfig(p_fail=math.nan), r"^p_fail must be in \(0,1\), got nan"),
 ], ids=["fd_hessian_oracle", "d_radius", "eta", "delta_tr", "t_len", "k_eps",
         "p_fail_zero", "p_fail_one", "m_budget", "gap_bound", "audit_level", "run_method",
         "audit_without_log", "operator_not_square", "lanczos_zero_steps",
@@ -161,15 +173,18 @@ def unlogged_audit():
         "config_run_key_cast", "config_manual_key_cast", "config_family_knob_cast",
         "bench_budgets_cast", "bench_seeds_cast", "rng_seed_negative", "rng_seed_fraction",
         "config_seed_negative", "config_problem_seed_negative", "config_eps_target_nan",
-        "config_eps_target_zero", "run_eps_target_nan", "run_eps_target_inf"])
+        "config_eps_target_zero", "run_eps_target_nan", "run_eps_target_inf",
+        "config_gd_budget_negative", "config_gd_budget_zero", "config_oqn_budget_negative",
+        "config_budget_fraction", "bench_budgets_negative", "config_p_fail_above_one",
+        "config_p_fail_nan"])
 def test_rejected_argument(call, message):
     with pytest.raises(InvalidArgument, match=message):
         call()
 
 
-def test_four_error_types():
+def test_three_error_types():
     family = {name for name, obj in vars(errors).items() if isinstance(obj, type)}
-    assert family == {"OqnError", "InvalidArgument", "CertificateFailure", "StationaryStart"}
+    assert family == {"OqnError", "InvalidArgument", "CertificateFailure"}
     assert issubclass(InvalidArgument, errors.OqnError)
     assert issubclass(InvalidArgument, ValueError)
 

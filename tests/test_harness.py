@@ -74,8 +74,8 @@ class TestDeterminism:
         for tag in ("a", "b"):
             cfg.out_csv = str(tmp_path / f"{tag}.csv")
             cfg.out_report = str(tmp_path / f"{tag}.json")
-            exp = harness.run_experiment(cfg)
-            harness.write_outputs(exp, harness.report_document(exp))
+            report = harness.run_experiment(cfg)
+            harness.write_outputs(cfg, report, harness.report_document(cfg, report))
             outputs.append((Path(cfg.out_csv).read_bytes(),
                             Path(cfg.out_report).read_bytes()))
         assert outputs[0] == outputs[1]
@@ -87,7 +87,7 @@ class TestDeterminism:
         texts = (base + "problem_seed=0\n",
                  base + "problem_seed=4\nkappa=0.3\neps_target=0.5\n")
         cfgs = [harness.config_from_pairs(harness.read_pairs(t)) for t in texts]
-        blocks = [harness.report_document(harness.run_experiment(c))["config"]
+        blocks = [harness.report_document(c, harness.run_experiment(c))["config"]
                   for c in cfgs]
         assert blocks[0] != blocks[1]
         assert (blocks[1]["problem_seed"], blocks[1]["kappa"]) == (4, 0.3)
@@ -97,25 +97,25 @@ class TestDeterminism:
             assert harness.config_from_pairs(pairs) == cfg
         gd = harness.config_from_pairs(harness.read_pairs(
             "problem=cosine_mixture\ndim=5\nmethod=gd_baseline\nstep_size=0.05\nmu=0.2\n"))
-        block = harness.report_document(harness.run_experiment(gd))["config"]
+        block = harness.report_document(gd, harness.run_experiment(gd))["config"]
         assert (block["step_size"], block["mu"]) == (0.05, 0.2)
 
     def test_csv_row_count_equals_episodes(self):
         cfg = harness.parse_config(CONFIG)
-        exp = harness.run_experiment(cfg)
-        assert len(exp.csv_rows) == exp.report.params.k_eps
-        assert len(exp.csv_rows) == len(exp.report.episodes)
+        report = harness.run_experiment(cfg)
+        assert len(harness.csv_rows(report)) == report.params.k_eps
+        assert len(harness.csv_rows(report)) == len(report.episodes)
 
 
 class TestReportDocument:
     def test_early_stop_is_reported(self):
         cfg = harness.config_from_pairs(harness.read_pairs(
             "problem=cosine_mixture\ndim=4\nbudget=480\neps_target=0.1\n"))
-        exp = harness.run_experiment(cfg)
-        result = harness.report_document(exp)["result"]
-        params = exp.report.params
+        report = harness.run_experiment(cfg)
+        result = harness.report_document(cfg, report)["result"]
+        params = report.params
         assert result["stopped_early"] is True
-        assert result["iterations"] == exp.report.totals["iterations"]
+        assert result["iterations"] == report.totals["iterations"]
         assert result["iterations"] < params.m_total
         assert result["iterations"] % params.t_len == 0
         assert result["grad_norm_final"] <= 0.1
@@ -124,10 +124,10 @@ class TestReportDocument:
         cfg = harness.config_from_pairs(harness.read_pairs(
             "problem=quadratic\ndim=2\nparams=manual\nd_radius=0.1\neta=1.0\n"
             "t_len=2\nk_eps=2\ndelta_tr=1e-6\n"))
-        normal = harness.report_document(harness.run_experiment(cfg))
+        normal = harness.report_document(cfg, harness.run_experiment(cfg))
         monkeypatch.setattr(harness, "build_spec", lambda cfg: quadratic_from_matrix(
             np.eye(2), x0=np.zeros(2)))
-        stationary = harness.report_document(harness.run_experiment(cfg))
+        stationary = harness.report_document(cfg, harness.run_experiment(cfg))
         assert not normal["result"]["stationary_start"]
         assert stationary["result"]["stationary_start"]
         assert stationary.keys() == normal.keys()
@@ -137,6 +137,19 @@ class TestReportDocument:
         assert (result["iterations"], result["stopped_early"], result["box_violations"]) \
             == (0, False, 0)
         assert (normal["result"]["iterations"], normal["result"]["stopped_early"]) == (4, False)
+        assert (result["episodes"], result["gradients"]) == (0, 1)
+
+    def test_sum_loss_cell_is_empty_when_not_measured(self):
+        # audit=off never forms the pair losses: the cell is empty, not 0.0,
+        # while a logged run writes the measured value, 0.0 included
+        base = "problem=coupled_trig\ndim=6\nbudget=60\naudit="
+        off, logged = (harness.run_experiment(harness.parse_config(base + audit))
+                       for audit in ("off", "episode"))
+        assert all(ep.sum_loss is None for ep in off.episodes)
+        assert all(row.split(",")[3] == "" for row in harness.csv_rows(off))
+        assert [row.split(",")[3] for row in harness.csv_rows(logged)] \
+            == [repr(ep.sum_loss) for ep in logged.episodes]
+        assert all(isinstance(ep.sum_loss, float) for ep in logged.episodes)
 
 
 class TestBaselineGd:
@@ -515,6 +528,17 @@ class TestCli:
         doc = json.loads((tmp_path / "o.json").read_text())
         assert doc["audits"]["all_ok"] is True
         assert "wall_time_s" not in json.dumps(doc)
+
+    def test_stationary_start_runs_zero_episodes(self, monkeypatch, tmp_path, capsys):
+        monkeypatch.setattr(harness, "build_spec", lambda cfg: quadratic_from_matrix(
+            np.eye(2), x0=np.zeros(2)))
+        cfg_path = tmp_path / "cfg.txt"
+        cfg_path.write_text(
+            "problem=quadratic\ndim=2\nparams=manual\nd_radius=0.1\neta=1.0\n"
+            f"t_len=2\nk_eps=2\ndelta_tr=1e-6\nout_csv={tmp_path / 'o.csv'}\n")
+        assert cli_main(["run", str(cfg_path)]) == 0
+        assert '"episodes": 0' in capsys.readouterr().out
+        assert (tmp_path / "o.csv").read_text() == harness.CSV_HEADER + "\n"
 
     def test_certificate_failure_maps_to_exit_2(self, monkeypatch, tmp_path):
         from oqn.errors import CertificateFailure
