@@ -8,7 +8,6 @@ Subcommands: ``run <config>``, ``verify [--level quick|full]``,
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import time
 
@@ -23,7 +22,7 @@ def _cmd_run(args) -> int:
     wall = time.perf_counter() - t0
     doc = harness.report_document(cfg, report)
     harness.write_outputs(cfg, report, doc)
-    print(json.dumps(doc, indent=2, sort_keys=True))
+    print(harness.to_json(doc))
     print(f"wall_time_s={wall:.3f}", file=sys.stderr)
     return 0 if doc.get("audits", {}).get("all_ok", True) else 2
 
@@ -63,7 +62,7 @@ def _cmd_dump_params(args) -> int:
         doc = {"step_size": harness.gd_step_size(spec, cfg.step_size), "steps": cfg.budget}
     else:
         doc = harness.params_document(harness.run_params(cfg, spec))
-    print(json.dumps(doc, indent=2, sort_keys=True))
+    print(harness.to_json(doc))
     return 0
 
 

@@ -41,7 +41,8 @@ import numpy as np
 from numpy.typing import NDArray
 from scipy.linalg.blas import daxpy, ddot
 
-from .errors import InvalidArgument
+from .errors import (InvalidArgument, check_int_at_least, check_one_of, check_open_unit,
+                     check_positive)
 from .hessian_learner import LearnerState, default_rho, learner_step
 # SymOperator is not built here any more; perfbench/tracing.py still wraps
 # oqn.driver.SymOperator by name, so the import stays
@@ -68,13 +69,11 @@ class HyperParams:
     p_fail: float = 0.01
 
     def __post_init__(self):
-        if not all(0.0 < v < math.inf for v in (self.d_radius, self.eta, self.delta_tr)):
-            raise InvalidArgument("d_radius, eta and delta_tr must be positive and finite")
-        if not all(isinstance(v, (int, np.integer)) and v >= 1
-                   for v in (self.t_len, self.k_eps)):
-            raise InvalidArgument("t_len and k_eps must be at least 1 and integral")
-        if not (0.0 < self.p_fail < 1.0):
-            raise InvalidArgument("p_fail must be in (0,1)")
+        for key in ("d_radius", "eta", "delta_tr"):
+            check_positive(key, getattr(self, key))
+        for key in ("t_len", "k_eps"):
+            check_int_at_least(key, getattr(self, key), 1)
+        check_open_unit("p_fail", self.p_fail)
 
     @property
     def m_total(self) -> int:
@@ -101,8 +100,7 @@ def compute_hyperparams(spec: ObjectiveSpec, m_budget: int, p_fail: float = 0.01
     an estimate of the initial optimality gap, either from the value oracle
     or a caller-supplied upper bound.
     """
-    if not isinstance(m_budget, (int, np.integer)) or m_budget < 1:
-        raise InvalidArgument("m_budget must be at least 1 and integral")
+    check_int_at_least("m_budget", m_budget, 1)
     if spec.l2 <= 0:
         raise InvalidArgument("auto hyperparameters divide by l2; supply manual HyperParams")
     if gap_bound is not None:
@@ -111,8 +109,7 @@ def compute_hyperparams(spec: ObjectiveSpec, m_budget: int, p_fail: float = 0.01
         gap = float(spec.value(spec.x0)) - spec.f_lower
     else:
         raise InvalidArgument("need a value oracle at x0 or an explicit gap bound")
-    if not 0.0 < gap < math.inf:
-        raise InvalidArgument(f"optimality-gap estimate must be positive and finite, got {gap}")
+    check_positive("optimality-gap estimate", gap)
     d, l1, l2 = spec.dim, spec.l1, spec.l2
     big_d = (gap / (52.0 * d**0.4 * l1**0.4 * l2**0.6 * m_budget)) ** (5.0 / 13.0)
     eta = (1.0 / (24.0 * d * l1 * l2 ** (2.0 / 3.0) * big_d ** (2.0 / 3.0))) ** 0.6
@@ -206,12 +203,6 @@ class RunReport:
     params: HyperParams
     log: Optional[StepLog] = None
     stationary_start: bool = False
-
-
-def check_eps_target(eps_target: Optional[float]) -> None:
-    """An ``eps_target`` is None (off) or positive and finite."""
-    if eps_target is not None and not 0.0 < eps_target < math.inf:
-        raise InvalidArgument(f"eps_target must be positive and finite, got {eps_target}")
 
 
 def init(spec: ObjectiveSpec, params: HyperParams) -> OqnState:
@@ -408,11 +399,10 @@ def run(spec: ObjectiveSpec, params: HyperParams, rng: RngStream,
     of zero steps: no episode closes, so it returns x0 and |g0|, unaudited.
     Every run ends in the same report and gradient-accounting check.
     """
-    if audit_level not in AUDIT_LEVELS:
-        raise InvalidArgument(f"audit_level must be one of {AUDIT_LEVELS}")
-    if method not in ("oqn", "og"):
-        raise InvalidArgument(f"method must be 'oqn' or 'og', got {method!r}")
-    check_eps_target(eps_target)
+    check_one_of("audit_level", audit_level, AUDIT_LEVELS)
+    check_one_of("method", method, ("oqn", "og"))
+    if eps_target is not None:
+        check_positive("eps_target", eps_target)
     state = init(spec, params)
     g0_norm = float(np.linalg.norm(state.hint))
     stationary = g0_norm <= STATIONARY_RTOL * spec.l1

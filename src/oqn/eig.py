@@ -25,7 +25,7 @@ import numpy as np
 from numpy.typing import NDArray
 from scipy.linalg import eigh_tridiagonal
 
-from .errors import InvalidArgument
+from .errors import InvalidArgument, check_nonnegative, check_open_unit, check_positive
 from .rng import RngStream
 
 BREAKDOWN_RTOL = 1e-12
@@ -120,9 +120,7 @@ class MinEvecResult:
 
 
 def _stage_budget(b_bound: float, delta: float, log_arg: float) -> int:
-    n = math.ceil(
-        0.25 * math.sqrt(2.0 * max(b_bound, 0.0) / delta) * math.log(max(log_arg, 1.0)) + 0.5
-    )
+    n = math.ceil(0.25 * math.sqrt(2.0 * b_bound / delta) * math.log(max(log_arg, 1.0)) + 0.5)
     return max(1, n)
 
 
@@ -136,20 +134,18 @@ def min_evec(
 ) -> MinEvecResult:
     """Certify PSD-ness or return a delta-accurate minimum eigenpair.
 
-    ``b_bound`` must upper-bound lambda_max - lambda_min (caller's
-    responsibility).  Stage 1 estimates the minimum Ritz value and shifts it
-    down by delta/2; a nonnegative shifted value certifies PSD.  Otherwise
-    stage 2 extends the Krylov space and extracts the eigenvector whose
-    shifted residual norm is smallest, via the squared-shift matrix.
-    Stage 1's largest Ritz value is returned as ``ritz_max`` either way.
-    ``budget_factor`` scales both stage budgets (used by retry logic).
+    ``b_bound``, nonnegative and finite, must upper-bound lambda_max -
+    lambda_min (caller's responsibility).  Stage 1 estimates the minimum
+    Ritz value and shifts it down by delta/2; a nonnegative shifted value
+    certifies PSD.  Otherwise stage 2 extends the Krylov space and extracts
+    the eigenvector whose shifted residual norm is smallest, via the
+    squared-shift matrix.  Stage 1's largest Ritz value is returned as
+    ``ritz_max`` either way.  ``budget_factor`` scales both stage budgets
+    (used by retry logic).
     """
-    if not (0.0 < q < 1.0):
-        raise InvalidArgument(f"q must be in (0,1), got {q}")
-    if not 0.0 < delta < math.inf:
-        raise InvalidArgument(f"delta must be positive and finite, got {delta}")
-    if not math.isfinite(b_bound):
-        raise InvalidArgument(f"b_bound must be finite, got {b_bound}")
+    check_open_unit("q", q)
+    check_positive("delta", delta)
+    check_nonnegative("b_bound", b_bound)
     d = op.dim
     n1 = min(d, budget_factor * _stage_budget(b_bound, delta, 11.0 * d / q**2))
     start = rng.unit_vector(d)
@@ -214,6 +210,11 @@ class SepResult:
         return self.sign * np.outer(self.u, self.u) / self.l1
 
 
+def sep_budget(d: int, q: float) -> int:
+    """Lanczos steps ``sep`` takes in dimension d at failure probability q."""
+    return min(d, max(1, math.ceil(0.5 * math.log(11.0 * d / q**2) + 0.5)))
+
+
 def sep(w_op, l1: float, q: float, rng: RngStream) -> SepResult:
     """Approximate separation oracle for the operator-norm ball of radius l1.
 
@@ -223,16 +224,13 @@ def sep(w_op, l1: float, q: float, rng: RngStream) -> SepResult:
     answer is certain in advance: it is "inside" with gamma = |W|_F / l1, at
     no matvec and no draw from ``rng``.
     """
-    if not 0.0 < l1 < math.inf:
-        raise InvalidArgument("l1 must be positive and finite")
-    if not (0.0 < q < 1.0):
-        raise InvalidArgument(f"q must be in (0,1), got {q}")
+    check_positive("l1", l1)
+    check_open_unit("q", q)
     d = w_op.dim
     fro = w_op.frobenius_norm()
     if fro <= l1:  # |W|_op <= |W|_F: every Ritz value is at most l1
         return SepResult(fro / l1, np.zeros(d), 0.0, l1, SepCase.INSIDE_DOUBLED, 0)
-    n = min(d, max(1, math.ceil(0.5 * math.log(11.0 * d / q**2) + 0.5)))
-    fact = lanczos_factorize(w_op, rng.unit_vector(d), n)
+    fact = lanczos_factorize(w_op, rng.unit_vector(d), sep_budget(d, q))
     diag, off = fact.tridiagonal()
     evals, evecs = eigh_tridiagonal(diag, off)
     lam_top, lam_bot = float(evals[-1]), float(evals[0])

@@ -26,10 +26,11 @@ from scipy.optimize import brentq
 
 from . import driver
 from .driver import HyperParams, RunReport, compute_hyperparams
-from .errors import InvalidArgument
+from .errors import (InvalidArgument, check_int_at_least, check_one_of, check_open_unit,
+                     check_positive)
 from .linops import Counter
 from .problems import CATALOG_NAMES, ObjectiveSpec, catalog, eval_gradient, family_knobs
-from .rng import RngStream, check_seed
+from .rng import RngStream
 
 METHODS = ("oqn", "og_baseline", "gd_baseline")
 
@@ -56,24 +57,15 @@ class RunConfig:
     problem_kwargs: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.method not in METHODS:
-            raise InvalidArgument(f"method must be one of {METHODS}, got {self.method!r}")
-        if self.audit not in driver.AUDIT_LEVELS:
-            raise InvalidArgument(f"audit must be one of {driver.AUDIT_LEVELS}")
-        if self.params not in ("auto", "manual"):
-            raise InvalidArgument("params must be 'auto' or 'manual'")
-        check_budget(self.budget, "budget")
-        if not 0.0 < self.p_fail < 1.0:
-            raise InvalidArgument(f"p_fail must be in (0,1), got {self.p_fail!r}")
+        check_one_of("method", self.method, METHODS)
+        check_one_of("audit", self.audit, driver.AUDIT_LEVELS)
+        check_one_of("params", self.params, ("auto", "manual"))
+        check_int_at_least("budget", self.budget, 1)
+        check_open_unit("p_fail", self.p_fail)
         for key in ("seed", "problem_seed"):
-            check_seed(getattr(self, key), key)
-        driver.check_eps_target(self.eps_target)
-
-
-def check_budget(budget, key: str) -> None:
-    """A budget, under config key ``key``, is an integer >= 1."""
-    if not (isinstance(budget, (int, np.integer)) and budget >= 1):
-        raise InvalidArgument(f"{key} must be an integer >= 1, got {budget!r}")
+            check_int_at_least(key, getattr(self, key), 0)
+        if self.eps_target is not None:
+            check_positive("eps_target", self.eps_target)
 
 
 def _field_casts(cls, skip: tuple) -> dict:
@@ -180,8 +172,7 @@ def gd_step_size(spec: ObjectiveSpec, step_size: Optional[float] = None) -> floa
     """The step ``baseline_gd`` takes: ``step_size``, else 1/L1."""
     if step_size is None:
         step_size = 1.0 / spec.l1
-    if not 0.0 < step_size < math.inf:
-        raise InvalidArgument("step_size must be positive and finite")
+    check_positive("step_size", step_size)
     return step_size
 
 
@@ -280,16 +271,11 @@ def run_experiment(cfg: RunConfig) -> RunReport | GdReport:
                       audit_level=cfg.audit, method=method, eps_target=cfg.eps_target)
 
 
-def _jsonable(obj):
-    if isinstance(obj, np.generic):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    return obj
+def to_json(doc: dict) -> str:
+    """The text of a report or params document: indented, keys sorted, and
+    a NumPy scalar written as its Python value (any other type that JSON
+    lacks is a ``TypeError``)."""
+    return json.dumps(doc, indent=2, sort_keys=True, default=np.generic.item)
 
 
 def params_document(params: HyperParams) -> dict:
@@ -313,7 +299,7 @@ def report_document(cfg: RunConfig, rep: RunReport | GdReport) -> dict:
             "grad_norm_final": rep.grad_norms[-1],
             "gradients": rep.gradients,
         }
-        return _jsonable(doc)
+        return doc
     doc["params"] = params_document(rep.params)
     totals = dict(rep.totals)
     totals["tr_stats"] = totals.pop("tr")
@@ -324,7 +310,7 @@ def report_document(cfg: RunConfig, rep: RunReport | GdReport) -> dict:
         **totals,
     }
     doc["audits"] = rep.audits
-    return _jsonable(doc)
+    return doc
 
 
 def write_outputs(cfg: RunConfig, rep: RunReport | GdReport, doc: dict) -> None:
@@ -337,8 +323,7 @@ def write_outputs(cfg: RunConfig, rep: RunReport | GdReport, doc: dict) -> None:
                 fh.write(row + "\n")
     if cfg.out_report:
         with open(cfg.out_report, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+            fh.write(to_json(doc) + "\n")
 
 
 # --------------------------------------------------------------------------
@@ -374,8 +359,10 @@ def bench(cfg_text: str) -> tuple[list, dict]:
             raise InvalidArgument(f"{key} is not a bench key: {hint}")
     budgets = [_cast("budgets", int, s) for s in pairs.pop("budgets").split(",")]
     for budget in budgets:
-        check_budget(budget, "budgets")
+        check_int_at_least("budgets", budget, 1)
     seeds = [_cast("seeds", int, s) for s in pairs.pop("seeds").split(",")]
+    for seed in seeds:
+        check_int_at_least("seeds", seed, 0)
     methods = [s.strip() for s in pairs.pop("methods").split(",")]
     base = config_from_pairs(pairs)
     if base.params == "manual" and len(budgets) > 1:

@@ -47,7 +47,7 @@ from numpy.typing import NDArray
 from scipy.linalg.blas import dsymv, dsyr, dsyr2
 
 from .eig import SepCase, SepResult, sep
-from .errors import InvalidArgument
+from .errors import InvalidArgument, check_positive
 from .linops import Counter, SymOperator, upper_frobenius
 from .rng import RngStream
 
@@ -107,8 +107,7 @@ class LearnerState:
 
 def default_rho(d_radius: float) -> float:
     """Step size 1/(16 D^2), tied to the loss self-bounding constant."""
-    if not 0.0 < d_radius < math.inf:
-        raise InvalidArgument(f"radius must be positive and finite, got {d_radius}")
+    check_positive("radius", d_radius)
     return 1.0 / (16.0 * d_radius**2)
 
 

@@ -10,14 +10,13 @@ constructor's docstring).
 from __future__ import annotations
 
 import inspect
-import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 from numpy.typing import NDArray
 
-from .errors import InvalidArgument
+from .errors import InvalidArgument, check_nonnegative, check_positive
 from .linops import Counter
 
 FD_GRAD_STEP = 1e-5
@@ -52,10 +51,8 @@ class ObjectiveSpec:
         self.f_lower = float(self.f_lower)
         if self.dim < 1:
             raise InvalidArgument(f"dim must be >= 1, got {self.dim}")
-        if not 0.0 < self.l1 < math.inf:
-            raise InvalidArgument("l1 must be positive and finite")
-        if not 0.0 <= self.l2 < math.inf:
-            raise InvalidArgument("l2 must be nonnegative and finite")
+        check_positive("l1", self.l1)
+        check_nonnegative("l2", self.l2)
         if self.x0.shape != (self.dim,):
             raise InvalidArgument(
                 f"x0 has shape {self.x0.shape}, expected ({self.dim},)"
@@ -269,8 +266,7 @@ def fd_check_gradient(spec: ObjectiveSpec, x: NDArray, h: float = FD_GRAD_STEP) 
     """Max abs error of the gradient oracle against central differences of f."""
     if spec.value is None:
         raise InvalidArgument("fd_check_gradient needs the value oracle")
-    if not 0.0 < h < math.inf:
-        raise InvalidArgument("finite-difference step must be positive and finite")
+    check_positive("finite-difference step", h)
     x = np.asarray(x, dtype=float)
     g = spec.grad(x)
     err = 0.0
@@ -286,8 +282,7 @@ def fd_check_hessian(spec: ObjectiveSpec, x: NDArray, h: float = FD_HESS_STEP) -
     """Max abs error of the Hessian oracle against central differences of the gradient."""
     if spec.hess is None:
         raise InvalidArgument("fd_check_hessian needs the Hessian oracle")
-    if not 0.0 < h < math.inf:
-        raise InvalidArgument("finite-difference step must be positive and finite")
+    check_positive("finite-difference step", h)
     x = np.asarray(x, dtype=float)
     h_mat = spec.hess(x)
     err = 0.0

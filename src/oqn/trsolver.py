@@ -54,7 +54,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .eig import MinEvecCase, min_evec
-from .errors import CertificateFailure, InvalidArgument
+from .errors import CertificateFailure, InvalidArgument, check_open_unit, check_positive
 from .rng import RngStream
 
 BOUNDARY_RTOL = 1e-9
@@ -110,10 +110,8 @@ class TrustRegionSubproblem:
             if v is not None and np.shape(v) != self.b.shape:
                 raise InvalidArgument(f"{name} {np.shape(v)} vs b {self.b.shape}")
         for name in ("radius", "delta", "b_bound"):
-            if not 0.0 < getattr(self, name) < math.inf:
-                raise InvalidArgument(f"{name} must be positive and finite")
-        if not (0.0 < self.q < 1.0):
-            raise InvalidArgument("q must be in (0,1)")
+            check_positive(name, getattr(self, name))
+        check_open_unit("q", self.q)
 
 
 class TRBranch(Enum):
@@ -335,12 +333,15 @@ def tr_solve(p: TrustRegionSubproblem, rng: RngStream) -> TRSolution:
     regularized branch) applies A once more through ``residual_of`` and
     reports that product.
     On failure (the oracles are Monte-Carlo), the solve retries once with
-    fresh randomness and doubled iteration budgets before raising.
+    fresh randomness and doubled iteration budgets before raising.  A
+    non-finite ``p.b`` is rejected before the first matvec.
     """
     counter = p.a_op.counter
     start_count = counter.count
     certified_psd = p.lam_min_lower >= 0.0
     b_norm = math.sqrt(p.b @ p.b)
+    if not math.isfinite(b_norm):
+        raise InvalidArgument("b must be finite")
     last = None
     for attempt, factor in enumerate((1, 2)):
         if certified_psd:

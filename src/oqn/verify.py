@@ -16,8 +16,8 @@ import math
 import numpy as np
 
 from . import driver, harness
-from .eig import MinEvecCase, SepCase, min_evec, sep
-from .errors import InvalidArgument, OqnError
+from .eig import MinEvecCase, SepCase, min_evec, sep, sep_budget
+from .errors import OqnError, check_one_of
 from .hessian_learner import LearnerState, default_rho, learner_step
 from .linops import Counter, SymOperator, dense_extreme_eig
 from .problems import CATALOG_NAMES, catalog, fd_check_gradient, fd_check_hessian
@@ -80,8 +80,7 @@ def run_all(level: str = "quick") -> list:
     battery that raises a package error, an assertion or an arithmetic
     error (the dense oracle's self-check) yields one failed check
     ``<layer>.raised`` in place of its own, and the others still run."""
-    if level not in SCALES:
-        raise InvalidArgument(f"level must be one of {tuple(SCALES)}, got {level!r}")
+    check_one_of("level", level, tuple(SCALES))
     cfg = SCALES[level]
     out = []
     for layer, battery in BATTERIES:
@@ -224,8 +223,7 @@ def check_sep(cfg):
             lhs = float(np.vdot(res.s_mat, w)) - l1 * nuc
             exact_ok = exact_ok and lhs >= res.gamma - 1.0 - 1e-9
             exact_ok = exact_ok and np.linalg.norm(res.s_mat) <= 1.0 / l1 + 1e-10
-        n_cap = min(d, math.ceil(0.5 * math.log(11.0 * d / 0.05**2) + 0.5))
-        budget_ok = (budget_ok and res.matvecs_used <= n_cap
+        budget_ok = (budget_ok and res.matvecs_used <= sep_budget(d, 0.05)
                      and op.counter.count == res.matvecs_used)
     frac = scale_hits / n_trials
     return [

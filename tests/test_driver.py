@@ -1,12 +1,11 @@
 import dataclasses
-import math
 
 import numpy as np
 import pytest
 from scipy.linalg import eigh_tridiagonal
 
 from oqn import driver, hessian_learner, trsolver, verify
-from oqn.eig import lanczos_factorize, min_evec, sep
+from oqn.eig import lanczos_factorize, min_evec, sep, sep_budget
 from oqn.driver import HyperParams, compute_hyperparams
 from oqn.errors import InvalidArgument
 from oqn.linops import Counter, SymOperator
@@ -613,9 +612,8 @@ class TestSepCertificate:
             if res.matvecs_used == 0:
                 # what the Lanczos path alone would have read, at sep's budget
                 d = w_op.dim
-                n = min(d, max(1, math.ceil(0.5 * math.log(11.0 * d / q**2) + 0.5)))
                 fact = lanczos_factorize(SymOperator(w_op.dense(), Counter()),
-                                         lanczos_rng.unit_vector(d), n)
+                                         lanczos_rng.unit_vector(d), sep_budget(d, q))
                 ritz = eigh_tridiagonal(*fact.tridiagonal())[0]
                 assert float(np.max(np.abs(ritz))) <= l1
                 certified.append(res)

@@ -18,7 +18,7 @@ from oqn.linops import Counter, SymOperator
 from oqn.problems import (ObjectiveSpec, catalog, eval_gradient, fd_check_hessian,
                           quadratic_from_matrix)
 from oqn.rng import RngStream
-from oqn.trsolver import TrustRegionSubproblem
+from oqn.trsolver import TrustRegionSubproblem, tr_solve
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "oqn"
 
@@ -59,6 +59,16 @@ def small_run(**kwargs):
     return driver.run(spec, compute_hyperparams(spec, 8), RngStream(0), **kwargs)
 
 
+def solve_nan_b():
+    """A solve on a NaN ``b``: rejected before its first matvec."""
+    op = SymOperator(np.eye(2), Counter())
+    try:
+        tr_solve(TrustRegionSubproblem(a_op=op, b=np.array([math.nan, 1.0]), radius=1.0,
+                                       delta=1e-3, q=0.01, b_bound=1.0), RngStream(0))
+    finally:
+        assert op.counter.count == 0
+
+
 def unlogged_audit():
     spec = catalog("cosine_mixture", 2)
     report = small_run(audit_level="off")
@@ -68,19 +78,20 @@ def unlogged_audit():
 @pytest.mark.parametrize("call,message", [
     (lambda: fd_check_hessian(spec_with(hess=None), np.ones(2)),
      "fd_check_hessian needs the Hessian oracle"),
-    (lambda: hyper(d_radius=0.0), "d_radius, eta and delta_tr must be positive"),
-    (lambda: hyper(eta=-1.0), "d_radius, eta and delta_tr must be positive"),
-    (lambda: hyper(delta_tr=0.0), "d_radius, eta and delta_tr must be positive"),
-    (lambda: hyper(t_len=0), "t_len and k_eps must be at least 1"),
-    (lambda: hyper(k_eps=0), "t_len and k_eps must be at least 1"),
+    (lambda: hyper(d_radius=0.0), "^d_radius must be positive and finite, got 0.0"),
+    (lambda: hyper(eta=-1.0), "^eta must be positive and finite, got -1.0"),
+    (lambda: hyper(delta_tr=0.0), "^delta_tr must be positive and finite, got 0.0"),
+    (lambda: hyper(t_len=0), "^t_len must be an integer >= 1, got 0"),
+    (lambda: hyper(k_eps=0), "^k_eps must be an integer >= 1, got 0"),
     (lambda: hyper(p_fail=0.0), r"p_fail must be in \(0,1\)"),
     (lambda: hyper(p_fail=1.0), r"p_fail must be in \(0,1\)"),
     (lambda: compute_hyperparams(catalog("cosine_mixture", 2), 0),
-     "m_budget must be at least 1"),
+     "^m_budget must be an integer >= 1, got 0"),
     (lambda: compute_hyperparams(catalog("cosine_mixture", 2), 8, gap_bound=0.0),
      "optimality-gap estimate must be positive"),
-    (lambda: small_run(audit_level="loud"), "audit_level must be one of"),
-    (lambda: small_run(method="newton"), "method must be 'oqn' or 'og', got 'newton'"),
+    (lambda: small_run(audit_level="loud"),
+     r"^audit_level must be one of \('off', 'episode', 'full'\), got 'loud'"),
+    (lambda: small_run(method="newton"), r"^method must be one of \('oqn', 'og'\), got 'newton'"),
     (unlogged_audit, "audit_regret needs a run log"),
     (lambda: SymOperator(np.ones((2, 3))), r"expected a square matrix, got shape \(2, 3\)"),
     (lambda: lanczos_factorize(SymOperator(np.eye(3)), np.array([1.0, 0.0, 0.0]), 0),
@@ -90,44 +101,48 @@ def unlogged_audit():
     (lambda: spec_with(dim=0), "dim must be >= 1, got 0"),
     (lambda: spec_with(x0=np.ones(3)), r"x0 has shape \(3,\), expected \(2,\)"),
     (lambda: catalog("cosine_mixture", 0), "dim must be >= 1, got 0"),
-    (lambda: spec_with(l1=0.0), "l1 must be positive"),
-    (lambda: spec_with(l2=-1.0), "l2 must be nonnegative"),
+    (lambda: spec_with(l1=0.0), "^l1 must be positive and finite, got 0.0"),
+    (lambda: spec_with(l2=-1.0), "^l2 must be nonnegative and finite, got -1.0"),
     (lambda: quadratic_from_matrix(np.diag([1.0, -1.0])),
      "quadratic catalog requires a PSD matrix"),
-    (lambda: subproblem(radius=0.0), "radius must be positive"),
-    (lambda: subproblem(delta=0.0), "delta must be positive"),
-    (lambda: subproblem(q=0.0), r"q must be in \(0,1\)"),
-    (lambda: subproblem(q=1.0), r"q must be in \(0,1\)"),
-    (lambda: harness.RunConfig(method="newton"), "method must be one of"),
-    (lambda: harness.RunConfig(audit="loud"), "audit must be one of"),
+    (lambda: subproblem(radius=0.0), "^radius must be positive and finite, got 0.0"),
+    (lambda: subproblem(delta=0.0), "^delta must be positive and finite, got 0.0"),
+    (lambda: subproblem(q=0.0), r"^q must be in \(0,1\), got 0.0"),
+    (lambda: subproblem(q=1.0), r"^q must be in \(0,1\), got 1.0"),
+    (lambda: harness.RunConfig(method="newton"), "^method must be one of .*, got 'newton'"),
+    (lambda: harness.RunConfig(audit="loud"), "^audit must be one of .*, got 'loud'"),
     (lambda: harness.baseline_gd(catalog("cosine_mixture", 2), 1, step_size=0.0),
-     "step_size must be positive"),
+     "^step_size must be positive and finite, got 0.0"),
     # NaN fails no comparison, so each check also asks for a finite value
-    (lambda: hyper(d_radius=math.nan), "d_radius, eta and delta_tr must be positive and finite"),
-    (lambda: hyper(eta=math.inf), "d_radius, eta and delta_tr must be positive and finite"),
-    (lambda: hyper(t_len=2.5), "t_len and k_eps must be at least 1 and integral"),
-    (lambda: harness.parse_config(MANUAL_NAN),
-     "d_radius, eta and delta_tr must be positive and finite"),
-    (lambda: default_rho(math.nan), "radius must be positive and finite"),
-    (lambda: subproblem(radius=math.nan), "radius must be positive and finite"),
-    (lambda: subproblem(b_bound=math.nan), "b_bound must be positive and finite"),
-    (lambda: subproblem(b_bound=math.inf), "b_bound must be positive and finite"),
-    (lambda: spec_with(l1=math.nan), "l1 must be positive and finite"),
+    (lambda: hyper(d_radius=math.nan), "^d_radius must be positive and finite, got nan"),
+    (lambda: hyper(eta=math.inf), "^eta must be positive and finite, got inf"),
+    (lambda: hyper(t_len=2.5), "^t_len must be an integer >= 1, got 2.5"),
+    (lambda: harness.parse_config(MANUAL_NAN), "^d_radius must be positive and finite, got nan"),
+    (lambda: default_rho(math.nan), "^radius must be positive and finite, got nan"),
+    (lambda: subproblem(radius=math.nan), "^radius must be positive and finite, got nan"),
+    (lambda: subproblem(b_bound=math.nan), "^b_bound must be positive and finite, got nan"),
+    (lambda: subproblem(b_bound=math.inf), "^b_bound must be positive and finite, got inf"),
+    (solve_nan_b, "^b must be finite"),
+    (lambda: spec_with(l1=math.nan), "^l1 must be positive and finite, got nan"),
     (lambda: sep(SymOperator(np.eye(2)), math.nan, 0.01, RngStream(0)),
-     "l1 must be positive and finite"),
+     "^l1 must be positive and finite, got nan"),
     (lambda: harness.gd_step_size(catalog("cosine_mixture", 2), math.nan),
-     "step_size must be positive and finite"),
+     "^step_size must be positive and finite, got nan"),
     (lambda: SymOperator(np.full((2, 2), math.nan)), "matrix has non-finite entries"),
     (lambda: min_evec(SymOperator(np.eye(2)), math.nan, 0.05, 1.0, RngStream(0)),
      "delta must be positive and finite, got nan"),
     (lambda: min_evec(SymOperator(np.eye(2)), 0.1, 0.05, math.nan, RngStream(0)),
-     "b_bound must be finite, got nan"),
+     "^b_bound must be nonnegative and finite, got nan"),
+    # a negative spread bound would shrink both Lanczos stages to one step
+    (lambda: min_evec(SymOperator(np.diag([-1.0, 2.0, 3.0, 4.0])), 0.1, 0.05, -5.0,
+                      RngStream(0)),
+     "^b_bound must be nonnegative and finite, got -5.0"),
     (lambda: compute_hyperparams(catalog("cosine_mixture", 2), 8.5),
-     "m_budget must be at least 1 and integral"),
+     "^m_budget must be an integer >= 1, got 8.5"),
     (lambda: compute_hyperparams(catalog("cosine_mixture", 2), 8, gap_bound=math.nan),
      "optimality-gap estimate must be positive and finite, got nan"),
     (lambda: fd_check_hessian(catalog("cosine_mixture", 2), np.ones(2), h=math.nan),
-     "finite-difference step must be positive and finite"),
+     "^finite-difference step must be positive and finite, got nan"),
     (lambda: gradient_of_shape((3,)), r"gradient oracle returned shape \(3,\), expected \(2,\)"),
     (lambda: gradient_of_shape((2, 1)),
      r"gradient oracle returned shape \(2, 1\), expected \(2,\)"),
@@ -138,11 +153,11 @@ def unlogged_audit():
     (lambda: harness.parse_config("mu=abc\n"), "mu must be float, got 'abc'"),
     (lambda: harness.bench("budgets=240,x\n"), "budgets must be int, got 'x'"),
     (lambda: harness.bench("seeds=0,y\n"), "seeds must be int, got 'y'"),
-    (lambda: RngStream(-1), "seed must be a nonnegative integer, got -1"),
-    (lambda: RngStream(2.5), "seed must be a nonnegative integer, got 2.5"),
-    (lambda: harness.parse_config("seed=-5\n"), "^seed must be a nonnegative integer, got -5"),
+    (lambda: RngStream(-1), "^seed must be an integer >= 0, got -1"),
+    (lambda: RngStream(2.5), "^seed must be an integer >= 0, got 2.5"),
+    (lambda: harness.parse_config("seed=-5\n"), "^seed must be an integer >= 0, got -5"),
     (lambda: harness.parse_config("problem_seed=-1\n"),
-     "problem_seed must be a nonnegative integer, got -1"),
+     "^problem_seed must be an integer >= 0, got -1"),
     (lambda: harness.parse_config("eps_target=nan\n"),
      "eps_target must be positive and finite, got nan"),
     (lambda: harness.RunConfig(eps_target=0.0), "eps_target must be positive and finite"),
@@ -157,6 +172,9 @@ def unlogged_audit():
      "^budget must be an integer >= 1, got -3"),
     (lambda: harness.RunConfig(budget=2.5), "^budget must be an integer >= 1, got 2.5"),
     (lambda: harness.bench("budgets=240,-5\n"), "^budgets must be an integer >= 1, got -5"),
+    # every seeds= entry is checked before the first cell runs
+    (lambda: harness.bench("dim=2\nbudgets=8\nseeds=0,-1\n"),
+     "^seeds must be an integer >= 0, got -1"),
     (lambda: harness.parse_config("method=gd_baseline\np_fail=7\n"),
      r"^p_fail must be in \(0,1\), got 7.0"),
     (lambda: harness.RunConfig(p_fail=math.nan), r"^p_fail must be in \(0,1\), got nan"),
@@ -167,16 +185,17 @@ def unlogged_audit():
         "spec_l2", "quadratic_not_psd", "tr_radius", "tr_delta", "tr_q_zero", "tr_q_one",
         "config_method", "config_audit", "gd_step_size", "d_radius_nan", "eta_inf",
         "t_len_fraction", "manual_config_nan", "rho_radius_nan", "tr_radius_nan",
-        "tr_b_bound_nan", "tr_b_bound_inf", "spec_l1_nan", "sep_l1_nan", "gd_step_size_nan",
-        "operator_nan", "minevec_delta_nan", "minevec_b_bound_nan", "m_budget_fraction",
+        "tr_b_bound_nan", "tr_b_bound_inf", "tr_b_nan", "spec_l1_nan", "sep_l1_nan",
+        "gd_step_size_nan", "operator_nan", "minevec_delta_nan", "minevec_b_bound_nan",
+        "minevec_b_bound_negative", "m_budget_fraction",
         "gap_bound_nan", "fd_step_nan", "gradient_longer", "gradient_column",
         "config_run_key_cast", "config_manual_key_cast", "config_family_knob_cast",
         "bench_budgets_cast", "bench_seeds_cast", "rng_seed_negative", "rng_seed_fraction",
         "config_seed_negative", "config_problem_seed_negative", "config_eps_target_nan",
         "config_eps_target_zero", "run_eps_target_nan", "run_eps_target_inf",
         "config_gd_budget_negative", "config_gd_budget_zero", "config_oqn_budget_negative",
-        "config_budget_fraction", "bench_budgets_negative", "config_p_fail_above_one",
-        "config_p_fail_nan"])
+        "config_budget_fraction", "bench_budgets_negative", "bench_seeds_negative",
+        "config_p_fail_above_one", "config_p_fail_nan"])
 def test_rejected_argument(call, message):
     with pytest.raises(InvalidArgument, match=message):
         call()
@@ -210,3 +229,26 @@ def test_every_raise_is_in_the_family():
     stray = sorted(site for site in raised if site[2] not in family and site not in ALLOWED)
     assert stray == []
     assert ALLOWED <= raised
+
+
+# the wording of errors.py's range checks, which no other module may repeat
+RANGE_PHRASES = ("must be positive", "must be nonnegative", "must be in (0,1)",
+                 "must be an integer", "must be one of")
+
+
+def test_range_checks_live_in_errors():
+    """A range check outside ``errors.py`` calls its ``check_*`` family: no
+    ``raise InvalidArgument`` elsewhere words a range of its own."""
+    stray = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "errors.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not (isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+                    and ast.unparse(node.exc.func).rsplit(".", 1)[-1] == "InvalidArgument"):
+                continue
+            text = "".join(c.value for c in ast.walk(node.exc)
+                           if isinstance(c, ast.Constant) and isinstance(c.value, str))
+            stray += [(path.name, node.lineno, phrase)
+                      for phrase in RANGE_PHRASES if phrase in text]
+    assert stray == []

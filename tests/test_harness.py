@@ -171,6 +171,19 @@ class TestBaselineGd:
         assert all(b <= a + 1e-12 for a, b in zip(norms, norms[1:]))
         assert out.gradients == 60
 
+    def test_csv_has_one_row_per_step(self, tmp_path):
+        cfg = harness.parse_config("problem=cosine_mixture\ndim=5\nmethod=gd_baseline\n"
+                                   f"budget=12\nout_csv={tmp_path / 'gd.csv'}\n")
+        harness.write_outputs(cfg, harness.run_experiment(cfg), {})
+        header, *rows = (tmp_path / "gd.csv").read_text().splitlines()
+        assert header == harness.CSV_HEADER
+        cells = [row.split(",") for row in rows]
+        steps = [str(k) for k in range(1, 13)]
+        assert [c[0] for c in cells] == [c[4] for c in cells] == steps
+        norms = harness.baseline_gd(harness.build_spec(cfg), 12).grad_norms
+        assert [float(c[1]) for c in cells] == norms
+        assert all(c[2] == c[3] == "" and c[5] == "0" for c in cells)
+
 
 class TestBruteTr:
     def test_trivial(self):
@@ -304,11 +317,12 @@ def _raise_arithmetic(*args):
      [("eig.sep.", ["[FAIL] eig.raised  (CertificateFailure: synthetic)"])]),
     # a package check, not a synthetic raise: the real eig.sep at l1 = 0
     ("sep", lambda real: lambda op, l1, *args: real(op, 0.0, *args),
-     [("eig.sep.", ["[FAIL] eig.raised  (InvalidArgument: l1 must be positive and finite)"])]),
+     [("eig.sep.", ["[FAIL] eig.raised  (InvalidArgument: l1 must be positive and finite, "
+                   "got 0.0)"])]),
     # both trsolver batteries solve through verify.tr_solve, so both raise
     ("tr_solve", lambda real: lambda p, rng: real(dataclasses.replace(p, radius=0.0), rng),
      [("trsolver.", ["[FAIL] trsolver.raised  "
-                     "(InvalidArgument: radius must be positive and finite)"] * 2)]),
+                     "(InvalidArgument: radius must be positive and finite, got 0.0)"] * 2)]),
     # the dense oracle's self-check, read by the linops and min_evec batteries
     ("dense_extreme_eig", lambda real: _raise_arithmetic,
      [(block, [f"[FAIL] {layer}.raised  (ArithmeticError: dense eigendecomposition "
