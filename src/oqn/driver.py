@@ -162,13 +162,14 @@ class StepLog:
 def new_totals() -> dict:
     """A run's totals, all zero: gradient and matvec counts, the
     trust-region and separation tallies under "tr" (with the solves whose
-    start product was derived from the last one, not applied), iterations,
-    whether ``eps_target`` stopped the run, and box exits."""
+    start product was derived from the last one, not applied, and the solves
+    whose probe started from the Krylov minimizer instead of delta_n),
+    iterations, whether ``eps_target`` stopped the run, and box exits."""
     return {
         "gradients": 0, "matvecs": 0,
         "tr": {"solves": 0, "matvecs": 0, "max_residual": 0.0, "retries": 0,
                "early_exits": 0, "branches": {}, "sep_calls": 0, "sep_matvecs": 0,
-               "sep_certified": 0, "start_products_derived": 0},
+               "sep_certified": 0, "start_products_derived": 0, "krylov_starts": 0},
         "iterations": 0, "stopped_early": False, "box_violations": 0,
     }
 
@@ -318,6 +319,7 @@ def step(state: OqnState, spec: ObjectiveSpec, params: HyperParams, rng: RngStre
         tr["max_residual"] = max(tr["max_residual"], sol.residual)
         tr["retries"] += int(sol.retried)
         tr["early_exits"] += int(sol.early_exit)
+        tr["krylov_starts"] += int(sol.start == "krylov")
         branch = sol.branch.value
         tr["branches"][branch] = tr["branches"].get(branch, 0) + 1
         # B/2 (delta_{n+1} - delta_n) from the two products of A, the solve's
@@ -331,6 +333,7 @@ def step(state: OqnState, spec: ObjectiveSpec, params: HyperParams, rng: RngStre
                 "matvecs": sol.matvecs_used, "residual": sol.residual,
                 "retried": sol.retried, "early_exit": sol.early_exit,
                 "start_product": "derived" if plain else "applied",
+                "start": sol.start,
                 "rng_state": rng.state(),
             })
             fp = np.linalg.norm(delta_next - project_ball(

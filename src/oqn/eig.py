@@ -110,13 +110,22 @@ class MinEvecCase(Enum):
 class MinEvecResult:
     """``ritz_max`` is the largest stage-1 Ritz value, read off the same
     tridiagonal eigensolve as the smallest: a lower estimate of lambda_max,
-    exact when the Krylov space is full (n1 = d), at no matvec cost."""
+    exact when the Krylov space is full (n1 = d), at no matvec cost.
+
+    ``basis`` (d x k1) and ``tridiagonal`` (diagonal, off-diagonal) are
+    stage 1's Lanczos basis V1 and its T1 = V1' A V1, taken before stage 2
+    extends the factorization: ``trsolver`` minimizes its subproblem over
+    that Krylov space at no matvec.  lambda_hat = ritz_min(T1) - delta/2, so
+    T1 - lambda_hat I, and T1 itself when PSD is certified, is at least
+    (delta/2) I."""
 
     lambda_hat: float
     v_hat: NDArray
     case: MinEvecCase
     matvecs_used: int
     ritz_max: float
+    basis: NDArray
+    tridiagonal: tuple[NDArray, NDArray]
 
 
 def _stage_budget(b_bound: float, delta: float, log_arg: float) -> int:
@@ -140,8 +149,8 @@ def min_evec(
     certifies PSD.  Otherwise stage 2 extends the Krylov space and extracts
     the eigenvector whose shifted residual norm is smallest, via the
     squared-shift matrix.  Stage 1's largest Ritz value is returned as
-    ``ritz_max`` either way.  ``budget_factor`` scales both stage budgets
-    (used by retry logic).
+    ``ritz_max`` either way, with stage 1's basis and tridiagonal.
+    ``budget_factor`` scales both stage budgets (used by retry logic).
     """
     check_open_unit("q", q)
     check_positive("delta", delta)
@@ -150,14 +159,14 @@ def min_evec(
     n1 = min(d, budget_factor * _stage_budget(b_bound, delta, 11.0 * d / q**2))
     start = rng.unit_vector(d)
     fact = lanczos_factorize(op, start, n1)
-    diag, off = fact.tridiagonal()
-    ritz = eigh_tridiagonal(diag, off, eigvals_only=True)
+    basis1, t1 = fact.basis_matrix(), fact.tridiagonal()
+    ritz = eigh_tridiagonal(*t1, eigvals_only=True)
     ritz_max = float(ritz[-1])
     lambda_hat = float(ritz[0]) - 0.5 * delta
 
     if lambda_hat >= 0.0:
         return MinEvecResult(lambda_hat, np.zeros(d), MinEvecCase.PSD_CERTIFIED, fact.size,
-                             ritz_max)
+                             ritz_max, basis1, t1)
 
     n2 = min(
         d,
@@ -173,7 +182,8 @@ def min_evec(
     z_min = np.linalg.eigh(m_mat)[1][:, 0]
     v_hat = fact.basis_matrix() @ z_min
     v_hat = v_hat / np.linalg.norm(v_hat)
-    return MinEvecResult(lambda_hat, v_hat, MinEvecCase.NEGATIVE_EIG, fact.size, ritz_max)
+    return MinEvecResult(lambda_hat, v_hat, MinEvecCase.NEGATIVE_EIG, fact.size, ritz_max,
+                         basis1, t1)
 
 
 class SepCase(Enum):

@@ -364,6 +364,8 @@ def bench(cfg_text: str) -> tuple[list, dict]:
     for seed in seeds:
         check_int_at_least("seeds", seed, 0)
     methods = [s.strip() for s in pairs.pop("methods").split(",")]
+    for method in methods:
+        check_one_of("methods", method, METHODS)
     base = config_from_pairs(pairs)
     if base.params == "manual" and len(budgets) > 1:
         raise InvalidArgument("params=manual fixes M = t_len * k_eps, so every budget "

@@ -114,8 +114,10 @@ def _cosine_mixture(dim: int, mu: float = 0.1) -> ObjectiveSpec:
 
     Each coordinate is separable; |cos|, |sin| <= 1 give l1 = 1 + mu and
     l2 = 1 globally.  f* = 0 at the origin (unique for mu > 0), so the start
-    point is pi/2 per coordinate to avoid the stationary origin.
+    point is pi/2 per coordinate to avoid the stationary origin.  ``mu``
+    must be nonnegative.
     """
+    check_nonnegative("mu", mu)
 
     def value(x):
         return float(np.sum(1.0 - np.cos(x)) + 0.5 * mu * (x @ x))
@@ -145,10 +147,12 @@ def _coupled_trig(dim: int, kappa: float = 0.2) -> ObjectiveSpec:
     Row-sum (Gershgorin) bounds give l1 = 1 + 2*kappa*(d-1).  A row bound on
     the directional third derivative gives l2 = 1 + 2*kappa*(d-1)
     + 2*kappa*sqrt(d-1).  The coupling term is at least -kappa*d*(d-1)/2,
-    which serves as the recorded lower bound.
+    which serves as the recorded lower bound.  ``kappa`` must be
+    nonnegative.
     """
     if dim < 2:
         raise InvalidArgument("coupled_trig needs dim >= 2")
+    check_nonnegative("kappa", kappa)
 
     def value(x):
         s = np.sin(x)
@@ -186,9 +190,11 @@ def _rosenbrock_local(dim: int, box: float = 2.0) -> ObjectiveSpec:
     Entry bounds on the Hessian give the row-sum estimates
     l1 = 1200*box^2 + 1200*box + 202 and l2 = 2400*box + 1200.  Iterates
     leaving the box are flagged by the harness, never rejected here.
+    ``box`` must be positive.
     """
     if dim < 2:
         raise InvalidArgument("rosenbrock needs dim >= 2")
+    check_positive("box", box)
 
     def value(x):
         return float(np.sum(100.0 * (x[1:] - x[:-1] ** 2) ** 2 + (1.0 - x[:-1]) ** 2))

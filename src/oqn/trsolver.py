@@ -10,7 +10,16 @@ minimum-eigenpair probe decides.
 
 Both branches solve their convex inner problem the same way.  First a
 warm-started FISTA probe with adaptive restart runs from the caller's
-``x_start``.  The probe applies the inner operator once per iterate and gets
+``x_start``, or, wherever the eigenpair probe ran, from x_K when that is
+lower in the inner model.  x_K minimizes the inner model over the probe's
+stage-1 Krylov space (GLTR, Gould, Lucidi, Roma & Toint 1999): a
+k1-dimensional problem on the tridiagonal T1 it already holds, solved by a
+secular equation at no matvec.  The caller's start is priced only where no
+matvec is needed, at 0 when it is the origin or from ``a_start``; a start
+with neither is kept.  x_K costs the probe one matvec, its product; with a
+full Krylov space (k1 = d) it is the inner problem's exact minimizer, so
+the solve certifies there for k1 + 1 matvecs, one more on a regularized
+branch.  The probe applies the inner operator once per iterate and gets
 it at the momentum point by linearity, so it reads the exact inner residual
 of every iterate for free, and it stops once that residual is at most
 ``EARLY_EXIT_RTOL * min(accuracy, |b|)``; the solve then reports
@@ -23,9 +32,9 @@ check stops; a rejected step's matvec counts against N.  A convex branch the
 caller certified draws nothing and steps at 1 / ``b_bound``: its restarted
 linear rate depends on ``b_bound`` / lambda_min, so a tight caller bound is
 what lets it certify in few iterations.  A caller that already holds
-A ``x_start``, up to rounding, passes it as ``a_start``, and the probe
-starts without a matvec on either branch: the regularized one forms
-A ``x_start`` - lambda_hat ``x_start`` from it.  Only when the probe does
+A ``x_start``, up to rounding, passes it as ``a_start``, and a probe that
+starts there needs no matvec for it on either branch: the regularized one
+forms A ``x_start`` - lambda_hat ``x_start`` from it.  Only when the probe does
 not certify within the fixed budget N does the solve run the fixed-budget
 two-phase method from the origin (a FISTA burn-in that shrinks the
 objective gap, then a gradient-norm phase that converts the gap into a small
@@ -37,10 +46,11 @@ interior answer to the sphere along the estimated eigenvector.
 The certificate is the residual of the original problem, and the solution
 hands back the product A ``delta_vec`` that certificate read, so a caller
 needs no matvec of its own at the answer.  On a convex probe exit both are
-the probe's own (k + 1 matvecs in all, k with ``a_start``, so a solve
-certified at its start costs none); on every other path, a regularized probe
-exit included, since that probe read the shifted residual, ``residual_of``
-applies A once more, and that matvec is counted too.
+the probe's own (k + 1 matvecs in all, k from a caller's start with
+``a_start``, so a solve certified there costs none); on every other path, a
+regularized probe exit included, since that probe read the shifted
+residual, ``residual_of`` applies A once more, and that matvec is counted
+too.
 """
 
 from __future__ import annotations
@@ -52,6 +62,7 @@ from typing import Optional
 
 import numpy as np
 from numpy.typing import NDArray
+from scipy.linalg import eigh_tridiagonal
 
 from .eig import MinEvecCase, min_evec
 from .errors import CertificateFailure, InvalidArgument, check_open_unit, check_positive
@@ -66,6 +77,11 @@ INTERIOR_RTOL = 1e-12
 # the origin, so the exit sets no absolute floor on the subproblem's accuracy
 # when a converging run makes b tiny
 EARLY_EXIT_RTOL = math.sqrt(np.finfo(float).eps)
+# krylov_minimizer's Newton iteration on the boundary multiplier stops once
+# |y| is within SECULAR_RTOL of D; it converges quadratically, so the cap is
+# a guard only
+SECULAR_RTOL = 4.0 * np.finfo(float).eps
+SECULAR_MAX_ITERS = 100
 
 
 @dataclass
@@ -78,8 +94,10 @@ class TrustRegionSubproblem:
     eigenvalue of A, likewise on the caller's word; a nonnegative value
     certifies A PSD and skips the minimum-eigenpair probe.  ``x_start`` is
     where the early-exit probe starts on either branch (default: the
-    origin); it is projected onto the ball, at no matvec cost, unless it lies
-    in the ball as ``residual_of`` accepts it.  ``a_start``, optional, is
+    origin), unless the eigenpair probe ran and the Krylov minimizer x_K is
+    lower in the inner model; it is projected onto the ball, at no matvec
+    cost, unless it lies in the ball as ``residual_of`` accepts it.
+    ``a_start``, optional, is
     A ``x_start`` up to rounding, as the caller already holds it; the probe
     uses it in place of its first matvec when it starts at ``x_start``
     itself (shifted by lambda_hat on the regularized branch), and a probe
@@ -131,7 +149,8 @@ class TRSolution:
     otherwise (regularized branches always).  ``a_delta`` is the product
     A ``delta_vec`` that residual was read from, at no matvec to the caller:
     the bits ``a_op.apply(delta_vec)`` returns, except on a probe exit at its
-    start, which hands back the caller's ``a_start`` itself."""
+    start, which hands back the caller's ``a_start`` itself.  ``start`` is
+    where the probe started: "caller" (``x_start``) or "krylov" (x_K)."""
 
     delta_vec: NDArray
     residual: float
@@ -142,6 +161,7 @@ class TRSolution:
     n_accel: int = 0
     retried: bool = False
     early_exit: bool = False
+    start: str = "caller"
 
 
 def project_ball(x: NDArray, radius: float) -> NDArray:
@@ -299,6 +319,39 @@ def accel_budget(lg: float, d_radius: float, delta: float) -> int:
     return max(2, math.ceil(math.sqrt(10.0 * lg * d_radius / delta)))
 
 
+def krylov_minimizer(basis: NDArray, tridiagonal: tuple[NDArray, NDArray], b: NDArray,
+                     d_radius: float, sigma: float) -> Optional[tuple[NDArray, float]]:
+    """Minimize the subproblem over the Krylov space of ``basis`` = V1, whose
+    T1 = V1' A V1 is ``tridiagonal``: min 0.5 y'(T1 - sigma I)y + (V1'b)'y
+    over |y| <= D (GLTR, Gould, Lucidi, Roma & Toint 1999).  No matvec.
+
+    T1 - sigma I must be positive definite, as ``min_evec`` leaves it for
+    sigma = 0 on a certified convex branch and sigma = lambda_hat on the
+    regularized one, so the model has no hard case: either the unconstrained
+    minimizer lies in the ball, or Newton on 1/|y(mu)| - 1/D, concave and
+    increasing in the multiplier mu, rises monotonically from mu = 0 to the
+    boundary one (More & Sorensen 1983).  Returns ``(V1 y, model value)``,
+    or None when rounding left T1 - sigma I without a positive spectrum.
+    """
+    theta, q_mat = eigh_tridiagonal(*tridiagonal)
+    theta = theta - sigma
+    if not theta[0] > 0.0:
+        return None
+    g = q_mat.T @ (basis.T @ b)
+    z = -g / theta
+    norm = math.sqrt(z @ z)
+    mu = 0.0
+    for _ in range(SECULAR_MAX_ITERS):
+        if norm <= d_radius * (1.0 + SECULAR_RTOL):
+            break
+        mu += (norm - d_radius) / d_radius * norm**2 / float(z**2 @ (1.0 / (theta + mu)))
+        z = -g / (theta + mu)
+        norm = math.sqrt(z @ z)
+    if mu > 0.0:
+        z *= d_radius / norm  # onto the sphere, where the multiplier put it
+    return basis @ (q_mat @ z), float(z @ (0.5 * theta * z + g))
+
+
 def fista_plus_sfg(a_psd, b: NDArray, d_radius: float, lg: float, n_iters: int) -> NDArray:
     """Chain the two phases from the origin, ``n_iters`` = N steps each;
     residual at the output is at most delta whenever the PSD/lg
@@ -322,9 +375,15 @@ def tr_solve(p: TrustRegionSubproblem, rng: RngStream) -> TRSolution:
     and delta / 2 when regularized.  Where the eigenpair probe ran, on
     either branch, the probe's step starts from its top Ritz value (shifted
     by lambda_hat when regularized) and backtracks; a caller-certified solve
-    steps at 1 / max(b_bound, delta).  The inner problem's answer is the
-    ``fista_probe`` one from ``p.x_start`` (with the start product from
-    ``p.a_start``) when the probe certifies (``early_exit``), else the
+    steps at 1 / max(b_bound, delta).  Where the eigenpair probe ran, the
+    probe starts from ``krylov_minimizer``'s x_K, over its stage-1 Krylov
+    space with sigma = 0 when convex and lambda_hat when regularized, if
+    the inner model is lower there than at ``p.x_start`` (0 at the origin,
+    0.5 x'(a_start - sigma x) + b'x from a given ``p.a_start``; an
+    unpriced start is kept), applying A once at x_K.  The inner problem's answer is the
+    ``fista_probe`` one from that start (with the start product from
+    ``p.a_start`` at ``p.x_start``) when the probe certifies
+    (``early_exit``), else the
     fixed-budget ``fista_plus_sfg`` one; the regularized branch then takes
     it to the sphere when it is interior.  The certified residual on the
     original problem is asserted at the end of every solve: a convex probe
@@ -352,16 +411,28 @@ def tr_solve(p: TrustRegionSubproblem, rng: RngStream) -> TRSolution:
             lambda_hat = ev.lambda_hat
         convex = certified_psd or ev.case is MinEvecCase.PSD_CERTIFIED
         if convex:
-            op, lg, acc = p.a_op, max(p.b_bound, p.delta), p.delta
+            op, lg, acc, sigma = p.a_op, max(p.b_bound, p.delta), p.delta, 0.0
             a_start, l_start = p.a_start, None if ev is None else ev.ritz_max
         else:
-            op = p.a_op.shifted(lambda_hat)
+            op, sigma = p.a_op.shifted(lambda_hat), lambda_hat
             lg, acc = max(p.b_bound - lambda_hat, p.delta), 0.5 * p.delta
             # (A - lambda_hat I) x_start from the caller's A x_start
             a_start = None if p.a_start is None else p.a_start - lambda_hat * p.x_start
             l_start = ev.ritz_max - lambda_hat
+        x_start, start = p.x_start, "caller"
+        if ev is not None:
+            # the inner model's value at the caller's start, where no matvec
+            # is needed to know it
+            if a_start is not None:
+                known = 0.5 * float(x_start @ a_start) + float(p.b @ x_start)
+            else:
+                known = None if x_start.any() else 0.0
+            krylov = None if known is None else krylov_minimizer(
+                ev.basis, ev.tridiagonal, p.b, p.radius, sigma)
+            if krylov is not None and krylov[1] < known:
+                x_start, a_start, start = krylov[0], None, "krylov"
         n_accel = accel_budget(lg, p.radius, acc) * factor
-        cand, k, res, a_cand = fista_probe(op, p.b, p.radius, lg, n_accel, p.x_start,
+        cand, k, res, a_cand = fista_probe(op, p.b, p.radius, lg, n_accel, x_start,
                                            EARLY_EXIT_RTOL * min(acc, b_norm),
                                            a_start, l_start)
         early_exit = cand is not None
@@ -392,6 +463,7 @@ def tr_solve(p: TrustRegionSubproblem, rng: RngStream) -> TRSolution:
             n_accel=n_accel,
             retried=attempt > 0,
             early_exit=early_exit,
+            start=start,
         )
         if res <= p.delta:
             return last

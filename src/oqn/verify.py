@@ -22,7 +22,8 @@ from .hessian_learner import LearnerState, default_rho, learner_step
 from .linops import Counter, SymOperator, dense_extreme_eig
 from .problems import CATALOG_NAMES, catalog, fd_check_gradient, fd_check_hessian
 from .rng import RngStream
-from .trsolver import EARLY_EXIT_RTOL, TrustRegionSubproblem, residual_of, tr_solve
+from .trsolver import (EARLY_EXIT_RTOL, TrustRegionSubproblem, krylov_minimizer, residual_of,
+                       tr_solve)
 
 SCALES = {
     "quick": dict(pairs=150, fd_points=20, trials=150, tr_instances=60,
@@ -42,6 +43,13 @@ FRO_RTOL = 1e-12
 # against a dense one: the update adds two rounded terms per round along a
 # chain of plain rounds, measured at a few 1e-15 over whole runs
 START_PRODUCT_RTOL = 1e-13
+
+# x_K from a full Krylov space against brute_tr's optimum of the same model:
+# the model is only (delta'/2)-strongly convex, so rounding moves the point
+# by up to a few 1e-11 D on the instances drawn, while its value agrees to a
+# few 1e-16 of |b| D + b_bound D^2
+KRYLOV_XTOL = 1e-8
+KRYLOV_VALUE_RTOL = 1e-12
 
 
 def random_symmetric(rng, d, scale=1.0):
@@ -237,6 +245,20 @@ def check_sep(cfg):
     ]
 
 
+def _tr_instance(rng, t):
+    """Instance t of the trust-region batteries: d in [2, 20], radius and
+    delta cycled, every fourth instance in the hard case.  Returns
+    ``(a, b, radius, delta)``."""
+    d = int(rng.integers(2, 21))
+    a = random_symmetric(rng, d)
+    b = rng.standard_normal(d)
+    d_rad = (0.1, 1.0, 10.0)[t % 3]
+    delta = (1e-2, 1e-4)[(t // 3) % 2]
+    if t % 4 == 3:
+        return a, hard_case_b(a, b, d_rad), d_rad, delta
+    return a, b * (rng.uniform(0.0, 5.0) / max(np.linalg.norm(b), 1e-12)), d_rad, delta
+
+
 def check_trsolver(cfg):
     """The trust-region contract: feasibility, the residual certificate and
     the objective against an exact solve, with radius and delta cycled and
@@ -253,15 +275,7 @@ def check_trsolver(cfg):
     reg_exits = {"regularized_boundary": 0, "regularized_interior": 0}
     reg_exit_ok = True
     for t in range(cfg["tr_instances"]):
-        d = int(rng.integers(2, 21))
-        a = random_symmetric(rng, d)
-        b = rng.standard_normal(d)
-        d_rad = (0.1, 1.0, 10.0)[t % 3]
-        delta = (1e-2, 1e-4)[(t // 3) % 2]
-        if t % 4 == 3:
-            b = hard_case_b(a, b, d_rad)
-        else:
-            b *= rng.uniform(0.0, 5.0) / max(np.linalg.norm(b), 1e-12)
+        a, b, d_rad, delta = _tr_instance(rng, t)
         op = SymOperator(a, Counter())
         problem = TrustRegionSubproblem(
             a_op=op, b=b, radius=d_rad, delta=delta, q=0.01,
@@ -295,6 +309,51 @@ def check_trsolver(cfg):
             " ".join(f"{branch}_early_exits={n}/{cfg['tr_instances']}"
                      for branch, n in reg_exits.items())),
     ]
+
+
+def check_krylov_start(cfg):
+    """The model minimizer over min_evec's stage-1 Krylov space, on
+    instances where that space is all of R^d: x_K against brute_tr's optimum
+    of the same model, 0.5 x'(A - sigma I)x + b'x on the ball (sigma = 0
+    when min_evec certifies PSD, else lambda_hat), in position and in the
+    value krylov_minimizer reports; and the origin-started solve, which
+    certifies at x_K for d + 1 matvecs, one more on a regularized branch."""
+    rng = np.random.default_rng(4004)
+    full = 0
+    ok = True
+    worst_x = worst_value = 0.0
+    for t in range(cfg["tr_instances"]):
+        a, b, d_rad, delta = _tr_instance(rng, t)
+        d = b.size
+        op = SymOperator(a, Counter())
+        b_bound = 2.0 * op.frobenius_norm()
+        sol = tr_solve(TrustRegionSubproblem(a_op=op, b=b, radius=d_rad, delta=delta,
+                                             q=0.01, b_bound=b_bound),
+                       RngStream(440_000 + t))
+        # the eigenpair probe of the solve's first attempt, replayed
+        ev = min_evec(SymOperator(a, Counter()), delta / (2.0 * d_rad), 0.005, b_bound,
+                      RngStream(440_000 + t))
+        if ev.basis.shape[1] < d:
+            continue
+        full += 1
+        sigma = 0.0 if ev.case is MinEvecCase.PSD_CERTIFIED else ev.lambda_hat
+        x_k, value = krylov_minimizer(ev.basis, ev.tridiagonal, b, d_rad, sigma)
+        model = a - sigma * np.eye(d)
+        exact = harness.brute_tr(model, b, d_rad)
+        scale = np.linalg.norm(b) * d_rad + b_bound * d_rad**2
+        gap_x = float(np.linalg.norm(x_k - exact)) / d_rad
+        gap_value = max(harness.tr_objective(model, b, x_k)
+                        - harness.tr_objective(model, b, exact),
+                        abs(value - harness.tr_objective(model, b, x_k))) / scale
+        worst_x, worst_value = max(worst_x, gap_x), max(worst_value, gap_value)
+        cost = d + 1 + (sol.branch.value != "convex")
+        ok = (ok and gap_x <= KRYLOV_XTOL and gap_value <= KRYLOV_VALUE_RTOL
+              and float(np.linalg.norm(x_k)) <= d_rad * (1.0 + 1e-12)
+              and sol.start == "krylov" and sol.early_exit and sol.matvecs_used == cost)
+    return [CheckResult(
+        "trsolver.krylov_start", ok and full > 0,
+        f"full_space_instances={full}/{cfg['tr_instances']} worst_x={worst_x:.2e}"
+        f" worst_value={worst_value:.2e}")]
 
 
 def check_early_exit(cfg):
@@ -487,5 +546,6 @@ def check_driver(cfg):
 # (layer, battery): the layer names a battery's ``raised`` check
 BATTERIES = (("problems", check_problems), ("linops", check_linops),
              ("eig", check_minevec), ("eig", check_sep), ("trsolver", check_trsolver),
-             ("trsolver", check_early_exit), ("learner", check_learner),
+             ("trsolver", check_krylov_start), ("trsolver", check_early_exit),
+             ("learner", check_learner),
              ("driver", check_driver))

@@ -405,6 +405,9 @@ class TestPsdCertificate:
             params = compute_hyperparams(spec, budget)
             report = driver.run(spec, params, RngStream(0), audit_level="full")
             assert report.totals["tr"]["branches"] == {"convex": params.m_total}
+            assert report.totals["tr"]["krylov_starts"] == 0
+            assert {ev["start"] for ev in report.log.events
+                    if ev["kind"] == "tr_solve"} == {"caller"}
             assert report.audits["all_ok"]
 
     def test_large_eta_falls_back_to_the_probe(self, monkeypatch):
@@ -422,6 +425,10 @@ class TestPsdCertificate:
         assert 0 < len(calls) < params.m_total
         assert report.totals["gradients"] == 2 * params.m_total + params.k_eps + 1
         assert report.audits["all_ok"]
+        # where min_evec ran, some probes start from the Krylov minimizer
+        # rather than from delta_n; each is one tr_solve event's start
+        starts = [ev["start"] for ev in report.log.events if ev["kind"] == "tr_solve"]
+        assert 0 < starts.count("krylov") == report.totals["tr"]["krylov_starts"] <= len(calls)
 
 
 class TestEarlyExit:

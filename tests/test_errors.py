@@ -178,6 +178,13 @@ def unlogged_audit():
     (lambda: harness.parse_config("method=gd_baseline\np_fail=7\n"),
      r"^p_fail must be in \(0,1\), got 7.0"),
     (lambda: harness.RunConfig(p_fail=math.nan), r"^p_fail must be in \(0,1\), got nan"),
+    # each family range-checks its own knobs, under the knob's name
+    (lambda: catalog("cosine_mixture", 2, mu=-5.0),
+     "^mu must be nonnegative and finite, got -5.0"),
+    (lambda: catalog("coupled_trig", 2, kappa=-3.0),
+     "^kappa must be nonnegative and finite, got -3.0"),
+    (lambda: catalog("rosenbrock_local", 2, box=-1.0),
+     "^box must be positive and finite, got -1.0"),
 ], ids=["fd_hessian_oracle", "d_radius", "eta", "delta_tr", "t_len", "k_eps",
         "p_fail_zero", "p_fail_one", "m_budget", "gap_bound", "audit_level", "run_method",
         "audit_without_log", "operator_not_square", "lanczos_zero_steps",
@@ -195,7 +202,8 @@ def unlogged_audit():
         "config_eps_target_zero", "run_eps_target_nan", "run_eps_target_inf",
         "config_gd_budget_negative", "config_gd_budget_zero", "config_oqn_budget_negative",
         "config_budget_fraction", "bench_budgets_negative", "bench_seeds_negative",
-        "config_p_fail_above_one", "config_p_fail_nan"])
+        "config_p_fail_above_one", "config_p_fail_nan", "family_knob_mu",
+        "family_knob_kappa", "family_knob_box"])
 def test_rejected_argument(call, message):
     with pytest.raises(InvalidArgument, match=message):
         call()

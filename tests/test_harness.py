@@ -319,10 +319,10 @@ def _raise_arithmetic(*args):
     ("sep", lambda real: lambda op, l1, *args: real(op, 0.0, *args),
      [("eig.sep.", ["[FAIL] eig.raised  (InvalidArgument: l1 must be positive and finite, "
                    "got 0.0)"])]),
-    # both trsolver batteries solve through verify.tr_solve, so both raise
+    # the three trsolver batteries solve through verify.tr_solve, so all raise
     ("tr_solve", lambda real: lambda p, rng: real(dataclasses.replace(p, radius=0.0), rng),
      [("trsolver.", ["[FAIL] trsolver.raised  "
-                     "(InvalidArgument: radius must be positive and finite, got 0.0)"] * 2)]),
+                     "(InvalidArgument: radius must be positive and finite, got 0.0)"] * 3)]),
     # the dense oracle's self-check, read by the linops and min_evec batteries
     ("dense_extreme_eig", lambda real: _raise_arithmetic,
      [(block, [f"[FAIL] {layer}.raised  (ArithmeticError: dense eigendecomposition "
@@ -365,6 +365,14 @@ class TestBench:
     def test_cell_keys_rejected_with_the_key_to_use(self, key, hint):
         with pytest.raises(ValueError, match=f"{key} is not a bench key.*{hint}"):
             harness.bench(f"{key}=60\n")
+
+    def test_bad_method_raises_before_any_cell(self, monkeypatch):
+        # every methods= entry is checked up front, under the key methods
+        cells = []
+        monkeypatch.setattr(harness, "run_experiment", cells.append)
+        with pytest.raises(InvalidArgument, match=r"^methods must be one of .*got 'newton'"):
+            harness.bench("dim=4\nbudgets=40,80\nseeds=0\nmethods=oqn,newton\n")
+        assert cells == []
 
     def test_run_keys_reach_every_cell(self, monkeypatch):
         cells = []

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from oqn import trsolver
 from oqn.errors import InvalidArgument
 from oqn.harness import brute_tr, tr_objective
-from oqn.eig import min_evec
+from oqn.eig import MinEvecCase, min_evec
 from oqn.linops import Counter, SymOperator
 from oqn.rng import RngStream
 from oqn.trsolver import (
@@ -20,6 +20,7 @@ from oqn.trsolver import (
     fista,
     fista_plus_sfg,
     fista_probe,
+    krylov_minimizer,
     project_ball,
     residual_of,
     sfg,
@@ -460,9 +461,10 @@ class TestEarlyExit:
         assert sol.early_exit and sol.n_accel == 0 and sol.matvecs_used == 1
 
 
-def unit_vector(rng, d):
-    u = rng.standard_normal(d)
-    return u / np.linalg.norm(u)
+def caller_start(b, radius):
+    """A caller's start with no product: half-way to the sphere along -b.
+    ``tr_solve`` cannot price it without a matvec, so it keeps it over x_K."""
+    return -0.5 * radius * b / np.linalg.norm(b)
 
 
 def indefinite_instance(rng, kind, d, radius):
@@ -533,7 +535,8 @@ class TestRegularizedEarlyExit:
     def test_low_step_estimate_backtracks_and_still_certifies(self, monkeypatch):
         # a top Ritz value pulled down to lambda_hat + (ritz_max - lambda_hat)/8
         # makes the first steps too long: the probe rejects them, doubles L,
-        # and certifies within the N + 1 matvec bound all the same
+        # and certifies within the N + 1 matvec bound all the same.  The
+        # caller's start is kept, so the probe takes steps
         seen = []
 
         def low_ritz(*args, **kwargs):
@@ -550,11 +553,12 @@ class TestRegularizedEarlyExit:
             a, b = indefinite_instance(rng, "indefinite", d, radius)
             counter = Counter()
             p = make_problem(a, b, radius, delta, counter=counter)
+            p.x_start = caller_start(b, radius)
             seen.clear()
             sol = tr_solve(p, RngStream(t))
             ev, = seen
             n = accel_budget(max(p.b_bound - sol.lambda_hat, delta), radius, 0.5 * delta)
-            assert sol.branch is TRBranch.REGULARIZED_BOUNDARY
+            assert sol.branch is TRBranch.REGULARIZED_BOUNDARY and sol.start == "caller"
             assert sol.early_exit and not sol.retried and sol.residual <= delta
             assert_certificate_is_fresh(a, b, radius, sol)
             assert sol.matvecs_used == counter.count
@@ -566,20 +570,23 @@ class TestRegularizedEarlyExit:
     def test_start_product_comes_from_a_start(self):
         # A x_start - lambda_hat x_start formed from the caller's a_start has
         # the bits the shifted view's apply gives, so the regularized solve is
-        # the same bit for bit with one matvec fewer
+        # the same bit for bit with one matvec fewer.  At d = 100 min_evec's
+        # stage-1 Krylov space has 70 dimensions, and the start on the sphere
+        # along -b has a lower model value than x_K, so the solve keeps it
         rng = np.random.default_rng(2)
-        d, radius, delta = 10, 1.0, 1e-4
+        d, radius, delta = 100, 0.1, 1e-2
         for t in range(4):
             a, b = indefinite_instance(rng, "indefinite", d, radius)
-            start = 0.5 * radius * unit_vector(rng, d)
+            start = 2.0 * caller_start(b, radius)
             a_start = SymOperator(a, Counter()).apply(start)
             sols = []
             for given in (None, a_start):
-                p = make_problem(a, b, radius, delta)
+                p = make_problem(a, b, radius, delta, q=0.5)
                 p.x_start, p.a_start = start, given
                 sols.append(tr_solve(p, RngStream(t)))
             plain, reused = sols
             assert reused.branch is not TRBranch.CONVEX
+            assert plain.start == reused.start == "caller" and reused.n_accel > 0
             lam = reused.lambda_hat
             shifted = SymOperator(a, Counter()).shifted(lam).apply(start)
             assert (a_start - lam * start).tobytes() == shifted.tobytes()
@@ -590,15 +597,17 @@ class TestRegularizedEarlyExit:
 
     def test_declined_probe_falls_back_bit_for_bit(self):
         # a hard case in a small ball at delta = 1e-2: N is about 40 and the
-        # probe on A - lambda_hat I does not reach sqrt(eps) * delta / 2
+        # probe on A - lambda_hat I, from the caller's start, does not reach
+        # sqrt(eps) * delta / 2; the fallback starts from the origin
         rng = np.random.default_rng(11)
         d, radius, delta, q = 10, 0.1, 1e-2, 0.01
         a, b = indefinite_instance(rng, "hard", d, radius)
         counter = Counter()
         p = TrustRegionSubproblem(a_op=SymOperator(a, counter), b=b, radius=radius,
-                                  delta=delta, q=q, b_bound=2.0 * np.linalg.norm(a))
+                                  delta=delta, q=q, b_bound=2.0 * np.linalg.norm(a),
+                                  x_start=caller_start(b, radius))
         sol = tr_solve(p, RngStream(3))
-        assert not sol.early_exit and not sol.retried
+        assert not sol.early_exit and not sol.retried and sol.start == "caller"
         assert sol.branch is TRBranch.REGULARIZED_INTERIOR
         # the reference: the same eigenpair draw, then the fixed-budget method
         # on the shifted operator at delta / 2 and the step onto the sphere
@@ -628,7 +637,8 @@ class TestEigenCertifiedConvex:
     def test_low_ritz_value_backtracks_and_still_certifies(self, monkeypatch):
         # a top Ritz value pulled down to 1/8 of itself makes the first steps
         # too long: the probe rejects them, doubles L, and certifies within
-        # the N + 1 matvec bound all the same
+        # the N + 1 matvec bound all the same.  The caller's start is kept,
+        # so the probe takes steps
         seen = []
 
         def low_ritz(*args, **kwargs):
@@ -645,11 +655,12 @@ class TestEigenCertifiedConvex:
             a, b = indefinite_instance(rng, "psd_shifted", d, radius)
             counter = Counter()
             p = make_problem(a, b, radius, delta, counter=counter)
+            p.x_start = caller_start(b, radius)
             seen.clear()
             sol = tr_solve(p, RngStream(t))
             ev, = seen
             n = accel_budget(max(p.b_bound, delta), radius, delta)
-            assert sol.branch is TRBranch.CONVEX
+            assert sol.branch is TRBranch.CONVEX and sol.start == "caller"
             assert sol.early_exit and not sol.retried and sol.residual <= delta
             assert_certificate_is_fresh(a, b, radius, sol)
             assert sol.matvecs_used == counter.count <= ev.matvecs_used + n + 1
@@ -659,13 +670,16 @@ class TestEigenCertifiedConvex:
 
     def test_ritz_start_is_cheaper_than_the_fixed_step(self, monkeypatch):
         # on the benchmark's psd_shifted cells b_bound = 2 |A|_F is several
-        # times lambda_max, so the fixed step 1 / b_bound crawls
+        # times lambda_max, so the fixed step 1 / b_bound crawls from the
+        # caller's start, which the solve keeps
         rng = np.random.default_rng(5)
         d, radius, delta = 20, 10.0, 1e-4
         cases = [indefinite_instance(rng, "psd_shifted", d, radius) for _ in range(6)]
 
         def solve_all():
-            return [tr_solve(make_problem(a, b, radius, delta), RngStream(t))
+            return [tr_solve(dataclasses.replace(make_problem(a, b, radius, delta),
+                                                 x_start=caller_start(b, radius)),
+                             RngStream(t))
                     for t, (a, b) in enumerate(cases)]
 
         ritz = solve_all()
@@ -675,8 +689,138 @@ class TestEigenCertifiedConvex:
         fixed = solve_all()
         for sol, ref in zip(ritz, fixed):
             assert sol.branch is ref.branch is TRBranch.CONVEX
+            assert sol.start == ref.start == "caller"
             assert sol.early_exit and sol.residual <= delta
             assert sol.matvecs_used < ref.matvecs_used
+
+
+def krylov_replay(a, p, seed):
+    """The eigenpair probe of ``tr_solve(p, RngStream(seed))``'s first
+    attempt, replayed on a fresh operator, and the inner model's sigma."""
+    ev = min_evec(SymOperator(a, Counter()), p.delta / (2.0 * p.radius), 0.5 * p.q,
+                  p.b_bound, RngStream(seed))
+    return ev, (0.0 if ev.case is MinEvecCase.PSD_CERTIFIED else ev.lambda_hat)
+
+
+def model_value(a, sigma, b, x):
+    """0.5 x'(A - sigma I)x + b'x, the inner problem's objective, densely."""
+    return 0.5 * float(x @ (a @ x - sigma * x)) + float(b @ x)
+
+
+class TestKrylovStart:
+    """Wherever min_evec ran, the probe starts from x_K, the inner model's
+    minimizer over its stage-1 Krylov space, when the model is lower there
+    than at the caller's start."""
+
+    @pytest.mark.parametrize("kind", ["indefinite", "hard", "psd_shifted"])
+    def test_full_krylov_space_certifies_at_x_k(self, kind):
+        # k1 = d: x_K is the inner problem's exact minimizer, so the probe
+        # certifies where it starts, after min_evec's k1 matvecs and its one,
+        # and a regularized branch adds residual_of's
+        rng = np.random.default_rng(17)
+        branches = set()
+        for t in range(30):
+            d = int(rng.integers(2, 21))
+            radius = float(rng.choice([0.1, 1.0, 10.0]))
+            a, b = indefinite_instance(rng, kind, d, radius)
+            counter = Counter()
+            p = make_problem(a, b, radius, float(rng.choice([1e-2, 1e-4])), counter=counter)
+            sol = tr_solve(p, RngStream(t))
+            ev, sigma = krylov_replay(a, p, t)
+            assert ev.basis.shape == (d, d) and ev.matvecs_used == d
+            regularized = sol.branch is not TRBranch.CONVEX
+            assert sol.start == "krylov" and sol.early_exit and sol.n_accel == 0
+            assert sol.matvecs_used == counter.count == d + 1 + regularized
+            assert sol.residual <= p.delta
+            assert_certificate_is_fresh(a, b, radius, sol)
+            if not regularized:
+                x_k, _ = krylov_minimizer(ev.basis, ev.tridiagonal, b, radius, sigma)
+                assert sol.delta_vec.tobytes() == x_k.tobytes()
+            branches.add(sol.branch)
+        assert {"psd_shifted": TRBranch.CONVEX, "hard": TRBranch.REGULARIZED_INTERIOR,
+                "indefinite": TRBranch.REGULARIZED_BOUNDARY}[kind] in branches
+
+    def test_start_is_never_above_the_callers_known_value(self):
+        # the probe's start is x_K only when x_K is strictly lower in the
+        # inner model than the caller's start, priced from a_start; at d = 10
+        # x_K is the model's minimizer and wins, at d = 100 (a 70-dimensional
+        # Krylov space) a caller start on the sphere along -b wins
+        rng = np.random.default_rng(23)
+        starts = {"krylov": 0, "caller": 0}
+        for t in range(16):
+            d, radius, delta, q = ((10, 1.0, 1e-4, 0.01), (100, 0.1, 1e-2, 0.5))[t % 2]
+            a, b = indefinite_instance(rng, ("indefinite", "psd_shifted")[t // 2 % 2], d,
+                                       radius)
+            if t % 4 < 2:
+                x_start = radius * rng.uniform(0.0, 1.0) * rng.standard_normal(d) / math.sqrt(d)
+            else:
+                x_start = -radius * b / np.linalg.norm(b)
+            p = dataclasses.replace(make_problem(a, b, radius, delta, q=q), x_start=x_start,
+                                    a_start=SymOperator(a, Counter()).apply(x_start))
+            sol = tr_solve(p, RngStream(t))
+            ev, sigma = krylov_replay(a, p, t)
+            x_k, value = krylov_minimizer(ev.basis, ev.tridiagonal, b, radius, sigma)
+            known = model_value(a, sigma, b, x_start)
+            rounding = 1e-12 * (np.linalg.norm(b) * radius + p.b_bound * radius**2)
+            assert abs(value - model_value(a, sigma, b, x_k)) <= rounding
+            assert sol.start == ("krylov" if value < known else "caller")
+            start = x_k if sol.start == "krylov" else x_start
+            assert model_value(a, sigma, b, start) <= known + rounding
+            starts[sol.start] += 1
+            if d == 10:
+                assert sol.start == "krylov"
+        assert min(starts.values()) > 0
+
+    @pytest.mark.parametrize("kind", ["indefinite", "hard", "psd_shifted"])
+    def test_kept_caller_start_is_the_solve_without_krylov_starts(self, monkeypatch, kind):
+        # a caller start with no product is kept, and the solve from it is,
+        # bit for bit, the one where x_K is never available
+        rng = np.random.default_rng(29)
+        d, radius, delta = 12, 1.0, 1e-4
+        problems = []
+        for _ in range(6):
+            a, b = indefinite_instance(rng, kind, d, radius)
+            problems.append(dataclasses.replace(make_problem(a, b, radius, delta),
+                                                x_start=caller_start(b, radius)))
+
+        def solve_all():
+            return [tr_solve(dataclasses.replace(p, a_op=SymOperator(p.a_op.dense(),
+                                                                     Counter())),
+                             RngStream(t))
+                    for t, p in enumerate(problems)]
+
+        kept = solve_all()
+        monkeypatch.setattr(trsolver, "krylov_minimizer", lambda *args: None)
+        without = solve_all()
+        for sol, ref in zip(kept, without):
+            assert sol.start == ref.start == "caller"
+            assert sol.delta_vec.tobytes() == ref.delta_vec.tobytes()
+            assert sol.a_delta.tobytes() == ref.a_delta.tobytes()
+            assert ((sol.residual, sol.n_accel, sol.matvecs_used, sol.branch, sol.early_exit)
+                    == (ref.residual, ref.n_accel, ref.matvecs_used, ref.branch,
+                        ref.early_exit))
+
+    def test_secular_solve_meets_the_sphere(self):
+        # a boundary model: Newton on 1/|y(mu)| - 1/D lands y on the sphere,
+        # and the answer solves (T - sigma I + mu I) y = -g with mu >= 0
+        rng = np.random.default_rng(31)
+        for _ in range(20):
+            k = int(rng.integers(1, 9))
+            diag = rng.uniform(-1.0, 1.0, k)
+            off = rng.uniform(0.1, 1.0, k - 1)
+            t_mat = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+            sigma = float(np.linalg.eigvalsh(t_mat)[0]) - 1e-3
+            basis = np.linalg.qr(rng.standard_normal((k + 3, k)))[0]
+            b = 10.0 * rng.standard_normal(k + 3)
+            x, value = krylov_minimizer(basis, (diag, off), b, 0.5, sigma)
+            y = basis.T @ x
+            assert abs(np.linalg.norm(y) - 0.5) <= 1e-12
+            g = basis.T @ b
+            r = (t_mat - sigma * np.eye(k)) @ y + g
+            mu = -float(r @ y) / 0.25
+            assert mu > 0.0
+            np.testing.assert_allclose(r + mu * y, 0.0, atol=1e-9 * np.linalg.norm(g))
+            assert value == pytest.approx(model_value(t_mat, sigma, g, y), rel=1e-12)
 
 
 class TestTrSolve:
@@ -695,9 +839,10 @@ class TestTrSolve:
 
     def test_caller_psd_certificate_skips_the_probe(self, np_rng):
         # a nonnegative lam_min_lower skips min_evec: no RNG draw, no eig
-        # matvec, and the probe at the fixed step 1 / b_bound.  A solve that
-        # min_evec certified is the probe from its top Ritz value instead,
-        # bit for bit, on the same eigenpair draw
+        # matvec, and the probe from the caller's origin at the fixed step
+        # 1 / b_bound.  A solve that min_evec certified is the probe from its
+        # top Ritz value and from x_K, the model minimizer over min_evec's
+        # Krylov space, instead, bit for bit, on the same eigenpair draw
         radius, delta = 1.0, 1e-4
         for t in range(20):
             d = int(np_rng.integers(2, 21))
@@ -714,13 +859,16 @@ class TestTrSolve:
             assert sol.lambda_hat == 0.5 * lam_min
             ev = min_evec(SymOperator(a, Counter()), delta / (2.0 * radius), 0.5 * p.q,
                           p.b_bound, RngStream(40 + t))
+            x_k, _ = krylov_minimizer(ev.basis, ev.tridiagonal, b, radius, 0.0)
             lg = max(p.b_bound, delta)
             tol = EARLY_EXIT_RTOL * min(delta, float(np.linalg.norm(b)))
-            for got, l_start, eig_matvecs in ((sol, None, 0),
-                                              (probed, ev.ritz_max, ev.matvecs_used)):
+            assert (sol.start, probed.start) == ("caller", "krylov")
+            for got, start, l_start, eig_matvecs in (
+                    (sol, np.zeros(d), None, 0),
+                    (probed, x_k, ev.ritz_max, ev.matvecs_used)):
                 op = SymOperator(a, Counter())
                 x, k, res, ax = fista_probe(op, b, radius, lg, accel_budget(lg, radius, delta),
-                                            np.zeros(d), tol, l_start=l_start)
+                                            start, tol, l_start=l_start)
                 assert got.branch is TRBranch.CONVEX and got.early_exit
                 assert got.delta_vec.tobytes() == x.tobytes()
                 assert got.a_delta.tobytes() == ax.tobytes()
@@ -768,16 +916,23 @@ class TestTrSolve:
 
     def test_lied_bound_surfaces_certificate_failure(self):
         # the caller's spectral bound is the solver's certificate; a gross
-        # underestimate makes the accelerated steps diverge, and the failed
-        # residual check must surface after one retry rather than pass
+        # underestimate makes the caller-certified solve's fixed steps
+        # diverge, and the failed residual check must surface after one
+        # retry rather than pass.  Left to min_evec, the same instance is
+        # solved honestly: with d = 2 its Krylov space is full, so x_K is the
+        # exact minimizer and certifies without a step
         from oqn.errors import CertificateFailure
 
         a = np.diag([100.0, 1.0])
-        op = SymOperator(a, Counter())
-        p = TrustRegionSubproblem(a_op=op, b=np.array([-5.0, 0.0]), radius=1.0,
-                                  delta=1e-6, q=0.01, b_bound=0.5)
+        p = TrustRegionSubproblem(a_op=SymOperator(a, Counter()), b=np.array([-5.0, 0.0]),
+                                  radius=1.0, delta=1e-6, q=0.01, b_bound=0.5,
+                                  lam_min_lower=1.0)
         with pytest.raises(CertificateFailure):
             tr_solve(p, RngStream(4))
+        sol = tr_solve(dataclasses.replace(p, lam_min_lower=-math.inf), RngStream(4))
+        assert sol.start == "krylov" and sol.early_exit and sol.n_accel == 0
+        assert sol.residual <= 1e-6
+        assert_certificate_is_fresh(a, p.b, 1.0, sol)
 
     def test_matvec_cost_bound(self, np_rng):
         # counter-audited against the solver cost structure with C = 4
