@@ -7,6 +7,12 @@ ambient dimension, where the Krylov space saturates and the estimates become
 exact).  Breakdown, which the budgets do not anticipate, means an invariant
 subspace was found: we truncate and keep the then-exact Ritz pairs.
 
+A factorization keeps its Lanczos vectors as the rows of one preallocated
+C-ordered array, grown at most once per extension, so a step
+reorthogonalizes against a contiguous view of the rows written so far and
+copies no basis; ``basis_matrix()`` and the bases the oracles hand back are
+views of that array.
+
 The separation oracle first reads the operator's Frobenius norm, which the
 operators hold at no matvec cost.  Since |W|_op <= |W|_F, a norm at most l1
 certifies W inside the ball, so every Ritz value would be at most l1 as
@@ -37,13 +43,17 @@ class LanczosFactorization:
 
     ``alphas`` holds the diagonal of T (length k), ``betas`` holds
     beta_2..beta_{k+1} (length k; the last entry is the residual norm after
-    step k and is *not* part of T).  ``basis`` holds v_1..v_k plus v_{k+1}
-    when no breakdown occurred.
+    step k and is *not* part of T).  ``basis`` is one C-ordered (cap, d)
+    array whose row j holds v_{j+1}: rows 0..k-1 are v_1..v_k, row k is
+    v_{k+1} when no breakdown occurred, and later rows are unused capacity.
+    ``lanczos_factorize`` allocates n_steps + 1 rows; ``lanczos_extend``
+    replaces the array by a larger copy at most once per call, so a view
+    taken before an extension keeps its rows and bits.
     """
 
     alphas: list
     betas: list
-    basis: list
+    basis: NDArray
     breakdown_at: Optional[int] = None
     breakdown_tol: float = 0.0
 
@@ -52,7 +62,8 @@ class LanczosFactorization:
         return len(self.alphas)
 
     def basis_matrix(self) -> NDArray:
-        return np.column_stack(self.basis[: self.size])
+        """V = [v_1 .. v_k] (d x k), a view of ``basis``, not a copy."""
+        return self.basis[: self.size].T
 
     def tridiagonal(self) -> tuple[NDArray, NDArray]:
         """(diagonal, off-diagonal) of T."""
@@ -71,33 +82,44 @@ def lanczos_factorize(op, v1: NDArray, n_steps: int) -> LanczosFactorization:
     if n_steps < 1 or n_steps > op.dim:
         raise InvalidArgument(f"n_steps must be in [1, dim], got {n_steps}")
     tol = BREAKDOWN_RTOL * op.frobenius_norm()
-    fact = LanczosFactorization(alphas=[], betas=[], basis=[v1], breakdown_tol=tol)
+    basis = np.empty((n_steps + 1, v1.size))
+    basis[0] = v1
+    fact = LanczosFactorization(alphas=[], betas=[], basis=basis, breakdown_tol=tol)
     return lanczos_extend(fact, op, n_steps)
 
 
 def lanczos_extend(fact: LanczosFactorization, op, n_steps_total: int) -> LanczosFactorization:
-    """Continue an existing factorization up to ``n_steps_total`` steps."""
+    """Continue an existing factorization up to ``n_steps_total`` steps,
+    first growing ``fact.basis`` to n_steps_total + 1 rows by one copy if it
+    is shorter."""
     if fact.breakdown_at is not None:
         return fact
-    while fact.size < n_steps_total:
-        k = fact.size  # about to perform step k+1 (1-indexed: step fact.size+1)
-        v_k = fact.basis[k]
+    k = fact.size  # steps done; row k holds v_{k+1}
+    if fact.basis.shape[0] <= n_steps_total:
+        grown = np.empty((n_steps_total + 1, fact.basis.shape[1]))
+        grown[: k + 1] = fact.basis[: k + 1]
+        fact.basis = grown
+    basis = fact.basis
+    while k < n_steps_total:
+        v_k = basis[k]
         w = op.apply(v_k)
         if k > 0:
-            w = w - fact.betas[-1] * fact.basis[k - 1]
+            w = w - fact.betas[-1] * basis[k - 1]
         alpha = float(w @ v_k)
         w = w - alpha * v_k
-        # full reorthogonalization; cheap vector work, no matvecs
-        basis_mat = np.column_stack(fact.basis)
-        w = w - basis_mat @ (basis_mat.T @ w)
+        # full reorthogonalization against the rows written so far; cheap
+        # vector work, no matvecs
+        q = basis[: k + 1]
+        w = w - q.T @ (q @ w)
         beta = math.sqrt(w @ w)
         fact.alphas.append(alpha)
         fact.betas.append(beta)
+        k += 1
         if beta <= fact.breakdown_tol:
             # the tiny beta stays in betas for the residual term
-            fact.breakdown_at = fact.size
+            fact.breakdown_at = k
             return fact
-        fact.basis.append(w / beta)
+        np.divide(w, beta, out=basis[k])
     return fact
 
 
@@ -114,7 +136,9 @@ class MinEvecResult:
 
     ``basis`` (d x k1) and ``tridiagonal`` (diagonal, off-diagonal) are
     stage 1's Lanczos basis V1 and its T1 = V1' A V1, taken before stage 2
-    extends the factorization: ``trsolver`` minimizes its subproblem over
+    extends the factorization.  ``basis`` is a view of stage 1's row array,
+    not a copy; stage 2 grows the factorization into a new array, so V1's
+    rows keep their bits.  ``trsolver`` minimizes its subproblem over
     that Krylov space at no matvec.  lambda_hat = ritz_min(T1) - delta/2, so
     T1 - lambda_hat I, and T1 itself when PSD is certified, is at least
     (delta/2) I."""

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from scipy.linalg import eigh_tridiagonal
 from oqn.eig import (
     MinEvecCase,
     SepCase,
+    lanczos_extend,
     lanczos_factorize,
     min_evec,
     sep,
@@ -49,22 +51,60 @@ class TestLanczos:
             lanczos_factorize(op, np.array([1.0, 1.0, 0.0]), 2)
 
     def test_orthonormality_and_recurrence(self, np_rng):
-        a = random_symmetric(np_rng, 30)
-        op = SymOperator(a, Counter())
-        fact = lanczos_factorize(op, unit(np_rng.standard_normal(30)), 12)
-        basis = np.column_stack(fact.basis)
-        gram = basis.T @ basis
-        assert np.max(np.abs(gram - np.eye(gram.shape[0]))) <= 1e-8
-        # three-term recurrence: A v_k = beta_k v_{k-1} + alpha_k v_k + beta_{k+1} v_{k+1}
-        scale = op.frobenius_norm()
-        for k in range(fact.size):
-            lhs = a @ fact.basis[k]
-            rhs = fact.alphas[k] * fact.basis[k]
-            if k > 0:
-                rhs = rhs + fact.betas[k - 1] * fact.basis[k - 1]
-            if k + 1 < len(fact.basis):
-                rhs = rhs + fact.betas[k] * fact.basis[k + 1]
-            assert np.linalg.norm(lhs - rhs) <= 1e-8 * scale
+        d = 30
+        # three distinct eigenvalues span a Krylov space of dimension 3, so
+        # the second case breaks down after step 3 and writes no v_4
+        for a, breakdown_at in ((random_symmetric(np_rng, d), None),
+                                (np.diag(np.resize([-1.0, 0.5, 2.0], d)), 3)):
+            op = SymOperator(a, Counter())
+            fact = lanczos_factorize(op, unit(np_rng.standard_normal(d)), 12)
+            assert fact.breakdown_at == breakdown_at
+            k = breakdown_at or 12
+            assert fact.size == op.counter.count == k and fact.basis_matrix().shape == (d, k)
+            # V plus the trailing row v_{k+1}, written only when no breakdown
+            basis = (fact.basis_matrix() if breakdown_at
+                     else np.column_stack([fact.basis_matrix(), fact.basis[k]]))
+            gram = basis.T @ basis
+            assert np.max(np.abs(gram - np.eye(gram.shape[0]))) <= 1e-8
+            # three-term recurrence:
+            # A v_j = beta_j v_{j-1} + alpha_j v_j + beta_{j+1} v_{j+1};
+            # at a breakdown the last beta is below the breakdown tolerance
+            scale = op.frobenius_norm()
+            for j in range(k):
+                lhs = a @ basis[:, j]
+                rhs = fact.alphas[j] * basis[:, j]
+                if j > 0:
+                    rhs = rhs + fact.betas[j - 1] * basis[:, j - 1]
+                if j + 1 < basis.shape[1]:
+                    rhs = rhs + fact.betas[j] * basis[:, j + 1]
+                assert np.linalg.norm(lhs - rhs) <= 1e-8 * scale
+
+    def test_factorization_allocates_about_one_basis(self, np_rng):
+        # the rows are preallocated once: no step copies the basis
+        d, n = 500, 100
+        op = SymOperator(random_symmetric(np_rng, d), Counter())
+        v1 = unit(np_rng.standard_normal(d))
+        tracemalloc.start()
+        try:
+            fact = lanczos_factorize(op, v1, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert fact.size == n and fact.basis.shape == (n + 1, d)
+        assert peak <= 1.25 * 8 * d * (n + 1)
+
+    def test_extension_grows_once_and_keeps_earlier_views(self, np_rng):
+        d = 20
+        op = SymOperator(random_symmetric(np_rng, d), Counter())
+        v1 = unit(np_rng.standard_normal(d))
+        fact = lanczos_factorize(op, v1, 5)
+        first = fact.basis_matrix()
+        before = first.copy()
+        lanczos_extend(fact, op, 12)
+        assert fact.basis.shape == (13, d) and fact.basis.flags.c_contiguous
+        np.testing.assert_array_equal(first, before)
+        np.testing.assert_array_equal(fact.basis_matrix(),
+                                      lanczos_factorize(op, v1, 12).basis_matrix())
 
 
 class TestMinEvec:
@@ -108,6 +148,23 @@ class TestMinEvec:
                                 else MinEvecCase.PSD_CERTIFIED)
             assert res.matvecs_used == op.counter.count == d
             assert res.ritz_max == pytest.approx(lam_max, abs=1e-10 * np.linalg.norm(a))
+
+    def test_stage_one_basis_survives_stage_two(self, np_rng):
+        # V1 and T1 are views and values of stage 1's factorization; stage 2
+        # grows it into a new array and must leave them as stage 1 wrote them
+        d = 40
+        a = random_symmetric(np_rng, d)
+        lam_min, lam_max, _, _ = dense_extreme_eig(SymOperator(a, Counter()))
+        spread = lam_max - lam_min
+        res = min_evec(SymOperator(a, Counter()), 0.1 * spread, 0.05, spread, RngStream(11))
+        assert res.case is MinEvecCase.NEGATIVE_EIG
+        n1 = res.basis.shape[1]
+        assert n1 < res.matvecs_used  # stage 2 ran
+        fact = lanczos_factorize(SymOperator(a, Counter()), RngStream(11).unit_vector(d), n1)
+        np.testing.assert_array_equal(res.basis, fact.basis_matrix())
+        for got, want in zip(res.tridiagonal, fact.tridiagonal()):
+            np.testing.assert_array_equal(got, want)
+        assert np.shares_memory(fact.basis_matrix(), fact.basis)
 
     def test_budget_capped_at_dim(self, np_rng):
         a = random_symmetric(np_rng, 6)

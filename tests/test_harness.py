@@ -273,6 +273,14 @@ def _skewed(spec, name, *args):
     (verify, "tr_solve", lambda sol, p, rng: sol if p.lam_min_lower >= 0.0 else
      dataclasses.replace(sol, delta_vec=0.5 * sol.delta_vec),
      verify.check_early_exit, "trsolver.early_exit_quality"),
+    # T's diagonal off by 1e-6 relative: the basis stays orthonormal, the
+    # recurrence fails
+    (verify, "lanczos_factorize", lambda fact, *args: dataclasses.replace(
+        fact, alphas=[(1.0 + 1e-6) * alpha for alpha in fact.alphas]),
+     verify.check_lanczos, "eig.lanczos_orthogonality"),
+    (verify, "lanczos_factorize",
+     lambda fact, *args: dataclasses.replace(fact, basis=(1.0 + 1e-9) * fact.basis),
+     verify.check_lanczos, "eig.lanczos_orthogonality"),
     (verify, "min_evec", lambda res, op, delta, *args: dataclasses.replace(
         res, lambda_hat=res.lambda_hat - 2.0 * delta),
      verify.check_minevec, "eig.minevec.sandwich"),
@@ -290,7 +298,8 @@ def _skewed(spec, name, *args):
     # a derived start product off by 1e-10 relative: err 4e-8 against 1e-13
     (driver, "daxpy", lambda res, *args: (1.0 + 1e-10) * res,
      verify.check_driver, "driver.start_product"),
-], ids=["off_optimum", "eigen_certified_off_optimum", "low_eigenvalue", "high_ritz_value",
+], ids=["off_optimum", "eigen_certified_off_optimum", "perturbed_tridiagonal",
+        "stretched_lanczos_basis", "low_eigenvalue", "high_ritz_value",
         "stretched_eigenvector", "always_inside", "undercounted_matvecs", "scaled_gradient",
         "skewed_start_product"])
 def test_contract_battery_fails_on_a_broken_oracle(monkeypatch, module, oracle, corrupt,
