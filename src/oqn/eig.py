@@ -13,6 +13,13 @@ reorthogonalizes against a contiguous view of the rows written so far and
 copies no basis; ``basis_matrix()`` and the bases the oracles hand back are
 views of that array.
 
+Every tridiagonal eigensolve, here and in ``trsolver.krylov_minimizer``, is
+one LAPACK ``?stevd`` call through ``tridiagonal_eigh``, bound once at
+import.  That is the driver SciPy's ``eigh_tridiagonal`` picks for a full
+spectrum, so the bits are SciPy's, but its per-call validation and dispatch
+are gone: they cost 10-15 us a call, about as much as LAPACK's own work on
+the small tridiagonals read here.
+
 The separation oracle first reads the operator's Frobenius norm, which the
 operators hold at no matvec cost.  Since |W|_op <= |W|_F, a norm at most l1
 certifies W inside the ball, so every Ritz value would be at most l1 as
@@ -29,12 +36,37 @@ from typing import Optional
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy.linalg import eigh_tridiagonal
+from scipy.linalg import get_lapack_funcs
 
 from .errors import InvalidArgument, check_nonnegative, check_open_unit, check_positive
 from .rng import RngStream
 
 BREAKDOWN_RTOL = 1e-12
+
+_STEVD, = get_lapack_funcs(("stevd",), (np.empty(1),))
+
+
+def tridiagonal_eigh(diag: NDArray, off: NDArray,
+                     compute_v: bool) -> tuple[NDArray, Optional[NDArray]]:
+    """Eigenvalues, ascending, of the symmetric tridiagonal with diagonal
+    ``diag`` and off-diagonal ``off``, and with ``compute_v`` its orthonormal
+    eigenvectors as columns (else None): the bits of SciPy's
+    ``eigh_tridiagonal(diag, off, eigvals_only=not compute_v,
+    lapack_driver="stevd")``.
+
+    It keeps what that wrapper guards.  Non-finite input is rejected before
+    the call, since ``?stevd`` answers it with NaN and info 0; a nonzero
+    info is rejected as a failed oracle output.  A 1 x 1 matrix is answered
+    without LAPACK, whose ``?stevd`` binding rejects an empty off-diagonal.
+    """
+    if not (np.isfinite(diag).all() and np.isfinite(off).all()):
+        raise InvalidArgument("tridiagonal has non-finite entries")
+    if diag.size == 1:
+        return diag.copy(), (np.ones((1, 1)) if compute_v else None)
+    evals, evecs, info = _STEVD(diag, off, compute_v=compute_v)
+    if info != 0:
+        raise InvalidArgument(f"LAPACK ?stevd failed on the tridiagonal, info = {info}")
+    return evals, (evecs if compute_v else None)
 
 
 @dataclass
@@ -184,7 +216,7 @@ def min_evec(
     start = rng.unit_vector(d)
     fact = lanczos_factorize(op, start, n1)
     basis1, t1 = fact.basis_matrix(), fact.tridiagonal()
-    ritz = eigh_tridiagonal(*t1, eigvals_only=True)
+    ritz = tridiagonal_eigh(*t1, compute_v=False)[0]
     ritz_max = float(ritz[-1])
     lambda_hat = float(ritz[0]) - 0.5 * delta
 
@@ -266,7 +298,7 @@ def sep(w_op, l1: float, q: float, rng: RngStream) -> SepResult:
         return SepResult(fro / l1, np.zeros(d), 0.0, l1, SepCase.INSIDE_DOUBLED, 0)
     fact = lanczos_factorize(w_op, rng.unit_vector(d), sep_budget(d, q))
     diag, off = fact.tridiagonal()
-    evals, evecs = eigh_tridiagonal(diag, off)
+    evals, evecs = tridiagonal_eigh(diag, off, compute_v=True)
     lam_top, lam_bot = float(evals[-1]), float(evals[0])
     gamma = max(lam_top, -lam_bot) / l1
     if gamma <= 1.0:

@@ -22,7 +22,6 @@ from typing import Optional, get_args, get_type_hints
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy.optimize import brentq
 
 from . import driver
 from .driver import HyperParams, RunReport, compute_hyperparams
@@ -199,7 +198,13 @@ BRUTE_TR_DIM_CAP = 20
 def brute_tr(a_dense: NDArray, b: NDArray, d_radius: float) -> NDArray:
     """Exact trust-region minimizer by eigendecomposition plus a root solve
     on the boundary multiplier, covering the interior, boundary and
-    degenerate (hard) cases."""
+    degenerate (hard) cases.
+
+    The boundary root solve is SciPy's ``brentq``, not ``tr_solve``'s
+    secular Newton code, so this stays an independent reference for the
+    solver.  ``brentq`` is imported where it is used: no ``oqn`` run or
+    command needs ``scipy.optimize``, so importing ``oqn``, ``oqn.harness``,
+    ``oqn.verify`` or ``oqn.cli`` never loads it (README: Layout)."""
     a_dense = np.asarray(a_dense, dtype=float)
     b = np.asarray(b, dtype=float)
     d = a_dense.shape[0]
@@ -233,6 +238,7 @@ def brute_tr(a_dense: NDArray, b: NDArray, d_radius: float) -> NDArray:
     mu_hi = mu_floor + tiny
     while norm_y(mu_hi) >= d_radius:
         mu_hi = 2.0 * mu_hi + float(np.linalg.norm(b)) / d_radius + 1.0
+    from scipy.optimize import brentq
     mu_star = brentq(lambda mu: norm_y(mu) - d_radius, mu_floor + tiny, mu_hi,
                      xtol=1e-15, rtol=8.9e-16, maxiter=200)
     y = -bt / (evals + mu_star)

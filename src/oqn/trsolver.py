@@ -62,9 +62,8 @@ from typing import Optional
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy.linalg import eigh_tridiagonal
 
-from .eig import MinEvecCase, min_evec
+from .eig import MinEvecCase, min_evec, tridiagonal_eigh
 from .errors import CertificateFailure, InvalidArgument, check_open_unit, check_positive
 from .rng import RngStream
 
@@ -333,7 +332,7 @@ def krylov_minimizer(basis: NDArray, tridiagonal: tuple[NDArray, NDArray], b: ND
     boundary one (More & Sorensen 1983).  Returns ``(V1 y, model value)``,
     or None when rounding left T1 - sigma I without a positive spectrum.
     """
-    theta, q_mat = eigh_tridiagonal(*tridiagonal)
+    theta, q_mat = tridiagonal_eigh(*tridiagonal, compute_v=True)
     theta = theta - sigma
     if not theta[0] > 0.0:
         return None

@@ -14,9 +14,12 @@ import dataclasses
 import math
 
 import numpy as np
+import scipy
+from scipy.linalg import eigh_tridiagonal
 
 from . import driver, harness
-from .eig import MinEvecCase, SepCase, lanczos_factorize, min_evec, sep, sep_budget
+from .eig import (MinEvecCase, SepCase, lanczos_factorize, min_evec, sep, sep_budget,
+                  tridiagonal_eigh)
 from .errors import OqnError, check_one_of
 from .hessian_learner import LearnerState, default_rho, learner_step
 from .linops import Counter, SymOperator, dense_extreme_eig
@@ -183,6 +186,34 @@ def check_lanczos(cfg):
     return [CheckResult(
         "eig.lanczos_orthogonality", orth <= LANCZOS_ORTH_TOL and rec <= LANCZOS_RECURRENCE_RTOL,
         f"steps={k} orth={orth:.1e} recurrence={rec:.1e}")]
+
+
+def check_tridiagonal(cfg):
+    """``tridiagonal_eigh`` binds the f2py ``?stevd`` signature of the
+    installed SciPy directly, so it is held to the bits of SciPy's own
+    ``eigh_tridiagonal`` with the ``stevd`` driver: values only and with
+    vectors, at k = 1..20, one tridiagonal with a zero off-diagonal entry."""
+    rng = np.random.default_rng(SEED)
+    mismatched = []
+    for k in range(1, 21):
+        diag, off = rng.standard_normal(k), np.abs(rng.standard_normal(k - 1))
+        if k == 10:
+            off[4] = 0.0  # T splits into two blocks
+        for compute_v in (False, True):
+            try:
+                ref = eigh_tridiagonal(diag, off, eigvals_only=not compute_v,
+                                       lapack_driver="stevd")
+            except ValueError as exc:  # a SciPy whose wrapper has no stevd driver
+                return [CheckResult("eig.tridiagonal_lapack", False,
+                                    f"scipy {scipy.__version__}: {exc}")]
+            evals, evecs = tridiagonal_eigh(diag, off, compute_v)
+            same = (np.array_equal(evals, ref[0]) and np.array_equal(evecs, ref[1])
+                    if compute_v else np.array_equal(evals, ref))
+            if not same:
+                mismatched.append(f"k={k}{'+vectors' if compute_v else ''}")
+    return [CheckResult("eig.tridiagonal_lapack", not mismatched,
+                        f"scipy {scipy.__version__}: "
+                        f"mismatched={','.join(mismatched) or 'none'} of 40 solves")]
 
 
 def check_minevec(cfg):
@@ -572,7 +603,8 @@ def check_driver(cfg):
 
 # (layer, battery): the layer names a battery's ``raised`` check
 BATTERIES = (("problems", check_problems), ("linops", check_linops),
-             ("eig", check_lanczos), ("eig", check_minevec), ("eig", check_sep),
+             ("eig", check_lanczos), ("eig", check_tridiagonal), ("eig", check_minevec),
+             ("eig", check_sep),
              ("trsolver", check_trsolver), ("trsolver", check_krylov_start),
              ("trsolver", check_early_exit), ("learner", check_learner),
              ("driver", check_driver))

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.linalg import eigh_tridiagonal
 
+from oqn import eig
 from oqn.eig import (
     MinEvecCase,
     SepCase,
@@ -12,6 +13,7 @@ from oqn.eig import (
     lanczos_factorize,
     min_evec,
     sep,
+    tridiagonal_eigh,
 )
 from oqn.errors import InvalidArgument
 from oqn.linops import Counter, SymOperator, dense_extreme_eig
@@ -105,6 +107,40 @@ class TestLanczos:
         np.testing.assert_array_equal(first, before)
         np.testing.assert_array_equal(fact.basis_matrix(),
                                       lanczos_factorize(op, v1, 12).basis_matrix())
+
+
+class TestTridiagonalEigh:
+    @pytest.mark.parametrize("compute_v", [False, True])
+    def test_bits_of_scipys_stevd_driver(self, np_rng, compute_v):
+        """Equal bits to SciPy's wrapper over random tridiagonals at k =
+        1..20, each also with one zero off-diagonal entry."""
+        for k in np.repeat(np.arange(1, 21), 5):
+            diag, off = np_rng.standard_normal(k), np_rng.standard_normal(k - 1)
+            split = off.copy()
+            split[(k - 1) // 2:][:1] = 0.0  # T splits in two; k = 1 has no entry
+            for e in (off, split):
+                ref = eigh_tridiagonal(diag, e, eigvals_only=not compute_v,
+                                       lapack_driver="stevd")
+                evals, evecs = tridiagonal_eigh(diag, e, compute_v)
+                if compute_v:
+                    np.testing.assert_array_equal(evals, ref[0])
+                    np.testing.assert_array_equal(evecs, ref[1])
+                else:
+                    np.testing.assert_array_equal(evals, ref)
+                    assert evecs is None
+
+    def test_one_by_one_needs_no_lapack(self, monkeypatch):
+        monkeypatch.setattr(eig, "_STEVD", None)
+        diag = np.array([-3.5])
+        evals, evecs = tridiagonal_eigh(diag, np.empty(0), compute_v=True)
+        assert evals.tolist() == [-3.5] and evecs.tolist() == [[1.0]]
+        assert not np.shares_memory(evals, diag)
+        assert tridiagonal_eigh(diag, np.empty(0), compute_v=False)[1] is None
+
+    def test_lapack_failure_is_rejected(self, monkeypatch):
+        monkeypatch.setattr(eig, "_STEVD", lambda d, e, compute_v: (d, None, 3))
+        with pytest.raises(InvalidArgument, match="stevd failed on the tridiagonal, info = 3"):
+            tridiagonal_eigh(np.ones(3), np.ones(2), compute_v=False)
 
 
 class TestMinEvec:

@@ -11,7 +11,7 @@ import pytest
 
 from oqn import driver, errors, harness
 from oqn.driver import HyperParams, compute_hyperparams
-from oqn.eig import lanczos_factorize, min_evec, sep
+from oqn.eig import lanczos_factorize, min_evec, sep, tridiagonal_eigh
 from oqn.errors import InvalidArgument
 from oqn.hessian_learner import default_rho
 from oqn.linops import Counter, SymOperator
@@ -129,6 +129,11 @@ def unlogged_audit():
     (lambda: harness.gd_step_size(catalog("cosine_mixture", 2), math.nan),
      "^step_size must be positive and finite, got nan"),
     (lambda: SymOperator(np.full((2, 2), math.nan)), "matrix has non-finite entries"),
+    # LAPACK ?stevd answers NaN with info 0 on such input
+    (lambda: tridiagonal_eigh(np.array([1.0, math.nan]), np.ones(1), compute_v=False),
+     "^tridiagonal has non-finite entries"),
+    (lambda: tridiagonal_eigh(np.ones(2), np.array([math.inf]), compute_v=True),
+     "^tridiagonal has non-finite entries"),
     (lambda: min_evec(SymOperator(np.eye(2)), math.nan, 0.05, 1.0, RngStream(0)),
      "delta must be positive and finite, got nan"),
     (lambda: min_evec(SymOperator(np.eye(2)), 0.1, 0.05, math.nan, RngStream(0)),
@@ -193,7 +198,8 @@ def unlogged_audit():
         "config_method", "config_audit", "gd_step_size", "d_radius_nan", "eta_inf",
         "t_len_fraction", "manual_config_nan", "rho_radius_nan", "tr_radius_nan",
         "tr_b_bound_nan", "tr_b_bound_inf", "tr_b_nan", "spec_l1_nan", "sep_l1_nan",
-        "gd_step_size_nan", "operator_nan", "minevec_delta_nan", "minevec_b_bound_nan",
+        "gd_step_size_nan", "operator_nan", "tridiagonal_nan", "tridiagonal_inf",
+        "minevec_delta_nan", "minevec_b_bound_nan",
         "minevec_b_bound_negative", "m_budget_fraction",
         "gap_bound_nan", "fd_step_nan", "gradient_longer", "gradient_column",
         "config_run_key_cast", "config_manual_key_cast", "config_family_knob_cast",

@@ -2,6 +2,9 @@ import contextlib
 import dataclasses
 import io
 import json
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -15,6 +18,8 @@ from oqn.eig import SepCase, SepResult
 from oqn.errors import CertificateFailure, InvalidArgument
 from oqn.problems import catalog, quadratic_from_matrix
 from oqn.verify import random_symmetric
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 CONFIG = """
 # sample experiment
@@ -232,6 +237,23 @@ class TestBruteTr:
         with pytest.raises(InvalidArgument, match="brute_tr caps at dim 20"):
             harness.brute_tr(np.eye(25), np.zeros(25), 1.0)
 
+    def test_scipy_optimize_loads_only_for_a_boundary_solve(self):
+        """No ``oqn`` import loads ``scipy.optimize``; a boundary solve
+        loads it for ``brentq``, and answers as it does in this process."""
+        a, b = np.diag([2.0, 1.0]), np.array([-4.0, 0.5])
+        script = (
+            "import sys\n"
+            "import numpy as np\n"
+            "import oqn, oqn.harness, oqn.verify, oqn.cli\n"
+            "print('scipy.optimize' in sys.modules)\n"
+            "x = oqn.harness.brute_tr(np.diag([2.0, 1.0]), np.array([-4.0, 0.5]), 1.0)\n"
+            "print('scipy.optimize' in sys.modules)\n"
+            "print(x.tobytes().hex())\n")
+        path = os.pathsep.join([str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])])
+        out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                             check=True, env={**os.environ, "PYTHONPATH": path}).stdout
+        assert out.split() == ["False", "True", harness.brute_tr(a, b, 1.0).tobytes().hex()]
+
 
 @pytest.fixture(scope="module")
 def quick_verify():
@@ -281,6 +303,9 @@ def _skewed(spec, name, *args):
     (verify, "lanczos_factorize",
      lambda fact, *args: dataclasses.replace(fact, basis=(1.0 + 1e-9) * fact.basis),
      verify.check_lanczos, "eig.lanczos_orthogonality"),
+    # every eigenvalue one rounding step above SciPy's
+    (verify, "tridiagonal_eigh", lambda res, *args: (np.nextafter(res[0], np.inf), res[1]),
+     verify.check_tridiagonal, "eig.tridiagonal_lapack"),
     (verify, "min_evec", lambda res, op, delta, *args: dataclasses.replace(
         res, lambda_hat=res.lambda_hat - 2.0 * delta),
      verify.check_minevec, "eig.minevec.sandwich"),
@@ -299,9 +324,9 @@ def _skewed(spec, name, *args):
     (driver, "daxpy", lambda res, *args: (1.0 + 1e-10) * res,
      verify.check_driver, "driver.start_product"),
 ], ids=["off_optimum", "eigen_certified_off_optimum", "perturbed_tridiagonal",
-        "stretched_lanczos_basis", "low_eigenvalue", "high_ritz_value",
-        "stretched_eigenvector", "always_inside", "undercounted_matvecs", "scaled_gradient",
-        "skewed_start_product"])
+        "stretched_lanczos_basis", "rounded_tridiagonal_eigenvalues", "low_eigenvalue",
+        "high_ritz_value", "stretched_eigenvector", "always_inside", "undercounted_matvecs",
+        "scaled_gradient", "skewed_start_product"])
 def test_contract_battery_fails_on_a_broken_oracle(monkeypatch, module, oracle, corrupt,
                                                    battery, check):
     """A shared battery must not turn vacuous: break its oracle in the
