@@ -18,7 +18,8 @@ one LAPACK ``?stevd`` call through ``tridiagonal_eigh``, bound once at
 import.  That is the driver SciPy's ``eigh_tridiagonal`` picks for a full
 spectrum, so the bits are SciPy's, but its per-call validation and dispatch
 are gone: they cost 10-15 us a call, about as much as LAPACK's own work on
-the small tridiagonals read here.
+the small tridiagonals read here.  The package requires SciPy >= 1.17, the
+oldest release this binding and its bits were checked on.
 
 The separation oracle first reads the operator's Frobenius norm, which the
 operators hold at no matvec cost.  Since |W|_op <= |W|_F, a norm at most l1
