@@ -149,7 +149,6 @@ class StepLog:
     full: bool = False
     g_dot_delta: list = field(default_factory=list)
     f_values: list = field(default_factory=list)  # f(x_0), f(x_1), ...
-    hint_gap_first: float = 0.0  # |g_1 - h_1|^2, the bootstrap hint error
     pair_losses: list = field(default_factory=list)  # loss of pair n at index n-1
     fp_gaps: list = field(default_factory=list)
     # full level only:
@@ -215,7 +214,7 @@ def init(spec: ObjectiveSpec, params: HyperParams) -> OqnState:
     grad_counter = Counter()
     matvec_counter = Counter()
     g0 = eval_gradient(spec, spec.x0, grad_counter)
-    g0_norm = max(float(np.linalg.norm(g0)), STATIONARY_RTOL * spec.l1)
+    g0_norm = max(math.sqrt(ddot(g0, g0)), STATIONARY_RTOL * spec.l1)
     delta1 = -params.d_radius * g0 / g0_norm
     b_state = LearnerState.fresh(
         dim=spec.dim, l1=spec.l1, rho=default_rho(params.d_radius),
@@ -244,22 +243,19 @@ def step(state: OqnState, spec: ObjectiveSpec, params: HyperParams, rng: RngStre
     tr = state.totals["tr"]
     d_rad, eta = params.d_radius, params.eta
     delta_n = state.delta_vec
+    half_delta = 0.5 * delta_n
 
-    w_n = state.x + 0.5 * delta_n
+    w_n = state.x + half_delta
     g_n = eval_gradient(spec, w_n, state.grad_counter)
 
     # the loss pair of iteration n-1 is complete now; learner closes it with
     # the hint error, which is that pair's residual y - B s (for "og", B = 0
     # and r = y), and |r|^2 is the pair's loss
     r = g_n - state.hint
-    if log is not None:
-        loss = float(r @ r)
-        if state.pending_s is None:
-            log.hint_gap_first = loss
-        else:
-            log.pair_losses.append(loss)
     plain = False  # the learner round moved B by exactly rho (r s' + s r')
     if state.pending_s is not None:
+        if log is not None:
+            log.pair_losses.append(ddot(r, r))
         if method == "oqn":
             played = state.b_state.sep
             learner_step(state.b_state, r, state.pending_s, rng)
@@ -276,10 +272,10 @@ def step(state: OqnState, spec: ObjectiveSpec, params: HyperParams, rng: RngStre
                 })
         if ledger:
             r_comp = (g_n - state.grad_z_prev) - state.hess_z_prev @ state.pending_s
-            log.comparator_losses.append(float(r_comp @ r_comp))
+            log.comparator_losses.append(ddot(r_comp, r_comp))
 
     x_next = state.x + delta_n
-    z_n = x_next + 0.5 * delta_n
+    z_n = x_next + half_delta
     gz = eval_gradient(spec, z_n, state.grad_counter)
 
     # local-constant problems: flag (never abort) iterates leaving the box
@@ -314,6 +310,7 @@ def step(state: OqnState, spec: ObjectiveSpec, params: HyperParams, rng: RngStre
         )
         sol = tr_solve(problem, rng)
         delta_next = sol.delta_vec
+        move = delta_next - delta_n
         tr["solves"] += 1
         tr["matvecs"] += sol.matvecs_used
         tr["max_residual"] = max(tr["max_residual"], sol.residual)
@@ -324,7 +321,7 @@ def step(state: OqnState, spec: ObjectiveSpec, params: HyperParams, rng: RngStre
         tr["branches"][branch] = tr["branches"].get(branch, 0) + 1
         # B/2 (delta_{n+1} - delta_n) from the two products of A, the solve's
         # at delta_{n+1} and this step's at delta_n: no matvec of its own
-        hint_next = gz + (sol.a_delta - a_delta) - (delta_next - delta_n) / eta
+        hint_next = gz + (sol.a_delta - a_delta) - move / eta
         if full:
             log.events.append({
                 "kind": "tr_solve", "n": n, "branch": branch,
@@ -336,9 +333,8 @@ def step(state: OqnState, spec: ObjectiveSpec, params: HyperParams, rng: RngStre
                 "start": sol.start,
                 "rng_state": rng.state(),
             })
-            fp = np.linalg.norm(delta_next - project_ball(
-                delta_next - eta * (sol.a_delta + b_vec), d_rad))
-            log.fp_gaps.append(float(fp))
+            fp = delta_next - project_ball(delta_next - eta * (sol.a_delta + b_vec), d_rad)
+            log.fp_gaps.append(math.sqrt(ddot(fp, fp)))
         state.a_delta = sol.a_delta
         solved = (problem, sol)
     else:  # og baseline: zero matrix, explicit projected optimistic update
@@ -346,8 +342,9 @@ def step(state: OqnState, spec: ObjectiveSpec, params: HyperParams, rng: RngStre
         hint_next = gz
         delta_next = project_ball(
             delta_n - eta * hint_next - eta * r, d_rad)
+        move = delta_next - delta_n
 
-    g_dot_delta = float(g_n @ delta_n)
+    g_dot_delta = ddot(g_n, delta_n)
     if log is not None:
         log.g_dot_delta.append(g_dot_delta)
         if spec.value is not None:
@@ -367,13 +364,13 @@ def step(state: OqnState, spec: ObjectiveSpec, params: HyperParams, rng: RngStre
     if n % params.t_len == 0:
         t = params.t_len
         w_bar = state.ep_sum_w / t
-        sum_g_norm = float(np.linalg.norm(state.ep_sum_g))
+        sum_g_norm = math.sqrt(ddot(state.ep_sum_g, state.ep_sum_g))
         # the comparator u_k = -D sum(g)/|sum(g)| attains D |sum(g)|
         regret = state.ep_sum_gdotd + d_rad * sum_g_norm
         g_bar = eval_gradient(spec, w_bar, state.grad_counter)
         state.episodes.append(EpisodeRecord(
             k=len(state.episodes) + 1, w_bar=w_bar,
-            grad_norm_at_wbar=float(np.linalg.norm(g_bar)),
+            grad_norm_at_wbar=math.sqrt(ddot(g_bar, g_bar)),
             episode_regret=regret, sum_g_norm=sum_g_norm,
             cum_gradients=state.grad_counter.count,
             cum_matvecs=state.matvec_counter.count,
@@ -382,7 +379,7 @@ def step(state: OqnState, spec: ObjectiveSpec, params: HyperParams, rng: RngStre
         state.ep_sum_g = np.zeros(spec.dim)
         state.ep_sum_gdotd = 0.0
 
-    state.pending_s = 0.5 * (delta_next - delta_n)
+    state.pending_s = 0.5 * move
     state.grad_z_prev = gz
     state.x = x_next
     state.delta_vec = delta_next
@@ -407,7 +404,7 @@ def run(spec: ObjectiveSpec, params: HyperParams, rng: RngStream,
     if eps_target is not None:
         check_positive("eps_target", eps_target)
     state = init(spec, params)
-    g0_norm = float(np.linalg.norm(state.hint))
+    g0_norm = math.sqrt(ddot(state.hint, state.hint))
     stationary = g0_norm <= STATIONARY_RTOL * spec.l1
     log = StepLog(full=audit_level == "full") if audit_level != "off" else None
     if log is not None and spec.value is not None:
@@ -523,11 +520,6 @@ def audit_regret(report: RunReport, spec: ObjectiveSpec, params: HyperParams) ->
     audits["regret_rhs"] = rhs_regret
     audits["regret_margin"] = rhs_regret - regret
     audits["regret_ok"] = regret <= rhs_regret + 1e-6 * abs(rhs_regret)
-    # variant including the bootstrap hint error of the first iteration
-    rhs_hint = (4.0 * k_eps * d_rad**2 / eta
-                + 1.5 * eta * (log.hint_gap_first + sum_pair_losses)
-                + 2.0 * d_rad * k_eps * t_len * params.delta_tr)
-    audits["regret_rhs_hint_variant"] = rhs_hint
 
     # stationarity bound at the episode averages
     if log.f_values:

@@ -38,6 +38,7 @@ from typing import Optional
 import numpy as np
 from numpy.typing import NDArray
 from scipy.linalg import get_lapack_funcs
+from scipy.linalg.blas import ddot
 
 from .errors import InvalidArgument, check_nonnegative, check_open_unit, check_positive
 from .rng import RngStream
@@ -110,8 +111,9 @@ def lanczos_factorize(op, v1: NDArray, n_steps: int) -> LanczosFactorization:
     Uses exactly min(n_steps, breakdown index) matvecs.
     """
     v1 = np.asarray(v1, dtype=float)
-    if abs(np.linalg.norm(v1) - 1.0) > 1e-12:
-        raise InvalidArgument(f"|v1| = {np.linalg.norm(v1)!r}, need a unit start")
+    norm = math.sqrt(ddot(v1, v1))
+    if abs(norm - 1.0) > 1e-12:
+        raise InvalidArgument(f"|v1| = {norm!r}, need a unit start")
     if n_steps < 1 or n_steps > op.dim:
         raise InvalidArgument(f"n_steps must be in [1, dim], got {n_steps}")
     tol = BREAKDOWN_RTOL * op.frobenius_norm()
@@ -138,13 +140,13 @@ def lanczos_extend(fact: LanczosFactorization, op, n_steps_total: int) -> Lanczo
         w = op.apply(v_k)
         if k > 0:
             w = w - fact.betas[-1] * basis[k - 1]
-        alpha = float(w @ v_k)
+        alpha = ddot(w, v_k)
         w = w - alpha * v_k
         # full reorthogonalization against the rows written so far; cheap
         # vector work, no matvecs
         q = basis[: k + 1]
         w = w - q.T @ (q @ w)
-        beta = math.sqrt(w @ w)
+        beta = math.sqrt(ddot(w, w))
         fact.alphas.append(alpha)
         fact.betas.append(beta)
         k += 1
@@ -238,7 +240,7 @@ def min_evec(
     m_mat[k - 1, k - 1] += fact.betas[-1] ** 2
     z_min = np.linalg.eigh(m_mat)[1][:, 0]
     v_hat = fact.basis_matrix() @ z_min
-    v_hat = v_hat / np.linalg.norm(v_hat)
+    v_hat = v_hat / math.sqrt(ddot(v_hat, v_hat))
     return MinEvecResult(lambda_hat, v_hat, MinEvecCase.NEGATIVE_EIG, fact.size, ritz_max,
                          basis1, t1)
 

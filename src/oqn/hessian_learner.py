@@ -44,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy.linalg.blas import dsymv, dsyr, dsyr2
+from scipy.linalg.blas import ddot, dsymv, dsyr, dsyr2
 
 from .eig import SepCase, SepResult, sep
 from .errors import InvalidArgument, check_positive
@@ -123,7 +123,7 @@ def learner_step(state: LearnerState, r: NDArray, s: NDArray, rng: RngStream) ->
     if played.case is SepCase.SEPARATED:
         # tilt = max(0, -<grad, B>), and <grad, B> = -2 r'(B s) with
         # B = W / gamma, read before W moves
-        tilt = max(0.0, 2.0 * float(r @ dsymv(1.0 / played.gamma, w_op.upper, s)))
+        tilt = max(0.0, 2.0 * ddot(r, dsymv(1.0 / played.gamma, w_op.upper, s)))
     # W - rho * grad = W + rho (r s' + s r'), in W's own triangle
     w_op.upper = dsyr2(state.rho, r, s, a=w_op.upper, overwrite_a=1)
     if tilt > 0.0:  # minus rho * tilt * S

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
+from scipy.linalg.blas import ddot
 
 from .errors import check_int_at_least
 
@@ -24,11 +27,11 @@ class RngStream:
         """Uniform draw from the unit sphere (normalized Gaussian)."""
         self.draws += 1
         v = self._gen.standard_normal(dim)
-        n = np.linalg.norm(v)
+        n = math.sqrt(ddot(v, v))
         while n == 0.0:  # probability-zero guard
             self.draws += 1
             v = self._gen.standard_normal(dim)
-            n = np.linalg.norm(v)
+            n = math.sqrt(ddot(v, v))
         return v / n
 
     def state(self) -> tuple[int, int]:

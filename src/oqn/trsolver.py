@@ -62,6 +62,7 @@ from typing import Optional
 
 import numpy as np
 from numpy.typing import NDArray
+from scipy.linalg.blas import ddot
 
 from .eig import MinEvecCase, min_evec, tridiagonal_eigh
 from .errors import CertificateFailure, InvalidArgument, check_open_unit, check_positive
@@ -164,7 +165,7 @@ class TRSolution:
 
 
 def project_ball(x: NDArray, radius: float) -> NDArray:
-    n = math.sqrt(x @ x)
+    n = math.sqrt(ddot(x, x))
     if n <= radius:
         return x
     return x * (radius / n)
@@ -185,7 +186,7 @@ def residual_of(a_op, b: NDArray, d_radius: float, delta_vec: NDArray,
     result is ``(residual, A delta_vec)``, the product the residual read.
     """
     delta_vec = np.asarray(delta_vec, dtype=float)
-    norm = math.sqrt(delta_vec @ delta_vec)
+    norm = math.sqrt(ddot(delta_vec, delta_vec))
     if not _in_ball(norm, d_radius):
         raise InvalidArgument(f"|delta| = {norm!r} exceeds radius {d_radius!r}")
     ax = a_op.apply(delta_vec)
@@ -196,10 +197,10 @@ def residual_of(a_op, b: NDArray, d_radius: float, delta_vec: NDArray,
 def _cone_residual(r: NDArray, x: NDArray, norm: float, d_radius: float) -> float:
     """Distance from -r = -(Ax + b) to the normal cone of the ball at x."""
     if norm < d_radius * (1.0 - INTERIOR_RTOL):
-        return math.sqrt(r @ r)
-    c_star = max(0.0, -float(r @ x) / d_radius**2)
+        return math.sqrt(ddot(r, r))
+    c_star = max(0.0, -ddot(r, x) / d_radius**2)
     r = r + c_star * x
-    return math.sqrt(r @ r)
+    return math.sqrt(ddot(r, r))
 
 
 def fista(a_psd, b: NDArray, d_radius: float, lg: float, n_iters: int, x_start: NDArray) -> NDArray:
@@ -251,11 +252,15 @@ def fista_probe(a_psd, b: NDArray, d_radius: float, lg: float, n_iters: int,
     steps, ``ax`` the product of ``a_psd`` with ``x`` that the residual read,
     or ``(None, n_iters, None, None)`` when none certified.
     """
-    x_start = np.asarray(x_start, dtype=float)
-    norm = math.sqrt(x_start @ x_start)
-    x = x_start if _in_ball(norm, d_radius) else project_ball(x_start, d_radius)
-    ax = a_start if a_start is not None and x is x_start else a_psd.apply(x)
-    res = _cone_residual(ax + b, x, math.sqrt(x @ x), d_radius)
+    x = np.asarray(x_start, dtype=float)
+    norm = math.sqrt(ddot(x, x))
+    if _in_ball(norm, d_radius):
+        ax = a_start if a_start is not None else a_psd.apply(x)
+    else:
+        x = project_ball(x, d_radius)
+        norm = math.sqrt(ddot(x, x))
+        ax = a_psd.apply(x)
+    res = _cone_residual(ax + b, x, norm, d_radius)
     if res <= tol:
         return x, 0, res, ax
     step_l = l_start if l_start is not None and 0.0 < l_start < lg else lg
@@ -265,20 +270,21 @@ def fista_probe(a_psd, b: NDArray, d_radius: float, lg: float, n_iters: int,
     for _ in range(n_iters):
         x_next = project_ball(y - (ay + b) / step_l, d_radius)
         ax_next = a_psd.apply(x_next)
-        res = _cone_residual(ax_next + b, x_next, math.sqrt(x_next @ x_next), d_radius)
+        res = _cone_residual(ax_next + b, x_next, math.sqrt(ddot(x_next, x_next)), d_radius)
         if res <= tol:
             return x_next, k + 1, res, ax_next
         if step_l < lg:
             move = x_next - y
-            if move @ (ax_next - ay) > step_l * (move @ move):
+            if ddot(move, ax_next - ay) > step_l * ddot(move, move):
                 step_l = min(2.0 * step_l, lg)
                 continue  # retake the step from y
         k += 1
-        if (y - x_next) @ (x_next - x) > 0.0:
+        dx = x_next - x
+        if ddot(y - x_next, dx) > 0.0:
             t = 1.0  # the step opposes the motion: drop the momentum
         t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
         beta = (t - 1.0) / t_next
-        y = x_next + beta * (x_next - x)
+        y = x_next + beta * dx
         ay = ax_next + beta * (ax_next - ax)
         x, ax, t = x_next, ax_next, t_next
     return None, n_iters, None, None
@@ -338,17 +344,17 @@ def krylov_minimizer(basis: NDArray, tridiagonal: tuple[NDArray, NDArray], b: ND
         return None
     g = q_mat.T @ (basis.T @ b)
     z = -g / theta
-    norm = math.sqrt(z @ z)
+    norm = math.sqrt(ddot(z, z))
     mu = 0.0
     for _ in range(SECULAR_MAX_ITERS):
         if norm <= d_radius * (1.0 + SECULAR_RTOL):
             break
-        mu += (norm - d_radius) / d_radius * norm**2 / float(z**2 @ (1.0 / (theta + mu)))
+        mu += (norm - d_radius) / d_radius * norm**2 / ddot(z**2, 1.0 / (theta + mu))
         z = -g / (theta + mu)
-        norm = math.sqrt(z @ z)
+        norm = math.sqrt(ddot(z, z))
     if mu > 0.0:
         z *= d_radius / norm  # onto the sphere, where the multiplier put it
-    return basis @ (q_mat @ z), float(z @ (0.5 * theta * z + g))
+    return basis @ (q_mat @ z), ddot(z, 0.5 * theta * z + g)
 
 
 def fista_plus_sfg(a_psd, b: NDArray, d_radius: float, lg: float, n_iters: int) -> NDArray:
@@ -397,7 +403,7 @@ def tr_solve(p: TrustRegionSubproblem, rng: RngStream) -> TRSolution:
     counter = p.a_op.counter
     start_count = counter.count
     certified_psd = p.lam_min_lower >= 0.0
-    b_norm = math.sqrt(p.b @ p.b)
+    b_norm = math.sqrt(ddot(p.b, p.b))
     if not math.isfinite(b_norm):
         raise InvalidArgument("b must be finite")
     last = None
@@ -423,7 +429,7 @@ def tr_solve(p: TrustRegionSubproblem, rng: RngStream) -> TRSolution:
             # the inner model's value at the caller's start, where no matvec
             # is needed to know it
             if a_start is not None:
-                known = 0.5 * float(x_start @ a_start) + float(p.b @ x_start)
+                known = 0.5 * ddot(x_start, a_start) + ddot(p.b, x_start)
             else:
                 known = None if x_start.any() else 0.0
             krylov = None if known is None else krylov_minimizer(
@@ -441,14 +447,16 @@ def tr_solve(p: TrustRegionSubproblem, rng: RngStream) -> TRSolution:
             cand = fista_plus_sfg(op, p.b, p.radius, lg, n_accel)
         if convex:
             branch = TRBranch.CONVEX
-        elif np.linalg.norm(cand) >= p.radius * (1.0 - BOUNDARY_RTOL):
+        elif math.sqrt(cand_sq := ddot(cand, cand)) >= p.radius * (1.0 - BOUNDARY_RTOL):
             branch = TRBranch.REGULARIZED_BOUNDARY
         else:
-            v = ev.v_hat if float(cand @ ev.v_hat) <= 0.0 else -ev.v_hat
-            proj = float(cand @ v)
-            alpha = math.sqrt(proj**2 + p.radius**2 - float(cand @ cand)) - proj
+            # along whichever of +-v_hat opposes cand; negation is exact, so
+            # cand'(-v_hat) is -(cand'v_hat) bit for bit
+            proj = ddot(cand, ev.v_hat)
+            v, proj = (ev.v_hat, proj) if proj <= 0.0 else (-ev.v_hat, -proj)
+            alpha = math.sqrt(proj**2 + p.radius**2 - cand_sq) - proj
             cand = cand + alpha * v
-            cand *= p.radius / np.linalg.norm(cand)  # snap exactly onto the sphere
+            cand *= p.radius / math.sqrt(ddot(cand, cand))  # snap exactly onto the sphere
             branch = TRBranch.REGULARIZED_INTERIOR
         if not (convex and early_exit):
             res, a_cand = residual_of(p.a_op, p.b, p.radius, cand, with_product=True)

@@ -57,6 +57,31 @@ class TestEvalGradient:
         with pytest.raises(InvalidArgument, match="non-finite values"):
             eval_gradient(spec, np.zeros(1), Counter())
 
+    def test_finite_gradient_whose_sum_of_squares_overflows(self):
+        # |g|^2 is inf, so the entrywise test runs, and it finds every entry
+        # finite
+        g = np.array([1e200, -1e200, 1e200, -1e200])
+        spec = ObjectiveSpec(dim=4, grad=lambda x: g, l1=1.0, l2=0.0, f_lower=0.0,
+                             x0=np.zeros(4))
+        counter = Counter()
+        assert eval_gradient(spec, np.zeros(4), counter) is g
+        assert counter.count == 1
+
+    @pytest.mark.parametrize("bad", [(np.nan,), (np.inf,), (-np.inf,), (np.inf, -np.inf)])
+    @pytest.mark.parametrize("at_end", [False, True])
+    def test_non_finite_entry_anywhere(self, bad, at_end):
+        g = np.ones(5)
+        if at_end:
+            g[len(g) - len(bad):] = bad
+        else:
+            g[:len(bad)] = bad
+        spec = ObjectiveSpec(dim=5, grad=lambda x: g, l1=1.0, l2=0.0, f_lower=0.0,
+                             x0=np.zeros(5))
+        counter = Counter()
+        with pytest.raises(InvalidArgument, match="non-finite values"):
+            eval_gradient(spec, np.zeros(5), counter)
+        assert counter.count == 0
+
 
 class TestCatalog:
     def test_identity_quadratic_constants(self):

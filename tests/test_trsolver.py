@@ -273,6 +273,46 @@ class TestEarlyExit:
         assert op.counter.count == 0
         assert res == residual_of(SymOperator(a, Counter()), b, 1.0, start)
 
+    def test_start_exit_reads_the_residual_of_its_point(self, np_rng):
+        # the probe reuses the norm it took of its start for the residual
+        # there: a k = 0 exit reports residual_of's bits at the point it
+        # returns, for one matvec, or none from a_start when the start is
+        # x_start itself, on the sphere, a rounding outside it, or projected
+        d = 7
+        m = random_symmetric(np_rng, d)
+        a = m @ m.T + 0.5 * np.eye(d)
+        lg = float(np.linalg.eigvalsh(a)[-1])
+        on_sphere = rounding_out = None
+        for _ in range(200):
+            start = project_ball(3.0 * np_rng.standard_normal(d), 1.0)
+            norm = math.sqrt(start @ start)
+            if norm == 1.0:
+                on_sphere = start
+            elif norm > 1.0:
+                rounding_out = start
+        assert on_sphere is not None and rounding_out is not None
+        u = np_rng.standard_normal(d)
+        outside = 2.0 * u / np.linalg.norm(u)
+        for start, kept in ((on_sphere, True), (rounding_out, True), (outside, False)):
+            # b pulls outward at the start, so the residual there is the
+            # boundary one, which a norm read as interior would not give
+            unit = start / np.linalg.norm(start)
+            b = -(lg + 1.0) * unit + 0.1 * np_rng.standard_normal(d)
+            a_start = SymOperator(a, Counter()).apply(start)
+            for given in (None, a_start):
+                op = SymOperator(a, Counter())
+                x, k, res, ax = fista_probe(op, b, 1.0, lg, 50, start, math.inf, given)
+                assert k == 0 and (x is start) == kept
+                if not kept:
+                    assert x.tobytes() == project_ball(start, 1.0).tobytes()
+                assert op.counter.count == int(given is None or not kept)
+                ref_res, ref_ax = residual_of(SymOperator(a, Counter()), b, 1.0, x,
+                                              with_product=True)
+                assert (ref_ax + b) @ x < 0.0
+                assert res == ref_res
+                assert ax.tobytes() == (a_start if given is not None and kept
+                                        else ref_ax).tobytes()
+
     def test_step_estimate_outside_its_range_is_the_fixed_step(self, np_rng):
         # l_start is used only in (0, lg); elsewhere the probe steps at 1/lg
         # bit for bit and never backtracks
