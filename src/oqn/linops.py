@@ -14,7 +14,9 @@ solver's regularized A - lambda_hat I.  A build either symmetrizes and
 checks a full square input and keeps its upper triangle or, given the norm
 through ``fro=``, trusts a caller that already holds the triangle in this
 layout and its norm (the matrix learner): then it costs no d x d pass at
-all.  Full symmetric matrices are only built on request, for the
+all.  The learner keeps an upper bound there (see ``hessian_learner``); the
+closed forms of a view's norm grow with the stored value, so they stay
+upper bounds too.  Full symmetric matrices are only built on request, for the
 brute-force test oracles and audits.  Counters are run-scoped objects owned
 by the caller, never globals.
 
@@ -78,8 +80,11 @@ class SymOperator:
     its upper triangle ``upper``, Fortran-ordered with a zero strict lower
     part.  ``apply`` increments the attached counter by exactly one per
     call; ``dense`` and the norm queries are free of matvec cost.  |S|_F is
-    stored as ``fro``; the matrix learner, which writes ``upper`` in place,
-    updates ``fro`` together with it.
+    stored as ``fro``.  The matrix learner writes ``upper`` in place and
+    keeps ``fro`` an upper bound on |S|_F, at most ``FRO_BOUND_RTOL`` above
+    it relatively: it carries the bound through each rank-two step in closed form and
+    resynchronizes it with an exact ``upper_frobenius`` pass at least every
+    ``FRO_SYNC_ROUNDS`` rounds (see ``hessian_learner``).
 
     A build is S itself (``scale`` 1, ``shift`` 0); ``shifted`` makes the
     views.  By default a build takes a full square ``mat``, symmetrizes a
@@ -147,8 +152,9 @@ class SymOperator:
         return self.scale * full - self.shift * np.eye(self.dim) if self._is_view else full
 
     def frobenius_norm(self) -> float:
-        """The stored |S|_F on a build; on a view, |s S - t I|_F^2 =
-        s^2 |S|_F^2 - 2 s t tr(S) + d t^2, no dense copy."""
+        """The stored |S|_F on a build (the learner's bound on it, for W);
+        on a view, |s S - t I|_F^2 = s^2 |S|_F^2 - 2 s t tr(S) + d t^2, no
+        dense copy."""
         if not self._is_view:
             return self.fro
         s, t = self.scale, self.shift

@@ -118,18 +118,23 @@ class TrustRegionSubproblem:
 
     def __post_init__(self):
         self.b = np.asarray(self.b, dtype=float)
-        if self.b.shape != (self.a_op.dim,):
-            raise InvalidArgument(f"b {self.b.shape} vs operator dim {self.a_op.dim}")
+        shape = self.b.shape
+        if shape != (self.a_op.dim,):
+            raise InvalidArgument(f"b {shape} vs operator dim {self.a_op.dim}")
         if self.x_start is None:
-            self.x_start = np.zeros(self.b.shape)
+            self.x_start = np.zeros(shape)
         else:
             self.x_start = np.asarray(self.x_start, dtype=float)
-        for name, v in (("x_start", self.x_start), ("a_start", self.a_start)):
-            if v is not None and np.shape(v) != self.b.shape:
-                raise InvalidArgument(f"{name} {np.shape(v)} vs b {self.b.shape}")
-        for name in ("radius", "delta", "b_bound"):
-            check_positive(name, getattr(self, name))
-        check_open_unit("q", self.q)
+        if self.x_start.shape != shape:
+            raise InvalidArgument(f"x_start {self.x_start.shape} vs b {shape}")
+        if self.a_start is not None and np.shape(self.a_start) != shape:
+            raise InvalidArgument(f"a_start {np.shape(self.a_start)} vs b {shape}")
+        if not (0.0 < self.radius < math.inf and 0.0 < self.delta < math.inf
+                and 0.0 < self.b_bound < math.inf and 0.0 < self.q < 1.0):
+            # one is out of range: the shared checks name it
+            for name in ("radius", "delta", "b_bound"):
+                check_positive(name, getattr(self, name))
+            check_open_unit("q", self.q)
 
 
 class TRBranch(Enum):

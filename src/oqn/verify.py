@@ -21,8 +21,8 @@ from . import driver, harness
 from .eig import (MinEvecCase, SepCase, lanczos_factorize, min_evec, sep, sep_budget,
                   tridiagonal_eigh)
 from .errors import OqnError, check_one_of
-from .hessian_learner import LearnerState, default_rho, learner_step
-from .linops import Counter, SymOperator, dense_extreme_eig
+from .hessian_learner import FRO_BOUND_RTOL, LearnerState, default_rho, learner_step
+from .linops import Counter, SymOperator, dense_extreme_eig, upper_frobenius
 from .problems import CATALOG_NAMES, catalog, fd_check_gradient, fd_check_hessian
 from .rng import RngStream
 from .trsolver import (EARLY_EXIT_RTOL, TrustRegionSubproblem, krylov_minimizer, residual_of,
@@ -494,10 +494,13 @@ def check_learner(cfg):
 
     # the learner writes W's triangle and stored norm itself, with no check,
     # and plays B = W / gamma as a view of it; recheck their layout and
-    # norms against the dense matrices.  l1 = 0.3 puts part of the run in
+    # norms against the dense matrices, and the stored norm, carried in
+    # closed form between exact passes, against an exact pass: never below
+    # it, at most FRO_BOUND_RTOL above.  l1 = 0.3 puts part of the run in
     # separated rounds
-    feas_ok = trusted_ok = True
-    separated = 0
+    feas_ok = trusted_ok = bound_ok = True
+    separated = closed = 0
+    worst_low = worst_high = 0.0
     d = 6
     for l1 in (1.3, 0.3):
         state = LearnerState.fresh(d, l1, default_rho(d_rad), 0.01)
@@ -511,9 +514,18 @@ def check_learner(cfg):
             feas_ok = (feas_ok and np.linalg.norm(state.w_op.dense())
                        <= math.sqrt(d) * l1 + 1e-9)
             trusted_ok = trusted_ok and triangle_ok(state.w_op) and triangle_ok(state.b_op)
+            exact, held = upper_frobenius(state.w_op.upper), state.w_op.fro
+            closed += state.fro_rounds > 0
+            worst_low = max(worst_low, exact - held)
+            worst_high = max(worst_high, held - exact)
+            bound_ok = bound_ok and exact <= held <= (1.0 + FRO_BOUND_RTOL) * exact
     out.append(CheckResult("learner.frobenius_feasible", feas_ok))
     out.append(CheckResult("learner.trusted_build", trusted_ok and separated > 0,
                            f"separated_rounds={separated}/120"))
+    out.append(CheckResult(
+        "learner.closed_form_norm", bound_ok and closed > 0,
+        f"closed_form_rounds={closed}/120 worst_below={worst_low:.2e} "
+        f"worst_above={worst_high:.2e}"))
     return out
 
 

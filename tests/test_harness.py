@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oqn import driver, harness, verify
+from oqn import driver, harness, hessian_learner, verify
 from oqn.cli import main as cli_main
 from oqn.driver import compute_hyperparams
 from oqn.eig import SepCase, SepResult
@@ -281,6 +281,11 @@ def _inside(res, op, l1, *args):
                      case=SepCase.INSIDE_DOUBLED, matvecs_used=0)
 
 
+# the learner's closed-form |W_next|_F^2 as the package computes it, for
+# corruptions that recompute it from changed inputs
+_closed_form_sq = hessian_learner.closed_form_sq
+
+
 def _skewed(spec, name, *args):
     grad = spec.grad
     return (dataclasses.replace(spec, grad=lambda x: 1.01 * grad(x))
@@ -323,10 +328,18 @@ def _skewed(spec, name, *args):
     # a derived start product off by 1e-10 relative: err 4e-8 against 1e-13
     (driver, "daxpy", lambda res, *args: (1.0 + 1e-10) * res,
      verify.check_driver, "driver.start_product"),
+    # the learner's stored norm without the cross term r'W s, or without
+    # the rounding allowance that keeps it from rounding low
+    (hessian_learner, "closed_form_sq",
+     lambda res, fro, cross, *rest: _closed_form_sq(fro, 0.0, *rest),
+     verify.check_learner, "learner.closed_form_norm"),
+    (hessian_learner, "closed_form_sq", lambda res, *args: (res[0], 0.0),
+     verify.check_learner, "learner.closed_form_norm"),
 ], ids=["off_optimum", "eigen_certified_off_optimum", "perturbed_tridiagonal",
         "stretched_lanczos_basis", "rounded_tridiagonal_eigenvalues", "low_eigenvalue",
         "high_ritz_value", "stretched_eigenvector", "always_inside", "undercounted_matvecs",
-        "scaled_gradient", "skewed_start_product"])
+        "scaled_gradient", "skewed_start_product", "closed_form_without_cross_term",
+        "closed_form_without_rounding_allowance"])
 def test_contract_battery_fails_on_a_broken_oracle(monkeypatch, module, oracle, corrupt,
                                                    battery, check):
     """A shared battery must not turn vacuous: break its oracle in the

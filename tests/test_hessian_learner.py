@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import math
 import tracemalloc
 
 import numpy as np
@@ -11,8 +12,9 @@ from oqn import driver, hessian_learner
 from oqn.driver import compute_hyperparams
 from oqn.eig import SepCase, SepResult, sep
 from oqn.errors import InvalidArgument
-from oqn.hessian_learner import LearnerState, default_rho, learner_step
-from oqn.linops import Counter, SymOperator
+from oqn.hessian_learner import (FRO_BOUND_RTOL, FRO_SYNC_ROUNDS, LearnerState, default_rho,
+                                 learner_step)
+from oqn.linops import Counter, SymOperator, upper_frobenius
 from oqn.problems import catalog
 from oqn.rng import RngStream
 from oqn.verify import FRO_RTOL, random_symmetric, triangle_ok
@@ -226,6 +228,75 @@ class TestLearnerStep:
             lhs = float(np.vdot(grad, b - h))
             rhs = float(np.vdot(g_tilde, w - h))
             assert lhs <= rhs + 1e-8
+
+
+class TestClosedFormNorm:
+    """W's stored norm, carried in closed form between exact passes, against
+    an exact pass over W's storage after every round."""
+
+    @given(dim=st.integers(2, 40), l1=st.sampled_from([0.05, 1.0, 1e3]),
+           kinds=st.lists(st.sampled_from(["random", "rank_one", "cancel", "tiny", "zero"]),
+                          min_size=1, max_size=48),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=80, deadline=None)
+    def test_bound_after_every_round(self, dim, l1, kinds, seed):
+        # l1 = 0.05 projects and separates most rounds, 1e3 none; "cancel"
+        # plays r = -W s / (2 rho |s|^2) on the last s, which takes W's
+        # mass along s out (all of it after a "rank_one" round, r = s);
+        # "tiny" pairs have squares that underflow, alone or as a product
+        rng = np.random.default_rng(seed)
+        state = LearnerState.fresh(dim, l1, default_rho(1.0), 0.01)
+        stream = RngStream(seed % 1000)
+        last = rng.standard_normal(dim) / math.sqrt(dim)  # the last s of normal size
+        for kind in kinds:
+            if kind == "cancel":
+                s = last
+                r = -(state.w_op.dense() @ s) / (2.0 * state.rho * (s @ s))
+            else:
+                s = rng.standard_normal(dim) / math.sqrt(dim)
+                r = s.copy() if kind == "rank_one" else rng.standard_normal(dim) / math.sqrt(dim)
+                if kind == "tiny":
+                    r, s = r * 10.0 ** -rng.integers(80, 180), s * 10.0 ** -rng.integers(80, 180)
+                elif kind == "zero":
+                    s = np.zeros(dim)
+                else:
+                    last = s
+            learner_step(state, r, s, stream)
+            exact = upper_frobenius(state.w_op.upper)
+            assert exact <= state.w_op.fro <= (1.0 + FRO_BOUND_RTOL) * exact
+
+    def test_lowdim_run_passes_over_w_rarely(self, monkeypatch):
+        # the benchmark's lowdim run (coupled_trig d = 16, budget 480): an
+        # exact pass at most every FRO_SYNC_ROUNDS rounds, plus one on each
+        # round whose closed-form bound passed L1
+        spec = catalog("coupled_trig", 16)
+        params = compute_hyperparams(spec, 480)
+        seen = {"passes": 0, "rounds": 0, "over_l1": 0}
+        real_pass = hessian_learner.upper_frobenius
+        real_closed_form = hessian_learner.closed_form_sq
+        real_step = driver.learner_step
+
+        def counted_pass(upper):
+            seen["passes"] += 1
+            return real_pass(upper)
+
+        def watched_closed_form(*args):
+            sq, err = real_closed_form(*args)
+            seen["over_l1"] += math.sqrt(sq + err) > spec.l1
+            return sq, err
+
+        def counted_step(state, *args):
+            real_step(state, *args)
+            seen["rounds"] += 1
+            assert state.sep.case is SepCase.INSIDE_DOUBLED  # no tilted round
+
+        monkeypatch.setattr(hessian_learner, "upper_frobenius", counted_pass)
+        monkeypatch.setattr(hessian_learner, "closed_form_sq", watched_closed_form)
+        monkeypatch.setattr(driver, "learner_step", counted_step)
+        driver.run(spec, params, RngStream(0), audit_level="off")
+        assert seen["rounds"] == params.m_total - 1
+        assert 0 < seen["passes"] <= (math.ceil(seen["rounds"] / FRO_SYNC_ROUNDS)
+                                      + seen["over_l1"])
 
 
 class TestRoundAllocation:
