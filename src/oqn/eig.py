@@ -291,7 +291,8 @@ def sep(w_op, l1: float, q: float, rng: RngStream) -> SepResult:
     or returns a scaling gamma > 1 together with a rank-one separating
     hyperplane built from the dominant Ritz pair.  When |W|_F <= l1 the
     answer is certain in advance: it is "inside" with gamma = |W|_F / l1, at
-    no matvec and no draw from ``rng``.
+    no matvec and no draw from ``rng``.  |W|_F is the operator's stored
+    norm; an upper bound on it, as the matrix learner stores, serves too.
     """
     check_positive("l1", l1)
     check_open_unit("q", q)
