@@ -13,10 +13,11 @@ warm-started FISTA probe with adaptive restart runs from the caller's
 ``x_start``, or, wherever the eigenpair probe ran, from x_K when that is
 lower in the inner model.  x_K minimizes the inner model over the probe's
 stage-1 Krylov space (GLTR, Gould, Lucidi, Roma & Toint 1999): a
-k1-dimensional problem on the tridiagonal T1 it already holds, solved by a
-secular equation at no matvec.  The caller's start is priced only where no
-matvec is needed, at 0 when it is the origin or from ``a_start``; a start
-with neither is kept.  x_K costs the probe one matvec, its product; with a
+k1-dimensional problem, diagonal in the eigenpairs of the tridiagonal T1
+that the probe's stage 1 computed and hands back, solved by a secular
+equation at no matvec and with no eigensolve of its own.  The caller's
+start is priced only where no matvec is needed, at 0 when it is the origin
+or from ``a_start``; a start with neither is kept.  x_K costs the probe one matvec, its product; with a
 full Krylov space (k1 = d) it is the inner problem's exact minimizer, so
 the solve certifies there for k1 + 1 matvecs, one more on a regularized
 branch.  The probe applies the inner operator once per iterate and gets
@@ -64,7 +65,7 @@ import numpy as np
 from numpy.typing import NDArray
 from scipy.linalg.blas import ddot
 
-from .eig import MinEvecCase, min_evec, tridiagonal_eigh
+from .eig import MinEvecCase, min_evec
 from .errors import CertificateFailure, InvalidArgument, check_open_unit, check_positive
 from .rng import RngStream
 
@@ -329,33 +330,43 @@ def accel_budget(lg: float, d_radius: float, delta: float) -> int:
     return max(2, math.ceil(math.sqrt(10.0 * lg * d_radius / delta)))
 
 
-def krylov_minimizer(basis: NDArray, tridiagonal: tuple[NDArray, NDArray], b: NDArray,
+def krylov_minimizer(basis: NDArray, ritz_pairs: tuple[NDArray, NDArray], b: NDArray,
                      d_radius: float, sigma: float) -> Optional[tuple[NDArray, float]]:
     """Minimize the subproblem over the Krylov space of ``basis`` = V1, whose
-    T1 = V1' A V1 is ``tridiagonal``: min 0.5 y'(T1 - sigma I)y + (V1'b)'y
-    over |y| <= D (GLTR, Gould, Lucidi, Roma & Toint 1999).  No matvec.
+    T1 = V1' A V1 = Q diag(theta) Q' has the eigenpairs ``ritz_pairs`` =
+    (theta, Q), as ``min_evec`` hands them back: min 0.5 y'(T1 - sigma I)y +
+    (V1'b)'y over |y| <= D (GLTR, Gould, Lucidi, Roma & Toint 1999).  No
+    matvec and no eigensolve: a caller holding only T1's diagonals solves
+    them with ``eig.tridiagonal_eigh`` first.
 
     T1 - sigma I must be positive definite, as ``min_evec`` leaves it for
     sigma = 0 on a certified convex branch and sigma = lambda_hat on the
     regularized one, so the model has no hard case: either the unconstrained
     minimizer lies in the ball, or Newton on 1/|y(mu)| - 1/D, concave and
     increasing in the multiplier mu, rises monotonically from mu = 0 to the
-    boundary one (More & Sorensen 1983).  Returns ``(V1 y, model value)``,
-    or None when rounding left T1 - sigma I without a positive spectrum.
+    boundary one (More & Sorensen 1983).  In Q's coordinates the model is
+    diagonal, z(mu) = -g / (theta - sigma + mu), and each Newton step takes
+    one division, the reciprocal of the shifted spectrum.  Returns
+    ``(V1 y, model value)``, or None when rounding left T1 - sigma I without
+    a positive spectrum.
     """
-    theta, q_mat = tridiagonal_eigh(*tridiagonal, compute_v=True)
+    theta, q_mat = ritz_pairs
     theta = theta - sigma
     if not theta[0] > 0.0:
         return None
     g = q_mat.T @ (basis.T @ b)
-    z = -g / theta
+    neg_g = -g
+    inv = 1.0 / theta
+    z = neg_g * inv
     norm = math.sqrt(ddot(z, z))
     mu = 0.0
     for _ in range(SECULAR_MAX_ITERS):
         if norm <= d_radius * (1.0 + SECULAR_RTOL):
             break
-        mu += (norm - d_radius) / d_radius * norm**2 / ddot(z**2, 1.0 / (theta + mu))
-        z = -g / (theta + mu)
+        # |z|^2' = -2 sum z^2 / (theta + mu)
+        mu += (norm - d_radius) / d_radius * norm**2 / ddot(z * inv, z)
+        inv = 1.0 / (theta + mu)
+        z = neg_g * inv
         norm = math.sqrt(ddot(z, z))
     if mu > 0.0:
         z *= d_radius / norm  # onto the sphere, where the multiplier put it
@@ -438,7 +449,7 @@ def tr_solve(p: TrustRegionSubproblem, rng: RngStream) -> TRSolution:
             else:
                 known = None if x_start.any() else 0.0
             krylov = None if known is None else krylov_minimizer(
-                ev.basis, ev.tridiagonal, p.b, p.radius, sigma)
+                ev.basis, ev.ritz_pairs, p.b, p.radius, sigma)
             if krylov is not None and krylov[1] < known:
                 x_start, a_start, start = krylov[0], None, "krylov"
         n_accel = accel_budget(lg, p.radius, acc) * factor

@@ -61,6 +61,13 @@ KRYLOV_VALUE_RTOL = 1e-12
 LANCZOS_ORTH_TOL = 1e-12
 LANCZOS_RECURRENCE_RTOL = 1e-10
 
+# min_evec's stage-2 vector against V z, z the bottom eigenvector of the dense
+# squared-shift matrix M from np.linalg.eigh, compared up to sign where M's
+# two lowest eigenvalues lie at least REFINED_GAP_RTOL |M|_2 apart: there
+# either solver's rounding moves z by about eps |M|_2 / gap, at most 1e-10
+REFINED_GAP_RTOL = 1e-6
+REFINED_VECTOR_TOL = 1e-8
+
 
 def random_symmetric(rng, d, scale=1.0):
     """Symmetric matrix with lower-triangle entries U(-scale, scale)."""
@@ -212,15 +219,36 @@ def check_tridiagonal(cfg):
                         f"mismatched={','.join(mismatched) or 'none'} of 40 solves")]
 
 
+def _dense_refined_vector(op, seed, res):
+    """Stage 2 of ``min_evec(op, ..., RngStream(seed))`` redone densely: the
+    factorization replayed to ``res.matvecs_used`` steps (one extension
+    computes the same rows as two), then V z with z the bottom eigenvector
+    of M = (T - lambda_hat I)^2 + beta_{k+1}^2 e_k e_k' from
+    ``np.linalg.eigh``.  Returns the unit vector and M's relative gap
+    (mu_2 - mu_1) / mu_max, 1 when k = 1."""
+    fact = lanczos_factorize(op, RngStream(seed).unit_vector(op.dim), res.matvecs_used)
+    diag, off = fact.tridiagonal()
+    k = diag.size
+    shifted = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1) - res.lambda_hat * np.eye(k)
+    m_mat = shifted @ shifted
+    m_mat[k - 1, k - 1] += fact.betas[-1] ** 2
+    mu, z = np.linalg.eigh(m_mat)
+    v = fact.basis_matrix() @ z[:, 0]
+    return v / np.linalg.norm(v), (1.0 if k == 1 else (mu[1] - mu[0]) / mu[-1])
+
+
 def check_minevec(cfg):
-    """The eigenvalue sandwich at q = 0.05, the certificate residual, and the
-    top Ritz value inside the spectrum."""
+    """The eigenvalue sandwich at q = 0.05, the certificate residual, the
+    top Ritz value inside the spectrum, and stage 2's refined vector against
+    a dense eigensolve of its squared-shift matrix."""
     rng = np.random.default_rng(2002)
     sandwich_hits = 0
     negative = 0
     resid_ok = True
     budget_ok = True
     ritz_ok = True
+    gapped = 0
+    worst_vector = 0.0
     n_trials = cfg["trials"]
     for t in range(n_trials):
         d = int(rng.integers(2, 41))
@@ -237,6 +265,11 @@ def check_minevec(cfg):
             resid = np.linalg.norm(a @ res.v_hat - res.lambda_hat * res.v_hat)
             resid_ok = (resid_ok and resid <= delta
                         and abs(np.linalg.norm(res.v_hat) - 1.0) <= 1e-8)
+            v_ref, gap = _dense_refined_vector(SymOperator(a, Counter()), 7_700_000 + t, res)
+            if gap >= REFINED_GAP_RTOL:
+                gapped += 1
+                worst_vector = max(worst_vector, float(min(np.linalg.norm(res.v_hat - v_ref),
+                                                           np.linalg.norm(res.v_hat + v_ref))))
         budget_ok = budget_ok and res.matvecs_used <= d
         ritz_ok = (ritz_ok
                    and lam_min <= res.ritz_max <= lam_max + 1e-9 * op.frobenius_norm())
@@ -247,6 +280,9 @@ def check_minevec(cfg):
                     f"negative_eig_trials={negative}/{n_trials}"),
         CheckResult("eig.minevec.budget", budget_ok),
         CheckResult("eig.minevec.ritz_max", ritz_ok),
+        CheckResult("eig.minevec.refined_vector",
+                    gapped > 0 and worst_vector <= REFINED_VECTOR_TOL,
+                    f"gapped_trials={gapped}/{negative} worst={worst_vector:.1e}"),
     ]
 
 
@@ -391,7 +427,7 @@ def check_krylov_start(cfg):
             continue
         full += 1
         sigma = 0.0 if ev.case is MinEvecCase.PSD_CERTIFIED else ev.lambda_hat
-        x_k, value = krylov_minimizer(ev.basis, ev.tridiagonal, b, d_rad, sigma)
+        x_k, value = krylov_minimizer(ev.basis, ev.ritz_pairs, b, d_rad, sigma)
         model = a - sigma * np.eye(d)
         exact = harness.brute_tr(model, b, d_rad)
         scale = np.linalg.norm(b) * d_rad + b_bound * d_rad**2

@@ -1,4 +1,8 @@
 import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -602,6 +606,32 @@ class TestNonconvexBranches:
         assert report.audits["all_ok"], report.audits
         again = driver.run(spec, params, RngStream(0), audit_level="full")
         assert fingerprint(again) == fingerprint(report)
+
+
+class TestBlasThreads:
+    """A run's report does not depend on the BLAS thread count."""
+
+    def test_report_bits_with_one_and_two_threads(self):
+        # the eta x200 recipe reaches sep's Lanczos rounds, min_evec and the
+        # regularized branch, so it runs every BLAS and LAPACK call on the
+        # solve's and the learner's paths.  OpenBLAS reads its thread count
+        # when it loads, so each count gets a fresh interpreter
+        here = Path(__file__).resolve().parent
+        script = ("from oqn import driver\n"
+                  "from oqn.rng import RngStream\n"
+                  "from test_driver import fingerprint, recipe\n"
+                  "spec, params = recipe('cosine_mixture', 8, 240, 200.0)\n"
+                  "report = driver.run(spec, params, RngStream(0), audit_level='full')\n"
+                  "print(repr(fingerprint(report)))\n")
+        path = os.pathsep.join([str(here.parent / "src"), str(here),
+                                *filter(None, [os.environ.get("PYTHONPATH")])])
+        env = {key: value for key, value in os.environ.items()
+               if key not in ("OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+        outs = [subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                               check=True, env={**env, "PYTHONPATH": path,
+                                                "OPENBLAS_NUM_THREADS": threads}).stdout
+                for threads in ("1", "2")]
+        assert outs[0] and outs[0] == outs[1]
 
 
 class TestSepCertificate:

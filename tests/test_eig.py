@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import eigh_tridiagonal
 
 from oqn import eig
@@ -12,13 +14,14 @@ from oqn.eig import (
     lanczos_extend,
     lanczos_factorize,
     min_evec,
+    refined_vector,
     sep,
     tridiagonal_eigh,
 )
 from oqn.errors import InvalidArgument
 from oqn.linops import Counter, SymOperator, dense_extreme_eig
 from oqn.rng import RngStream
-from oqn.verify import random_symmetric
+from oqn.verify import LANCZOS_ORTH_TOL, LANCZOS_RECURRENCE_RTOL, random_symmetric
 
 
 def unit(v):
@@ -81,6 +84,39 @@ class TestLanczos:
                     rhs = rhs + fact.betas[j] * basis[:, j + 1]
                 assert np.linalg.norm(lhs - rhs) <= 1e-8 * scale
 
+    @given(d=st.integers(2, 40), rank_frac=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1),
+           stops=st.lists(st.integers(1, 40), min_size=1, max_size=4))
+    @settings(max_examples=60, deadline=None)
+    def test_in_place_recurrence_after_every_extension(self, d, rank_frac, seed, stops):
+        # U diag(lam) U' of rank r: its Krylov space has dimension at most
+        # r + 1, so a low rank breaks down, at step r + 1 or, where rounding
+        # leaves beta above the breakdown tolerance, a little later.  After
+        # each extension the basis, with v_{k+1} when written, stays
+        # orthonormal and the recurrence A V = V T + beta_{k+1} v_{k+1} e_k'
+        # holds, to verify's tolerances
+        rng = np.random.default_rng(seed)
+        rank = max(1, round(rank_frac * d))
+        u = np.linalg.qr(rng.standard_normal((d, rank)))[0]
+        op = SymOperator((u * rng.uniform(-3.0, 3.0, rank)) @ u.T, Counter())
+        a = op.dense()
+        stops = sorted({min(n, d) for n in stops})
+        fact = lanczos_factorize(op, unit(rng.standard_normal(d)), stops[0])
+        for n in stops:
+            lanczos_extend(fact, op, n)
+            k = fact.size
+            assert k == op.counter.count == (n if fact.breakdown_at is None
+                                             else fact.breakdown_at)
+            trailing = fact.breakdown_at is None
+            basis = fact.basis[: k + trailing].T
+            orth = np.max(np.abs(basis.T @ basis - np.eye(k + trailing)))
+            diag, off = fact.tridiagonal()
+            v = basis[:, :k]
+            resid = a @ v - v @ (np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+            if trailing:
+                resid[:, -1] -= fact.betas[-1] * basis[:, k]
+            rec = np.max(np.linalg.norm(resid, axis=0)) / op.frobenius_norm()
+            assert orth <= LANCZOS_ORTH_TOL and rec <= LANCZOS_RECURRENCE_RTOL
+
     def test_factorization_allocates_about_one_basis(self, np_rng):
         # the rows are preallocated once: no step copies the basis
         d, n = 500, 100
@@ -142,6 +178,53 @@ class TestTridiagonalEigh:
         with pytest.raises(InvalidArgument, match="stevd failed on the tridiagonal, info = 3"):
             tridiagonal_eigh(np.ones(3), np.ones(2), compute_v=False)
 
+    def test_finite_entries_whose_squares_overflow_are_accepted(self):
+        # the guard's sum of squares overflows at 1e200; the entrywise test
+        # then accepts the input, and a NaN or an infinity at either end of
+        # either diagonal is rejected
+        diag, off = np.array([1e200, -2e200, 3e200, 1e200]), np.array([1e200, -1e200, 2e200])
+        for compute_v in (False, True):
+            ref = eigh_tridiagonal(diag, off, eigvals_only=not compute_v,
+                                   lapack_driver="stevd")
+            evals = tridiagonal_eigh(diag, off, compute_v)[0]
+            np.testing.assert_array_equal(evals, ref[0] if compute_v else ref)
+            assert np.isfinite(evals).all()
+        for bad in (math.nan, math.inf, -math.inf):
+            for vec in (diag, off):
+                for at in (0, -1):
+                    spoiled = vec.copy()
+                    spoiled[at] = bad
+                    args = (spoiled, off) if vec is diag else (diag, spoiled)
+                    with pytest.raises(InvalidArgument, match="^tridiagonal has non-finite"):
+                        tridiagonal_eigh(*args, compute_v=False)
+
+
+class TestRefinedVector:
+    def test_bottom_eigenvector_of_the_squared_shift_matrix(self, np_rng):
+        # up to sign, numpy's dense eigh of M = (T - shift I)^2 + beta^2 e_k e_k'
+        for k in range(1, 21):
+            diag, off = np_rng.standard_normal(k), np_rng.standard_normal(k - 1)
+            shift, beta = float(np_rng.uniform(-3.0, -1.0)), float(np_rng.uniform(0.0, 1.0))
+            t_mat = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1) - shift * np.eye(k)
+            m_mat = t_mat @ t_mat
+            m_mat[-1, -1] += beta**2
+            evals, evecs = np.linalg.eigh(m_mat)
+            z = refined_vector(diag, off, shift, beta)
+            assert z.shape == (k,)
+            err = min(np.linalg.norm(z - evecs[:, 0]), np.linalg.norm(z + evecs[:, 0]))
+            gap = evals[1] - evals[0] if k > 1 else 1.0
+            assert err <= 1e-13 * evals[-1] / gap
+
+    def test_one_by_one_needs_no_lapack(self, monkeypatch):
+        monkeypatch.setattr(eig, "_SYEVR", None)
+        assert refined_vector(np.array([2.0]), np.empty(0), -1.0, 0.5).tolist() == [1.0]
+
+    def test_lapack_failure_is_rejected(self, monkeypatch):
+        monkeypatch.setattr(eig, "_SYEVR", lambda m, **kw: (None, None, 0, None, 2))
+        with pytest.raises(InvalidArgument, match="syevr failed on the squared-shift matrix, "
+                                                  "info = 2"):
+            refined_vector(np.ones(3), np.ones(2), -1.0, 0.5)
+
 
 class TestMinEvec:
     def test_psd_certified(self):
@@ -186,8 +269,9 @@ class TestMinEvec:
             assert res.ritz_max == pytest.approx(lam_max, abs=1e-10 * np.linalg.norm(a))
 
     def test_stage_one_basis_survives_stage_two(self, np_rng):
-        # V1 and T1 are views and values of stage 1's factorization; stage 2
-        # grows it into a new array and must leave them as stage 1 wrote them
+        # V1 is a view of stage 1's factorization and the Ritz pairs are its
+        # T1's; stage 2 grows it into a new array and must leave them as
+        # stage 1 wrote them
         d = 40
         a = random_symmetric(np_rng, d)
         lam_min, lam_max, _, _ = dense_extreme_eig(SymOperator(a, Counter()))
@@ -198,7 +282,8 @@ class TestMinEvec:
         assert n1 < res.matvecs_used  # stage 2 ran
         fact = lanczos_factorize(SymOperator(a, Counter()), RngStream(11).unit_vector(d), n1)
         np.testing.assert_array_equal(res.basis, fact.basis_matrix())
-        for got, want in zip(res.tridiagonal, fact.tridiagonal()):
+        for got, want in zip(res.ritz_pairs,
+                             tridiagonal_eigh(*fact.tridiagonal(), compute_v=True)):
             np.testing.assert_array_equal(got, want)
         assert np.shares_memory(fact.basis_matrix(), fact.basis)
 

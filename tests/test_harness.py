@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oqn import driver, harness, hessian_learner, verify
+from oqn import driver, eig, harness, hessian_learner, verify
 from oqn.cli import main as cli_main
 from oqn.driver import compute_hyperparams
 from oqn.eig import SepCase, SepResult
@@ -281,6 +281,14 @@ def _inside(res, op, l1, *args):
                      case=SepCase.INSIDE_DOUBLED, matvecs_used=0)
 
 
+def _top_refined_vector(z, diag, off, shift, beta):
+    """Stage 2 keeping the top eigenvector of the squared-shift matrix."""
+    shifted = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1) - shift * np.eye(diag.size)
+    m_mat = shifted @ shifted
+    m_mat[-1, -1] += beta**2
+    return np.linalg.eigh(m_mat)[1][:, -1]
+
+
 # the learner's closed-form |W_next|_F^2 as the package computes it, for
 # corruptions that recompute it from changed inputs
 _closed_form_sq = hessian_learner.closed_form_sq
@@ -320,6 +328,8 @@ def _skewed(spec, name, *args):
     (verify, "min_evec",
      lambda res, *args: dataclasses.replace(res, v_hat=(1.0 + 1e-6) * res.v_hat),
      verify.check_minevec, "eig.minevec.residual"),
+    (eig, "refined_vector", _top_refined_vector, verify.check_minevec,
+     "eig.minevec.refined_vector"),
     (verify, "sep", _inside, verify.check_sep, "eig.sep.scaling"),
     (verify, "sep",
      lambda res, *args: dataclasses.replace(res, matvecs_used=res.matvecs_used - 1),
@@ -337,7 +347,7 @@ def _skewed(spec, name, *args):
      verify.check_learner, "learner.closed_form_norm"),
 ], ids=["off_optimum", "eigen_certified_off_optimum", "perturbed_tridiagonal",
         "stretched_lanczos_basis", "rounded_tridiagonal_eigenvalues", "low_eigenvalue",
-        "high_ritz_value", "stretched_eigenvector", "always_inside", "undercounted_matvecs",
+        "high_ritz_value", "stretched_eigenvector", "top_refined_vector", "always_inside", "undercounted_matvecs",
         "scaled_gradient", "skewed_start_product", "closed_form_without_cross_term",
         "closed_form_without_rounding_allowance"])
 def test_contract_battery_fails_on_a_broken_oracle(monkeypatch, module, oracle, corrupt,

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from oqn import trsolver
 from oqn.errors import InvalidArgument
 from oqn.harness import brute_tr, tr_objective
-from oqn.eig import MinEvecCase, min_evec
+from oqn.eig import MinEvecCase, min_evec, tridiagonal_eigh
 from oqn.linops import Counter, SymOperator
 from oqn.rng import RngStream
 from oqn.trsolver import (
@@ -774,7 +774,7 @@ class TestKrylovStart:
             assert sol.residual <= p.delta
             assert_certificate_is_fresh(a, b, radius, sol)
             if not regularized:
-                x_k, _ = krylov_minimizer(ev.basis, ev.tridiagonal, b, radius, sigma)
+                x_k, _ = krylov_minimizer(ev.basis, ev.ritz_pairs, b, radius, sigma)
                 assert sol.delta_vec.tobytes() == x_k.tobytes()
             branches.add(sol.branch)
         assert {"psd_shifted": TRBranch.CONVEX, "hard": TRBranch.REGULARIZED_INTERIOR,
@@ -799,7 +799,7 @@ class TestKrylovStart:
                                     a_start=SymOperator(a, Counter()).apply(x_start))
             sol = tr_solve(p, RngStream(t))
             ev, sigma = krylov_replay(a, p, t)
-            x_k, value = krylov_minimizer(ev.basis, ev.tridiagonal, b, radius, sigma)
+            x_k, value = krylov_minimizer(ev.basis, ev.ritz_pairs, b, radius, sigma)
             known = model_value(a, sigma, b, x_start)
             rounding = 1e-12 * (np.linalg.norm(b) * radius + p.b_bound * radius**2)
             assert abs(value - model_value(a, sigma, b, x_k)) <= rounding
@@ -852,7 +852,8 @@ class TestKrylovStart:
             sigma = float(np.linalg.eigvalsh(t_mat)[0]) - 1e-3
             basis = np.linalg.qr(rng.standard_normal((k + 3, k)))[0]
             b = 10.0 * rng.standard_normal(k + 3)
-            x, value = krylov_minimizer(basis, (diag, off), b, 0.5, sigma)
+            x, value = krylov_minimizer(basis, tridiagonal_eigh(diag, off, compute_v=True), b,
+                                        0.5, sigma)
             y = basis.T @ x
             assert abs(np.linalg.norm(y) - 0.5) <= 1e-12
             g = basis.T @ b
@@ -899,7 +900,7 @@ class TestTrSolve:
             assert sol.lambda_hat == 0.5 * lam_min
             ev = min_evec(SymOperator(a, Counter()), delta / (2.0 * radius), 0.5 * p.q,
                           p.b_bound, RngStream(40 + t))
-            x_k, _ = krylov_minimizer(ev.basis, ev.tridiagonal, b, radius, 0.0)
+            x_k, _ = krylov_minimizer(ev.basis, ev.ritz_pairs, b, radius, 0.0)
             lg = max(p.b_bound, delta)
             tol = EARLY_EXIT_RTOL * min(delta, float(np.linalg.norm(b)))
             assert (sol.start, probed.start) == ("caller", "krylov")
