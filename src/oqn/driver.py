@@ -39,7 +39,7 @@ from typing import Optional
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy.linalg.blas import daxpy, ddot
+from scipy.linalg.blas import daxpy, ddot, dgemv
 
 from .errors import (InvalidArgument, check_int_at_least, check_one_of, check_open_unit,
                      check_positive)
@@ -128,34 +128,41 @@ def compute_hyperparams(spec: ObjectiveSpec, m_budget: int, p_fail: float = 0.01
 
 @dataclass
 class EpisodeRecord:
+    """One closed episode: |grad f| at its average (kept for the best one only,
+    as w_hat), regret, |sum g|, pair losses (None unlogged) and run counts."""
+
     k: int
-    w_bar: NDArray
     grad_norm_at_wbar: float
     episode_regret: float
     sum_g_norm: float
-    sum_loss: Optional[float] = None  # set by a logged run, None when unmeasured
+    sum_loss: Optional[float] = None
     cum_gradients: int = 0
     cum_matvecs: int = 0
 
 
 @dataclass
 class StepLog:
-    """Per-run scalar series the whole-run inequality audits consume.  The
-    Hessian-comparator ledger (full level, Hessian oracle present) is folded
-    as the run goes: one Hessian per step, only the previous one kept.
-    ``full`` selects the full level: the ledger, the events and the
-    fixed-point gaps."""
+    """What the audits read, folded into scalars as each step closes, so it
+    does not grow with the budget.  Each sum is a ``+=`` in step order, bit
+    for bit ``sum()`` of a list on Python 3.11 (3.12's ``sum()`` uses Neumaier
+    compensation; the fold keeps the bits on every version).  ``run`` seeds
+    ``f_start`` and ``f_last`` with f(x_0) given a value oracle; only a
+    seeded log folds conversion margins.  ``full`` adds the fixed-point gap
+    and, with a Hessian oracle, the comparator ledger (one Hessian per step,
+    the last kept).  A max is None, its audit skipped, before its first term."""
 
     full: bool = False
-    g_dot_delta: list = field(default_factory=list)
-    f_values: list = field(default_factory=list)  # f(x_0), f(x_1), ...
-    pair_losses: list = field(default_factory=list)  # loss of pair n at index n-1
-    fp_gaps: list = field(default_factory=list)
-    # full level only:
-    comparator_losses: list = field(default_factory=list)  # |y - H(z_n) s|^2 of pair n
-    comparator_path: list = field(default_factory=list)  # |H(z_{n+1}) - H(z_n)|_F
+    f_start: Optional[float] = None
+    f_last: Optional[float] = None
+    conversion_min_margin: float = math.inf  # f(x_n) - f(x_{n+1}) + <g_n, delta_n> + slack
+    conversion_min_tolerated: float = math.inf  # margin + 1e-9 (1 + |f(x_{n+1})|)
+    sum_loss: float = 0.0  # |r|^2 of every closed pair, not the episodes' sums
+    fixed_point_max_gap: Optional[float] = None
+    comparator_loss_sum: float = 0.0  # |y - H(z_n) s|^2 of pair n
+    comparator_loss_max: Optional[float] = None
+    comparator_path_sum: float = 0.0  # |H(z_{n+1}) - H(z_n)|_F
+    comparator_path_max: Optional[float] = None
     hess_fro_first: Optional[float] = None  # |H(z_1)|_F
-    events: list = field(default_factory=list)
 
 
 def new_totals() -> dict:
@@ -189,12 +196,17 @@ class OqnState:
     ep_sum_w: Optional[NDArray] = None
     ep_sum_g: Optional[NDArray] = None
     ep_sum_gdotd: float = 0.0
+    ep_sum_loss: float = 0.0
     episodes: list = field(default_factory=list)
+    best: Optional[tuple] = None  # (|grad f(w_bar)|, w_bar), first best episode so far
     totals: dict = field(default_factory=new_totals)
 
 
 @dataclass
 class RunReport:
+    """A run's episode records, w_hat (the first best episode's average, or
+    x_0 when none closed) and its gradient norm, totals, audits and log."""
+
     episodes: list
     w_hat: NDArray
     grad_norm_final: float
@@ -255,24 +267,25 @@ def step(state: OqnState, spec: ObjectiveSpec, params: HyperParams, rng: RngStre
     plain = False  # the learner round moved B by exactly rho (r s' + s r')
     if state.pending_s is not None:
         if log is not None:
-            log.pair_losses.append(ddot(r, r))
+            loss = ddot(r, r)
+            log.sum_loss += loss
+            # pair n-1 is episode ceil((n-1)/T)'s, closed last step if T | n-1
+            if (n - 1) % params.t_len == 0:
+                state.episodes[-1].sum_loss += loss
+            else:
+                state.ep_sum_loss += loss
         if method == "oqn":
-            played = state.b_state.sep
             learner_step(state.b_state, r, state.pending_s, rng)
             plain, new_sep = state.b_state.plain, state.b_state.sep
             tr["sep_calls"] += 1
             tr["sep_matvecs"] += new_sep.matvecs_used
             tr["sep_certified"] += int(new_sep.certified)
-            if full:
-                # the round's scaling and case, and the call that closed it
-                log.events.append({
-                    "kind": "sep", "n": n - 1, "gamma": played.gamma,
-                    "case": played.case.value, "matvecs": new_sep.matvecs_used,
-                    "certified": new_sep.certified, "rng_state": rng.state(),
-                })
         if ledger:
-            r_comp = (g_n - state.grad_z_prev) - state.hess_z_prev @ state.pending_s
-            log.comparator_losses.append(ddot(r_comp, r_comp))
+            r_comp = (g_n - state.grad_z_prev) - dgemv(
+                1.0, state.hess_z_prev.T, state.pending_s, trans=1)
+            comp_loss = ddot(r_comp, r_comp)
+            log.comparator_loss_sum += comp_loss
+            log.comparator_loss_max = _fold_max(log.comparator_loss_max, comp_loss)
 
     x_next = state.x + delta_n
     z_n = x_next + half_delta
@@ -323,18 +336,8 @@ def step(state: OqnState, spec: ObjectiveSpec, params: HyperParams, rng: RngStre
         # at delta_{n+1} and this step's at delta_n: no matvec of its own
         hint_next = gz + (sol.a_delta - a_delta) - move / eta
         if full:
-            log.events.append({
-                "kind": "tr_solve", "n": n, "branch": branch,
-                "b_bound": problem.b_bound,
-                "lambda_hat": sol.lambda_hat, "n_accel": sol.n_accel,
-                "matvecs": sol.matvecs_used, "residual": sol.residual,
-                "retried": sol.retried, "early_exit": sol.early_exit,
-                "start_product": "derived" if plain else "applied",
-                "start": sol.start,
-                "rng_state": rng.state(),
-            })
             fp = delta_next - project_ball(delta_next - eta * (sol.a_delta + b_vec), d_rad)
-            log.fp_gaps.append(math.sqrt(ddot(fp, fp)))
+            log.fixed_point_max_gap = _fold_max(log.fixed_point_max_gap, math.sqrt(ddot(fp, fp)))
         state.a_delta = sol.a_delta
         solved = (problem, sol)
     else:  # og baseline: zero matrix, explicit projected optimistic update
@@ -345,16 +348,22 @@ def step(state: OqnState, spec: ObjectiveSpec, params: HyperParams, rng: RngStre
         move = delta_next - delta_n
 
     g_dot_delta = ddot(g_n, delta_n)
-    if log is not None:
-        log.g_dot_delta.append(g_dot_delta)
-        if spec.value is not None:
-            log.f_values.append(float(spec.value(x_next)))
+    if log is not None and log.f_last is not None:
+        # the conversion margin, with the slack L2 D^3 / 24 of audit_regret
+        f_next = float(spec.value(x_next))
+        margin = log.f_last - f_next + g_dot_delta + spec.l2 * d_rad**3 / 24.0
+        log.conversion_min_margin = min(log.conversion_min_margin, margin)
+        log.conversion_min_tolerated = min(log.conversion_min_tolerated,
+                                           margin + 1e-9 * (1.0 + abs(f_next)))
+        log.f_last = f_next
     if ledger:
         hess_z = spec.hess(z_n)
         if state.hess_z_prev is None:
-            log.hess_fro_first = float(np.linalg.norm(hess_z))
+            log.hess_fro_first = _frobenius(hess_z)
         else:
-            log.comparator_path.append(float(np.linalg.norm(hess_z - state.hess_z_prev)))
+            path = _frobenius(hess_z - state.hess_z_prev)
+            log.comparator_path_sum += path
+            log.comparator_path_max = _fold_max(log.comparator_path_max, path)
         state.hess_z_prev = hess_z
 
     state.ep_sum_w += w_n
@@ -368,16 +377,20 @@ def step(state: OqnState, spec: ObjectiveSpec, params: HyperParams, rng: RngStre
         # the comparator u_k = -D sum(g)/|sum(g)| attains D |sum(g)|
         regret = state.ep_sum_gdotd + d_rad * sum_g_norm
         g_bar = eval_gradient(spec, w_bar, state.grad_counter)
+        grad_norm = math.sqrt(ddot(g_bar, g_bar))
         state.episodes.append(EpisodeRecord(
-            k=len(state.episodes) + 1, w_bar=w_bar,
-            grad_norm_at_wbar=math.sqrt(ddot(g_bar, g_bar)),
+            k=len(state.episodes) + 1, grad_norm_at_wbar=grad_norm,
             episode_regret=regret, sum_g_norm=sum_g_norm,
+            sum_loss=None if log is None else state.ep_sum_loss,
             cum_gradients=state.grad_counter.count,
             cum_matvecs=state.matvec_counter.count,
         ))
+        if state.best is None or grad_norm < state.best[0]:
+            state.best = (grad_norm, w_bar)
         state.ep_sum_w = np.zeros(spec.dim)
         state.ep_sum_g = np.zeros(spec.dim)
         state.ep_sum_gdotd = 0.0
+        state.ep_sum_loss = 0.0
 
     state.pending_s = 0.5 * move
     state.grad_z_prev = gz
@@ -408,7 +421,7 @@ def run(spec: ObjectiveSpec, params: HyperParams, rng: RngStream,
     stationary = g0_norm <= STATIONARY_RTOL * spec.l1
     log = StepLog(full=audit_level == "full") if audit_level != "off" else None
     if log is not None and spec.value is not None:
-        log.f_values.append(float(spec.value(spec.x0)))
+        log.f_start = log.f_last = float(spec.value(spec.x0))
 
     stopped_early = False
     for _ in range(0 if stationary else params.m_total):
@@ -419,13 +432,7 @@ def run(spec: ObjectiveSpec, params: HyperParams, rng: RngStream,
             break
 
     episodes = state.episodes
-    if log is not None:
-        _attach_episode_losses(episodes, log.pair_losses, params.t_len)
-    if episodes:
-        best = min(episodes, key=lambda e: (e.grad_norm_at_wbar, e.k))
-        w_hat, grad_norm_final = best.w_bar, best.grad_norm_at_wbar
-    else:
-        w_hat, grad_norm_final = state.x, g0_norm
+    grad_norm_final, w_hat = state.best if episodes else (g0_norm, state.x)
     state.totals.update(gradients=state.grad_counter.count,
                         matvecs=state.matvec_counter.count,
                         iterations=state.n, stopped_early=stopped_early)
@@ -446,15 +453,20 @@ def run(spec: ObjectiveSpec, params: HyperParams, rng: RngStream,
     return report
 
 
-def _attach_episode_losses(episodes: list, pair_losses: list, t_len: int) -> None:
-    for ep in episodes:
-        lo = (ep.k - 1) * t_len
-        hi = min(ep.k * t_len, len(pair_losses))
-        ep.sum_loss = float(sum(pair_losses[lo:hi]))
+def _fold_max(current: Optional[float], value: float) -> float:
+    """max() of a list, folded one term at a time: None before the first."""
+    return value if current is None else max(current, value)
+
+
+def _frobenius(mat: NDArray) -> float:
+    """|mat|_F: one BLAS ddot over the entries in np.linalg.norm's order."""
+    flat = mat.ravel(order="K")
+    return math.sqrt(ddot(flat, flat))
 
 
 def audit_regret(report: RunReport, spec: ObjectiveSpec, params: HyperParams) -> dict:
-    """Evaluate both sides of the audited inequalities on the run log.
+    """Evaluate both sides of the audited inequalities on the run's folded
+    log and episode records.
 
     Each audit reports its sides or its worst margin, and an ``_ok`` flag
     with its own tolerance: lhs <= rhs + 1e-6 |rhs| for regret, stationarity
@@ -462,9 +474,9 @@ def audit_regret(report: RunReport, spec: ObjectiveSpec, params: HyperParams) ->
     the comparator loss and path; gap <= (1 + 1e-9) eta delta + 1e-12 for the
     fixed point; and margin >= -1e-9 (1 + |f(x_{n+1})|) per conversion step.
     Audits that need the value or Hessian oracle are skipped when the
-    oracle is absent or the log holds no comparator ledger.  The
-    dynamic-regret audit only sums and maxes the ledger's scalars; ``step``
-    evaluated the Hessians.
+    oracle is absent or the log holds no comparator ledger.  No audit loops
+    over steps: ``step`` folded each per-step term into the log (and
+    evaluated the Hessians), so this reads its sums, minima and maxima.
 
     The conversion slack is the midpoint rule's error.  Along
     phi(t) = f(x + t delta), phi'' is (L2 |delta|^3)-Lipschitz, and
@@ -490,17 +502,9 @@ def audit_regret(report: RunReport, spec: ObjectiveSpec, params: HyperParams) ->
 
     # conversion inequality, per step: function decrease vs linear loss, with
     # the midpoint rule's slack L2 D^3 / 24 (derived in the docstring)
-    if log.f_values:
-        slack = l2 * d_rad**3 / 24.0
-        worst = math.inf
-        worst_norm = math.inf
-        for i, gd in enumerate(log.g_dot_delta):
-            margin = log.f_values[i] - log.f_values[i + 1] + gd + slack
-            worst = min(worst, margin)
-            worst_norm = min(worst_norm,
-                             margin + 1e-9 * (1.0 + abs(log.f_values[i + 1])))
-        audits["conversion_step_min_margin"] = worst
-        audits["conversion_step_ok"] = worst_norm >= 0.0
+    if log.f_start is not None:
+        audits["conversion_step_min_margin"] = log.conversion_min_margin
+        audits["conversion_step_ok"] = log.conversion_min_tolerated >= 0.0
 
     # episode averaging inequality: grad at average vs averaged gradients
     ep_margins = [
@@ -512,9 +516,8 @@ def audit_regret(report: RunReport, spec: ObjectiveSpec, params: HyperParams) ->
 
     # shifting-regret inequality over the whole run
     regret = sum(ep.episode_regret for ep in report.episodes)
-    sum_pair_losses = float(sum(log.pair_losses))
     rhs_regret = (4.0 * k_eps * d_rad**2 / eta
-                  + 1.5 * eta * sum_pair_losses
+                  + 1.5 * eta * log.sum_loss
                   + 2.0 * d_rad * k_eps * t_len * params.delta_tr)
     audits["regret_lhs"] = regret
     audits["regret_rhs"] = rhs_regret
@@ -522,8 +525,8 @@ def audit_regret(report: RunReport, spec: ObjectiveSpec, params: HyperParams) ->
     audits["regret_ok"] = regret <= rhs_regret + 1e-6 * abs(rhs_regret)
 
     # stationarity bound at the episode averages
-    if log.f_values:
-        gap = log.f_values[0] - spec.f_lower
+    if log.f_start is not None:
+        gap = log.f_start - spec.f_lower
         lhs = sum(ep.grad_norm_at_wbar for ep in report.episodes) / k_eps
         rhs = (gap / (d_rad * k_eps * t_len) + regret / (d_rad * k_eps * t_len)
                + l2 * d_rad**2 / 24.0 + 0.5 * l2 * t_len**2 * d_rad**2)
@@ -533,32 +536,28 @@ def audit_regret(report: RunReport, spec: ObjectiveSpec, params: HyperParams) ->
         audits["stationarity_ok"] = lhs <= rhs + 1e-6 * abs(rhs)
 
     # dynamic-regret ledger against the true Hessian comparator
-    if log.comparator_losses:
-        max_comp_loss = max(log.comparator_losses)
-        max_path_step = max(log.comparator_path)
+    if log.comparator_loss_max is not None:
         sqrt_d = math.sqrt(spec.dim)
         rhs_dyn = (16.0 * d_rad**2 * log.hess_fro_first ** 2
-                   + 2.0 * sum(log.comparator_losses)
-                   + 64.0 * spec.l1 * d_rad**2 * sqrt_d * sum(log.comparator_path))
-        audits["dynamic_regret_lhs"] = sum_pair_losses
+                   + 2.0 * log.comparator_loss_sum
+                   + 64.0 * spec.l1 * d_rad**2 * sqrt_d * log.comparator_path_sum)
+        audits["dynamic_regret_lhs"] = log.sum_loss
         audits["dynamic_regret_rhs"] = rhs_dyn
-        audits["dynamic_regret_ok"] = (
-            sum_pair_losses <= rhs_dyn + 1e-6 * abs(rhs_dyn))
-        audits["comparator_loss_max"] = max_comp_loss
-        audits["comparator_loss_bound"] = l2**2 * d_rad**4 / 4.0
-        audits["comparator_loss_ok"] = (
-            max_comp_loss <= l2**2 * d_rad**4 / 4.0 + 1e-9)
-        audits["comparator_path_max"] = max_path_step
-        audits["comparator_path_bound"] = 2.0 * l2 * sqrt_d * d_rad
-        audits["comparator_path_ok"] = (
-            max_path_step <= 2.0 * l2 * sqrt_d * d_rad + 1e-9)
+        audits["dynamic_regret_ok"] = log.sum_loss <= rhs_dyn + 1e-6 * abs(rhs_dyn)
+        loss_bound, path_bound = l2**2 * d_rad**4 / 4.0, 2.0 * l2 * sqrt_d * d_rad
+        audits["comparator_loss_max"] = log.comparator_loss_max
+        audits["comparator_loss_bound"] = loss_bound
+        audits["comparator_loss_ok"] = log.comparator_loss_max <= loss_bound + 1e-9
+        audits["comparator_path_max"] = log.comparator_path_max
+        audits["comparator_path_bound"] = path_bound
+        audits["comparator_path_ok"] = log.comparator_path_max <= path_bound + 1e-9
 
     # fixed-point form of the implicit update
-    if log.fp_gaps:
-        audits["fixed_point_max_gap"] = max(log.fp_gaps)
-        audits["fixed_point_bound"] = eta * params.delta_tr
-        audits["fixed_point_ok"] = (
-            max(log.fp_gaps) <= eta * params.delta_tr * (1.0 + 1e-9) + 1e-12)
+    if log.fixed_point_max_gap is not None:
+        fp_bound = eta * params.delta_tr
+        audits["fixed_point_max_gap"] = log.fixed_point_max_gap
+        audits["fixed_point_bound"] = fp_bound
+        audits["fixed_point_ok"] = log.fixed_point_max_gap <= fp_bound * (1.0 + 1e-9) + 1e-12
 
     audits["all_ok"] = all(v for k, v in audits.items() if k.endswith("_ok"))
     return audits

@@ -52,7 +52,7 @@ def test_criterion_3_sep_contract():
 def test_criterion_4_regret_inequality(criterion_runs):
     """Shifting-regret bound holds on every audited run."""
     worst = math.inf
-    for spec, params, seed, report in criterion_runs:
+    for spec, params, seed, report, _ in criterion_runs:
         a = report.audits
         assert a["regret_ok"], (spec.dim, params.m_total, seed)
         rel = a["regret_margin"] / max(abs(a["regret_rhs"]), 1e-300)
@@ -61,30 +61,46 @@ def test_criterion_4_regret_inequality(criterion_runs):
             f"min relative margin={worst:.4f}")
 
 
-def test_criterion_5_conversion_inequalities(criterion_runs):
+def test_criterion_5_conversion_inequalities(criterion_runs, monkeypatch):
     """Per-step and per-episode conversion margins; exact quadratic identity."""
-    for spec, params, seed, report in criterion_runs:
+    for spec, params, seed, report, _ in criterion_runs:
         assert report.audits["conversion_step_ok"], (spec.dim, seed)
         assert report.audits["averaging_episode_ok"], (spec.dim, seed)
     qspec = catalog("quadratic", 6, seed=2)
     qparams = driver.HyperParams(
         d_radius=1.0, eta=0.5 / qspec.l1, t_len=10, k_eps=8,
         delta_tr=1e-5)
+    # each step's iterate and displacement, seen by a spy on driver.step
+    real_step, steps = driver.step, []
+
+    def spying_step(state, *args, **kwargs):
+        x, delta = state.x, state.delta_vec
+        solved = real_step(state, *args, **kwargs)
+        steps.append((x, delta, state.x))
+        return solved
+
+    monkeypatch.setattr(driver, "step", spying_step)
     qreport = driver.run(qspec, qparams, RngStream(3), audit_level="full")
-    log = qreport.log
-    worst_identity = 0.0
-    for i, gd in enumerate(log.g_dot_delta):
-        gap = abs(log.f_values[i] - log.f_values[i + 1] + gd)
-        scaled = gap / (1.0 + abs(log.f_values[i + 1]))
+    assert len(steps) == qparams.m_total
+    slack = qspec.l2 * qparams.d_radius**3 / 24.0
+    worst_identity, worst_margin = 0.0, math.inf
+    for x, delta, x_next in steps:
+        f, f_next = qspec.value(x), qspec.value(x_next)
+        gd = float(qspec.grad(x + 0.5 * delta) @ delta)
+        scaled = abs(f - f_next + gd) / (1.0 + abs(f_next))
         worst_identity = max(worst_identity, scaled)
+        worst_margin = min(worst_margin, f - f_next + gd + slack)
         assert scaled <= 1e-10
+    # the audit's worst margin is the slack, up to the same identity error
+    assert abs(qreport.audits["conversion_step_min_margin"] - worst_margin) \
+        <= 1e-10 * (1.0 + max(abs(qspec.value(x)) for x, _, _ in steps))
     _report(f"criterion 5 (conversion inequalities): PASS "
             f"quadratic identity max={worst_identity:.2e}")
 
 
 def test_criterion_6_comparator_bounds(criterion_runs):
     """Per-step Hessian-comparator bounds and the dynamic-regret ledger."""
-    for spec, params, seed, report in criterion_runs:
+    for spec, params, seed, report, _ in criterion_runs:
         a = report.audits
         assert a["comparator_loss_ok"], (spec.dim, seed)
         assert a["comparator_path_ok"], (spec.dim, seed)
@@ -97,27 +113,29 @@ def test_criterion_7_counting_audits(criterion_runs):
     """Exact gradient totals; per-call matvec budgets for both oracles."""
     max_tr_frac = 0.0
     max_sep = 0
-    for spec, params, seed, report in criterion_runs:
+    for spec, params, seed, report, calls in criterion_runs:
         expected = 2 * params.m_total + params.k_eps + 1
         assert report.totals["gradients"] == expected
         d = spec.dim
         q = params.p_fail / (2.0 * params.m_total)
         d_rad, delta = params.d_radius, params.delta_tr
         sep_cap = sep_budget(d, q)
-        for ev in report.log.events:
-            if ev["kind"] == "tr_solve":
-                b_bound = ev["b_bound"]  # the bound this solve was sized with
-                lam = min(0.0, ev["lambda_hat"])
-                lg = b_bound - lam
-                budget = 4.0 * (
-                    math.sqrt(b_bound * d_rad / delta)
-                    * math.log(d * b_bound * d_rad / (q**2 * delta))
-                    + math.sqrt(lg * d_rad / delta))
-                assert ev["matvecs"] <= budget
-                max_tr_frac = max(max_tr_frac, ev["matvecs"] / budget)
-            elif ev["kind"] == "sep":
-                assert ev["matvecs"] <= sep_cap
-                max_sep = max(max_sep, ev["matvecs"])
+        tr = report.totals["tr"]
+        assert len(calls["tr_solve"]) == tr["solves"] == params.m_total
+        assert len(calls["sep"]) == tr["sep_calls"] == params.m_total - 1
+        for b_bound, lambda_hat, matvecs in calls["tr_solve"]:
+            # b_bound: the bound this solve was sized with
+            lam = min(0.0, lambda_hat)
+            lg = b_bound - lam
+            budget = 4.0 * (
+                math.sqrt(b_bound * d_rad / delta)
+                * math.log(d * b_bound * d_rad / (q**2 * delta))
+                + math.sqrt(lg * d_rad / delta))
+            assert matvecs <= budget
+            max_tr_frac = max(max_tr_frac, matvecs / budget)
+        for matvecs in calls["sep"]:
+            assert matvecs <= sep_cap
+            max_sep = max(max_sep, matvecs)
     # the frozen-matrix baseline obeys the same gradient ledger
     spec = catalog("cosine_mixture", 4)
     params = compute_hyperparams(spec, 120)

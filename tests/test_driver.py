@@ -1,12 +1,17 @@
 import dataclasses
+import functools
+import gc
+import operator
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.linalg import eigh_tridiagonal
+from scipy.linalg.blas import ddot
 
 from oqn import driver, hessian_learner, trsolver, verify
 from oqn.eig import lanczos_factorize, min_evec, sep, sep_budget
@@ -25,6 +30,47 @@ def scalar_quadratic(x0=1.0):
 def manual(d_radius, eta, t_len, k_eps, delta_tr=1e-8, p_fail=0.01):
     return HyperParams(d_radius=d_radius, eta=eta, t_len=t_len, k_eps=k_eps,
                        delta_tr=delta_tr, p_fail=p_fail)
+
+
+def left_fold(values):
+    """The left-to-right float sum that the run log folds (Python 3.12's
+    ``sum()`` compensates, so it is not used here)."""
+    return functools.reduce(operator.add, values, 0.0)
+
+
+def spy_steps(monkeypatch):
+    """Spy on ``driver.step`` for an "oqn" run: the returned list collects,
+    per step, the subproblem and solution the step returns and, when the
+    step ran a learner round, that round's separation result and plain
+    flag, read off the learner record the round updated (else None)."""
+    real_step = driver.step
+    steps = []
+
+    def spying_step(state, *args, **kwargs):
+        rounds = state.totals["tr"]["sep_calls"]
+        problem, sol = real_step(state, *args, **kwargs)
+        ran = state.totals["tr"]["sep_calls"] > rounds
+        steps.append((problem, sol, (state.b_state.sep, state.b_state.plain) if ran else None))
+        return problem, sol
+
+    monkeypatch.setattr(driver, "step", spying_step)
+    return steps
+
+
+def spy_conversion(monkeypatch):
+    """Spy on ``driver.step``: the returned list collects, per step, the
+    iterate x_n, the displacement delta_n it played and the next iterate."""
+    real_step = driver.step
+    steps = []
+
+    def spying_step(state, *args, **kwargs):
+        x, delta = state.x, state.delta_vec
+        solved = real_step(state, *args, **kwargs)
+        steps.append((x, delta, state.x))
+        return solved
+
+    monkeypatch.setattr(driver, "step", spying_step)
+    return steps
 
 
 class TestComputeHyperparams:
@@ -217,18 +263,31 @@ class TestRun:
         assert report.totals["gradients"] == 2 * params.m_total + params.k_eps + 1
         assert len(report.episodes) == params.k_eps
 
-    def test_quadratic_manual_monotone_episodes(self):
+    def test_quadratic_manual_monotone_episodes(self, monkeypatch):
         # convex instance where the averaged-iterate gradient norms decay
         spec = catalog("quadratic", 6, seed=2)
         params = manual(1.0, 0.5 / spec.l1, 10, 8, delta_tr=1e-5)
+        steps = spy_conversion(monkeypatch)
         report = driver.run(spec, params, RngStream(3), audit_level="full")
         norms = [e.grad_norm_at_wbar for e in report.episodes]
         assert all(b <= a * (1 + 1e-12) for a, b in zip(norms, norms[1:]))
         # quadratic midpoint identity: decrease equals the linear loss exactly
-        log = report.log
-        for i, gd in enumerate(log.g_dot_delta):
-            gap = log.f_values[i] - log.f_values[i + 1] + gd
-            assert abs(gap) <= 1e-10 * (1.0 + abs(log.f_values[i + 1]))
+        assert len(steps) == params.m_total
+        slack = spec.l2 * params.d_radius**3 / 24.0
+        worst = worst_tolerated = np.inf
+        for x, delta, x_next in steps:
+            f, f_next = spec.value(x), spec.value(x_next)
+            gd = ddot(spec.grad(x + 0.5 * delta), delta)
+            assert abs(f - f_next + gd) <= 1e-10 * (1.0 + abs(f_next))
+            margin = f - f_next + gd + slack
+            worst = min(worst, margin)
+            worst_tolerated = min(worst_tolerated, margin + 1e-9 * (1.0 + abs(f_next)))
+        # the log folded the same per-step margins, bit for bit
+        assert report.log.conversion_min_margin == worst
+        assert report.log.conversion_min_tolerated == worst_tolerated
+        assert report.audits["conversion_step_min_margin"] == worst
+        assert report.log.f_start == spec.value(spec.x0)
+        assert report.log.f_last == spec.value(steps[-1][2])
 
     def test_single_step_episode_regret_is_cauchy_schwarz_gap(self):
         spec = catalog("cosine_mixture", 3)
@@ -238,7 +297,7 @@ class TestRun:
         g0 = spec.grad(spec.x0)
         delta1 = -params.d_radius * g0 / np.linalg.norm(g0)
         g1 = spec.grad(spec.x0 + 0.5 * delta1)
-        expected = report.log.g_dot_delta[0] + params.d_radius * np.linalg.norm(g1)
+        expected = g1 @ delta1 + params.d_radius * np.linalg.norm(g1)
         assert ep.episode_regret == pytest.approx(expected, rel=1e-12)
         assert ep.episode_regret >= -1e-12
 
@@ -254,13 +313,36 @@ class TestRun:
         assert "stationarity_lhs" not in report.audits
         assert report.audits["regret_ok"]
 
-    def test_ties_broken_by_earliest_episode(self):
+    def test_ties_broken_by_earliest_episode(self, monkeypatch):
         spec = catalog("cosine_mixture", 4)
         params = compute_hyperparams(spec, 60)
+        steps = spy_conversion(monkeypatch)
         report = driver.run(spec, params, RngStream(2))
         best = min(e.grad_norm_at_wbar for e in report.episodes)
         first = next(e for e in report.episodes if e.grad_norm_at_wbar == best)
-        np.testing.assert_array_equal(report.w_hat, first.w_bar)
+        assert report.grad_norm_final == best
+        # the first best episode's average w_bar, summed as the run sums it
+        t = params.t_len
+        w_sum = np.zeros(spec.dim)
+        for x, delta, _ in steps[(first.k - 1) * t:first.k * t]:
+            w_sum += x + 0.5 * delta
+        np.testing.assert_array_equal(report.w_hat, w_sum / t)
+        assert np.linalg.norm(spec.grad(report.w_hat)) == pytest.approx(best, rel=1e-12)
+
+    def test_exact_tie_returns_the_first_episode(self, monkeypatch):
+        # a linear objective has the same gradient everywhere, so every
+        # episode ties, and w_hat is the first episode's average
+        grad = np.array([0.6, -0.8])
+        spec = ObjectiveSpec(dim=2, grad=lambda x: grad.copy(), l1=1.0, l2=1.0,
+                             f_lower=-1e3, x0=np.zeros(2))
+        params = manual(0.1, 0.5, 2, 3, delta_tr=1e-6)
+        steps = spy_conversion(monkeypatch)
+        report = driver.run(spec, params, RngStream(0))
+        assert len({ep.grad_norm_at_wbar for ep in report.episodes}) == 1
+        averages = [(steps[k][0] + 0.5 * steps[k][1] + steps[k + 1][0]
+                     + 0.5 * steps[k + 1][1]) / 2 for k in (0, 2, 4)]
+        assert not np.array_equal(averages[0], averages[1])
+        np.testing.assert_array_equal(report.w_hat, averages[0])
 
     def test_box_violations_flagged_not_fatal(self):
         # shrink the validity box so the very first iterates leave it;
@@ -342,13 +424,16 @@ class TestComparatorLedger:
 
         return dataclasses.replace(base, hess=hess), points
 
-    def test_step_ledger_matches_dense_recomputation(self):
-        base = catalog("cosine_mixture", 6)
-        spec, points = self.recording(base)
-        params = compute_hyperparams(spec, 60)
+    LEDGER = ("comparator_loss_sum", "comparator_loss_max", "comparator_path_sum",
+              "comparator_path_max", "hess_fro_first")
+
+    @staticmethod
+    def stepped(spec, params, seed):
+        """Run the steps by hand with a full log; return it with each step's
+        z_n and (g_n, grad f(z_n), s_n)."""
         state = driver.init(spec, params)
         log = driver.StepLog(full=True)
-        rng = RngStream(3)
+        rng = RngStream(seed)
         z_pts, trail = [], []
         for _ in range(params.m_total):
             delta_n = state.delta_vec.copy()
@@ -356,6 +441,13 @@ class TestComparatorLedger:
             driver.step(state, spec, params, rng, log=log)
             z_pts.append(state.x + 0.5 * delta_n)
             trail.append((g_n, state.grad_z_prev.copy(), state.pending_s.copy()))
+        return log, z_pts, trail
+
+    def test_step_ledger_matches_dense_recomputation(self):
+        base = catalog("cosine_mixture", 6)
+        spec, points = self.recording(base)
+        params = compute_hyperparams(spec, 60)
+        log, z_pts, trail = self.stepped(spec, params, 3)
         m = params.m_total
         assert len(points) == m
         for z_rec, z in zip(points, z_pts):
@@ -367,13 +459,15 @@ class TestComparatorLedger:
             r = (trail[n + 1][0] - trail[n][1]) - h[n] @ trail[n][2]
             losses.append(float(r @ r))
         path = [float(np.linalg.norm(h[n + 1] - h[n])) for n in range(m - 1)]
-        assert log.comparator_losses == losses
-        assert log.comparator_path == path
+        # the folds equal the left folds of the dense terms, bit for bit
+        assert log.comparator_loss_sum == left_fold(losses)
+        assert log.comparator_loss_max == max(losses)
+        assert log.comparator_path_sum == left_fold(path)
+        assert log.comparator_path_max == max(path)
         assert log.hess_fro_first == float(np.linalg.norm(h[0]))
+        # the log holds scalars only, none per step
         for f in dataclasses.fields(log):
-            value = getattr(log, f.name)
-            if isinstance(value, list):
-                assert not any(isinstance(v, np.ndarray) for v in value), f.name
+            assert isinstance(getattr(log, f.name), (bool, float, type(None))), f.name
 
     def test_run_audit_sums_the_ledger(self):
         base = catalog("cosine_mixture", 6)
@@ -382,10 +476,17 @@ class TestComparatorLedger:
         report = driver.run(spec, params, RngStream(3), audit_level="full")
         log = report.log
         assert len(points) == params.m_total
-        n_pairs = params.m_total - 1
-        assert len(log.comparator_losses) == len(log.comparator_path) == n_pairs
-        assert report.audits["comparator_loss_max"] == max(log.comparator_losses)
-        assert report.audits["comparator_path_max"] == max(log.comparator_path)
+        # the run folds the ledger that the steps above fold, pair by pair
+        stepped, _, _ = self.stepped(spec, params, 3)
+        assert [getattr(log, key) for key in self.LEDGER] \
+            == [getattr(stepped, key) for key in self.LEDGER]
+        d_rad, a = params.d_radius, report.audits
+        assert a["comparator_loss_max"] == log.comparator_loss_max
+        assert a["comparator_path_max"] == log.comparator_path_max
+        assert a["dynamic_regret_lhs"] == log.sum_loss
+        assert a["dynamic_regret_rhs"] == (
+            16.0 * d_rad**2 * log.hess_fro_first ** 2 + 2.0 * log.comparator_loss_sum
+            + 64.0 * spec.l1 * d_rad**2 * np.sqrt(spec.dim) * log.comparator_path_sum)
         assert report.audits["all_ok"]
 
     def test_episode_level_evaluates_no_hessian(self):
@@ -393,6 +494,46 @@ class TestComparatorLedger:
         report = driver.run(spec, compute_hyperparams(spec, 60), RngStream(3))
         assert points == []
         assert "dynamic_regret_ok" not in report.audits
+
+
+class TestBoundedLog:
+    """A logged run keeps scalars, not per-step lists: the bytes its report
+    retains exceed an unlogged report's by a constant, plus the one measured
+    float (``sum_loss``) each episode record holds where an "off" record
+    holds None."""
+
+    @staticmethod
+    def retained(spec, params, audit_level):
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            report = driver.run(spec, params, RngStream(0), audit_level=audit_level)
+            gc.collect()
+            return tracemalloc.get_traced_memory()[0] - before, len(report.episodes)
+        finally:
+            tracemalloc.stop()
+
+    def test_logged_report_retains_a_constant_over_off(self):
+        spec = catalog("cosine_mixture", 8)
+        # a first run of each level pays the one-off allocations
+        for audit_level in driver.AUDIT_LEVELS:
+            driver.run(spec, compute_hyperparams(spec, 60), RngStream(0),
+                       audit_level=audit_level)
+        extra = {}
+        for budget in (240, 960):
+            params = compute_hyperparams(spec, budget)
+            off, k_eps = self.retained(spec, params, "off")
+            for audit_level in ("episode", "full"):
+                logged, k_logged = self.retained(spec, params, audit_level)
+                assert k_logged == k_eps
+                extra[audit_level, budget] = (logged - off, k_eps)
+        float_bytes = sys.getsizeof(0.0)
+        for audit_level in ("episode", "full"):
+            (small, k_small), (large, k_large) = (extra[audit_level, budget]
+                                                  for budget in (240, 960))
+            # 714 more steps; a per-step list would add kilobytes here
+            assert large - small <= float_bytes * (k_large - k_small) + 1024, extra
 
 
 class TestPsdCertificate:
@@ -404,14 +545,16 @@ class TestPsdCertificate:
             raise AssertionError("min_evec called under a PSD certificate")
 
         monkeypatch.setattr(trsolver, "min_evec", forbidden)
+        steps = spy_steps(monkeypatch)
         for name, dim, budget in (("cosine_mixture", 8, 240), ("coupled_trig", 6, 120)):
             spec = catalog(name, dim)
             params = compute_hyperparams(spec, budget)
+            steps.clear()
             report = driver.run(spec, params, RngStream(0), audit_level="full")
             assert report.totals["tr"]["branches"] == {"convex": params.m_total}
             assert report.totals["tr"]["krylov_starts"] == 0
-            assert {ev["start"] for ev in report.log.events
-                    if ev["kind"] == "tr_solve"} == {"caller"}
+            assert len(steps) == params.m_total
+            assert {sol.start for _, sol, _ in steps} == {"caller"}
             assert report.audits["all_ok"]
 
     def test_large_eta_falls_back_to_the_probe(self, monkeypatch):
@@ -422,6 +565,7 @@ class TestPsdCertificate:
             return min_evec(*args, **kwargs)
 
         monkeypatch.setattr(trsolver, "min_evec", counting)
+        steps = spy_steps(monkeypatch)
         spec = catalog("cosine_mixture", 8)
         auto = compute_hyperparams(spec, 240)
         params = dataclasses.replace(auto, eta=20.0 * auto.eta)
@@ -430,8 +574,9 @@ class TestPsdCertificate:
         assert report.totals["gradients"] == 2 * params.m_total + params.k_eps + 1
         assert report.audits["all_ok"]
         # where min_evec ran, some probes start from the Krylov minimizer
-        # rather than from delta_n; each is one tr_solve event's start
-        starts = [ev["start"] for ev in report.log.events if ev["kind"] == "tr_solve"]
+        # rather than from delta_n; each is one solve's start
+        starts = [sol.start for _, sol, _ in steps]
+        assert len(starts) == params.m_total
         assert 0 < starts.count("krylov") == report.totals["tr"]["krylov_starts"] <= len(calls)
 
 
@@ -441,7 +586,9 @@ class TestEarlyExit:
     def test_probe_saves_matvecs_at_unchanged_quality(self, monkeypatch):
         spec = catalog("coupled_trig", 16)
         params = compute_hyperparams(spec, 480)
-        fast = driver.run(spec, params, RngStream(0), audit_level="full")
+        with monkeypatch.context() as spying:
+            steps = spy_steps(spying)
+            fast = driver.run(spec, params, RngStream(0), audit_level="full")
         # a probe that always declines leaves the fixed-budget path alone
         monkeypatch.setattr(trsolver, "fista_probe", lambda *args: (None, args[4], None, None))
         fixed = driver.run(spec, params, RngStream(0), audit_level="full")
@@ -451,11 +598,12 @@ class TestEarlyExit:
         assert fast.totals["matvecs"] < fixed.totals["matvecs"]
         assert fast.grad_norm_final == pytest.approx(fixed.grad_norm_final, rel=1e-5)
         assert fixed.totals["tr"]["early_exits"] == 0
-        solves = [ev for ev in fast.log.events if ev["kind"] == "tr_solve"]
-        assert len(solves) == fast.totals["tr"]["solves"] == params.m_total
-        exits = sum(ev["early_exit"] for ev in solves)
+        assert len(steps) == fast.totals["tr"]["solves"] == params.m_total
+        exits = sum(sol.early_exit for _, sol, _ in steps)
         assert 0 < exits == fast.totals["tr"]["early_exits"]
-        derived = sum(ev["start_product"] == "derived" for ev in solves)
+        # a step derives its start product exactly when its learner round
+        # was plain
+        derived = sum(lrn is not None and lrn[1] for _, _, lrn in steps)
         assert derived == fast.totals["tr"]["start_products_derived"] == params.m_total - 1
 
     def test_start_product_changes_no_bit(self):
@@ -547,8 +695,8 @@ class TestStepBound:
             assert lam_lower <= lam_min + rounding
             assert b_bound <= worst
         assert min(b for b, *_ in seen) < worst
-        events = [ev for ev in report.log.events if ev["kind"] == "tr_solve"]
-        assert [ev["b_bound"] for ev in events] == [b for b, *_ in seen]
+        # the run's every solve was one of the subproblems checked above
+        assert report.totals["tr"]["solves"] == len(seen)
         assert report.audits["all_ok"]
 
     @pytest.mark.parametrize("name,dim,budget,eta_factor", RECIPES)
@@ -642,10 +790,12 @@ class TestSepCertificate:
         spec = perturbed("coupled_trig", 16)
         params = compute_hyperparams(spec, 240)
         lanczos_rng = RngStream(99)
-        certified = []
+        certified, rounds = [], []
 
         def spying_sep(w_op, l1, q, rng):
             res = sep(w_op, l1, q, rng)
+            # the round's result and the run's random stream after it
+            rounds.append((res.certified, rng.state()))
             if res.matvecs_used == 0:
                 # what the Lanczos path alone would have read, at sep's budget
                 d = w_op.dim
@@ -663,17 +813,17 @@ class TestSepCertificate:
         assert len(certified) == tr["sep_certified"] == tr["sep_calls"] > 0
         assert tr["sep_matvecs"] == 0
         assert rng.draws == 0
-        events = [ev for ev in report.log.events if ev["kind"] == "sep"]
-        assert all(ev["certified"] and ev["rng_state"] == (0, 0) for ev in events)
+        assert len(rounds) == tr["sep_calls"]
+        assert all(ok and state == (0, 0) for ok, state in rounds)
         assert report.totals["gradients"] == 2 * params.m_total + params.k_eps + 1
         assert report.audits["all_ok"], report.audits
 
 
 class TestHintError:
     """The driver hands the learner its hint error r = g_n - h_n, which is
-    the closing pair's residual y - B s, and logs |r|^2 as the pair's loss;
-    the learner applies no operator of its own, so a round costs exactly its
-    separation call."""
+    the closing pair's residual y - B s, and folds |r|^2 as the pair's loss
+    into the run's sum and into its episode's; the learner applies no
+    operator of its own, so a round costs exactly its separation call."""
 
     @pytest.mark.parametrize("name,dim,eta_factor", [
         ("coupled_trig", 16, 1.0), ("cosine_mixture", 8, 200.0)])
@@ -696,6 +846,7 @@ class TestHintError:
         log = driver.StepLog()
         rng = RngStream(0)
         checked = certified = 0
+        losses, dense_sum = [], 0.0
         for _ in range(params.m_total):
             grad_z_prev, pending_s, hint = state.grad_z_prev, state.pending_s, state.hint
             g_n = spec.grad(state.x + 0.5 * state.delta_vec)
@@ -704,16 +855,19 @@ class TestHintError:
                 # the bootstrap step: its hint h_1 = grad f(x_0) predicts no
                 # pair, so no round runs and no loss is logged for it
                 assert np.array_equal(hint, spec.grad(spec.x0))
-                assert rounds == [] and log.pair_losses == []
+                assert rounds == [] and log.sum_loss == 0.0
                 continue
             r, s, b, spent, sep_res = rounds.pop()
             assert s is pending_s
             # y = g_n - grad f(z_{n-1}) and B the action that built the hint
             expected = (g_n - grad_z_prev) - b @ s
             assert np.linalg.norm(r - expected) <= 1e-10 * np.linalg.norm(expected)
-            # the pair's loss |y - B s|^2, formed by the driver alone
-            assert len(log.pair_losses) == checked + 1
-            assert log.pair_losses[-1] == pytest.approx(float(expected @ expected), rel=3e-10)
+            # the pair's loss |y - B s|^2, formed by the driver alone: the
+            # log's sum is the left fold of |r|^2 over the closed pairs
+            losses.append(ddot(r, r))
+            dense_sum += float(expected @ expected)
+            assert log.sum_loss == left_fold(losses)
+            assert log.sum_loss == pytest.approx(dense_sum, rel=3e-10)
             assert spent == sep_res.matvecs_used
             assert not sep_res.certified or spent == 0
             checked += 1
@@ -722,6 +876,12 @@ class TestHintError:
         assert certified > 0
         # the eta x200 recipe also runs separation rounds through Lanczos
         assert (certified < checked) == (eta_factor > 1.0)
+        # pair j's loss is episode ceil(j/T)'s: each record holds the left
+        # fold of its own pairs, the last one's short by the pair its final
+        # step would have closed
+        t = params.t_len
+        assert [ep.sum_loss for ep in state.episodes] \
+            == [left_fold(losses[(k - 1) * t:k * t]) for k in range(1, params.k_eps + 1)]
 
 
 class TestLearnerRecord:
