@@ -46,7 +46,7 @@ from .errors import (InvalidArgument, check_int_at_least, check_one_of, check_op
 from .hessian_learner import LearnerState, default_rho, learner_step
 # SymOperator is not built here any more; perfbench/tracing.py still wraps
 # oqn.driver.SymOperator by name, so the import stays
-from .linops import Counter, SymOperator  # noqa: F401
+from .linops import Counter, SymOperator, sum_of_squares  # noqa: F401
 from .problems import ObjectiveSpec, eval_gradient
 from .rng import RngStream
 from .trsolver import TRSolution, TrustRegionSubproblem, project_ball, tr_solve
@@ -459,9 +459,9 @@ def _fold_max(current: Optional[float], value: float) -> float:
 
 
 def _frobenius(mat: NDArray) -> float:
-    """|mat|_F: one BLAS ddot over the entries in np.linalg.norm's order."""
-    flat = mat.ravel(order="K")
-    return math.sqrt(ddot(flat, flat))
+    """|mat|_F over the entries in np.linalg.norm's order, in blocks whose
+    bits do not depend on the BLAS thread count (``linops.sum_of_squares``)."""
+    return math.sqrt(sum_of_squares(mat.ravel(order="K")))
 
 
 def audit_regret(report: RunReport, spec: ObjectiveSpec, params: HyperParams) -> dict:

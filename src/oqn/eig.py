@@ -5,7 +5,9 @@ full reorthogonalization, then read estimates off the small tridiagonal
 matrix.  Iteration counts follow the worst-case budgets (capped at the
 ambient dimension, where the Krylov space saturates and the estimates become
 exact).  Breakdown, which the budgets do not anticipate, means an invariant
-subspace was found: we truncate and keep the then-exact Ritz pairs.
+subspace was found: we truncate and keep the then-exact Ritz pairs.  A
+breakdown in ``min_evec``'s stage 1 settles the probe there: its bottom Ritz
+pair is an exact eigenpair, so stage 2 does not run.
 
 A factorization keeps its Lanczos vectors as the rows of one preallocated
 C-ordered array, grown at most once per extension, so a step
@@ -16,7 +18,9 @@ views of that array.
 A step's recurrence works in place on the fresh product the operator
 returns: the two three-term subtractions are BLAS ``daxpy`` calls and the
 full reorthogonalization is one ``w -= (Q w) Q`` over the rows written so
-far.
+far.  The product is ``SymOperator._product``, ``apply`` without its shape
+check, since a basis row has the operator's dimension by construction; it
+counts its matvec all the same.
 
 Each probe solves its tridiagonal once: ``min_evec``'s stage 1 and ``sep``
 each take one LAPACK ``?stevd`` call with vectors through
@@ -27,8 +31,9 @@ spectrum, so the bits are SciPy's, but its per-call validation and dispatch
 are gone: they cost 10-15 us a call, about as much as LAPACK's own work on
 the small tridiagonals read here.  Stage 2's refined vector is one more
 LAPACK call, ``?syevr`` for the single bottom eigenpair of the squared-shift
-matrix (see ``refined_vector``).  The package requires SciPy >= 1.17, the
-oldest release these bindings and their bits were checked on.
+matrix (see ``refined_vector``), made only when stage 1 did not break down.
+The package requires SciPy >= 1.17, the oldest release these bindings and
+their bits were checked on.
 
 The separation oracle first reads the operator's Frobenius norm, which the
 operators hold at no matvec cost.  Since |W|_op <= |W|_F, a norm at most l1
@@ -150,8 +155,10 @@ def lanczos_extend(fact: LanczosFactorization, op, n_steps_total: int) -> Lanczo
     basis = fact.basis
     while k < n_steps_total:
         v_k = basis[k]
-        # the product is a fresh array, so the recurrence updates it in place
-        w = op.apply(v_k)
+        # the product is a fresh array, so the recurrence updates it in
+        # place; a row has the operator's dimension, so apply's checks are
+        # skipped
+        w = op._product(v_k)
         if k > 0:
             w = daxpy(basis[k - 1], w, a=-fact.betas[-1])
         alpha = ddot(w, v_k)
@@ -254,8 +261,11 @@ def min_evec(
     ``b_bound``, nonnegative and finite, must upper-bound lambda_max -
     lambda_min (caller's responsibility).  Stage 1 estimates the minimum
     Ritz value and shifts it down by delta/2; a nonnegative shifted value
-    certifies PSD.  Otherwise stage 2 extends the Krylov space and extracts
-    the eigenvector whose shifted residual norm is smallest, via the
+    certifies PSD.  Otherwise, if stage 1 broke down, its Krylov space is
+    invariant and v_hat is its bottom Ritz vector, an exact eigenvector whose
+    residual |A v_hat - lambda_hat v_hat| is delta/2 up to rounding; no
+    stage 2 runs.  Without a breakdown, stage 2 extends the Krylov space and
+    extracts the eigenvector whose shifted residual norm is smallest, via the
     squared-shift matrix (``refined_vector``).  Stage 1 solves its
     tridiagonal once, with vectors; its largest Ritz value is returned as
     ``ritz_max`` either way, with stage 1's basis and Ritz pairs.
@@ -278,13 +288,18 @@ def min_evec(
         return MinEvecResult(lambda_hat, np.zeros(d), MinEvecCase.PSD_CERTIFIED, fact.size,
                              ritz_max, basis1, ritz_pairs)
 
-    n2 = min(
-        d,
-        budget_factor * _stage_budget(b_bound, delta, 44.0 * d * b_bound / (q**2 * delta)),
-    )
-    lanczos_extend(fact, op, max(n1, n2))
-    z_min = refined_vector(*fact.tridiagonal(), lambda_hat, fact.betas[-1])
-    v_hat = fact.basis_matrix() @ z_min
+    if fact.breakdown_at is not None:
+        # V1 spans an invariant subspace, so the bottom Ritz pair is exact:
+        # extending would add no step, and the refined vector would be this
+        v_hat = basis1 @ ritz_pairs[1][:, 0]
+    else:
+        n2 = min(
+            d,
+            budget_factor * _stage_budget(b_bound, delta, 44.0 * d * b_bound / (q**2 * delta)),
+        )
+        lanczos_extend(fact, op, max(n1, n2))
+        z_min = refined_vector(*fact.tridiagonal(), lambda_hat, fact.betas[-1])
+        v_hat = fact.basis_matrix() @ z_min
     v_hat = v_hat / math.sqrt(ddot(v_hat, v_hat))
     return MinEvecResult(lambda_hat, v_hat, MinEvecCase.NEGATIVE_EIG, fact.size, ritz_max,
                          basis1, ritz_pairs)

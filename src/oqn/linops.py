@@ -48,6 +48,8 @@ from scipy.linalg.blas import ddot, dsymv
 from .errors import InvalidArgument
 
 DENSE_EIG_DIM_CAP = 200
+# sum_of_squares's block: half the length from which OpenBLAS threads a ddot
+REDUCTION_BLOCK = 8192
 
 
 class Counter:
@@ -65,6 +67,20 @@ class Counter:
         return f"Counter({self.count})"
 
 
+def sum_of_squares(flat: NDArray) -> float:
+    """flat'flat for a 1-D ``flat``, as ``ddot`` calls over consecutive
+    blocks of ``REDUCTION_BLOCK`` entries, added in order.  OpenBLAS splits a
+    ``ddot`` of 16,384 entries or more across its threads, and the partial
+    sums round by thread count; a block runs on one thread, so the sum has
+    the same bits at every thread count.  Up to one block it is one ``ddot``,
+    the bits of ``flat @ flat``."""
+    total = 0.0
+    for start in range(0, flat.size, REDUCTION_BLOCK):
+        block = flat[start: start + REDUCTION_BLOCK]
+        total += ddot(block, block)
+    return total
+
+
 def upper_frobenius(upper: NDArray) -> float:
     """Frobenius norm of the symmetric matrix whose upper triangle, with a
     zero strict lower part, is ``upper``: sqrt(2 |U|_F^2 - |diag U|^2), in
@@ -72,7 +88,7 @@ def upper_frobenius(upper: NDArray) -> float:
     at least |U|_F^2, so it does not cancel."""
     flat = upper.T.reshape(-1)  # a view for Fortran order
     diag = flat[:: upper.shape[0] + 1]
-    return math.sqrt(2.0 * ddot(flat, flat) - ddot(diag, diag))
+    return math.sqrt(2.0 * sum_of_squares(flat) - ddot(diag, diag))
 
 
 class SymOperator:
@@ -139,6 +155,12 @@ class SymOperator:
         v = np.asarray(v, dtype=float)
         if v.shape != (self.dim,):
             raise InvalidArgument(f"vector shape {v.shape} vs operator dim {self.dim}")
+        return self._product(v)
+
+    def _product(self, v: NDArray) -> NDArray:
+        """``apply`` without its checks, one counted matvec, for a float
+        vector of length ``dim``: ``eig``'s Lanczos steps call it on basis
+        rows, which have that shape by construction."""
         self.counter.tick()
         sv = dsymv(1.0, self.upper, v)
         if self._is_view:  # scale * sv - shift * v, in sv's own storage

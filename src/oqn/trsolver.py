@@ -17,10 +17,13 @@ k1-dimensional problem, diagonal in the eigenpairs of the tridiagonal T1
 that the probe's stage 1 computed and hands back, solved by a secular
 equation at no matvec and with no eigensolve of its own.  The caller's
 start is priced only where no matvec is needed, at 0 when it is the origin
-or from ``a_start``; a start with neither is kept.  x_K costs the probe one matvec, its product; with a
-full Krylov space (k1 = d) it is the inner problem's exact minimizer, so
-the solve certifies there for k1 + 1 matvecs, one more on a regularized
-branch.  The probe applies the inner operator once per iterate and gets
+or from ``a_start``; a start with neither is kept.  x_K costs one matvec:
+the solve applies A there once and hands the probe that product (less
+lambda_hat x_K on the regularized branch) as its start product.  With a full
+Krylov space (k1 = d) x_K is the inner problem's exact minimizer, so the
+solve certifies there for k1 + 1 matvecs, one more on the regularized
+interior branch, which moves its answer to the sphere.  The probe applies
+the inner operator once per iterate and gets
 it at the momentum point by linearity, so it reads the exact inner residual
 of every iterate for free, and it stops once that residual is at most
 ``EARLY_EXIT_RTOL * min(accuracy, |b|)``; the solve then reports
@@ -48,10 +51,13 @@ The certificate is the residual of the original problem, and the solution
 hands back the product A ``delta_vec`` that certificate read, so a caller
 needs no matvec of its own at the answer.  On a convex probe exit both are
 the probe's own (k + 1 matvecs in all, k from a caller's start with
-``a_start``, so a solve certified there costs none); on every other path, a
+``a_start``, so a solve certified there costs none).  A regularized answer
+that is x_K itself, a probe exit at its start on the sphere, reads them from
+the product A x_K the solve applied there.  On every other path, a
 regularized probe exit included, since that probe read the shifted
 residual, ``residual_of`` applies A once more, and that matvec is counted
-too.
+too.  A caller's ``a_start`` never certifies a regularized answer: it is A
+``x_start`` only up to rounding.
 """
 
 from __future__ import annotations
@@ -151,12 +157,15 @@ class TRSolution:
     probe's backtracking rejected, on either branch where the eigenpair
     probe ran, is not counted, though its matvec is), else it is the fixed
     per-phase budget N.  ``residual`` is the original problem's: the convex
-    probe's own on a convex early exit, ``residual_of`` at ``delta_vec``
-    otherwise (regularized branches always).  ``a_delta`` is the product
-    A ``delta_vec`` that residual was read from, at no matvec to the caller:
-    the bits ``a_op.apply(delta_vec)`` returns, except on a probe exit at its
-    start, which hands back the caller's ``a_start`` itself.  ``start`` is
-    where the probe started: "caller" (``x_start``) or "krylov" (x_K)."""
+    probe's own on a convex early exit, the one ``residual_of`` computes at
+    ``delta_vec`` otherwise: on a regularized answer at x_K, read from the
+    product the solve applied there for the probe's start, else by
+    ``residual_of`` itself.  ``a_delta`` is the product A ``delta_vec`` that
+    residual was read from, at no matvec to the caller: the bits
+    ``a_op.apply(delta_vec)`` returns, except on a convex probe exit at the
+    caller's start, which hands back the caller's ``a_start`` itself.
+    ``start`` is where the probe started: "caller" (``x_start``) or "krylov"
+    (x_K)."""
 
     delta_vec: NDArray
     residual: float
@@ -401,15 +410,16 @@ def tr_solve(p: TrustRegionSubproblem, rng: RngStream) -> TRSolution:
     space with sigma = 0 when convex and lambda_hat when regularized, if
     the inner model is lower there than at ``p.x_start`` (0 at the origin,
     0.5 x'(a_start - sigma x) + b'x from a given ``p.a_start``; an
-    unpriced start is kept), applying A once at x_K.  The inner problem's answer is the
-    ``fista_probe`` one from that start (with the start product from
-    ``p.a_start`` at ``p.x_start``) when the probe certifies
-    (``early_exit``), else the
-    fixed-budget ``fista_plus_sfg`` one; the regularized branch then takes
-    it to the sphere when it is interior.  The certified residual on the
-    original problem is asserted at the end of every solve: a convex probe
-    exit reports the residual and the product A x the probe read at its
-    answer, every other path (the probe read the shifted residual on a
+    unpriced start is kept), applying A once at x_K.  The inner problem's
+    answer is the ``fista_probe`` one from that start, with its start
+    product (A x_K - sigma x_K at x_K, from ``p.a_start`` at ``p.x_start``),
+    when the probe certifies (``early_exit``), else the fixed-budget
+    ``fista_plus_sfg`` one; the regularized branch then takes it to the
+    sphere when it is interior.  The certified residual on the original
+    problem is asserted at the end of every solve: a convex probe exit
+    reports the residual and the product A x the probe read at its answer,
+    a regularized answer that is x_K reads them from the A x_K applied
+    there, and every other path (the probe read the shifted residual on a
     regularized branch) applies A once more through ``residual_of`` and
     reports that product.
     On failure (the oracles are Monte-Carlo), the solve retries once with
@@ -440,7 +450,7 @@ def tr_solve(p: TrustRegionSubproblem, rng: RngStream) -> TRSolution:
             # (A - lambda_hat I) x_start from the caller's A x_start
             a_start = None if p.a_start is None else p.a_start - lambda_hat * p.x_start
             l_start = ev.ritz_max - lambda_hat
-        x_start, start = p.x_start, "caller"
+        x_start, start, a_xk = p.x_start, "caller", None
         if ev is not None:
             # the inner model's value at the caller's start, where no matvec
             # is needed to know it
@@ -451,7 +461,13 @@ def tr_solve(p: TrustRegionSubproblem, rng: RngStream) -> TRSolution:
             krylov = None if known is None else krylov_minimizer(
                 ev.basis, ev.ritz_pairs, p.b, p.radius, sigma)
             if krylov is not None and krylov[1] < known:
-                x_start, a_start, start = krylov[0], None, "krylov"
+                # A x_K, applied once: the probe's start product, and the
+                # certificate's too if the regularized answer is x_K itself.
+                # On a build operator the shift below has the bits of the
+                # shifted view's apply
+                x_start, start = krylov[0], "krylov"
+                a_xk = p.a_op.apply(x_start)
+                a_start = a_xk if convex else a_xk - lambda_hat * x_start
         n_accel = accel_budget(lg, p.radius, acc) * factor
         cand, k, res, a_cand = fista_probe(op, p.b, p.radius, lg, n_accel, x_start,
                                            EARLY_EXIT_RTOL * min(acc, b_norm),
@@ -474,7 +490,11 @@ def tr_solve(p: TrustRegionSubproblem, rng: RngStream) -> TRSolution:
             cand = cand + alpha * v
             cand *= p.radius / math.sqrt(ddot(cand, cand))  # snap exactly onto the sphere
             branch = TRBranch.REGULARIZED_INTERIOR
-        if not (convex and early_exit):
+        if cand is x_start and a_xk is not None and not convex:
+            # the regularized answer is x_K, on the sphere: residual_of's
+            # bits from the product already applied there
+            res, a_cand = _cone_residual(a_xk + p.b, cand, math.sqrt(cand_sq), p.radius), a_xk
+        elif not (convex and early_exit):
             res, a_cand = residual_of(p.a_op, p.b, p.radius, cand, with_product=True)
         last = TRSolution(
             delta_vec=cand,

@@ -64,7 +64,9 @@ LANCZOS_RECURRENCE_RTOL = 1e-10
 # min_evec's stage-2 vector against V z, z the bottom eigenvector of the dense
 # squared-shift matrix M from np.linalg.eigh, compared up to sign where M's
 # two lowest eigenvalues lie at least REFINED_GAP_RTOL |M|_2 apart: there
-# either solver's rounding moves z by about eps |M|_2 / gap, at most 1e-10
+# either solver's rounding moves z by about eps |M|_2 / gap, at most 1e-10.
+# After a stage-1 breakdown, the vector against A's bottom eigenvector from
+# np.linalg.eigh, with the same gap rule on A's spectrum
 REFINED_GAP_RTOL = 1e-6
 REFINED_VECTOR_TOL = 1e-8
 
@@ -219,17 +221,14 @@ def check_tridiagonal(cfg):
                         f"mismatched={','.join(mismatched) or 'none'} of 40 solves")]
 
 
-def _dense_refined_vector(op, seed, res):
-    """Stage 2 of ``min_evec(op, ..., RngStream(seed))`` redone densely: the
-    factorization replayed to ``res.matvecs_used`` steps (one extension
-    computes the same rows as two), then V z with z the bottom eigenvector
-    of M = (T - lambda_hat I)^2 + beta_{k+1}^2 e_k e_k' from
-    ``np.linalg.eigh``.  Returns the unit vector and M's relative gap
-    (mu_2 - mu_1) / mu_max, 1 when k = 1."""
-    fact = lanczos_factorize(op, RngStream(seed).unit_vector(op.dim), res.matvecs_used)
+def _dense_refined_vector(fact, lambda_hat):
+    """Stage 2 of ``min_evec`` redone densely on its factorization ``fact``:
+    V z with z the bottom eigenvector of M = (T - lambda_hat I)^2 +
+    beta_{k+1}^2 e_k e_k' from ``np.linalg.eigh``.  Returns the unit vector
+    and M's relative gap (mu_2 - mu_1) / mu_max, 1 when k = 1."""
     diag, off = fact.tridiagonal()
     k = diag.size
-    shifted = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1) - res.lambda_hat * np.eye(k)
+    shifted = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1) - lambda_hat * np.eye(k)
     m_mat = shifted @ shifted
     m_mat[k - 1, k - 1] += fact.betas[-1] ** 2
     mu, z = np.linalg.eigh(m_mat)
@@ -237,10 +236,17 @@ def _dense_refined_vector(op, seed, res):
     return v / np.linalg.norm(v), (1.0 if k == 1 else (mu[1] - mu[0]) / mu[-1])
 
 
+def _sign_free_distance(v, ref) -> float:
+    """min |v -+ ref|: the distance between two unit vectors up to sign."""
+    return float(min(np.linalg.norm(v - ref), np.linalg.norm(v + ref)))
+
+
 def check_minevec(cfg):
     """The eigenvalue sandwich at q = 0.05, the certificate residual, the
-    top Ritz value inside the spectrum, and stage 2's refined vector against
-    a dense eigensolve of its squared-shift matrix."""
+    top Ritz value inside the spectrum, stage 2's refined vector against a
+    dense eigensolve of its squared-shift matrix, and, where stage 1 broke
+    down and stage 2 did not run, the bottom Ritz vector against a dense
+    eigensolve of A."""
     rng = np.random.default_rng(2002)
     sandwich_hits = 0
     negative = 0
@@ -249,6 +255,8 @@ def check_minevec(cfg):
     ritz_ok = True
     gapped = 0
     worst_vector = 0.0
+    breakdowns = breakdowns_gapped = 0
+    worst_breakdown = 0.0
     n_trials = cfg["trials"]
     for t in range(n_trials):
         d = int(rng.integers(2, 41))
@@ -257,7 +265,8 @@ def check_minevec(cfg):
         lam_min, lam_max, _, _ = dense_extreme_eig(op)
         spread = max(lam_max - lam_min, 1e-9)
         delta = float(rng.uniform(0.02, 0.6)) * spread
-        res = min_evec(op, delta, 0.05, spread, RngStream(7_700_000 + t))
+        seed = 7_700_000 + t
+        res = min_evec(op, delta, 0.05, spread, RngStream(seed))
         if res.lambda_hat <= lam_min <= res.lambda_hat + delta:
             sandwich_hits += 1
         if res.case is MinEvecCase.NEGATIVE_EIG:
@@ -265,11 +274,23 @@ def check_minevec(cfg):
             resid = np.linalg.norm(a @ res.v_hat - res.lambda_hat * res.v_hat)
             resid_ok = (resid_ok and resid <= delta
                         and abs(np.linalg.norm(res.v_hat) - 1.0) <= 1e-8)
-            v_ref, gap = _dense_refined_vector(SymOperator(a, Counter()), 7_700_000 + t, res)
+            # the factorization replayed to the probe's matvecs (one
+            # extension computes the same rows as two): stage 1 broke down
+            # where it stops at stage 1's size
+            fact = lanczos_factorize(SymOperator(a, Counter()), RngStream(seed).unit_vector(d),
+                                     res.matvecs_used)
+            if fact.breakdown_at == res.basis.shape[1]:
+                breakdowns += 1
+                evals, evecs = np.linalg.eigh(a)
+                if evals[1] - evals[0] >= REFINED_GAP_RTOL * np.max(np.abs(evals)):
+                    breakdowns_gapped += 1
+                    worst_breakdown = max(worst_breakdown,
+                                          _sign_free_distance(res.v_hat, evecs[:, 0]))
+                continue
+            v_ref, gap = _dense_refined_vector(fact, res.lambda_hat)
             if gap >= REFINED_GAP_RTOL:
                 gapped += 1
-                worst_vector = max(worst_vector, float(min(np.linalg.norm(res.v_hat - v_ref),
-                                                           np.linalg.norm(res.v_hat + v_ref))))
+                worst_vector = max(worst_vector, _sign_free_distance(res.v_hat, v_ref))
         budget_ok = budget_ok and res.matvecs_used <= d
         ritz_ok = (ritz_ok
                    and lam_min <= res.ritz_max <= lam_max + 1e-9 * op.frobenius_norm())
@@ -282,7 +303,11 @@ def check_minevec(cfg):
         CheckResult("eig.minevec.ritz_max", ritz_ok),
         CheckResult("eig.minevec.refined_vector",
                     gapped > 0 and worst_vector <= REFINED_VECTOR_TOL,
-                    f"gapped_trials={gapped}/{negative} worst={worst_vector:.1e}"),
+                    f"gapped_trials={gapped}/{negative - breakdowns} worst={worst_vector:.1e}"),
+        CheckResult("eig.minevec.breakdown_vector",
+                    breakdowns_gapped > 0 and worst_breakdown <= REFINED_VECTOR_TOL,
+                    f"breakdown_trials={breakdowns}/{negative} gapped={breakdowns_gapped}"
+                    f" worst={worst_breakdown:.1e}"),
     ]
 
 
@@ -407,7 +432,8 @@ def check_krylov_start(cfg):
     of the same model, 0.5 x'(A - sigma I)x + b'x on the ball (sigma = 0
     when min_evec certifies PSD, else lambda_hat), in position and in the
     value krylov_minimizer reports; and the origin-started solve, which
-    certifies at x_K for d + 1 matvecs, one more on a regularized branch."""
+    certifies at x_K for d + 1 matvecs, one more on the regularized interior
+    branch, which moves its answer off x_K to the sphere."""
     rng = np.random.default_rng(4004)
     full = 0
     ok = True
@@ -436,7 +462,7 @@ def check_krylov_start(cfg):
                         - harness.tr_objective(model, b, exact),
                         abs(value - harness.tr_objective(model, b, x_k))) / scale
         worst_x, worst_value = max(worst_x, gap_x), max(worst_value, gap_value)
-        cost = d + 1 + (sol.branch.value != "convex")
+        cost = d + 1 + (sol.branch.value == "regularized_interior")
         ok = (ok and gap_x <= KRYLOV_XTOL and gap_value <= KRYLOV_VALUE_RTOL
               and float(np.linalg.norm(x_k)) <= d_rad * (1.0 + 1e-12)
               and sol.start == "krylov" and sol.early_exit and sol.matvecs_used == cost)

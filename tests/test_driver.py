@@ -759,16 +759,21 @@ class TestNonconvexBranches:
 class TestBlasThreads:
     """A run's report does not depend on the BLAS thread count."""
 
-    def test_report_bits_with_one_and_two_threads(self):
+    @pytest.mark.parametrize("dim,budget,eta_factor", [(8, 240, 200.0), (128, 480, 1.0)],
+                             ids=["eta_x200", "audited_d128"])
+    def test_report_bits_with_one_and_two_threads(self, dim, budget, eta_factor):
         # the eta x200 recipe reaches sep's Lanczos rounds, min_evec and the
         # regularized branch, so it runs every BLAS and LAPACK call on the
-        # solve's and the learner's paths.  OpenBLAS reads its thread count
-        # when it loads, so each count gets a fresh interpreter
+        # solve's and the learner's paths.  The benchmark's audited config
+        # (cosine_mixture d = 128, budget 480) sums d^2 = 16,384 squares for
+        # the learner's and the ledger's Frobenius norms, the length from
+        # which OpenBLAS splits a ddot across threads.  OpenBLAS reads its
+        # thread count when it loads, so each count gets a fresh interpreter
         here = Path(__file__).resolve().parent
         script = ("from oqn import driver\n"
                   "from oqn.rng import RngStream\n"
                   "from test_driver import fingerprint, recipe\n"
-                  "spec, params = recipe('cosine_mixture', 8, 240, 200.0)\n"
+                  f"spec, params = recipe('cosine_mixture', {dim}, {budget}, {eta_factor})\n"
                   "report = driver.run(spec, params, RngStream(0), audit_level='full')\n"
                   "print(repr(fingerprint(report)))\n")
         path = os.pathsep.join([str(here.parent / "src"), str(here),

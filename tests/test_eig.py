@@ -287,6 +287,47 @@ class TestMinEvec:
             np.testing.assert_array_equal(got, want)
         assert np.shares_memory(fact.basis_matrix(), fact.basis)
 
+    @pytest.mark.parametrize("instance", ["full_space", "rank_two"])
+    def test_breakdown_skips_stage_two(self, monkeypatch, np_rng, instance):
+        # a stage-1 breakdown leaves an invariant Krylov space, whose bottom
+        # Ritz pair is an exact eigenpair: min_evec extends nothing and
+        # refines nothing, and v_hat is A's bottom eigenvector with the
+        # residual theta_0 - lambda_hat = delta / 2
+        if instance == "full_space":
+            d, delta = 8, 1e-6  # a tight delta runs stage 1 to n1 = d
+            a = random_symmetric(np_rng, d)
+        else:
+            d, delta = 12, 0.05  # the Krylov space saturates after three steps
+            u, v = np_rng.standard_normal(d), np_rng.standard_normal(d)
+            v -= (v @ u) * u / (u @ u)
+            a = -2.0 * np.outer(u, u) / (u @ u) + 0.5 * np.outer(v, v) / (v @ v)
+        calls = []
+
+        def spy(name):
+            real = getattr(eig, name)
+
+            def spied(*args):
+                # lanczos_factorize's own call extends an empty factorization
+                if name == "refined_vector" or args[0].size > 0:
+                    calls.append(name)
+                return real(*args)
+            return spied
+
+        for name in ("lanczos_extend", "refined_vector"):
+            monkeypatch.setattr(eig, name, spy(name))
+        op = SymOperator(a, Counter())
+        lam_min, lam_max, v_min, _ = dense_extreme_eig(op)
+        res = min_evec(op, delta, 0.05, b_bound=lam_max - lam_min, rng=RngStream(17))
+        assert res.case is MinEvecCase.NEGATIVE_EIG and not calls
+        k1 = res.basis.shape[1]
+        assert res.matvecs_used == op.counter.count == k1 == (d if instance == "full_space" else 3)
+        fact = lanczos_factorize(SymOperator(a, Counter()), RngStream(17).unit_vector(d), k1)
+        assert fact.breakdown_at == k1
+        assert min(np.linalg.norm(res.v_hat - v_min), np.linalg.norm(res.v_hat + v_min)) <= 1e-10
+        resid = np.linalg.norm(a @ res.v_hat - res.lambda_hat * res.v_hat)
+        assert resid <= delta
+        assert resid == pytest.approx(0.5 * delta, abs=1e-10 * np.linalg.norm(a))
+
     def test_budget_capped_at_dim(self, np_rng):
         a = random_symmetric(np_rng, 6)
         op = SymOperator(a, Counter())

@@ -330,6 +330,11 @@ def _skewed(spec, name, *args):
      verify.check_minevec, "eig.minevec.residual"),
     (eig, "refined_vector", _top_refined_vector, verify.check_minevec,
      "eig.minevec.refined_vector"),
+    # v_hat from stage 1's second Ritz pair: a unit eigenvector after a
+    # breakdown, but not the bottom one
+    (verify, "min_evec", lambda res, *args: dataclasses.replace(
+        res, v_hat=res.basis @ res.ritz_pairs[1][:, 1]) if res.basis.shape[1] > 1 else res,
+     verify.check_minevec, "eig.minevec.breakdown_vector"),
     (verify, "sep", _inside, verify.check_sep, "eig.sep.scaling"),
     (verify, "sep",
      lambda res, *args: dataclasses.replace(res, matvecs_used=res.matvecs_used - 1),
@@ -347,7 +352,8 @@ def _skewed(spec, name, *args):
      verify.check_learner, "learner.closed_form_norm"),
 ], ids=["off_optimum", "eigen_certified_off_optimum", "perturbed_tridiagonal",
         "stretched_lanczos_basis", "rounded_tridiagonal_eigenvalues", "low_eigenvalue",
-        "high_ritz_value", "stretched_eigenvector", "top_refined_vector", "always_inside", "undercounted_matvecs",
+        "high_ritz_value", "stretched_eigenvector", "top_refined_vector",
+        "second_ritz_vector", "always_inside", "undercounted_matvecs",
         "scaled_gradient", "skewed_start_product", "closed_form_without_cross_term",
         "closed_form_without_rounding_allowance"])
 def test_contract_battery_fails_on_a_broken_oracle(monkeypatch, module, oracle, corrupt,

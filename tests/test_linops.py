@@ -2,14 +2,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg.blas import dsymv
+from scipy.linalg.blas import ddot, dsymv
 
 from oqn.errors import InvalidArgument
 from oqn.linops import (
     DENSE_EIG_DIM_CAP,
+    REDUCTION_BLOCK,
     Counter,
     SymOperator,
     dense_extreme_eig,
+    sum_of_squares,
 )
 from oqn.verify import random_symmetric
 
@@ -83,6 +85,19 @@ class TestFrobeniusNorm:
         a = random_symmetric(np_rng, 7)
         assert SymOperator(a).frobenius_norm() == pytest.approx(
             np.sqrt(np.sum(a**2)), rel=1e-13)
+
+    def test_sum_of_squares_adds_fixed_blocks_in_order(self, np_rng):
+        # one block is one ddot; a longer vector is its blocks' ddots added
+        # left to right, whatever length the BLAS would split a ddot at
+        x = np_rng.standard_normal(2 * REDUCTION_BLOCK + 100)
+        head = x[:REDUCTION_BLOCK]
+        assert sum_of_squares(head) == ddot(head, head)
+        blocks = (x[:REDUCTION_BLOCK], x[REDUCTION_BLOCK:2 * REDUCTION_BLOCK],
+                  x[2 * REDUCTION_BLOCK:])
+        total = 0.0
+        for block in blocks:
+            total += ddot(block, block)
+        assert sum_of_squares(x) == total
 
     @given(st.integers(0, 10_000), st.booleans())
     @settings(max_examples=40, deadline=None)

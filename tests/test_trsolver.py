@@ -753,10 +753,15 @@ class TestKrylovStart:
     than at the caller's start."""
 
     @pytest.mark.parametrize("kind", ["indefinite", "hard", "psd_shifted"])
-    def test_full_krylov_space_certifies_at_x_k(self, kind):
+    def test_full_krylov_space_certifies_at_x_k(self, monkeypatch, kind):
         # k1 = d: x_K is the inner problem's exact minimizer, so the probe
-        # certifies where it starts, after min_evec's k1 matvecs and its one,
-        # and a regularized branch adds residual_of's
+        # certifies where it starts, after min_evec's k1 matvecs and the one
+        # at x_K; a boundary answer is x_K, certified from that product, and
+        # only an interior one, moved to the sphere, calls residual_of
+        certified = []
+        real = trsolver.residual_of
+        monkeypatch.setattr(trsolver, "residual_of",
+                            lambda *args, **kw: certified.append(args) or real(*args, **kw))
         rng = np.random.default_rng(17)
         branches = set()
         for t in range(30):
@@ -765,12 +770,15 @@ class TestKrylovStart:
             a, b = indefinite_instance(rng, kind, d, radius)
             counter = Counter()
             p = make_problem(a, b, radius, float(rng.choice([1e-2, 1e-4])), counter=counter)
+            certified.clear()
             sol = tr_solve(p, RngStream(t))
             ev, sigma = krylov_replay(a, p, t)
             assert ev.basis.shape == (d, d) and ev.matvecs_used == d
             regularized = sol.branch is not TRBranch.CONVEX
             assert sol.start == "krylov" and sol.early_exit and sol.n_accel == 0
-            assert sol.matvecs_used == counter.count == d + 1 + regularized
+            interior = sol.branch is TRBranch.REGULARIZED_INTERIOR
+            assert sol.matvecs_used == counter.count == d + 1 + interior
+            assert len(certified) == interior
             assert sol.residual <= p.delta
             assert_certificate_is_fresh(a, b, radius, sol)
             if not regularized:
@@ -779,6 +787,29 @@ class TestKrylovStart:
             branches.add(sol.branch)
         assert {"psd_shifted": TRBranch.CONVEX, "hard": TRBranch.REGULARIZED_INTERIOR,
                 "indefinite": TRBranch.REGULARIZED_BOUNDARY}[kind] in branches
+
+    def test_callers_start_product_never_certifies_a_regularized_answer(self):
+        # a caller's start at the inner problem's exact minimizer, priced
+        # from its a_start, is kept over x_K (a 13-dimensional Krylov space
+        # at d = 20) and certifies where it starts; a_start is only A x_start
+        # up to rounding, so residual_of applies A once more for the
+        # certificate
+        rng = np.random.default_rng(41)
+        d, radius, delta = 20, 0.1, 0.1
+        for t in range(4):
+            a, b = indefinite_instance(rng, "indefinite", d, radius)
+            counter = Counter()
+            p = make_problem(a, b, radius, delta, q=0.5, counter=counter)
+            ev, sigma = krylov_replay(a, p, t)
+            assert sigma < 0.0 and ev.basis.shape[1] < d
+            x_start = brute_tr(a - sigma * np.eye(d), b, radius)
+            p.x_start, p.a_start = x_start, SymOperator(a, Counter()).apply(x_start)
+            sol = tr_solve(p, RngStream(t))
+            assert sol.start == "caller" and sol.early_exit and sol.n_accel == 0
+            assert sol.branch is TRBranch.REGULARIZED_BOUNDARY
+            assert sol.matvecs_used == counter.count == ev.matvecs_used + 1
+            assert sol.a_delta is not p.a_start
+            assert_certificate_is_fresh(a, b, radius, sol)
 
     def test_start_is_never_above_the_callers_known_value(self):
         # the probe's start is x_K only when x_K is strictly lower in the
