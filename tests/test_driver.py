@@ -759,16 +759,10 @@ class TestNonconvexBranches:
 class TestBlasThreads:
     """A run's report does not depend on the BLAS thread count."""
 
-    @pytest.mark.parametrize("dim,budget,eta_factor", [(8, 240, 200.0), (128, 480, 1.0)],
-                             ids=["eta_x200", "audited_d128"])
-    def test_report_bits_with_one_and_two_threads(self, dim, budget, eta_factor):
-        # the eta x200 recipe reaches sep's Lanczos rounds, min_evec and the
-        # regularized branch, so it runs every BLAS and LAPACK call on the
-        # solve's and the learner's paths.  The benchmark's audited config
-        # (cosine_mixture d = 128, budget 480) sums d^2 = 16,384 squares for
-        # the learner's and the ledger's Frobenius norms, the length from
-        # which OpenBLAS splits a ddot across threads.  OpenBLAS reads its
-        # thread count when it loads, so each count gets a fresh interpreter
+    @staticmethod
+    def _fingerprints(dim, budget, eta_factor):
+        # OpenBLAS reads its thread count when it loads, so each count gets a
+        # fresh interpreter
         here = Path(__file__).resolve().parent
         script = ("from oqn import driver\n"
                   "from oqn.rng import RngStream\n"
@@ -780,10 +774,24 @@ class TestBlasThreads:
                                 *filter(None, [os.environ.get("PYTHONPATH")])])
         env = {key: value for key, value in os.environ.items()
                if key not in ("OMP_NUM_THREADS", "MKL_NUM_THREADS")}
-        outs = [subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+        return [subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                                check=True, env={**env, "PYTHONPATH": path,
                                                 "OPENBLAS_NUM_THREADS": threads}).stdout
                 for threads in ("1", "2")]
+
+    def test_report_bits_with_one_and_two_threads(self):
+        # the eta x200 recipe reaches sep's Lanczos rounds, min_evec and the
+        # regularized branch, so it runs every BLAS and LAPACK call on the
+        # solve's and the learner's paths
+        outs = self._fingerprints(8, 240, 200.0)
+        assert outs[0] and outs[0] == outs[1]
+
+    def test_audited_d128_report_bits_with_one_and_two_threads(self):
+        # the benchmark's audited config (cosine_mixture d = 128, budget 480)
+        # sums d^2 = 16,384 squares for the learner's and the ledger's
+        # Frobenius norms, the length from which OpenBLAS splits a ddot
+        # across threads
+        outs = self._fingerprints(128, 480, 1.0)
         assert outs[0] and outs[0] == outs[1]
 
 
