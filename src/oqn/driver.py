@@ -13,9 +13,13 @@ fixed the displacement), which makes the loss pair of iteration n-1 complete
 at that moment; the learner consumes it right there, before this iteration's
 matrices are assembled.  Its input is the hint error r = g_n - h_n, formed
 once per step: the hint predicted the pair's y with B s, so r = y - B s is
-also the pair's logged loss.  The resulting tally is exactly one evaluation
-at init, two per iteration, and one per episode close: 2M + K + 1 total,
-with M - 1 realized loss pairs.
+also the pair's logged loss.  The hint point z_n = x_{n+1} + delta_n/2 is
+known at the same moment, so both gradients come from one oracle call on
+the (2, d) stack (w_n, z_n); a spec that does not declare ``grad_rows``
+sees it as two single calls, in that order.  The resulting tally is exactly
+one evaluation at init, two per iteration, and one per episode close:
+2M + K + 1 total, in M + K + 1 calls of ``eval_gradient``, with M - 1
+realized loss pairs.
 
 Matvec schedule: a step needs the trust-region matrix A = B/2 + I/eta at the
 previous displacement delta_n.  That product feeds the linear term, the
@@ -242,12 +246,13 @@ def init(spec: ObjectiveSpec, params: HyperParams) -> OqnState:
 def step(state: OqnState, spec: ObjectiveSpec, params: HyperParams, rng: RngStream,
          log: Optional[StepLog] = None,
          method: str = "oqn") -> Optional[tuple[TrustRegionSubproblem, TRSolution]]:
-    """Run one iteration in place (two gradient evaluations, plus one more at
-    an episode boundary).  ``method`` is "oqn" (trust-region solve plus
-    matrix learner) or "og" (frozen zero matrix, explicit projected update).
-    Returns the subproblem the step solved and its solution, or None for
-    "og"; the subproblem's operator is a view of the learner's W, so it is
-    valid until the next step's learner round writes W in place.
+    """Run one iteration in place (two gradient evaluations in one oracle
+    call, plus one more call at an episode boundary).  ``method`` is "oqn"
+    (trust-region solve plus matrix learner) or "og" (frozen zero matrix,
+    explicit projected update).  Returns the subproblem the step solved and
+    its solution, or None for "og"; the subproblem's operator is a view of
+    the learner's W, so it is valid until the next step's learner round
+    writes W in place.
     """
     n = state.n + 1
     full = log is not None and log.full
@@ -257,8 +262,15 @@ def step(state: OqnState, spec: ObjectiveSpec, params: HyperParams, rng: RngStre
     delta_n = state.delta_vec
     half_delta = 0.5 * delta_n
 
-    w_n = state.x + half_delta
-    g_n = eval_gradient(spec, w_n, state.grad_counter)
+    # the midpoint w_n and the hint point z_n go to the oracle as one (2, d)
+    # stack, each row formed by the expression that gives its bits
+    x_next = state.x + delta_n
+    points = np.empty((2, spec.dim))
+    w_n, z_n = points[0], points[1]
+    np.add(state.x, half_delta, out=w_n)
+    np.add(x_next, half_delta, out=z_n)
+    grads = eval_gradient(spec, points, state.grad_counter)
+    g_n, gz = grads[0], grads[1]
 
     # the loss pair of iteration n-1 is complete now; learner closes it with
     # the hint error, which is that pair's residual y - B s (for "og", B = 0
@@ -287,10 +299,6 @@ def step(state: OqnState, spec: ObjectiveSpec, params: HyperParams, rng: RngStre
             log.comparator_loss_sum += comp_loss
             log.comparator_loss_max = _fold_max(log.comparator_loss_max, comp_loss)
 
-    x_next = state.x + delta_n
-    z_n = x_next + half_delta
-    gz = eval_gradient(spec, z_n, state.grad_counter)
-
     # local-constant problems: flag (never abort) iterates leaving the box
     if spec.box is not None and float(np.max(np.abs(x_next))) > spec.box:
         state.totals["box_violations"] += 1
@@ -300,8 +308,9 @@ def step(state: OqnState, spec: ObjectiveSpec, params: HyperParams, rng: RngStre
         # The learner keeps |B|_op <= 2 L1, so m = min(2 L1, |B|_F) >= |B|_op:
         # lambda_max(A) <= 1/eta + m/2, spread(A) = spread(B)/2 <= m and
         # lambda_min(A) >= 1/eta - |B|_F/2, all free of matvecs
-        b_fro = state.b_state.b_fro
-        a_op = state.b_state.b_op.shifted(-1.0 / eta, scale=0.5)
+        b_op = state.b_state.b_op
+        b_fro = b_op.frobenius_norm()
+        a_op = b_op.shifted(-1.0 / eta, scale=0.5)
         if plain:
             # A moved by (rho/2)(r s' + s r'): carry the last solve's product
             # at delta_n over, into a copy, as that solution still holds it

@@ -60,8 +60,8 @@ class Counter:
     def __init__(self):
         self.count = 0
 
-    def tick(self) -> None:
-        self.count += 1
+    def tick(self, n: int = 1) -> None:
+        self.count += n
 
     def __repr__(self) -> str:
         return f"Counter({self.count})"

@@ -33,6 +33,15 @@ class ObjectiveSpec:
     ``hess`` are optional audit oracles.  ``l1`` and ``l2`` are gradient- and
     Hessian-Lipschitz constants, global unless ``box`` is set, in which case
     they are valid on the hypercube ``[-box, box]^dim``.
+
+    ``grad`` maps a point of shape (dim,) to its gradient.  ``grad_rows``
+    declares more: that ``grad`` also maps a (k, dim) stack of points to
+    the (k, dim) stack of their gradients, each row with the bits of the
+    single call at that row.  It is part of the oracle's contract, so a spec
+    declares it only for a ``grad`` written row by row (reductions along
+    ``axis=-1``, slices along ``...``).  A matrix product does not qualify:
+    ``X @ Q`` rounds unlike ``Q @ x`` (GEMM against GEMV), and on a square
+    stack ``Q @ X`` returns a wrong answer without raising.
     """
 
     dim: int
@@ -45,6 +54,7 @@ class ObjectiveSpec:
     hess: Optional[Callable[[NDArray], NDArray]] = None
     name: str = "custom"
     box: Optional[float] = None
+    grad_rows: bool = False
 
     def __post_init__(self):
         self.x0 = np.asarray(self.x0, dtype=float)
@@ -62,22 +72,39 @@ class ObjectiveSpec:
 
 
 def eval_gradient(spec: ObjectiveSpec, x: NDArray, counter: Counter) -> NDArray:
-    """Evaluate the gradient oracle once, charging the run-scoped counter.
+    """Evaluate the gradient oracle at a point (d,) or at each row of a
+    stack (k, d), charging the run-scoped counter one gradient per point.
 
-    A gradient with a NaN or infinite entry is rejected.  A finite sum of
-    squares proves every entry finite, so only a gradient whose sum of
-    squares is not (a non-finite entry, or an overflow) pays the entrywise
-    test."""
+    A stack is one ``spec.grad`` call when the spec declares ``grad_rows``,
+    and otherwise one call per row, in row order, so an oracle that does not
+    declare rows only ever sees a (d,) point.  The result has the shape of
+    ``x``.  Shape and finiteness are checked once per call, and a result
+    with a NaN or infinite entry is rejected, uncharged.  A finite sum of
+    squares over the result's flat view proves every entry finite, so only
+    a result whose sum of squares is not (a non-finite entry, or an
+    overflow) pays the entrywise test; a non-finite entry makes the sum
+    non-finite in any order of addition, so the test is exact at any BLAS
+    thread count."""
     x = np.asarray(x, dtype=float)
-    if x.shape != (spec.dim,):
-        raise InvalidArgument(f"x has shape {x.shape}, expected ({spec.dim},)")
-    g = np.asarray(spec.grad(x), dtype=float)
-    if g.shape != (spec.dim,):
+    if x.ndim not in (1, 2) or x.shape[-1] != spec.dim:
         raise InvalidArgument(
-            f"gradient oracle returned shape {g.shape}, expected ({spec.dim},)")
-    if not math.isfinite(ddot(g, g)) and not np.isfinite(g).all():
+            f"x has shape {x.shape}, expected ({spec.dim},) or (k, {spec.dim})")
+    if x.ndim == 1 or spec.grad_rows:
+        g = np.asarray(spec.grad(x), dtype=float)
+    else:
+        rows = [np.asarray(spec.grad(row), dtype=float) for row in x]
+        for row in rows:
+            if row.shape != (spec.dim,):
+                raise InvalidArgument(
+                    f"gradient oracle returned shape {row.shape}, expected ({spec.dim},)")
+        g = np.stack(rows)
+    if g.shape != x.shape:
+        raise InvalidArgument(
+            f"gradient oracle returned shape {g.shape}, expected {x.shape}")
+    flat = g.reshape(-1)
+    if not math.isfinite(ddot(flat, flat)) and not np.isfinite(g).all():
         raise InvalidArgument(f"gradient oracle returned non-finite values at {x!r}")
-    counter.tick()
+    counter.tick(len(g) if g.ndim == 2 else 1)
     return g
 
 
@@ -145,6 +172,7 @@ def _cosine_mixture(dim: int, mu: float = 0.1) -> ObjectiveSpec:
         f_lower=0.0,
         x0=np.full(dim, 0.5 * np.pi),
         name="cosine_mixture",
+        grad_rows=True,
     )
 
 
@@ -168,7 +196,7 @@ def _coupled_trig(dim: int, kappa: float = 0.2) -> ObjectiveSpec:
 
     def grad(x):
         s = np.sin(x)
-        return s + kappa * np.cos(x) * (s.sum() - s)
+        return s + kappa * np.cos(x) * (s.sum(axis=-1, keepdims=True) - s)
 
     def hess(x):
         s, c = np.sin(x), np.cos(x)
@@ -188,6 +216,7 @@ def _coupled_trig(dim: int, kappa: float = 0.2) -> ObjectiveSpec:
         f_lower=-0.5 * kappa * dim * (dim - 1),
         x0=np.full(dim, 0.5 * np.pi),
         name="coupled_trig",
+        grad_rows=True,
     )
 
 
@@ -208,9 +237,10 @@ def _rosenbrock_local(dim: int, box: float = 2.0) -> ObjectiveSpec:
 
     def grad(x):
         g = np.zeros_like(x)
-        t = x[1:] - x[:-1] ** 2
-        g[:-1] = -400.0 * x[:-1] * t - 2.0 * (1.0 - x[:-1])
-        g[1:] += 200.0 * t
+        head = x[..., :-1]
+        t = x[..., 1:] - head**2
+        g[..., :-1] = -400.0 * head * t - 2.0 * (1.0 - head)
+        g[..., 1:] += 200.0 * t
         return g
 
     def hess(x):
@@ -235,6 +265,7 @@ def _rosenbrock_local(dim: int, box: float = 2.0) -> ObjectiveSpec:
         x0=x0,
         name="rosenbrock_local",
         box=box,
+        grad_rows=True,
     )
 
 

@@ -275,15 +275,18 @@ def fista_probe(a_psd, b: NDArray, d_radius: float, lg: float, n_iters: int,
         x = project_ball(x, d_radius)
         norm = math.sqrt(ddot(x, x))
         ax = a_psd.apply(x)
-    res = _cone_residual(ax + b, x, norm, d_radius)
+    grad = ax + b
+    res = _cone_residual(grad, x, norm, d_radius)
     if res <= tol:
         return x, 0, res, ax
     step_l = l_start if l_start is not None and 0.0 < l_start < lg else lg
-    y, ay = x, ax
+    # A y + b serves every step taken from y: the first from the start, and
+    # each one retaken after a backtrack
+    y, ay, gy = x, ax, grad
     t = 1.0
     k = 0
     for _ in range(n_iters):
-        x_next = project_ball(y - (ay + b) / step_l, d_radius)
+        x_next = project_ball(y - gy / step_l, d_radius)
         ax_next = a_psd.apply(x_next)
         res = _cone_residual(ax_next + b, x_next, math.sqrt(ddot(x_next, x_next)), d_radius)
         if res <= tol:
@@ -301,6 +304,7 @@ def fista_probe(a_psd, b: NDArray, d_radius: float, lg: float, n_iters: int,
         beta = (t - 1.0) / t_next
         y = x_next + beta * dx
         ay = ax_next + beta * (ax_next - ax)
+        gy = ay + b
         x, ax, t = x_next, ax_next, t_next
     return None, n_iters, None, None
 

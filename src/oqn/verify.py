@@ -70,6 +70,11 @@ LANCZOS_RECURRENCE_RTOL = 1e-10
 REFINED_GAP_RTOL = 1e-6
 REFINED_VECTOR_TOL = 1e-8
 
+# dimensions of the stacked-gradient check: multiples of 8 and their
+# neighbours, where a SIMD loop over the stack splits unlike one over a row
+GRAD_ROWS_DIMS = (2, 3, 7, 8, 9, 16, 31, 33, 129, 256)
+GRAD_ROWS_STACK = 3
+
 
 def random_symmetric(rng, d, scale=1.0):
     """Symmetric matrix with lower-triangle entries U(-scale, scale)."""
@@ -119,7 +124,8 @@ def run_all(level: str = "quick") -> list:
 
 
 def check_problems(cfg):
-    """Finite differences against each catalog oracle, and its L1 and L2."""
+    """Finite differences against each catalog oracle, and its L1 and L2;
+    then the stacked gradient of each family that declares rows."""
     fd_rng = np.random.default_rng(9009)
     pair_rng = np.random.default_rng(SEED)
     out = []
@@ -146,7 +152,34 @@ def check_problems(cfg):
             viol = max(viol, gd - spec.l1 * dist, hd - spec.l2 * dist)
         out.append(CheckResult(
             f"problems.lipschitz.{name}", viol <= 1e-9, f"violation={viol:.2e}"))
+    out.append(_check_grad_rows(cfg))
     return out
+
+
+def _check_grad_rows(cfg):
+    """Every family that declares ``grad_rows``: the gradient of a stack,
+    one call, equals its rows' single calls bit for bit."""
+    rng = np.random.default_rng(SEED)
+    declared, mismatched = [], []
+    stacks = cfg["pairs"] // 10
+    for name in CATALOG_NAMES:
+        if not catalog(name, 2, seed=11).grad_rows:
+            continue
+        declared.append(name)
+        for d in GRAD_ROWS_DIMS:
+            spec = catalog(name, d, seed=11)
+            lo, hi = (-spec.box, spec.box) if spec.box else (-3.0, 3.0)
+            for _ in range(stacks):
+                points = rng.uniform(lo, hi, size=(GRAD_ROWS_STACK, d))
+                stacked = np.asarray(spec.grad(points), dtype=float)
+                single = [np.asarray(spec.grad(row.copy()), dtype=float) for row in points]
+                if stacked.tobytes() != b"".join(g.tobytes() for g in single):
+                    mismatched.append(f"{name}@{d}")
+                    break
+    return CheckResult(
+        "problems.grad_rows", bool(declared) and not mismatched,
+        f"families={','.join(declared)} dims={len(GRAD_ROWS_DIMS)} stacks={stacks} "
+        f"mismatched={','.join(mismatched) or 'none'}")
 
 
 def check_linops(cfg):

@@ -366,14 +366,16 @@ class TestRun:
     @pytest.mark.parametrize("eps_target", [None, 0.5], ids=["full", "stopped"])
     def test_gradient_accounting_is_checked_on_every_run(self, monkeypatch, eps_target):
         # one tick too many breaks 2 * iterations + episodes + 1, whether the
-        # run spends its budget or eps_target stops it
+        # run spends its budget or eps_target stops it; a call evaluates a
+        # point or a stack of rows, and the run stopped early when it
+        # evaluated fewer points than a full run's 2M + K + 1
         real = driver.eval_gradient
-        calls = []
+        points = []
 
         def ticks_once_more(spec, x, counter):
-            if not calls:
+            if not points:
                 counter.tick()
-            calls.append(1)
+            points.append(1 if np.ndim(x) == 1 else len(x))
             return real(spec, x, counter)
 
         monkeypatch.setattr(driver, "eval_gradient", ticks_once_more)
@@ -381,7 +383,7 @@ class TestRun:
         params = compute_hyperparams(spec, 120)
         with pytest.raises(AssertionError, match="gradient accounting broken"):
             driver.run(spec, params, RngStream(7), eps_target=eps_target)
-        stopped = len(calls) < params.gradient_total
+        stopped = sum(points) < params.gradient_total
         assert stopped == (eps_target is not None)
 
 
@@ -1006,3 +1008,92 @@ class TestOgEquivalence:
         driver.step(state, spec, params, rng, method="og")
         assert state.delta_vec[0] == pytest.approx(-0.1)
         assert state.hint[0] == pytest.approx(0.85)
+
+
+# the benchmark's driver configs: (family, d, budget, audit level)
+BENCHMARK_CONFIGS = {
+    "lowdim": ("coupled_trig", 16, 480, "off"),
+    "highdim": ("cosine_mixture", 256, 120, "off"),
+    "audited": ("cosine_mixture", 128, 480, "full"),
+}
+
+
+def single_point_oracle(spec):
+    """``spec`` with its rows contract cleared, behind an oracle that
+    refuses anything but one (d,) point; the returned list gets one entry
+    per call."""
+    calls = []
+    grad = spec.grad
+
+    def single_only(x):
+        if x.ndim != 1:
+            raise ValueError(f"a stack of shape {x.shape} reached a single-point oracle")
+        calls.append(x.shape)
+        return grad(x)
+
+    return dataclasses.replace(spec, grad=single_only, grad_rows=False), calls
+
+
+class TestGradRows:
+    """A step's two points go to the oracle as one (2, d) stack.  A family
+    that declares ``grad_rows`` evaluates it in one call, with the bits of
+    two single calls, so no run output changes a bit; a spec that does not
+    declare rows sees the stack as single calls, in row order."""
+
+    @staticmethod
+    def both_ways(spec, params, seed, **kwargs):
+        assert spec.grad_rows
+        stacked = driver.run(spec, params, RngStream(seed), **kwargs)
+        single = driver.run(dataclasses.replace(spec, grad_rows=False), params,
+                            RngStream(seed), **kwargs)
+        return fingerprint(stacked), fingerprint(single)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("config", sorted(BENCHMARK_CONFIGS))
+    def test_benchmark_configs_keep_their_bits(self, config, seed):
+        name, dim, budget, audit = BENCHMARK_CONFIGS[config]
+        spec = catalog(name, dim)
+        stacked, single = self.both_ways(spec, compute_hyperparams(spec, budget), seed,
+                                         audit_level=audit)
+        assert stacked == single
+
+    @pytest.mark.parametrize("name,dim,budget,eta_factor,method", [
+        ("rosenbrock_local", 8, 240, 1.0, "oqn"),
+        ("cosine_mixture", 8, 240, 200.0, "oqn"),
+        ("coupled_trig", 16, 240, 1.0, "og"),
+    ], ids=["rosenbrock_d8", "eta_x200", "og"])
+    def test_other_runs_keep_their_bits(self, name, dim, budget, eta_factor, method):
+        spec, params = recipe(name, dim, budget, eta_factor)
+        stacked, single = self.both_ways(spec, params, 0, audit_level="full", method=method)
+        assert stacked == single
+
+    def test_custom_oracle_sees_single_points(self):
+        # an oracle that refuses a stack runs a full audited run on single
+        # points: 2M + K + 1 calls, and the report of the catalog spec,
+        # which takes the stacks, bit for bit
+        spec, calls = single_point_oracle(catalog("cosine_mixture", 6))
+        params = compute_hyperparams(spec, 120)
+        report = driver.run(spec, params, RngStream(0), audit_level="full")
+        assert len(calls) == params.gradient_total == report.totals["gradients"]
+        assert report.audits["all_ok"]
+        reference = driver.run(catalog("cosine_mixture", 6), params, RngStream(0),
+                               audit_level="full")
+        assert fingerprint(report) == fingerprint(reference)
+
+    def test_quadratic_keeps_single_call_bits_at_d2(self):
+        # a matrix oracle declares no rows: Q @ X on a (2, 2) stack would
+        # return Q times the stack's transpose without raising, and X @ Q
+        # rounds unlike Q @ x
+        q_mat = np.array([[2.0, 0.3], [0.3, 0.7]])
+        spec = quadratic_from_matrix(q_mat, x0=np.array([1.0, -2.0]))
+        assert not spec.grad_rows
+        points = np.array([[0.3, -1.1], [0.7, 0.2]])
+        stacked = eval_gradient(spec, points, Counter())
+        assert stacked.tobytes() == (q_mat @ points[0]).tobytes() + (q_mat @ points[1]).tobytes()
+        params = manual(0.5, 0.4 / spec.l1, 5, 6, delta_tr=1e-5)
+        plain = driver.run(spec, params, RngStream(0), audit_level="full")
+        single, calls = single_point_oracle(spec)
+        report = driver.run(single, params, RngStream(0), audit_level="full")
+        assert len(calls) == params.gradient_total
+        assert fingerprint(plain) == fingerprint(report)
+        assert plain.audits["all_ok"]

@@ -16,7 +16,7 @@ from oqn.cli import main as cli_main
 from oqn.driver import compute_hyperparams
 from oqn.eig import SepCase, SepResult
 from oqn.errors import CertificateFailure, InvalidArgument
-from oqn.problems import catalog, quadratic_from_matrix
+from oqn.problems import catalog, family_knobs, quadratic_from_matrix
 from oqn.verify import random_symmetric
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -300,6 +300,20 @@ def _skewed(spec, name, *args):
             if name == "coupled_trig" else spec)
 
 
+def _whole_stack_sum(spec, name, *args):
+    """coupled_trig whose coupling sums over the whole stack, not each row:
+    the bits of the catalog oracle on one point, another's on a stack."""
+    if name != "coupled_trig":
+        return spec
+    kappa = family_knobs("coupled_trig")["kappa"]
+
+    def grad(x):
+        s = np.sin(x)
+        return s + kappa * np.cos(x) * (s.sum() - s)
+
+    return dataclasses.replace(spec, grad=grad)
+
+
 @pytest.mark.parametrize("module,oracle,corrupt,battery,check", [
     (verify, "tr_solve",
      lambda sol, *args: dataclasses.replace(sol, delta_vec=0.5 * sol.delta_vec),
@@ -340,6 +354,7 @@ def _skewed(spec, name, *args):
      lambda res, *args: dataclasses.replace(res, matvecs_used=res.matvecs_used - 1),
      verify.check_sep, "eig.sep.budget"),
     (verify, "catalog", _skewed, verify.check_problems, "problems.fd.coupled_trig"),
+    (verify, "catalog", _whole_stack_sum, verify.check_problems, "problems.grad_rows"),
     # a derived start product off by 1e-10 relative: err 4e-8 against 1e-13
     (driver, "daxpy", lambda res, *args: (1.0 + 1e-10) * res,
      verify.check_driver, "driver.start_product"),
@@ -354,8 +369,8 @@ def _skewed(spec, name, *args):
         "stretched_lanczos_basis", "rounded_tridiagonal_eigenvalues", "low_eigenvalue",
         "high_ritz_value", "stretched_eigenvector", "top_refined_vector",
         "second_ritz_vector", "always_inside", "undercounted_matvecs",
-        "scaled_gradient", "skewed_start_product", "closed_form_without_cross_term",
-        "closed_form_without_rounding_allowance"])
+        "scaled_gradient", "whole_stack_sum", "skewed_start_product",
+        "closed_form_without_cross_term", "closed_form_without_rounding_allowance"])
 def test_contract_battery_fails_on_a_broken_oracle(monkeypatch, module, oracle, corrupt,
                                                    battery, check):
     """A shared battery must not turn vacuous: break its oracle in the

@@ -58,7 +58,10 @@ def test_tracer_counts_one_run_and_one_solve():
     assert totals["hessian_learner.learner_step"]["calls"] == m - 1
     assert totals["eig.sep"]["calls"] == m - 1
     assert totals["linops.sym_build"]["calls"] == 1
-    assert totals["problems.eval_gradient"]["calls"] == 2 * m + k + 1
+    # one call per step on the (2, d) stack of its two points, one per
+    # episode close and one at init: M + K + 1 calls for 2M + K + 1 gradients
+    assert totals["problems.eval_gradient"]["calls"] == m + k + 1
+    assert report.totals["gradients"] == 2 * m + k + 1
     # every matvec of a run falls inside a step, read off the state's counter
     assert totals["driver.step"]["matvecs"] == report.totals["matvecs"]
 

@@ -1,5 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oqn.errors import InvalidArgument
 from oqn.linops import Counter
@@ -181,3 +185,76 @@ class TestSampledLipschitz:
             assert np.linalg.norm(spec.grad(x) - spec.grad(y)) <= spec.l1 * dist + 1e-9
             hess_gap = np.linalg.norm(spec.hess(x) - spec.hess(y), ord=2)
             assert hess_gap <= spec.l2 * dist + 1e-9
+
+
+ROW_FAMILIES = [name for name in CATALOG_NAMES if catalog(name, 2).grad_rows]
+
+
+class TestGradRows:
+    """``eval_gradient`` on a (k, d) stack: one oracle call when the spec
+    declares ``grad_rows``, else one per row; one gradient charged per row."""
+
+    def test_catalog_declarations(self):
+        # the elementwise and row-wise families declare rows; the matrix
+        # oracle does not
+        assert ROW_FAMILIES == ["cosine_mixture", "coupled_trig", "rosenbrock_local"]
+        assert not catalog("quadratic", 4).grad_rows
+        assert not quadratic_from_matrix(np.eye(3)).grad_rows
+
+    @pytest.mark.parametrize("grad_rows", [True, False])
+    def test_stack_charges_one_gradient_per_row(self, grad_rows):
+        shapes = []
+        base = catalog("cosine_mixture", 4)
+
+        def grad(x):
+            shapes.append(x.shape)
+            return base.grad(x)
+
+        spec = dataclasses.replace(base, grad=grad, grad_rows=grad_rows)
+        points = np.arange(12.0).reshape(3, 4)
+        counter = Counter()
+        g = eval_gradient(spec, points, counter)
+        assert counter.count == 3
+        assert shapes == ([(3, 4)] if grad_rows else [(4,)] * 3)
+        assert g.tobytes() == b"".join(base.grad(row.copy()).tobytes() for row in points)
+
+    @pytest.mark.parametrize("shape", [(5,), (2, 5), (1, 2, 4), (2, 3)])
+    def test_stack_shape_mismatch(self, shape):
+        spec = catalog("cosine_mixture", 4)
+        with pytest.raises(InvalidArgument, match=r"x has shape .*, expected \(4,\) or \(k, 4\)"):
+            eval_gradient(spec, np.zeros(shape), Counter())
+
+    @pytest.mark.parametrize("grad_rows", [True, False])
+    def test_oracle_returning_the_wrong_shape(self, grad_rows):
+        spec = ObjectiveSpec(dim=3, grad=lambda x: np.zeros(x.shape[:-1] + (2,)), l1=1.0,
+                             l2=0.0, f_lower=0.0, x0=np.zeros(3), grad_rows=grad_rows)
+        counter = Counter()
+        with pytest.raises(InvalidArgument, match=r"gradient oracle returned shape"):
+            eval_gradient(spec, np.zeros((2, 3)), counter)
+        assert counter.count == 0
+
+    @pytest.mark.parametrize("grad_rows", [True, False])
+    @pytest.mark.parametrize("row", [0, 1])
+    def test_non_finite_row_rejects_the_stack_uncharged(self, grad_rows, row):
+        def grad(x):
+            g = np.ones(x.shape)
+            g[..., 2] = np.where(x[..., 0] == row, np.inf, 1.0)
+            return g
+
+        spec = ObjectiveSpec(dim=4, grad=grad, l1=1.0, l2=0.0, f_lower=0.0,
+                             x0=np.zeros(4), grad_rows=grad_rows)
+        counter = Counter()
+        with pytest.raises(InvalidArgument, match="non-finite values"):
+            eval_gradient(spec, np.array([[0.0] * 4, [1.0] * 4]), counter)
+        assert counter.count == 0
+
+    @given(d=st.integers(2, 300), k=st.integers(1, 4), seed=st.integers(0, 2**32 - 1),
+           name=st.sampled_from(ROW_FAMILIES))
+    @settings(max_examples=80, deadline=None)
+    def test_stack_keeps_single_call_bits(self, d, k, seed, name):
+        spec = catalog(name, d)
+        rng = np.random.default_rng(seed)
+        box = spec.box or 3.0
+        points = rng.uniform(-box, box, size=(k, d))
+        stacked = eval_gradient(spec, points, Counter())
+        assert stacked.tobytes() == b"".join(spec.grad(row.copy()).tobytes() for row in points)
