@@ -24,7 +24,7 @@ def _cmd_run(args) -> int:
     harness.write_outputs(cfg, report, doc)
     print(harness.to_json(doc))
     print(f"wall_time_s={wall:.3f}", file=sys.stderr)
-    return 0 if doc.get("audits", {}).get("all_ok", True) else 2
+    return 0 if doc["audits"].get("all_ok", True) else 2
 
 
 def _cmd_verify(args) -> int:
@@ -57,12 +57,8 @@ def _cmd_bench(args) -> int:
 
 def _cmd_dump_params(args) -> int:
     cfg = harness.load_config(args.config)
-    spec = harness.build_spec(cfg)
-    if cfg.method == "gd_baseline":  # no HyperParams: plain steps of one size
-        doc = {"step_size": harness.gd_step_size(spec, cfg.step_size), "steps": cfg.budget}
-    else:
-        doc = harness.params_document(harness.run_params(cfg, spec))
-    print(harness.to_json(doc))
+    params_of, _ = harness.METHODS[cfg.method]
+    print(harness.to_json(params_of(cfg, harness.build_spec(cfg)).document()))
     return 0
 
 
@@ -91,7 +87,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("config")
     p_bench.set_defaults(func=_cmd_bench)
 
-    p_dump = sub.add_parser("dump-params", help="print the hyperparameters a run uses")
+    p_dump = sub.add_parser("dump-params", help="print the params block a run uses")
     p_dump.add_argument("config")
     p_dump.set_defaults(func=_cmd_dump_params)
     return parser

@@ -7,6 +7,10 @@ trust-region solve of the implicit optimistic update, and feeds the hint's
 prediction error to the matrix learner.  Episodes of T iterations share one
 comparator; the returned point is the best episode average.
 
+``run`` drives ``step``, one iteration of that loop, or ``og_step``, one of
+the frozen-matrix optimistic baseline, which shares all of it but the move;
+``run_gd`` is plain gradient descent.  Each returns a ``RunReport``.
+
 Gradient schedule: the midpoint gradient of iteration n is evaluated at the
 start of iteration n (it first becomes computable once the previous solve
 fixed the displacement), which makes the loss pair of iteration n-1 complete
@@ -38,7 +42,7 @@ separation call, which is free when certified.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -92,6 +96,26 @@ class HyperParams:
     def gradient_total(self) -> int:
         """Gradient evaluations of a full run: 2M + K + 1."""
         return 2 * self.m_total + self.k_eps + 1
+
+    def document(self) -> dict:
+        """A report's ``params`` block: every field and M."""
+        return {**asdict(self), "m_total": self.m_total}
+
+
+@dataclass
+class GdParams:
+    """Gradient descent's run: ``steps`` steps of length ``step_size``."""
+
+    step_size: float
+    steps: int
+
+    def __post_init__(self):
+        check_positive("step_size", self.step_size)
+        check_int_at_least("steps", self.steps, 1)
+
+    def document(self) -> dict:
+        """A report's ``params`` block: both fields."""
+        return asdict(self)
 
 
 def compute_hyperparams(spec: ObjectiveSpec, m_budget: int, p_fail: float = 0.01,
@@ -208,15 +232,17 @@ class OqnState:
 
 @dataclass
 class RunReport:
-    """A run's episode records, w_hat (the first best episode's average, or
-    x_0 when none closed) and its gradient norm, totals, audits and log."""
+    """What every method's run returns: its episode records, w_hat (the
+    first best episode's average, x_0 when none closed, or gradient
+    descent's first best iterate) and its gradient norm, totals
+    (``new_totals``), audits, the params it ran with and its log."""
 
     episodes: list
     w_hat: NDArray
     grad_norm_final: float
     totals: dict
     audits: dict
-    params: HyperParams
+    params: HyperParams | GdParams
     log: Optional[StepLog] = None
     stationary_start: bool = False
 
@@ -244,21 +270,35 @@ def init(spec: ObjectiveSpec, params: HyperParams) -> OqnState:
 
 
 def step(state: OqnState, spec: ObjectiveSpec, params: HyperParams, rng: RngStream,
-         log: Optional[StepLog] = None,
-         method: str = "oqn") -> Optional[tuple[TrustRegionSubproblem, TRSolution]]:
-    """Run one iteration in place (two gradient evaluations in one oracle
-    call, plus one more call at an episode boundary).  ``method`` is "oqn"
-    (trust-region solve plus matrix learner) or "og" (frozen zero matrix,
-    explicit projected update).  Returns the subproblem the step solved and
-    its solution, or None for "og"; the subproblem's operator is a view of
-    the learner's W, so it is valid until the next step's learner round
-    writes W in place.
+         log: Optional[StepLog] = None) -> tuple[TrustRegionSubproblem, TRSolution]:
+    """Run one iteration of the quasi-Newton loop in place (two gradient
+    evaluations in one oracle call, plus one more call at an episode
+    boundary): the learner round of the pair the step completes, then the
+    trust-region solve.  Returns the subproblem the step solved and its
+    solution; the subproblem's operator is a view of the learner's W, so it
+    is valid until the next step's learner round writes W in place.
     """
+    return _advance(state, spec, params, rng, log, _solve)
+
+
+def og_step(state: OqnState, spec: ObjectiveSpec, params: HyperParams, rng: RngStream,
+            log: Optional[StepLog] = None) -> None:
+    """Run one iteration of the frozen-matrix optimistic baseline in place:
+    with the zero matrix the implicit update is the explicit projection
+    P_D(delta_n - eta (grad f(z_n) + r)); no learner, no matvec."""
+    _advance(state, spec, params, rng, log, _project)
+
+
+def _advance(state: OqnState, spec: ObjectiveSpec, params: HyperParams, rng: RngStream,
+             log: Optional[StepLog], move):
+    """The iteration both steps share: the gradient call, the pair-loss and
+    ledger folds, the conversion margin, the episode close and the state
+    update.  ``move(state, params, rng, log, r, gz)`` plays the method's
+    part and returns delta_{n+1}, delta_{n+1} - delta_n, the next hint and
+    the step's result."""
     n = state.n + 1
-    full = log is not None and log.full
-    ledger = full and spec.hess is not None
-    tr = state.totals["tr"]
-    d_rad, eta = params.d_radius, params.eta
+    ledger = log is not None and log.full and spec.hess is not None
+    d_rad = params.d_radius
     delta_n = state.delta_vec
     half_delta = 0.5 * delta_n
 
@@ -272,11 +312,9 @@ def step(state: OqnState, spec: ObjectiveSpec, params: HyperParams, rng: RngStre
     grads = eval_gradient(spec, points, state.grad_counter)
     g_n, gz = grads[0], grads[1]
 
-    # the loss pair of iteration n-1 is complete now; learner closes it with
-    # the hint error, which is that pair's residual y - B s (for "og", B = 0
-    # and r = y), and |r|^2 is the pair's loss
+    # the loss pair of iteration n-1 is complete now; its residual y - B s
+    # is the hint error r (r = y for the zero matrix), and |r|^2 its loss
     r = g_n - state.hint
-    plain = False  # the learner round moved B by exactly rho (r s' + s r')
     if state.pending_s is not None:
         if log is not None:
             loss = ddot(r, r)
@@ -286,12 +324,6 @@ def step(state: OqnState, spec: ObjectiveSpec, params: HyperParams, rng: RngStre
                 state.episodes[-1].sum_loss += loss
             else:
                 state.ep_sum_loss += loss
-        if method == "oqn":
-            learner_step(state.b_state, r, state.pending_s, rng)
-            plain, new_sep = state.b_state.plain, state.b_state.sep
-            tr["sep_calls"] += 1
-            tr["sep_matvecs"] += new_sep.matvecs_used
-            tr["sep_certified"] += int(new_sep.certified)
         if ledger:
             r_comp = (g_n - state.grad_z_prev) - dgemv(
                 1.0, state.hess_z_prev.T, state.pending_s, trans=1)
@@ -303,58 +335,7 @@ def step(state: OqnState, spec: ObjectiveSpec, params: HyperParams, rng: RngStre
     if spec.box is not None and float(np.max(np.abs(x_next))) > spec.box:
         state.totals["box_violations"] += 1
 
-    if method == "oqn":
-        # A = B/2 + I/eta as a view over the learner's operator.
-        # The learner keeps |B|_op <= 2 L1, so m = min(2 L1, |B|_F) >= |B|_op:
-        # lambda_max(A) <= 1/eta + m/2, spread(A) = spread(B)/2 <= m and
-        # lambda_min(A) >= 1/eta - |B|_F/2, all free of matvecs
-        b_op = state.b_state.b_op
-        b_fro = b_op.frobenius_norm()
-        a_op = b_op.shifted(-1.0 / eta, scale=0.5)
-        if plain:
-            # A moved by (rho/2)(r s' + s r'): carry the last solve's product
-            # at delta_n over, into a copy, as that solution still holds it
-            s, half_rho = state.pending_s, 0.5 * state.b_state.rho
-            a_delta = daxpy(r, state.a_delta.copy(), a=half_rho * ddot(s, delta_n))
-            a_delta = daxpy(s, a_delta, a=half_rho * ddot(r, delta_n))
-            tr["start_products_derived"] += 1
-        else:
-            a_delta = a_op.apply(delta_n)
-        b_vec = gz + r - a_delta
-        m = min(2.0 * spec.l1, b_fro)
-        problem = TrustRegionSubproblem(
-            a_op=a_op, b=b_vec, radius=d_rad, delta=params.delta_tr,
-            q=params.q_per_call,
-            b_bound=max(m, 1.0 / eta + 0.5 * m),
-            lam_min_lower=1.0 / eta - 0.5 * b_fro,
-            x_start=delta_n,
-            a_start=a_delta,
-        )
-        sol = tr_solve(problem, rng)
-        delta_next = sol.delta_vec
-        move = delta_next - delta_n
-        tr["solves"] += 1
-        tr["matvecs"] += sol.matvecs_used
-        tr["max_residual"] = max(tr["max_residual"], sol.residual)
-        tr["retries"] += int(sol.retried)
-        tr["early_exits"] += int(sol.early_exit)
-        tr["krylov_starts"] += int(sol.start == "krylov")
-        branch = sol.branch.value
-        tr["branches"][branch] = tr["branches"].get(branch, 0) + 1
-        # B/2 (delta_{n+1} - delta_n) from the two products of A, the solve's
-        # at delta_{n+1} and this step's at delta_n: no matvec of its own
-        hint_next = gz + (sol.a_delta - a_delta) - move / eta
-        if full:
-            fp = delta_next - project_ball(delta_next - eta * (sol.a_delta + b_vec), d_rad)
-            log.fixed_point_max_gap = _fold_max(log.fixed_point_max_gap, math.sqrt(ddot(fp, fp)))
-        state.a_delta = sol.a_delta
-        solved = (problem, sol)
-    else:  # og baseline: zero matrix, explicit projected optimistic update
-        solved = None
-        hint_next = gz
-        delta_next = project_ball(
-            delta_n - eta * hint_next - eta * r, d_rad)
-        move = delta_next - delta_n
+    delta_next, moved, hint_next, solved = move(state, params, rng, log, r, gz)
 
     g_dot_delta = ddot(g_n, delta_n)
     if log is not None and log.f_last is not None:
@@ -401,7 +382,7 @@ def step(state: OqnState, spec: ObjectiveSpec, params: HyperParams, rng: RngStre
         state.ep_sum_gdotd = 0.0
         state.ep_sum_loss = 0.0
 
-    state.pending_s = 0.5 * move
+    state.pending_s = 0.5 * moved
     state.grad_z_prev = gz
     state.x = x_next
     state.delta_vec = delta_next
@@ -410,10 +391,81 @@ def step(state: OqnState, spec: ObjectiveSpec, params: HyperParams, rng: RngStre
     return solved
 
 
+def _solve(state: OqnState, params: HyperParams, rng: RngStream, log: Optional[StepLog],
+           r: NDArray, gz: NDArray):
+    """``step``'s move: the learner round that closes the pair with r, then
+    the trust-region solve of A = B/2 + I/eta for delta_{n+1}."""
+    tr = state.totals["tr"]
+    d_rad, eta = params.d_radius, params.eta
+    delta_n = state.delta_vec
+    plain = False  # the learner round moved B by exactly rho (r s' + s r')
+    if state.pending_s is not None:
+        learner_step(state.b_state, r, state.pending_s, rng)
+        plain, new_sep = state.b_state.plain, state.b_state.sep
+        tr["sep_calls"] += 1
+        tr["sep_matvecs"] += new_sep.matvecs_used
+        tr["sep_certified"] += int(new_sep.certified)
+
+    # A = B/2 + I/eta as a view over the learner's operator.
+    # The learner keeps |B|_op <= 2 L1, so m = min(2 L1, |B|_F) >= |B|_op:
+    # lambda_max(A) <= 1/eta + m/2, spread(A) = spread(B)/2 <= m and
+    # lambda_min(A) >= 1/eta - |B|_F/2, all free of matvecs
+    b_op = state.b_state.b_op
+    b_fro = b_op.frobenius_norm()
+    a_op = b_op.shifted(-1.0 / eta, scale=0.5)
+    if plain:
+        # A moved by (rho/2)(r s' + s r'): carry the last solve's product
+        # at delta_n over, into a copy, as that solution still holds it
+        s, half_rho = state.pending_s, 0.5 * state.b_state.rho
+        a_delta = daxpy(r, state.a_delta.copy(), a=half_rho * ddot(s, delta_n))
+        a_delta = daxpy(s, a_delta, a=half_rho * ddot(r, delta_n))
+        tr["start_products_derived"] += 1
+    else:
+        a_delta = a_op.apply(delta_n)
+    b_vec = gz + r - a_delta
+    m = min(2.0 * state.b_state.l1, b_fro)
+    problem = TrustRegionSubproblem(
+        a_op=a_op, b=b_vec, radius=d_rad, delta=params.delta_tr,
+        q=params.q_per_call,
+        b_bound=max(m, 1.0 / eta + 0.5 * m),
+        lam_min_lower=1.0 / eta - 0.5 * b_fro,
+        x_start=delta_n,
+        a_start=a_delta,
+    )
+    sol = tr_solve(problem, rng)
+    delta_next = sol.delta_vec
+    moved = delta_next - delta_n
+    tr["solves"] += 1
+    tr["matvecs"] += sol.matvecs_used
+    tr["max_residual"] = max(tr["max_residual"], sol.residual)
+    tr["retries"] += int(sol.retried)
+    tr["early_exits"] += int(sol.early_exit)
+    tr["krylov_starts"] += int(sol.start == "krylov")
+    branch = sol.branch.value
+    tr["branches"][branch] = tr["branches"].get(branch, 0) + 1
+    # B/2 (delta_{n+1} - delta_n) from the two products of A, the solve's
+    # at delta_{n+1} and this step's at delta_n: no matvec of its own
+    hint_next = gz + (sol.a_delta - a_delta) - moved / eta
+    if log is not None and log.full:
+        fp = delta_next - project_ball(delta_next - eta * (sol.a_delta + b_vec), d_rad)
+        log.fixed_point_max_gap = _fold_max(log.fixed_point_max_gap, math.sqrt(ddot(fp, fp)))
+    state.a_delta = sol.a_delta
+    return delta_next, moved, hint_next, (problem, sol)
+
+
+def _project(state: OqnState, params: HyperParams, rng: RngStream, log: Optional[StepLog],
+             r: NDArray, gz: NDArray):
+    """``og_step``'s move, with the hint grad f(z_n)."""
+    eta = params.eta
+    delta_next = project_ball(state.delta_vec - eta * gz - eta * r, params.d_radius)
+    return delta_next, delta_next - state.delta_vec, gz, None
+
+
 def run(spec: ObjectiveSpec, params: HyperParams, rng: RngStream,
         audit_level: str = "episode", method: str = "oqn",
         eps_target: Optional[float] = None) -> RunReport:
-    """Full run: init, M iterations, K episode closes, audits.
+    """Full run: init, M iterations, K episode closes, audits.  ``method``
+    is "oqn" (each iteration a ``step``) or "og" (an ``og_step``).
 
     ``eps_target`` optionally stops early once an episode average reaches the
     target gradient norm (off by default; the audited algorithm runs the
@@ -432,9 +484,11 @@ def run(spec: ObjectiveSpec, params: HyperParams, rng: RngStream,
     if log is not None and spec.value is not None:
         log.f_start = log.f_last = float(spec.value(spec.x0))
 
+    # read at call time, so a wrapper installed as ``driver.step`` sees it
+    advance = step if method == "oqn" else og_step
     stopped_early = False
     for _ in range(0 if stationary else params.m_total):
-        step(state, spec, params, rng, log=log, method=method)
+        advance(state, spec, params, rng, log=log)
         if (eps_target is not None and state.n % params.t_len == 0
                 and state.episodes[-1].grad_norm_at_wbar <= eps_target):
             stopped_early = True
@@ -460,6 +514,33 @@ def run(spec: ObjectiveSpec, params: HyperParams, rng: RngStream,
     if log is not None and episodes:
         report.audits = audit_regret(report, spec, params)
     return report
+
+
+def run_gd(spec: ObjectiveSpec, params: GdParams,
+           eps_target: Optional[float] = None) -> RunReport:
+    """Plain gradient descent x_{n+1} = x_n - step_size grad f(x_n), the
+    standard comparator: one gradient per iteration, ``params.steps`` of
+    them or up to the first of norm <= ``eps_target``.  w_hat is the first
+    best iterate evaluated; there are no episodes, audits or matvecs."""
+    if eps_target is not None:
+        check_positive("eps_target", eps_target)
+    counter, totals = Counter(), new_totals()
+    x, best = spec.x0.copy(), None
+    for _ in range(params.steps):
+        g = eval_gradient(spec, x, counter)
+        norm = math.sqrt(ddot(g, g))
+        if best is None or norm < best[0]:
+            best = (norm, x)
+        if eps_target is not None and norm <= eps_target:
+            totals["stopped_early"] = True
+            break
+        x = x - params.step_size * g
+        if spec.box is not None and float(np.max(np.abs(x))) > spec.box:
+            totals["box_violations"] += 1
+    totals.update(gradients=counter.count, iterations=counter.count)
+    grad_norm_final, w_hat = best
+    return RunReport(episodes=[], w_hat=w_hat, grad_norm_final=grad_norm_final,
+                     totals=totals, audits={}, params=params)
 
 
 def _fold_max(current: Optional[float], value: float) -> float:

@@ -1,15 +1,18 @@
-"""Experiment harness: configs, baselines, brute-force oracles, reports.
+"""Experiment harness: configs, the method table, brute-force oracles,
+reports.
 
 The config format is flat key=value text (diff-friendly, no dependencies).
 The run keys are ``RunConfig``'s fields, cast to their types, with the
 dataclass holding the defaults; ``params=manual`` adds ``HyperParams``'
 fields.  Reports are JSON-shaped structured text whose content is a pure
 function of (config, seed); wall time is echoed to the console but kept out
-of the files so reruns are bit-identical.  ``run_experiment`` returns the
-run's ``RunReport`` or ``GdReport`` itself; the report body and the CSV rows
-are built from it with its config.  A report's ``params`` block is
-``params_document`` and its ``result`` block holds the driver's totals
-(``driver.new_totals``) as they are.
+of the files so reruns are bit-identical.  ``METHODS`` is the one place
+that dispatches on a config's ``method`` (``bench`` only turns a budget
+into gradient descent's step count): it gives the method's params object
+and runs it, and every method returns a ``driver.RunReport``.  The report
+body and the CSV rows are built from that report with its config.  A report's
+``params`` block is its params object's ``document()`` and its ``result``
+block holds the run's totals (``driver.new_totals``) as they are.
 """
 
 from __future__ import annotations
@@ -17,21 +20,18 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Optional, get_args, get_type_hints
 
 import numpy as np
 from numpy.typing import NDArray
 
 from . import driver
-from .driver import HyperParams, RunReport, compute_hyperparams
+from .driver import GdParams, HyperParams, RunReport, compute_hyperparams
 from .errors import (InvalidArgument, check_int_at_least, check_one_of, check_open_unit,
                      check_positive)
-from .linops import Counter
-from .problems import CATALOG_NAMES, ObjectiveSpec, catalog, eval_gradient, family_knobs
+from .problems import CATALOG_NAMES, ObjectiveSpec, catalog, family_knobs
 from .rng import RngStream
-
-METHODS = ("oqn", "og_baseline", "gd_baseline")
 
 CSV_HEADER = "k,grad_norm_wbar,episode_regret,sum_loss,cum_gradients,cum_matvecs"
 
@@ -56,7 +56,7 @@ class RunConfig:
     problem_kwargs: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        check_one_of("method", self.method, METHODS)
+        check_one_of("method", self.method, tuple(METHODS))
         check_one_of("audit", self.audit, driver.AUDIT_LEVELS)
         check_one_of("params", self.params, ("auto", "manual"))
         check_int_at_least("budget", self.budget, 1)
@@ -156,36 +156,27 @@ def run_params(cfg: RunConfig, spec: ObjectiveSpec) -> HyperParams:
     return compute_hyperparams(spec, cfg.budget, cfg.p_fail, cfg.gap_bound)
 
 
-# --------------------------------------------------------------------------
-# baselines
+def gd_params(cfg: RunConfig, spec: ObjectiveSpec) -> GdParams:
+    """``budget`` gradient-descent steps of ``step_size``, else of 1/L1."""
+    step_size = 1.0 / spec.l1 if cfg.step_size is None else cfg.step_size
+    return GdParams(step_size=step_size, steps=cfg.budget)
 
 
-@dataclass
-class GdReport:
-    grad_norms: list
-    x_final: NDArray
-    gradients: int
+def _run_driver(method: str):
+    """The run function of the driver's ``method``."""
+    return lambda spec, params, cfg: driver.run(
+        spec, params, RngStream(cfg.seed), audit_level=cfg.audit, method=method,
+        eps_target=cfg.eps_target)
 
 
-def gd_step_size(spec: ObjectiveSpec, step_size: Optional[float] = None) -> float:
-    """The step ``baseline_gd`` takes: ``step_size``, else 1/L1."""
-    if step_size is None:
-        step_size = 1.0 / spec.l1
-    check_positive("step_size", step_size)
-    return step_size
-
-
-def baseline_gd(spec: ObjectiveSpec, steps: int, step_size: Optional[float] = None) -> GdReport:
-    """Plain gradient descent with step 1/L1: the standard comparator."""
-    step_size = gd_step_size(spec, step_size)
-    counter = Counter()
-    x = spec.x0.copy()
-    norms = []
-    for _ in range(steps):
-        g = eval_gradient(spec, x, counter)
-        norms.append(float(np.linalg.norm(g)))
-        x = x - step_size * g
-    return GdReport(grad_norms=norms, x_final=x, gradients=counter.count)
+# each config method: its params function, params(cfg, spec), and its run
+# function, run(spec, params, cfg) -> RunReport
+METHODS = {
+    "oqn": (run_params, _run_driver("oqn")),
+    "og_baseline": (run_params, _run_driver("og")),
+    "gd_baseline": (gd_params,
+                    lambda spec, params, cfg: driver.run_gd(spec, params, cfg.eps_target)),
+}
 
 
 # --------------------------------------------------------------------------
@@ -253,11 +244,9 @@ def tr_objective(a_dense: NDArray, b: NDArray, x: NDArray) -> float:
 # experiment execution and serialization
 
 
-def csv_rows(report: RunReport | GdReport) -> list:
-    """One CSV row per episode of a run, or per step of a ``GdReport``; a
-    value that was not measured is an empty cell."""
-    if isinstance(report, GdReport):
-        return [f"{i + 1},{g!r},,,{i + 1},0" for i, g in enumerate(report.grad_norms)]
+def csv_rows(report: RunReport) -> list:
+    """One CSV row per episode of a run (none for gradient descent); a value
+    that was not measured is an empty cell."""
     return [
         f"{ep.k},{ep.grad_norm_at_wbar!r},{ep.episode_regret!r},"
         f"{'' if ep.sum_loss is None else repr(ep.sum_loss)},"
@@ -266,15 +255,12 @@ def csv_rows(report: RunReport | GdReport) -> list:
     ]
 
 
-def run_experiment(cfg: RunConfig) -> RunReport | GdReport:
-    """Execute one configured run and return its report: the driver's
-    ``RunReport``, or a ``GdReport`` for ``gd_baseline``."""
+def run_experiment(cfg: RunConfig) -> RunReport:
+    """Execute one configured run through its ``METHODS`` entry and return
+    its report."""
     spec = build_spec(cfg)
-    if cfg.method == "gd_baseline":
-        return baseline_gd(spec, cfg.budget, cfg.step_size)
-    method = "og" if cfg.method == "og_baseline" else "oqn"
-    return driver.run(spec, run_params(cfg, spec), RngStream(cfg.seed),
-                      audit_level=cfg.audit, method=method, eps_target=cfg.eps_target)
+    params_of, run = METHODS[cfg.method]
+    return run(spec, params_of(cfg, spec), cfg)
 
 
 def to_json(doc: dict) -> str:
@@ -284,12 +270,7 @@ def to_json(doc: dict) -> str:
     return json.dumps(doc, indent=2, sort_keys=True, default=np.generic.item)
 
 
-def params_document(params: HyperParams) -> dict:
-    """The hyperparameters a run uses: every ``HyperParams`` field and M."""
-    return {**asdict(params), "m_total": params.m_total}
-
-
-def report_document(cfg: RunConfig, rep: RunReport | GdReport) -> dict:
+def report_document(cfg: RunConfig, rep: RunReport) -> dict:
     """Deterministic report body of ``cfg``'s run (no wall time; that goes
     to the console)."""
     # every run key but the output paths and the manual block (the report's
@@ -300,13 +281,7 @@ def report_document(cfg: RunConfig, rep: RunReport | GdReport) -> dict:
             **{key: cfg.problem_kwargs.get(key) for key in _PROBLEM_KEYS},
         },
     }
-    if isinstance(rep, GdReport):
-        doc["result"] = {
-            "grad_norm_final": rep.grad_norms[-1],
-            "gradients": rep.gradients,
-        }
-        return doc
-    doc["params"] = params_document(rep.params)
+    doc["params"] = rep.params.document()
     totals = dict(rep.totals)
     totals["tr_stats"] = totals.pop("tr")
     doc["result"] = {
@@ -319,7 +294,7 @@ def report_document(cfg: RunConfig, rep: RunReport | GdReport) -> dict:
     return doc
 
 
-def write_outputs(cfg: RunConfig, rep: RunReport | GdReport, doc: dict) -> None:
+def write_outputs(cfg: RunConfig, rep: RunReport, doc: dict) -> None:
     """Write the run's CSV rows and the report document ``doc`` to the
     config's output paths, each only when its path is set."""
     if cfg.out_csv:
@@ -371,7 +346,7 @@ def bench(cfg_text: str) -> tuple[list, dict]:
         check_int_at_least("seeds", seed, 0)
     methods = [s.strip() for s in pairs.pop("methods").split(",")]
     for method in methods:
-        check_one_of("methods", method, METHODS)
+        check_one_of("methods", method, tuple(METHODS))
     base = config_from_pairs(pairs)
     if base.params == "manual" and len(budgets) > 1:
         raise InvalidArgument("params=manual fixes M = t_len * k_eps, so every budget "
@@ -389,16 +364,9 @@ def bench(cfg_text: str) -> tuple[list, dict]:
             per_seed = []
             for seed in seeds:
                 rep = run_experiment(replace(base, method=method, budget=steps, seed=seed))
-                if isinstance(rep, GdReport):
-                    val = min(rep.grad_norms)
-                    grads = rep.gradients
-                    mvs = 0
-                else:
-                    val = rep.grad_norm_final
-                    grads = rep.totals["gradients"]
-                    mvs = rep.totals["matvecs"]
-                per_seed.append(val)
-                rows.append((method, budget, seed, val, grads, mvs))
+                per_seed.append(rep.grad_norm_final)
+                rows.append((method, budget, seed, rep.grad_norm_final,
+                             rep.totals["gradients"], rep.totals["matvecs"]))
             best[(method, budget)] = float(np.median(per_seed))
     slopes = {}
     for method in methods:

@@ -1005,7 +1005,7 @@ class TestOgEquivalence:
         params = manual(0.1, 1.0, 1, 1)
         rng = RngStream(0)
         state = driver.init(spec, params)
-        driver.step(state, spec, params, rng, method="og")
+        assert driver.og_step(state, spec, params, rng) is None
         assert state.delta_vec[0] == pytest.approx(-0.1)
         assert state.hint[0] == pytest.approx(0.85)
 

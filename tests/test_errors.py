@@ -111,7 +111,7 @@ def unlogged_audit():
     (lambda: subproblem(q=1.0), r"^q must be in \(0,1\), got 1.0"),
     (lambda: harness.RunConfig(method="newton"), "^method must be one of .*, got 'newton'"),
     (lambda: harness.RunConfig(audit="loud"), "^audit must be one of .*, got 'loud'"),
-    (lambda: harness.baseline_gd(catalog("cosine_mixture", 2), 1, step_size=0.0),
+    (lambda: driver.GdParams(step_size=0.0, steps=1),
      "^step_size must be positive and finite, got 0.0"),
     # NaN fails no comparison, so each check also asks for a finite value
     (lambda: hyper(d_radius=math.nan), "^d_radius must be positive and finite, got nan"),
@@ -126,7 +126,8 @@ def unlogged_audit():
     (lambda: spec_with(l1=math.nan), "^l1 must be positive and finite, got nan"),
     (lambda: sep(SymOperator(np.eye(2)), math.nan, 0.01, RngStream(0)),
      "^l1 must be positive and finite, got nan"),
-    (lambda: harness.gd_step_size(catalog("cosine_mixture", 2), math.nan),
+    (lambda: harness.gd_params(harness.RunConfig(method="gd_baseline", step_size=math.nan),
+                               catalog("cosine_mixture", 2)),
      "^step_size must be positive and finite, got nan"),
     (lambda: SymOperator(np.full((2, 2), math.nan)), "matrix has non-finite entries"),
     # LAPACK ?stevd answers NaN with info 0 on such input

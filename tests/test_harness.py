@@ -159,35 +159,102 @@ class TestReportDocument:
 
 class TestBaselineGd:
     def test_full_step_solves_identity_quadratic(self):
+        # one step of length 1 lands on the minimizer, the second iterate
         spec = quadratic_from_matrix(np.eye(1), x0=np.array([1.0]))
-        out = harness.baseline_gd(spec, 1, step_size=1.0)
-        assert out.x_final[0] == pytest.approx(0.0)
+        out = driver.run_gd(spec, driver.GdParams(step_size=1.0, steps=2))
+        assert out.w_hat[0] == pytest.approx(0.0)
+        assert out.grad_norm_final == pytest.approx(0.0)
 
     def test_half_step_geometric_decay(self):
+        # a run of k + 1 steps ends at its best iterate, x_k = 2^-k, of norm
+        # 2^-k: one run's norms are 2^-k for k < 10, and ten steps reach 2^-10
         spec = quadratic_from_matrix(np.eye(1), x0=np.array([1.0]))
-        out = harness.baseline_gd(spec, 10, step_size=0.5)
-        assert out.x_final[0] == pytest.approx(2.0**-10)
-        np.testing.assert_allclose(out.grad_norms, [2.0**-k for k in range(10)])
+        for k in range(11):
+            out = driver.run_gd(spec, driver.GdParams(step_size=0.5, steps=k + 1))
+            assert out.w_hat[0] == pytest.approx(2.0**-k)
+            np.testing.assert_allclose(out.grad_norm_final, 2.0**-k)
 
     def test_descent_on_cosine(self):
+        # the gradient norm falls at every step of a traced descent, and the
+        # run reports that trace's last iterate and norm, bit for bit
         spec = catalog("cosine_mixture", 5)
-        out = harness.baseline_gd(spec, 60)
-        norms = out.grad_norms
+        cfg = harness.RunConfig(method="gd_baseline", budget=60)
+        out = driver.run_gd(spec, harness.gd_params(cfg, spec))
+        x, norms = spec.x0, []
+        for _ in range(60):
+            g = spec.grad(x)
+            norms.append(float(np.linalg.norm(g)))
+            w_last, x = x, x - (1.0 / spec.l1) * g
         assert all(b <= a + 1e-12 for a, b in zip(norms, norms[1:]))
-        assert out.gradients == 60
+        assert out.grad_norm_final == norms[-1]
+        np.testing.assert_array_equal(out.w_hat, w_last)
+        assert out.totals["gradients"] == out.totals["iterations"] == 60
 
-    def test_csv_has_one_row_per_step(self, tmp_path):
+    def test_csv_is_header_only(self, tmp_path):
+        # gradient descent closes no episode, so its CSV has no row
         cfg = harness.parse_config("problem=cosine_mixture\ndim=5\nmethod=gd_baseline\n"
                                    f"budget=12\nout_csv={tmp_path / 'gd.csv'}\n")
-        harness.write_outputs(cfg, harness.run_experiment(cfg), {})
-        header, *rows = (tmp_path / "gd.csv").read_text().splitlines()
-        assert header == harness.CSV_HEADER
-        cells = [row.split(",") for row in rows]
-        steps = [str(k) for k in range(1, 13)]
-        assert [c[0] for c in cells] == [c[4] for c in cells] == steps
-        norms = harness.baseline_gd(harness.build_spec(cfg), 12).grad_norms
-        assert [float(c[1]) for c in cells] == norms
-        assert all(c[2] == c[3] == "" and c[5] == "0" for c in cells)
+        report = harness.run_experiment(cfg)
+        harness.write_outputs(cfg, report, {})
+        assert (tmp_path / "gd.csv").read_text() == harness.CSV_HEADER + "\n"
+        assert report.episodes == [] and report.totals["gradients"] == 12
+
+    def test_eps_target_stops_at_the_first_norm_below_it(self):
+        cfg = harness.parse_config("problem=cosine_mixture\ndim=5\nmethod=gd_baseline\n"
+                                   "budget=50\neps_target=1e-3\n")
+        result = harness.report_document(cfg, harness.run_experiment(cfg))["result"]
+        steps = result["iterations"]
+        assert result["stopped_early"] is True
+        assert result["gradients"] == steps < 50
+        assert result["grad_norm_final"] <= 1e-3
+        # one step fewer ends above the target and is not stopped
+        before = harness.run_experiment(dataclasses.replace(cfg, budget=steps - 1))
+        assert before.grad_norm_final > 1e-3
+        assert before.totals["stopped_early"] is False
+
+
+class TestMethods:
+    """Every config method runs through ``harness.METHODS``: it returns a
+    ``driver.RunReport``, its report has the blocks and result keys of every
+    other method's, and ``oqn dump-params`` prints its params block."""
+
+    @pytest.mark.parametrize("method", list(harness.METHODS))
+    def test_every_method_meets_the_contract(self, method, tmp_path, capsys):
+        text = f"problem=cosine_mixture\ndim=5\nmethod={method}\nbudget=40\n"
+        cfg_path = tmp_path / "cfg.txt"
+        cfg_path.write_text(text)
+        cfg = harness.parse_config(text)
+        report = harness.run_experiment(cfg)
+        assert isinstance(report, driver.RunReport)
+        doc = harness.report_document(cfg, report)
+        totals = driver.new_totals()
+        totals["tr_stats"] = totals.pop("tr")
+        assert doc.keys() == {"config", "params", "result", "audits"}
+        assert doc["result"].keys() == {"grad_norm_final", "stationary_start", "episodes",
+                                        *totals}
+        assert doc["result"]["tr_stats"].keys() == totals["tr_stats"].keys()
+        assert cli_main(["dump-params", str(cfg_path)]) == 0
+        assert capsys.readouterr().out == harness.to_json(doc["params"]) + "\n"
+
+    @pytest.mark.parametrize("method", list(harness.METHODS))
+    def test_run_reports_the_bench_cell(self, method, tmp_path, capsys):
+        # rosenbrock_local d=8 at budget 1920: gradient descent's 3,870 steps
+        # end far from their best iterate (1.40 against 0.32)
+        grid = tmp_path / "grid.cfg"
+        grid.write_text("problem=rosenbrock_local\ndim=8\nbudgets=1920\nseeds=0\n"
+                        f"methods={method}\n")
+        assert cli_main(["bench", str(grid)]) == 0
+        _, row = capsys.readouterr().out.splitlines()
+        _, _, _, best, gradients, _ = row.split(",")
+        # a gd cell runs the gradients of an oqn cell as its steps
+        budget = gradients if method == "gd_baseline" else 1920
+        cfg_path = tmp_path / "cfg.txt"
+        cfg_path.write_text(f"problem=rosenbrock_local\ndim=8\nmethod={method}\n"
+                            f"budget={budget}\naudit=off\n")
+        assert cli_main(["run", str(cfg_path)]) == 0
+        result = json.loads(capsys.readouterr().out)["result"]
+        assert result["grad_norm_final"] == float(best)
+        assert result["gradients"] == int(gradients)
 
 
 class TestBruteTr:
@@ -562,7 +629,7 @@ class TestCli:
 
     @pytest.mark.parametrize("extra,step_size", [("", None), ("step_size=0.05\n", 0.05)])
     def test_dump_params_prints_the_gd_step(self, extra, step_size, tmp_path, capsys):
-        # gradient descent has no HyperParams: it takes budget steps of one size
+        # gradient descent's params: budget steps of one size
         text = "problem=cosine_mixture\ndim=5\nmethod=gd_baseline\nbudget=50\n" + extra
         cfg_path = tmp_path / "cfg.txt"
         cfg_path.write_text(text)
@@ -570,9 +637,12 @@ class TestCli:
         doc = json.loads(capsys.readouterr().out)
         spec = catalog("cosine_mixture", 5)
         assert doc == {"step_size": step_size or 1.0 / spec.l1, "steps": 50}
-        gd = harness.baseline_gd(spec, 1, step_size)
+        # the run's own params take that step: its second iterate, and best
+        params = harness.run_experiment(harness.parse_config(text)).params
+        assert params.document() == doc
+        gd = driver.run_gd(spec, dataclasses.replace(params, steps=2))
         np.testing.assert_array_equal(
-            gd.x_final, spec.x0 - doc["step_size"] * spec.grad(spec.x0))
+            gd.w_hat, spec.x0 - doc["step_size"] * spec.grad(spec.x0))
 
     def test_unknown_subcommand_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
