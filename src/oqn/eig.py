@@ -352,7 +352,7 @@ def sep(w_op, l1: float, q: float, rng: RngStream) -> SepResult:
     hyperplane built from the dominant Ritz pair.  When |W|_F <= l1 the
     answer is certain in advance: it is "inside" with gamma = |W|_F / l1, at
     no matvec and no draw from ``rng``.  |W|_F is the operator's stored
-    norm; an upper bound on it, as the matrix learner stores, serves too.
+    norm, which may be the bound of ``linops``'s invariant.
     """
     check_positive("l1", l1)
     check_open_unit("q", q)

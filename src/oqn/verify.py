@@ -21,8 +21,8 @@ from . import driver, harness
 from .eig import (MinEvecCase, SepCase, lanczos_factorize, min_evec, sep, sep_budget,
                   tridiagonal_eigh)
 from .errors import OqnError, check_one_of
-from .hessian_learner import FRO_BOUND_RTOL, LearnerState, default_rho, learner_step
-from .linops import Counter, SymOperator, dense_extreme_eig, upper_frobenius
+from .hessian_learner import LearnerState, default_rho, learner_step
+from .linops import FRO_BOUND_RTOL, Counter, SymOperator, dense_extreme_eig, upper_frobenius
 from .problems import CATALOG_NAMES, catalog, fd_check_gradient, fd_check_hessian
 from .rng import RngStream
 from .trsolver import (EARLY_EXIT_RTOL, TrustRegionSubproblem, krylov_minimizer, residual_of,
@@ -587,12 +587,10 @@ def check_learner(cfg):
         "learner.nuclear_bound", nuc_ok and inside_rounds > 0,
         f"worst_excess={worst:.2e} rounds={inside_rounds}/{cfg['learner_samples']}"))
 
-    # the learner writes W's triangle and stored norm itself, with no check,
-    # and plays B = W / gamma as a view of it; recheck their layout and
-    # norms against the dense matrices, and the stored norm, carried in
-    # closed form between exact passes, against an exact pass: never below
-    # it, at most FRO_BOUND_RTOL above.  l1 = 0.3 puts part of the run in
-    # separated rounds
+    # W, a trusted build updated in place with no check, and its view
+    # B = W / gamma: their layout and norms against the dense matrices, and
+    # the stored norm against an exact pass under linops's invariant.
+    # l1 = 0.3 puts part of the run in separated rounds
     feas_ok = trusted_ok = bound_ok = True
     separated = closed = 0
     worst_low = worst_high = 0.0
@@ -610,7 +608,7 @@ def check_learner(cfg):
                        <= math.sqrt(d) * l1 + 1e-9)
             trusted_ok = trusted_ok and triangle_ok(state.w_op) and triangle_ok(state.b_op)
             exact, held = upper_frobenius(state.w_op.upper), state.w_op.fro
-            closed += state.fro_rounds > 0
+            closed += state.w_op.fro_rounds > 0
             worst_low = max(worst_low, exact - held)
             worst_high = max(worst_high, held - exact)
             bound_ok = bound_ok and exact <= held <= (1.0 + FRO_BOUND_RTOL) * exact

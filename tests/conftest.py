@@ -1,5 +1,14 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+from oqn import driver
+
+TESTS = Path(__file__).resolve().parent
 
 
 @pytest.fixture
@@ -14,7 +23,7 @@ def criterion_runs():
     Each run comes with its oracle calls, seen by a spy on ``driver.step``:
     per trust-region solve the subproblem's ``b_bound`` and the solution's
     ``lambda_hat`` and matvecs, and the matvecs of each separation call."""
-    from oqn import catalog, compute_hyperparams, driver, run
+    from oqn import catalog, compute_hyperparams, run
     from oqn.rng import RngStream
 
     real_step = driver.step
@@ -39,3 +48,53 @@ def criterion_runs():
                     report = run(spec, params, RngStream(seed), audit_level="full")
                     runs.append((spec, params, seed, report, calls))
     return runs
+
+
+def spy_steps(monkeypatch):
+    """Spy on ``driver.step`` for an "oqn" run: the returned list collects,
+    per step, the subproblem and solution the step returns and, when the
+    step ran a learner round, that round's separation result and plain
+    flag, read off the learner record the round updated (else None)."""
+    real_step = driver.step
+    steps = []
+
+    def spying_step(state, *args, **kwargs):
+        rounds = state.totals["tr"]["sep_calls"]
+        problem, sol = real_step(state, *args, **kwargs)
+        ran = state.totals["tr"]["sep_calls"] > rounds
+        steps.append((problem, sol, (state.b_state.sep, state.b_state.plain) if ran else None))
+        return problem, sol
+
+    monkeypatch.setattr(driver, "step", spying_step)
+    return steps
+
+
+def spy_conversion(monkeypatch):
+    """Spy on ``driver.step``: the returned list collects, per step, the
+    iterate x_n, the displacement delta_n it played and the next iterate."""
+    real_step = driver.step
+    steps = []
+
+    def spying_step(state, *args, **kwargs):
+        x, delta = state.x, state.delta_vec
+        solved = real_step(state, *args, **kwargs)
+        steps.append((x, delta, state.x))
+        return solved
+
+    monkeypatch.setattr(driver, "step", spying_step)
+    return steps
+
+
+def stdout_per_blas_thread_count(script):
+    """The stdout of the Python source ``script`` under one and under two
+    OpenBLAS threads.  OpenBLAS reads its thread count when it loads, so
+    each count gets a fresh interpreter, with the package's source and the
+    tests on its path."""
+    path = os.pathsep.join([str(TESTS.parent / "src"), str(TESTS),
+                            *filter(None, [os.environ.get("PYTHONPATH")])])
+    env = {key: value for key, value in os.environ.items()
+           if key not in ("OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+    return [subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                           check=True, env={**env, "PYTHONPATH": path,
+                                            "OPENBLAS_NUM_THREADS": threads}).stdout
+            for threads in ("1", "2")]

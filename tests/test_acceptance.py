@@ -12,6 +12,7 @@ import time
 
 import numpy as np
 
+from conftest import spy_conversion
 from oqn import driver, verify
 from oqn.driver import compute_hyperparams
 from oqn.eig import sep_budget
@@ -70,16 +71,7 @@ def test_criterion_5_conversion_inequalities(criterion_runs, monkeypatch):
     qparams = driver.HyperParams(
         d_radius=1.0, eta=0.5 / qspec.l1, t_len=10, k_eps=8,
         delta_tr=1e-5)
-    # each step's iterate and displacement, seen by a spy on driver.step
-    real_step, steps = driver.step, []
-
-    def spying_step(state, *args, **kwargs):
-        x, delta = state.x, state.delta_vec
-        solved = real_step(state, *args, **kwargs)
-        steps.append((x, delta, state.x))
-        return solved
-
-    monkeypatch.setattr(driver, "step", spying_step)
+    steps = spy_conversion(monkeypatch)
     qreport = driver.run(qspec, qparams, RngStream(3), audit_level="full")
     assert len(steps) == qparams.m_total
     slack = qspec.l2 * qparams.d_radius**3 / 24.0

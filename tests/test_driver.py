@@ -2,17 +2,15 @@ import dataclasses
 import functools
 import gc
 import operator
-import os
-import subprocess
 import sys
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.linalg import eigh_tridiagonal
 from scipy.linalg.blas import ddot
 
+from conftest import spy_conversion, spy_steps, stdout_per_blas_thread_count
 from oqn import driver, hessian_learner, trsolver, verify
 from oqn.eig import lanczos_factorize, min_evec, sep, sep_budget
 from oqn.driver import HyperParams, compute_hyperparams
@@ -36,41 +34,6 @@ def left_fold(values):
     """The left-to-right float sum that the run log folds (Python 3.12's
     ``sum()`` compensates, so it is not used here)."""
     return functools.reduce(operator.add, values, 0.0)
-
-
-def spy_steps(monkeypatch):
-    """Spy on ``driver.step`` for an "oqn" run: the returned list collects,
-    per step, the subproblem and solution the step returns and, when the
-    step ran a learner round, that round's separation result and plain
-    flag, read off the learner record the round updated (else None)."""
-    real_step = driver.step
-    steps = []
-
-    def spying_step(state, *args, **kwargs):
-        rounds = state.totals["tr"]["sep_calls"]
-        problem, sol = real_step(state, *args, **kwargs)
-        ran = state.totals["tr"]["sep_calls"] > rounds
-        steps.append((problem, sol, (state.b_state.sep, state.b_state.plain) if ran else None))
-        return problem, sol
-
-    monkeypatch.setattr(driver, "step", spying_step)
-    return steps
-
-
-def spy_conversion(monkeypatch):
-    """Spy on ``driver.step``: the returned list collects, per step, the
-    iterate x_n, the displacement delta_n it played and the next iterate."""
-    real_step = driver.step
-    steps = []
-
-    def spying_step(state, *args, **kwargs):
-        x, delta = state.x, state.delta_vec
-        solved = real_step(state, *args, **kwargs)
-        steps.append((x, delta, state.x))
-        return solved
-
-    monkeypatch.setattr(driver, "step", spying_step)
-    return steps
 
 
 class TestComputeHyperparams:
@@ -763,23 +726,13 @@ class TestBlasThreads:
 
     @staticmethod
     def _fingerprints(dim, budget, eta_factor):
-        # OpenBLAS reads its thread count when it loads, so each count gets a
-        # fresh interpreter
-        here = Path(__file__).resolve().parent
-        script = ("from oqn import driver\n"
-                  "from oqn.rng import RngStream\n"
-                  "from test_driver import fingerprint, recipe\n"
-                  f"spec, params = recipe('cosine_mixture', {dim}, {budget}, {eta_factor})\n"
-                  "report = driver.run(spec, params, RngStream(0), audit_level='full')\n"
-                  "print(repr(fingerprint(report)))\n")
-        path = os.pathsep.join([str(here.parent / "src"), str(here),
-                                *filter(None, [os.environ.get("PYTHONPATH")])])
-        env = {key: value for key, value in os.environ.items()
-               if key not in ("OMP_NUM_THREADS", "MKL_NUM_THREADS")}
-        return [subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                               check=True, env={**env, "PYTHONPATH": path,
-                                                "OPENBLAS_NUM_THREADS": threads}).stdout
-                for threads in ("1", "2")]
+        return stdout_per_blas_thread_count(
+            "from oqn import driver\n"
+            "from oqn.rng import RngStream\n"
+            "from test_driver import fingerprint, recipe\n"
+            f"spec, params = recipe('cosine_mixture', {dim}, {budget}, {eta_factor})\n"
+            "report = driver.run(spec, params, RngStream(0), audit_level='full')\n"
+            "print(repr(fingerprint(report)))\n")
 
     def test_report_bits_with_one_and_two_threads(self):
         # the eta x200 recipe reaches sep's Lanczos rounds, min_evec and the

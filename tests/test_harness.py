@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oqn import driver, eig, harness, hessian_learner, verify
+from oqn import driver, eig, harness, linops, verify
 from oqn.cli import main as cli_main
 from oqn.driver import compute_hyperparams
 from oqn.eig import SepCase, SepResult
@@ -358,7 +358,7 @@ def _top_refined_vector(z, diag, off, shift, beta):
 
 # the learner's closed-form |W_next|_F^2 as the package computes it, for
 # corruptions that recompute it from changed inputs
-_closed_form_sq = hessian_learner.closed_form_sq
+_closed_form_sq = linops.closed_form_sq
 
 
 def _skewed(spec, name, *args):
@@ -427,10 +427,10 @@ def _whole_stack_sum(spec, name, *args):
      verify.check_driver, "driver.start_product"),
     # the learner's stored norm without the cross term r'W s, or without
     # the rounding allowance that keeps it from rounding low
-    (hessian_learner, "closed_form_sq",
+    (linops, "closed_form_sq",
      lambda res, fro, cross, *rest: _closed_form_sq(fro, 0.0, *rest),
      verify.check_learner, "learner.closed_form_norm"),
-    (hessian_learner, "closed_form_sq", lambda res, *args: (res[0], 0.0),
+    (linops, "closed_form_sq", lambda res, *args: (res[0], 0.0),
      verify.check_learner, "learner.closed_form_norm"),
 ], ids=["off_optimum", "eigen_certified_off_optimum", "perturbed_tridiagonal",
         "stretched_lanczos_basis", "rounded_tridiagonal_eigenvalues", "low_eigenvalue",

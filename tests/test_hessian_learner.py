@@ -7,14 +7,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg.blas import ddot, dsymv, dsyr, dsyr2
 
-from oqn import driver, hessian_learner
+from oqn import driver, hessian_learner, linops
 from oqn.driver import compute_hyperparams
 from oqn.eig import SepCase, SepResult, sep
 from oqn.errors import InvalidArgument
-from oqn.hessian_learner import (FRO_BOUND_RTOL, FRO_SYNC_ROUNDS, LearnerState, default_rho,
-                                 learner_step)
-from oqn.linops import Counter, SymOperator, upper_frobenius
+from oqn.hessian_learner import LearnerState, default_rho, learner_step
+from oqn.linops import FRO_BOUND_RTOL, FRO_SYNC_ROUNDS, Counter, SymOperator, upper_frobenius
 from oqn.problems import catalog
 from oqn.rng import RngStream
 from oqn.verify import FRO_RTOL, random_symmetric, triangle_ok
@@ -272,8 +272,8 @@ class TestClosedFormNorm:
         spec = catalog("coupled_trig", 16)
         params = compute_hyperparams(spec, 480)
         seen = {"passes": 0, "rounds": 0, "over_l1": 0}
-        real_pass = hessian_learner.upper_frobenius
-        real_closed_form = hessian_learner.closed_form_sq
+        real_pass = linops.upper_frobenius
+        real_closed_form = linops.closed_form_sq
         real_step = driver.learner_step
 
         def counted_pass(upper):
@@ -290,13 +290,54 @@ class TestClosedFormNorm:
             seen["rounds"] += 1
             assert state.sep.case is SepCase.INSIDE_DOUBLED  # no tilted round
 
-        monkeypatch.setattr(hessian_learner, "upper_frobenius", counted_pass)
-        monkeypatch.setattr(hessian_learner, "closed_form_sq", watched_closed_form)
+        monkeypatch.setattr(linops, "upper_frobenius", counted_pass)
+        monkeypatch.setattr(linops, "closed_form_sq", watched_closed_form)
         monkeypatch.setattr(driver, "learner_step", counted_step)
         driver.run(spec, params, RngStream(0), audit_level="off")
         assert seen["rounds"] == params.m_total - 1
         assert 0 < seen["passes"] <= (math.ceil(seen["rounds"] / FRO_SYNC_ROUNDS)
                                       + seen["over_l1"])
+
+
+class TestRawKernelReplay:
+    """``learner_step`` against the raw BLAS sequence of a round, replayed
+    on a triangle of the test's own: ``dsymv`` and ``ddot`` for a separated
+    round's tilt, ``dsyr2``, the tilt's ``dsyr``, the exact pass and the
+    Frobenius rescale.  The replay takes the exact pass every round and
+    reuses the separation result the learner kept, so W's triangle must keep
+    its bits every round, and the stored norm after each exact pass."""
+
+    def test_chains_keep_their_bits(self, np_rng):
+        # l1 = 0.05 separates, tilts and projects most rounds; at l1 = 1.3
+        # most bounds stay under L1 and are carried in closed form
+        d, seen = 6, {"tilted": 0, "projected": 0, "carried": 0}
+        for l1 in (0.05, 1.3):
+            state = LearnerState.fresh(d, l1, default_rho(1.0), 0.01)
+            rho, radius = state.rho, math.sqrt(d) * l1
+            upper = np.zeros((d, d), order="F")
+            stream = RngStream(5)
+            for _ in range(120):
+                s = np_rng.standard_normal(d)
+                s /= np.linalg.norm(s)
+                r = np_rng.standard_normal(d) - state.b_mat @ s
+                played, tilt = state.sep, 0.0
+                if played.case is SepCase.SEPARATED:
+                    tilt = max(0.0, 2.0 * ddot(r, dsymv(1.0 / played.gamma, upper, s)))
+                upper = dsyr2(rho, r, s, a=upper, overwrite_a=1)
+                if tilt > 0.0:
+                    upper = dsyr(-rho * tilt * played.sign / l1, played.u, a=upper,
+                                 overwrite_a=1)
+                fro = upper_frobenius(upper)
+                if fro > radius:
+                    upper *= radius / fro
+                    fro = upper_frobenius(upper)
+                    seen["projected"] += 1
+                learner_step(state, r, s, stream)
+                assert state.w_op.upper.tobytes() == upper.tobytes()
+                assert state.w_op.fro_rounds > 0 or state.w_op.fro == fro
+                seen["tilted"] += tilt > 0.0
+                seen["carried"] += state.w_op.fro_rounds > 0
+        assert all(seen.values()), seen
 
 
 class TestRoundAllocation:

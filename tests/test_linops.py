@@ -1,9 +1,13 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg.blas import ddot, dsymv
 
+from conftest import stdout_per_blas_thread_count
 from oqn.errors import InvalidArgument
 from oqn.linops import (
     DENSE_EIG_DIM_CAP,
@@ -14,6 +18,10 @@ from oqn.linops import (
     sum_of_squares,
 )
 from oqn.verify import random_symmetric
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "oqn"
+# the BLAS kernels that write or read a build's storage in place
+STORAGE_KERNELS = {"dsymv", "dsyr", "dsyr2"}
 
 
 def jacobi_eigenvalues(a, sweeps=100, tol=1e-14):
@@ -98,6 +106,23 @@ class TestFrobeniusNorm:
         for block in blocks:
             total += ddot(block, block)
         assert sum_of_squares(x) == total
+
+    @pytest.mark.parametrize("dim", [2, 64, 90])
+    def test_checked_build_norm_is_numpy_norm_up_to_one_block(self, dim):
+        # up to REDUCTION_BLOCK entries the build's sum of squares is one
+        # ddot in np.linalg.norm's order, so it keeps that norm's bits
+        m = np.random.default_rng(dim).standard_normal((dim, dim))
+        assert SymOperator(m + m.T).fro == float(np.linalg.norm(m + m.T))
+
+    def test_checked_build_norm_bits_with_one_and_two_threads(self):
+        # d = 128 sums 16,384 squares, the length from which OpenBLAS
+        # splits one ddot across its threads
+        outs = stdout_per_blas_thread_count(
+            "import numpy as np\n"
+            "from oqn.linops import SymOperator\n"
+            "m = np.random.default_rng(128).standard_normal((128, 128))\n"
+            "print(SymOperator(m + m.T).fro.hex())\n")
+        assert outs[0] and outs[0] == outs[1]
 
     @given(st.integers(0, 10_000), st.booleans())
     @settings(max_examples=40, deadline=None)
@@ -210,3 +235,36 @@ class TestDenseExtremeEig:
         s_min, s_max, _, _ = dense_extreme_eig(base.shifted(lam))
         assert s_min == pytest.approx(b_min - lam, abs=1e-9)
         assert s_max == pytest.approx(b_max - lam, abs=1e-9)
+
+
+def _storage_sites(tree, module):
+    """(module, line, what) of every use of a storage kernel, imported or
+    read as an attribute, and of every assignment to an ``upper`` or
+    ``fro`` attribute, plain, augmented or annotated, tuples included."""
+    for node in ast.walk(tree):
+        names = ()
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [alias.name.rsplit(".", 1)[-1] for alias in node.names]
+        elif isinstance(node, ast.Attribute):
+            names = [node.attr]
+        for name in names:
+            if name in STORAGE_KERNELS:
+                yield module, node.lineno, name
+        targets = (node.targets if isinstance(node, ast.Assign)
+                   else [node.target] if isinstance(node, (ast.AugAssign, ast.AnnAssign))
+                   else [])
+        for target in targets:
+            for leaf in ast.walk(target):
+                if isinstance(leaf, ast.Attribute) and leaf.attr in ("upper", "fro"):
+                    yield module, leaf.lineno, f".{leaf.attr} ="
+
+
+def test_only_linops_touches_the_storage():
+    """W's triangle, its kernels and its stored norm have one home: outside
+    ``linops.py`` no module imports ``dsymv``, ``dsyr`` or ``dsyr2`` or
+    assigns a ``SymOperator``'s ``upper`` or ``fro``."""
+    sites = {path.name: list(_storage_sites(ast.parse(path.read_text()), path.name))
+             for path in sorted(SRC.glob("*.py"))}
+    assert sites["linops.py"]  # the scan sees the home module's own writes
+    assert [site for name, found in sites.items() if name != "linops.py"
+            for site in found] == []
