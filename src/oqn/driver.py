@@ -37,6 +37,13 @@ A delta_n from the kept product with two dot products and two axpys
 and a step after any other round apply A.  A step therefore costs the
 solve's matvecs, plus one when it applied A, besides the learner's
 separation call, which is free when certified.
+
+Comparator ledger (``audit_level="full"``): each step takes the Hessian at
+z_n as a form (``ObjectiveSpec.hess_at``), or wraps the dense ``hess`` in a
+``DenseHessian`` when the spec states no form, and reads three things from
+it: the product H(z_{n-1}) s, |H(z_n) - H(z_{n-1})|_F and |H(z_1)|_F.  A
+catalog form holds O(d) data, so the full audit allocates no d x d matrix
+per step.
 """
 
 from __future__ import annotations
@@ -47,15 +54,15 @@ from typing import Optional
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy.linalg.blas import daxpy, ddot, dgemv
+from scipy.linalg.blas import daxpy, ddot
 
 from .errors import (InvalidArgument, check_int_at_least, check_one_of, check_open_unit,
                      check_positive)
 from .hessian_learner import LearnerState, default_rho, learner_step
 # SymOperator is not built here any more; perfbench/tracing.py still wraps
 # oqn.driver.SymOperator by name, so the import stays
-from .linops import Counter, SymOperator, sum_of_squares  # noqa: F401
-from .problems import ObjectiveSpec, eval_gradient
+from .linops import Counter, SymOperator  # noqa: F401
+from .problems import DenseHessian, ObjectiveSpec, eval_gradient
 from .rng import RngStream
 from .trsolver import TRSolution, TrustRegionSubproblem, project_ball, tr_solve
 
@@ -176,8 +183,9 @@ class StepLog:
     compensation; the fold keeps the bits on every version).  ``run`` seeds
     ``f_start`` and ``f_last`` with f(x_0) given a value oracle; only a
     seeded log folds conversion margins.  ``full`` adds the fixed-point gap
-    and, with a Hessian oracle, the comparator ledger (one Hessian per step,
-    the last kept).  A max is None, its audit skipped, before its first term."""
+    and, with a Hessian oracle, the comparator ledger: one Hessian form per
+    step, read through its ``matvec`` and ``fro`` (the module docstring),
+    the last kept.  A max is None, its audit skipped, before its first term."""
 
     full: bool = False
     f_start: Optional[float] = None
@@ -219,7 +227,7 @@ class OqnState:
     n: int = 0
     grad_z_prev: Optional[NDArray] = None
     pending_s: Optional[NDArray] = None
-    hess_z_prev: Optional[NDArray] = None  # full level: H(z_{n-1}) for the ledger
+    hess_z_prev: Optional[object] = None  # full level: H(z_{n-1})'s form, for the ledger
     a_delta: Optional[NDArray] = None  # the last solve's A delta_vec, A as it played
     ep_sum_w: Optional[NDArray] = None
     ep_sum_g: Optional[NDArray] = None
@@ -297,7 +305,8 @@ def _advance(state: OqnState, spec: ObjectiveSpec, params: HyperParams, rng: Rng
     part and returns delta_{n+1}, delta_{n+1} - delta_n, the next hint and
     the step's result."""
     n = state.n + 1
-    ledger = log is not None and log.full and spec.hess is not None
+    ledger = log is not None and log.full and (spec.hess_at is not None
+                                                or spec.hess is not None)
     d_rad = params.d_radius
     delta_n = state.delta_vec
     half_delta = 0.5 * delta_n
@@ -325,8 +334,7 @@ def _advance(state: OqnState, spec: ObjectiveSpec, params: HyperParams, rng: Rng
             else:
                 state.ep_sum_loss += loss
         if ledger:
-            r_comp = (g_n - state.grad_z_prev) - dgemv(
-                1.0, state.hess_z_prev.T, state.pending_s, trans=1)
+            r_comp = (g_n - state.grad_z_prev) - state.hess_z_prev.matvec(state.pending_s)
             comp_loss = ddot(r_comp, r_comp)
             log.comparator_loss_sum += comp_loss
             log.comparator_loss_max = _fold_max(log.comparator_loss_max, comp_loss)
@@ -347,11 +355,12 @@ def _advance(state: OqnState, spec: ObjectiveSpec, params: HyperParams, rng: Rng
                                            margin + 1e-9 * (1.0 + abs(f_next)))
         log.f_last = f_next
     if ledger:
-        hess_z = spec.hess(z_n)
+        hess_z = (spec.hess_at(z_n) if spec.hess_at is not None
+                  else DenseHessian(spec.hess(z_n)))
         if state.hess_z_prev is None:
-            log.hess_fro_first = _frobenius(hess_z)
+            log.hess_fro_first = hess_z.fro()
         else:
-            path = _frobenius(hess_z - state.hess_z_prev)
+            path = hess_z.fro(state.hess_z_prev)
             log.comparator_path_sum += path
             log.comparator_path_max = _fold_max(log.comparator_path_max, path)
         state.hess_z_prev = hess_z
@@ -546,12 +555,6 @@ def run_gd(spec: ObjectiveSpec, params: GdParams,
 def _fold_max(current: Optional[float], value: float) -> float:
     """max() of a list, folded one term at a time: None before the first."""
     return value if current is None else max(current, value)
-
-
-def _frobenius(mat: NDArray) -> float:
-    """|mat|_F over the entries in np.linalg.norm's order, in blocks whose
-    bits do not depend on the BLAS thread count (``linops.sum_of_squares``)."""
-    return math.sqrt(sum_of_squares(mat.ravel(order="K")))
 
 
 def audit_regret(report: RunReport, spec: ObjectiveSpec, params: HyperParams) -> dict:

@@ -5,6 +5,13 @@ exist for auditing and are never counted.  Catalog constants are global
 Lipschitz bounds for the trigonometric families and documented box-local
 bounds for the Rosenbrock chain (the spec of each family is in its
 constructor's docstring).
+
+Each catalog family states its Hessian once, as a structured form of O(d)
+data (``hess_at``): ``DiagonalHessian``, ``DiagonalOuterHessian`` (a
+diagonal and kappa c c' off it) or ``TridiagonalHessian``; its dense
+``hess`` is the form's ``dense()``.  The quadratic holds one constant
+``DenseHessian``, and ``DenseHessian`` also wraps the dense ``hess`` of a
+spec that states no form.
 """
 
 from __future__ import annotations
@@ -16,13 +23,140 @@ from typing import Callable, Optional
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy.linalg.blas import ddot
+from scipy.linalg.blas import ddot, dgemv
 
 from .errors import InvalidArgument, check_nonnegative, check_positive
-from .linops import Counter
+from .linops import EPS, Counter, sum_of_squares
 
 FD_GRAD_STEP = 1e-5
 FD_HESS_STEP = 1e-4
+
+
+def hess_form_rtol(dim: int) -> float:
+    """How closely a Hessian form's answers agree with dense linear algebra
+    on its ``dense()``: (dim + 2)^2 eps, relative to |H|_F |v| for
+    ``matvec(v)``, |H|_F for ``fro()`` and |H|_F + |H'|_F for ``fro(other)``.
+    It covers the worst-case rounding of the dense d^2-term sums (each term
+    off by at most d^2 eps / 2 of the sum of their magnitudes; Higham 2002,
+    Sec. 3.1) and of the forms' own O(d) ones."""
+    return (dim + 2) ** 2 * EPS
+
+
+class DenseHessian:
+    """A Hessian held as its d x d matrix: the constant form of a quadratic,
+    and the wrapper of the dense ``hess`` of a spec with no ``hess_at``.
+    Its kernels are ``dgemv`` on H' (``trans=1``) and the blocked
+    ``sum_of_squares`` over the entries in ``np.linalg.norm``'s order, so
+    the bits do not depend on the BLAS thread count.  A form differenced
+    with itself is 0.0, the bits of the sum over H - H, without the pass."""
+
+    __slots__ = ("mat",)
+
+    def __init__(self, mat: NDArray):
+        self.mat = mat
+
+    def matvec(self, v: NDArray) -> NDArray:
+        return dgemv(1.0, self.mat.T, v, trans=1)
+
+    def fro(self, other=None) -> float:
+        if other is self:
+            return 0.0
+        diff = self.mat if other is None else self.mat - other.dense()
+        return math.sqrt(sum_of_squares(diff.ravel(order="K")))
+
+    def dense(self) -> NDArray:
+        return self.mat
+
+
+class DiagonalHessian:
+    """H = diag(h).  A difference is the entrywise one, the bits of the
+    dense difference's diagonal."""
+
+    __slots__ = ("diag",)
+
+    def __init__(self, diag: NDArray):
+        self.diag = diag
+
+    def matvec(self, v: NDArray) -> NDArray:
+        return self.diag * v
+
+    def fro(self, other=None) -> float:
+        diff = self.diag if other is None else self.diag - other.diag
+        return math.sqrt(ddot(diff, diff))
+
+    def dense(self) -> NDArray:
+        return np.diag(self.diag)
+
+
+class DiagonalOuterHessian:
+    """H with diagonal e and kappa c_i c_j off it (i != j).
+
+    |H|_F^2 = |e|^2 + 2 kappa^2 sum_j c_j^2 sum_{i<j} c_i^2, a sum of
+    nonnegative terms.  Against H' = (e', c'), the diagonal difference is
+    e - e' entrywise, and the off-diagonal one is kappa times that of
+    c c' - c'c'' = (a b' + b a')/2 with a = c - c' and b = c + c', whose
+    squared Frobenius norm is (|a|^2 |b|^2 + (a'b)^2)/2, less its diagonal
+    |a o b|^2.  Every term is a product of differences, so the square's
+    rounding error, from the two forms' data, is a few d eps of
+    |e - e'|^2 + kappa^2 |a|^2 |b|^2 and shrinks with the difference, where
+    |c|^4 + |c'|^4 - 2 (c'c')^2 would leave eps |c|^4: about sqrt(eps) |H|_F
+    on the norm as z' -> z.
+    """
+
+    __slots__ = ("diag", "c", "kappa")
+
+    def __init__(self, diag: NDArray, c: NDArray, kappa: float):
+        self.diag, self.c, self.kappa = diag, c, kappa
+
+    def matvec(self, v: NDArray) -> NDArray:
+        cv = self.c * v
+        return self.diag * v + self.kappa * self.c * (ddot(self.c, v) - cv)
+
+    def fro(self, other=None) -> float:
+        if other is None:
+            c2 = self.c * self.c
+            off_sq = 2.0 * ddot(c2[1:], np.cumsum(c2[:-1]))
+            return math.sqrt(ddot(self.diag, self.diag) + self.kappa**2 * off_sq)
+        diff = self.diag - other.diag
+        a, b = self.c - other.c, self.c + other.c
+        ab = a * b
+        ab_dot = ddot(a, b)
+        off_sq = 0.5 * (ddot(a, a) * ddot(b, b) + ab_dot * ab_dot) - ddot(ab, ab)
+        return math.sqrt(ddot(diff, diff) + self.kappa**2 * max(off_sq, 0.0))
+
+    def dense(self) -> NDArray:
+        h = self.kappa * np.outer(self.c, self.c)
+        np.fill_diagonal(h, self.diag)
+        return h
+
+
+class TridiagonalHessian:
+    """H with diagonal ``diag`` and ``off`` on both sides of it.  A
+    difference is the entrywise one, the bits of the dense difference's
+    three bands."""
+
+    __slots__ = ("diag", "off")
+
+    def __init__(self, diag: NDArray, off: NDArray):
+        self.diag, self.off = diag, off
+
+    def matvec(self, v: NDArray) -> NDArray:
+        out = self.diag * v
+        out[:-1] += self.off * v[1:]
+        out[1:] += self.off * v[:-1]
+        return out
+
+    def fro(self, other=None) -> float:
+        diag, off = ((self.diag, self.off) if other is None
+                     else (self.diag - other.diag, self.off - other.off))
+        return math.sqrt(ddot(diag, diag) + 2.0 * ddot(off, off))
+
+    def dense(self) -> NDArray:
+        h = np.diag(self.diag)
+        band = np.arange(self.off.size)
+        h[band, band + 1] = self.off
+        h[band + 1, band] = self.off
+        return h
 
 
 @dataclass
@@ -42,6 +176,16 @@ class ObjectiveSpec:
     ``axis=-1``, slices along ``...``).  A matrix product does not qualify:
     ``X @ Q`` rounds unlike ``Q @ x`` (GEMM against GEMV), and on a square
     stack ``Q @ X`` returns a wrong answer without raising.
+
+    ``hess_at`` optionally states the Hessian in a structured form: it maps
+    a point to an object with ``matvec(v)`` (H v), ``fro(other=None)``
+    (|H|_F, or |H - H'|_F given the form H' of another point of the same
+    spec) and ``dense()`` (the d x d matrix).  A form computes a difference
+    from differences of its own data, never as a difference of two squared
+    norms, and each answer agrees with dense linear algebra on ``dense()``
+    within ``hess_form_rtol(dim)``.  The full audit's comparator ledger
+    reads the form when a spec states one, and otherwise wraps ``hess`` in a
+    ``DenseHessian``; a catalog family's ``hess`` is its form's ``dense()``.
     """
 
     dim: int
@@ -55,6 +199,7 @@ class ObjectiveSpec:
     name: str = "custom"
     box: Optional[float] = None
     grad_rows: bool = False
+    hess_at: Optional[Callable[[NDArray], object]] = None
 
     def __post_init__(self):
         self.x0 = np.asarray(self.x0, dtype=float)
@@ -117,11 +262,13 @@ def quadratic_from_matrix(q_mat: NDArray, x0: Optional[NDArray] = None) -> Objec
         raise InvalidArgument("quadratic catalog requires a PSD matrix")
     if x0 is None:
         x0 = np.ones(d)
+    form = DenseHessian(q_mat.copy())  # one C-ordered copy, never written
     return ObjectiveSpec(
         dim=d,
         grad=lambda x: q_mat @ x,
         value=lambda x: 0.5 * float(x @ (q_mat @ x)),
         hess=lambda x: q_mat.copy(),
+        hess_at=lambda x: form,
         l1=float(max(evals[-1], 1e-12)),
         l2=0.0,
         f_lower=0.0,
@@ -159,20 +306,21 @@ def _cosine_mixture(dim: int, mu: float = 0.1) -> ObjectiveSpec:
     def grad(x):
         return np.sin(x) + mu * x
 
-    def hess(x):
-        return np.diag(np.cos(x) + mu)
+    def hess_at(x):
+        return DiagonalHessian(np.cos(x) + mu)
 
     return ObjectiveSpec(
         dim=dim,
         grad=grad,
         value=value,
-        hess=hess,
+        hess=lambda x: hess_at(x).dense(),
         l1=1.0 + mu,
         l2=1.0,
         f_lower=0.0,
         x0=np.full(dim, 0.5 * np.pi),
         name="cosine_mixture",
         grad_rows=True,
+        hess_at=hess_at,
     )
 
 
@@ -198,11 +346,9 @@ def _coupled_trig(dim: int, kappa: float = 0.2) -> ObjectiveSpec:
         s = np.sin(x)
         return s + kappa * np.cos(x) * (s.sum(axis=-1, keepdims=True) - s)
 
-    def hess(x):
+    def hess_at(x):
         s, c = np.sin(x), np.cos(x)
-        h = kappa * np.outer(c, c)
-        np.fill_diagonal(h, c - kappa * s * (s.sum() - s))
-        return h
+        return DiagonalOuterHessian(c - kappa * s * (s.sum() - s), c, kappa)
 
     l1 = 1.0 + 2.0 * kappa * (dim - 1)
     l2 = 1.0 + 2.0 * kappa * (dim - 1) + 2.0 * kappa * np.sqrt(dim - 1.0)
@@ -210,13 +356,14 @@ def _coupled_trig(dim: int, kappa: float = 0.2) -> ObjectiveSpec:
         dim=dim,
         grad=grad,
         value=value,
-        hess=hess,
+        hess=lambda x: hess_at(x).dense(),
         l1=l1,
         l2=l2,
         f_lower=-0.5 * kappa * dim * (dim - 1),
         x0=np.full(dim, 0.5 * np.pi),
         name="coupled_trig",
         grad_rows=True,
+        hess_at=hess_at,
     )
 
 
@@ -243,14 +390,16 @@ def _rosenbrock_local(dim: int, box: float = 2.0) -> ObjectiveSpec:
         g[..., 1:] += 200.0 * t
         return g
 
-    def hess(x):
-        h = np.zeros((dim, dim))
-        for i in range(dim - 1):
-            h[i, i] += 1200.0 * x[i] ** 2 - 400.0 * x[i + 1] + 2.0
-            h[i + 1, i + 1] += 200.0
-            h[i, i + 1] += -400.0 * x[i]
-            h[i + 1, i] += -400.0 * x[i]
-        return h
+    def hess_at(x):
+        # pair i adds 1200 x_i^2 - 400 x_{i+1} + 2 to entry (i, i), 200 to
+        # (i+1, i+1) and -400 x_i to both off it; + 0.0 makes -0.0 the 0.0
+        # that a sum started at zero gives.  x_i^2 is libm's pow, as for a
+        # scalar x_i ** 2 (float_power); an array's ** 2 multiplies, which
+        # rounds differently at about 1 point in 1,000
+        diag = np.zeros(dim)
+        diag[:-1] = 1200.0 * np.float_power(x[:-1], 2) - 400.0 * x[1:] + 2.0
+        diag[1:] += 200.0
+        return TridiagonalHessian(diag, -400.0 * x[:-1] + 0.0)
 
     x0 = np.ones(dim)
     x0[0::2] = -1.2
@@ -258,7 +407,7 @@ def _rosenbrock_local(dim: int, box: float = 2.0) -> ObjectiveSpec:
         dim=dim,
         grad=grad,
         value=value,
-        hess=hess,
+        hess=lambda x: hess_at(x).dense(),
         l1=1200.0 * box**2 + 1200.0 * box + 202.0,
         l2=2400.0 * box + 1200.0,
         f_lower=0.0,
@@ -266,6 +415,7 @@ def _rosenbrock_local(dim: int, box: float = 2.0) -> ObjectiveSpec:
         name="rosenbrock_local",
         box=box,
         grad_rows=True,
+        hess_at=hess_at,
     )
 
 

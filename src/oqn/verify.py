@@ -23,7 +23,8 @@ from .eig import (MinEvecCase, SepCase, lanczos_factorize, min_evec, sep, sep_bu
 from .errors import OqnError, check_one_of
 from .hessian_learner import LearnerState, default_rho, learner_step
 from .linops import FRO_BOUND_RTOL, Counter, SymOperator, dense_extreme_eig, upper_frobenius
-from .problems import CATALOG_NAMES, catalog, fd_check_gradient, fd_check_hessian
+from .problems import (CATALOG_NAMES, catalog, fd_check_gradient, fd_check_hessian,
+                       hess_form_rtol)
 from .rng import RngStream
 from .trsolver import (EARLY_EXIT_RTOL, TrustRegionSubproblem, krylov_minimizer, residual_of,
                        tr_solve)
@@ -74,6 +75,12 @@ REFINED_VECTOR_TOL = 1e-8
 # neighbours, where a SIMD loop over the stack splits unlike one over a row
 GRAD_ROWS_DIMS = (2, 3, 7, 8, 9, 16, 31, 33, 129, 256)
 GRAD_ROWS_STACK = 3
+
+# dimensions of the structured-Hessian check, and the offset of its near
+# points: there a norm of a difference taken as a difference of squared
+# norms would cancel to about 1e-8 of |H|_F, far above hess_form_rtol
+HESS_FORM_DIMS = (2, 3, 8, 33, 128)
+HESS_FORM_NEAR = 1e-8
 
 
 def random_symmetric(rng, d, scale=1.0):
@@ -153,6 +160,7 @@ def check_problems(cfg):
         out.append(CheckResult(
             f"problems.lipschitz.{name}", viol <= 1e-9, f"violation={viol:.2e}"))
     out.append(_check_grad_rows(cfg))
+    out.append(_check_structured_hessian(cfg))
     return out
 
 
@@ -180,6 +188,47 @@ def _check_grad_rows(cfg):
         "problems.grad_rows", bool(declared) and not mismatched,
         f"families={','.join(declared)} dims={len(GRAD_ROWS_DIMS)} stacks={stacks} "
         f"mismatched={','.join(mismatched) or 'none'}")
+
+
+def _check_structured_hessian(cfg):
+    """Every family that declares ``hess_at``: at random points x, its
+    form's ``matvec``, ``fro()`` and ``fro(other)``, other at a random point
+    and at a point near x, against dense linear algebra on ``dense()``,
+    within ``hess_form_rtol``.  The detail is the worst error over that
+    bound."""
+    rng = np.random.default_rng(SEED)
+    declared, worst, failed = [], 0.0, []
+    points = cfg["pairs"] // 30
+    for name in CATALOG_NAMES:
+        if catalog(name, 2, seed=11).hess_at is None:
+            continue
+        declared.append(name)
+        for d in HESS_FORM_DIMS:
+            spec = catalog(name, d, seed=11)
+            lo, hi = (-spec.box, spec.box) if spec.box else (-3.0, 3.0)
+            tol = hess_form_rtol(d)
+            for _ in range(points):
+                x, far, v = rng.uniform(lo, hi, size=(3, d))
+                near = x + HESS_FORM_NEAR * rng.standard_normal(d)
+                form = spec.hess_at(x)
+                h = form.dense()
+                h_fro = np.linalg.norm(h)
+                errs = [np.linalg.norm(form.matvec(v) - h @ v) / (h_fro * np.linalg.norm(v)),
+                        abs(form.fro() - h_fro) / h_fro]
+                for z in (far, near):
+                    other = spec.hess_at(z)
+                    g = other.dense()
+                    errs.append(abs(form.fro(other) - np.linalg.norm(h - g))
+                                / (h_fro + np.linalg.norm(g)))
+                ratio = max(errs) / tol
+                worst = max(worst, ratio)
+                if not ratio <= 1.0:
+                    failed.append(f"{name}@{d}")
+                    break
+    return CheckResult(
+        "problems.structured_hessian", bool(declared) and not failed,
+        f"families={','.join(declared)} dims={len(HESS_FORM_DIMS)} points={points} "
+        f"worst={worst:.2f} failed={','.join(failed) or 'none'}")
 
 
 def check_linops(cfg):

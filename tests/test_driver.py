@@ -16,7 +16,8 @@ from oqn.eig import lanczos_factorize, min_evec, sep, sep_budget
 from oqn.driver import HyperParams, compute_hyperparams
 from oqn.errors import InvalidArgument
 from oqn.linops import Counter, SymOperator
-from oqn.problems import ObjectiveSpec, catalog, eval_gradient, quadratic_from_matrix
+from oqn.problems import (ObjectiveSpec, catalog, eval_gradient, hess_form_rtol,
+                          quadratic_from_matrix)
 from oqn.rng import RngStream
 from oqn.trsolver import TrustRegionSubproblem, tr_solve
 
@@ -377,17 +378,24 @@ class TestConversionSlack:
 class TestComparatorLedger:
     """The dynamic-regret ledger is folded step by step: one Hessian at each
     z_n, the comparator loss when pair n closes, the path step once z_{n+1}
-    exists, and no per-step vectors kept."""
+    exists, and no per-step vectors kept.  It reads a spec's structured
+    form (``hess_at``) when it has one, and otherwise its dense ``hess``."""
 
     @staticmethod
-    def recording(base):
+    def recording(base, oracles=("hess", "hess_at")):
+        """``base`` whose Hessian oracles named in ``oracles`` record each
+        point they are called at; the other one is None."""
         points = []
 
-        def hess(z):
-            points.append(z.copy())
-            return base.hess(z)
+        def recorded(oracle):
+            def call(z):
+                points.append(z.copy())
+                return oracle(z)
+            return call
 
-        return dataclasses.replace(base, hess=hess), points
+        return dataclasses.replace(base, **{
+            name: recorded(getattr(base, name)) if name in oracles else None
+            for name in ("hess", "hess_at")}), points
 
     LEDGER = ("comparator_loss_sum", "comparator_loss_max", "comparator_path_sum",
               "comparator_path_max", "hess_fro_first")
@@ -409,8 +417,9 @@ class TestComparatorLedger:
         return log, z_pts, trail
 
     def test_step_ledger_matches_dense_recomputation(self):
+        # a spec with the dense Hessian alone
         base = catalog("cosine_mixture", 6)
-        spec, points = self.recording(base)
+        spec, points = self.recording(base, ("hess",))
         params = compute_hyperparams(spec, 60)
         log, z_pts, trail = self.stepped(spec, params, 3)
         m = params.m_total
@@ -435,24 +444,61 @@ class TestComparatorLedger:
             assert isinstance(getattr(log, f.name), (bool, float, type(None))), f.name
 
     def test_run_audit_sums_the_ledger(self):
-        base = catalog("cosine_mixture", 6)
-        spec, points = self.recording(base)
+        # once through the dense Hessian alone, once through the form alone
+        for oracle in ("hess", "hess_at"):
+            base = catalog("cosine_mixture", 6)
+            spec, points = self.recording(base, (oracle,))
+            params = compute_hyperparams(spec, 60)
+            report = driver.run(spec, params, RngStream(3), audit_level="full")
+            log = report.log
+            assert len(points) == params.m_total
+            # the run folds the ledger that the steps above fold, pair by pair
+            stepped, _, _ = self.stepped(spec, params, 3)
+            assert [getattr(log, key) for key in self.LEDGER] \
+                == [getattr(stepped, key) for key in self.LEDGER]
+            d_rad, a = params.d_radius, report.audits
+            assert a["comparator_loss_max"] == log.comparator_loss_max
+            assert a["comparator_path_max"] == log.comparator_path_max
+            assert a["dynamic_regret_lhs"] == log.sum_loss
+            assert a["dynamic_regret_rhs"] == (
+                16.0 * d_rad**2 * log.hess_fro_first ** 2 + 2.0 * log.comparator_loss_sum
+                + 64.0 * spec.l1 * d_rad**2 * np.sqrt(spec.dim) * log.comparator_path_sum)
+            assert report.audits["all_ok"]
+
+    @pytest.mark.parametrize("name", ["cosine_mixture", "coupled_trig", "rosenbrock_local"])
+    def test_step_ledger_folds_the_structured_terms(self, name):
+        # a catalog spec's form alone: the folds are the structured terms'
+        # bit for bit, each within hess_form_rtol of its dense recomputation
+        base = catalog(name, 6)
+        spec, points = self.recording(base, ("hess_at",))
         params = compute_hyperparams(spec, 60)
-        report = driver.run(spec, params, RngStream(3), audit_level="full")
-        log = report.log
-        assert len(points) == params.m_total
-        # the run folds the ledger that the steps above fold, pair by pair
-        stepped, _, _ = self.stepped(spec, params, 3)
-        assert [getattr(log, key) for key in self.LEDGER] \
-            == [getattr(stepped, key) for key in self.LEDGER]
-        d_rad, a = params.d_radius, report.audits
-        assert a["comparator_loss_max"] == log.comparator_loss_max
-        assert a["comparator_path_max"] == log.comparator_path_max
-        assert a["dynamic_regret_lhs"] == log.sum_loss
-        assert a["dynamic_regret_rhs"] == (
-            16.0 * d_rad**2 * log.hess_fro_first ** 2 + 2.0 * log.comparator_loss_sum
-            + 64.0 * spec.l1 * d_rad**2 * np.sqrt(spec.dim) * log.comparator_path_sum)
-        assert report.audits["all_ok"]
+        log, z_pts, trail = self.stepped(spec, params, 3)
+        m = params.m_total
+        assert len(points) == m
+        for z_rec, z in zip(points, z_pts):
+            np.testing.assert_array_equal(z_rec, z)
+        forms = [base.hess_at(z) for z in z_pts]
+        h = [base.hess(z) for z in z_pts]
+        tol = hess_form_rtol(spec.dim)
+        losses = []
+        for n in range(m - 1):
+            y, s = trail[n + 1][0] - trail[n][1], trail[n][2]
+            r, r_dense = y - forms[n].matvec(s), y - h[n] @ s
+            losses.append(float(r @ r))
+            h_fro = np.linalg.norm(h[n])
+            assert abs(np.linalg.norm(r) - np.linalg.norm(r_dense)) <= tol * (
+                h_fro * np.linalg.norm(s) + np.linalg.norm(y) + np.linalg.norm(r_dense))
+        path = [forms[n + 1].fro(forms[n]) for n in range(m - 1)]
+        for n in range(m - 1):
+            assert abs(path[n] - np.linalg.norm(h[n + 1] - h[n])) <= tol * (
+                np.linalg.norm(h[n + 1]) + np.linalg.norm(h[n]))
+        assert log.comparator_loss_sum == left_fold(losses)
+        assert log.comparator_loss_max == max(losses)
+        assert log.comparator_path_sum == left_fold(path)
+        assert log.comparator_path_max == max(path)
+        assert log.hess_fro_first == forms[0].fro()
+        h_fro = np.linalg.norm(h[0])
+        assert abs(log.hess_fro_first - h_fro) <= tol * h_fro
 
     def test_episode_level_evaluates_no_hessian(self):
         spec, points = self.recording(catalog("cosine_mixture", 6))
@@ -499,6 +545,29 @@ class TestBoundedLog:
                                                   for budget in (240, 960))
             # 714 more steps; a per-step list would add kilobytes here
             assert large - small <= float_bytes * (k_large - k_small) + 1024, extra
+
+
+class TestFullAuditMemory:
+    """The full audit reads each Hessian as an O(d) form: at d = 1024 its
+    traced peak stays within 64 d floats of an unaudited run's.  Both hold
+    the learner's W, allocated once in ``init``; one dense H(z_n) is d^2
+    floats (8 MB) there."""
+
+    @staticmethod
+    def peak(spec, params, audit_level):
+        gc.collect()
+        tracemalloc.start()
+        try:
+            driver.run(spec, params, RngStream(0), audit_level=audit_level)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_full_peak_is_the_off_peak_plus_o_of_d(self):
+        spec = catalog("cosine_mixture", 1024)
+        params = compute_hyperparams(spec, 40)
+        off, full = (self.peak(spec, params, level) for level in ("off", "full"))
+        assert full - off <= 64 * spec.dim * 8, (off, full)
 
 
 class TestPsdCertificate:

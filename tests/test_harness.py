@@ -2,6 +2,7 @@ import contextlib
 import dataclasses
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -381,6 +382,39 @@ def _whole_stack_sum(spec, name, *args):
     return dataclasses.replace(spec, grad=grad)
 
 
+class _BrokenForm:
+    """A Hessian form that answers as ``form`` does but for one method,
+    while ``dense()``, the battery's reference, stays right."""
+
+    def __init__(self, form, broken):
+        self.form, self.broken = form, broken
+
+    def matvec(self, v):
+        if self.broken == "matvec":
+            return np.diag(self.dense()) * v  # the off-diagonal part dropped
+        return self.form.matvec(v)
+
+    def fro(self, other=None):
+        if other is None or self.broken != "fro":
+            return self.form.fro(None if other is None else other.form)
+        # |H - H'|_F^2 as |H|^2 + |H'|^2 - 2 <H, H'>: exact in exact
+        # arithmetic, cancelling to about 1e-8 |H|_F at near points
+        inner = float(np.sum(self.dense() * other.dense()))
+        return math.sqrt(max(self.form.fro() ** 2 + other.form.fro() ** 2 - 2.0 * inner, 0.0))
+
+    def dense(self):
+        return self.form.dense()
+
+
+def _broken_form(broken):
+    def corrupt(spec, name, *args):
+        if name != "coupled_trig":
+            return spec
+        hess_at = spec.hess_at
+        return dataclasses.replace(spec, hess_at=lambda x: _BrokenForm(hess_at(x), broken))
+    return corrupt
+
+
 @pytest.mark.parametrize("module,oracle,corrupt,battery,check", [
     (verify, "tr_solve",
      lambda sol, *args: dataclasses.replace(sol, delta_vec=0.5 * sol.delta_vec),
@@ -422,6 +456,10 @@ def _whole_stack_sum(spec, name, *args):
      verify.check_sep, "eig.sep.budget"),
     (verify, "catalog", _skewed, verify.check_problems, "problems.fd.coupled_trig"),
     (verify, "catalog", _whole_stack_sum, verify.check_problems, "problems.grad_rows"),
+    (verify, "catalog", _broken_form("matvec"), verify.check_problems,
+     "problems.structured_hessian"),
+    (verify, "catalog", _broken_form("fro"), verify.check_problems,
+     "problems.structured_hessian"),
     # a derived start product off by 1e-10 relative: err 4e-8 against 1e-13
     (driver, "daxpy", lambda res, *args: (1.0 + 1e-10) * res,
      verify.check_driver, "driver.start_product"),
@@ -436,7 +474,8 @@ def _whole_stack_sum(spec, name, *args):
         "stretched_lanczos_basis", "rounded_tridiagonal_eigenvalues", "low_eigenvalue",
         "high_ritz_value", "stretched_eigenvector", "top_refined_vector",
         "second_ritz_vector", "always_inside", "undercounted_matvecs",
-        "scaled_gradient", "whole_stack_sum", "skewed_start_product",
+        "scaled_gradient", "whole_stack_sum", "hessian_product_without_coupling",
+        "cancelling_hessian_difference", "skewed_start_product",
         "closed_form_without_cross_term", "closed_form_without_rounding_allowance"])
 def test_contract_battery_fails_on_a_broken_oracle(monkeypatch, module, oracle, corrupt,
                                                    battery, check):

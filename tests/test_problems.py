@@ -172,6 +172,48 @@ class TestFiniteDifferences:
         assert fd_check_hessian(spec, x, 1e-4) <= 1e-6
 
 
+def loop_rosenbrock_hessian(x):
+    """rosenbrock_local's dense Hessian as a loop over the chain's pairs."""
+    dim = x.size
+    h = np.zeros((dim, dim))
+    for i in range(dim - 1):
+        h[i, i] += 1200.0 * x[i] ** 2 - 400.0 * x[i + 1] + 2.0
+        h[i + 1, i + 1] += 200.0
+        h[i, i + 1] += -400.0 * x[i]
+        h[i + 1, i] += -400.0 * x[i]
+    return h
+
+
+class TestHessianForms:
+    """Each family states its Hessian once, as a structured form; its dense
+    ``hess`` keeps the bits it had when built entry by entry."""
+
+    @pytest.mark.parametrize("dim", [2, 3, 8])
+    def test_rosenbrock_dense_hessian_is_the_loop_bit_for_bit(self, dim):
+        # an array's ** 2 rounds unlike a scalar's at about 1 entry in 1,000,
+        # so thousands of points; a zero coordinate gives the loop's 0.0
+        spec = catalog("rosenbrock_local", dim)
+        rng = np.random.default_rng(dim)
+        points = rng.uniform(-2.0, 2.0, size=(4000, dim))
+        points[::7, 0] = 0.0
+        for x in [spec.x0, *points]:
+            assert spec.hess(x).tobytes() == loop_rosenbrock_hessian(x).tobytes(), x
+
+    def test_quadratic_holds_one_constant_form(self):
+        q_mat = np.asfortranarray([[2.0, 0.5], [0.5, 1.0]])
+        spec = quadratic_from_matrix(q_mat)
+        form = spec.hess_at(np.zeros(2))
+        assert spec.hess_at(np.ones(2)) is form
+        # its difference with itself is the bits of the sum over Q - Q
+        assert form.fro(form) == 0.0 and np.copysign(1.0, form.fro(form)) == 1.0
+        assert form.dense().flags.c_contiguous
+        np.testing.assert_array_equal(form.dense(), q_mat)
+        # the dense oracle still hands out a copy
+        h = spec.hess(np.zeros(2))
+        h[0, 0] = 7.0
+        assert form.dense()[0, 0] == 2.0
+
+
 class TestSampledLipschitz:
     def test_wide_instance(self):
         # verify.check_problems samples every family at d = 6; coupled_trig is
