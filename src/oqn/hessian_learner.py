@@ -59,7 +59,8 @@ class LearnerState:
     whether the last round was ``plain``: its B was W, W_next stayed in the
     Frobenius ball and ``sep`` answered inside, so B_next - B =
     rho (r s' + s r').  An operator read from the record describes W or B
-    only until the next round."""
+    only until the next round.  ``fro_radius`` is the Frobenius ball's
+    radius sqrt(d) L1, fixed for the run."""
 
     w_op: SymOperator
     sep: SepResult
@@ -67,6 +68,7 @@ class LearnerState:
     rho: float
     l1: float
     q_per_call: float
+    fro_radius: float
 
     @classmethod
     def fresh(cls, dim: int, l1: float, rho: float, q_per_call: float,
@@ -74,7 +76,7 @@ class LearnerState:
         zero = SymOperator(np.zeros((dim, dim), order="F"), counter, fro=0.0)
         inside = SepResult(0.0, np.zeros(dim), 0.0, l1, SepCase.INSIDE_DOUBLED, 0)
         return cls(w_op=zero, sep=inside, plain=False, rho=rho, l1=l1,
-                   q_per_call=q_per_call)
+                   q_per_call=q_per_call, fro_radius=math.sqrt(dim) * l1)
 
     @property
     def b_op(self) -> SymOperator:
@@ -129,7 +131,7 @@ def learner_step(state: LearnerState, r: NDArray, s: NDArray, rng: RngStream) ->
     w_op.update(state.rho, r, s, cross, limit=state.l1,
                 beta=-state.rho * tilt * played.sign / state.l1,
                 u=played.u if tilt > 0.0 else None)
-    projected = w_op.rescale(math.sqrt(state.dim) * state.l1)  # a bound is <= L1 <= radius
+    projected = w_op.rescale(state.fro_radius)  # a bound is <= L1 <= radius
 
     state.sep = sep(w_op, state.l1, state.q_per_call, rng)
     inside = state.sep.case is SepCase.INSIDE_DOUBLED

@@ -14,7 +14,11 @@ square input and keeps its upper triangle or, given the norm through
 ``fro=``, trusts a caller that already holds the triangle in this layout and
 its norm: then it costs no d x d pass at all.  Full symmetric matrices are
 only built on request, for the brute-force test oracles and audits.
-Counters are run-scoped objects owned by the caller, never globals.
+Counters are run-scoped objects owned by the caller, never globals.  An
+operator's ``dim`` (its triangle's order) and ``_is_view`` (scale != 1 or
+shift != 0) are slots fixed when ``__init__`` or ``shifted`` makes it, not
+properties: nothing changes a triangle's order, scale or shift afterwards,
+and ``apply`` reads both on every matvec.
 
 A build is also the matrix learner's W, and only this module writes its
 storage: ``update`` adds alpha (r s' + s r') by one ``dsyr2`` and maybe
@@ -148,7 +152,8 @@ class SymOperator:
     copy, check or norm pass.  Only a build is updated; views read its
     triangle."""
 
-    __slots__ = ("upper", "counter", "fro", "scale", "shift", "fro_slack", "fro_rounds")
+    __slots__ = ("upper", "counter", "fro", "scale", "shift", "fro_slack", "fro_rounds",
+                 "dim", "_is_view")
 
     def __init__(self, mat: NDArray, counter: Counter | None = None,
                  fro: float | None = None):
@@ -171,6 +176,7 @@ class SymOperator:
         self.counter = counter if counter is not None else Counter()
         self.scale, self.shift = 1.0, 0.0
         self.fro_slack, self.fro_rounds = 0.0, 0
+        self.dim, self._is_view = mat.shape[0], False
 
     def shifted(self, shift: float, scale: float = 1.0) -> SymOperator:
         """The view ``scale * self - shift * I``: same triangle, counter and
@@ -180,15 +186,9 @@ class SymOperator:
         view.upper, view.counter, view.fro = self.upper, self.counter, self.fro
         view.scale = float(scale) * self.scale
         view.shift = float(scale) * self.shift + float(shift)
+        view.dim = self.dim
+        view._is_view = view.scale != 1.0 or view.shift != 0.0
         return view
-
-    @property
-    def _is_view(self) -> bool:
-        return self.scale != 1.0 or self.shift != 0.0
-
-    @property
-    def dim(self) -> int:
-        return self.upper.shape[0]
 
     def apply(self, v: NDArray) -> NDArray:
         v = np.asarray(v, dtype=float)
@@ -200,7 +200,7 @@ class SymOperator:
         """``apply`` without its checks, one counted matvec, for a float
         vector of length ``dim``: ``eig``'s Lanczos steps call it on basis
         rows, which have that shape by construction."""
-        self.counter.tick()
+        self.counter.count += 1
         sv = dsymv(1.0, self.upper, v)
         if self._is_view:  # scale * sv - shift * v, in sv's own storage
             sv *= self.scale

@@ -301,7 +301,7 @@ def _cosine_mixture(dim: int, mu: float = 0.1) -> ObjectiveSpec:
     check_nonnegative("mu", mu)
 
     def value(x):
-        return float(np.sum(1.0 - np.cos(x)) + 0.5 * mu * (x @ x))
+        return float(np.add.reduce(1.0 - np.cos(x)) + 0.5 * mu * (x @ x))
 
     def grad(x):
         return np.sin(x) + mu * x
@@ -339,16 +339,16 @@ def _coupled_trig(dim: int, kappa: float = 0.2) -> ObjectiveSpec:
 
     def value(x):
         s = np.sin(x)
-        cross = 0.5 * (np.sum(s) ** 2 - np.sum(s**2))
-        return float(np.sum(1.0 - np.cos(x)) + kappa * cross)
+        cross = 0.5 * (np.add.reduce(s) ** 2 - np.add.reduce(s**2))
+        return float(np.add.reduce(1.0 - np.cos(x)) + kappa * cross)
 
     def grad(x):
         s = np.sin(x)
-        return s + kappa * np.cos(x) * (s.sum(axis=-1, keepdims=True) - s)
+        return s + kappa * np.cos(x) * (np.add.reduce(s, axis=-1, keepdims=True) - s)
 
     def hess_at(x):
         s, c = np.sin(x), np.cos(x)
-        return DiagonalOuterHessian(c - kappa * s * (s.sum() - s), c, kappa)
+        return DiagonalOuterHessian(c - kappa * s * (np.add.reduce(s) - s), c, kappa)
 
     l1 = 1.0 + 2.0 * kappa * (dim - 1)
     l2 = 1.0 + 2.0 * kappa * (dim - 1) + 2.0 * kappa * np.sqrt(dim - 1.0)
@@ -380,7 +380,7 @@ def _rosenbrock_local(dim: int, box: float = 2.0) -> ObjectiveSpec:
     check_positive("box", box)
 
     def value(x):
-        return float(np.sum(100.0 * (x[1:] - x[:-1] ** 2) ** 2 + (1.0 - x[:-1]) ** 2))
+        return float(np.add.reduce(100.0 * (x[1:] - x[:-1] ** 2) ** 2 + (1.0 - x[:-1]) ** 2))
 
     def grad(x):
         g = np.zeros_like(x)
@@ -393,13 +393,13 @@ def _rosenbrock_local(dim: int, box: float = 2.0) -> ObjectiveSpec:
     def hess_at(x):
         # pair i adds 1200 x_i^2 - 400 x_{i+1} + 2 to entry (i, i), 200 to
         # (i+1, i+1) and -400 x_i to both off it; + 0.0 makes -0.0 the 0.0
-        # that a sum started at zero gives.  x_i^2 is libm's pow, as for a
-        # scalar x_i ** 2 (float_power); an array's ** 2 multiplies, which
-        # rounds differently at about 1 point in 1,000
+        # that a sum started at zero gives.  x_i^2 is x_i * x_i, correctly
+        # rounded, as in ``value`` and ``grad``
+        head = x[:-1]
         diag = np.zeros(dim)
-        diag[:-1] = 1200.0 * np.float_power(x[:-1], 2) - 400.0 * x[1:] + 2.0
+        diag[:-1] = 1200.0 * (head * head) - 400.0 * x[1:] + 2.0
         diag[1:] += 200.0
-        return TridiagonalHessian(diag, -400.0 * x[:-1] + 0.0)
+        return TridiagonalHessian(diag, -400.0 * head + 0.0)
 
     x0 = np.ones(dim)
     x0[0::2] = -1.2

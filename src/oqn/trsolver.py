@@ -111,6 +111,15 @@ class TrustRegionSubproblem:
     that certifies there reads its residual from it and hands it back as
     ``TRSolution.a_delta``.  ``b`` is a vector of length ``a_op.dim``, and
     ``x_start`` and ``a_start`` have its shape (else InvalidArgument).
+
+    The driver builds its subproblem once per step through
+    ``_from_arrays``, which takes float arrays as they are, with no
+    ``np.asarray`` and no dataclass ``__init__``, and every field given.  It
+    runs the same checks with the same messages: b's shape against
+    (``a_op.dim``,), ``x_start``'s and ``a_start``'s against b's, and the
+    range test on ``radius``, ``delta`` and ``b_bound`` (positive and
+    finite) and ``q`` (in (0, 1)), which fires there when an overflow made
+    a bound infinite.
     """
 
     a_op: object
@@ -136,12 +145,37 @@ class TrustRegionSubproblem:
             raise InvalidArgument(f"x_start {self.x_start.shape} vs b {shape}")
         if self.a_start is not None and np.shape(self.a_start) != shape:
             raise InvalidArgument(f"a_start {np.shape(self.a_start)} vs b {shape}")
-        if not (0.0 < self.radius < math.inf and 0.0 < self.delta < math.inf
-                and 0.0 < self.b_bound < math.inf and 0.0 < self.q < 1.0):
-            # one is out of range: the shared checks name it
-            for name in ("radius", "delta", "b_bound"):
-                check_positive(name, getattr(self, name))
-            check_open_unit("q", self.q)
+        _check_scalars(self.radius, self.delta, self.q, self.b_bound)
+
+    @classmethod
+    def _from_arrays(cls, a_op, b: NDArray, radius: float, delta: float, q: float,
+                     b_bound: float, lam_min_lower: float, x_start: NDArray,
+                     a_start: NDArray) -> "TrustRegionSubproblem":
+        """The subproblem of float arrays ``b``, ``x_start`` and ``a_start``,
+        taken as they are; the class docstring lists its checks."""
+        shape = b.shape
+        if shape != (a_op.dim,):
+            raise InvalidArgument(f"b {shape} vs operator dim {a_op.dim}")
+        if x_start.shape != shape:
+            raise InvalidArgument(f"x_start {x_start.shape} vs b {shape}")
+        if a_start.shape != shape:
+            raise InvalidArgument(f"a_start {a_start.shape} vs b {shape}")
+        _check_scalars(radius, delta, q, b_bound)
+        p = cls.__new__(cls)
+        p.a_op, p.b, p.radius, p.delta, p.q = a_op, b, radius, delta, q
+        p.b_bound, p.lam_min_lower, p.x_start, p.a_start = b_bound, lam_min_lower, x_start, a_start
+        return p
+
+
+def _check_scalars(radius: float, delta: float, q: float, b_bound: float) -> None:
+    """A subproblem's range test: radius, delta and b_bound positive and
+    finite, q in (0, 1)."""
+    if not (0.0 < radius < math.inf and 0.0 < delta < math.inf
+            and 0.0 < b_bound < math.inf and 0.0 < q < 1.0):
+        # one is out of range: the shared checks name it
+        for name, value in (("radius", radius), ("delta", delta), ("b_bound", b_bound)):
+            check_positive(name, value)
+        check_open_unit("q", q)
 
 
 class TRBranch(Enum):

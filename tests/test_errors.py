@@ -4,6 +4,7 @@ family except where stated below."""
 
 import ast
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -191,6 +192,10 @@ def unlogged_audit():
      "^kappa must be nonnegative and finite, got -3.0"),
     (lambda: catalog("rosenbrock_local", 2, box=-1.0),
      "^box must be positive and finite, got -1.0"),
+    # 1/eta overflows, so the driver's first subproblem has an infinite bound
+    (lambda: driver.run(catalog("coupled_trig", 4), hyper(d_radius=0.1, eta=1e-310),
+                        RngStream(0)),
+     "^b_bound must be positive and finite, got inf"),
 ], ids=["fd_hessian_oracle", "d_radius", "eta", "delta_tr", "t_len", "k_eps",
         "p_fail_zero", "p_fail_one", "m_budget", "gap_bound", "audit_level", "run_method",
         "audit_without_log", "operator_not_square", "lanczos_zero_steps",
@@ -210,10 +215,26 @@ def unlogged_audit():
         "config_gd_budget_negative", "config_gd_budget_zero", "config_oqn_budget_negative",
         "config_budget_fraction", "bench_budgets_negative", "bench_seeds_negative",
         "config_p_fail_above_one", "config_p_fail_nan", "family_knob_mu",
-        "family_knob_kappa", "family_knob_box"])
+        "family_knob_kappa", "family_knob_box", "run_eta_subnormal"])
 def test_rejected_argument(call, message):
     with pytest.raises(InvalidArgument, match=message):
         call()
+
+
+@pytest.mark.parametrize("changed", [
+    dict(b=np.ones(3)), dict(x_start=np.ones(3)), dict(a_start=np.ones((2, 1))),
+    dict(radius=0.0), dict(delta=math.nan), dict(b_bound=math.inf), dict(q=1.0),
+], ids=["b", "x_start", "a_start", "radius", "delta", "b_bound", "q"])
+def test_driver_constructor_keeps_the_messages(changed):
+    # the driver's constructor checks what the dataclass checks, in its words
+    fields = dict(a_op=SymOperator(np.eye(2), Counter()), b=np.ones(2), radius=1.0,
+                  delta=1e-3, q=0.01, b_bound=1.0, lam_min_lower=0.0, x_start=np.zeros(2),
+                  a_start=np.zeros(2))
+    fields.update(changed)
+    with pytest.raises(InvalidArgument) as public:
+        TrustRegionSubproblem(**fields)
+    with pytest.raises(InvalidArgument, match=f"^{re.escape(str(public.value))}$"):
+        TrustRegionSubproblem._from_arrays(**fields)
 
 
 def test_three_error_types():

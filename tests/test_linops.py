@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 from scipy.linalg.blas import ddot, dsymv
 
 from conftest import stdout_per_blas_thread_count
+from oqn.eig import SepCase
 from oqn.errors import InvalidArgument
+from oqn.hessian_learner import LearnerState, default_rho, learner_step
 from oqn.linops import (
     DENSE_EIG_DIM_CAP,
     REDUCTION_BLOCK,
@@ -17,11 +19,14 @@ from oqn.linops import (
     dense_extreme_eig,
     sum_of_squares,
 )
+from oqn.rng import RngStream
 from oqn.verify import random_symmetric
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "oqn"
 # the BLAS kernels that write or read a build's storage in place
 STORAGE_KERNELS = {"dsymv", "dsyr", "dsyr2"}
+# a build's storage and norm, and the slots fixed when an operator is made
+STORAGE_ATTRIBUTES = {"upper", "fro", "dim", "_is_view"}
 
 
 def jacobi_eigenvalues(a, sweeps=100, tol=1e-14):
@@ -202,6 +207,41 @@ class TestViews:
         assert out.tobytes() == (view.scale * dsymv(1.0, op.upper, v)
                                  - view.shift * v).tobytes()
 
+    def test_dim_and_is_view_slots_keep_their_definitions(self, np_rng):
+        # fixed when an operator is made, each slot still reads as the
+        # property it replaced: the triangle's order, and (scale, shift)
+        # other than (1, 0)
+        def holds(op):
+            assert op.dim == op.upper.shape[0]
+            assert op._is_view == (op.scale != 1.0 or op.shift != 0.0)
+
+        d = 5
+        build = SymOperator(random_symmetric(np_rng, d))
+        trusted = SymOperator(np.zeros((d, d), order="F"), fro=0.0)
+        views = [build.shifted(0.0), build.shifted(0.3), build.shifted(0.0, scale=0.5),
+                 build.shifted(-2.0, scale=0.5).shifted(1.0),
+                 build.shifted(0.5).shifted(-0.5)]  # composes back to (1, 0)
+        assert [view._is_view for view in views] == [False, True, True, True, False]
+        for op in (build, trusted, *views):
+            holds(op)
+        r, s, u = (np_rng.standard_normal(d) for _ in range(3))
+        trusted.update(0.5, r, s, 0.0, limit=1e3, beta=-0.25, u=u)
+        holds(trusted)
+        assert trusted.rescale(0.1 * trusted.fro)
+        holds(trusted)
+        holds(trusted.shifted(0.2, scale=2.0))
+        # learner rounds at a small L1 separate and tilt
+        state = LearnerState.fresh(d, 0.05, default_rho(1.0), 0.01)
+        stream, tilted = RngStream(5), 0
+        for _ in range(60):
+            s = np_rng.standard_normal(d)
+            s /= np.linalg.norm(s)
+            tilted += state.sep.case is SepCase.SEPARATED
+            learner_step(state, np_rng.standard_normal(d) - state.b_mat @ s, s, stream)
+            holds(state.w_op)
+            holds(state.b_op)
+        assert tilted
+
 
 class TestDenseExtremeEig:
     def test_diagonal(self):
@@ -239,8 +279,8 @@ class TestDenseExtremeEig:
 
 def _storage_sites(tree, module):
     """(module, line, what) of every use of a storage kernel, imported or
-    read as an attribute, and of every assignment to an ``upper`` or
-    ``fro`` attribute, plain, augmented or annotated, tuples included."""
+    read as an attribute, and of every assignment to an attribute in
+    ``STORAGE_ATTRIBUTES``, plain, augmented or annotated, tuples included."""
     for node in ast.walk(tree):
         names = ()
         if isinstance(node, (ast.Import, ast.ImportFrom)):
@@ -255,14 +295,14 @@ def _storage_sites(tree, module):
                    else [])
         for target in targets:
             for leaf in ast.walk(target):
-                if isinstance(leaf, ast.Attribute) and leaf.attr in ("upper", "fro"):
+                if isinstance(leaf, ast.Attribute) and leaf.attr in STORAGE_ATTRIBUTES:
                     yield module, leaf.lineno, f".{leaf.attr} ="
 
 
 def test_only_linops_touches_the_storage():
     """W's triangle, its kernels and its stored norm have one home: outside
     ``linops.py`` no module imports ``dsymv``, ``dsyr`` or ``dsyr2`` or
-    assigns a ``SymOperator``'s ``upper`` or ``fro``."""
+    assigns a ``SymOperator``'s ``upper``, ``fro``, ``dim`` or ``_is_view``."""
     sites = {path.name: list(_storage_sites(ast.parse(path.read_text()), path.name))
              for path in sorted(SRC.glob("*.py"))}
     assert sites["linops.py"]  # the scan sees the home module's own writes

@@ -177,7 +177,7 @@ def loop_rosenbrock_hessian(x):
     dim = x.size
     h = np.zeros((dim, dim))
     for i in range(dim - 1):
-        h[i, i] += 1200.0 * x[i] ** 2 - 400.0 * x[i + 1] + 2.0
+        h[i, i] += 1200.0 * (x[i] * x[i]) - 400.0 * x[i + 1] + 2.0
         h[i + 1, i + 1] += 200.0
         h[i, i + 1] += -400.0 * x[i]
         h[i + 1, i] += -400.0 * x[i]
@@ -190,8 +190,9 @@ class TestHessianForms:
 
     @pytest.mark.parametrize("dim", [2, 3, 8])
     def test_rosenbrock_dense_hessian_is_the_loop_bit_for_bit(self, dim):
-        # an array's ** 2 rounds unlike a scalar's at about 1 entry in 1,000,
-        # so thousands of points; a zero coordinate gives the loop's 0.0
+        # libm's pow rounds unlike x * x at about 1 entry in 1,000, so
+        # thousands of points tell the square apart; a zero coordinate gives
+        # the loop's 0.0
         spec = catalog("rosenbrock_local", dim)
         rng = np.random.default_rng(dim)
         points = rng.uniform(-2.0, 2.0, size=(4000, dim))
@@ -212,6 +213,51 @@ class TestHessianForms:
         h = spec.hess(np.zeros(2))
         h[0, 0] = 7.0
         assert form.dense()[0, 0] == 2.0
+
+
+def sum_reference(name, kappa=0.2, mu=0.1):
+    """A family's value, gradient and Hessian diagonal (None where the
+    family's expression holds no sum) written with ``np.sum`` and ``.sum``,
+    as the catalog reduced before it called ``np.add.reduce`` directly."""
+    if name == "cosine_mixture":
+        return (lambda x: float(np.sum(1.0 - np.cos(x)) + 0.5 * mu * (x @ x)),
+                lambda x: np.sin(x) + mu * x, None)
+    if name == "coupled_trig":
+        def value(x):
+            s = np.sin(x)
+            return float(np.sum(1.0 - np.cos(x)) + kappa * 0.5 * (np.sum(s) ** 2 - np.sum(s**2)))
+
+        def grad(x):
+            s = np.sin(x)
+            return s + kappa * np.cos(x) * (s.sum(axis=-1, keepdims=True) - s)
+
+        def diag(x):
+            s = np.sin(x)
+            return np.cos(x) - kappa * s * (s.sum() - s)
+
+        return value, grad, diag
+    return (lambda x: float(np.sum(100.0 * (x[1:] - x[:-1] ** 2) ** 2 + (1.0 - x[:-1]) ** 2)),
+            None, None)
+
+
+class TestReductions:
+    @pytest.mark.parametrize("dim", [2, 3, 16, 128, 1024])
+    @pytest.mark.parametrize("name", ["cosine_mixture", "coupled_trig", "rosenbrock_local"])
+    def test_add_reduce_keeps_the_sum_bits(self, name, dim):
+        # value, gradient (of a point and of a (2, d) stack) and the
+        # Hessian's diagonal each keep the bits of the np.sum expressions
+        spec = catalog(name, dim)
+        value, grad, diag = sum_reference(name)
+        rng = np.random.default_rng(dim)
+        for _ in range(40):
+            x = rng.uniform(-3.0, 3.0, size=dim)
+            stack = rng.uniform(-3.0, 3.0, size=(2, dim))
+            assert spec.value(x).hex() == value(x).hex()
+            if grad is not None:
+                assert spec.grad(x).tobytes() == grad(x).tobytes()
+                assert spec.grad(stack).tobytes() == grad(stack).tobytes()
+            if diag is not None:
+                assert spec.hess_at(x).diag.tobytes() == diag(x).tobytes()
 
 
 class TestSampledLipschitz:
