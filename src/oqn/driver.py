@@ -38,12 +38,11 @@ and a step after any other round apply A.  A step therefore costs the
 solve's matvecs, plus one when it applied A, besides the learner's
 separation call, which is free when certified.
 
-Comparator ledger (``audit_level="full"``): each step takes the Hessian at
-z_n as a form (``ObjectiveSpec.hess_at``), or wraps the dense ``hess`` in a
-``DenseHessian`` when the spec states no form, and reads three things from
-it: the product H(z_{n-1}) s, |H(z_n) - H(z_{n-1})|_F and |H(z_1)|_F.  A
-catalog form holds O(d) data, so the full audit allocates no d x d matrix
-per step.
+Comparator ledger (``audit_level="full"``, on a spec that states
+``ObjectiveSpec.hess_at``): each step takes the Hessian at z_n as a form and
+reads three things from it: the product H(z_{n-1}) s,
+|H(z_n) - H(z_{n-1})|_F and |H(z_1)|_F.  A catalog form holds O(d) data, so
+the full audit allocates no d x d matrix per step.
 """
 
 from __future__ import annotations
@@ -62,7 +61,7 @@ from .hessian_learner import LearnerState, default_rho, learner_step
 # SymOperator is not built here any more; perfbench/tracing.py still wraps
 # oqn.driver.SymOperator by name, so the import stays
 from .linops import Counter, SymOperator  # noqa: F401
-from .problems import DenseHessian, ObjectiveSpec, eval_gradient
+from .problems import ObjectiveSpec, eval_gradient
 from .rng import RngStream
 from .trsolver import TRSolution, TrustRegionSubproblem, project_ball, tr_solve
 
@@ -305,8 +304,7 @@ def _advance(state: OqnState, spec: ObjectiveSpec, params: HyperParams, rng: Rng
     part and returns delta_{n+1}, delta_{n+1} - delta_n, the next hint and
     the step's result."""
     n = state.n + 1
-    ledger = log is not None and log.full and (spec.hess_at is not None
-                                                or spec.hess is not None)
+    ledger = log is not None and log.full and spec.hess_at is not None
     d_rad = params.d_radius
     delta_n = state.delta_vec
     half_delta = 0.5 * delta_n
@@ -340,7 +338,7 @@ def _advance(state: OqnState, spec: ObjectiveSpec, params: HyperParams, rng: Rng
             log.comparator_loss_max = _fold_max(log.comparator_loss_max, comp_loss)
 
     # local-constant problems: flag (never abort) iterates leaving the box
-    if spec.box is not None and float(np.max(np.abs(x_next))) > spec.box:
+    if spec.box is not None and np.maximum.reduce(np.abs(x_next)) > spec.box:
         state.totals["box_violations"] += 1
 
     delta_next, moved, hint_next, solved = move(state, params, rng, log, r, gz)
@@ -355,8 +353,7 @@ def _advance(state: OqnState, spec: ObjectiveSpec, params: HyperParams, rng: Rng
                                            margin + 1e-9 * (1.0 + abs(f_next)))
         log.f_last = f_next
     if ledger:
-        hess_z = (spec.hess_at(z_n) if spec.hess_at is not None
-                  else DenseHessian(spec.hess(z_n)))
+        hess_z = spec.hess_at(z_n)
         if state.hess_z_prev is None:
             log.hess_fro_first = hess_z.fro()
         else:
@@ -542,7 +539,7 @@ def run_gd(spec: ObjectiveSpec, params: GdParams,
             totals["stopped_early"] = True
             break
         x = x - params.step_size * g
-        if spec.box is not None and float(np.max(np.abs(x))) > spec.box:
+        if spec.box is not None and np.maximum.reduce(np.abs(x)) > spec.box:
             totals["box_violations"] += 1
     totals.update(gradients=counter.count, iterations=counter.count)
     grad_norm_final, w_hat = best

@@ -86,23 +86,9 @@ class LearnerState:
         return self.w_op.shifted(0.0, scale=1.0 / self.sep.gamma)
 
     @property
-    def dim(self) -> int:
-        return self.w_op.dim
-
-    @property
     def counter(self) -> Counter:
         """The run's matvec counter, which W's operator and its views tick."""
         return self.w_op.counter
-
-    @property
-    def b_mat(self) -> NDArray:
-        """Dense B, built on each read."""
-        return self.b_op.dense()
-
-    @property
-    def b_fro(self) -> float:
-        """|B|_F, an upper bound on the operator norm of B."""
-        return self.b_op.frobenius_norm()
 
 
 def default_rho(d_radius: float) -> float:

@@ -6,8 +6,8 @@ Every matrix the optimizer touches on its hot path is applied only through
 triangle, Fortran-ordered with a zero strict lower part, the layout the BLAS
 symmetric routines read: its ``apply`` is one ``dsymv``.  Its ``shifted``
 method makes the view ``scale * S - shift * I`` over the same triangle,
-counter and stored norm, whose Frobenius norm and trace follow in closed
-form; a view of a view composes into one (scale, shift) pair.  The driver's
+counter and stored norm, whose Frobenius norm follows in closed form; a
+view of a view composes into one (scale, shift) pair.  The driver's
 trust-region matrix B/2 + I/eta is such a view, and so is the solver's
 regularized A - lambda_hat I.  A build either symmetrizes and checks a full
 square input and keeps its upper triangle or, given the norm through
@@ -271,9 +271,6 @@ class SymOperator:
         sq = ((s * self.fro) ** 2 - 2.0 * s * t * float(np.trace(self.upper))
               + self.dim * t * t)
         return math.sqrt(max(sq, 0.0))
-
-    def trace(self) -> float:
-        return self.scale * float(np.trace(self.upper)) - self.shift * self.dim
 
 
 def dense_extreme_eig(op):

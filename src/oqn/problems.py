@@ -8,10 +8,9 @@ constructor's docstring).
 
 Each catalog family states its Hessian once, as a structured form of O(d)
 data (``hess_at``): ``DiagonalHessian``, ``DiagonalOuterHessian`` (a
-diagonal and kappa c c' off it) or ``TridiagonalHessian``; its dense
-``hess`` is the form's ``dense()``.  The quadratic holds one constant
-``DenseHessian``, and ``DenseHessian`` also wraps the dense ``hess`` of a
-spec that states no form.
+diagonal and kappa c c' off it) or ``TridiagonalHessian``.  The quadratic
+holds one constant ``DenseHessian``, the form a spec with only a dense
+Hessian H(x) states too: ``hess_at=lambda x: DenseHessian(H(x))``.
 """
 
 from __future__ import annotations
@@ -44,7 +43,7 @@ def hess_form_rtol(dim: int) -> float:
 
 class DenseHessian:
     """A Hessian held as its d x d matrix: the constant form of a quadratic,
-    and the wrapper of the dense ``hess`` of a spec with no ``hess_at``.
+    and the form of a spec that knows its Hessian only as a dense matrix.
     Its kernels are ``dgemv`` on H' (``trans=1``) and the blocked
     ``sum_of_squares`` over the entries in ``np.linalg.norm``'s order, so
     the bits do not depend on the BLAS thread count.  A form differenced
@@ -164,9 +163,9 @@ class ObjectiveSpec:
     """A smooth objective with gradient oracle and known constants.
 
     ``grad`` is the only oracle the optimizer may call; ``value`` and
-    ``hess`` are optional audit oracles.  ``l1`` and ``l2`` are gradient- and
-    Hessian-Lipschitz constants, global unless ``box`` is set, in which case
-    they are valid on the hypercube ``[-box, box]^dim``.
+    ``hess_at`` are optional audit oracles.  ``l1`` and ``l2`` are gradient-
+    and Hessian-Lipschitz constants, global unless ``box`` is set, in which
+    case they are valid on the hypercube ``[-box, box]^dim``.
 
     ``grad`` maps a point of shape (dim,) to its gradient.  ``grad_rows``
     declares more: that ``grad`` also maps a (k, dim) stack of points to
@@ -177,15 +176,15 @@ class ObjectiveSpec:
     ``X @ Q`` rounds unlike ``Q @ x`` (GEMM against GEMV), and on a square
     stack ``Q @ X`` returns a wrong answer without raising.
 
-    ``hess_at`` optionally states the Hessian in a structured form: it maps
-    a point to an object with ``matvec(v)`` (H v), ``fro(other=None)``
-    (|H|_F, or |H - H'|_F given the form H' of another point of the same
-    spec) and ``dense()`` (the d x d matrix).  A form computes a difference
+    ``hess_at`` states the Hessian in a structured form: it maps a point to
+    an object with ``matvec(v)`` (H v), ``fro(other=None)`` (|H|_F, or
+    |H - H'|_F given the form H' of another point of the same spec) and
+    ``dense()`` (the d x d matrix).  A form computes a difference
     from differences of its own data, never as a difference of two squared
     norms, and each answer agrees with dense linear algebra on ``dense()``
     within ``hess_form_rtol(dim)``.  The full audit's comparator ledger
-    reads the form when a spec states one, and otherwise wraps ``hess`` in a
-    ``DenseHessian``; a catalog family's ``hess`` is its form's ``dense()``.
+    reads the form, and runs only when a spec states one.  A spec with only
+    a dense Hessian H(x) states ``hess_at=lambda x: DenseHessian(H(x))``.
     """
 
     dim: int
@@ -195,7 +194,6 @@ class ObjectiveSpec:
     f_lower: float
     x0: NDArray
     value: Optional[Callable[[NDArray], float]] = None
-    hess: Optional[Callable[[NDArray], NDArray]] = None
     name: str = "custom"
     box: Optional[float] = None
     grad_rows: bool = False
@@ -267,7 +265,6 @@ def quadratic_from_matrix(q_mat: NDArray, x0: Optional[NDArray] = None) -> Objec
         dim=d,
         grad=lambda x: q_mat @ x,
         value=lambda x: 0.5 * float(x @ (q_mat @ x)),
-        hess=lambda x: q_mat.copy(),
         hess_at=lambda x: form,
         l1=float(max(evals[-1], 1e-12)),
         l2=0.0,
@@ -313,7 +310,6 @@ def _cosine_mixture(dim: int, mu: float = 0.1) -> ObjectiveSpec:
         dim=dim,
         grad=grad,
         value=value,
-        hess=lambda x: hess_at(x).dense(),
         l1=1.0 + mu,
         l2=1.0,
         f_lower=0.0,
@@ -356,7 +352,6 @@ def _coupled_trig(dim: int, kappa: float = 0.2) -> ObjectiveSpec:
         dim=dim,
         grad=grad,
         value=value,
-        hess=lambda x: hess_at(x).dense(),
         l1=l1,
         l2=l2,
         f_lower=-0.5 * kappa * dim * (dim - 1),
@@ -407,7 +402,6 @@ def _rosenbrock_local(dim: int, box: float = 2.0) -> ObjectiveSpec:
         dim=dim,
         grad=grad,
         value=value,
-        hess=lambda x: hess_at(x).dense(),
         l1=1200.0 * box**2 + 1200.0 * box + 202.0,
         l2=2400.0 * box + 1200.0,
         f_lower=0.0,
@@ -474,11 +468,11 @@ def fd_check_gradient(spec: ObjectiveSpec, x: NDArray, h: float = FD_GRAD_STEP) 
 
 def fd_check_hessian(spec: ObjectiveSpec, x: NDArray, h: float = FD_HESS_STEP) -> float:
     """Max abs error of the Hessian oracle against central differences of the gradient."""
-    if spec.hess is None:
+    if spec.hess_at is None:
         raise InvalidArgument("fd_check_hessian needs the Hessian oracle")
     check_positive("finite-difference step", h)
     x = np.asarray(x, dtype=float)
-    h_mat = spec.hess(x)
+    h_mat = spec.hess_at(x).dense()
     err = 0.0
     for j in range(spec.dim):
         e = np.zeros(spec.dim)

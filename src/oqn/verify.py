@@ -155,7 +155,7 @@ def check_problems(cfg):
             if dist == 0:
                 continue
             gd = np.linalg.norm(spec.grad(x) - spec.grad(y))
-            hd = np.linalg.norm(spec.hess(x) - spec.hess(y), ord=2)
+            hd = np.linalg.norm(spec.hess_at(x).dense() - spec.hess_at(y).dense(), ord=2)
             viol = max(viol, gd - spec.l1 * dist, hd - spec.l2 * dist)
         out.append(CheckResult(
             f"problems.lipschitz.{name}", viol <= 1e-9, f"violation={viol:.2e}"))
@@ -191,18 +191,14 @@ def _check_grad_rows(cfg):
 
 
 def _check_structured_hessian(cfg):
-    """Every family that declares ``hess_at``: at random points x, its
-    form's ``matvec``, ``fro()`` and ``fro(other)``, other at a random point
-    and at a point near x, against dense linear algebra on ``dense()``,
-    within ``hess_form_rtol``.  The detail is the worst error over that
-    bound."""
+    """Every family: at random points x, its ``hess_at`` form's ``matvec``,
+    ``fro()`` and ``fro(other)``, other at a random point and at a point
+    near x, against dense linear algebra on ``dense()``, within
+    ``hess_form_rtol``.  The detail is the worst error over that bound."""
     rng = np.random.default_rng(SEED)
-    declared, worst, failed = [], 0.0, []
+    worst, failed = 0.0, []
     points = cfg["pairs"] // 30
     for name in CATALOG_NAMES:
-        if catalog(name, 2, seed=11).hess_at is None:
-            continue
-        declared.append(name)
         for d in HESS_FORM_DIMS:
             spec = catalog(name, d, seed=11)
             lo, hi = (-spec.box, spec.box) if spec.box else (-3.0, 3.0)
@@ -226,8 +222,8 @@ def _check_structured_hessian(cfg):
                     failed.append(f"{name}@{d}")
                     break
     return CheckResult(
-        "problems.structured_hessian", bool(declared) and not failed,
-        f"families={','.join(declared)} dims={len(HESS_FORM_DIMS)} points={points} "
+        "problems.structured_hessian", not failed,
+        f"families={','.join(CATALOG_NAMES)} dims={len(HESS_FORM_DIMS)} points={points} "
         f"worst={worst:.2f} failed={','.join(failed) or 'none'}")
 
 
@@ -652,7 +648,7 @@ def check_learner(cfg):
             s = rng.standard_normal(d)
             s *= d_rad / max(np.linalg.norm(s), 1e-12)
             separated += state.sep.case is SepCase.SEPARATED  # the round's case
-            learner_step(state, y - state.b_mat @ s, s, stream)
+            learner_step(state, y - state.b_op.dense() @ s, s, stream)
             feas_ok = (feas_ok and np.linalg.norm(state.w_op.dense())
                        <= math.sqrt(d) * l1 + 1e-9)
             trusted_ok = trusted_ok and triangle_ok(state.w_op) and triangle_ok(state.b_op)

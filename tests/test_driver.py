@@ -16,8 +16,8 @@ from oqn.eig import lanczos_factorize, min_evec, sep, sep_budget
 from oqn.driver import HyperParams, compute_hyperparams
 from oqn.errors import InvalidArgument
 from oqn.linops import Counter, SymOperator
-from oqn.problems import (ObjectiveSpec, catalog, eval_gradient, hess_form_rtol,
-                          quadratic_from_matrix)
+from oqn.problems import (DenseHessian, ObjectiveSpec, catalog, eval_gradient,
+                          hess_form_rtol, quadratic_from_matrix)
 from oqn.rng import RngStream
 from oqn.trsolver import TrustRegionSubproblem, tr_solve
 
@@ -198,7 +198,8 @@ class TestStepHandTrace:
             driver.step(state, spec, params, rng)
             derived = state.totals["tr"]["start_products_derived"] > derived_before
             # the step's learner round played B before the solve
-            b, delta, gz, eta = state.b_state.b_mat, state.delta_vec, state.grad_z_prev, params.eta
+            b, delta = state.b_state.b_op.dense(), state.delta_vec
+            gz, eta = state.grad_z_prev, params.eta
             a_op = SymOperator(b, Counter()).shifted(-1.0 / eta, scale=0.5)
             rebuilt = gz + (a_op.apply(delta) - a_op.apply(delta_before)) \
                 - (delta - delta_before) / eta
@@ -314,7 +315,7 @@ class TestRun:
         spec = catalog("rosenbrock_local", 4, box=0.5)
         params = manual(0.05, 1e-4, 2, 2, delta_tr=1e-3)
         report = driver.run(spec, params, RngStream(0))
-        assert report.totals["box_violations"] > 0
+        assert report.totals["box_violations"] == 4
         assert report.totals["gradients"] == 2 * params.m_total + params.k_eps + 1
 
     def test_eps_target_early_exit(self):
@@ -363,7 +364,7 @@ class TestConversionSlack:
             dim=2, grad=lambda x: np.array([0.5 * x[0] ** 2 + 2.0 * x[0], x[1]]),
             l1=100.0, l2=1.0, f_lower=-1e3, x0=np.array([-2.0, 0.0]),
             value=lambda x: x[0] ** 3 / 6.0 + x[0] ** 2 + 0.5 * x[1] ** 2,
-            hess=lambda x: np.diag([x[0] + 2.0, 1.0]))
+            hess_at=lambda x: DenseHessian(np.diag([x[0] + 2.0, 1.0])))
 
     @pytest.mark.parametrize("d_radius", [0.5, 1.0])
     def test_cubic_attains_the_midpoint_bound(self, d_radius):
@@ -378,24 +379,22 @@ class TestConversionSlack:
 class TestComparatorLedger:
     """The dynamic-regret ledger is folded step by step: one Hessian at each
     z_n, the comparator loss when pair n closes, the path step once z_{n+1}
-    exists, and no per-step vectors kept.  It reads a spec's structured
-    form (``hess_at``) when it has one, and otherwise its dense ``hess``."""
+    exists, and no per-step vectors kept.  It reads a spec's Hessian form
+    (``hess_at``), a ``DenseHessian`` on a spec with a dense Hessian alone."""
 
     @staticmethod
-    def recording(base, oracles=("hess", "hess_at")):
-        """``base`` whose Hessian oracles named in ``oracles`` record each
-        point they are called at; the other one is None."""
+    def recording(base, dense=False):
+        """``base`` whose ``hess_at`` records each point it is called at;
+        with ``dense``, it wraps the form's ``dense()`` in a ``DenseHessian``,
+        as a spec with a dense Hessian alone states it."""
         points = []
 
-        def recorded(oracle):
-            def call(z):
-                points.append(z.copy())
-                return oracle(z)
-            return call
+        def hess_at(z):
+            points.append(z.copy())
+            form = base.hess_at(z)
+            return DenseHessian(form.dense()) if dense else form
 
-        return dataclasses.replace(base, **{
-            name: recorded(getattr(base, name)) if name in oracles else None
-            for name in ("hess", "hess_at")}), points
+        return dataclasses.replace(base, hess_at=hess_at), points
 
     LEDGER = ("comparator_loss_sum", "comparator_loss_max", "comparator_path_sum",
               "comparator_path_max", "hess_fro_first")
@@ -419,14 +418,14 @@ class TestComparatorLedger:
     def test_step_ledger_matches_dense_recomputation(self):
         # a spec with the dense Hessian alone
         base = catalog("cosine_mixture", 6)
-        spec, points = self.recording(base, ("hess",))
+        spec, points = self.recording(base, dense=True)
         params = compute_hyperparams(spec, 60)
         log, z_pts, trail = self.stepped(spec, params, 3)
         m = params.m_total
         assert len(points) == m
         for z_rec, z in zip(points, z_pts):
             np.testing.assert_array_equal(z_rec, z)
-        h = [base.hess(z) for z in z_pts]
+        h = [base.hess_at(z).dense() for z in z_pts]
         losses = []
         for n in range(m - 1):
             # pair n closes in step n+1: y = g_{n+1} - grad f(z_n), s = pending_s
@@ -444,10 +443,10 @@ class TestComparatorLedger:
             assert isinstance(getattr(log, f.name), (bool, float, type(None))), f.name
 
     def test_run_audit_sums_the_ledger(self):
-        # once through the dense Hessian alone, once through the form alone
-        for oracle in ("hess", "hess_at"):
+        # once through the dense Hessian alone, once through the form
+        for dense in (True, False):
             base = catalog("cosine_mixture", 6)
-            spec, points = self.recording(base, (oracle,))
+            spec, points = self.recording(base, dense)
             params = compute_hyperparams(spec, 60)
             report = driver.run(spec, params, RngStream(3), audit_level="full")
             log = report.log
@@ -467,10 +466,10 @@ class TestComparatorLedger:
 
     @pytest.mark.parametrize("name", ["cosine_mixture", "coupled_trig", "rosenbrock_local"])
     def test_step_ledger_folds_the_structured_terms(self, name):
-        # a catalog spec's form alone: the folds are the structured terms'
-        # bit for bit, each within hess_form_rtol of its dense recomputation
+        # a catalog spec's form: the folds are the structured terms' bit
+        # for bit, each within hess_form_rtol of its dense recomputation
         base = catalog(name, 6)
-        spec, points = self.recording(base, ("hess_at",))
+        spec, points = self.recording(base)
         params = compute_hyperparams(spec, 60)
         log, z_pts, trail = self.stepped(spec, params, 3)
         m = params.m_total
@@ -478,7 +477,7 @@ class TestComparatorLedger:
         for z_rec, z in zip(points, z_pts):
             np.testing.assert_array_equal(z_rec, z)
         forms = [base.hess_at(z) for z in z_pts]
-        h = [base.hess(z) for z in z_pts]
+        h = [form.dense() for form in forms]
         tol = hess_form_rtol(spec.dim)
         losses = []
         for n in range(m - 1):
@@ -873,7 +872,7 @@ class TestHintError:
 
         def spying_step(lstate, r, s, rng):
             # the round writes W in place, so the played B is read first
-            before, b = lstate.counter.count, lstate.b_mat
+            before, b = lstate.counter.count, lstate.b_op.dense()
             real_step(lstate, r, s, rng)
             spent = lstate.counter.count - before
             rounds.append((r.copy(), s, b, spent, lstate.sep))

@@ -77,7 +77,7 @@ def unlogged_audit():
 
 
 @pytest.mark.parametrize("call,message", [
-    (lambda: fd_check_hessian(spec_with(hess=None), np.ones(2)),
+    (lambda: fd_check_hessian(spec_with(hess_at=None), np.ones(2)),
      "fd_check_hessian needs the Hessian oracle"),
     (lambda: hyper(d_radius=0.0), "^d_radius must be positive and finite, got 0.0"),
     (lambda: hyper(eta=-1.0), "^eta must be positive and finite, got -1.0"),

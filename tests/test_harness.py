@@ -191,6 +191,19 @@ class TestBaselineGd:
         np.testing.assert_array_equal(out.w_hat, w_last)
         assert out.totals["gradients"] == out.totals["iterations"] == 60
 
+    def test_box_violations_counted_per_step(self):
+        # a step above 1/L1 overshoots the box of 0.5 for a few steps and
+        # comes back; the run flags each iterate outside, as a replay of the
+        # descent with max |x_i| taken by np.max counts them
+        spec = catalog("rosenbrock_local", 4, box=0.5)
+        assert 1e-3 > 1.0 / spec.l1
+        out = driver.run_gd(spec, driver.GdParams(step_size=1e-3, steps=50))
+        x, outside = spec.x0, 0
+        for _ in range(50):
+            x = x - 1e-3 * spec.grad(x)
+            outside += float(np.max(np.abs(x))) > spec.box
+        assert out.totals["box_violations"] == outside == 7
+
     def test_csv_is_header_only(self, tmp_path):
         # gradient descent closes no episode, so its CSV has no row
         cfg = harness.parse_config("problem=cosine_mixture\ndim=5\nmethod=gd_baseline\n"

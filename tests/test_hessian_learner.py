@@ -28,7 +28,7 @@ def e(i, d):
 
 def pair_step(state, y, s, rng):
     """One learner round on the loss pair (y, s), its residual formed densely."""
-    learner_step(state, y - state.b_mat @ s, s, rng)
+    learner_step(state, y - state.b_op.dense() @ s, s, rng)
 
 
 def state_at(w_op, sep_res=None, rho=1.0, l1=1e3):
@@ -100,7 +100,7 @@ class TestLearnerStep:
         state = LearnerState.fresh(3, 1.0, default_rho(1.0), 0.01)
         pair_step(state, np.array([1.0, 0.0, 0.0]), np.zeros(3), RngStream(0))
         np.testing.assert_allclose(state.w_op.dense(), 0.0)
-        np.testing.assert_allclose(state.b_mat, 0.0)
+        np.testing.assert_allclose(state.b_op.dense(), 0.0)
 
     def test_hand_worked_rank_one_update(self):
         # W = 0, y = s = e1, rho = 1/16: surrogate gradient -2 e1 e1',
@@ -137,8 +137,8 @@ class TestLearnerStep:
         assert state.b_op is not state.w_op and state.b_op.upper is state.w_op.upper
         assert triangle_ok(state.b_op)
         w_fro = np.linalg.norm(state.w_op.dense())
-        assert abs(state.b_fro - w_fro / gamma) <= FRO_RTOL * w_fro / gamma
-        np.testing.assert_allclose(state.b_mat, state.w_op.dense() / gamma, rtol=1e-15)
+        assert abs(state.b_op.frobenius_norm() - w_fro / gamma) <= FRO_RTOL * w_fro / gamma
+        np.testing.assert_allclose(state.b_op.dense(), state.w_op.dense() / gamma, rtol=1e-15)
 
     def test_rounds_write_one_triangle(self, np_rng):
         # a chain of rounds with a small ball, which project and separate,
@@ -158,7 +158,7 @@ class TestLearnerStep:
             if state.sep.case is SepCase.SEPARATED:
                 separated += 1
                 w = w_op.dense()
-                assert (np.linalg.norm(state.b_mat - w / state.sep.gamma)
+                assert (np.linalg.norm(state.b_op.dense() - w / state.sep.gamma)
                         <= FRO_RTOL * np.linalg.norm(w) / state.sep.gamma)
             else:
                 assert state.b_op is w_op
@@ -183,11 +183,11 @@ class TestLearnerStep:
         zero = SymOperator(np.zeros((d, d), order="F"), Counter(), fro=0.0)
         state = state_at(zero, sep_res=SepResult(gamma, np.zeros(d), 0.0, l1, case, 0),
                          rho=rho, l1=l1)
-        b_before = state.b_mat  # the round writes W, and so B, in place
+        b_before = state.b_op.dense()  # the round writes W, and so B, in place
         pair_step(state, y1 * e(0, d), e(0, d), RngStream(3))
         assert state.plain is plain
         if plain:
-            np.testing.assert_array_equal(state.b_mat - b_before,
+            np.testing.assert_array_equal(state.b_op.dense() - b_before,
                                           2.0 * rho * y1 * np.outer(e(0, d), e(0, d)))
 
     def test_frobenius_feasibility_along_run(self, np_rng):
@@ -200,7 +200,7 @@ class TestLearnerStep:
             pair_step(state, np_rng.standard_normal(d), s, stream)
             assert np.linalg.norm(state.w_op.dense()) <= np.sqrt(d) * l1 + 1e-9
             # played action stays inside the doubled operator-norm ball
-            assert np.linalg.norm(state.b_mat, ord=2) <= 2 * l1 + 1e-9
+            assert np.linalg.norm(state.b_op.dense(), ord=2) <= 2 * l1 + 1e-9
 
     def test_surrogate_dominates_true_regret(self, np_rng):
         # comparator inequality behind the dynamic-regret ledger
@@ -319,7 +319,7 @@ class TestRawKernelReplay:
             for _ in range(120):
                 s = np_rng.standard_normal(d)
                 s /= np.linalg.norm(s)
-                r = np_rng.standard_normal(d) - state.b_mat @ s
+                r = np_rng.standard_normal(d) - state.b_op.dense() @ s
                 played, tilt = state.sep, 0.0
                 if played.case is SepCase.SEPARATED:
                     tilt = max(0.0, 2.0 * ddot(r, dsymv(1.0 / played.gamma, upper, s)))
@@ -361,7 +361,7 @@ class TestRoundAllocation:
         s = np_rng.standard_normal(d) / np.sqrt(d)
         r = s + 0.1 * np_rng.standard_normal(d) / np.sqrt(d)
         if case is SepCase.SEPARATED:  # the tilt's dsyr will run
-            assert float(r @ state.b_mat @ s) > 0.0
+            assert float(r @ state.b_op.dense() @ s) > 0.0
         # d-vectors and small objects, measured about 10 KB
         slack = 64 * 1024
         tracemalloc.start()
@@ -420,8 +420,8 @@ def assert_matches(state, ref):
     learner's word."""
     scale = max(np.linalg.norm(ref.w), 1.0)
     assert np.linalg.norm(state.w_op.dense() - ref.w) <= REF_RTOL * scale
-    assert np.linalg.norm(state.b_mat - ref.b_op.dense()) <= REF_RTOL * scale
-    assert abs(state.b_fro - ref.b_op.frobenius_norm()) <= REF_RTOL * scale
+    assert np.linalg.norm(state.b_op.dense() - ref.b_op.dense()) <= REF_RTOL * scale
+    assert abs(state.b_op.frobenius_norm() - ref.b_op.frobenius_norm()) <= REF_RTOL * scale
     assert triangle_ok(state.w_op) and triangle_ok(state.b_op)
     assert state.sep.gamma == pytest.approx(ref.gamma, rel=REF_RTOL, abs=REF_RTOL)
 
@@ -453,7 +453,7 @@ class TestDenseReference:
 
         def checked_step(state, r, s, rng):
             if not refs:
-                refs.append(DenseReference(state.dim, state.l1, state.rho,
+                refs.append(DenseReference(state.w_op.dim, state.l1, state.rho,
                                            state.q_per_call))
             ref_rng = copy.deepcopy(rng)
             rounds.append(state.sep.case)
@@ -478,7 +478,7 @@ class TestDenseReference:
         for _ in range(120):
             s = np_rng.standard_normal(d)
             s /= np.linalg.norm(s)
-            r = np_rng.standard_normal(d) - state.b_mat @ s
+            r = np_rng.standard_normal(d) - state.b_op.dense() @ s
             separated += state.sep.case is SepCase.SEPARATED
             learner_step(state, r, s, stream)
             ref.round(r, s, ref_stream)

@@ -1,4 +1,6 @@
+import ast
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +18,8 @@ from oqn.problems import (
     fd_check_hessian,
     quadratic_from_matrix,
 )
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "oqn"
 
 class TestEvalGradient:
     def test_identity_quadratic(self):
@@ -159,7 +163,7 @@ class TestFiniteDifferences:
         # symbolic second derivative: cos(0) + mu on the diagonal
         mu = 0.1
         spec = catalog("cosine_mixture", 4, mu=mu)
-        np.testing.assert_allclose(spec.hess(np.zeros(4)),
+        np.testing.assert_allclose(spec.hess_at(np.zeros(4)).dense(),
                                    np.diag(np.full(4, 1.0 + mu)), atol=1e-14)
         assert fd_check_hessian(spec, np.zeros(4), 1e-4) <= 1e-6
 
@@ -167,7 +171,7 @@ class TestFiniteDifferences:
         # off-diagonal entries are kappa*cos(x_i)*cos(x_j), zero at pi/2
         spec = catalog("coupled_trig", 2, kappa=0.3)
         x = np.array([np.pi / 2, np.pi / 2])
-        h = spec.hess(x)
+        h = spec.hess_at(x).dense()
         assert abs(h[0, 1]) <= 1e-15
         assert fd_check_hessian(spec, x, 1e-4) <= 1e-6
 
@@ -185,8 +189,8 @@ def loop_rosenbrock_hessian(x):
 
 
 class TestHessianForms:
-    """Each family states its Hessian once, as a structured form; its dense
-    ``hess`` keeps the bits it had when built entry by entry."""
+    """Each family states its Hessian once, as a structured form; the form's
+    ``dense()`` keeps the bits the matrix had when built entry by entry."""
 
     @pytest.mark.parametrize("dim", [2, 3, 8])
     def test_rosenbrock_dense_hessian_is_the_loop_bit_for_bit(self, dim):
@@ -198,7 +202,8 @@ class TestHessianForms:
         points = rng.uniform(-2.0, 2.0, size=(4000, dim))
         points[::7, 0] = 0.0
         for x in [spec.x0, *points]:
-            assert spec.hess(x).tobytes() == loop_rosenbrock_hessian(x).tobytes(), x
+            dense = spec.hess_at(x).dense()
+            assert dense.tobytes() == loop_rosenbrock_hessian(x).tobytes(), x
 
     def test_quadratic_holds_one_constant_form(self):
         q_mat = np.asfortranarray([[2.0, 0.5], [0.5, 1.0]])
@@ -209,10 +214,17 @@ class TestHessianForms:
         assert form.fro(form) == 0.0 and np.copysign(1.0, form.fro(form)) == 1.0
         assert form.dense().flags.c_contiguous
         np.testing.assert_array_equal(form.dense(), q_mat)
-        # the dense oracle still hands out a copy
-        h = spec.hess(np.zeros(2))
-        h[0, 0] = 7.0
-        assert form.dense()[0, 0] == 2.0
+
+    def test_hess_at_is_the_one_hessian_oracle(self):
+        # no module reads a ``.hess`` attribute or passes ``hess=``, and a
+        # spec takes no such field
+        sites = [(path.name, node.lineno)
+                 for path in sorted(SRC.glob("*.py"))
+                 for node in ast.walk(ast.parse(path.read_text()))
+                 if (isinstance(node, ast.Attribute) and node.attr == "hess")
+                 or (isinstance(node, ast.keyword) and node.arg == "hess")]
+        assert sites == []
+        assert "hess" not in {f.name for f in dataclasses.fields(ObjectiveSpec)}
 
 
 def sum_reference(name, kappa=0.2, mu=0.1):
@@ -271,7 +283,8 @@ class TestSampledLipschitz:
             y = rng.uniform(-3, 3, size=40)
             dist = np.linalg.norm(x - y)
             assert np.linalg.norm(spec.grad(x) - spec.grad(y)) <= spec.l1 * dist + 1e-9
-            hess_gap = np.linalg.norm(spec.hess(x) - spec.hess(y), ord=2)
+            h_x, h_y = spec.hess_at(x).dense(), spec.hess_at(y).dense()
+            hess_gap = np.linalg.norm(h_x - h_y, ord=2)
             assert hess_gap <= spec.l2 * dist + 1e-9
 
 
