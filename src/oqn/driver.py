@@ -433,7 +433,7 @@ def _solve(state: OqnState, params: HyperParams, rng: RngStream, log: Optional[S
     b_bound = max(m, 1.0 / eta + 0.5 * m)
     lam_min_lower = 1.0 / eta - 0.5 * b_fro
     # positional: keyword arguments cost about 0.5 us a call here
-    problem = TrustRegionSubproblem._from_arrays(
+    problem = TrustRegionSubproblem(
         a_op, b_vec, d_rad, params.delta_tr, state.b_state.q_per_call, b_bound,
         lam_min_lower, delta_n, a_delta)
     sol = tr_solve(problem, rng)

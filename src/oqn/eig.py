@@ -18,9 +18,8 @@ views of that array.
 A step's recurrence works in place on the fresh product the operator
 returns: the two three-term subtractions are BLAS ``daxpy`` calls and the
 full reorthogonalization is one ``w -= (Q w) Q`` over the rows written so
-far.  The product is ``SymOperator._product``, ``apply`` without its shape
-check, since a basis row has the operator's dimension by construction; it
-counts its matvec all the same.
+far.  The product is the operator's ``apply``, one counted matvec on a
+basis row, which is a float array of the operator's dimension.
 
 Each probe solves its tridiagonal once: ``min_evec``'s stage 1 and ``sep``
 each take one LAPACK ``?stevd`` call with vectors through
@@ -128,7 +127,6 @@ def lanczos_factorize(op, v1: NDArray, n_steps: int) -> LanczosFactorization:
     Stops early on breakdown (beta below ``1e-12 * |A|_F``), recording where.
     Uses exactly min(n_steps, breakdown index) matvecs.
     """
-    v1 = np.asarray(v1, dtype=float)
     norm = math.sqrt(ddot(v1, v1))
     if abs(norm - 1.0) > 1e-12:
         raise InvalidArgument(f"|v1| = {norm!r}, need a unit start")
@@ -155,10 +153,8 @@ def lanczos_extend(fact: LanczosFactorization, op, n_steps_total: int) -> Lanczo
     basis = fact.basis
     while k < n_steps_total:
         v_k = basis[k]
-        # the product is a fresh array, so the recurrence updates it in
-        # place; a row has the operator's dimension, so apply's checks are
-        # skipped
-        w = op._product(v_k)
+        # the product is a fresh array, so the recurrence updates it in place
+        w = op.apply(v_k)
         if k > 0:
             w = daxpy(basis[k - 1], w, a=-fact.betas[-1])
         alpha = ddot(w, v_k)

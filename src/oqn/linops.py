@@ -20,6 +20,12 @@ shift != 0) are slots fixed when ``__init__`` or ``shifted`` makes it, not
 properties: nothing changes a triangle's order, scale or shift afterwards,
 and ``apply`` reads both on every matvec.
 
+``apply`` tests its vector's shape and converts nothing: every vector the
+package forms is already a float array, and a non-array is rejected.  The
+trust-region solve and the Lanczos oracles read an operator through five
+names only, ``dim``, ``counter``, ``apply``, ``shifted`` and
+``frobenius_norm``, so another operator type needs no more.
+
 A build is also the matrix learner's W, and only this module writes its
 storage: ``update`` adds alpha (r s' + s r') by one ``dsyr2`` and maybe
 beta u u' by one ``dsyr``, ``rescale`` scales it onto a Frobenius ball, and
@@ -191,15 +197,10 @@ class SymOperator:
         return view
 
     def apply(self, v: NDArray) -> NDArray:
-        v = np.asarray(v, dtype=float)
-        if v.shape != (self.dim,):
-            raise InvalidArgument(f"vector shape {v.shape} vs operator dim {self.dim}")
-        return self._product(v)
-
-    def _product(self, v: NDArray) -> NDArray:
-        """``apply`` without its checks, one counted matvec, for a float
-        vector of length ``dim``: ``eig``'s Lanczos steps call it on basis
-        rows, which have that shape by construction."""
+        """One counted matvec, for an array ``v`` of shape (``dim``,), taken
+        as it is: a list or other non-array is rejected, not converted."""
+        if (shape := getattr(v, "shape", None)) != (self.dim,):
+            raise InvalidArgument(f"vector shape {shape} vs operator dim {self.dim}")
         self.counter.count += 1
         sv = dsymv(1.0, self.upper, v)
         if self._is_view:  # scale * sv - shift * v, in sv's own storage

@@ -194,7 +194,6 @@ class ObjectiveSpec:
     f_lower: float
     x0: NDArray
     value: Optional[Callable[[NDArray], float]] = None
-    name: str = "custom"
     box: Optional[float] = None
     grad_rows: bool = False
     hess_at: Optional[Callable[[NDArray], object]] = None
@@ -252,15 +251,29 @@ def eval_gradient(spec: ObjectiveSpec, x: NDArray, counter: Counter) -> NDArray:
 
 
 def quadratic_from_matrix(q_mat: NDArray, x0: Optional[NDArray] = None) -> ObjectiveSpec:
-    """Spec for f(x) = x'Qx/2 with Q symmetric PSD; l1 = lambda_max(Q), l2 = 0."""
+    """Spec for f(x) = x'Qx/2 with Q symmetric PSD; l1 = lambda_max(Q), l2 = 0.
+
+    Q must be finite, square and symmetric to SymOperator's tolerance,
+    |Q - Q'|_F <= 1e-10 |Q|_F; the spec holds its symmetric part
+    (Q + Q')/2, Q itself bit for bit when Q is exactly symmetric, read-only,
+    since ``hess_at`` hands it out."""
     q_mat = np.asarray(q_mat, dtype=float)
+    if q_mat.ndim != 2 or q_mat.shape[0] != q_mat.shape[1]:
+        raise InvalidArgument(
+            f"quadratic catalog requires a square matrix, got shape {q_mat.shape}")
+    if not np.isfinite(q_mat).all():
+        raise InvalidArgument("quadratic catalog requires a finite matrix")
+    if np.linalg.norm(q_mat - q_mat.T) > 1e-10 * np.linalg.norm(q_mat):
+        raise InvalidArgument("quadratic catalog requires a symmetric matrix")
+    q_mat = 0.5 * (q_mat + q_mat.T)  # a fresh C-ordered array
+    q_mat.flags.writeable = False
     d = q_mat.shape[0]
     evals = np.linalg.eigvalsh(q_mat)
     if evals[0] < -1e-12 * max(1.0, evals[-1]):
         raise InvalidArgument("quadratic catalog requires a PSD matrix")
     if x0 is None:
         x0 = np.ones(d)
-    form = DenseHessian(q_mat.copy())  # one C-ordered copy, never written
+    form = DenseHessian(q_mat)
     return ObjectiveSpec(
         dim=d,
         grad=lambda x: q_mat @ x,
@@ -270,7 +283,6 @@ def quadratic_from_matrix(q_mat: NDArray, x0: Optional[NDArray] = None) -> Objec
         l2=0.0,
         f_lower=0.0,
         x0=x0,
-        name="quadratic",
     )
 
 
@@ -314,7 +326,6 @@ def _cosine_mixture(dim: int, mu: float = 0.1) -> ObjectiveSpec:
         l2=1.0,
         f_lower=0.0,
         x0=np.full(dim, 0.5 * np.pi),
-        name="cosine_mixture",
         grad_rows=True,
         hess_at=hess_at,
     )
@@ -356,7 +367,6 @@ def _coupled_trig(dim: int, kappa: float = 0.2) -> ObjectiveSpec:
         l2=l2,
         f_lower=-0.5 * kappa * dim * (dim - 1),
         x0=np.full(dim, 0.5 * np.pi),
-        name="coupled_trig",
         grad_rows=True,
         hess_at=hess_at,
     )
@@ -406,7 +416,6 @@ def _rosenbrock_local(dim: int, box: float = 2.0) -> ObjectiveSpec:
         l2=2400.0 * box + 1200.0,
         f_lower=0.0,
         x0=x0,
-        name="rosenbrock_local",
         box=box,
         grad_rows=True,
         hess_at=hess_at,

@@ -91,7 +91,7 @@ SECULAR_RTOL = 4.0 * np.finfo(float).eps
 SECULAR_MAX_ITERS = 100
 
 
-@dataclass
+@dataclass(init=False)
 class TrustRegionSubproblem:
     """min over the ball of radius D of  0.5 x'Ax + b'x, to accuracy delta.
 
@@ -109,17 +109,15 @@ class TrustRegionSubproblem:
     uses it in place of its first matvec when it starts at ``x_start``
     itself (shifted by lambda_hat on the regularized branch), and a probe
     that certifies there reads its residual from it and hands it back as
-    ``TRSolution.a_delta``.  ``b`` is a vector of length ``a_op.dim``, and
-    ``x_start`` and ``a_start`` have its shape (else InvalidArgument).
+    ``TRSolution.a_delta``.
 
-    The driver builds its subproblem once per step through
-    ``_from_arrays``, which takes float arrays as they are, with no
-    ``np.asarray`` and no dataclass ``__init__``, and every field given.  It
-    runs the same checks with the same messages: b's shape against
-    (``a_op.dim``,), ``x_start``'s and ``a_start``'s against b's, and the
-    range test on ``radius``, ``delta`` and ``b_bound`` (positive and
-    finite) and ``q`` (in (0, 1)), which fires there when an overflow made
-    a bound infinite.
+    The one constructor keeps ``b``, ``x_start`` and ``a_start`` as given,
+    with no copy or conversion, and the driver calls it positionally.  It
+    checks that ``b`` is an array of shape (``a_op.dim``,) and ``x_start``
+    and ``a_start`` arrays of b's shape, so a list or other non-array is
+    rejected, and that ``radius``, ``delta`` and ``b_bound`` are positive
+    and finite and ``q`` in (0, 1), which fires when an overflow made a
+    bound infinite; all as InvalidArgument.
     """
 
     a_op: object
@@ -132,50 +130,27 @@ class TrustRegionSubproblem:
     x_start: Optional[NDArray] = None
     a_start: Optional[NDArray] = None
 
-    def __post_init__(self):
-        self.b = np.asarray(self.b, dtype=float)
-        shape = self.b.shape
-        if shape != (self.a_op.dim,):
-            raise InvalidArgument(f"b {shape} vs operator dim {self.a_op.dim}")
-        if self.x_start is None:
-            self.x_start = np.zeros(shape)
-        else:
-            self.x_start = np.asarray(self.x_start, dtype=float)
-        if self.x_start.shape != shape:
-            raise InvalidArgument(f"x_start {self.x_start.shape} vs b {shape}")
-        if self.a_start is not None and np.shape(self.a_start) != shape:
-            raise InvalidArgument(f"a_start {np.shape(self.a_start)} vs b {shape}")
-        _check_scalars(self.radius, self.delta, self.q, self.b_bound)
-
-    @classmethod
-    def _from_arrays(cls, a_op, b: NDArray, radius: float, delta: float, q: float,
-                     b_bound: float, lam_min_lower: float, x_start: NDArray,
-                     a_start: NDArray) -> "TrustRegionSubproblem":
-        """The subproblem of float arrays ``b``, ``x_start`` and ``a_start``,
-        taken as they are; the class docstring lists its checks."""
-        shape = b.shape
+    def __init__(self, a_op, b: NDArray, radius: float, delta: float, q: float,
+                 b_bound: float, lam_min_lower: float = -math.inf,
+                 x_start: Optional[NDArray] = None, a_start: Optional[NDArray] = None):
+        shape = getattr(b, "shape", None)
         if shape != (a_op.dim,):
             raise InvalidArgument(f"b {shape} vs operator dim {a_op.dim}")
-        if x_start.shape != shape:
-            raise InvalidArgument(f"x_start {x_start.shape} vs b {shape}")
-        if a_start.shape != shape:
-            raise InvalidArgument(f"a_start {a_start.shape} vs b {shape}")
-        _check_scalars(radius, delta, q, b_bound)
-        p = cls.__new__(cls)
-        p.a_op, p.b, p.radius, p.delta, p.q = a_op, b, radius, delta, q
-        p.b_bound, p.lam_min_lower, p.x_start, p.a_start = b_bound, lam_min_lower, x_start, a_start
-        return p
-
-
-def _check_scalars(radius: float, delta: float, q: float, b_bound: float) -> None:
-    """A subproblem's range test: radius, delta and b_bound positive and
-    finite, q in (0, 1)."""
-    if not (0.0 < radius < math.inf and 0.0 < delta < math.inf
-            and 0.0 < b_bound < math.inf and 0.0 < q < 1.0):
-        # one is out of range: the shared checks name it
-        for name, value in (("radius", radius), ("delta", delta), ("b_bound", b_bound)):
-            check_positive(name, value)
-        check_open_unit("q", q)
+        if x_start is None:
+            x_start = np.zeros(shape)
+        elif (got := getattr(x_start, "shape", None)) != shape:
+            raise InvalidArgument(f"x_start {got} vs b {shape}")
+        if a_start is not None and (got := getattr(a_start, "shape", None)) != shape:
+            raise InvalidArgument(f"a_start {got} vs b {shape}")
+        if not (0.0 < radius < math.inf and 0.0 < delta < math.inf
+                and 0.0 < b_bound < math.inf and 0.0 < q < 1.0):
+            # one is out of range: the shared checks name it
+            for name, value in (("radius", radius), ("delta", delta), ("b_bound", b_bound)):
+                check_positive(name, value)
+            check_open_unit("q", q)
+        self.a_op, self.b, self.radius, self.delta, self.q = a_op, b, radius, delta, q
+        self.b_bound, self.lam_min_lower = b_bound, lam_min_lower
+        self.x_start, self.a_start = x_start, a_start
 
 
 class TRBranch(Enum):
@@ -234,7 +209,6 @@ def residual_of(a_op, b: NDArray, d_radius: float, delta_vec: NDArray,
     closed-form multiple of ``delta_vec`` itself.  With ``with_product`` the
     result is ``(residual, A delta_vec)``, the product the residual read.
     """
-    delta_vec = np.asarray(delta_vec, dtype=float)
     norm = math.sqrt(ddot(delta_vec, delta_vec))
     if not _in_ball(norm, d_radius):
         raise InvalidArgument(f"|delta| = {norm!r} exceeds radius {d_radius!r}")
@@ -258,8 +232,7 @@ def fista(a_psd, b: NDArray, d_radius: float, lg: float, n_iters: int, x_start: 
     Requires ``a_psd`` PSD (up to the caller's certificate) and
     ``lg >= lambda_max``; delivers the standard 1/(N+1)^2 objective-gap rate.
     """
-    x = np.asarray(x_start, dtype=float)
-    y = x
+    x = y = x_start
     t = 1.0
     for _ in range(n_iters):
         grad = a_psd.apply(y) + b
@@ -301,7 +274,7 @@ def fista_probe(a_psd, b: NDArray, d_radius: float, lg: float, n_iters: int,
     steps, ``ax`` the product of ``a_psd`` with ``x`` that the residual read,
     or ``(None, n_iters, None, None)`` when none certified.
     """
-    x = np.asarray(x_start, dtype=float)
+    x = x_start
     norm = math.sqrt(ddot(x, x))
     if _in_ball(norm, d_radius):
         ax = a_start if a_start is not None else a_psd.apply(x)
@@ -353,8 +326,7 @@ def sfg(a_psd, b: NDArray, d_radius: float, lg: float, n_iters: int, x_start: ND
     if n_iters < 2:
         raise InvalidArgument("the terminal step needs two prior iterates")
     n = n_iters
-    x = np.asarray(x_start, dtype=float)
-    y = x
+    x = y = x_start
     for k in range(n):
         grad = a_psd.apply(y) + b
         x_next = project_ball(y - grad / (4.0 * lg), d_radius)

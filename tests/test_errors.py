@@ -106,6 +106,12 @@ def unlogged_audit():
     (lambda: spec_with(l2=-1.0), "^l2 must be nonnegative and finite, got -1.0"),
     (lambda: quadratic_from_matrix(np.diag([1.0, -1.0])),
      "quadratic catalog requires a PSD matrix"),
+    (lambda: quadratic_from_matrix(np.ones((2, 3))),
+     re.escape("quadratic catalog requires a square matrix, got shape (2, 3)")),
+    (lambda: quadratic_from_matrix(np.array([[2.0, 1.0], [0.0, 1.0]])),
+     "quadratic catalog requires a symmetric matrix"),
+    (lambda: quadratic_from_matrix(np.diag([1.0, math.nan])),
+     "quadratic catalog requires a finite matrix"),
     (lambda: subproblem(radius=0.0), "^radius must be positive and finite, got 0.0"),
     (lambda: subproblem(delta=0.0), "^delta must be positive and finite, got 0.0"),
     (lambda: subproblem(q=0.0), r"^q must be in \(0,1\), got 0.0"),
@@ -200,7 +206,8 @@ def unlogged_audit():
         "p_fail_zero", "p_fail_one", "m_budget", "gap_bound", "audit_level", "run_method",
         "audit_without_log", "operator_not_square", "lanczos_zero_steps",
         "lanczos_steps_above_dim", "spec_dim", "spec_x0_shape", "catalog_dim", "spec_l1",
-        "spec_l2", "quadratic_not_psd", "tr_radius", "tr_delta", "tr_q_zero", "tr_q_one",
+        "spec_l2", "quadratic_not_psd", "quadratic_not_square",
+        "quadratic_not_symmetric", "quadratic_nan", "tr_radius", "tr_delta", "tr_q_zero", "tr_q_one",
         "config_method", "config_audit", "gd_step_size", "d_radius_nan", "eta_inf",
         "t_len_fraction", "manual_config_nan", "rho_radius_nan", "tr_radius_nan",
         "tr_b_bound_nan", "tr_b_bound_inf", "tr_b_nan", "spec_l1_nan", "sep_l1_nan",
@@ -221,20 +228,41 @@ def test_rejected_argument(call, message):
         call()
 
 
-@pytest.mark.parametrize("changed", [
-    dict(b=np.ones(3)), dict(x_start=np.ones(3)), dict(a_start=np.ones((2, 1))),
-    dict(radius=0.0), dict(delta=math.nan), dict(b_bound=math.inf), dict(q=1.0),
+@pytest.mark.parametrize("changed,message", [
+    (dict(b=np.ones(3)), "b (3,) vs operator dim 2"),
+    (dict(x_start=np.ones(3)), "x_start (3,) vs b (2,)"),
+    (dict(a_start=np.ones((2, 1))), "a_start (2, 1) vs b (2,)"),
+    (dict(radius=0.0), "radius must be positive and finite, got 0.0"),
+    (dict(delta=math.nan), "delta must be positive and finite, got nan"),
+    (dict(b_bound=math.inf), "b_bound must be positive and finite, got inf"),
+    (dict(q=1.0), "q must be in (0,1), got 1.0"),
 ], ids=["b", "x_start", "a_start", "radius", "delta", "b_bound", "q"])
-def test_driver_constructor_keeps_the_messages(changed):
-    # the driver's constructor checks what the dataclass checks, in its words
+def test_driver_constructor_keeps_the_messages(changed, message):
+    # the one constructor, called positionally as the driver calls it
     fields = dict(a_op=SymOperator(np.eye(2), Counter()), b=np.ones(2), radius=1.0,
                   delta=1e-3, q=0.01, b_bound=1.0, lam_min_lower=0.0, x_start=np.zeros(2),
                   a_start=np.zeros(2))
     fields.update(changed)
-    with pytest.raises(InvalidArgument) as public:
-        TrustRegionSubproblem(**fields)
-    with pytest.raises(InvalidArgument, match=f"^{re.escape(str(public.value))}$"):
-        TrustRegionSubproblem._from_arrays(**fields)
+    with pytest.raises(InvalidArgument, match=f"^{re.escape(message)}$"):
+        TrustRegionSubproblem(*fields.values())
+
+
+@pytest.mark.parametrize("name,message", [
+    ("b", "b None vs operator dim 2"), ("x_start", "x_start None vs b (2,)"),
+    ("a_start", "a_start None vs b (2,)"), ("apply", "vector shape None vs operator dim 2"),
+], ids=["b", "x_start", "a_start", "apply"])
+def test_non_array_rejected_not_converted(name, message):
+    # a list of the right length has no shape: the solve's entry points take
+    # float arrays as they are and convert nothing
+    op = SymOperator(np.eye(2), Counter())
+    arrays = dict(b=np.ones(2), x_start=np.zeros(2), a_start=np.zeros(2))
+    with pytest.raises(InvalidArgument, match=f"^{re.escape(message)}$"):
+        if name == "apply":
+            op.apply([1.0, 1.0])
+        else:
+            TrustRegionSubproblem(op, radius=1.0, delta=1e-3, q=0.01, b_bound=1.0,
+                                  **{**arrays, name: [1.0, 1.0]})
+    assert op.counter.count == 0
 
 
 def test_three_error_types():

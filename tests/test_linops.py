@@ -306,3 +306,27 @@ def test_only_linops_touches_the_storage():
     assert sites["linops.py"]  # the scan sees the home module's own writes
     assert [site for name, found in sites.items() if name != "linops.py"
             for site in found] == []
+
+
+# what the trust-region solve and the Lanczos oracles may read of an operator
+OPERATOR_PROTOCOL = {"dim", "counter", "apply", "shifted", "frobenius_norm"}
+# the names an operator goes by there: parameters, the branch's local and the
+# subproblem's field
+OPERATOR_NAMES = {"op", "a_op", "a_psd", "w_op"}
+
+
+def test_solve_reads_an_operator_through_five_names():
+    """``eig`` and ``trsolver`` read an operator only as ``dim``, ``counter``,
+    ``apply``, ``shifted`` and ``frobenius_norm``, so a new operator type
+    needs these five and nothing else."""
+    reads = set()
+    for module in ("eig.py", "trsolver.py"):
+        for node in ast.walk(ast.parse((SRC / module).read_text())):
+            if not isinstance(node, ast.Attribute):
+                continue
+            base = node.value
+            name = (base.id if isinstance(base, ast.Name)
+                    else base.attr if isinstance(base, ast.Attribute) else None)
+            if name in OPERATOR_NAMES:
+                reads.add(node.attr)
+    assert reads == OPERATOR_PROTOCOL  # every name is read, and no other

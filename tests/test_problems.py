@@ -131,6 +131,11 @@ class TestCatalog:
                 x = np_rng.uniform(lo, hi, size=4)
                 assert spec.value(x) >= spec.f_lower - 1e-12
 
+    def test_spec_has_no_name_field(self):
+        # no module read the label, so a spec carries ten settable fields
+        names = {f.name for f in dataclasses.fields(ObjectiveSpec)}
+        assert "name" not in names and len(names) == 10
+
 
 class TestFiniteDifferences:
     def test_gradient_quadratic_near_exact(self):
@@ -214,6 +219,30 @@ class TestHessianForms:
         assert form.fro(form) == 0.0 and np.copysign(1.0, form.fro(form)) == 1.0
         assert form.dense().flags.c_contiguous
         np.testing.assert_array_equal(form.dense(), q_mat)
+
+    def test_quadratic_holds_its_symmetric_part(self):
+        # an asymmetry within the tolerance is dropped, so grad, value and
+        # the Hessian state one matrix; a symmetric Q keeps its bits
+        q_mat = np.array([[2.0, 1.0 + 1e-11], [1.0, 1.0]])
+        sym = 0.5 * (q_mat + q_mat.T)
+        spec = quadratic_from_matrix(q_mat)
+        dense = spec.hess_at(np.zeros(2)).dense()
+        assert dense.tobytes() == sym.tobytes() and (dense == dense.T).all()
+        x = np.array([0.3, -0.7])
+        assert spec.grad(x).tobytes() == (sym @ x).tobytes()
+        assert fd_check_gradient(spec, np.ones(2)) < 1e-6
+        assert spec.l1 == pytest.approx(np.linalg.eigvalsh(sym)[-1], rel=1e-14)
+        exact = catalog("quadratic", 5, seed=3).hess_at(np.zeros(5)).dense()
+        assert quadratic_from_matrix(exact).hess_at(0).dense().tobytes() == exact.tobytes()
+
+    def test_quadratic_hessian_is_read_only(self):
+        # the one constant form is handed out itself: a write must not
+        # change the Hessian that later calls see
+        spec = quadratic_from_matrix(np.eye(2))
+        with pytest.raises(ValueError, match="read-only"):
+            spec.hess_at(np.zeros(2)).dense()[0, 0] = 7.0
+        assert spec.hess_at(np.ones(2)).dense()[0, 0] == 1.0
+        assert fd_check_hessian(spec, np.ones(2)) < 1e-6
 
     def test_hess_at_is_the_one_hessian_oracle(self):
         # no module reads a ``.hess`` attribute or passes ``hess=``, and a

@@ -986,6 +986,14 @@ class TestTrSolve:
             TrustRegionSubproblem(a_op=SymOperator(a, Counter()), radius=1.0, delta=1e-3,
                                   q=0.01, b_bound=4.0, lam_min_lower=1.0, **fields)
 
+    def test_constructor_keeps_the_callers_arrays(self):
+        # no copy or conversion: the driver's arrays are the subproblem's
+        b, x, ax = np.ones(3), np.full(3, 0.1), np.full(3, 0.2)
+        p = TrustRegionSubproblem(SymOperator(np.eye(3), Counter()), b, 1.0, 1e-3, 0.01, 2.0,
+                                  1.0, x, ax)
+        assert p.b is b and p.x_start is x and p.a_start is ax
+        assert dataclasses.replace(p, delta=1e-4).b is b
+
     def test_lied_bound_surfaces_certificate_failure(self):
         # the caller's spectral bound is the solver's certificate; a gross
         # underestimate makes the caller-certified solve's fixed steps
