@@ -129,10 +129,11 @@ def compute_hyperparams(spec: ObjectiveSpec, m_budget: int, p_fail: float = 0.01
     """Constant-explicit hyperparameters from the problem constants.
 
     D, eta come from the closed forms evaluated at M = m_budget; T is the
-    rounded balance point, K = floor(m_budget / T), and the effective budget
-    shrinks to K*T.  Requires l2 > 0 (quadratics need manual parameters) and
-    an estimate of the initial optimality gap, either from the value oracle
-    or a caller-supplied upper bound.
+    rounded balance point and K = max(1, floor(m_budget / T)), so the run
+    takes M = K*T steps: at most m_budget when T <= m_budget, and T, more
+    than the budget, when m_budget < T.  Requires l2 > 0 (quadratics need
+    manual parameters) and an estimate of the initial optimality gap, either
+    from the value oracle or a caller-supplied upper bound.
     """
     check_int_at_least("m_budget", m_budget, 1)
     if spec.l2 <= 0:

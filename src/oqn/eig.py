@@ -39,6 +39,10 @@ operators hold at no matvec cost.  Since |W|_op <= |W|_F, a norm at most l1
 certifies W inside the ball, so every Ritz value would be at most l1 as
 well: the oracle then answers "inside" without a random draw or a Lanczos
 run.
+
+Neither an "inside" answer (``u`` None) nor a PSD certificate (``v_hat``
+None) carries a vector; a reader builds the dense hyperplane S from ``u``,
+``sign`` and the radius it passed.
 """
 
 from __future__ import annotations
@@ -61,12 +65,10 @@ BREAKDOWN_RTOL = 1e-12
 _STEVD, _SYEVR = get_lapack_funcs(("stevd", "syevr"), (np.empty(1),))
 
 
-def tridiagonal_eigh(diag: NDArray, off: NDArray,
-                     compute_v: bool) -> tuple[NDArray, Optional[NDArray]]:
+def tridiagonal_eigh(diag: NDArray, off: NDArray) -> tuple[NDArray, NDArray]:
     """Eigenvalues, ascending, of the symmetric tridiagonal with diagonal
-    ``diag`` and off-diagonal ``off``, and with ``compute_v`` its orthonormal
-    eigenvectors as columns (else None): the bits of SciPy's
-    ``eigh_tridiagonal(diag, off, eigvals_only=not compute_v,
+    ``diag`` and off-diagonal ``off``, and its orthonormal eigenvectors as
+    columns: the bits of SciPy's ``eigh_tridiagonal(diag, off,
     lapack_driver="stevd")``.
 
     It keeps what that wrapper guards.  Non-finite input is rejected before
@@ -81,11 +83,11 @@ def tridiagonal_eigh(diag: NDArray, off: NDArray,
     if not math.isfinite(sq) and not (np.isfinite(diag).all() and np.isfinite(off).all()):
         raise InvalidArgument("tridiagonal has non-finite entries")
     if diag.size == 1:
-        return diag.copy(), (np.ones((1, 1)) if compute_v else None)
-    evals, evecs, info = _STEVD(diag, off, compute_v=compute_v)
+        return diag.copy(), np.ones((1, 1))
+    evals, evecs, info = _STEVD(diag, off)
     if info != 0:
         raise InvalidArgument(f"LAPACK ?stevd failed on the tridiagonal, info = {info}")
-    return evals, (evecs if compute_v else None)
+    return evals, evecs
 
 
 @dataclass
@@ -99,14 +101,15 @@ class LanczosFactorization:
     v_{k+1} when no breakdown occurred, and later rows are unused capacity.
     ``lanczos_factorize`` allocates n_steps + 1 rows; ``lanczos_extend``
     replaces the array by a larger copy at most once per call, so a view
-    taken before an extension keeps its rows and bits.
+    taken before an extension keeps its rows and bits.  ``breakdown_at`` is
+    the step at which beta fell to ``BREAKDOWN_RTOL`` |A|_F, a threshold
+    ``lanczos_extend`` reads off the operator it is given, else None.
     """
 
     alphas: list
     betas: list
     basis: NDArray
     breakdown_at: Optional[int] = None
-    breakdown_tol: float = 0.0
 
     @property
     def size(self) -> int:
@@ -132,19 +135,19 @@ def lanczos_factorize(op, v1: NDArray, n_steps: int) -> LanczosFactorization:
         raise InvalidArgument(f"|v1| = {norm!r}, need a unit start")
     if n_steps < 1 or n_steps > op.dim:
         raise InvalidArgument(f"n_steps must be in [1, dim], got {n_steps}")
-    tol = BREAKDOWN_RTOL * op.frobenius_norm()
     basis = np.empty((n_steps + 1, v1.size))
     basis[0] = v1
-    fact = LanczosFactorization(alphas=[], betas=[], basis=basis, breakdown_tol=tol)
-    return lanczos_extend(fact, op, n_steps)
+    return lanczos_extend(LanczosFactorization(alphas=[], betas=[], basis=basis), op, n_steps)
 
 
 def lanczos_extend(fact: LanczosFactorization, op, n_steps_total: int) -> LanczosFactorization:
-    """Continue an existing factorization up to ``n_steps_total`` steps,
-    first growing ``fact.basis`` to n_steps_total + 1 rows by one copy if it
-    is shorter."""
+    """Continue an existing factorization of ``op`` up to ``n_steps_total``
+    steps, first growing ``fact.basis`` to n_steps_total + 1 rows by one copy
+    if it is shorter.  A step breaks down when its beta is at most
+    ``BREAKDOWN_RTOL * |A|_F``, read off ``op``."""
     if fact.breakdown_at is not None:
         return fact
+    tol = BREAKDOWN_RTOL * op.frobenius_norm()
     k = fact.size  # steps done; row k holds v_{k+1}
     if fact.basis.shape[0] <= n_steps_total:
         grown = np.empty((n_steps_total + 1, fact.basis.shape[1]))
@@ -167,7 +170,7 @@ def lanczos_extend(fact: LanczosFactorization, op, n_steps_total: int) -> Lanczo
         fact.alphas.append(alpha)
         fact.betas.append(beta)
         k += 1
-        if beta <= fact.breakdown_tol:
+        if beta <= tol:
             # the tiny beta stays in betas for the residual term
             fact.breakdown_at = k
             return fact
@@ -195,10 +198,12 @@ class MinEvecResult:
     their bits.  ``trsolver`` minimizes its subproblem over that Krylov
     space from these pairs, at no matvec and no eigensolve of its own.
     lambda_hat = theta[0] - delta/2, so T1 - lambda_hat I, and T1 itself
-    when PSD is certified, is at least (delta/2) I."""
+    when PSD is certified, is at least (delta/2) I.  ``v_hat`` is the unit
+    eigenvector estimate on a negative eigenvalue, and None when PSD is
+    certified."""
 
     lambda_hat: float
-    v_hat: NDArray
+    v_hat: Optional[NDArray]
     case: MinEvecCase
     matvecs_used: int
     ritz_max: float
@@ -275,13 +280,13 @@ def min_evec(
     start = rng.unit_vector(d)
     fact = lanczos_factorize(op, start, n1)
     basis1 = fact.basis_matrix()
-    ritz_pairs = tridiagonal_eigh(*fact.tridiagonal(), compute_v=True)
+    ritz_pairs = tridiagonal_eigh(*fact.tridiagonal())
     ritz = ritz_pairs[0]
     ritz_max = float(ritz[-1])
     lambda_hat = float(ritz[0]) - 0.5 * delta
 
     if lambda_hat >= 0.0:
-        return MinEvecResult(lambda_hat, np.zeros(d), MinEvecCase.PSD_CERTIFIED, fact.size,
+        return MinEvecResult(lambda_hat, None, MinEvecCase.PSD_CERTIFIED, fact.size,
                              ritz_max, basis1, ritz_pairs)
 
     if fact.breakdown_at is not None:
@@ -309,15 +314,15 @@ class SepCase(Enum):
 @dataclass
 class SepResult:
     """Outcome of ``sep``.  When separated, the hyperplane is S = sign * u u'
-    / l1 with ``u`` the unit Ritz vector and ``sign`` = +1 or -1; inside the
-    doubled ball, ``sign`` is 0 and ``u`` is the zero vector.  ``gamma`` is
-    |W|_F / l1 when the Frobenius norm certified W (``matvecs_used`` 0),
-    otherwise the largest absolute Ritz value over l1."""
+    / l1, for the radius l1 ``sep`` was given, with ``u`` the unit Ritz
+    vector and ``sign`` = +1 or -1; inside the doubled ball, ``sign`` is 0
+    and ``u`` is None.  ``gamma`` is |W|_F / l1 when the Frobenius norm
+    certified W (``matvecs_used`` 0), otherwise the largest absolute Ritz
+    value over l1."""
 
     gamma: float
-    u: NDArray
+    u: Optional[NDArray]
     sign: float
-    l1: float
     case: SepCase
     matvecs_used: int
 
@@ -326,13 +331,6 @@ class SepResult:
         """Settled by the Frobenius certificate |W|_F <= l1: Lanczos spends
         at least one matvec, so only the certificate answers with none."""
         return self.matvecs_used == 0
-
-    @property
-    def s_mat(self) -> NDArray:
-        """Dense S, built on each read: the zero matrix when ``sign`` is 0."""
-        if self.sign == 0.0:
-            return np.zeros((self.u.size, self.u.size))
-        return self.sign * np.outer(self.u, self.u) / self.l1
 
 
 def sep_budget(d: int, q: float) -> int:
@@ -355,17 +353,17 @@ def sep(w_op, l1: float, q: float, rng: RngStream) -> SepResult:
     d = w_op.dim
     fro = w_op.frobenius_norm()
     if fro <= l1:  # |W|_op <= |W|_F: every Ritz value is at most l1
-        return SepResult(fro / l1, np.zeros(d), 0.0, l1, SepCase.INSIDE_DOUBLED, 0)
+        return SepResult(fro / l1, None, 0.0, SepCase.INSIDE_DOUBLED, 0)
     fact = lanczos_factorize(w_op, rng.unit_vector(d), sep_budget(d, q))
     diag, off = fact.tridiagonal()
-    evals, evecs = tridiagonal_eigh(diag, off, compute_v=True)
+    evals, evecs = tridiagonal_eigh(diag, off)
     lam_top, lam_bot = float(evals[-1]), float(evals[0])
     gamma = max(lam_top, -lam_bot) / l1
     if gamma <= 1.0:
-        return SepResult(gamma, np.zeros(d), 0.0, l1, SepCase.INSIDE_DOUBLED, fact.size)
+        return SepResult(gamma, None, 0.0, SepCase.INSIDE_DOUBLED, fact.size)
     basis = fact.basis_matrix()
     if lam_top >= -lam_bot:
         u, sign = basis @ evecs[:, -1], 1.0
     else:
         u, sign = basis @ evecs[:, 0], -1.0
-    return SepResult(gamma, u, sign, l1, SepCase.SEPARATED, fact.size)
+    return SepResult(gamma, u, sign, SepCase.SEPARATED, fact.size)

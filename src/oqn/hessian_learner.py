@@ -25,15 +25,14 @@ The round's loss gradient is the rank-2 matrix -(r s' + s r').  A run keeps
 one learner record, and in it one W, a ``SymOperator`` build that each round
 moves in place with ``update``: W - rho * grad adds rho (r s' + s r') and a
 tilted round's -rho * tilt * S, S = sign * u u' / L1 on the separating
-vector u.  The round prices r'W s with ``form`` before W moves (not while
-W = 0); after a separated round that is gamma r'(B s), which also prices
-<grad, B> = -2 r'(B s).  B is W's operator when the oracle finds W inside
-the doubled ball, else its view ``shifted(0, scale=1/gamma)``.  A round
-builds no operator and allocates no d x d array.  W's stored norm is a bound
-under ``linops``'s invariant; the learner's own policy is that a round whose
-bound would pass L1 takes the exact pass, so the separation oracle's
-Frobenius certificate and the Frobenius-ball projection decide on the exact
-value.
+vector u.  A separated round prices its tilt from <grad, B> = -2 r'(B s)
+with ``form`` before W moves; ``update`` prices the r'W s of W's norm bound
+itself.  B is W's operator when the oracle finds W inside the doubled ball,
+else its view ``shifted(0, scale=1/gamma)``.  A round builds no operator and
+allocates no d x d array.  W's stored norm is a bound under ``linops``'s
+invariant; the learner's own policy is that a round whose bound would pass
+L1 takes the exact pass, so the separation oracle's Frobenius certificate
+and the Frobenius-ball projection decide on the exact value.
 """
 
 from __future__ import annotations
@@ -74,7 +73,7 @@ class LearnerState:
     def fresh(cls, dim: int, l1: float, rho: float, q_per_call: float,
               counter: Counter | None = None) -> "LearnerState":
         zero = SymOperator(np.zeros((dim, dim), order="F"), counter, fro=0.0)
-        inside = SepResult(0.0, np.zeros(dim), 0.0, l1, SepCase.INSIDE_DOUBLED, 0)
+        inside = SepResult(0.0, None, 0.0, SepCase.INSIDE_DOUBLED, 0)
         return cls(w_op=zero, sep=inside, plain=False, rho=rho, l1=l1,
                    q_per_call=q_per_call, fro_radius=math.sqrt(dim) * l1)
 
@@ -105,16 +104,13 @@ def learner_step(state: LearnerState, r: NDArray, s: NDArray, rng: RngStream) ->
     if r.shape != s.shape or r.ndim != 1:
         raise InvalidArgument(f"r {r.shape} and s {s.shape} must be equal-length vectors")
     played, w_op = state.sep, state.w_op
-    tilt = cross = 0.0
+    tilt = 0.0
     if played.case is SepCase.SEPARATED:
         # tilt = max(0, -<grad, B>), and <grad, B> = -2 r'(B s) with
         # B = W / gamma, read before W moves
-        rbs = w_op.form(r, s, 1.0 / played.gamma)
-        tilt, cross = max(0.0, 2.0 * rbs), played.gamma * rbs
-    elif w_op.fro > 0.0:  # else W = 0, and so is W s
-        cross = w_op.form(r, s)
+        tilt = max(0.0, 2.0 * w_op.form(r, s, 1.0 / played.gamma))
     # W - rho * grad = W + rho (r s' + s r'), minus rho * tilt * S
-    w_op.update(state.rho, r, s, cross, limit=state.l1,
+    w_op.update(state.rho, r, s, limit=state.l1,
                 beta=-state.rho * tilt * played.sign / state.l1,
                 u=played.u if tilt > 0.0 else None)
     projected = w_op.rescale(state.fro_radius)  # a bound is <= L1 <= radius

@@ -35,7 +35,8 @@ exact (``_sync_norm``) at least every ``FRO_SYNC_ROUNDS`` updates that move
 S.  In between, a rank-two update carries the bound by the closed form
 |S + alpha (r s' + s r')|_F^2 = |S|_F^2 + 4 alpha r'S s
 + 2 alpha^2 (|r|^2 |s|^2 + (r's)^2) (the bookkeeping of Byrd, Nocedal &
-Schnabel 1994) plus its rounding allowance (``closed_form_sq``);
+Schnabel 1994) plus its rounding allowance (``closed_form_sq``), and
+``update`` prices r'S s itself, by ``form`` before S moves;
 ``fro_slack`` bounds the bound's square minus |S|_F^2 and ``fro_rounds``
 counts the carried updates.  The exact pass runs instead after a rank-one
 term, when the bound would pass the caller's ``limit`` or the slack
@@ -218,12 +219,14 @@ class SymOperator:
         it prices a loss, not a use of the operator by a solve."""
         return ddot(r, dsymv(alpha, self.upper, s))
 
-    def update(self, alpha: float, r: NDArray, s: NDArray, cross: float, *,
+    def update(self, alpha: float, r: NDArray, s: NDArray, *,
                limit: float, beta: float, u: NDArray | None) -> None:
         """On a build: S += alpha (r s' + s r') in place by one ``dsyr2``,
-        then, given ``u``, S += beta u u' by one ``dsyr``.  ``cross`` is r'S s
-        before the update (``form``); the bound is carried while it stays at
-        most ``limit`` (see the module docstring)."""
+        then, given ``u``, S += beta u u' by one ``dsyr``.  Without ``u`` the
+        bound is carried while it stays at most ``limit`` (see the module
+        docstring), from r'S s priced by ``form`` before S moves, and not
+        priced when the stored norm says S = 0."""
+        cross = self.form(r, s) if u is None and self.fro > 0.0 else 0.0
         self.upper = dsyr2(alpha, r, s, a=self.upper, overwrite_a=1)
         if u is not None:
             self.upper = dsyr(beta, u, a=self.upper, overwrite_a=1)

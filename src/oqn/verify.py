@@ -278,25 +278,21 @@ def check_lanczos(cfg):
 def check_tridiagonal(cfg):
     """``tridiagonal_eigh`` binds the f2py ``?stevd`` signature of the
     installed SciPy directly, so it is held to the bits of SciPy's own
-    ``eigh_tridiagonal`` with the ``stevd`` driver: values only and with
-    vectors, at k = 1..20, one tridiagonal with a zero off-diagonal entry."""
+    ``eigh_tridiagonal`` with the ``stevd`` driver, values and vectors, at
+    k = 1..20, one tridiagonal with a zero off-diagonal entry."""
     rng = np.random.default_rng(SEED)
     mismatched = []
     for k in range(1, 21):
         diag, off = rng.standard_normal(k), np.abs(rng.standard_normal(k - 1))
         if k == 10:
             off[4] = 0.0  # T splits into two blocks
-        for compute_v in (False, True):
-            ref = eigh_tridiagonal(diag, off, eigvals_only=not compute_v,
-                                   lapack_driver="stevd")
-            evals, evecs = tridiagonal_eigh(diag, off, compute_v)
-            same = (np.array_equal(evals, ref[0]) and np.array_equal(evecs, ref[1])
-                    if compute_v else np.array_equal(evals, ref))
-            if not same:
-                mismatched.append(f"k={k}{'+vectors' if compute_v else ''}")
+        ref = eigh_tridiagonal(diag, off, lapack_driver="stevd")
+        evals, evecs = tridiagonal_eigh(diag, off)
+        if not (np.array_equal(evals, ref[0]) and np.array_equal(evecs, ref[1])):
+            mismatched.append(f"k={k}")
     return [CheckResult("eig.tridiagonal_lapack", not mismatched,
                         f"scipy {scipy.__version__}: "
-                        f"mismatched={','.join(mismatched) or 'none'} of 40 solves")]
+                        f"mismatched={','.join(mismatched) or 'none'} of 20 solves")]
 
 
 def _dense_refined_vector(fact, lambda_hat):
@@ -420,10 +416,11 @@ def check_sep(cfg):
         else:
             separated += 1
             scale_hits += w_norm / res.gamma <= 2.0 * l1
-            nuc = float(np.sum(np.abs(np.linalg.eigvalsh(res.s_mat))))
-            lhs = float(np.vdot(res.s_mat, w)) - l1 * nuc
+            s_mat = res.sign * np.outer(res.u, res.u) / l1
+            nuc = float(np.sum(np.abs(np.linalg.eigvalsh(s_mat))))
+            lhs = float(np.vdot(s_mat, w)) - l1 * nuc
             exact_ok = exact_ok and lhs >= res.gamma - 1.0 - 1e-9
-            exact_ok = exact_ok and np.linalg.norm(res.s_mat) <= 1.0 / l1 + 1e-10
+            exact_ok = exact_ok and np.linalg.norm(s_mat) <= 1.0 / l1 + 1e-10
         budget_ok = (budget_ok and res.matvecs_used <= sep_budget(d, 0.05)
                      and op.counter.count == res.matvecs_used)
     frac = scale_hits / n_trials

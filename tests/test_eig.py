@@ -1,3 +1,5 @@
+import dataclasses
+import inspect
 import math
 import tracemalloc
 
@@ -11,6 +13,7 @@ from oqn import eig
 from oqn.eig import (
     MinEvecCase,
     SepCase,
+    SepResult,
     lanczos_extend,
     lanczos_factorize,
     min_evec,
@@ -146,49 +149,46 @@ class TestLanczos:
 
 
 class TestTridiagonalEigh:
-    @pytest.mark.parametrize("compute_v", [False, True])
-    def test_bits_of_scipys_stevd_driver(self, np_rng, compute_v):
-        """Equal bits to SciPy's wrapper over random tridiagonals at k =
-        1..20, each also with one zero off-diagonal entry."""
+    def test_bits_of_scipys_stevd_driver(self, np_rng):
+        """Equal bits, values and vectors, to SciPy's wrapper over random
+        tridiagonals at k = 1..20, each also with one zero off-diagonal
+        entry."""
         for k in np.repeat(np.arange(1, 21), 5):
             diag, off = np_rng.standard_normal(k), np_rng.standard_normal(k - 1)
             split = off.copy()
             split[(k - 1) // 2:][:1] = 0.0  # T splits in two; k = 1 has no entry
             for e in (off, split):
-                ref = eigh_tridiagonal(diag, e, eigvals_only=not compute_v,
-                                       lapack_driver="stevd")
-                evals, evecs = tridiagonal_eigh(diag, e, compute_v)
-                if compute_v:
-                    np.testing.assert_array_equal(evals, ref[0])
-                    np.testing.assert_array_equal(evecs, ref[1])
-                else:
-                    np.testing.assert_array_equal(evals, ref)
-                    assert evecs is None
+                ref = eigh_tridiagonal(diag, e, lapack_driver="stevd")
+                evals, evecs = tridiagonal_eigh(diag, e)
+                np.testing.assert_array_equal(evals, ref[0])
+                np.testing.assert_array_equal(evecs, ref[1])
+
+    def test_takes_the_two_diagonals_only(self):
+        # both callers, min_evec's stage 1 and sep, want the vectors
+        assert list(inspect.signature(tridiagonal_eigh).parameters) == ["diag", "off"]
 
     def test_one_by_one_needs_no_lapack(self, monkeypatch):
         monkeypatch.setattr(eig, "_STEVD", None)
         diag = np.array([-3.5])
-        evals, evecs = tridiagonal_eigh(diag, np.empty(0), compute_v=True)
+        evals, evecs = tridiagonal_eigh(diag, np.empty(0))
         assert evals.tolist() == [-3.5] and evecs.tolist() == [[1.0]]
         assert not np.shares_memory(evals, diag)
-        assert tridiagonal_eigh(diag, np.empty(0), compute_v=False)[1] is None
 
     def test_lapack_failure_is_rejected(self, monkeypatch):
-        monkeypatch.setattr(eig, "_STEVD", lambda d, e, compute_v: (d, None, 3))
+        monkeypatch.setattr(eig, "_STEVD", lambda d, e: (d, None, 3))
         with pytest.raises(InvalidArgument, match="stevd failed on the tridiagonal, info = 3"):
-            tridiagonal_eigh(np.ones(3), np.ones(2), compute_v=False)
+            tridiagonal_eigh(np.ones(3), np.ones(2))
 
     def test_finite_entries_whose_squares_overflow_are_accepted(self):
         # the guard's sum of squares overflows at 1e200; the entrywise test
         # then accepts the input, and a NaN or an infinity at either end of
         # either diagonal is rejected
         diag, off = np.array([1e200, -2e200, 3e200, 1e200]), np.array([1e200, -1e200, 2e200])
-        for compute_v in (False, True):
-            ref = eigh_tridiagonal(diag, off, eigvals_only=not compute_v,
-                                   lapack_driver="stevd")
-            evals = tridiagonal_eigh(diag, off, compute_v)[0]
-            np.testing.assert_array_equal(evals, ref[0] if compute_v else ref)
-            assert np.isfinite(evals).all()
+        ref = eigh_tridiagonal(diag, off, lapack_driver="stevd")
+        evals, evecs = tridiagonal_eigh(diag, off)
+        np.testing.assert_array_equal(evals, ref[0])
+        np.testing.assert_array_equal(evecs, ref[1])
+        assert np.isfinite(evals).all()
         for bad in (math.nan, math.inf, -math.inf):
             for vec in (diag, off):
                 for at in (0, -1):
@@ -196,7 +196,7 @@ class TestTridiagonalEigh:
                     spoiled[at] = bad
                     args = (spoiled, off) if vec is diag else (diag, spoiled)
                     with pytest.raises(InvalidArgument, match="^tridiagonal has non-finite"):
-                        tridiagonal_eigh(*args, compute_v=False)
+                        tridiagonal_eigh(*args)
 
 
 class TestRefinedVector:
@@ -232,7 +232,7 @@ class TestMinEvec:
         res = min_evec(op, 0.5, 0.05, b_bound=1.0, rng=RngStream(0))
         assert res.case is MinEvecCase.PSD_CERTIFIED
         assert res.lambda_hat >= 0.0
-        np.testing.assert_allclose(res.v_hat, 0.0)
+        assert res.v_hat is None  # no d-vector allocated for a certificate
 
     def test_zero_matrix_forces_negative_case(self):
         op = SymOperator(np.zeros((5, 5)), Counter())
@@ -283,7 +283,7 @@ class TestMinEvec:
         fact = lanczos_factorize(SymOperator(a, Counter()), RngStream(11).unit_vector(d), n1)
         np.testing.assert_array_equal(res.basis, fact.basis_matrix())
         for got, want in zip(res.ritz_pairs,
-                             tridiagonal_eigh(*fact.tridiagonal(), compute_v=True)):
+                             tridiagonal_eigh(*fact.tridiagonal())):
             np.testing.assert_array_equal(got, want)
         assert np.shares_memory(fact.basis_matrix(), fact.basis)
 
@@ -358,24 +358,35 @@ class TestMinEvec:
         assert resid <= 0.05
 
 
-def assert_certified(res, op, stream, state_before):
+def assert_certified(res, op, l1, stream, state_before):
     """``res`` is the Frobenius certificate's answer: inside, gamma = |W|_F /
-    l1 exactly, no tilt, and neither a matvec nor a draw spent."""
+    l1 exactly, no tilt and no vector, and neither a matvec nor a draw
+    spent."""
     assert res.case is SepCase.INSIDE_DOUBLED
     assert res.matvecs_used == 0 and op.counter.count == 0
     assert stream.state() == state_before
-    assert res.gamma == op.frobenius_norm() / res.l1
-    assert res.sign == 0.0
-    assert not np.any(res.u)
+    assert res.gamma == op.frobenius_norm() / l1
+    assert res.sign == 0.0 and res.u is None
+
+
+def hyperplane(res, l1):
+    """The dense separating hyperplane S = sign * u u' / l1 of a separated
+    answer, for the radius ``l1`` the test passed to ``sep``."""
+    return res.sign * np.outer(res.u, res.u) / l1
 
 
 class TestSep:
     def test_zero_matrix_inside(self):
         op = SymOperator(np.zeros((3, 3)), Counter())
-        res = sep(op, 1.0, 0.05, RngStream(0))
-        assert res.case is SepCase.INSIDE_DOUBLED
-        assert res.gamma == pytest.approx(0.0)
-        np.testing.assert_allclose(res.s_mat, 0.0)
+        stream = RngStream(0)
+        res = sep(op, 1.0, 0.05, stream)
+        assert_certified(res, op, 1.0, stream, (0, 0))
+
+    def test_record_holds_what_its_readers_use(self):
+        # the dense S and the radius are the caller's to build and keep
+        names = {field.name for field in dataclasses.fields(SepResult)}
+        assert names == {"gamma", "u", "sign", "case", "matvecs_used"}
+        assert not hasattr(SepResult, "s_mat")
 
     def test_rank_one_positive_spike(self):
         w = np.zeros((2, 2))
@@ -385,10 +396,11 @@ class TestSep:
         assert res.case is SepCase.SEPARATED
         assert res.gamma == pytest.approx(3.0, abs=1e-9)
         # separation margin: <S, W> - l1 |S|_* >= gamma - 1
-        nuclear = np.sum(np.abs(np.linalg.eigvalsh(res.s_mat)))
-        lhs = np.vdot(res.s_mat, w) - 1.0 * nuclear
+        s_mat = hyperplane(res, 1.0)
+        nuclear = np.sum(np.abs(np.linalg.eigvalsh(s_mat)))
+        lhs = np.vdot(s_mat, w) - 1.0 * nuclear
         assert lhs >= res.gamma - 1.0 - 1e-9
-        top = res.s_mat[0, 0]
+        top = s_mat[0, 0]
         assert top == pytest.approx(1.0, abs=1e-9)
 
     def test_negative_spike_uses_bottom_ritz_pair(self):
@@ -400,7 +412,7 @@ class TestSep:
         assert res.gamma == pytest.approx(2.5, abs=1e-9)
         expected = np.zeros((3, 3))
         expected[1, 1] = -0.5
-        np.testing.assert_allclose(res.s_mat, expected, atol=1e-9)
+        np.testing.assert_allclose(hyperplane(res, 2.0), expected, atol=1e-9)
 
     def test_invalid_probability(self):
         with pytest.raises(InvalidArgument, match=r"q must be in \(0,1\)"):
@@ -420,8 +432,7 @@ class TestSep:
             stream = RngStream(60_000 + t)
             before = stream.state()
             res = sep(op, l1, 0.05, stream)
-            assert_certified(res, op, stream, before)
-            assert res.u.shape == (d,)
+            assert_certified(res, op, l1, stream, before)
             assert np.linalg.norm(w, ord=2) <= l1
 
     def test_boundary_norm_equal_to_l1_certifies(self):
@@ -432,7 +443,7 @@ class TestSep:
         assert op.frobenius_norm() == l1
         stream = RngStream(1)
         res = sep(op, l1, 0.05, stream)
-        assert_certified(res, op, stream, (1, 0))
+        assert_certified(res, op, l1, stream, (1, 0))
         assert res.gamma == 1.0
 
     def test_shifted_operator_certifies_from_its_closed_form(self):
@@ -442,7 +453,7 @@ class TestSep:
         assert op.frobenius_norm() == pytest.approx(math.sqrt(3.5), abs=1e-14)
         stream = RngStream(2)
         res = sep(op, l1, 0.05, stream)
-        assert_certified(res, op, stream, (2, 0))
+        assert_certified(res, op, l1, stream, (2, 0))
 
     def test_operator_norm_inside_but_frobenius_outside_runs_lanczos(self):
         l1 = 1.0
@@ -454,6 +465,7 @@ class TestSep:
         assert res.matvecs_used >= 1 and op.counter.count == res.matvecs_used
         assert res.case is SepCase.INSIDE_DOUBLED
         assert res.gamma == pytest.approx(0.9, abs=1e-12)
+        assert res.sign == 0.0 and res.u is None
 
     def test_arguments_are_checked_before_the_norm_is_read(self):
         class Unreadable:

@@ -138,9 +138,9 @@ def unlogged_audit():
      "^step_size must be positive and finite, got nan"),
     (lambda: SymOperator(np.full((2, 2), math.nan)), "matrix has non-finite entries"),
     # LAPACK ?stevd answers NaN with info 0 on such input
-    (lambda: tridiagonal_eigh(np.array([1.0, math.nan]), np.ones(1), compute_v=False),
+    (lambda: tridiagonal_eigh(np.array([1.0, math.nan]), np.ones(1)),
      "^tridiagonal has non-finite entries"),
-    (lambda: tridiagonal_eigh(np.ones(2), np.array([math.inf]), compute_v=True),
+    (lambda: tridiagonal_eigh(np.ones(2), np.array([math.inf])),
      "^tridiagonal has non-finite entries"),
     (lambda: min_evec(SymOperator(np.eye(2)), math.nan, 0.05, 1.0, RngStream(0)),
      "delta must be positive and finite, got nan"),

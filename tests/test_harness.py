@@ -357,9 +357,9 @@ class TestVerifySuite:
         assert len(lines) - 1 >= 25
 
 
-def _inside(res, op, l1, *args):
-    return SepResult(gamma=0.0, u=np.zeros(op.dim), sign=0.0, l1=l1,
-                     case=SepCase.INSIDE_DOUBLED, matvecs_used=0)
+def _inside(res, *args):
+    return SepResult(gamma=0.0, u=None, sign=0.0, case=SepCase.INSIDE_DOUBLED,
+                     matvecs_used=0)
 
 
 def _top_refined_vector(z, diag, off, shift, beta):
@@ -453,8 +453,9 @@ def _broken_form(broken):
     (verify, "min_evec", lambda res, op, *args: dataclasses.replace(
         res, ritz_max=res.ritz_max + 1e-6 * op.frobenius_norm()),
      verify.check_minevec, "eig.minevec.ritz_max"),
-    (verify, "min_evec",
-     lambda res, *args: dataclasses.replace(res, v_hat=(1.0 + 1e-6) * res.v_hat),
+    # a PSD certificate carries no vector to stretch
+    (verify, "min_evec", lambda res, *args: res if res.v_hat is None else
+     dataclasses.replace(res, v_hat=(1.0 + 1e-6) * res.v_hat),
      verify.check_minevec, "eig.minevec.residual"),
     (eig, "refined_vector", _top_refined_vector, verify.check_minevec,
      "eig.minevec.refined_vector"),

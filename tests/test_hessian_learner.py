@@ -178,10 +178,10 @@ class TestLearnerStep:
         d, l1, rho = 2, 1.0, 1.0 / 16.0
         if answer_inside:
             monkeypatch.setattr(hessian_learner, "sep", lambda w_op, l1, q, rng: SepResult(
-                1.0, np.zeros(d), 0.0, l1, SepCase.INSIDE_DOUBLED, 1))
+                1.0, None, 0.0, SepCase.INSIDE_DOUBLED, 1))
         case = SepCase.INSIDE_DOUBLED if gamma <= 1.0 else SepCase.SEPARATED
         zero = SymOperator(np.zeros((d, d), order="F"), Counter(), fro=0.0)
-        state = state_at(zero, sep_res=SepResult(gamma, np.zeros(d), 0.0, l1, case, 0),
+        state = state_at(zero, sep_res=SepResult(gamma, None, 0.0, case, 0),
                          rho=rho, l1=l1)
         b_before = state.b_op.dense()  # the round writes W, and so B, in place
         pair_step(state, y1 * e(0, d), e(0, d), RngStream(3))
@@ -219,7 +219,8 @@ class TestLearnerStep:
             grad = -np.outer(r, s) - np.outer(s, r)
             if sep_res.case is SepCase.SEPARATED:
                 tilt = max(0.0, -float(np.vdot(grad, b)))
-                g_tilde = grad + tilt * sep_res.s_mat
+                s_mat = sep_res.sign * np.outer(sep_res.u, sep_res.u) / l1
+                g_tilde = grad + tilt * s_mat
             else:
                 g_tilde = grad
             # any comparator inside the operator-norm ball
@@ -354,9 +355,9 @@ class TestRoundAllocation:
         upper[0, 0] = 0.5
         w_op = SymOperator(upper, fro=0.5)
         if case is SepCase.SEPARATED:  # B = W / 2
-            played = SepResult(2.0, np.eye(d)[0], 1.0, l1, case, 1)
+            played = SepResult(2.0, np.eye(d)[0], 1.0, case, 1)
         else:
-            played = SepResult(0.5, np.zeros(d), 0.0, l1, case, 0)
+            played = SepResult(0.5, None, 0.0, case, 0)
         state = state_at(w_op, played, rho=rho, l1=l1)
         s = np_rng.standard_normal(d) / np.sqrt(d)
         r = s + 0.1 * np_rng.standard_normal(d) / np.sqrt(d)
@@ -392,7 +393,7 @@ class DenseReference:
         self.w = np.zeros((dim, dim))
         self.b_op = SymOperator(self.w)
         self.gamma = 0.0
-        self.s_mat = np.zeros((dim, dim))
+        self.s_mat = None
 
     def round(self, r, s, rng):
         d = self.w.shape[0]
@@ -404,7 +405,9 @@ class DenseReference:
         w_op = SymOperator(self.w)
         res = sep(w_op, self.l1, self.q_per_call, rng)
         self.b_op = w_op if res.case is SepCase.INSIDE_DOUBLED else SymOperator(self.w / res.gamma)
-        self.gamma, self.s_mat = res.gamma, res.s_mat
+        # the separating hyperplane S = sign * u u' / L1, dense
+        self.gamma, self.s_mat = res.gamma, (res.sign * np.outer(res.u, res.u) / self.l1
+                                             if res.case is SepCase.SEPARATED else None)
 
 
 # the learner and the reference apply the same rounds with different

@@ -223,7 +223,7 @@ class TestViews:
         for op in (build, trusted, *views):
             holds(op)
         r, s, u = (np_rng.standard_normal(d) for _ in range(3))
-        trusted.update(0.5, r, s, 0.0, limit=1e3, beta=-0.25, u=u)
+        trusted.update(0.5, r, s, limit=1e3, beta=-0.25, u=u)
         holds(trusted)
         assert trusted.rescale(0.1 * trusted.fro)
         holds(trusted)
@@ -306,6 +306,29 @@ def test_only_linops_touches_the_storage():
     assert sites["linops.py"]  # the scan sees the home module's own writes
     assert [site for name, found in sites.items() if name != "linops.py"
             for site in found] == []
+
+
+# a build's norm bookkeeping, which only linops reads, and verify as the
+# reference checker of its invariant
+NORM_BOOKKEEPING = {"fro", "fro_slack", "fro_rounds"}
+
+
+def test_only_linops_reads_the_norm_bookkeeping():
+    """Outside ``linops.py`` and ``verify.py`` no module reads a
+    ``SymOperator``'s ``fro``, ``fro_slack`` or ``fro_rounds``: W's norm
+    bound, and the r'W s that carries it, stay behind ``update``, and other
+    readers take ``frobenius_norm()``.  A call ``x.fro(...)`` is a Hessian
+    form's method, not a read of the field."""
+    reads = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name in ("linops.py", "verify.py"):
+            continue
+        tree = ast.parse(path.read_text())
+        called = {id(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)}
+        reads += [(path.name, node.lineno, node.attr) for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and node.attr in NORM_BOOKKEEPING
+                  and id(node) not in called]
+    assert reads == []
 
 
 # what the trust-region solve and the Lanczos oracles may read of an operator
