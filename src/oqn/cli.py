@@ -45,13 +45,13 @@ def _cmd_bench(args) -> int:
     with open(args.config, encoding="utf-8") as fh:
         text = fh.read()
     rows, summary = harness.bench(text)
-    print("method,budget,seed,best_grad_norm,gradients,matvecs")
-    for method, budget, seed, val, grads, mvs in rows:
-        print(f"{method},{budget},{seed},{val!r},{grads},{mvs}")
-    for (method, budget), median in summary["medians"].items():
-        print(f"# median[{method},{budget}] = {median:.4e}", file=sys.stderr)
-    for method, slope in summary["slopes"].items():
-        print(f"# slope[{method}] = {slope:.4f}", file=sys.stderr)
+    print(",".join(["method,budget,seed,best_grad_norm,gradients,matvecs", *summary["axes"]]))
+    for row in rows:
+        print(",".join(map(str, row)))
+    for key, median in summary["medians"].items():
+        print(f"# median[{','.join(map(str, key))}] = {median:.4e}", file=sys.stderr)
+    for key, slope in summary["slopes"].items():
+        print(f"# slope[{','.join(key)}] = {slope:.4f}", file=sys.stderr)
     return 0
 
 
@@ -83,7 +83,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--level", default="quick", choices=("quick", "full"))
     p_verify.set_defaults(func=_cmd_verify)
 
-    p_bench = sub.add_parser("bench", help="grid over methods and budgets")
+    p_bench = sub.add_parser("bench", help="grid of run cells; <key>s=v1,v2 sweeps a run key")
     p_bench.add_argument("config")
     p_bench.set_defaults(func=_cmd_bench)
 

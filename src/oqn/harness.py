@@ -1,26 +1,28 @@
 """Experiment harness: configs, the method table, brute-force oracles,
-reports.
+reports and the bench grid.
 
 The config format is flat key=value text (diff-friendly, no dependencies).
 The run keys are ``RunConfig``'s fields, cast to their types, with the
 dataclass holding the defaults; ``params=manual`` adds ``HyperParams``'
-fields.  Reports are JSON-shaped structured text whose content is a pure
-function of (config, seed); wall time is echoed to the console but kept out
-of the files so reruns are bit-identical.  ``METHODS`` is the one place
-that dispatches on a config's ``method`` (``bench`` only turns a budget
-into gradient descent's step count): it gives the method's params object
-and runs it, and every method returns a ``driver.RunReport``.  The report
-body and the CSV rows are built from that report with its config.  A report's
+fields, and each family its knobs.  ``config_from_pairs`` is the one
+parser: every cell of a bench grid is an ``oqn run`` config, and a key
+given as ``<key>s=v1,v2,...`` is an axis of the grid.  Reports are JSON
+whose content is a pure function of (config, seed); wall time goes to the
+console, so reruns are bit-identical.  ``METHODS`` is the one place that
+dispatches on a config's ``method`` (``bench`` only turns a budget into
+gradient descent's step count): it gives the method's params object and
+runs it, and every method returns a ``driver.RunReport``.  A report's
 ``params`` block is its params object's ``document()`` and its ``result``
 block holds the run's totals (``driver.new_totals``) as they are.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from typing import Optional, get_args, get_type_hints
 
 import numpy as np
@@ -311,67 +313,65 @@ def write_outputs(cfg: RunConfig, rep: RunReport, doc: dict) -> None:
 # bench grid
 
 
-_BENCH_DEFAULTS = {"dim": "8", "audit": "off", "budgets": "240,480,960",
-                   "seeds": "0,1,2", "methods": "oqn"}
-# run keys that every cell sets itself or never uses, and what to write instead
-_BENCH_REJECTED = {
-    "budget": "use budgets=", "seed": "use seeds=", "method": "use methods=",
-    "out_csv": "bench prints its rows to stdout",
-    "out_report": "bench prints its rows to stdout",
-}
+_CONFIG_KEYS = {*_RUN_KEYS, *_MANUAL_KEYS, *_PROBLEM_KEYS}
+# each key's values when the config gives it in neither form
+_BENCH_DEFAULTS = {"dim": ["8"], "audit": ["off"], "budget": ["240", "480", "960"],
+                   "seed": ["0", "1", "2"], "method": ["oqn"]}
+_CELL_AXES = ("method", "budget", "seed")
 
 
 def bench(cfg_text: str) -> tuple[list, dict]:
-    """Grid over methods x budgets x seeds; returns rows and fitted slopes.
+    """Run a grid of ``oqn run`` cells; return its rows and a summary.
 
-    The config holds the run keys of ``parse_config`` plus ``budgets``,
-    ``seeds`` and ``methods`` (comma lists).  Each cell is the shared run
-    config with its own method, budget and seed, an isolated stream and
-    counters.  A ``gd_baseline`` cell takes as many steps as the gradients
-    an ``oqn`` cell of the same budget spends (2M + K + 1).  Slope =
-    least-squares fit of log(best grad norm) vs log(budget), per method,
-    over the budgets whose median over seeds is positive; a method with
-    fewer than two such budgets gets no slope.  Manual parameters fix
-    M = t_len * k_eps whatever the budget, so they allow one budget only.
+    Each key of ``oqn run`` is a one-value axis and ``<key>s=v1,v2,...`` a
+    list axis; a config gives one form of a key, and no output path.  The
+    cells, each a ``config_from_pairs`` config checked with its spec before
+    any cell runs, are the product of the axes: method outermost, then the
+    other list axes in config order, budget, and seed innermost.  A
+    ``gd_baseline`` cell runs the gradients of the ``oqn`` cell (2M + K + 1).
+    The other list axes' values (``axes``) end each row and label the
+    medians over seeds and the slopes of log(median) against log(budget).
     """
-    pairs = {**_BENCH_DEFAULTS, **read_pairs(cfg_text)}
-    for key, hint in _BENCH_REJECTED.items():
-        if key in pairs:
-            raise InvalidArgument(f"{key} is not a bench key: {hint}")
-    budgets = [_cast("budgets", int, s) for s in pairs.pop("budgets").split(",")]
-    for budget in budgets:
-        check_int_at_least("budgets", budget, 1)
-    seeds = [_cast("seeds", int, s) for s in pairs.pop("seeds").split(",")]
-    for seed in seeds:
-        check_int_at_least("seeds", seed, 0)
-    methods = [s.strip() for s in pairs.pop("methods").split(",")]
-    for method in methods:
-        check_one_of("methods", method, tuple(METHODS))
-    base = config_from_pairs(pairs)
-    if base.params == "manual" and len(budgets) > 1:
-        raise InvalidArgument("params=manual fixes M = t_len * k_eps, so every budget "
-                         "would repeat one run: give one budget")
-    spec = build_spec(base)
-
-    rows = []
-    best = {}
-    for method in methods:
-        for budget in budgets:
-            steps = budget
-            if method == "gd_baseline":
-                params = run_params(replace(base, budget=budget), spec)
-                steps = params.gradient_total
-            per_seed = []
-            for seed in seeds:
-                rep = run_experiment(replace(base, method=method, budget=steps, seed=seed))
-                per_seed.append(rep.grad_norm_final)
-                rows.append((method, budget, seed, rep.grad_norm_final,
-                             rep.totals["gradients"], rep.totals["matvecs"]))
-            best[(method, budget)] = float(np.median(per_seed))
+    axes, lists = {}, []
+    for name, raw in read_pairs(cfg_text).items():
+        plural = name not in _CONFIG_KEYS and name[:-1] in _CONFIG_KEYS
+        key = name[:-1] if plural else name
+        if key in axes:
+            raise InvalidArgument(f"{key} and {key}s are one key: give one of them")
+        if key in ("out_csv", "out_report"):
+            raise InvalidArgument(f"{name} is not a bench key: bench prints its rows to stdout")
+        axes[key] = [value.strip() for value in raw.split(",")] if plural else [raw]
+        lists += [key] if plural else []
+    for key, values in _BENCH_DEFAULTS.items():
+        axes.setdefault(key, values)
+    extra = [key for key in lists if key not in _CELL_AXES]
+    order = ["method", *(key for key in axes if key not in _CELL_AXES), "budget", "seed"]
+    cells = []
+    try:
+        for values in itertools.product(*(axes[key] for key in order)):
+            cell = dict(zip(order, values))
+            cfg = config_from_pairs(cell)
+            params = run_params(cfg, build_spec(cfg))
+            if cfg.method == "gd_baseline":
+                cell["budget"] = str(params.gradient_total)
+            cells.append((config_from_pairs(cell), cfg.budget, [cell[key] for key in extra]))
+    except InvalidArgument as exc:
+        key, _, rest = str(exc).partition(" ")
+        raise InvalidArgument(f"{key}s {rest}" if key in lists else str(exc)) from exc
+    if len(axes["budget"]) > 1 and any(cfg.params == "manual" for cfg, _, _ in cells):
+        raise InvalidArgument("params=manual fixes M = t_len * k_eps, so a grid takes one budget")
+    rows, seeds_of = [], {}
+    for cfg, budget, values in cells:
+        rep = run_experiment(cfg)
+        rows.append((cfg.method, budget, cfg.seed, rep.grad_norm_final,
+                     rep.totals["gradients"], rep.totals["matvecs"], *values))
+        labels = (f"{key}={value}" for key, value in zip(extra, values))
+        seeds_of.setdefault((cfg.method, *labels, budget), []).append(rep.grad_norm_final)
+    medians = {cell: float(np.median(best)) for cell, best in seeds_of.items()}
     slopes = {}
-    for method in methods:
-        fit = [b for b in budgets if best[(method, b)] > 0.0]
+    for group in dict.fromkeys(cell[:-1] for cell in medians):
+        fit = [(cell[-1], m) for cell, m in medians.items() if cell[:-1] == group and m > 0.0]
         if len(fit) >= 2:
-            ys = np.log([best[(method, b)] for b in fit])
-            slopes[method] = float(np.polyfit(np.log(fit), ys, 1)[0])
-    return rows, {"medians": best, "slopes": slopes}
+            budgets, best = zip(*fit)
+            slopes[group] = float(np.polyfit(np.log(budgets), np.log(best), 1)[0])
+    return rows, {"axes": extra, "medians": medians, "slopes": slopes}

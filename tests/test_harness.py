@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -556,13 +557,33 @@ class TestBench:
             harness.bench("budgets=40\nseeds=0\n" + line + "\n")
         assert str(bench_err.value) == str(run_err.value)
 
-    @pytest.mark.parametrize("key,hint", [
-        ("budget", "budgets="), ("seed", "seeds="), ("method", "methods="),
-        ("out_csv", "stdout"), ("out_report", "stdout"),
-    ])
+    @pytest.mark.parametrize("key,hint", [("out_csv", "stdout"), ("out_report", "stdout")])
     def test_cell_keys_rejected_with_the_key_to_use(self, key, hint):
         with pytest.raises(ValueError, match=f"{key} is not a bench key.*{hint}"):
             harness.bench(f"{key}=60\n")
+
+    @pytest.mark.parametrize("text,column,value,n_rows", [
+        ("dim=4\nbudget=40\nseeds=0,1\n", 1, 40, 2),
+        ("dim=4\nbudgets=40,80\nseed=3\n", 2, 3, 2),
+        ("dim=4\nbudgets=40\nseeds=0\nmethod=og_baseline\n", 0, "og_baseline", 1),
+    ], ids=["budget", "seed", "method"])
+    def test_one_value_keys_are_one_value_axes(self, text, column, value, n_rows):
+        # budget=, seed= and method= set every cell and add no column
+        rows, summary = harness.bench(text)
+        assert len(rows) == n_rows and summary["axes"] == []
+        assert all(len(row) == 6 and row[column] == value for row in rows)
+
+    @pytest.mark.parametrize("text", [
+        "budget=40\nbudgets=80\n", "budgets=80\nbudget=40\n", "p_fail=0.1\np_fails=0.2\n",
+    ], ids=["budget_first", "budgets_first", "p_fail"])
+    def test_both_forms_of_a_key_rejected(self, text):
+        with pytest.raises(InvalidArgument, match="are one key: give one of them"):
+            harness.bench(text)
+
+    def test_unknown_plural_fails_as_an_unknown_key(self):
+        # p_fails is the axis over p_fail; foo is no key, so foos is unknown
+        with pytest.raises(InvalidArgument, match=r"^unknown config keys: \['foos'\]$"):
+            harness.bench("dim=4\nbudgets=40\np_fails=0.01,0.02\nfoos=1,2\n")
 
     def test_bad_method_raises_before_any_cell(self, monkeypatch):
         # every methods= entry is checked up front, under the key methods
@@ -571,6 +592,55 @@ class TestBench:
         with pytest.raises(InvalidArgument, match=r"^methods must be one of .*got 'newton'"):
             harness.bench("dim=4\nbudgets=40,80\nseeds=0\nmethods=oqn,newton\n")
         assert cells == []
+
+    def test_bad_dim_raises_before_any_cell(self, monkeypatch):
+        # each cell's spec is built up front, and the error names dims
+        cells = []
+        monkeypatch.setattr(harness, "run_experiment", cells.append)
+        with pytest.raises(InvalidArgument, match=r"^dims must be >= 1, got 0$"):
+            harness.bench("problem=coupled_trig\ndims=4,0\nbudgets=40\nseeds=0\n")
+        assert cells == []
+
+    def test_dims_axis_adds_a_column_and_labels(self, tmp_path, capsys):
+        grid = tmp_path / "grid.cfg"
+        grid.write_text("problem=coupled_trig\ndims=4,8\nbudgets=40,80\nseeds=0\n"
+                        "methods=oqn,og_baseline\n")
+        assert cli_main(["bench", str(grid)]) == 0
+        out, err = capsys.readouterr()
+        header, *rows = out.splitlines()
+        assert header == "method,budget,seed,best_grad_norm,gradients,matvecs,dim"
+        assert len(rows) == 8
+        groups = [f"{method},dim={dim}" for method in ("oqn", "og_baseline") for dim in (4, 8)]
+        assert re.findall(r"^# median\[(.*)\] = ", err, re.M) == [
+            f"{group},{budget}" for group in groups for budget in (40, 80)]
+        assert re.findall(r"^# slope\[(.*)\] = ", err, re.M) == groups
+        # every row is oqn run of its cell
+        for row in rows:
+            method, budget, seed, best, gradients, matvecs, dim = row.split(",")
+            cfg_path = tmp_path / "cfg.txt"
+            cfg_path.write_text(f"problem=coupled_trig\ndim={dim}\nmethod={method}\n"
+                                f"budget={budget}\nseed={seed}\naudit=off\n")
+            assert cli_main(["run", str(cfg_path)]) == 0
+            result = json.loads(capsys.readouterr().out)["result"]
+            assert (result["grad_norm_final"], result["gradients"], result["matvecs"]) == (
+                float(best), int(gradients), int(matvecs))
+
+    def test_list_axis_over_any_run_key_reaches_every_cell(self, monkeypatch):
+        cells = []
+        real = harness.run_experiment
+
+        def spy(cfg):
+            cells.append(cfg)
+            return real(cfg)
+
+        monkeypatch.setattr(harness, "run_experiment", spy)
+        rows, summary = harness.bench("p_fails=0.01,0.02\ndims=4,5\nbudgets=40\nseeds=0,1\n")
+        # method, then the list axes in config order, then budget, then seed
+        grid = [(p_fail, dim, seed) for p_fail in (0.01, 0.02) for dim in (4, 5)
+                for seed in (0, 1)]
+        assert [(c.p_fail, c.dim, c.seed) for c in cells] == grid
+        assert summary["axes"] == ["p_fail", "dim"]
+        assert [row[6:] for row in rows] == [(str(p), str(d)) for p, d, _ in grid]
 
     def test_run_keys_reach_every_cell(self, monkeypatch):
         cells = []
